@@ -25,7 +25,6 @@ from cdspectra.graphcore import (
 )
 from cdspectra.spectra import (
     IntPolynomial,
-    NoConvergence,
     Spectrum,
     char_poly_exact,
     sturm_real_roots,
@@ -38,7 +37,6 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "IntPolynomial",
-    "NoConvergence",
     "Spectrum",
     "TooLarge",
     "adjacency_matrix",

@@ -188,7 +188,7 @@ def cmd_family(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _stream_theorem(tid: str, lines, workers: int) -> verify.VerificationReport:
+def _stream_theorem(tid: str, lines: list[str]) -> verify.VerificationReport:
     """Theorem check over an external graph6 stream instead of enumeration."""
     graphs: list[Graph] = []
     verify.enumerate_diam_gt3(sink=graphs.append, source=lines)
@@ -197,10 +197,8 @@ def _stream_theorem(tid: str, lines, workers: int) -> verify.VerificationReport:
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise SystemExit2("input stream mixes graph orders")
-    values = {
-        "l1": [verify.complement_distance_spectrum(g).lambda1 for g in graphs],
-        "ln": [verify.complement_distance_spectrum(g).lambda_n for g in graphs],
-    }
+    spectra = [verify.complement_distance_spectrum(g) for g in graphs]
+    values = {"l1": [s.lambda1 for s in spectra], "ln": [s.lambda_n for s in spectra]}
     rep = verify.check_theorem_on_values(tid, n, graphs, values)
     rep.notes.append("external graph6 stream: verdict covers the supplied graphs only")
     return rep
@@ -214,14 +212,19 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         if c not in verify.CLAIM_IDS:
             raise SystemExit2(
                 f"unknown claim id {c!r}; known: {', '.join(verify.CLAIM_IDS)}")
+        if cfg.use_stdin and not c.startswith("T"):
+            raise SystemExit2("--stdin supports theorem claims only")
+    # every claim sees the whole stream, so it is read once
+    lines = sys.stdin.readlines() if cfg.use_stdin else None
     reports = []
     for c in claims:
-        if cfg.use_stdin:
-            if not c.startswith("T"):
-                raise SystemExit2("--stdin supports theorem claims only")
-            rep = _stream_theorem(c, sys.stdin, cfg.workers)
-        else:
-            rep = verify.run_claim(c, n=cfg.n, p_max=cfg.p_max, workers=cfg.workers)
+        try:
+            if lines is not None:
+                rep = _stream_theorem(c, lines)
+            else:
+                rep = verify.run_claim(c, n=cfg.n, p_max=cfg.p_max, workers=cfg.workers)
+        except ValueError as exc:
+            raise SystemExit2(f"claim {c}: {exc}") from exc
         reports.append(rep)
         emit(rep.to_dict())
         print(f"{rep.claim_id}: {rep.status}"

@@ -1,23 +1,20 @@
 """Dense symmetric eigensolver and exact integer polynomial machinery.
 
-Two independent routes to the same spectra live here on purpose: a cyclic
-Jacobi eigensolver for real symmetric matrices, and exact integer
-characteristic polynomials (Faddeev-LeVerrier) whose real roots are
-isolated with Sturm sequences over rationals.  Agreement between the two
-routes is what the verification harness leans on; neither side may be
+Two independent routes to the same spectra live here on purpose: LAPACK's
+symmetric eigensolver (`numpy.linalg.eigh`) in floating point, and exact
+integer characteristic polynomials (Faddeev-LeVerrier) whose real roots
+are isolated with Sturm sequences over rationals.  Agreement between the
+two routes is what the verification harness leans on; neither side may be
 collapsed into the other.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 CHAR_POLY_MAX_N = 16
-
-
-class NoConvergence(RuntimeError):
-    """Jacobi sweep budget exhausted before reaching the threshold."""
 
 
 class TooLargeMatrix(ValueError):
@@ -46,70 +43,19 @@ class Spectrum:
         return float(self.values[-1])
 
 
-def sym_eigenvalues(m, tol: float = 1e-12, max_sweeps: int = 100) -> Spectrum:
-    """All eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Rotations below `tol` are skipped; a sweep that finds every
-    off-diagonal entry at or below `tol` ends the iteration.  Matrices here
-    are small (n <= 64) and dense, where Jacobi is simple and bit-stable.
-    """
+def sym_eigenvalues(m) -> Spectrum:
+    """All eigenpairs of a real symmetric matrix by LAPACK (`numpy.linalg.eigh`)."""
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be exactly symmetric")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = a.shape[0]
-    orig = a.copy()
-    vec = np.eye(n)
-    if n == 1:
-        return Spectrum(a[0].copy(), vec, 0.0)
-
-    converged = False
-    off = 0.0
-    for _ in range(max_sweeps):
-        off = max(np.abs(a[p, p + 1:]).max() for p in range(n - 1))
-        if off <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.hypot(1.0, theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # rotate columns, mirror into rows, then exact pivot entries
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = vec[:, p].copy(), vec[:, q].copy()
-                vec[:, p] = c * vp - s * vq
-                vec[:, q] = s * vp + c * vq
-    if not converged:
-        raise NoConvergence(f"no convergence in {max_sweeps} sweeps (off={off:.3e})")
-
-    values = np.diag(a).copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vec = vec[:, order]
-    for k in range(n):
-        col = vec[:, k]
-        piv = int(np.argmax(np.abs(col)))
-        if col[piv] < 0:
-            vec[:, k] = -col
-    residual = float(np.abs(orig @ vec - vec * values).max())
+    values, vec = np.linalg.eigh(a)
+    values, vec = values[::-1].copy(), vec[:, ::-1].copy()
+    cols = np.arange(a.shape[0])
+    piv = np.argmax(np.abs(vec), axis=0)
+    vec[:, vec[piv, cols] < 0] *= -1.0
+    residual = float(np.abs(a @ vec - vec * values).max())
     return Spectrum(values, vec, residual)
 
 
@@ -249,11 +195,24 @@ def _is_zero(c: list[Fraction]) -> bool:
     return all(x == 0 for x in c)
 
 
-def _eval(c: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for k in reversed(c):
-        acc = acc * x + k
-    return acc
+def _scaled(c: list[Fraction]) -> tuple[int, ...]:
+    """Integer coefficients of c times the positive lcm of its denominators."""
+    m = math.lcm(*(x.denominator for x in c))
+    return tuple(x.numerator * (m // x.denominator) for x in c)
+
+
+def _sign(c: tuple[int, ...], x: Fraction) -> int:
+    """Sign of the integer polynomial c at x = a/b, b > 0.
+
+    Homogeneous Horner over ints: sum c_i a^i b^(d-i) = b^d c(x) has the
+    sign of c(x) and needs no rational arithmetic.
+    """
+    a, b = x.numerator, x.denominator
+    acc, bk = c[-1], 1
+    for ci in c[-2::-1]:
+        bk *= b
+        acc = acc * a + ci * bk
+    return (acc > 0) - (acc < 0)
 
 
 def _deriv(c: list[Fraction]) -> list[Fraction]:
@@ -301,21 +260,18 @@ def _divide_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _trim(out)
 
 
-def _sturm_chain(c: list[Fraction]) -> list[list[Fraction]]:
+def _sturm_chain(c: list[Fraction]) -> list[tuple[int, ...]]:
+    """Sturm sequence of c, each member scaled to integers (signs unchanged)."""
     chain = [_trim(c[:]), _deriv(c)]
     while not _is_zero(chain[-1]) and len(chain[-1]) > 1:
         chain.append(_trim([-x for x in _rem(chain[-2], chain[-1])]))
     if _is_zero(chain[-1]):
         chain.pop()
-    return chain
+    return [_scaled(f) for f in chain]
 
 
 def _variations(chain, x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = _eval(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (_sign(c, x) for c in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -342,18 +298,19 @@ def _isolate_squarefree(f: list[Fraction], lo: Fraction, hi: Fraction,
     returned as a zero-width bracket.  Covers the closed interval [lo, hi].
     """
     chain = _sturm_chain(f)
+    fi = chain[0]
     out: list[tuple[Fraction, Fraction]] = []
-    if _eval(f, lo) == 0:
+    if _sign(fi, lo) == 0:
         out.append((lo, lo))
 
     def shrink_right(a: Fraction, b: Fraction, cnt: int) -> tuple[Fraction, int]:
         # f(b) == 0: record b, then pull the right end off the root
-        while _eval(f, b) == 0:
+        while _sign(fi, b) == 0:
             out.append((b, b))
             cnt -= 1
             step = (b - a) / 2
             nb = b - step
-            while _eval(f, nb) == 0 or _count_roots(chain, nb, b) != 1:
+            while _sign(fi, nb) == 0 or _count_roots(chain, nb, b) != 1:
                 step /= 2
                 nb = b - step
             b = nb
@@ -370,11 +327,11 @@ def _isolate_squarefree(f: list[Fraction], lo: Fraction, hi: Fraction,
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        if _eval(f, mid) == 0:
+        if _sign(fi, mid) == 0:
             out.append((mid, mid))
             step = (mid - a) / 2
             nm = mid - step
-            while _eval(f, nm) == 0 or _count_roots(chain, nm, mid) != 1:
+            while _sign(fi, nm) == 0 or _count_roots(chain, nm, mid) != 1:
                 step /= 2
                 nm = mid - step
             stack.append((a, nm, _count_roots(chain, a, nm)))
@@ -390,7 +347,7 @@ def _isolate_squarefree(f: list[Fraction], lo: Fraction, hi: Fraction,
 def _bracket_has_root(g: list[Fraction], a: Fraction, b: Fraction) -> bool:
     """Whether g vanishes somewhere in the bracket ((a, b], or the point a==b)."""
     if a == b:
-        return _eval(g, a) == 0
+        return _sign(_scaled(g), a) == 0
     return _count_roots(_sturm_chain(g), a, b) > 0
 
 

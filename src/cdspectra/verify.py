@@ -34,6 +34,7 @@ from cdspectra.families import (
 )
 from cdspectra.graphcore import (
     Graph,
+    Graph6Error,
     complement,
     diameter,
     distance_matrix,
@@ -348,11 +349,14 @@ def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
     """
     count = 0
     if source is not None:
-        for line in source:
+        for lineno, line in enumerate(source, start=1):
             line = line.strip()
             if not line:
                 continue
-            g = from_graph6(line)
+            try:
+                g = from_graph6(line)
+            except Graph6Error as exc:
+                raise Graph6Error(f"line {lineno}: {exc}") from exc
             if n is not None and g.n != n:
                 continue
             if not is_connected(g) or diameter(g) <= 3:
@@ -470,13 +474,17 @@ def _balanced_pq(n: int):
     return (n + 1) // 2, n // 2
 
 
-def check_theorem(tid: str, n: int, workers: int = 1) -> VerificationReport:
-    """Exhaustive check of one of the four extremal theorems at order n."""
-    tid = tid.lstrip("T")
+def _theorem_order_guard(tid: str, n: int) -> None:
     if tid in ("2.4", "2.8") and n < 5:
         raise ValueError("theorems 2.4/2.8 need n >= 5")
     if tid in ("3.7", "3.13") and n < 7:
         raise ValueError("theorems 3.7/3.13 are stated for n >= 7")
+
+
+def check_theorem(tid: str, n: int, workers: int = 1) -> VerificationReport:
+    """Exhaustive check of one of the four extremal theorems at order n."""
+    tid = tid.lstrip("T")
+    _theorem_order_guard(tid, n)
 
     if tid == "2.4":
         s, t = _balanced_H(n)
@@ -1047,8 +1055,9 @@ def _lemma_3_11(p_max: int = 12) -> VerificationReport:
     def point(p, q):
         l = complement_distance_spectrum(build_L(p, q)).lambda_n
         lp = complement_distance_spectrum(build_Lprime(p + q)).lambda_n
-        m = l - lp
-        return {"params": (p, q), "margin": m, "ok": m > STRICT_MARGIN}
+        # least roots of the quotient polynomials are the two lambda_n values
+        exact = certify_root_order(quotients.Phi_L(p, q), quotients.Psi_Lprime(p + q), "min")
+        return {"params": (p, q), "margin": l - lp, "ok": exact == 1, "exact": exact}
 
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1) if p + q >= 7]
     rows, worst, bad = _grid_reports(pairs, point)
@@ -1060,8 +1069,7 @@ def _lemma_3_11(p_max: int = 12) -> VerificationReport:
     ]
     if bad:
         p0, q0 = bad[0]["params"]
-        exact = certify_root_order(
-            quotients.Phi_L(p0, q0), quotients.Psi_Lprime(p0 + q0), "min")
+        exact = bad[0]["exact"]
         notes.append(
             f"counterexample certified exactly at ({p0},{q0}): least root of "
             f"Phi is {'below' if exact == -1 else 'not below'} the least root of Psi, "
@@ -1175,6 +1183,7 @@ def check_theorem_on_values(tid: str, n: int, graphs: list[Graph],
     conclusive because every witness is a genuine class member.
     """
     tid = tid.lstrip("T")
+    _theorem_order_guard(tid, n)
     l1s = np.asarray(values["l1"])
     lns = np.asarray(values["ln"])
 

@@ -138,6 +138,38 @@ def test_verify_stdin_stream(capsys, monkeypatch):
     assert code == 1
 
 
+def test_verify_stdin_malformed_line_is_usage_error(capsys, monkeypatch):
+    from cdspectra.graphcore import to_graph6
+    lines = to_graph6(build_path(7)) + "\n\nnot-a-graph6-\x7f\n"
+    code, out, err = run_cli(capsys, "verify", "--claims", "T2.8", "--stdin",
+                             stdin=lines, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert "line 3" in err and "Traceback" not in err
+
+
+def test_verify_stdin_order_guard_is_usage_error(capsys, monkeypatch):
+    from cdspectra.graphcore import to_graph6
+    code, out, err = run_cli(capsys, "verify", "--claims", "T3.13", "--stdin",
+                             stdin=to_graph6(build_path(6)) + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert "n >= 7" in err
+
+
+def test_verify_stdin_shared_by_every_claim(capsys, monkeypatch):
+    from cdspectra.families import build_L
+    from cdspectra.graphcore import to_graph6
+    lines = "\n".join([to_graph6(build_path(7)), "FZ?Z_", to_graph6(build_L(4, 3))]) + "\n"
+    code, out, _ = run_cli(capsys, "verify", "--claims", "T3.13,T2.8", "--stdin",
+                           stdin=lines, monkeypatch=monkeypatch)
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["claim"] for r in recs] == ["T3.13", "T2.8"]
+    assert [r["params"]["sample"] for r in recs] == [3, 3]
+    assert recs[0]["status"] == "refuted" and recs[1]["status"] == "confirmed"
+    assert code == 2
+
+
 def test_json_formatting_fixed_digits():
     assert cli.to_json({"x": 1.0}) == '{"x":1}'
     assert cli.to_json(7.737587999399938) == "7.7375879994"

@@ -10,8 +10,9 @@ from cdspectra.graphcore import complement, distance_matrix, from_edge_mask
 from cdspectra.families import build_path
 from cdspectra.spectra import (
     IntPolynomial,
-    NoConvergence,
     TooLargeMatrix,
+    _scaled,
+    _sign,
     cauchy_root_bound,
     certify_root_order,
     char_poly_exact,
@@ -53,8 +54,6 @@ def test_eigen_requires_symmetric_square():
         sym_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         sym_eigenvalues(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        sym_eigenvalues(np.eye(2), tol=0.0)
 
 
 def test_trace_and_frobenius_invariants():
@@ -183,7 +182,7 @@ def test_sturm_no_roots_and_validation():
 
 def test_sturm_agrees_with_jacobi_on_symmetric_integer_matrices():
     rng = np.random.default_rng(42)
-    for n in (3, 5, 8):
+    for n in (3, 5, 8, 12, 16):
         m = rng.integers(-2, 3, size=(n, n))
         m = m + m.T
         poly = char_poly_exact(m)
@@ -192,6 +191,37 @@ def test_sturm_agrees_with_jacobi_on_symmetric_integer_matrices():
         vals = sorted(sym_eigenvalues(m.astype(float)).values.tolist())
         assert len(roots) == n
         assert np.allclose(roots, vals, atol=1e-9)
+
+
+def _fraction_horner(c, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for k in reversed(c):
+        acc = acc * x + k
+    return acc
+
+
+def test_integer_sign_matches_fraction_horner():
+    rng = np.random.default_rng(77)
+    denominators = (1, 2, 3, 7, 12, 2**20, 3**9 * 5, 1021)
+    for _ in range(400):
+        deg = int(rng.integers(0, 9))
+        c = [int(v) for v in rng.integers(-50, 51, size=deg + 1)]
+        c[-1] = c[-1] or 1
+        b = int(rng.choice(denominators))
+        x = Fraction(int(rng.integers(-40 * b, 40 * b + 1)), b)
+        ref = _fraction_horner(c, x)
+        assert _sign(tuple(c), x) == (ref > 0) - (ref < 0)
+    # exact rational roots, including non-dyadic ones, give sign 0
+    for r in (Fraction(1, 3), Fraction(-5, 7), Fraction(22, 9), Fraction(0), Fraction(-4)):
+        c = IntPolynomial((-r.numerator, r.denominator)) * IntPolynomial((3, 0, 1))
+        assert _sign(c.coeffs, r) == 0
+        assert _sign(c.coeffs, r + Fraction(1, 10**9)) != 0
+    # Sturm chain members are rational; scaling by the lcm keeps every sign
+    c = [Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5, 9)]
+    assert _scaled(c) == (6, -27, 0, 20)
+    for x in (Fraction(-3), Fraction(1, 3), Fraction(7, 5), Fraction(2**30 + 1, 2**30)):
+        ref = _fraction_horner(c, x)
+        assert _sign(_scaled(c), x) == (ref > 0) - (ref < 0)
 
 
 def test_quotient_poly_roots_inside_full_spectrum():
