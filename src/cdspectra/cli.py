@@ -188,10 +188,17 @@ def cmd_family(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _stream_theorem(tid: str, lines: list[str]) -> verify.VerificationReport:
-    """Theorem check over an external graph6 stream instead of enumeration."""
+def _read_stream(lines: list[str]) -> tuple[int, list[Graph], dict]:
+    """Decode an external graph6 stream once: its order, members and their values.
+
+    The values are lambda_1 and lambda_n of D(G^c) per member, from one
+    spectrum each, shared by every claim of the run.
+    """
     graphs: list[Graph] = []
-    verify.enumerate_diam_gt3(sink=graphs.append, source=lines)
+    try:
+        verify.enumerate_diam_gt3(sink=graphs.append, source=lines)
+    except ValueError as exc:
+        raise SystemExit2(f"input stream: {exc}") from exc
     if not graphs:
         raise SystemExit2("no diameter>3 graphs in the input stream")
     n = graphs[0].n
@@ -199,7 +206,12 @@ def _stream_theorem(tid: str, lines: list[str]) -> verify.VerificationReport:
         raise SystemExit2("input stream mixes graph orders")
     spectra = [verify.complement_distance_spectrum(g) for g in graphs]
     values = {"l1": [s.lambda1 for s in spectra], "ln": [s.lambda_n for s in spectra]}
-    rep = verify.check_theorem_on_values(tid, n, graphs, values)
+    return n, graphs, values
+
+
+def _stream_theorem(tid: str, stream: tuple[int, list[Graph], dict]) -> verify.VerificationReport:
+    """Theorem check over an external graph6 stream instead of enumeration."""
+    rep = verify.check_theorem_on_values(tid, *stream)
     rep.notes.append("external graph6 stream: verdict covers the supplied graphs only")
     return rep
 
@@ -214,13 +226,13 @@ def cmd_verify(cfg: RunConfig, args) -> int:
                 f"unknown claim id {c!r}; known: {', '.join(verify.CLAIM_IDS)}")
         if cfg.use_stdin and not c.startswith("T"):
             raise SystemExit2("--stdin supports theorem claims only")
-    # every claim sees the whole stream, so it is read once
-    lines = sys.stdin.readlines() if cfg.use_stdin else None
+    # every claim sees the whole stream, so it is read and solved once
+    stream = _read_stream(sys.stdin.readlines()) if cfg.use_stdin else None
     reports = []
     for c in claims:
         try:
-            if lines is not None:
-                rep = _stream_theorem(c, lines)
+            if stream is not None:
+                rep = _stream_theorem(c, stream)
             else:
                 rep = verify.run_claim(c, n=cfg.n, p_max=cfg.p_max, workers=cfg.workers)
         except ValueError as exc:

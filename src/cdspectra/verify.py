@@ -15,6 +15,8 @@ claims whose true direction opposes the stated one are
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -108,36 +110,47 @@ class VerificationReport:
 # --- vectorized mask enumeration ---------------------------------------------
 
 
+def _selfbits(n: int) -> np.ndarray:
+    return np.array([1 << v for v in range(n)], dtype=np.uint8)[:, None]
+
+
 def _adj_rows(masks: np.ndarray, n: int) -> np.ndarray:
-    adj = np.zeros((len(masks), n), dtype=np.uint8)
+    """Neighbour bitsets of shape (n, m): one contiguous row per vertex."""
+    adj = np.zeros((n, len(masks)), dtype=np.uint8)
+    # split the masks into bytes once, so the per-edge work runs on uint8
+    edge_bytes = [((masks >> np.uint32(8 * k)) & np.uint32(0xFF)).astype(np.uint8)
+                  for k in range((len(g6_pairs(n)) + 7) // 8)]
+    bit = np.empty(len(masks), dtype=np.uint8)
     for e, (i, j) in enumerate(g6_pairs(n)):
-        bit = ((masks >> np.uint32(e)) & np.uint32(1)).astype(np.uint8)
-        adj[:, i] |= bit << np.uint8(j)
-        adj[:, j] |= bit << np.uint8(i)
+        np.right_shift(edge_bytes[e >> 3], np.uint8(e & 7), out=bit)
+        bit &= np.uint8(1)
+        adj[i] |= bit << np.uint8(j)
+        adj[j] |= bit << np.uint8(i)
     return adj
 
 
-def _expand_one(ball: np.ndarray, adj: np.ndarray, n: int) -> np.ndarray:
-    out = ball.copy()
+def _spread(ball: np.ndarray, adj: np.ndarray, n: int) -> np.ndarray:
+    """Union of the rows adj[w] over the bits w set in each ball."""
+    out = np.zeros_like(ball)
+    term = np.empty_like(ball)
     for w in range(n):
-        has = ((ball >> np.uint8(w)) & np.uint8(1)).astype(np.uint8)
-        out |= adj[:, w] * has
+        np.right_shift(ball, np.uint8(w), out=term)
+        term &= np.uint8(1)
+        term *= adj[w]
+        out |= term
     return out
+
+
+def _expand_one(ball: np.ndarray, adj: np.ndarray, n: int) -> np.ndarray:
+    return ball | _spread(ball, adj, n)
 
 
 def _expand_all(balls: np.ndarray, adj: np.ndarray, n: int) -> np.ndarray:
-    out = balls.copy()
-    for v in range(n):
-        col = balls[:, v]
-        for w in range(n):
-            has = ((col >> np.uint8(w)) & np.uint8(1)).astype(np.uint8)
-            out[:, v] |= adj[:, w] * has
-    return out
+    return np.stack([_expand_one(balls[v], adj, n) for v in range(n)])
 
 
 def _ball_radius(adj: np.ndarray, n: int, radius: int) -> np.ndarray:
-    selfbits = np.array([1 << v for v in range(n)], dtype=np.uint8)
-    balls = adj | selfbits[None, :]
+    balls = adj | _selfbits(n)
     for _ in range(radius - 1):
         balls = _expand_all(balls, adj, n)
     return balls
@@ -145,7 +158,7 @@ def _ball_radius(adj: np.ndarray, n: int, radius: int) -> np.ndarray:
 
 def _connected_mask(adj: np.ndarray, n: int) -> np.ndarray:
     full = np.uint8((1 << n) - 1)
-    r = adj[:, 0] | np.uint8(1)
+    r = adj[0] | np.uint8(1)
     for _ in range(n - 2):
         r = _expand_one(r, adj, n)
     return r == full
@@ -153,31 +166,30 @@ def _connected_mask(adj: np.ndarray, n: int) -> np.ndarray:
 
 def _complement_rows(adj: np.ndarray, n: int) -> np.ndarray:
     full = np.uint8((1 << n) - 1)
-    selfbits = np.array([1 << v for v in range(n)], dtype=np.uint8)
-    return (~(adj | selfbits[None, :])) & full
+    return (~(adj | _selfbits(n))) & full
 
 
-def _distance_from_balls(b1, b2, b3, n: int) -> np.ndarray:
+def _adjacency_tensor(rows: np.ndarray, n: int) -> np.ndarray:
+    """Bitset rows (n, m) as a C-contiguous 0/1 tensor t[k, u, v] = bit v of rows[u, k]."""
+    shifts = np.arange(n, dtype=np.uint8)[None, :, None]
+    bits = (rows[:, None, :] >> shifts) & np.uint8(1)
+    return bits.transpose(2, 0, 1).astype(np.int8, order="C")
+
+
+def _distance_from_balls(b1, b2, n: int) -> np.ndarray:
     """Distances 1..3 from nested ball membership; caller checks coverage."""
-    m = b1.shape[0]
-    d = np.zeros((m, n, n), dtype=np.int8)
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            in1 = (b1[:, u] >> np.uint8(v)) & 1
-            in2 = (b2[:, u] >> np.uint8(v)) & 1
-            d[:, u, v] = np.where(in1 == 1, 1, np.where(in2 == 1, 2, 3)).astype(np.int8)
+    d = 3 - _adjacency_tensor(b1, n) - _adjacency_tensor(b2, n)
+    d[:, np.arange(n), np.arange(n)] = 0
     return d
 
 
-def _adjacency_tensor(adj: np.ndarray, n: int) -> np.ndarray:
-    amat = np.zeros((len(adj), n, n), dtype=np.int8)
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                amat[:, u, v] = (adj[:, u] >> np.uint8(v)) & 1
-    return amat
+def _complement_distances(adj: np.ndarray, n: int):
+    """D(G^c) as an (m, n, n) int8 tensor, and which complements have diameter <= 3."""
+    comp = _complement_rows(adj, n)
+    cb2 = _expand_all(comp | _selfbits(n), comp, n)
+    cb3 = _expand_all(cb2, comp, n)
+    covered = np.bitwise_and.reduce(cb3, axis=0) == np.uint8((1 << n) - 1)
+    return _distance_from_balls(comp, cb2, n), covered
 
 
 def _chunk_masks(n: int, index: int) -> np.ndarray:
@@ -193,14 +205,18 @@ def _chunk_count(n: int) -> int:
     return ((1 << nbits) + (1 << CHUNK_BITS) - 1) >> CHUNK_BITS
 
 
+def _class_keep(adj: np.ndarray, n: int) -> np.ndarray:
+    """Which graphs are connected with diameter > 3."""
+    full = np.uint8((1 << n) - 1)
+    diam_le3 = np.bitwise_and.reduce(_ball_radius(adj, n, 3), axis=0) == full
+    return _connected_mask(adj, n) & ~diam_le3
+
+
 def _survivor_adj(masks: np.ndarray, n: int):
     """Connected, diameter > 3 filter; returns (masks, adjacency rows)."""
     adj = _adj_rows(masks, n)
-    full = np.uint8((1 << n) - 1)
-    connected = _connected_mask(adj, n)
-    diam_le3 = np.all(_ball_radius(adj, n, 3) == full, axis=1)
-    keep = connected & ~diam_le3
-    return masks[keep], adj[keep]
+    keep = _class_keep(adj, n)
+    return masks[keep], adj[:, keep]
 
 
 def _cluster(values: np.ndarray, masks: np.ndarray, mode: str) -> dict | None:
@@ -247,17 +263,10 @@ def _scan_chunk(n: int, index: int, want_vectors: bool) -> dict:
         if want_vectors:
             out.update(q_hist={}, degenerate=0, q1_max_ln=None, q1_count=0)
         return out
-    full = np.uint8((1 << n) - 1)
-    comp = _complement_rows(adj, n)
-    selfbits = np.array([1 << v for v in range(n)], dtype=np.uint8)
-    cb1 = comp | selfbits[None, :]
-    cb2 = _expand_all(cb1, comp, n)
-    cb3 = _expand_all(cb2, comp, n)
-    if not np.all(cb3 == full):
-        bad = ~np.all(cb3 == full, axis=1)
+    d, covered = _complement_distances(adj, n)
+    if not covered.all():
         raise AssertionError(
-            f"complement not within diameter 3 for masks {masks[bad][:5].tolist()}")
-    d = _distance_from_balls(comp, cb2, cb3, n)
+            f"complement not within diameter 3 for masks {masks[~covered][:5].tolist()}")
     # Lemma 2.1 identity on the diameter>3 class: D(G^c) == J - I + A(G)
     expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
     amat = _adjacency_tensor(adj, n)
@@ -396,9 +405,31 @@ def _dedup_isomorphic(graphs: list[Graph]) -> list[Graph]:
     return reps
 
 
+@lru_cache(maxsize=None)
+def _perm_edge_table(n: int) -> np.ndarray:
+    """Row k maps each edge index to its image under the k-th permutation of S_n."""
+    pairs = np.array(g6_pairs(n)).T
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    a, b = perms[:, pairs[0]], perms[:, pairs[1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return hi * (hi - 1) // 2 + lo          # index of (lo, hi) in g6_pairs order
+
+
+def _orbit(n: int, mask: int) -> set[int]:
+    """Edge masks of every relabeling of the graph `mask`."""
+    bits = (mask >> np.arange(n * (n - 1) // 2, dtype=np.int64)) & 1
+    return set((bits << _perm_edge_table(n)).sum(axis=1).tolist())
+
+
 def _witness_graphs(cluster: dict, n: int, cap: int = 20000) -> list[Graph]:
-    masks = [m for _, m in cluster["pairs"]][:cap]
-    return [from_edge_mask(n, m) for m in masks]
+    """One graph per isomorphism class among the cluster's masks, first seen first."""
+    seen: set[int] = set()
+    reps: list[Graph] = []
+    for _, m in cluster["pairs"][:cap]:
+        if m not in seen:
+            seen |= _orbit(n, m)
+            reps.append(from_edge_mask(n, m))
+    return reps
 
 
 def _margin(cluster: dict) -> float | None:
@@ -449,7 +480,7 @@ def scan_extremal(n: int, objective: str, workers: int = 1) -> VerificationRepor
         raise ValueError(f"unknown objective {objective!r}")
     scan = class_scan(n, workers=workers)
     cluster = scan["objectives"][objective]
-    witnesses = _dedup_isomorphic(_witness_graphs(cluster, n))
+    witnesses = _witness_graphs(cluster, n)
     return VerificationReport(
         claim_id=f"scan:{objective}",
         status="confirmed",
@@ -510,8 +541,11 @@ def check_theorem(tid: str, n: int, workers: int = 1) -> VerificationReport:
         all_paths = all(is_isomorphic(w, bound_graph) for w in witnesses)
         notes = []
         ok = abs(value - bound) <= CLUSTER_TOL and all_paths
-        margin = _escalate_margin(rep, n, "min_l1", bound_graph, "max", notes)
-        status = "confirmed" if ok and (margin is None or margin > STRICT_MARGIN) else "refuted"
+        margin, orders = _escalate_margin(rep, n, "min_l1", bound_graph, "max", notes)
+        # near ties are decided by the exact order of every runner-up against the bound
+        strict = (orders == {1} if orders is not None
+                  else margin is None or margin > STRICT_MARGIN)
+        status = "confirmed" if ok and strict else "refuted"
         if not all_paths:
             notes.append("non-path witness attains the minimum")
         return VerificationReport(
@@ -583,22 +617,21 @@ def _masks_with_value_near(n: int, objective: str, value: float,
         masks, adj = _survivor_adj(_chunk_masks(n, i), n)
         if len(masks) == 0:
             continue
-        comp = _complement_rows(adj, n)
-        selfbits = np.array([1 << v for v in range(n)], dtype=np.uint8)
-        cb2 = _expand_all(comp | selfbits[None, :], comp, n)
-        cb3 = _expand_all(cb2, comp, n)
-        d = _distance_from_balls(comp, cb2, cb3, n)
+        d, _ = _complement_distances(adj, n)
         w = np.linalg.eigvalsh(d.astype(np.float64))[:, col]
         found.extend(int(m) for m in masks[np.abs(w - value) <= window])
     return sorted(found)
 
 
 def _escalate_margin(rep: VerificationReport, n: int, objective: str,
-                     bound_graph: Graph, side: str, notes: list) -> float | None:
-    """Runner-up margin; tiny margins are re-decided by exact root comparison."""
+                     bound_graph: Graph, side: str, notes: list):
+    """Runner-up margin, and the exact root orders of the runner-ups vs the bound.
+
+    The orders are None unless the margin is at most EXACT_RECHECK_BELOW.
+    """
     margin = rep.margin
     if margin is None or margin > EXACT_RECHECK_BELOW:
-        return margin
+        return margin, None
     runner_val = rep.details.get("runner_up")
     orders = {
         _exact_order(from_edge_mask(n, m), bound_graph, side)
@@ -607,7 +640,7 @@ def _escalate_margin(rep: VerificationReport, n: int, objective: str,
     notes.append(
         f"margin {margin:.3e} <= {EXACT_RECHECK_BELOW:.0e}: exact char-poly "
         f"re-check of runner-up graphs vs bound gives orders {sorted(orders)}")
-    return margin
+    return margin, orders
 
 
 # --- lemma checks --------------------------------------------------------------
@@ -647,24 +680,18 @@ def _lemma21_diam3_scan(n: int) -> dict:
     for i in range(_chunk_count(n)):
         masks = _chunk_masks(n, i)
         adj = _adj_rows(masks, n)
-        connected = _connected_mask(adj, n)
-        b3 = _ball_radius(adj, n, 3)
         b2 = _ball_radius(adj, n, 2)
-        diam3 = connected & np.all(b3 == full, axis=1) & ~np.all(b2 == full, axis=1)
-        masks, adj = masks[diam3], adj[diam3]
+        b3 = _expand_all(b2, adj, n)
+        # every radius-3 ball full already implies connected
+        diam3 = ((np.bitwise_and.reduce(b3, axis=0) == full)
+                 & (np.bitwise_and.reduce(b2, axis=0) != full))
+        masks, adj = masks[diam3], adj[:, diam3]
         if len(masks) == 0:
             continue
-        comp = _complement_rows(adj, n)
-        selfbits = np.array([1 << v for v in range(n)], dtype=np.uint8)
-        cb1 = comp | selfbits[None, :]
-        cb2 = _expand_all(cb1, comp, n)
-        cb3 = _expand_all(cb2, comp, n)
-        covered = np.all(cb3 == full, axis=1)
+        d, covered = _complement_distances(adj, n)
         not_small += int((~covered).sum())
-        masks, adj = masks[covered], adj[covered]
-        comp, cb2, cb3 = comp[covered], cb2[covered], cb3[covered]
+        masks, adj, d = masks[covered], adj[:, covered], d[covered]
         count += len(masks)
-        d = _distance_from_balls(comp, cb2, cb3, n)
         amat = _adjacency_tensor(adj, n)
         expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
         ok = np.all(d >= expected[None, :, :] + amat, axis=(1, 2))
@@ -708,46 +735,46 @@ def _lemma_2_3(n: int) -> VerificationReport:
 
 def _lemma_2_5(n: int) -> VerificationReport:
     """Measured direction of lambda_1(G^c) under edge deletion keeping diam>3."""
-    pair_masks: list[tuple[int, int]] = []    # (graph mask, graph-minus-edge mask)
+    class_masks, class_l1 = [], []
+    graph, edge, minus = [], [], []           # (G, e, G - e) with G - e in the class
     for i in range(_chunk_count(n)):
-        masks, _ = _survivor_adj(_chunk_masks(n, i), n)
-        for m in masks:
-            m = int(m)
-            g = from_edge_mask(n, m)
-            for e, (a, b) in enumerate(g6_pairs(n)):
-                if not (m >> e) & 1:
-                    continue
-                m2 = m & ~(1 << e)
-                g2 = from_edge_mask(n, m2)
-                if is_connected(g2) and diameter(g2) > 3:
-                    pair_masks.append((m, m2))
-    uniq = sorted({m for pair in pair_masks for m in pair})
-    dmats = np.stack([
-        distance_matrix(complement(from_edge_mask(n, m))).astype(np.float64)
-        for m in uniq])
-    l1 = dict(zip(uniq, np.linalg.eigvalsh(dmats)[:, -1]))
-    stated_holds = reversed_holds = ties = 0
-    worst = None
-    example = None
-    for m, m2 in pair_masks:
-        v, v2 = l1[m], l1[m2]
-        if abs(v - v2) <= CLUSTER_TOL:
-            ties += 1
-        elif v > v2:
-            reversed_holds += 1
-            gap = v - v2
-            if worst is None or gap < worst:
-                worst = gap
-                example = (to_graph6(from_edge_mask(n, m)), to_graph6(from_edge_mask(n, m2)))
-        else:
-            stated_holds += 1
+        masks, adj = _survivor_adj(_chunk_masks(n, i), n)
+        d, _ = _complement_distances(adj, n)
+        class_masks.append(masks)
+        class_l1.append(np.linalg.eigvalsh(d.astype(np.float64))[:, -1])
+        for e in range(n * (n - 1) // 2):
+            bit = np.uint32(1 << e)
+            g = masks[(masks & bit) != 0]
+            g2 = g ^ bit
+            keep = _class_keep(_adj_rows(g2, n), n)
+            graph.append(g[keep])
+            edge.append(np.full(int(keep.sum()), e))
+            minus.append(g2[keep])
+    graph, edge, minus = np.concatenate(graph), np.concatenate(edge), np.concatenate(minus)
+    if len(graph) == 0:
+        raise ValueError(f"no edge deletion keeps a graph in the class at n={n}")
+    order = np.lexsort((edge, graph))          # pairs in (mask, edge) order
+    graph, minus = graph[order], minus[order]
+    class_masks, class_l1 = np.concatenate(class_masks), np.concatenate(class_l1)
+    v = class_l1[np.searchsorted(class_masks, graph)]
+    v2 = class_l1[np.searchsorted(class_masks, minus)]
+    tie = np.abs(v - v2) <= CLUSTER_TOL
+    rev = ~tie & (v > v2)
+    ties, reversed_holds = int(tie.sum()), int(rev.sum())
+    stated_holds = len(graph) - ties - reversed_holds
+    worst = example = None
+    if reversed_holds:
+        k = np.flatnonzero(rev)[np.argmin((v - v2)[rev])]
+        worst = v[k] - v2[k]
+        example = (to_graph6(from_edge_mask(n, int(graph[k]))),
+                   to_graph6(from_edge_mask(n, int(minus[k]))))
     status = ("confirmed-with-reversed-direction"
               if stated_holds == 0 and ties == 0 and reversed_holds else "refuted")
     return VerificationReport(
         claim_id="2.5", status=status, params={"n": n},
         margin=worst,
         notes=[
-            f"measured on {len(pair_masks)} (G, G-e) pairs with d(G-e)>3: "
+            f"measured on {len(graph)} (G, G-e) pairs with d(G-e)>3: "
             f"lambda_1(G^c) > lambda_1((G-e)^c) in {reversed_holds}, "
             f"ties {ties}, stated direction {stated_holds}",
             "the statement's <= opposes its own proof; deleting an edge strictly decreases lambda_1(G^c)",
@@ -1017,8 +1044,7 @@ def _lemma_3_9(n: int, n_max: int = 20, workers: int = 1) -> VerificationReport:
         q1_margin = bound - cluster["value"]
         q1_ok = q1_margin >= -CLUSTER_TOL
         if not q1_ok:
-            counterexamples = [to_graph6(g) for g in
-                               _dedup_isomorphic(_witness_graphs(cluster, n))]
+            counterexamples = [to_graph6(g) for g in _witness_graphs(cluster, n)]
         notes.append(f"max lambda_n over q=1 members: {cluster['value']:.12g} "
                      f"vs lambda_n(L'^c) {bound:.12g}")
     sub = []

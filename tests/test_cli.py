@@ -170,6 +170,24 @@ def test_verify_stdin_shared_by_every_claim(capsys, monkeypatch):
     assert code == 2
 
 
+def test_verify_stdin_solves_each_member_once(capsys, monkeypatch):
+    from cdspectra import verify
+    from cdspectra.families import build_L
+    from cdspectra.graphcore import to_graph6
+    calls = []
+    real = verify.complement_distance_spectrum
+    monkeypatch.setattr(verify, "complement_distance_spectrum",
+                        lambda g: calls.append(g) or real(g))
+    lines = "\n".join([to_graph6(build_path(7)), "FZ?Z_", to_graph6(build_L(4, 3)),
+                       to_graph6(build_path(4))]) + "\n"
+    code, out, _ = run_cli(capsys, "verify", "--claims", "T3.13,T2.8,T3.7", "--stdin",
+                           stdin=lines, monkeypatch=monkeypatch)
+    assert code == 2
+    assert len(out.splitlines()) == 3
+    # three members, plus one bound graph per claim
+    assert len(calls) == 3 + 3
+
+
 def test_json_formatting_fixed_digits():
     assert cli.to_json({"x": 1.0}) == '{"x":1}'
     assert cli.to_json(7.737587999399938) == "7.7375879994"

@@ -1,7 +1,11 @@
 """Enumeration engine, extremal scans, sign partitions, claim checkers."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdspectra import verify
 from cdspectra.families import (
@@ -16,6 +20,7 @@ from cdspectra.graphcore import (
     is_connected,
     is_isomorphic,
     relabel,
+    to_edge_mask,
     to_graph6,
 )
 from cdspectra.spectra import sym_eigenvalues
@@ -281,3 +286,89 @@ def test_run_claim_registry():
 def test_scan_invalid_n():
     with pytest.raises(ValueError):
         verify.class_scan(9)
+
+
+def _random_masks(n: int, count: int, seed: int) -> np.ndarray:
+    """Seeded masks over a spread of edge densities, so sparse class members occur."""
+    rng = random.Random(seed)
+    pairs = n * (n - 1) // 2
+    out = []
+    for _ in range(count):
+        density = rng.uniform(0.1, 0.6)
+        out.append(sum(1 << e for e in range(pairs) if rng.random() < density))
+    return np.array(out, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_survivor_filter_matches_graphcore_oracle(n):
+    if n == 5:
+        masks = np.arange(1 << 10, dtype=np.uint32)
+    else:
+        masks = _random_masks(n, 2000, seed=7000 + n)
+    want = [int(m) for m in masks
+            if is_connected(g := from_edge_mask(n, int(m))) and diameter(g) > 3]
+    assert len(want) >= 20              # the sample reaches into the class
+    got, adj = verify._survivor_adj(masks, n)
+    assert got.tolist() == want
+    assert adj.shape == (n, len(want))
+    for k, m in enumerate(want):
+        g = from_edge_mask(n, m)
+        assert adj[:, k].tolist() == list(g.adj)
+    # the chunk kernel's D(G^c) tensor equals per-graph BFS on the complement
+    d, covered = verify._complement_distances(adj, n)
+    assert d.shape == (len(want), n, n) and d.flags.c_contiguous
+    assert covered.all()
+    for k, m in enumerate(want):
+        assert np.array_equal(d[k], distance_matrix(complement(from_edge_mask(n, m))))
+
+
+def _relabeled_masks(classes: list[str], copies: int, seed: int) -> list[int]:
+    rng = random.Random(seed)
+    masks = []
+    for text in classes:
+        g = from_graph6(text)
+        for _ in range(copies):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            masks.append(to_edge_mask(relabel(g, perm)))
+    rng.shuffle(masks)
+    return masks
+
+
+def test_orbit_dedup_matches_pairwise_isomorphism():
+    classes = [to_graph6(build_path(7)), "FZ?Z_", to_graph6(build_L(4, 3)),
+               to_graph6(build_Lprime(7)), to_graph6(build_Ldprime(7))]
+    masks = _relabeled_masks(classes, copies=6, seed=11)
+    cluster = {"pairs": [(0.0, m) for m in masks]}
+    got = verify._witness_graphs(cluster, 7)
+    want = verify._dedup_isomorphic([from_edge_mask(7, m) for m in masks])
+    assert [g.adj for g in got] == [g.adj for g in want]
+    assert len(got) == len(classes)
+    # representatives are the first copy of each class in walk order
+    assert [to_edge_mask(g) for g in got] == [
+        m for i, m in enumerate(masks)
+        if not any(is_isomorphic(from_edge_mask(7, m), from_edge_mask(7, p))
+                   for p in masks[:i])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_contains_every_relabeling(data):
+    n = data.draw(st.integers(min_value=5, max_value=8))
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
+    perm = data.draw(st.permutations(range(n)))
+    orbit = verify._orbit(n, mask)
+    assert mask in orbit
+    assert to_edge_mask(relabel(from_edge_mask(n, mask), perm)) in orbit
+
+
+def test_t28_near_tie_decided_by_exact_recheck(monkeypatch):
+    monkeypatch.setattr(verify, "EXACT_RECHECK_BELOW", 10.0)
+    rep = verify.check_theorem("2.8", 6)
+    assert any("exact char-poly re-check" in note for note in rep.notes)
+    assert rep.status == "confirmed"
+    # an exact tie with a runner-up overrides the float margin
+    monkeypatch.setattr(verify, "_exact_order", lambda *args: 0)
+    rep = verify.check_theorem("2.8", 6)
+    assert rep.margin > verify.STRICT_MARGIN
+    assert rep.status == "refuted"
