@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,21 +69,6 @@ def emit(obj, out=None) -> None:
     print(to_json(obj), file=out or sys.stdout)
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    family: str | None = None
-    params: dict = field(default_factory=dict)
-    n: int | None = None
-    p_max: int = 12
-    claims: list[str] = field(default_factory=list)
-    tol: float = 1e-9
-    workers: int = 1
-    use_stdin: bool = False
-    csv_path: str | None = None
-    output: str = "json"
-
-
 def _default_workers() -> int:
     try:
         return max(1, int(os.environ.get("CDSPECTRA_WORKERS", "1")))
@@ -114,7 +98,7 @@ def _build_family_graph(args) -> Graph:
     return FAMILIES[family].build(*_family_params(args, family, names))
 
 
-def _graph_record(label: str, g: Graph, tol: float) -> dict:
+def _graph_record(label: str, g: Graph) -> dict:
     d = diameter(g)
     dc = distance_matrix(complement(g)).astype(np.float64)
     spec = sym_eigenvalues(dc)
@@ -133,12 +117,12 @@ def _graph_record(label: str, g: Graph, tol: float) -> dict:
     }
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> int:
+def cmd_spectrum(args) -> int:
     records = []
     errors = 0
     if args.family:
         g = _build_family_graph(args)
-        records.append(_graph_record(args.family, g, cfg.tol))
+        records.append(_graph_record(args.family, g))
     else:
         for lineno, line in enumerate(sys.stdin, start=1):
             line = line.strip()
@@ -146,7 +130,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
                 continue
             try:
                 g = from_graph6(line)
-                records.append(_graph_record(f"line {lineno}", g, cfg.tol))
+                records.append(_graph_record(f"line {lineno}", g))
             except (Graph6Error, DisconnectedGraph, ValueError) as exc:
                 errors += 1
                 records.append({"line": lineno, "error": str(exc)})
@@ -156,14 +140,14 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     return EXIT_USAGE if errors else EXIT_OK
 
 
-def cmd_poly(cfg: RunConfig, args) -> int:
+def cmd_poly(args) -> int:
     family = args.family
     if family not in QUOTIENT_PARAMS:
         raise SystemExit2(
             f"family {family!r} has no quotient model; "
             f"supported: {', '.join(sorted(QUOTIENT_PARAMS))}")
     params = _family_params(args, family, QUOTIENT_PARAMS[family])
-    rep = quotients.quotient_consistency(family, params, cfg.tol)
+    rep = quotients.quotient_consistency(family, params, args.tol)
     emit({
         "family": family,
         "params": list(params),
@@ -180,7 +164,7 @@ def cmd_poly(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_family(cfg: RunConfig, args) -> int:
+def cmd_family(args) -> int:
     g = _build_family_graph(args)
     print(to_graph6(g))
     print(f"family {args.family}: n={g.n}, edges={g.edge_count()}, "
@@ -216,7 +200,7 @@ def _stream_theorem(tid: str, stream: tuple[int, list[Graph], dict]) -> verify.V
     return rep
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     claims = [c.strip() for c in (args.claims or "").split(",") if c.strip()]
     if not claims:
         raise SystemExit2("no claims given; use --claims id[,id...]")
@@ -224,17 +208,17 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         if c not in verify.CLAIM_IDS:
             raise SystemExit2(
                 f"unknown claim id {c!r}; known: {', '.join(verify.CLAIM_IDS)}")
-        if cfg.use_stdin and not c.startswith("T"):
+        if args.stdin and not c.startswith("T"):
             raise SystemExit2("--stdin supports theorem claims only")
     # every claim sees the whole stream, so it is read and solved once
-    stream = _read_stream(sys.stdin.readlines()) if cfg.use_stdin else None
+    stream = _read_stream(sys.stdin.readlines()) if args.stdin else None
     reports = []
     for c in claims:
         try:
             if stream is not None:
                 rep = _stream_theorem(c, stream)
             else:
-                rep = verify.run_claim(c, n=cfg.n, p_max=cfg.p_max, workers=cfg.workers)
+                rep = verify.run_claim(c, n=args.n, p_max=args.p_max, workers=args.workers)
         except ValueError as exc:
             raise SystemExit2(f"claim {c}: {exc}") from exc
         reports.append(rep)
@@ -242,8 +226,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         print(f"{rep.claim_id}: {rep.status}"
               + (f" (margin {fmt_float(rep.margin)})" if rep.margin is not None else ""),
               file=sys.stderr)
-    if cfg.csv_path:
-        _write_csv(cfg.csv_path, reports)
+    if args.csv:
+        _write_csv(args.csv, reports)
     statuses = {r.status for r in reports}
     if "refuted" in statuses:
         return EXIT_REFUTED
@@ -282,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="per-graph complement distance spectrum")
     _add_family_args(sp)
-    sp.add_argument("--tol", type=float, default=1e-9)
 
     pp = sub.add_parser("poly", help="quotient polynomial coefficients and roots")
     _add_family_args(pp)
@@ -306,26 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        family=getattr(args, "family", None),
-        n=getattr(args, "n", None),
-        p_max=getattr(args, "p_max", 12),
-        tol=getattr(args, "tol", 1e-9),
-        workers=getattr(args, "workers", 1),
-        use_stdin=getattr(args, "stdin", False),
-        csv_path=getattr(args, "csv", None),
-    )
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         if args.subcommand == "spectrum":
-            return cmd_spectrum(cfg, args)
+            return cmd_spectrum(args)
         if args.subcommand == "poly":
-            return cmd_poly(cfg, args)
+            return cmd_poly(args)
         if args.subcommand == "family":
-            return cmd_family(cfg, args)
+            return cmd_family(args)
         if args.subcommand == "verify":
-            return cmd_verify(cfg, args)
+            return cmd_verify(args)
         raise SystemExit2(f"unknown subcommand {args.subcommand!r}")
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -458,11 +458,11 @@ def quotient_consistency(family_id: str, params, tol: float = 1e-9) -> QuotientR
     g = _build(family_id, params)
     if g.n > 40:
         raise ValueError("quotient_consistency supports orders up to 40")
-    qm = quotient_matrix(family_id, params)
+    dc = distance_matrix(complement(g))
+    qm = quotient_from_partition(dc, _classes(family_id, params))
     pm = printed_quotient_matrix(family_id, params)
     derived = char_poly_exact(qm)
     printed = printed_poly(family_id, params)
-    dc = distance_matrix(complement(g))
     spec = sym_eigenvalues(dc.astype(np.float64))
     # any eigenvalue is bounded by the max row sum <= n * max distance; the
     # complements here have diameter up to 3, so 2n would clip lambda_1

@@ -22,19 +22,14 @@ import numpy as np
 
 from cdspectra import quotients
 from cdspectra.families import (
-    build_B1,
-    build_B2,
-    build_H,
-    build_L,
-    build_Ldprime,
-    build_Lprime,
-    build_T,
+    FAMILIES,
     build_T1,
     build_T2,
     build_path,
     build_star,
 )
 from cdspectra.graphcore import (
+    ISO_MAX_VERTICES,
     Graph,
     Graph6Error,
     complement,
@@ -49,6 +44,7 @@ from cdspectra.graphcore import (
     to_graph6,
 )
 from cdspectra.spectra import (
+    CHAR_POLY_MAX_N,
     certify_root_order,
     char_poly_exact,
     sym_eigenvalues,
@@ -58,6 +54,7 @@ CHUNK_BITS = 20                     # fixed: scan results must not depend on wor
 CLUSTER_TOL = 1e-9
 STRICT_MARGIN = 1e-9
 EXACT_RECHECK_BELOW = 1e-6
+RECHECK_WINDOW = 1e-11              # rescan window around a near-tie value
 ZERO_TOL = 1e-9                     # eigenvector entry treated as zero
 DEGENERATE_GAP = 1e-8
 
@@ -432,15 +429,15 @@ def _witness_graphs(cluster: dict, n: int, cap: int = 20000) -> list[Graph]:
     return reps
 
 
-def _margin(cluster: dict) -> float | None:
-    if cluster["runner_up"] is None:
-        return None
-    return abs(cluster["runner_up"] - cluster["value"])
-
-
 def complement_distance_spectrum(g: Graph):
     """Spectrum of D(g^c); raises DisconnectedGraph if the complement is not connected."""
     return sym_eigenvalues(distance_matrix(complement(g)).astype(np.float64))
+
+
+@lru_cache(maxsize=None)
+def _family_spectrum(family: str, params: tuple[int, ...]):
+    """Spectrum of D(X^c) for the family graph X(params), solved once per process."""
+    return complement_distance_spectrum(FAMILIES[family].build(*params))
 
 
 def _exact_order(ga: Graph, gb: Graph, side: str) -> int:
@@ -474,25 +471,68 @@ def sign_partition(g: Graph) -> SignPartition:
 # --- extremal scans and theorem checks ----------------------------------------
 
 
-def scan_extremal(n: int, objective: str, workers: int = 1) -> VerificationReport:
-    """Extremal value of lambda_1 or lambda_n of D(G^c) over the class."""
+@dataclass
+class _Extremum:
+    """One objective's extremal cluster over a witness source: the class or a sample."""
+
+    value: float
+    witnesses: list[Graph]          # one per isomorphism class, in source order
+    runner_up: float | None
+    near: object                    # value -> the source's graphs within RECHECK_WINDOW of it
+    params: dict
+    details: dict
+
+    @property
+    def margin(self) -> float | None:
+        return None if self.runner_up is None else abs(self.runner_up - self.value)
+
+
+def _class_extremum(n: int, objective: str, workers: int = 1) -> _Extremum:
     if objective not in ("min_l1", "max_l1", "min_ln", "max_ln"):
         raise ValueError(f"unknown objective {objective!r}")
     scan = class_scan(n, workers=workers)
     cluster = scan["objectives"][objective]
-    witnesses = _witness_graphs(cluster, n)
-    return VerificationReport(
-        claim_id=f"scan:{objective}",
-        status="confirmed",
-        params={"n": n, "objective": objective},
-        extremal={objective: cluster["value"]},
-        witnesses=[to_graph6(g) for g in witnesses],
-        margin=_margin(cluster),
+    return _Extremum(
+        value=cluster["value"],
+        witnesses=_witness_graphs(cluster, n),
+        runner_up=cluster["runner_up"],
+        near=lambda v: [from_edge_mask(n, m) for m in _masks_with_value_near(n, objective, v)],
+        params={"n": n},
         details={
             "class_size": scan["count"],
             "labeled_witnesses": len(cluster["pairs"]),
             "runner_up": cluster["runner_up"],
         },
+    )
+
+
+def _sample_extremum(n: int, graphs: list[Graph], values: dict, objective: str) -> _Extremum:
+    arr = np.asarray(values[objective[-2:]])
+    cluster = _cluster(arr, np.arange(len(arr)), objective[:3])
+    if cluster is None:
+        raise ValueError("empty sample")
+    witnesses = [graphs[i] for i in sorted(i for _, i in cluster["pairs"])]
+    return _Extremum(
+        value=cluster["value"],
+        witnesses=_dedup_isomorphic(witnesses) if n <= ISO_MAX_VERTICES else witnesses,
+        runner_up=cluster["runner_up"],
+        near=lambda v: [graphs[i] for i in np.flatnonzero(np.abs(arr - v) <= RECHECK_WINDOW)],
+        params={"n": n, "sample": len(graphs)},
+        details={},
+    )
+
+
+def scan_extremal(n: int, objective: str, workers: int = 1) -> VerificationReport:
+    """Extremal value of lambda_1 or lambda_n of D(G^c) over the class."""
+    ext = _class_extremum(n, objective, workers)
+    return VerificationReport(
+        claim_id=f"scan:{objective}",
+        status="confirmed",
+        params={"n": n, "objective": objective},
+        extremal={objective: ext.value},
+        witnesses=[to_graph6(g) for g in ext.witnesses],
+        margin=ext.margin,
+        details=ext.details,
     )
 
 
@@ -505,112 +545,114 @@ def _balanced_pq(n: int):
     return (n + 1) // 2, n // 2
 
 
-def _theorem_order_guard(tid: str, n: int) -> None:
+# theorem id -> (objective, extremal key of the bound, bound family, its parameters at order n)
+_THEOREMS = {
+    "2.4": ("max_l1", "bound_l1_Hc", "H", _balanced_H),
+    "2.8": ("min_l1", "l1_Pnc", "path", lambda n: (n,)),
+    "3.7": ("min_ln", "bound_ln_B1c", "B1", _balanced_pq),
+    "3.13": ("max_ln", "ln_Lc_balanced", "L", _balanced_pq),
+}
+
+
+def _theorem_order_guard(tid: str, n: int) -> str:
+    """The bare theorem id, once it is known and n is in its stated range."""
+    tid = tid.lstrip("T")
+    if tid not in _THEOREMS:
+        raise ValueError(f"unknown theorem id {tid!r}")
     if tid in ("2.4", "2.8") and n < 5:
         raise ValueError("theorems 2.4/2.8 need n >= 5")
     if tid in ("3.7", "3.13") and n < 7:
         raise ValueError("theorems 3.7/3.13 are stated for n >= 7")
+    return tid
+
+
+def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
+    """Decide theorem `tid` at order n from its objective's extremum over any source."""
+    objective, key, family, bound_params = _THEOREMS[tid]
+    params = bound_params(n)
+    args = ",".join(map(str, params))
+    bound_graph = FAMILIES[family].build(*params)
+    spec = complement_distance_spectrum(bound_graph)
+    side = "max" if objective.endswith("l1") else "min"
+    bound = spec.lambda1 if side == "max" else spec.lambda_n
+    value, witnesses = ext.value, ext.witnesses
+    notes: list[str] = []
+    counterexamples: list[Graph] = []
+    if tid in ("2.4", "3.7"):
+        # the bound graph has diameter 3, so no class member may reach it
+        margin = bound - value if side == "max" else value - bound
+        notes.append(f"bound graph {family}({args}) has diameter 3: outside the class, "
+                     "strictness expected")
+        orders = _escalate_margin(margin, lambda: witnesses, bound_graph, side, notes,
+                                  "witness graphs")
+        below = -1 if side == "max" else 1      # the witnesses' side of the bound
+        ok = orders == {below} if orders is not None else margin > STRICT_MARGIN
+    elif tid == "2.8":
+        # the minimum is attained by P_n only; a sample without P_n only has to stay above it
+        margin = ext.margin
+        orders = _escalate_margin(margin, lambda: ext.near(ext.runner_up), bound_graph, side,
+                                  notes, "runner-up graphs")
+        strict = orders == {1} if orders is not None else margin is None or margin > STRICT_MARGIN
+        paths_only = (abs(value - bound) <= CLUSTER_TOL
+                      and all(is_isomorphic(w, bound_graph) for w in witnesses))
+        if not paths_only and value <= bound + CLUSTER_TOL:
+            counterexamples = witnesses
+            notes.append("non-path witness attains the minimum")
+        ok = not counterexamples and strict
+        notes.append(f"unique up to isomorphism: {len(witnesses) == 1 and paths_only}")
+    else:
+        # 3.13: an overshoot refutes; otherwise the bound must be attained
+        margin = value - bound
+        orders = _escalate_margin(margin, lambda: witnesses, bound_graph, side, notes,
+                                  "witness graphs")
+        over = 1 in orders if orders is not None else margin > CLUSTER_TOL
+        if over:
+            counterexamples = witnesses
+            if orders is None and n <= CHAR_POLY_MAX_N:
+                orders = {_exact_order(w, bound_graph, side) for w in witnesses}
+            notes += [
+                f"max lambda_n over the class exceeds lambda_n({family}^c({args})) by {margin:.6g}",
+                f"exact char-poly comparison confirms witness root > bound root: {orders == {1}}"
+                if orders is not None else
+                f"exact char-poly comparison not run: it supports n <= {CHAR_POLY_MAX_N}",
+            ]
+            ok = False
+        else:
+            tie = 0 in orders if orders is not None else abs(margin) <= CLUSTER_TOL
+            ok = tie and any(is_isomorphic(w, bound_graph) for w in witnesses)
+            margin = abs(margin)
+            notes.append(f"unique up to isomorphism: {len(witnesses) == 1 and ok}")
+    return VerificationReport(
+        claim_id=f"T{tid}", status="confirmed" if ok else "refuted", params=ext.params,
+        extremal={objective: value, key: bound},
+        witnesses=[to_graph6(g) for g in witnesses], margin=margin,
+        counterexamples=[to_graph6(g) for g in counterexamples],
+        notes=notes, details=ext.details,
+    )
 
 
 def check_theorem(tid: str, n: int, workers: int = 1) -> VerificationReport:
     """Exhaustive check of one of the four extremal theorems at order n."""
-    tid = tid.lstrip("T")
-    _theorem_order_guard(tid, n)
-
-    if tid == "2.4":
-        s, t = _balanced_H(n)
-        bound_graph = build_H(s, t)
-        bound = complement_distance_spectrum(bound_graph).lambda1
-        rep = scan_extremal(n, "max_l1", workers)
-        margin = bound - rep.extremal["max_l1"]
-        status = "confirmed" if margin > STRICT_MARGIN else "refuted"
-        return VerificationReport(
-            claim_id="T2.4", status=status, params={"n": n},
-            extremal={"max_l1": rep.extremal["max_l1"], "bound_l1_Hc": bound},
-            witnesses=rep.witnesses, margin=margin,
-            notes=[f"bound graph H({s},{t}) has diameter 3: outside the class, strictness expected"],
-            details=rep.details,
-        )
-
-    if tid == "2.8":
-        bound_graph = build_path(n)
-        bound = complement_distance_spectrum(bound_graph).lambda1
-        rep = scan_extremal(n, "min_l1", workers)
-        value = rep.extremal["min_l1"]
-        witnesses = [from_graph6(w) for w in rep.witnesses]
-        all_paths = all(is_isomorphic(w, bound_graph) for w in witnesses)
-        notes = []
-        ok = abs(value - bound) <= CLUSTER_TOL and all_paths
-        margin, orders = _escalate_margin(rep, n, "min_l1", bound_graph, "max", notes)
-        # near ties are decided by the exact order of every runner-up against the bound
-        strict = (orders == {1} if orders is not None
-                  else margin is None or margin > STRICT_MARGIN)
-        status = "confirmed" if ok and strict else "refuted"
-        if not all_paths:
-            notes.append("non-path witness attains the minimum")
-        return VerificationReport(
-            claim_id="T2.8", status=status, params={"n": n},
-            extremal={"min_l1": value, "l1_Pnc": bound},
-            witnesses=rep.witnesses, margin=margin,
-            counterexamples=[] if all_paths else rep.witnesses,
-            notes=notes + [f"unique up to isomorphism: {len(witnesses) == 1 and all_paths}"],
-            details=rep.details,
-        )
-
-    if tid == "3.7":
-        p, q = _balanced_pq(n)
-        bound_graph = build_B1(p, q)
-        bound = complement_distance_spectrum(bound_graph).lambda_n
-        rep = scan_extremal(n, "min_ln", workers)
-        margin = rep.extremal["min_ln"] - bound
-        status = "confirmed" if margin > STRICT_MARGIN else "refuted"
-        return VerificationReport(
-            claim_id="T3.7", status=status, params={"n": n},
-            extremal={"min_ln": rep.extremal["min_ln"], "bound_ln_B1c": bound},
-            witnesses=rep.witnesses, margin=margin,
-            notes=[f"bound graph B1({p},{q}) has diameter 3: outside the class, strictness expected"],
-            details=rep.details,
-        )
-
-    if tid == "3.13":
-        p, q = _balanced_pq(n)
-        bound_graph = build_L(p, q)
-        bound = complement_distance_spectrum(bound_graph).lambda_n
-        rep = scan_extremal(n, "max_ln", workers)
-        value = rep.extremal["max_ln"]
-        witnesses = [from_graph6(w) for w in rep.witnesses]
-        overshoot = value - bound
-        if overshoot > CLUSTER_TOL:
-            # class maximum strictly exceeds the claimed bound: counterexample
-            exact = _exact_order(witnesses[0], bound_graph, "min")
-            return VerificationReport(
-                claim_id="T3.13", status="refuted", params={"n": n},
-                extremal={"max_ln": value, "ln_Lc_balanced": bound},
-                witnesses=rep.witnesses, margin=overshoot,
-                counterexamples=rep.witnesses,
-                notes=[
-                    f"max lambda_n over the class exceeds lambda_n(L^c({p},{q})) by {overshoot:.6g}",
-                    f"exact char-poly comparison confirms witness root > bound root: {exact == 1}",
-                ],
-                details=rep.details,
-            )
-        attained = [w for w in witnesses if is_isomorphic(w, bound_graph)]
-        unique = len(witnesses) == 1 and bool(attained)
-        status = "confirmed" if abs(overshoot) <= CLUSTER_TOL and attained else "refuted"
-        return VerificationReport(
-            claim_id="T3.13", status=status, params={"n": n},
-            extremal={"max_ln": value, "ln_Lc_balanced": bound},
-            witnesses=rep.witnesses, margin=abs(overshoot),
-            notes=[f"unique up to isomorphism: {unique}"],
-            details=rep.details,
-        )
-
-    raise ValueError(f"unknown theorem id {tid!r}")
+    tid = _theorem_order_guard(tid, n)
+    return _theorem_verdict(tid, n, _class_extremum(n, _THEOREMS[tid][0], workers))
 
 
-def _masks_with_value_near(n: int, objective: str, value: float,
-                           window: float = 1e-11) -> list[int]:
-    """Rescan for survivor masks whose objective value is within window of value."""
+def check_theorem_on_values(tid: str, n: int, graphs: list[Graph],
+                            values: dict) -> VerificationReport:
+    """Theorem check over an externally supplied class sample.
+
+    `values` carries per-graph lambda_1 and lambda_n of D(G^c) aligned with
+    `graphs`.  The verdict is the exhaustive check's, `_theorem_verdict`,
+    applied to the sample's extremum instead of the class's.  Confirmations
+    are conditional on the sample; refutations are conclusive because every
+    witness is a genuine class member.
+    """
+    tid = _theorem_order_guard(tid, n)
+    return _theorem_verdict(tid, n, _sample_extremum(n, graphs, values, _THEOREMS[tid][0]))
+
+
+def _masks_with_value_near(n: int, objective: str, value: float) -> list[int]:
+    """Rescan for survivor masks whose objective value is within RECHECK_WINDOW of value."""
     col = -1 if objective.endswith("l1") else 0
     found: list[int] = []
     for i in range(_chunk_count(n)):
@@ -619,28 +661,24 @@ def _masks_with_value_near(n: int, objective: str, value: float,
             continue
         d, _ = _complement_distances(adj, n)
         w = np.linalg.eigvalsh(d.astype(np.float64))[:, col]
-        found.extend(int(m) for m in masks[np.abs(w - value) <= window])
+        found.extend(int(m) for m in masks[np.abs(w - value) <= RECHECK_WINDOW])
     return sorted(found)
 
 
-def _escalate_margin(rep: VerificationReport, n: int, objective: str,
-                     bound_graph: Graph, side: str, notes: list):
-    """Runner-up margin, and the exact root orders of the runner-ups vs the bound.
+def _escalate_margin(margin: float | None, graphs, bound_graph: Graph, side: str,
+                     notes: list, what: str) -> set[int] | None:
+    """Exact root orders of graphs() against the bound graph, for a near-tie margin.
 
-    The orders are None unless the margin is at most EXACT_RECHECK_BELOW.
+    None when |margin| exceeds EXACT_RECHECK_BELOW, or when the order is
+    beyond char_poly_exact; the float margin then decides.
     """
-    margin = rep.margin
-    if margin is None or margin > EXACT_RECHECK_BELOW:
-        return margin, None
-    runner_val = rep.details.get("runner_up")
-    orders = {
-        _exact_order(from_edge_mask(n, m), bound_graph, side)
-        for m in _masks_with_value_near(n, objective, runner_val)
-    }
+    if margin is None or abs(margin) > EXACT_RECHECK_BELOW or bound_graph.n > CHAR_POLY_MAX_N:
+        return None
+    orders = {_exact_order(g, bound_graph, side) for g in graphs()}
     notes.append(
         f"margin {margin:.3e} <= {EXACT_RECHECK_BELOW:.0e}: exact char-poly "
-        f"re-check of runner-up graphs vs bound gives orders {sorted(orders)}")
-    return margin, orders
+        f"re-check of {what} vs bound gives orders {sorted(orders)}")
+    return orders
 
 
 # --- lemma checks --------------------------------------------------------------
@@ -704,7 +742,7 @@ def _lemma_2_3(n: int) -> VerificationReport:
     values = {}
     for s in range(1, n - 2):
         t = n - 2 - s
-        values[(s, t)] = complement_distance_spectrum(build_H(s, t)).lambda1
+        values[(s, t)] = _family_spectrum("H", (s, t)).lambda1
     sb, tb = _balanced_H(n)
     vmax = values[(sb, tb)]
     step_ok = True
@@ -930,9 +968,9 @@ def _grid_reports(pairs, fn) -> tuple[list[dict], float | None, list[dict]]:
 def _lemma_3_1(a_max: int = 9, b_max: int = 9) -> VerificationReport:
     """Chain lambda_n(T1^c) >= lambda_n(T2^c) > lambda_n(T^c(a+1,b))."""
     def point(a, b):
-        t1 = complement_distance_spectrum(build_T1(a, b)).lambda_n
-        t2 = complement_distance_spectrum(build_T2(a, b)).lambda_n
-        t0 = complement_distance_spectrum(build_T(a + 1, b)).lambda_n
+        t1 = _family_spectrum("T1", (a, b)).lambda_n
+        t2 = _family_spectrum("T2", (a, b)).lambda_n
+        t0 = _family_spectrum("T", (a + 1, b)).lambda_n
         iso = is_isomorphic(build_T1(a, b), build_T2(a, b)) if a + b + 3 <= 10 else None
         tie = abs(t1 - t2) <= CLUSTER_TOL
         ok = (t1 - t2 > -CLUSTER_TOL) and (t2 - t0 > STRICT_MARGIN) and (
@@ -956,8 +994,8 @@ def _lemma_3_1(a_max: int = 9, b_max: int = 9) -> VerificationReport:
 def _lemma_3_4(p_max: int = 12) -> VerificationReport:
     """lambda_n(B1^c) < lambda_n(B2^c) < -3, plus the (lambda+1)-power verdict."""
     def point(p, q):
-        b1 = complement_distance_spectrum(build_B1(p, q)).lambda_n
-        b2 = complement_distance_spectrum(build_B2(p, q)).lambda_n
+        b1 = _family_spectrum("B1", (p, q)).lambda_n
+        b2 = _family_spectrum("B2", (p, q)).lambda_n
         m = min(b2 - b1, -3.0 - b2)
         return {"params": (p, q), "margin": m, "ok": m > STRICT_MARGIN,
                 "lns": (b1, b2)}
@@ -984,8 +1022,8 @@ def _lemma_3_4(p_max: int = 12) -> VerificationReport:
 def _lemma_3_5(p_max: int = 12) -> VerificationReport:
     """lambda_n(B1^c(p,q)) < lambda_n(T^c(n-3,1)) < -3 at n = p+q."""
     def point(p, q):
-        b1 = complement_distance_spectrum(build_B1(p, q)).lambda_n
-        t = complement_distance_spectrum(build_T(p + q - 3, 1)).lambda_n
+        b1 = _family_spectrum("B1", (p, q)).lambda_n
+        t = _family_spectrum("T", (p + q - 3, 1)).lambda_n
         m = min(t - b1, -3.0 - t)
         return {"params": (p, q), "margin": m, "ok": m > STRICT_MARGIN}
 
@@ -1005,8 +1043,8 @@ def _lemma_3_6(p_max: int = 12) -> VerificationReport:
     def point(p, q):
         n = p + q
         pb, qb = _balanced_pq(n)
-        v = complement_distance_spectrum(build_B1(p, q)).lambda_n
-        vb = complement_distance_spectrum(build_B1(pb, qb)).lambda_n
+        v = _family_spectrum("B1", (p, q)).lambda_n
+        vb = _family_spectrum("B1", (pb, qb)).lambda_n
         balanced = (p, q) == (pb, qb)
         m = v - vb
         ok = m > STRICT_MARGIN or (balanced and abs(m) <= CLUSTER_TOL)
@@ -1031,7 +1069,7 @@ def _lemma_3_9(n: int, n_max: int = 20, workers: int = 1) -> VerificationReport:
     in the direction opposite to the printed one at every order.
     """
     scan = class_scan(n, workers=workers, want_vectors=True)
-    bound = complement_distance_spectrum(build_Lprime(n)).lambda_n
+    bound = _family_spectrum("Lprime", (n,)).lambda_n
     notes = [f"q histogram at n={n}: {scan['q_hist']}"]
     counterexamples: list[str] = []
     q1_ok = True
@@ -1050,8 +1088,8 @@ def _lemma_3_9(n: int, n_max: int = 20, workers: int = 1) -> VerificationReport:
     sub = []
     sub_margin = None
     for m in range(7, n_max + 1):
-        lp = complement_distance_spectrum(build_Lprime(m)).lambda_n
-        lpp = complement_distance_spectrum(build_Ldprime(m)).lambda_n
+        lp = _family_spectrum("Lprime", (m,)).lambda_n
+        lpp = _family_spectrum("Ldprime", (m,)).lambda_n
         gap = lpp - lp     # printed claim: <= 0
         sub.append({"n": m, "ln_Lprime": lp, "ln_Ldprime": lpp})
         sub_margin = gap if sub_margin is None else min(sub_margin, gap)
@@ -1079,8 +1117,8 @@ def _lemma_3_9(n: int, n_max: int = 20, workers: int = 1) -> VerificationReport:
 def _lemma_3_11(p_max: int = 12) -> VerificationReport:
     """lambda_n(L'^c(n)) < lambda_n(L^c(p,q)) at n = p+q >= 7."""
     def point(p, q):
-        l = complement_distance_spectrum(build_L(p, q)).lambda_n
-        lp = complement_distance_spectrum(build_Lprime(p + q)).lambda_n
+        l = _family_spectrum("L", (p, q)).lambda_n
+        lp = _family_spectrum("Lprime", (p + q,)).lambda_n
         # least roots of the quotient polynomials are the two lambda_n values
         exact = certify_root_order(quotients.Phi_L(p, q), quotients.Psi_Lprime(p + q), "min")
         return {"params": (p, q), "margin": l - lp, "ok": exact == 1, "exact": exact}
@@ -1114,8 +1152,8 @@ def _lemma_3_12(p_max: int = 12) -> VerificationReport:
     def point(p, q):
         n = p + q
         pb, qb = _balanced_pq(n)
-        v = complement_distance_spectrum(build_L(p, q)).lambda_n
-        vb = complement_distance_spectrum(build_L(pb, qb)).lambda_n
+        v = _family_spectrum("L", (p, q)).lambda_n
+        vb = _family_spectrum("L", (pb, qb)).lambda_n
         balanced = (p, q) == (pb, qb)
         m = vb - v
         ok = m > STRICT_MARGIN or (balanced and abs(m) <= CLUSTER_TOL)
@@ -1198,82 +1236,6 @@ def check_lemma(claim_id: str, n: int | None = None, p_max: int = 12,
     if claim_id == "quotient-consistency":
         return _quotient_consistency_claim()
     raise ValueError(f"unknown claim id {claim_id!r}")
-
-
-def check_theorem_on_values(tid: str, n: int, graphs: list[Graph],
-                            values: dict) -> VerificationReport:
-    """Theorem comparison over an externally supplied class sample.
-
-    `values` carries per-graph lambda_1 and lambda_n of D(G^c) aligned with
-    `graphs`.  Confirmations are conditional on the sample; refutations are
-    conclusive because every witness is a genuine class member.
-    """
-    tid = tid.lstrip("T")
-    _theorem_order_guard(tid, n)
-    l1s = np.asarray(values["l1"])
-    lns = np.asarray(values["ln"])
-
-    def cluster_for(arr: np.ndarray, mode: str):
-        v = float(arr.min() if mode == "min" else arr.max())
-        sel = np.abs(arr - v) <= CLUSTER_TOL
-        rest = arr[~sel]
-        runner = None
-        if rest.size:
-            runner = float(rest.min() if mode == "min" else rest.max())
-        wit = [graphs[i] for i in np.flatnonzero(sel)]
-        if n <= 10:
-            wit = _dedup_isomorphic(wit)
-        return v, wit, (None if runner is None else abs(runner - v))
-
-    if tid == "2.4":
-        s, t = _balanced_H(n)
-        bound = complement_distance_spectrum(build_H(s, t)).lambda1
-        v, wit, margin = cluster_for(l1s, "max")
-        status = "confirmed" if bound - v > STRICT_MARGIN else "refuted"
-        return VerificationReport(
-            claim_id="T2.4", status=status, params={"n": n, "sample": len(graphs)},
-            extremal={"max_l1": v, "bound_l1_Hc": bound},
-            witnesses=[to_graph6(g) for g in wit], margin=bound - v)
-    if tid == "2.8":
-        pn = build_path(n)
-        bound = complement_distance_spectrum(pn).lambda1
-        v, wit, margin = cluster_for(l1s, "min")
-        ok = v >= bound - CLUSTER_TOL and all(
-            is_isomorphic(w, pn) for w in wit if abs(v - bound) <= CLUSTER_TOL)
-        return VerificationReport(
-            claim_id="T2.8", status="confirmed" if ok else "refuted",
-            params={"n": n, "sample": len(graphs)},
-            extremal={"min_l1": v, "l1_Pnc": bound},
-            witnesses=[to_graph6(g) for g in wit], margin=margin)
-    if tid == "3.7":
-        p, q = _balanced_pq(n)
-        bound = complement_distance_spectrum(build_B1(p, q)).lambda_n
-        v, wit, margin = cluster_for(lns, "min")
-        status = "confirmed" if v - bound > STRICT_MARGIN else "refuted"
-        return VerificationReport(
-            claim_id="T3.7", status=status, params={"n": n, "sample": len(graphs)},
-            extremal={"min_ln": v, "bound_ln_B1c": bound},
-            witnesses=[to_graph6(g) for g in wit], margin=v - bound)
-    if tid == "3.13":
-        p, q = _balanced_pq(n)
-        bound_graph = build_L(p, q)
-        bound = complement_distance_spectrum(bound_graph).lambda_n
-        v, wit, margin = cluster_for(lns, "max")
-        if v - bound > CLUSTER_TOL:
-            return VerificationReport(
-                claim_id="T3.13", status="refuted",
-                params={"n": n, "sample": len(graphs)},
-                extremal={"max_ln": v, "ln_Lc_balanced": bound},
-                witnesses=[to_graph6(g) for g in wit],
-                counterexamples=[to_graph6(g) for g in wit], margin=v - bound)
-        attained = [w for w in wit if n <= 10 and is_isomorphic(w, bound_graph)]
-        ok = abs(v - bound) <= CLUSTER_TOL and bool(attained)
-        return VerificationReport(
-            claim_id="T3.13", status="confirmed" if ok else "refuted",
-            params={"n": n, "sample": len(graphs)},
-            extremal={"max_ln": v, "ln_Lc_balanced": bound},
-            witnesses=[to_graph6(g) for g in wit], margin=abs(v - bound))
-    raise ValueError(f"unknown theorem id {tid!r}")
 
 
 def run_claim(claim_id: str, n: int | None = None, p_max: int = 12,

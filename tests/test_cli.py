@@ -188,6 +188,40 @@ def test_verify_stdin_solves_each_member_once(capsys, monkeypatch):
     assert len(calls) == 3 + 3
 
 
+def test_verify_stdin_t313_tie_above_isomorphism_cap_is_usage_error(capsys, monkeypatch):
+    from cdspectra.families import build_L
+    from cdspectra.graphcore import to_graph6
+    code, out, err = run_cli(capsys, "verify", "--claims", "T3.13", "--stdin",
+                             stdin=to_graph6(build_L(6, 5)) + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert "up to n=10" in err and "Traceback" not in err
+
+
+def test_verify_stdin_above_char_poly_cap_still_decides(capsys, monkeypatch):
+    from cdspectra.families import build_L
+    from cdspectra.graphcore import to_graph6
+    lines = "\n".join([to_graph6(build_L(9, 8)), to_graph6(build_path(17))]) + "\n"
+    code, out, _ = run_cli(capsys, "verify", "--claims", "T3.13,T3.7", "--stdin",
+                           stdin=lines, monkeypatch=monkeypatch)
+    assert code == 2
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [(r["claim"], r["status"]) for r in recs] == [("T3.13", "refuted"), ("T3.7", "confirmed")]
+    assert recs[0]["counterexamples"] == [to_graph6(build_path(17))]
+    assert "exact char-poly comparison not run: it supports n <= 16" in recs[0]["notes"]
+
+
+def test_parser_errors_are_usage_errors(capsys):
+    code, _, err = run_cli(capsys, "verify")
+    assert code == 1 and "--claims" in err
+    code, _, err = run_cli(capsys, "verify", "--claims", "T2.8", "--n", "x")
+    assert code == 1 and "invalid int value" in err
+    code, _, _ = run_cli(capsys, "spectrum", "--family", "path", "--n", "7", "--tol", "1e-9")
+    assert code == 1
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0 and "--claims" in out
+
+
 def test_json_formatting_fixed_digits():
     assert cli.to_json({"x": 1.0}) == '{"x":1}'
     assert cli.to_json(7.737587999399938) == "7.7375879994"

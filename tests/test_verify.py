@@ -372,3 +372,60 @@ def test_t28_near_tie_decided_by_exact_recheck(monkeypatch):
     rep = verify.check_theorem("2.8", 6)
     assert rep.margin > verify.STRICT_MARGIN
     assert rep.status == "refuted"
+
+
+@pytest.mark.parametrize("tid,n", [("2.4", 6), ("3.7", 7)])
+def test_strict_bound_near_tie_decided_by_exact_recheck(monkeypatch, tid, n):
+    monkeypatch.setattr(verify, "EXACT_RECHECK_BELOW", 10.0)
+    rep = verify.check_theorem(tid, n)
+    assert any("exact char-poly re-check of witness graphs" in note for note in rep.notes)
+    assert rep.status == "confirmed"
+    # a witness tying the bound exactly overrides the float margin
+    monkeypatch.setattr(verify, "_exact_order", lambda *args: 0)
+    rep = verify.check_theorem(tid, n)
+    assert rep.margin > verify.STRICT_MARGIN
+    assert rep.status == "refuted"
+
+
+def test_t313_tie_decided_by_exact_order(monkeypatch):
+    lc = build_L(4, 3)
+    values = {"l1": [verify.complement_distance_spectrum(lc).lambda1],
+              "ln": [verify.complement_distance_spectrum(lc).lambda_n]}
+    rep = verify.check_theorem_on_values("3.13", 7, [lc], values)
+    assert rep.status == "confirmed" and rep.margin == 0
+    assert any("gives orders [0]" in note for note in rep.notes)
+    # an exact overshoot refutes although the float values tie
+    monkeypatch.setattr(verify, "_exact_order", lambda *args: 1)
+    rep = verify.check_theorem_on_values("3.13", 7, [lc], values)
+    assert rep.status == "refuted"
+    assert rep.counterexamples == [to_graph6(lc)]
+
+
+def _class_representatives(n: int) -> list:
+    masks = [int(m) for i in range(verify._chunk_count(n))
+             for m in verify._survivor_adj(verify._chunk_masks(n, i), n)[0]]
+    return verify._witness_graphs({"pairs": [(0.0, m) for m in masks]}, n, cap=len(masks))
+
+
+def _pairwise_isomorphic(a: list[str], b: list[str]) -> bool:
+    return len(a) == len(b) and all(
+        is_isomorphic(from_graph6(x), from_graph6(y)) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n,tids", [(6, ("2.4", "2.8")), (7, ("2.4", "2.8", "3.7", "3.13"))])
+def test_sample_of_every_class_gives_the_exhaustive_verdict(n, tids):
+    graphs = _class_representatives(n)
+    assert len(graphs) == {6: 9, 7: 92}[n]
+    spectra = [verify.complement_distance_spectrum(g) for g in graphs]
+    values = {"l1": [s.lambda1 for s in spectra], "ln": [s.lambda_n for s in spectra]}
+    for tid in tids:
+        want = verify.check_theorem(tid, n)
+        got = verify.check_theorem_on_values(tid, n, graphs, values)
+        assert got.status == want.status, tid
+        assert got.notes == want.notes, tid
+        assert got.extremal.keys() == want.extremal.keys()
+        for key, v in want.extremal.items():
+            assert got.extremal[key] == pytest.approx(v, abs=1e-9), (tid, key)
+        assert got.margin == pytest.approx(want.margin, abs=1e-9), tid
+        assert _pairwise_isomorphic(got.witnesses, want.witnesses), tid
+        assert _pairwise_isomorphic(got.counterexamples, want.counterexamples), tid
