@@ -102,7 +102,7 @@ def _graph_record(label: str, g: Graph) -> dict:
     d = diameter(g)
     dc = distance_matrix(complement(g)).astype(np.float64)
     spec = sym_eigenvalues(dc)
-    part = verify.sign_partition(g)
+    part = verify.sign_partition(g, spec)
     return {
         "input": label,
         "n": g.n,

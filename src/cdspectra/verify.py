@@ -1,10 +1,15 @@
 """Exhaustive enumeration of diameter->3 graphs and claim verification.
 
-The enumeration iterates all labeled graphs on n vertices as
-upper-triangular edge masks, filtered down to connected graphs of diameter
-greater than three with numpy-vectorized bitset BFS over fixed-size mask
-chunks.  Chunk boundaries are constants, so per-chunk summaries and their
-associative merge give byte-identical results for any worker count.
+The exhaustive scan runs in three phases.  A filter iterates all labeled
+graphs on n vertices as upper-triangular edge masks and keeps the
+connected graphs of diameter greater than three, with numpy-vectorized
+bitset BFS over fixed-size mask chunks; it checks Lemma 2.1's identity on
+every survivor.  One serial pass then partitions the survivors into S_n
+orbits, the isomorphism classes.  Last, D(G^c) is solved once per class,
+and every count is weighted by the class's orbit size.  Chunk boundaries
+are constants and the partition is serial, so results are byte-identical
+for any worker count.  A witness is the smallest edge mask of its class,
+a labeling that does not depend on eigensolver rounding.
 
 Every lemma and theorem checker returns a VerificationReport whose status
 is measured, never assumed: claims that fail are `refuted` with witnesses,
@@ -13,10 +18,11 @@ claims whose true direction opposes the stated one are
 """
 
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, repeat
 
 import numpy as np
 
@@ -234,116 +240,184 @@ def _cluster(values: np.ndarray, masks: np.ndarray, mode: str) -> dict | None:
     return {"value": v, "pairs": pairs, "runner_up": runner}
 
 
-def _merge_cluster(a: dict | None, b: dict | None, mode: str) -> dict | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    pick = min if mode == "min" else max
-    v = pick(a["value"], b["value"])
-    pool = a["pairs"] + b["pairs"]
-    inside = [(val, m) for val, m in pool if abs(val - v) <= CLUSTER_TOL]
-    outside = [val for val, m in pool if abs(val - v) > CLUSTER_TOL]
-    runners = [x for x in (a["runner_up"], b["runner_up"]) if x is not None] + outside
-    return {
-        "value": v,
-        "pairs": sorted(inside),
-        "runner_up": pick(runners) if runners else None,
-    }
-
-
-def _scan_chunk(n: int, index: int, want_vectors: bool) -> dict:
+def _filter_chunk(n: int, index: int) -> tuple[np.ndarray, list[int]]:
+    """One chunk's class members and their Lemma 2.1 identity violations."""
     masks, adj = _survivor_adj(_chunk_masks(n, index), n)
-    out = {"count": len(masks), "lemma21_violations": []}
     if len(masks) == 0:
-        out["objectives"] = {k: None for k in ("min_l1", "max_l1", "min_ln", "max_ln")}
-        if want_vectors:
-            out.update(q_hist={}, degenerate=0, q1_max_ln=None, q1_count=0)
-        return out
+        return masks, []
     d, covered = _complement_distances(adj, n)
     if not covered.all():
         raise AssertionError(
             f"complement not within diameter 3 for masks {masks[~covered][:5].tolist()}")
     # Lemma 2.1 identity on the diameter>3 class: D(G^c) == J - I + A(G)
     expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-    amat = _adjacency_tensor(adj, n)
-    holds = np.all(d == expected[None, :, :] + amat, axis=(1, 2))
-    out["lemma21_violations"] = [int(m) for m in masks[~holds]]
-
-    fd = d.astype(np.float64)
-    if want_vectors:
-        w, vecs = np.linalg.eigh(fd)
-    else:
-        w = np.linalg.eigvalsh(fd)
-    l1 = w[:, -1]
-    ln = w[:, 0]
-    out["objectives"] = {
-        "min_l1": _cluster(l1, masks, "min"),
-        "max_l1": _cluster(l1, masks, "max"),
-        "min_ln": _cluster(ln, masks, "min"),
-        "max_ln": _cluster(ln, masks, "max"),
-    }
-    if want_vectors:
-        x = vecs[:, :, 0]
-        neg = (x < -ZERO_TOL).sum(axis=1)
-        pos = (x > ZERO_TOL).sum(axis=1)
-        q = np.minimum(neg, pos)
-        hist = {int(k): int((q == k).sum()) for k in np.unique(q)}
-        out["q_hist"] = hist
-        out["degenerate"] = int((w[:, 1] - w[:, 0] < DEGENERATE_GAP).sum())
-        q1 = q == 1
-        out["q1_count"] = int(q1.sum())
-        out["q1_max_ln"] = _cluster(ln[q1], masks[q1], "max")
-    return out
+    holds = np.all(d == expected[None, :, :] + _adjacency_tensor(adj, n), axis=(1, 2))
+    return masks, [int(m) for m in masks[~holds]]
 
 
-def _scan_chunk_task(args) -> dict:
-    return _scan_chunk(*args)
+@lru_cache(maxsize=None)
+def _perm_edge_table(n: int) -> np.ndarray:
+    """Row k maps each edge index to its image under the k-th permutation of S_n."""
+    pairs = np.array(g6_pairs(n)).T
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    a, b = perms[:, pairs[0]], perms[:, pairs[1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return (hi * (hi - 1) // 2 + lo).astype(np.uint32)   # index of (lo, hi) in g6_pairs order
 
 
-_SCAN_CACHE: dict = {}
+def _orbit_masks(n: int, mask) -> np.ndarray:
+    """Edge mask of the graph `mask` relabeled by each permutation of S_n, as uint32.
+
+    uint32 is the survivor dtype: searchsorted with wider keys would convert
+    the whole survivor array on every call.
+    """
+    table = _perm_edge_table(n)
+    bits = (np.uint32(mask) >> np.arange(table.shape[1], dtype=np.uint32)) & np.uint32(1)
+    return (bits << table).sum(axis=1, dtype=np.uint32)
 
 
-def class_scan(n: int, workers: int = 1, want_vectors: bool = False) -> dict:
-    """Merged scan summary over all connected diameter>3 graphs on n vertices."""
+def _orbit(n: int, mask: int) -> set[int]:
+    """Edge masks of every relabeling of the graph `mask`."""
+    return set(_orbit_masks(n, mask).tolist())
+
+
+_FREE_BLOCK = 1 << 14               # masks inspected per step of the unassigned-mask walk
+
+
+def _orbit_partition(masks: np.ndarray, n: int):
+    """S_n orbits of the sorted class masks: (reps, index, sizes).
+
+    reps holds the smallest mask of each orbit in ascending order, index the
+    orbit of every mask, and sizes the orbit sizes.
+    """
+    index = np.full(len(masks), -1, dtype=np.int32)
+    reps: list[int] = []
+    sizes: list[int] = []
+    k = 0                           # every mask before k is assigned
+    while k < len(masks):
+        free = np.flatnonzero(index[k:k + _FREE_BLOCK] < 0)
+        if free.size == 0:
+            k += _FREE_BLOCK
+            continue
+        k += int(free[0])
+        orbit = np.unique(_orbit_masks(n, masks[k]))
+        pos = np.searchsorted(masks, orbit)
+        if pos[-1] >= len(masks) or not np.array_equal(masks[pos], orbit):
+            raise AssertionError(f"a relabeling of mask {int(masks[k])} is not a class member")
+        index[pos] = len(reps)
+        reps.append(int(masks[k]))
+        sizes.append(len(orbit))
+    if sum(sizes) != len(masks):
+        raise AssertionError(f"orbit sizes sum to {sum(sizes)}, not {len(masks)}")
+    return np.array(reps, dtype=np.uint32), index, np.array(sizes, dtype=np.int64)
+
+
+def _solve(masks: np.ndarray, n: int):
+    """Eigenvalues of D(G^c) per mask, ascending, with the q and degenerate flag of each.
+
+    q is the smaller side of the sign split of the least eigenvector;
+    degenerate flags a least eigenvalue whose gap is below DEGENERATE_GAP.
+    """
+    d, _ = _complement_distances(_adj_rows(masks, n), n)
+    w, vecs = np.linalg.eigh(d.astype(np.float64))
+    x = vecs[:, :, 0]
+    q = np.minimum((x < -ZERO_TOL).sum(axis=1), (x > ZERO_TOL).sum(axis=1))
+    return w, q, w[:, 1] - w[:, 0] < DEGENERATE_GAP
+
+
+@dataclass
+class _Classes:
+    """The isomorphism classes of the connected diameter>3 graphs on n vertices."""
+
+    masks: np.ndarray               # every labeled member, ascending
+    index: np.ndarray               # the class of each labeled member
+    reps: np.ndarray                # the smallest member of each class, ascending
+    sizes: np.ndarray               # labeled members per class
+    l1: np.ndarray                  # lambda_1 of D(G^c) per class
+    ln: np.ndarray                  # lambda_n of D(G^c) per class
+    summary: dict                   # what class_scan returns
+
+
+def _class_cluster(values: np.ndarray, ids: np.ndarray, members, mode: str) -> dict | None:
+    """The extremal cluster over classes `ids`, each standing for its labeled members(k)."""
+    cluster = _cluster(values[ids], ids, mode)
+    if cluster is not None:
+        cluster["pairs"] = sorted((v, int(m)) for v, k in cluster["pairs"] for m in members(k))
+    return cluster
+
+
+_SCAN_CACHE: dict[int, _Classes] = {}
+
+
+def class_scan(n: int, workers: int = 1) -> dict:
+    """Merged scan summary over all connected diameter>3 graphs on n vertices.
+
+    The labeled graphs are filtered chunk by chunk (in `workers` processes),
+    the survivors are partitioned into S_n orbits, and D(G^c) is solved once
+    per orbit; a class whose least eigenvalue is degenerate has its members
+    solved one by one, since q is not a class invariant there.  Every count
+    is over labeled graphs, weighted by orbit size; each cluster's pairs list
+    every labeled member of its classes with the class value.
+    """
     if not 5 <= n <= 8:
         raise ValueError("exhaustive scans support 5 <= n <= 8")
-    key = (n, want_vectors)
-    hit = _SCAN_CACHE.get(key)
+    hit = _SCAN_CACHE.get(n)
     if hit is not None:
-        return hit
-    tasks = [(n, i, want_vectors) for i in range(_chunk_count(n))]
-    if workers > 1 and len(tasks) > 1:
+        return hit.summary
+    indices = range(_chunk_count(n))
+    if workers > 1 and len(indices) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_chunk_task, tasks))
+            chunks = list(pool.map(_filter_chunk, repeat(n), indices))
     else:
-        chunks = [_scan_chunk(*t) for t in tasks]
-    merged = {
+        chunks = [_filter_chunk(n, i) for i in indices]
+    masks = np.concatenate([m for m, _ in chunks])
+    reps, index, sizes = _orbit_partition(masks, n)
+    w, q, degenerate = _solve(reps, n)
+    l1, ln = w[:, -1], w[:, 0]
+
+    def members(k: int) -> np.ndarray:
+        return masks[index == k]
+
+    # q is a class invariant only where the least eigenvalue is simple; the
+    # members of a degenerate class are solved one by one
+    hist: Counter = Counter()
+    q1_members: dict[int, np.ndarray] = {}
+    degenerate_count = 0
+    for k in range(len(reps)):
+        if degenerate[k]:
+            mk = members(k)
+            _, mq, mdeg = _solve(mk, n)
+            degenerate_count += int(mdeg.sum())
+            hist.update(mq.tolist())
+            if (mq == 1).any():
+                q1_members[k] = mk[mq == 1]
+        else:
+            hist[int(q[k])] += int(sizes[k])
+            if q[k] == 1:
+                q1_members[k] = members(k)
+    every = np.arange(len(reps))
+    q1 = np.array(sorted(q1_members), dtype=np.int64)
+    summary = {
         "n": n,
-        "count": sum(c["count"] for c in chunks),
-        "lemma21_violations": sorted(v for c in chunks for v in c["lemma21_violations"]),
-        "objectives": {},
+        "count": len(masks),
+        "lemma21_violations": sorted(v for _, bad in chunks for v in bad),
+        "objectives": {
+            name: _class_cluster(l1 if name.endswith("l1") else ln, every, members, name[:3])
+            for name in ("min_l1", "max_l1", "min_ln", "max_ln")
+        },
+        "q_hist": dict(sorted(hist.items())),
+        "degenerate": degenerate_count,
+        "q1_count": sum(len(m) for m in q1_members.values()),
+        "q1_max_ln": _class_cluster(ln, q1, q1_members.__getitem__, "max"),
     }
-    for name, mode in (("min_l1", "min"), ("max_l1", "max"),
-                       ("min_ln", "min"), ("max_ln", "max")):
-        acc = None
-        for c in chunks:
-            acc = _merge_cluster(acc, c["objectives"][name], mode)
-        merged["objectives"][name] = acc
-    if want_vectors:
-        hist: dict[int, int] = {}
-        for c in chunks:
-            for k, v in c["q_hist"].items():
-                hist[k] = hist.get(k, 0) + v
-        merged["q_hist"] = dict(sorted(hist.items()))
-        merged["degenerate"] = sum(c["degenerate"] for c in chunks)
-        merged["q1_count"] = sum(c["q1_count"] for c in chunks)
-        acc = None
-        for c in chunks:
-            acc = _merge_cluster(acc, c["q1_max_ln"], "max")
-        merged["q1_max_ln"] = acc
-    _SCAN_CACHE[key] = merged
-    return merged
+    _SCAN_CACHE[n] = _Classes(masks, index, reps, sizes, l1, ln, summary)
+    return summary
+
+
+def _classes(n: int, workers: int = 1) -> _Classes:
+    """The class partition at order n, scanned by class_scan on first use."""
+    class_scan(n, workers)
+    return _SCAN_CACHE[n]
 
 
 def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
@@ -402,22 +476,6 @@ def _dedup_isomorphic(graphs: list[Graph]) -> list[Graph]:
     return reps
 
 
-@lru_cache(maxsize=None)
-def _perm_edge_table(n: int) -> np.ndarray:
-    """Row k maps each edge index to its image under the k-th permutation of S_n."""
-    pairs = np.array(g6_pairs(n)).T
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
-    a, b = perms[:, pairs[0]], perms[:, pairs[1]]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return hi * (hi - 1) // 2 + lo          # index of (lo, hi) in g6_pairs order
-
-
-def _orbit(n: int, mask: int) -> set[int]:
-    """Edge masks of every relabeling of the graph `mask`."""
-    bits = (mask >> np.arange(n * (n - 1) // 2, dtype=np.int64)) & 1
-    return set((bits << _perm_edge_table(n)).sum(axis=1).tolist())
-
-
 def _witness_graphs(cluster: dict, n: int, cap: int = 20000) -> list[Graph]:
     """One graph per isomorphism class among the cluster's masks, first seen first."""
     seen: set[int] = set()
@@ -440,20 +498,27 @@ def _family_spectrum(family: str, params: tuple[int, ...]):
     return complement_distance_spectrum(FAMILIES[family].build(*params))
 
 
-def _exact_order(ga: Graph, gb: Graph, side: str) -> int:
-    pa = char_poly_exact(distance_matrix(complement(ga)))
-    pb = char_poly_exact(distance_matrix(complement(gb)))
-    return certify_root_order(pa, pb, side)
+def _exact_order(g: Graph, bound_poly, side: str) -> int:
+    """Exact order of g's extreme D(g^c) eigenvalue against the bound polynomial's root."""
+    return certify_root_order(char_poly_exact(distance_matrix(complement(g))), bound_poly, side)
 
 
-def sign_partition(g: Graph) -> SignPartition:
+def _exact_orders(graphs, bound_graph: Graph, side: str) -> set[int]:
+    """Exact root orders of the graphs against the bound graph, its char poly built once."""
+    bound_poly = char_poly_exact(distance_matrix(complement(bound_graph)))
+    return {_exact_order(g, bound_poly, side) for g in graphs}
+
+
+def sign_partition(g: Graph, spec=None) -> SignPartition:
     """Partition by sign of the least-eigenvalue unit eigenvector of D(g^c).
 
     Oriented so that p = |V+ u V0| >= q = |V-|; entries within 1e-9 of zero
     go to V0.  `degenerate` flags a near-degenerate least eigenvalue, where
-    the partition is not well defined.
+    the partition is not well defined.  `spec` is D(g^c)'s spectrum when the
+    caller has already solved it.
     """
-    spec = complement_distance_spectrum(g)
+    if spec is None:
+        spec = complement_distance_spectrum(g)
     x = spec.vectors[:, -1]
     neg = [v for v in range(g.n) if x[v] < -ZERO_TOL]
     pos = [v for v in range(g.n) if x[v] > ZERO_TOL]
@@ -478,7 +543,7 @@ class _Extremum:
     value: float
     witnesses: list[Graph]          # one per isomorphism class, in source order
     runner_up: float | None
-    near: object                    # value -> the source's graphs within RECHECK_WINDOW of it
+    near: object                    # value -> one graph per class within RECHECK_WINDOW of it
     params: dict
     details: dict
 
@@ -490,16 +555,18 @@ class _Extremum:
 def _class_extremum(n: int, objective: str, workers: int = 1) -> _Extremum:
     if objective not in ("min_l1", "max_l1", "min_ln", "max_ln"):
         raise ValueError(f"unknown objective {objective!r}")
-    scan = class_scan(n, workers=workers)
-    cluster = scan["objectives"][objective]
+    classes = _classes(n, workers)
+    cluster = classes.summary["objectives"][objective]
+    values = classes.l1 if objective.endswith("l1") else classes.ln
     return _Extremum(
         value=cluster["value"],
         witnesses=_witness_graphs(cluster, n),
         runner_up=cluster["runner_up"],
-        near=lambda v: [from_edge_mask(n, m) for m in _masks_with_value_near(n, objective, v)],
+        near=lambda v: [from_edge_mask(n, int(m))
+                        for m in classes.reps[np.abs(values - v) <= RECHECK_WINDOW]],
         params={"n": n},
         details={
-            "class_size": scan["count"],
+            "class_size": classes.summary["count"],
             "labeled_witnesses": len(cluster["pairs"]),
             "runner_up": cluster["runner_up"],
         },
@@ -609,7 +676,7 @@ def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
         if over:
             counterexamples = witnesses
             if orders is None and n <= CHAR_POLY_MAX_N:
-                orders = {_exact_order(w, bound_graph, side) for w in witnesses}
+                orders = _exact_orders(witnesses, bound_graph, side)
             notes += [
                 f"max lambda_n over the class exceeds lambda_n({family}^c({args})) by {margin:.6g}",
                 f"exact char-poly comparison confirms witness root > bound root: {orders == {1}}"
@@ -651,20 +718,6 @@ def check_theorem_on_values(tid: str, n: int, graphs: list[Graph],
     return _theorem_verdict(tid, n, _sample_extremum(n, graphs, values, _THEOREMS[tid][0]))
 
 
-def _masks_with_value_near(n: int, objective: str, value: float) -> list[int]:
-    """Rescan for survivor masks whose objective value is within RECHECK_WINDOW of value."""
-    col = -1 if objective.endswith("l1") else 0
-    found: list[int] = []
-    for i in range(_chunk_count(n)):
-        masks, adj = _survivor_adj(_chunk_masks(n, i), n)
-        if len(masks) == 0:
-            continue
-        d, _ = _complement_distances(adj, n)
-        w = np.linalg.eigvalsh(d.astype(np.float64))[:, col]
-        found.extend(int(m) for m in masks[np.abs(w - value) <= RECHECK_WINDOW])
-    return sorted(found)
-
-
 def _escalate_margin(margin: float | None, graphs, bound_graph: Graph, side: str,
                      notes: list, what: str) -> set[int] | None:
     """Exact root orders of graphs() against the bound graph, for a near-tie margin.
@@ -674,7 +727,7 @@ def _escalate_margin(margin: float | None, graphs, bound_graph: Graph, side: str
     """
     if margin is None or abs(margin) > EXACT_RECHECK_BELOW or bound_graph.n > CHAR_POLY_MAX_N:
         return None
-    orders = {_exact_order(g, bound_graph, side) for g in graphs()}
+    orders = _exact_orders(graphs(), bound_graph, side)
     notes.append(
         f"margin {margin:.3e} <= {EXACT_RECHECK_BELOW:.0e}: exact char-poly "
         f"re-check of {what} vs bound gives orders {sorted(orders)}")
@@ -772,30 +825,29 @@ def _lemma_2_3(n: int) -> VerificationReport:
 
 
 def _lemma_2_5(n: int) -> VerificationReport:
-    """Measured direction of lambda_1(G^c) under edge deletion keeping diam>3."""
-    class_masks, class_l1 = [], []
+    """Measured direction of lambda_1(G^c) under edge deletion keeping diam>3.
+
+    Every labeled pair (G, G - e) with both graphs in the class counts; each
+    graph's lambda_1 is its class's.
+    """
+    classes = _classes(n)
+    masks = classes.masks
     graph, edge, minus = [], [], []           # (G, e, G - e) with G - e in the class
-    for i in range(_chunk_count(n)):
-        masks, adj = _survivor_adj(_chunk_masks(n, i), n)
-        d, _ = _complement_distances(adj, n)
-        class_masks.append(masks)
-        class_l1.append(np.linalg.eigvalsh(d.astype(np.float64))[:, -1])
-        for e in range(n * (n - 1) // 2):
-            bit = np.uint32(1 << e)
-            g = masks[(masks & bit) != 0]
-            g2 = g ^ bit
-            keep = _class_keep(_adj_rows(g2, n), n)
-            graph.append(g[keep])
-            edge.append(np.full(int(keep.sum()), e))
-            minus.append(g2[keep])
+    for e in range(n * (n - 1) // 2):
+        bit = np.uint32(1 << e)
+        g = masks[(masks & bit) != 0]
+        g2 = g ^ bit
+        keep = masks[np.minimum(np.searchsorted(masks, g2), len(masks) - 1)] == g2
+        graph.append(g[keep])
+        edge.append(np.full(int(keep.sum()), e))
+        minus.append(g2[keep])
     graph, edge, minus = np.concatenate(graph), np.concatenate(edge), np.concatenate(minus)
     if len(graph) == 0:
         raise ValueError(f"no edge deletion keeps a graph in the class at n={n}")
     order = np.lexsort((edge, graph))          # pairs in (mask, edge) order
     graph, minus = graph[order], minus[order]
-    class_masks, class_l1 = np.concatenate(class_masks), np.concatenate(class_l1)
-    v = class_l1[np.searchsorted(class_masks, graph)]
-    v2 = class_l1[np.searchsorted(class_masks, minus)]
+    v = classes.l1[classes.index[np.searchsorted(masks, graph)]]
+    v2 = classes.l1[classes.index[np.searchsorted(masks, minus)]]
     tie = np.abs(v - v2) <= CLUSTER_TOL
     rev = ~tie & (v > v2)
     ties, reversed_holds = int(tie.sum()), int(rev.sum())
@@ -1068,7 +1120,7 @@ def _lemma_3_9(n: int, n_max: int = 20, workers: int = 1) -> VerificationReport:
     The L''-vs-L' sub-claim is measured; exact computation shows it holds
     in the direction opposite to the printed one at every order.
     """
-    scan = class_scan(n, workers=workers, want_vectors=True)
+    scan = class_scan(n, workers=workers)
     bound = _family_spectrum("Lprime", (n,)).lambda_n
     notes = [f"q histogram at n={n}: {scan['q_hist']}"]
     counterexamples: list[str] = []

@@ -188,6 +188,31 @@ def test_verify_stdin_solves_each_member_once(capsys, monkeypatch):
     assert len(calls) == 3 + 3
 
 
+def test_spectrum_solves_each_graph_once(capsys, monkeypatch):
+    from cdspectra import verify
+    from cdspectra.graphcore import from_edge_mask, to_graph6
+    reps = [to_graph6(from_edge_mask(7, int(m))) for m in verify._classes(7).reps]
+    calls = []
+    real = verify.sym_eigenvalues
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(verify, "sym_eigenvalues", counted)
+    monkeypatch.setattr(cli, "sym_eigenvalues", counted)
+    code, out, _ = run_cli(capsys, "spectrum", stdin="\n".join(reps) + "\n",
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["graph6"] for r in recs] == reps
+    assert len(calls) == 92
+    # the sign partition read from the shared spectrum is the standalone one
+    for rec, text in zip(recs[:5], reps):
+        part = verify.sign_partition(from_graph6(text))
+        assert (rec["p"], rec["q"]) == (part.p, part.q)
+
+
 def test_verify_stdin_t313_tie_above_isomorphism_cap_is_usage_error(capsys, monkeypatch):
     from cdspectra.families import build_L
     from cdspectra.graphcore import to_graph6
@@ -229,3 +254,20 @@ def test_json_formatting_fixed_digits():
     assert cli.to_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
     with pytest.raises(TypeError):
         cli.to_json(object())
+
+
+@pytest.mark.slow
+def test_verify_theorems_exhaustive_n8(capsys, monkeypatch):
+    from cdspectra import verify
+    monkeypatch.setattr(verify, "_SCAN_CACHE", {})
+    code, out, _ = run_cli(capsys, "verify", "--claims", "T2.4,T2.8,T3.7,T3.13,3.9",
+                           "--n", "8", "--workers", "2")
+    assert code == 2
+    recs = {r["claim"]: r for r in map(json.loads, out.splitlines())}
+    for claim, margin in (("T2.4", 3.677), ("T2.8", 0.0221), ("T3.7", 3.216)):
+        assert recs[claim]["status"] == "confirmed", claim
+        assert recs[claim]["margin"] == pytest.approx(margin, abs=5e-4), claim
+    t313 = recs["T3.13"]
+    assert t313["status"] == "refuted"
+    assert len(t313["counterexamples"]) == 1
+    assert is_isomorphic(from_graph6(t313["counterexamples"][0]), from_graph6("GwwNo_"))

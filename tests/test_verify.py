@@ -1,5 +1,6 @@
 """Enumeration engine, extremal scans, sign partitions, claim checkers."""
 
+import math
 import random
 
 import numpy as np
@@ -429,3 +430,125 @@ def test_sample_of_every_class_gives_the_exhaustive_verdict(n, tids):
         assert got.margin == pytest.approx(want.margin, abs=1e-9), tid
         assert _pairwise_isomorphic(got.witnesses, want.witnesses), tid
         assert _pairwise_isomorphic(got.counterexamples, want.counterexamples), tid
+
+
+@pytest.mark.parametrize("n,classes,labeled", [(5, 1, 60), (6, 9, 3240), (7, 92, 224280)])
+def test_orbit_partition_sizes(n, classes, labeled):
+    part = verify._classes(n)
+    assert len(part.reps) == len(part.sizes) == classes
+    assert int(part.sizes.sum()) == len(part.masks) == labeled
+    assert all(math.factorial(n) % int(s) == 0 for s in part.sizes)
+    # each representative is the smallest member of its class, and owns it
+    for k, r in enumerate(part.reps):
+        members = part.masks[part.index == k]
+        assert len(members) == part.sizes[k] and members[0] == r
+        assert set(members.tolist()) == verify._orbit(n, int(r))
+
+
+def _cluster_reference(values: np.ndarray, masks: np.ndarray, mode: str) -> dict | None:
+    if values.size == 0:
+        return None
+    v = values.min() if mode == "min" else values.max()
+    inside = np.abs(values - v) <= verify.CLUSTER_TOL
+    rest = values[~inside]
+    runner = None if rest.size == 0 else rest.min() if mode == "min" else rest.max()
+    return {"value": v, "masks": sorted(masks[inside].tolist()), "runner_up": runner}
+
+
+def _labeled_reference(n: int) -> dict:
+    """class_scan's spectral fields from eigh on every labeled survivor."""
+    masks = np.array(sorted(_slow_class_masks(n)), dtype=np.uint32)
+    d = np.array([distance_matrix(complement(from_edge_mask(n, int(m)))) for m in masks],
+                 dtype=np.float64)
+    w, vecs = np.linalg.eigh(d)
+    x = vecs[:, :, 0]
+    q = np.minimum((x < -verify.ZERO_TOL).sum(axis=1), (x > verify.ZERO_TOL).sum(axis=1))
+    return {
+        "objectives": {name: _cluster_reference(w[:, col], masks, name[:3])
+                       for name, col in (("min_l1", -1), ("max_l1", -1),
+                                         ("min_ln", 0), ("max_ln", 0))},
+        "q_hist": {int(k): int((q == k).sum()) for k in np.unique(q)},
+        "degenerate": int((w[:, 1] - w[:, 0] < verify.DEGENERATE_GAP).sum()),
+        "q1_count": int((q == 1).sum()),
+        "q1_max_ln": _cluster_reference(w[q == 1, 0], masks[q == 1], "max"),
+    }
+
+
+def _assert_cluster_matches(got: dict | None, want: dict | None):
+    if want is None:
+        assert got is None
+        return
+    assert sorted(m for _, m in got["pairs"]) == want["masks"]
+    assert got["value"] == pytest.approx(want["value"], abs=1e-12)
+    assert all(v == pytest.approx(want["value"], abs=1e-12) for v, _ in got["pairs"])
+    if want["runner_up"] is None:
+        assert got["runner_up"] is None
+    else:
+        assert got["runner_up"] == pytest.approx(want["runner_up"], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_class_scan_equals_labeled_reference(n):
+    scan = verify.class_scan(n)
+    want = _labeled_reference(n)
+    for name, cluster in want["objectives"].items():
+        _assert_cluster_matches(scan["objectives"][name], cluster)
+        assert verify.scan_extremal(n, name).details["labeled_witnesses"] == len(cluster["masks"])
+    _assert_cluster_matches(scan["q1_max_ln"], want["q1_max_ln"])
+    for key in ("q_hist", "degenerate", "q1_count"):
+        assert scan[key] == want[key], key
+
+
+def test_degenerate_classes_are_solved_member_by_member(monkeypatch):
+    # with every least eigenvalue degenerate, every class takes the labeled path
+    monkeypatch.setattr(verify, "_SCAN_CACHE", {})
+    monkeypatch.setattr(verify, "DEGENERATE_GAP", math.inf)
+    scan = verify.class_scan(6)
+    monkeypatch.setattr(verify, "DEGENERATE_GAP", 1e-8)
+    want = _labeled_reference(6)
+    assert scan["degenerate"] == scan["count"] == 3240
+    assert scan["q_hist"] == want["q_hist"]
+    assert scan["q1_count"] == want["q1_count"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relabeled_survivor_stays_in_its_class(data):
+    part = verify._classes(7)
+    i = data.draw(st.integers(min_value=0, max_value=len(part.masks) - 1))
+    perm = data.draw(st.permutations(range(7)))
+    image = to_edge_mask(relabel(from_edge_mask(7, int(part.masks[i])), perm))
+    j = int(np.searchsorted(part.masks, image))
+    assert part.masks[j] == image
+    assert part.index[j] == part.index[i]
+
+
+def test_class_scan_same_for_any_worker_count(monkeypatch):
+    one = verify.class_scan(6, workers=1)
+    # smaller chunks, so the six-vertex scan spreads over several worker tasks
+    monkeypatch.setattr(verify, "_SCAN_CACHE", {})
+    monkeypatch.setattr(verify, "CHUNK_BITS", 12)
+    assert verify._chunk_count(6) == 8
+    assert verify.class_scan(6, workers=2) == one
+
+
+def test_near_tie_recheck_solves_one_graph_per_class(monkeypatch):
+    monkeypatch.setattr(verify, "EXACT_RECHECK_BELOW", 10.0)
+    calls = []
+    real = verify._exact_order
+    monkeypatch.setattr(verify, "_exact_order", lambda *args: calls.append(args) or real(*args))
+    rep = verify.check_theorem("2.8", 6)
+    assert rep.status == "confirmed"
+    # the runner-up value is one class of 360 labeled graphs
+    assert len(calls) == 1
+
+
+def test_lemma_2_5_example_pair_is_an_edge_deletion():
+    rep = verify.check_lemma("2.5", n=6)
+    g, h = (from_graph6(text) for text in rep.details["example_pair"])
+    removed = to_edge_mask(g) ^ to_edge_mask(h)
+    assert to_edge_mask(h) & removed == 0 and bin(removed).count("1") == 1
+    assert diameter(g) > 3 and diameter(h) > 3
+    gap = (verify.complement_distance_spectrum(g).lambda1
+           - verify.complement_distance_spectrum(h).lambda1)
+    assert gap == pytest.approx(rep.margin, abs=1e-12)
