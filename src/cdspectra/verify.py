@@ -222,8 +222,8 @@ def _survivor_adj(masks: np.ndarray, n: int):
     return masks[keep], adj[:, keep]
 
 
-def _cluster(values: np.ndarray, masks: np.ndarray, mode: str) -> dict | None:
-    """Extremal cluster of (value, mask) pairs plus nearest runner-up value."""
+def _cluster(values: np.ndarray, keys: np.ndarray, mode: str) -> dict | None:
+    """Extremal cluster of (value, key) pairs plus nearest runner-up value."""
     if values.size == 0:
         return None
     if mode == "min":
@@ -236,7 +236,7 @@ def _cluster(values: np.ndarray, masks: np.ndarray, mode: str) -> dict | None:
         sel = values >= v - CLUSTER_TOL
         rest = values[~sel]
         runner = float(rest.max()) if rest.size else None
-    pairs = sorted((float(val), int(m)) for val, m in zip(values[sel], masks[sel]))
+    pairs = sorted((float(val), int(k)) for val, k in zip(values[sel], keys[sel]))
     return {"value": v, "pairs": pairs, "runner_up": runner}
 
 
@@ -274,11 +274,6 @@ def _orbit_masks(n: int, mask) -> np.ndarray:
     table = _perm_edge_table(n)
     bits = (np.uint32(mask) >> np.arange(table.shape[1], dtype=np.uint32)) & np.uint32(1)
     return (bits << table).sum(axis=1, dtype=np.uint32)
-
-
-def _orbit(n: int, mask: int) -> set[int]:
-    """Edge masks of every relabeling of the graph `mask`."""
-    return set(_orbit_masks(n, mask).tolist())
 
 
 _FREE_BLOCK = 1 << 14               # masks inspected per step of the unassigned-mask walk
@@ -335,29 +330,23 @@ class _Classes:
     sizes: np.ndarray               # labeled members per class
     l1: np.ndarray                  # lambda_1 of D(G^c) per class
     ln: np.ndarray                  # lambda_n of D(G^c) per class
+    q1: np.ndarray                  # labeled members with q = 1 per class
     summary: dict                   # what class_scan returns
-
-
-def _class_cluster(values: np.ndarray, ids: np.ndarray, members, mode: str) -> dict | None:
-    """The extremal cluster over classes `ids`, each standing for its labeled members(k)."""
-    cluster = _cluster(values[ids], ids, mode)
-    if cluster is not None:
-        cluster["pairs"] = sorted((v, int(m)) for v, k in cluster["pairs"] for m in members(k))
-    return cluster
 
 
 _SCAN_CACHE: dict[int, _Classes] = {}
 
 
 def class_scan(n: int, workers: int = 1) -> dict:
-    """Merged scan summary over all connected diameter>3 graphs on n vertices.
+    """Labeled counts over all connected diameter>3 graphs on n vertices.
 
     The labeled graphs are filtered chunk by chunk (in `workers` processes),
     the survivors are partitioned into S_n orbits, and D(G^c) is solved once
     per orbit; a class whose least eigenvalue is degenerate has its members
-    solved one by one, since q is not a class invariant there.  Every count
-    is over labeled graphs, weighted by orbit size; each cluster's pairs list
-    every labeled member of its classes with the class value.
+    solved one by one, since q is not a class invariant there.  The summary
+    holds the class size, the Lemma 2.1 violations, the q histogram, the
+    degenerate count and the q = 1 count, every count over labeled graphs.
+    The per-class record, which the claim checkers read, is `_classes(n)`.
     """
     if not 5 <= n <= 8:
         raise ValueError("exhaustive scans support 5 <= n <= 8")
@@ -373,44 +362,27 @@ def class_scan(n: int, workers: int = 1) -> dict:
     masks = np.concatenate([m for m, _ in chunks])
     reps, index, sizes = _orbit_partition(masks, n)
     w, q, degenerate = _solve(reps, n)
-    l1, ln = w[:, -1], w[:, 0]
-
-    def members(k: int) -> np.ndarray:
-        return masks[index == k]
-
     # q is a class invariant only where the least eigenvalue is simple; the
     # members of a degenerate class are solved one by one
     hist: Counter = Counter()
-    q1_members: dict[int, np.ndarray] = {}
+    q1 = np.where(q == 1, sizes, 0)
+    for k in np.flatnonzero(~degenerate):
+        hist[int(q[k])] += int(sizes[k])
     degenerate_count = 0
-    for k in range(len(reps)):
-        if degenerate[k]:
-            mk = members(k)
-            _, mq, mdeg = _solve(mk, n)
-            degenerate_count += int(mdeg.sum())
-            hist.update(mq.tolist())
-            if (mq == 1).any():
-                q1_members[k] = mk[mq == 1]
-        else:
-            hist[int(q[k])] += int(sizes[k])
-            if q[k] == 1:
-                q1_members[k] = members(k)
-    every = np.arange(len(reps))
-    q1 = np.array(sorted(q1_members), dtype=np.int64)
+    for k in np.flatnonzero(degenerate):
+        _, mq, mdeg = _solve(np.unique(_orbit_masks(n, reps[k])), n)
+        degenerate_count += int(mdeg.sum())
+        hist.update(mq.tolist())
+        q1[k] = int((mq == 1).sum())
     summary = {
         "n": n,
         "count": len(masks),
         "lemma21_violations": sorted(v for _, bad in chunks for v in bad),
-        "objectives": {
-            name: _class_cluster(l1 if name.endswith("l1") else ln, every, members, name[:3])
-            for name in ("min_l1", "max_l1", "min_ln", "max_ln")
-        },
         "q_hist": dict(sorted(hist.items())),
         "degenerate": degenerate_count,
-        "q1_count": sum(len(m) for m in q1_members.values()),
-        "q1_max_ln": _class_cluster(ln, q1, q1_members.__getitem__, "max"),
+        "q1_count": int(q1.sum()),
     }
-    _SCAN_CACHE[n] = _Classes(masks, index, reps, sizes, l1, ln, summary)
+    _SCAN_CACHE[n] = _Classes(masks, index, reps, sizes, w[:, -1], w[:, 0], q1, summary)
     return summary
 
 
@@ -473,17 +445,6 @@ def _dedup_isomorphic(graphs: list[Graph]) -> list[Graph]:
         if not found:
             buckets[key].append(g)
             reps.append(g)
-    return reps
-
-
-def _witness_graphs(cluster: dict, n: int, cap: int = 20000) -> list[Graph]:
-    """One graph per isomorphism class among the cluster's masks, first seen first."""
-    seen: set[int] = set()
-    reps: list[Graph] = []
-    for _, m in cluster["pairs"][:cap]:
-        if m not in seen:
-            seen |= _orbit(n, m)
-            reps.append(from_edge_mask(n, m))
     return reps
 
 
@@ -556,18 +517,19 @@ def _class_extremum(n: int, objective: str, workers: int = 1) -> _Extremum:
     if objective not in ("min_l1", "max_l1", "min_ln", "max_ln"):
         raise ValueError(f"unknown objective {objective!r}")
     classes = _classes(n, workers)
-    cluster = classes.summary["objectives"][objective]
     values = classes.l1 if objective.endswith("l1") else classes.ln
+    cluster = _cluster(values, np.arange(len(values)), objective[:3])
+    ids = [k for _, k in cluster["pairs"]]      # (value, rep) order: reps ascend
     return _Extremum(
         value=cluster["value"],
-        witnesses=_witness_graphs(cluster, n),
+        witnesses=[from_edge_mask(n, int(classes.reps[k])) for k in ids],
         runner_up=cluster["runner_up"],
         near=lambda v: [from_edge_mask(n, int(m))
                         for m in classes.reps[np.abs(values - v) <= RECHECK_WINDOW]],
         params={"n": n},
         details={
             "class_size": classes.summary["count"],
-            "labeled_witnesses": len(cluster["pairs"]),
+            "labeled_witnesses": int(classes.sizes[ids].sum()),
             "runner_up": cluster["runner_up"],
         },
     )
@@ -824,13 +786,13 @@ def _lemma_2_3(n: int) -> VerificationReport:
     )
 
 
-def _lemma_2_5(n: int) -> VerificationReport:
+def _lemma_2_5(n: int, workers: int = 1) -> VerificationReport:
     """Measured direction of lambda_1(G^c) under edge deletion keeping diam>3.
 
     Every labeled pair (G, G - e) with both graphs in the class counts; each
     graph's lambda_1 is its class's.
     """
-    classes = _classes(n)
+    classes = _classes(n, workers)
     masks = classes.masks
     graph, edge, minus = [], [], []           # (G, e, G - e) with G - e in the class
     for e in range(n * (n - 1) // 2):
@@ -873,19 +835,20 @@ def _lemma_2_5(n: int) -> VerificationReport:
     )
 
 
-def _lemma_2_6(n: int, samples: int = 200, trees_per_graph: int = 3) -> VerificationReport:
-    """lambda_1(G^c) >= lambda_1(T^c) over seeded random spanning trees."""
+def _lemma_2_6(n: int, samples: int = 200, trees_per_graph: int = 3,
+               workers: int = 1) -> VerificationReport:
+    """lambda_1(G^c) >= lambda_1(T^c) over seeded random spanning trees.
+
+    The graphs are every stride-th labeled class member in ascending mask order.
+    """
+    masks = _classes(n, workers).masks
     rng = random.Random(20240 + n)
-    all_masks: list[int] = []
-    for i in range(_chunk_count(n)):
-        masks, _ = _survivor_adj(_chunk_masks(n, i), n)
-        all_masks.extend(int(m) for m in masks)
-    stride = max(1, len(all_masks) // samples)
+    stride = max(1, len(masks) // samples)
     worst = None
     checked = 0
     bad: list[str] = []
-    for m in all_masks[::stride]:
-        g = from_edge_mask(n, m)
+    for m in masks[::stride]:
+        g = from_edge_mask(n, int(m))
         v = complement_distance_spectrum(g).lambda1
         edges = g.edges()
         for _ in range(trees_per_graph):
@@ -1120,21 +1083,23 @@ def _lemma_3_9(n: int, n_max: int = 20, workers: int = 1) -> VerificationReport:
     The L''-vs-L' sub-claim is measured; exact computation shows it holds
     in the direction opposite to the printed one at every order.
     """
-    scan = class_scan(n, workers=workers)
+    classes = _classes(n, workers)
     bound = _family_spectrum("Lprime", (n,)).lambda_n
-    notes = [f"q histogram at n={n}: {scan['q_hist']}"]
+    notes = [f"q histogram at n={n}: {classes.summary['q_hist']}"]
     counterexamples: list[str] = []
     q1_ok = True
-    if scan["q1_count"] == 0:
+    has_q1 = np.flatnonzero(classes.q1)
+    if has_q1.size == 0:
         notes.append(f"no diameter>3 graph on {n} vertices has q = 1: "
                      "the q=1 claim is vacuous at this order")
         q1_margin = None
     else:
-        cluster = scan["q1_max_ln"]
+        cluster = _cluster(classes.ln[has_q1], has_q1, "max")
         q1_margin = bound - cluster["value"]
         q1_ok = q1_margin >= -CLUSTER_TOL
         if not q1_ok:
-            counterexamples = [to_graph6(g) for g in _witness_graphs(cluster, n)]
+            counterexamples = [to_graph6(from_edge_mask(n, int(classes.reps[k])))
+                               for _, k in cluster["pairs"]]
         notes.append(f"max lambda_n over q=1 members: {cluster['value']:.12g} "
                      f"vs lambda_n(L'^c) {bound:.12g}")
     sub = []
@@ -1162,7 +1127,7 @@ def _lemma_3_9(n: int, n_max: int = 20, workers: int = 1) -> VerificationReport:
         margin=q1_margin if q1_margin is not None else sub_margin,
         counterexamples=counterexamples,
         notes=notes,
-        details={"q1_count": scan["q1_count"], "lprime_vs_ldprime": sub},
+        details={"q1_count": int(classes.q1.sum()), "lprime_vs_ldprime": sub},
     )
 
 
@@ -1266,9 +1231,9 @@ def check_lemma(claim_id: str, n: int | None = None, p_max: int = 12,
     if claim_id == "2.3":
         return _lemma_2_3(n or 12)
     if claim_id == "2.5":
-        return _lemma_2_5(n or 6)
+        return _lemma_2_5(n or 6, workers)
     if claim_id == "2.6":
-        return _lemma_2_6(n or 7)
+        return _lemma_2_6(n or 7, workers=workers)
     if claim_id == "2.7":
         return _lemma_2_7(n or 9)
     if claim_id == "3.1":

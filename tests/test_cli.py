@@ -247,6 +247,13 @@ def test_parser_errors_are_usage_errors(capsys):
     assert code == 0 and "--claims" in out
 
 
+def test_verify_lemma_2_6_outside_exhaustive_orders_is_usage_error(capsys):
+    for n in ("4", "9"):
+        code, out, err = run_cli(capsys, "verify", "--claims", "2.6", "--n", n)
+        assert code == 1 and out == ""
+        assert "exhaustive scans support 5 <= n <= 8" in err and "Traceback" not in err
+
+
 def test_json_formatting_fixed_digits():
     assert cli.to_json({"x": 1.0}) == '{"x":1}'
     assert cli.to_json(7.737587999399938) == "7.7375879994"
@@ -271,3 +278,10 @@ def test_verify_theorems_exhaustive_n8(capsys, monkeypatch):
     assert t313["status"] == "refuted"
     assert len(t313["counterexamples"]) == 1
     assert is_isomorphic(from_graph6(t313["counterexamples"][0]), from_graph6("GwwNo_"))
+    # T2.8's cluster is one class of 20,160 labeled members
+    for claim, labeled in (("T2.4", 840), ("T2.8", 20160), ("T3.7", 3360), ("T3.13", 6720)):
+        assert recs[claim]["details"]["labeled_witnesses"] == labeled, claim
+    # one class has a degenerate least eigenvalue, so its members are solved one by one
+    assert "q histogram at n=8: {2: 1206246, 3: 11231056, 4: 12692978}" in recs["3.9"]["notes"]
+    assert recs["3.9"]["details"]["q1_count"] == 0
+    assert verify.class_scan(8)["degenerate"] == 10080

@@ -1,5 +1,6 @@
 """Enumeration engine, extremal scans, sign partitions, claim checkers."""
 
+import dataclasses
 import math
 import random
 
@@ -76,8 +77,9 @@ def test_class_scan_counts_and_lemma21():
     scan5 = verify.class_scan(5)
     assert scan5["count"] == 60
     # all survivors at n=5 share one lambda_1 (single isomorphism class)
-    assert scan5["objectives"]["min_l1"]["runner_up"] is None
-    assert len(scan5["objectives"]["min_l1"]["pairs"]) == 60
+    ext = verify.scan_extremal(5, "min_l1")
+    assert ext.margin is None and ext.details["runner_up"] is None
+    assert ext.details["labeled_witnesses"] == 60
 
 
 def test_scan_extremal_min_l1_is_path():
@@ -93,12 +95,11 @@ def test_scan_extremal_min_l1_is_path():
 
 
 def test_scan_values_match_direct_solver_spot():
-    # chunk-reduced cluster values equal a direct per-graph eigensolve
-    scan = verify.class_scan(6)
-    cl = scan["objectives"]["max_ln"]
-    g = from_edge_mask(6, cl["pairs"][0][1])
+    # class-solved cluster values equal a direct per-graph eigensolve
+    rep = verify.scan_extremal(6, "max_ln")
+    g = from_graph6(rep.witnesses[0])
     direct = sym_eigenvalues(distance_matrix(complement(g)).astype(float)).lambda_n
-    assert cl["value"] == pytest.approx(direct, abs=1e-10)
+    assert rep.extremal["max_ln"] == pytest.approx(direct, abs=1e-10)
 
 
 def test_relabeling_invariance_spot_check_n6():
@@ -337,15 +338,17 @@ def _relabeled_masks(classes: list[str], copies: int, seed: int) -> list[int]:
 
 
 def test_orbit_dedup_matches_pairwise_isomorphism():
+    # the orbit partition's representatives are pairwise non-isomorphic
+    for n in (6, 7):
+        reps = [from_edge_mask(n, int(m)) for m in verify._classes(n).reps]
+        assert [g.adj for g in verify._dedup_isomorphic(reps)] == [g.adj for g in reps]
     classes = [to_graph6(build_path(7)), "FZ?Z_", to_graph6(build_L(4, 3)),
                to_graph6(build_Lprime(7)), to_graph6(build_Ldprime(7))]
     masks = _relabeled_masks(classes, copies=6, seed=11)
-    cluster = {"pairs": [(0.0, m) for m in masks]}
-    got = verify._witness_graphs(cluster, 7)
-    want = verify._dedup_isomorphic([from_edge_mask(7, m) for m in masks])
-    assert [g.adj for g in got] == [g.adj for g in want]
+    got = verify._dedup_isomorphic([from_edge_mask(7, m) for m in masks])
     assert len(got) == len(classes)
-    # representatives are the first copy of each class in walk order
+    # one class per S_n orbit, and the first copy of each class in walk order
+    assert len({int(verify._orbit_masks(7, m).min()) for m in masks}) == len(classes)
     assert [to_edge_mask(g) for g in got] == [
         m for i, m in enumerate(masks)
         if not any(is_isomorphic(from_edge_mask(7, m), from_edge_mask(7, p))
@@ -358,7 +361,7 @@ def test_orbit_contains_every_relabeling(data):
     n = data.draw(st.integers(min_value=5, max_value=8))
     mask = data.draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
     perm = data.draw(st.permutations(range(n)))
-    orbit = verify._orbit(n, mask)
+    orbit = set(verify._orbit_masks(n, mask).tolist())
     assert mask in orbit
     assert to_edge_mask(relabel(from_edge_mask(n, mask), perm)) in orbit
 
@@ -403,9 +406,7 @@ def test_t313_tie_decided_by_exact_order(monkeypatch):
 
 
 def _class_representatives(n: int) -> list:
-    masks = [int(m) for i in range(verify._chunk_count(n))
-             for m in verify._survivor_adj(verify._chunk_masks(n, i), n)[0]]
-    return verify._witness_graphs({"pairs": [(0.0, m) for m in masks]}, n, cap=len(masks))
+    return [from_edge_mask(n, int(m)) for m in verify._classes(n).reps]
 
 
 def _pairwise_isomorphic(a: list[str], b: list[str]) -> bool:
@@ -442,7 +443,7 @@ def test_orbit_partition_sizes(n, classes, labeled):
     for k, r in enumerate(part.reps):
         members = part.masks[part.index == k]
         assert len(members) == part.sizes[k] and members[0] == r
-        assert set(members.tolist()) == verify._orbit(n, int(r))
+        assert set(members.tolist()) == set(verify._orbit_masks(n, int(r)).tolist())
 
 
 def _cluster_reference(values: np.ndarray, masks: np.ndarray, mode: str) -> dict | None:
@@ -470,31 +471,51 @@ def _labeled_reference(n: int) -> dict:
         "q_hist": {int(k): int((q == k).sum()) for k in np.unique(q)},
         "degenerate": int((w[:, 1] - w[:, 0] < verify.DEGENERATE_GAP).sum()),
         "q1_count": int((q == 1).sum()),
+        "q1_masks": masks[q == 1].tolist(),
         "q1_max_ln": _cluster_reference(w[q == 1, 0], masks[q == 1], "max"),
     }
 
 
-def _assert_cluster_matches(got: dict | None, want: dict | None):
+def _class_members(part, ids) -> list[int]:
+    """The labeled members of the classes `ids`, ascending."""
+    return sorted(m for k in ids for m in part.masks[part.index == k].tolist())
+
+
+def _assert_cluster_matches(part, values, ids, runner_up, want: dict | None):
+    """The classes `ids` expand to the labeled reference cluster `want`."""
     if want is None:
-        assert got is None
+        assert len(ids) == 0
         return
-    assert sorted(m for _, m in got["pairs"]) == want["masks"]
-    assert got["value"] == pytest.approx(want["value"], abs=1e-12)
-    assert all(v == pytest.approx(want["value"], abs=1e-12) for v, _ in got["pairs"])
+    assert _class_members(part, ids) == want["masks"]
+    assert all(values[k] == pytest.approx(want["value"], abs=1e-12) for k in ids)
     if want["runner_up"] is None:
-        assert got["runner_up"] is None
+        assert runner_up is None
     else:
-        assert got["runner_up"] == pytest.approx(want["runner_up"], abs=1e-12)
+        assert runner_up == pytest.approx(want["runner_up"], abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_class_scan_equals_labeled_reference(n):
     scan = verify.class_scan(n)
+    part = verify._classes(n)
     want = _labeled_reference(n)
     for name, cluster in want["objectives"].items():
-        _assert_cluster_matches(scan["objectives"][name], cluster)
-        assert verify.scan_extremal(n, name).details["labeled_witnesses"] == len(cluster["masks"])
-    _assert_cluster_matches(scan["q1_max_ln"], want["q1_max_ln"])
+        rep = verify.scan_extremal(n, name)
+        ids = [int(part.index[np.searchsorted(part.masks, to_edge_mask(from_graph6(w)))])
+               for w in rep.witnesses]
+        values = part.l1 if name.endswith("l1") else part.ln
+        assert rep.extremal[name] == pytest.approx(cluster["value"], abs=1e-12)
+        _assert_cluster_matches(part, values, ids, rep.details["runner_up"], cluster)
+        assert rep.details["labeled_witnesses"] == len(cluster["masks"])
+    # q1 counts each class's labeled members with q = 1
+    for k in range(len(part.reps)):
+        members = set(_class_members(part, [k]))
+        assert part.q1[k] == len(members.intersection(want["q1_masks"]))
+    # so the q = 1 cluster over classes expands to the labeled one
+    q1_ids = np.flatnonzero(part.q1)
+    q1_max = verify._cluster(part.ln[q1_ids], q1_ids, "max") or {"pairs": [], "runner_up": None}
+    _assert_cluster_matches(part, part.ln, [k for _, k in q1_max["pairs"]],
+                            q1_max["runner_up"], want["q1_max_ln"])
     for key in ("q_hist", "degenerate", "q1_count"):
         assert scan[key] == want[key], key
 
@@ -509,6 +530,7 @@ def test_degenerate_classes_are_solved_member_by_member(monkeypatch):
     assert scan["degenerate"] == scan["count"] == 3240
     assert scan["q_hist"] == want["q_hist"]
     assert scan["q1_count"] == want["q1_count"]
+    assert int(verify._classes(6).q1.sum()) == want["q1_count"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -525,11 +547,15 @@ def test_relabeled_survivor_stays_in_its_class(data):
 
 def test_class_scan_same_for_any_worker_count(monkeypatch):
     one = verify.class_scan(6, workers=1)
+    part = verify._classes(6)
     # smaller chunks, so the six-vertex scan spreads over several worker tasks
     monkeypatch.setattr(verify, "_SCAN_CACHE", {})
     monkeypatch.setattr(verify, "CHUNK_BITS", 12)
     assert verify._chunk_count(6) == 8
     assert verify.class_scan(6, workers=2) == one
+    two = verify._classes(6)
+    for name in ("masks", "index", "reps", "sizes", "l1", "ln", "q1"):
+        assert np.array_equal(getattr(two, name), getattr(part, name)), name
 
 
 def test_near_tie_recheck_solves_one_graph_per_class(monkeypatch):
@@ -552,3 +578,47 @@ def test_lemma_2_5_example_pair_is_an_edge_deletion():
     gap = (verify.complement_distance_spectrum(g).lambda1
            - verify.complement_distance_spectrum(h).lambda1)
     assert gap == pytest.approx(rep.margin, abs=1e-12)
+
+
+def test_lemmas_2_5_and_2_6_scan_with_the_worker_pool(monkeypatch):
+    monkeypatch.setattr(verify, "CHUNK_BITS", 12)
+    started = []
+    real = verify.ProcessPoolExecutor
+
+    def pool(*args, **kwargs):
+        started.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", pool)
+    for claim in ("2.5", "2.6"):
+        monkeypatch.setattr(verify, "_SCAN_CACHE", {})
+        started.clear()
+        rep = verify.check_lemma(claim, n=6, workers=2)
+        assert started == [2], claim
+        assert rep.to_dict() == verify.check_lemma(claim, n=6).to_dict(), claim
+
+
+def test_witnesses_list_every_class_of_the_cluster(monkeypatch):
+    part = verify._classes(7)
+    monkeypatch.setattr(verify, "CLUSTER_TOL", math.inf)
+    rep = verify.scan_extremal(7, "max_ln")
+    want = [to_graph6(from_edge_mask(7, m))
+            for _, m in sorted(zip(part.ln.tolist(), part.reps.tolist()))]
+    assert len(want) == 92
+    assert rep.witnesses == want
+    assert rep.details["labeled_witnesses"] == 224280
+
+
+def test_lemma_3_9_q1_class_above_the_bound_refutes(monkeypatch):
+    # no class has q = 1 for n <= 8, so mark the max-lambda_n class as one
+    part = verify._classes(7)
+    k = int(np.argmax(part.ln))
+    q1 = np.zeros_like(part.q1)
+    q1[k] = part.sizes[k]
+    monkeypatch.setitem(verify._SCAN_CACHE, 7, dataclasses.replace(part, q1=q1))
+    rep = verify.check_lemma("3.9", n=7)
+    assert rep.status == "refuted"
+    assert rep.counterexamples == [to_graph6(from_edge_mask(7, int(part.reps[k])))]
+    assert rep.details["q1_count"] == part.sizes[k]
+    assert rep.margin == pytest.approx(rep.extremal["ln_Lprime_c"] - part.ln[k], abs=1e-12)
+    assert rep.margin < 0
