@@ -3,9 +3,16 @@
 Two independent routes to the same spectra live here on purpose: LAPACK's
 symmetric eigensolver (`numpy.linalg.eigh`) in floating point, and exact
 integer characteristic polynomials (Faddeev-LeVerrier) whose real roots
-are isolated with Sturm sequences over rationals.  Agreement between the
-two routes is what the verification harness leans on; neither side may be
+are bracketed exactly over the rationals.  Agreement between the two
+routes is what the verification harness leans on; neither side may be
 collapsed into the other.
+
+Exact roots are bracketed in two phases.  Isolation bisects by Sturm
+counts only until each bracket holds one root of the square-free part.
+Refinement then bisects each isolating bracket by the sign of the
+square-free part alone, in integer arithmetic.  `sturm_real_roots`
+refines every bracket; `extreme_root_bracket` and `certify_root_order`
+refine only the bracket of the largest or smallest root.
 """
 
 import math
@@ -202,12 +209,16 @@ def _scaled(c: list[Fraction]) -> tuple[int, ...]:
 
 
 def _sign(c: tuple[int, ...], x: Fraction) -> int:
+    """Sign of the integer polynomial c at the rational x."""
+    return _sign_at(c, x.numerator, x.denominator)
+
+
+def _sign_at(c: tuple[int, ...], a: int, b: int) -> int:
     """Sign of the integer polynomial c at x = a/b, b > 0.
 
     Homogeneous Horner over ints: sum c_i a^i b^(d-i) = b^d c(x) has the
     sign of c(x) and needs no rational arithmetic.
     """
-    a, b = x.numerator, x.denominator
     acc, bk = c[-1], 1
     for ci in c[-2::-1]:
         bk *= b
@@ -271,8 +282,9 @@ def _sturm_chain(c: list[Fraction]) -> list[tuple[int, ...]]:
 
 
 def _variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign(c, x) for c in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    a, b = x.numerator, x.denominator
+    signs = [s for s in (_sign_at(c, a, b) for c in chain) if s]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
 def _count_roots(chain, lo: Fraction, hi: Fraction) -> int:
@@ -290,72 +302,105 @@ def _squarefree(c: list[Fraction]) -> list[Fraction]:
     return _divide_exact(c, g) if len(g) > 1 else _trim(c[:])
 
 
-def _isolate_squarefree(f: list[Fraction], lo: Fraction, hi: Fraction,
-                        tol: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint brackets, one distinct root of square-free f in each.
+def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Isolating brackets of the distinct real roots of chain[0] in [lo, hi].
 
-    Each bracket (a, b] has width <= tol; an exactly-hit rational root is
-    returned as a zero-width bracket.  Covers the closed interval [lo, hi].
+    chain is the Sturm sequence of a square-free polynomial.  Bisection by
+    Sturm counts stops as soon as a bracket (a, b] holds one root, and no
+    bracket's right end b is a root: an exactly-hit rational root is
+    returned as a zero-width bracket and the bracket to its left is pulled
+    off it.  The variation count of each point is computed once and carried
+    on the stack.  Brackets are sorted left to right.
     """
-    chain = _sturm_chain(f)
     fi = chain[0]
     out: list[tuple[Fraction, Fraction]] = []
     if _sign(fi, lo) == 0:
         out.append((lo, lo))
 
-    def shrink_right(a: Fraction, b: Fraction, cnt: int) -> tuple[Fraction, int]:
-        # f(b) == 0: record b, then pull the right end off the root
-        while _sign(fi, b) == 0:
-            out.append((b, b))
-            cnt -= 1
-            step = (b - a) / 2
+    def pull_left(a: Fraction, b: Fraction, vb: int) -> tuple[Fraction, int]:
+        # f(b) == 0: record b, then find a point nb left of it where f is
+        # nonzero and (nb, b] holds no root but b
+        out.append((b, b))
+        step = (b - a) / 2
+        while True:
             nb = b - step
-            while _sign(fi, nb) == 0 or _count_roots(chain, nb, b) != 1:
-                step /= 2
-                nb = b - step
-            b = nb
-        return b, cnt
+            if _sign(fi, nb) != 0:
+                vn = _variations(chain, nb)
+                if vn - vb == 1:
+                    return nb, vn
+            step /= 2
 
-    stack = []
-    hi2, cnt0 = shrink_right(lo, hi, _count_roots(chain, lo, hi))
-    stack.append((lo, hi2, cnt0))
+    va, vb = _variations(chain, lo), _variations(chain, hi)
+    b = hi
+    if _sign(fi, hi) == 0:
+        b, vb = pull_left(lo, hi, vb)
+    stack = [(lo, b, va, vb)]
     while stack:
-        a, b, cnt = stack.pop()
-        if cnt <= 0:
+        a, b, va, vb = stack.pop()
+        if va - vb <= 0:
             continue
-        if cnt == 1 and b - a <= tol:
+        if va - vb == 1:
             out.append((a, b))
             continue
         mid = (a + b) / 2
+        vm = _variations(chain, mid)
         if _sign(fi, mid) == 0:
-            out.append((mid, mid))
-            step = (mid - a) / 2
-            nm = mid - step
-            while _sign(fi, nm) == 0 or _count_roots(chain, nm, mid) != 1:
-                step /= 2
-                nm = mid - step
-            stack.append((a, nm, _count_roots(chain, a, nm)))
-            stack.append((mid, b, _count_roots(chain, mid, b)))
+            nm, vn = pull_left(a, mid, vm)
+            stack.append((a, nm, va, vn))
         else:
-            cl = _count_roots(chain, a, mid)
-            stack.append((a, mid, cl))
-            stack.append((mid, b, cnt - cl))
+            stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
     out.sort(key=lambda ab: ab[0])
     return out
 
 
-def _bracket_has_root(g: list[Fraction], a: Fraction, b: Fraction) -> bool:
-    """Whether g vanishes somewhere in the bracket ((a, b], or the point a==b)."""
+def _refine(fi: tuple[int, ...], a: Fraction, b: Fraction,
+            tol: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect an isolating bracket (a, b] of square-free fi to width <= tol.
+
+    fi(b) != 0 and (a, b] holds one simple root, so one sign decides each
+    step: the root lies left of the midpoint iff fi has the sign of fi(b)
+    there.  An exactly-hit root is returned as a zero-width bracket.  The
+    endpoints are integers over one denominator that doubles each step, so
+    the loop builds no Fraction.
+    """
+    if b - a <= tol:
+        return a, b
+    den = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    sb = _sign_at(fi, hi, den)
+    # b - a <= tol  <=>  (hi - lo) * tol.denominator <= tol.numerator * den,
+    # and hi - lo stays fixed while den doubles
+    width, reach = (hi - lo) * tol.denominator, tol.numerator * den
+    while width > reach:
+        mid = lo + hi
+        lo, hi, den, reach = 2 * lo, 2 * hi, 2 * den, 2 * reach
+        s = _sign_at(fi, mid, den)
+        if s == 0:
+            root = Fraction(mid, den)
+            return root, root
+        if s == sb:
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def _has_root(chain, a: Fraction, b: Fraction) -> bool:
+    """Whether chain[0] vanishes somewhere in the bracket ((a, b], or the point a==b)."""
     if a == b:
-        return _sign(_scaled(g), a) == 0
-    return _count_roots(_sturm_chain(g), a, b) > 0
+        return _sign(chain[0], a) == 0
+    return _count_roots(chain, a, b) > 0
 
 
 def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12) -> list[float]:
     """All real roots of p in [lo, hi], sorted, bracketed to width <= tol.
 
-    A root of multiplicity m appears m times.  Isolation runs on the
-    square-free part; multiplicities come from the derivative-gcd chain.
+    A root of multiplicity m appears m times.  The roots of the square-free
+    part are isolated by Sturm counts, then every isolating bracket is
+    refined by the sign of the square-free part alone; each root is the
+    midpoint of its bracket.  Multiplicities come from the derivative-gcd
+    chain.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -363,7 +408,7 @@ def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12)
         raise ValueError("need lo < hi")
     if p.degree == 0:
         return []
-    flo, fhi, ftol = Fraction(lo), Fraction(hi), Fraction(tol)
+    ftol = Fraction(tol)
     f = _frac(p)
     # gcd chain: a root of multiplicity m survives into the first m entries
     gchain = [_trim(f[:])]
@@ -373,11 +418,14 @@ def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12)
             break
         gchain.append(g)
     squarefree = _divide_exact(f, gchain[1]) if len(gchain) > 1 else _trim(f[:])
+    chain = _sturm_chain(squarefree)
+    repeated = [_sturm_chain(g) for g in gchain[1:]]
     roots: list[float] = []
-    for a, b in _isolate_squarefree(squarefree, flo, fhi, ftol):
+    for bracket in _isolate(chain, Fraction(lo), Fraction(hi)):
+        a, b = _refine(chain[0], *bracket, ftol)
         mult = 1
-        for g in gchain[1:]:
-            if _bracket_has_root(g, a, b):
+        for rchain in repeated:
+            if _has_root(rchain, a, b):
                 mult += 1
             else:
                 break
@@ -398,16 +446,30 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
-def extreme_root_bracket(p: IntPolynomial, side: str,
-                         width: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational bracket of width <= width around the largest or smallest real root."""
+def _extreme_isolated(p: IntPolynomial,
+                      side: str) -> tuple[tuple[int, ...], tuple[Fraction, Fraction]]:
+    """The square-free part of p, scaled to integers, and the isolating
+    bracket of its largest ("max") or smallest ("min") real root."""
     if side not in ("max", "min"):
         raise ValueError("side must be 'max' or 'min'")
     bound = cauchy_root_bound(p)
-    brackets = _isolate_squarefree(_squarefree(_frac(p)), -bound, bound, width)
+    chain = _sturm_chain(_squarefree(_frac(p)))
+    brackets = _isolate(chain, -bound, bound)
     if not brackets:
         raise ValueError("polynomial has no real roots")
-    return brackets[-1] if side == "max" else brackets[0]
+    return chain[0], brackets[-1] if side == "max" else brackets[0]
+
+
+def extreme_root_bracket(p: IntPolynomial, side: str,
+                         width: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational bracket of width <= width around the largest or smallest real root.
+
+    Sturm counts isolate every real root inside the Cauchy bound; only the
+    bracket of the requested root (the last for "max", the first for
+    "min") is then refined, by the sign of the square-free part alone.
+    """
+    fi, bracket = _extreme_isolated(p, side)
+    return _refine(fi, *bracket, Fraction(width))
 
 
 def certify_root_order(p: IntPolynomial, q: IntPolynomial, side: str = "max") -> int:
@@ -415,20 +477,29 @@ def certify_root_order(p: IntPolynomial, q: IntPolynomial, side: str = "max") ->
 
     Brackets shrink until disjoint; a persistent overlap is resolved by a
     shared root of gcd(p, q) inside the intersection, which certifies
-    equality because each bracket isolates a single root.
+    equality because each bracket isolates a single root.  A bracket is
+    either the point (r, r) or the half-open (a, b], whose right end is
+    never a root, so two brackets that only touch are disjoint unless they
+    are the same point.  Each root is isolated once; a retry refines the
+    brackets already found.
     """
+    fp, a = _extreme_isolated(p, side)
+    fq, b = _extreme_isolated(q, side)
     width = Fraction(1, 2**20)
+    common = None
     for _ in range(8):
-        a = extreme_root_bracket(p, side, width)
-        b = extreme_root_bracket(q, side, width)
-        if a[1] < b[0]:
+        a = _refine(fp, *a, width)
+        b = _refine(fq, *b, width)
+        if a[1] <= b[0] and a != b:
             return -1
-        if b[1] < a[0]:
+        if b[1] <= a[0] and a != b:
             return 1
-        g = _gcd(_frac(p), _frac(q))
-        if len(g) > 1:
+        if common is None:
+            g = _gcd(_frac(p), _frac(q))
+            common = _sturm_chain(g) if len(g) > 1 else []
+        if common:
             lo, hi = max(a[0], b[0]), min(a[1], b[1])
-            if lo <= hi and _bracket_has_root(g, lo, hi):
+            if lo <= hi and _has_root(common, lo, hi):
                 return 0
         width /= 2**10
     raise ArithmeticError("could not certify root order")

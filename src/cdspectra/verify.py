@@ -240,6 +240,15 @@ def _cluster(values: np.ndarray, keys: np.ndarray, mode: str) -> dict | None:
     return {"value": v, "pairs": pairs, "runner_up": runner}
 
 
+def _map_chunks(fn, n: int, workers: int) -> list:
+    """fn(n, index) for every chunk, in chunk order, run in `workers` processes."""
+    indices = range(_chunk_count(n))
+    if workers > 1 and len(indices) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, repeat(n), indices))
+    return [fn(n, i) for i in indices]
+
+
 def _filter_chunk(n: int, index: int) -> tuple[np.ndarray, list[int]]:
     """One chunk's class members and their Lemma 2.1 identity violations."""
     masks, adj = _survivor_adj(_chunk_masks(n, index), n)
@@ -353,12 +362,7 @@ def class_scan(n: int, workers: int = 1) -> dict:
     hit = _SCAN_CACHE.get(n)
     if hit is not None:
         return hit.summary
-    indices = range(_chunk_count(n))
-    if workers > 1 and len(indices) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_filter_chunk, repeat(n), indices))
-    else:
-        chunks = [_filter_chunk(n, i) for i in indices]
+    chunks = _map_chunks(_filter_chunk, n, workers)
     masks = np.concatenate([m for m, _ in chunks])
     reps, index, sizes = _orbit_partition(masks, n)
     w, q, degenerate = _solve(reps, n)
@@ -703,7 +707,7 @@ def _lemma_2_1(n: int, workers: int = 1) -> VerificationReport:
     """Distance/complement identity (diam>3) and inequality (diam=3)."""
     scan = class_scan(n, workers=workers)
     ident_bad = scan["lemma21_violations"]
-    ineq = _lemma21_diam3_scan(n)
+    ineq = _lemma21_diam3_scan(n, workers)
     status = "confirmed" if not ident_bad and not ineq["violations"] else "refuted"
     return VerificationReport(
         claim_id="2.1", status=status, params={"n": n},
@@ -724,32 +728,37 @@ def _lemma_2_1(n: int, workers: int = 1) -> VerificationReport:
     )
 
 
-def _lemma21_diam3_scan(n: int) -> dict:
-    """Entrywise D(G^c) >= J - I + A(G) over all diameter-exactly-3 graphs."""
-    count = 0
-    not_small = 0
-    violations: list[int] = []
+def _diam3_chunk(n: int, index: int) -> tuple[int, int, list[int]]:
+    """One chunk's diameter-exactly-3 graphs: how many have a complement of
+    diameter <= 3, how many do not, and which of the former violate
+    D(G^c) >= J - I + A(G) entrywise."""
     full = np.uint8((1 << n) - 1)
-    for i in range(_chunk_count(n)):
-        masks = _chunk_masks(n, i)
-        adj = _adj_rows(masks, n)
-        b2 = _ball_radius(adj, n, 2)
-        b3 = _expand_all(b2, adj, n)
-        # every radius-3 ball full already implies connected
-        diam3 = ((np.bitwise_and.reduce(b3, axis=0) == full)
-                 & (np.bitwise_and.reduce(b2, axis=0) != full))
-        masks, adj = masks[diam3], adj[:, diam3]
-        if len(masks) == 0:
-            continue
-        d, covered = _complement_distances(adj, n)
-        not_small += int((~covered).sum())
-        masks, adj, d = masks[covered], adj[:, covered], d[covered]
-        count += len(masks)
-        amat = _adjacency_tensor(adj, n)
-        expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-        ok = np.all(d >= expected[None, :, :] + amat, axis=(1, 2))
-        violations.extend(int(m) for m in masks[~ok])
-    return {"count": count, "violations": violations, "complement_not_small": not_small}
+    masks = _chunk_masks(n, index)
+    adj = _adj_rows(masks, n)
+    b2 = _ball_radius(adj, n, 2)
+    b3 = _expand_all(b2, adj, n)
+    # every radius-3 ball full already implies connected
+    diam3 = ((np.bitwise_and.reduce(b3, axis=0) == full)
+             & (np.bitwise_and.reduce(b2, axis=0) != full))
+    masks, adj = masks[diam3], adj[:, diam3]
+    if len(masks) == 0:
+        return 0, 0, []
+    d, covered = _complement_distances(adj, n)
+    masks, adj, d = masks[covered], adj[:, covered], d[covered]
+    amat = _adjacency_tensor(adj, n)
+    expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
+    ok = np.all(d >= expected[None, :, :] + amat, axis=(1, 2))
+    return len(masks), int((~covered).sum()), [int(m) for m in masks[~ok]]
+
+
+def _lemma21_diam3_scan(n: int, workers: int = 1) -> dict:
+    """Entrywise D(G^c) >= J - I + A(G) over all diameter-exactly-3 graphs."""
+    chunks = _map_chunks(_diam3_chunk, n, workers)
+    return {
+        "count": sum(count for count, _, _ in chunks),
+        "violations": [m for _, _, bad in chunks for m in bad],
+        "complement_not_small": sum(not_small for _, not_small, _ in chunks),
+    }
 
 
 def _lemma_2_3(n: int) -> VerificationReport:

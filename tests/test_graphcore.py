@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdspectra.graphcore import (
     DisconnectedGraph,
@@ -132,6 +134,39 @@ def test_distance_complement_identity_diam_gt3():
         assert np.array_equal(
             distance_matrix(complement(g)), j_minus_i + adjacency_matrix(g))
     assert checked == 3240
+
+
+@st.composite
+def diameter_gt3_graphs(draw, min_n=9, max_n=14):
+    """Connected graphs of diameter > 3, randomly labeled.
+
+    Vertex 0 gets BFS layer 0 and every other vertex a layer 1..depth with
+    depth >= 4, each layer used.  Every vertex has a neighbour one layer
+    up and edges join only equal or adjacent layers, so the layer is the
+    distance from vertex 0 and the vertex in layer 4 is at distance 4.
+    Every connected graph of diameter > 3 arises this way.
+    """
+    n = draw(st.integers(min_n, max_n))
+    depth = draw(st.integers(4, n - 1))
+    extra = draw(st.lists(st.integers(1, depth), min_size=n - 1 - depth, max_size=n - 1 - depth))
+    layer = [0, *range(1, depth + 1), *extra]
+    edges = set()
+    for v in range(1, n):
+        up = [u for u in range(n) if layer[u] == layer[v] - 1]
+        edges.add((draw(st.sampled_from(up)), v))
+    near = [(u, v) for u in range(n) for v in range(u + 1, n) if abs(layer[u] - layer[v]) <= 1]
+    edges |= draw(st.sets(st.sampled_from(near)))
+    perm = draw(st.permutations(range(n)))
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=80)
+@given(diameter_gt3_graphs())
+def test_distance_complement_identity_beyond_exhaustive_range(g):
+    # D(G^c) = J - I + A(G) for 9 <= n <= 14, where no exhaustive scan reaches
+    assert is_connected(g) and diameter(g) > 3
+    j_minus_i = np.ones((g.n, g.n), dtype=int) - np.eye(g.n, dtype=int)
+    assert np.array_equal(distance_matrix(complement(g)), j_minus_i + adjacency_matrix(g))
 
 
 def test_complement_diameter_at_most_3_when_diameter_ge_3():

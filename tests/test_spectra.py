@@ -11,8 +11,18 @@ from cdspectra.families import build_path
 from cdspectra.spectra import (
     IntPolynomial,
     TooLargeMatrix,
+    _count_roots,
+    _deriv,
+    _divide_exact,
+    _frac,
+    _gcd,
+    _isolate,
+    _refine,
     _scaled,
     _sign,
+    _squarefree,
+    _sturm_chain,
+    _trim,
     cauchy_root_bound,
     certify_root_order,
     char_poly_exact,
@@ -250,6 +260,18 @@ def test_certified_root_order():
     assert lo <= Fraction(math.sqrt(2)) <= hi or abs(float(lo) - math.sqrt(2)) < 1e-11
 
 
+def test_certified_order_of_an_exact_root_touching_a_bracket():
+    # the largest root 0 of x is hit exactly; x(10^9 x - 1) isolates its
+    # largest root 1e-9 in a bracket (0, b] that starts at the shared root 0
+    p = IntPolynomial((0, 1))
+    q = IntPolynomial((0, -1, 10**9))
+    assert extreme_root_bracket(p, "max", Fraction(1, 2**20)) == (0, 0)
+    assert extreme_root_bracket(q, "max", Fraction(1, 2**20))[0] == 0
+    assert certify_root_order(p, q, "max") == -1
+    assert certify_root_order(q, p, "max") == 1
+    assert certify_root_order(p, p * IntPolynomial((1, 1)), "max") == 0
+
+
 def test_int_polynomial_arithmetic():
     p = IntPolynomial((1, 2, 1))
     q = IntPolynomial((1, 1))
@@ -259,3 +281,208 @@ def test_int_polynomial_arithmetic():
     assert p(Fraction(1, 2)) == Fraction(9, 4)
     assert IntPolynomial((0, 0, 0)).is_zero()
     assert str(IntPolynomial((-4, -6, 0, 1))) == "L^3 - 6*L - 4"
+
+
+# --- reference: Sturm counts at every bisection step ---------------------------
+
+
+def _reference_brackets(f, lo, hi, tol):
+    """Brackets of square-free f in [lo, hi], each step decided by Sturm counts.
+
+    This is the single-phase bisection that the two-phase isolate-then-refine
+    code must reproduce bracket for bracket.
+    """
+    chain = _sturm_chain(f)
+    fi = chain[0]
+    out = []
+    if _sign(fi, lo) == 0:
+        out.append((lo, lo))
+
+    def shrink_right(a, b, cnt):
+        while _sign(fi, b) == 0:
+            out.append((b, b))
+            cnt -= 1
+            step = (b - a) / 2
+            nb = b - step
+            while _sign(fi, nb) == 0 or _count_roots(chain, nb, b) != 1:
+                step /= 2
+                nb = b - step
+            b = nb
+        return b, cnt
+
+    hi2, cnt0 = shrink_right(lo, hi, _count_roots(chain, lo, hi))
+    stack = [(lo, hi2, cnt0)]
+    while stack:
+        a, b, cnt = stack.pop()
+        if cnt <= 0:
+            continue
+        if cnt == 1 and b - a <= tol:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        if _sign(fi, mid) == 0:
+            out.append((mid, mid))
+            step = (mid - a) / 2
+            nm = mid - step
+            while _sign(fi, nm) == 0 or _count_roots(chain, nm, mid) != 1:
+                step /= 2
+                nm = mid - step
+            stack.append((a, nm, _count_roots(chain, a, nm)))
+            stack.append((mid, b, _count_roots(chain, mid, b)))
+        else:
+            cl = _count_roots(chain, a, mid)
+            stack.append((a, mid, cl))
+            stack.append((mid, b, cnt - cl))
+    out.sort(key=lambda ab: ab[0])
+    return out
+
+
+def _reference_has_root(g, a, b):
+    if a == b:
+        return _sign(_scaled(g), a) == 0
+    return _count_roots(_sturm_chain(g), a, b) > 0
+
+
+def _reference_roots(p, lo, hi, tol):
+    """sturm_real_roots through the reference bisection."""
+    f = _frac(p)
+    gchain = [_trim(f[:])]
+    while len(gchain[-1]) > 1:
+        g = _gcd(gchain[-1], _deriv(gchain[-1]))
+        if len(g) == 1:
+            break
+        gchain.append(g)
+    squarefree = _divide_exact(f, gchain[1]) if len(gchain) > 1 else _trim(f[:])
+    roots = []
+    for a, b in _reference_brackets(squarefree, Fraction(lo), Fraction(hi), Fraction(tol)):
+        mult = 1
+        for g in gchain[1:]:
+            if not _reference_has_root(g, a, b):
+                break
+            mult += 1
+        roots.extend([float((a + b) / 2)] * mult)
+    return sorted(roots)
+
+
+def _reference_extreme(p, side, width):
+    bound = cauchy_root_bound(p)
+    brackets = _reference_brackets(_squarefree(_frac(p)), -bound, bound, width)
+    if not brackets:
+        raise ValueError("polynomial has no real roots")
+    return brackets[-1] if side == "max" else brackets[0]
+
+
+def _reference_order(p, q, side):
+    width = Fraction(1, 2**20)
+    for _ in range(8):
+        a = _reference_extreme(p, side, width)
+        b = _reference_extreme(q, side, width)
+        if a[1] <= b[0] and a != b:
+            return -1
+        if b[1] <= a[0] and a != b:
+            return 1
+        g = _gcd(_frac(p), _frac(q))
+        if len(g) > 1:
+            lo, hi = max(a[0], b[0]), min(a[1], b[1])
+            if lo <= hi and _reference_has_root(g, lo, hi):
+                return 0
+        width /= 2**10
+    raise ArithmeticError("could not certify root order")
+
+
+WIDTHS = (Fraction(1, 2**20), Fraction(1, 2**30), Fraction(1e-12))
+
+
+def _random_poly(rng):
+    """Integer polynomial with known rational roots, some repeated, and
+    optionally an irrational pair or a pair of complex roots.
+
+    Returns the polynomial and its rational roots.
+    """
+    p = IntPolynomial((int(rng.choice([1, 1, 2, 3, 5])),))
+    rational = []
+    for _ in range(int(rng.integers(1, 5))):
+        den = int(rng.choice([1, 2, 3, 5, 7, 12, 1024]))
+        r = Fraction(int(rng.integers(-9 * den, 9 * den + 1)), den)
+        rational.append(r)
+        for _ in range(int(rng.choice([1, 1, 1, 2, 3]))):
+            p = p * IntPolynomial((-r.numerator, r.denominator))
+    kind = int(rng.integers(0, 3))
+    if kind == 1:
+        p = p * IntPolynomial((-int(rng.choice([2, 3, 5, 7, 13])), 0, 1))
+    elif kind == 2:
+        p = p * IntPolynomial((int(rng.integers(1, 6)), int(rng.integers(-1, 2)), 1))
+    return p, rational
+
+
+def test_two_phase_brackets_equal_single_phase_reference():
+    rng = np.random.default_rng(20201006)
+    for _ in range(120):
+        p, rational = _random_poly(rng)
+        f = _squarefree(_frac(p))
+        chain = _sturm_chain(f)
+        r = rational[int(rng.integers(0, len(rational)))]
+        # intervals that end exactly on a rational root, from either side,
+        # and wide ones with non-dyadic ends
+        spans = [(r, r + Fraction(7, 3)), (r - Fraction(5, 3), r),
+                 (Fraction(-31, 3), Fraction(29, 3))]
+        for lo, hi in spans:
+            for tol in WIDTHS:
+                got = [_refine(chain[0], a, b, tol) for a, b in _isolate(chain, lo, hi)]
+                assert got == _reference_brackets(f, lo, hi, tol), (p, lo, hi, tol)
+
+
+def test_sturm_real_roots_equal_single_phase_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        p, rational = _random_poly(rng)
+        r = float(rational[0])
+        for lo, hi, tol in ((-10.0, 10.0, 1e-12), (r, r + 2.5, 2.0**-20), (-10.5, r, 2.0**-30)):
+            if lo < hi:
+                assert sturm_real_roots(p, lo, hi, tol) == _reference_roots(p, lo, hi, tol)
+
+
+def test_extreme_root_bracket_equals_single_phase_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(80):
+        p, _ = _random_poly(rng)
+        for side in ("min", "max"):
+            for width in WIDTHS:
+                try:
+                    want = _reference_extreme(p, side, width)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        extreme_root_bracket(p, side, width)
+                    continue
+                assert extreme_root_bracket(p, side, width) == want
+
+
+def test_certify_root_order_equals_reference_and_retries_near_ties():
+    sqrt2 = IntPolynomial((-2, 0, 1))
+    below = IntPolynomial((-141421356, 10**8))          # 1.41421356 < sqrt(2)
+    # the extreme roots agree to 2.4e-9, so the 2^-20 brackets overlap and
+    # the comparison is decided only after refining further
+    a = extreme_root_bracket(sqrt2, "max", Fraction(1, 2**20))
+    b = extreme_root_bracket(below, "max", Fraction(1, 2**20))
+    assert max(a[0], b[0]) <= min(a[1], b[1])
+    assert certify_root_order(sqrt2, below, "max") == 1
+    assert certify_root_order(below, sqrt2, "max") == -1
+    # a shared extreme root after a near miss: 1/3 against 1/3 + 1e-8
+    third = IntPolynomial((-1, 3)) * IntPolynomial((4, 0, 1))
+    near = IntPolynomial((-(10**8 + 3), 3 * 10**8)) * IntPolynomial((-1, 3))
+    assert certify_root_order(third, near, "max") == -1
+    assert certify_root_order(third * IntPolynomial((1, 1)), third, "max") == 0
+    rng = np.random.default_rng(99)
+    for _ in range(40):
+        p, _ = _random_poly(rng)
+        q, _ = _random_poly(rng)
+        if rng.integers(0, 2):
+            q = q * IntPolynomial((-1, 3))          # often a shared root
+        for side in ("min", "max"):
+            try:
+                want = _reference_order(p, q, side)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    certify_root_order(p, q, side)
+                continue
+            assert certify_root_order(p, q, side) == want

@@ -157,6 +157,29 @@ def test_check_theorem_on_values_stream():
     assert rep.status == "confirmed"
 
 
+def test_lemma_2_1_diameter_3_scan_with_the_worker_pool(monkeypatch):
+    one = verify._lemma21_diam3_scan(6, workers=1)
+    rep = verify.check_lemma("2.1", n=6).to_dict()
+    # smaller chunks, so the six-vertex scan spreads over several worker tasks
+    monkeypatch.setattr(verify, "CHUNK_BITS", 12)
+    monkeypatch.setattr(verify, "_SCAN_CACHE", {})
+    assert verify._chunk_count(6) == 8
+    started = []
+    real = verify.ProcessPoolExecutor
+
+    def pool(*args, **kwargs):
+        started.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", pool)
+    assert verify._lemma21_diam3_scan(6, workers=1) == one
+    assert started == []
+    assert verify._lemma21_diam3_scan(6, workers=2) == one
+    assert started == [2]
+    assert one["count"] > 0
+    assert verify.check_lemma("2.1", n=6, workers=2).to_dict() == rep
+
+
 def test_sign_partition_p7():
     sp = verify.sign_partition(build_path(7))
     assert sp.p + sp.q == 7
@@ -173,6 +196,33 @@ def test_sign_partition_relabel_invariant():
     sp2 = verify.sign_partition(relabel(g, perm))
     assert (sp.p, sp.q) == (sp2.p, sp2.q)
     assert sorted(perm[v] for v in sp.minus) == sorted(sp2.minus)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_spectrum_and_sign_partition_relabel_invariant(data):
+    n = data.draw(st.sampled_from([6, 7]))
+    masks = verify._classes(n).masks
+    g = from_edge_mask(n, int(masks[data.draw(st.integers(0, len(masks) - 1))]))
+    perm = data.draw(st.permutations(range(n)))
+    h = relabel(g, perm)
+    sg = verify.complement_distance_spectrum(g)
+    sh = verify.complement_distance_spectrum(h)
+    assert np.allclose(sg.values, sh.values, atol=1e-10)
+    a, b = verify.sign_partition(g, sg), verify.sign_partition(h, sh)
+    assert a.degenerate == b.degenerate
+    if a.degenerate:
+        return      # the least eigenvector, and so the partition, is not unique
+
+    def moved(vs):
+        return frozenset(perm[v] for v in vs)
+
+    assert (a.p, a.q) == (b.p, b.q)
+    assert moved(a.zero) == frozenset(b.zero)
+    # the eigenvector's sign is free; it is fixed only where |V+| != |V-|
+    assert {moved(a.plus), moved(a.minus)} == {frozenset(b.plus), frozenset(b.minus)}
+    if len(a.plus) != len(a.minus):
+        assert moved(a.minus) == frozenset(b.minus)
 
 
 def test_free_trees_counts():
@@ -355,7 +405,7 @@ def test_orbit_dedup_matches_pairwise_isomorphism():
                    for p in masks[:i])]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_orbit_contains_every_relabeling(data):
     n = data.draw(st.integers(min_value=5, max_value=8))
@@ -533,7 +583,7 @@ def test_degenerate_classes_are_solved_member_by_member(monkeypatch):
     assert int(verify._classes(6).q1.sum()) == want["q1_count"]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.data())
 def test_relabeled_survivor_stays_in_its_class(data):
     part = verify._classes(7)
