@@ -7,6 +7,11 @@ are bracketed exactly over the rationals.  Agreement between the two
 routes is what the verification harness leans on; neither side may be
 collapsed into the other.
 
+The exact layer computes in Z[x] only.  Sturm chains, gcds and square-free
+parts come from primitive pseudo-remainder sequences, so each member is a
+positive multiple of its rational counterpart and has the same signs;
+`Fraction` is used only for points and brackets.
+
 Exact roots are bracketed in two phases.  Isolation bisects by Sturm
 counts only until each bracket holds one root of the square-free part.
 Refinement then bisects each isolating bracket by the sign of the
@@ -185,36 +190,50 @@ def char_poly_exact(m) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(c)))
 
 
-# --- rational polynomial helpers for Sturm sequences -------------------------
+# --- integer remainder sequences for Sturm chains ----------------------------
 
 
-def _frac(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def _primitive(c) -> IntPolynomial:
+    """The polynomial with integer coefficients c, divided by their positive gcd."""
+    g = math.gcd(*c)
+    return IntPolynomial(tuple(x // g for x in c) if g > 1 else c)
 
 
-def _trim(c: list[Fraction]) -> list[Fraction]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
+def _pdivmod(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """Positive multiples of the quotient and remainder of a by b, made primitive.
+
+    Pseudo-division in Z[x]: before each step the running remainder and
+    quotient are multiplied by |lc(b)|, so the leading term cancels without
+    building a Fraction.  The multiplier is positive, so every sign of the
+    rational quotient and remainder is kept.
+    """
+    bc, db = b.coeffs, b.degree
+    lb = bc[-1]
+    k = abs(lb)
+    r = list(a.coeffs)
+    q = [0] * max(len(r) - db, 1)
+    while len(r) > db:
+        lead = r.pop()
+        if lead == 0:
+            continue
+        t = lead if lb > 0 else -lead
+        if k > 1:
+            r = [k * x for x in r]
+            q = [k * x for x in q]
+        shift = len(r) - db
+        for i in range(db):
+            r[shift + i] -= t * bc[i]
+        q[shift] = t
+    return _primitive(q), _primitive(r or [0])
 
 
-def _is_zero(c: list[Fraction]) -> bool:
-    return all(x == 0 for x in c)
-
-
-def _scaled(c: list[Fraction]) -> tuple[int, ...]:
-    """Integer coefficients of c times the positive lcm of its denominators."""
-    m = math.lcm(*(x.denominator for x in c))
-    return tuple(x.numerator * (m // x.denominator) for x in c)
-
-
-def _sign(c: tuple[int, ...], x: Fraction) -> int:
-    """Sign of the integer polynomial c at the rational x."""
-    return _sign_at(c, x.numerator, x.denominator)
+def _sign(p: IntPolynomial, x: Fraction) -> int:
+    """Sign of p at the rational x."""
+    return _sign_at(p.coeffs, x.numerator, x.denominator)
 
 
 def _sign_at(c: tuple[int, ...], a: int, b: int) -> int:
-    """Sign of the integer polynomial c at x = a/b, b > 0.
+    """Sign of the polynomial with integer coefficients c at x = a/b, b > 0.
 
     Homogeneous Horner over ints: sum c_i a^i b^(d-i) = b^d c(x) has the
     sign of c(x) and needs no rational arithmetic.
@@ -226,64 +245,35 @@ def _sign_at(c: tuple[int, ...], a: int, b: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _deriv(c: list[Fraction]) -> list[Fraction]:
-    return _trim([k * c[k] for k in range(1, len(c))]) if len(c) > 1 else [Fraction(0)]
+def _gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """gcd(a, b), primitive with a positive leading coefficient.
+
+    Euclid on primitive pseudo-remainders, so the result is a positive
+    multiple of the monic gcd over the rationals.
+    """
+    while not b.is_zero():
+        a, b = b, _pdivmod(a, b)[1]
+    a = _primitive(a.coeffs)
+    return -a if a.coeffs[-1] < 0 else a
 
 
-def _rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    r = _trim(a[:])
-    db, lead = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and not _is_zero(r):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        q = r[-1] / lead
-        shift = (len(r) - 1) - db
-        for i in range(len(b)):
-            r[i + shift] -= q * b[i]
-        r.pop()
-    return _trim(r) if r else [Fraction(0)]
+def _sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    """Sturm sequence of p in Z[x].
 
-
-def _gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(a[:]), _trim(b[:])
-    while not _is_zero(b):
-        a, b = b, _rem(a, b)
-    if a[-1] not in (0, 1):
-        a = [x / a[-1] for x in a]
-    return a
-
-
-def _divide_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Quotient a/b assuming the division is exact."""
-    r = _trim(a[:])
-    out = [Fraction(0)] * (len(r) - len(b) + 1)
-    while len(r) >= len(b) and not _is_zero(r):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        q = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        out[shift] = q
-        for i in range(len(b)):
-            r[i + shift] -= q * b[i]
-        r.pop()
-    return _trim(out)
-
-
-def _sturm_chain(c: list[Fraction]) -> list[tuple[int, ...]]:
-    """Sturm sequence of c, each member scaled to integers (signs unchanged)."""
-    chain = [_trim(c[:]), _deriv(c)]
-    while not _is_zero(chain[-1]) and len(chain[-1]) > 1:
-        chain.append(_trim([-x for x in _rem(chain[-2], chain[-1])]))
-    if _is_zero(chain[-1]):
+    Each member is a primitive positive multiple of the member of the
+    rational sequence p, p', -rem(p, p'), ..., so every sign is the same.
+    """
+    chain = [_primitive(p.coeffs), _primitive(p.derivative().coeffs)]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        chain.append(-_pdivmod(chain[-2], chain[-1])[1])
+    if chain[-1].is_zero():
         chain.pop()
-    return [_scaled(f) for f in chain]
+    return chain
 
 
 def _variations(chain, x: Fraction) -> int:
     a, b = x.numerator, x.denominator
-    signs = [s for s in (_sign_at(c, a, b) for c in chain) if s]
+    signs = [s for s in (_sign_at(c.coeffs, a, b) for c in chain) if s]
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
@@ -297,9 +287,9 @@ def _count_roots(chain, lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _squarefree(c: list[Fraction]) -> list[Fraction]:
-    g = _gcd(c, _deriv(c))
-    return _divide_exact(c, g) if len(g) > 1 else _trim(c[:])
+def _squarefree(p: IntPolynomial) -> IntPolynomial:
+    """The square-free part p / gcd(p, p'), as a primitive positive multiple."""
+    return _pdivmod(p, _gcd(p, p.derivative()))[0]
 
 
 def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -354,7 +344,7 @@ def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction
     return out
 
 
-def _refine(fi: tuple[int, ...], a: Fraction, b: Fraction,
+def _refine(fi: IntPolynomial, a: Fraction, b: Fraction,
             tol: Fraction) -> tuple[Fraction, Fraction]:
     """Bisect an isolating bracket (a, b] of square-free fi to width <= tol.
 
@@ -366,16 +356,17 @@ def _refine(fi: tuple[int, ...], a: Fraction, b: Fraction,
     """
     if b - a <= tol:
         return a, b
+    c = fi.coeffs
     den = math.lcm(a.denominator, b.denominator)
     lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-    sb = _sign_at(fi, hi, den)
+    sb = _sign_at(c, hi, den)
     # b - a <= tol  <=>  (hi - lo) * tol.denominator <= tol.numerator * den,
     # and hi - lo stays fixed while den doubles
     width, reach = (hi - lo) * tol.denominator, tol.numerator * den
     while width > reach:
         mid = lo + hi
         lo, hi, den, reach = 2 * lo, 2 * hi, 2 * den, 2 * reach
-        s = _sign_at(fi, mid, den)
+        s = _sign_at(c, mid, den)
         if s == 0:
             root = Fraction(mid, den)
             return root, root
@@ -400,7 +391,8 @@ def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12)
     part are isolated by Sturm counts, then every isolating bracket is
     refined by the sign of the square-free part alone; each root is the
     midpoint of its bracket.  Multiplicities come from the derivative-gcd
-    chain.
+    chain.  Every chain is integer: its members are positive multiples of
+    the rational ones, so the counts and brackets are the same.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -409,17 +401,13 @@ def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12)
     if p.degree == 0:
         return []
     ftol = Fraction(tol)
-    f = _frac(p)
-    # gcd chain: a root of multiplicity m survives into the first m entries
-    gchain = [_trim(f[:])]
-    while len(gchain[-1]) > 1:
-        g = _gcd(gchain[-1], _deriv(gchain[-1]))
-        if len(g) == 1:
-            break
-        gchain.append(g)
-    squarefree = _divide_exact(f, gchain[1]) if len(gchain) > 1 else _trim(f[:])
-    chain = _sturm_chain(squarefree)
-    repeated = [_sturm_chain(g) for g in gchain[1:]]
+    # gcd chain, ending in a constant: a root of multiplicity m survives
+    # into the first m entries
+    gchain = [p, _gcd(p, p.derivative())]
+    while gchain[-1].degree > 0:
+        gchain.append(_gcd(gchain[-1], gchain[-1].derivative()))
+    chain = _sturm_chain(_pdivmod(p, gchain[1])[0])
+    repeated = [_sturm_chain(g) for g in gchain[1:-1]]
     roots: list[float] = []
     for bracket in _isolate(chain, Fraction(lo), Fraction(hi)):
         a, b = _refine(chain[0], *bracket, ftol)
@@ -447,13 +435,13 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
 
 
 def _extreme_isolated(p: IntPolynomial,
-                      side: str) -> tuple[tuple[int, ...], tuple[Fraction, Fraction]]:
-    """The square-free part of p, scaled to integers, and the isolating
-    bracket of its largest ("max") or smallest ("min") real root."""
+                      side: str) -> tuple[IntPolynomial, tuple[Fraction, Fraction]]:
+    """The square-free part of p and the isolating bracket of its largest
+    ("max") or smallest ("min") real root."""
     if side not in ("max", "min"):
         raise ValueError("side must be 'max' or 'min'")
     bound = cauchy_root_bound(p)
-    chain = _sturm_chain(_squarefree(_frac(p)))
+    chain = _sturm_chain(_squarefree(p))
     brackets = _isolate(chain, -bound, bound)
     if not brackets:
         raise ValueError("polynomial has no real roots")
@@ -495,8 +483,8 @@ def certify_root_order(p: IntPolynomial, q: IntPolynomial, side: str = "max") ->
         if b[1] <= a[0] and a != b:
             return 1
         if common is None:
-            g = _gcd(_frac(p), _frac(q))
-            common = _sturm_chain(g) if len(g) > 1 else []
+            g = _gcd(p, q)
+            common = _sturm_chain(g) if g.degree > 0 else []
         if common:
             lo, hi = max(a[0], b[0]), min(a[1], b[1])
             if lo <= hi and _has_root(common, lo, hi):

@@ -763,6 +763,9 @@ def _lemma21_diam3_scan(n: int, workers: int = 1) -> dict:
 
 def _lemma_2_3(n: int) -> VerificationReport:
     """Ordering of lambda_1(H^c(s,t)) as (s,t) moves toward balance."""
+    if n < 6:
+        # below n = 6 there is no step (s-1, t+1) -> (s, t) with 2 <= s <= t
+        raise ValueError("Lemma 2.3 needs n >= 6")
     values = {}
     for s in range(1, n - 2):
         t = n - 2 - s
@@ -966,6 +969,8 @@ def _lemma_2_7(n_max: int = 9) -> VerificationReport:
                     bad.append(to_graph6(t))
             elif worst is None or gap < worst:
                 worst = gap
+    if not total:
+        raise ValueError("Lemma 2.7 needs n >= 4: no non-star tree was checked")
     status = "confirmed" if not bad else "refuted"
     return VerificationReport(
         claim_id="2.7", status=status, params={"n_max": n_max},
@@ -975,6 +980,8 @@ def _lemma_2_7(n_max: int = 9) -> VerificationReport:
 
 
 def _grid_reports(pairs, fn) -> tuple[list[dict], float | None, list[dict]]:
+    if not pairs:
+        raise ValueError("the parameter grid is empty")
     rows = []
     worst = None
     bad = []

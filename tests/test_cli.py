@@ -254,6 +254,30 @@ def test_verify_lemma_2_6_outside_exhaustive_orders_is_usage_error(capsys):
         assert "exhaustive scans support 5 <= n <= 8" in err and "Traceback" not in err
 
 
+def test_verify_lemma_2_3_below_its_first_step_is_usage_error(capsys):
+    for n in ("2", "3", "4", "5"):
+        code, out, err = run_cli(capsys, "verify", "--claims", "2.3", "--n", n)
+        assert code == 1 and out == ""
+        assert "error: claim 2.3: Lemma 2.3 needs n >= 6" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "verify", "--claims", "2.3", "--n", "6")
+    assert code == 0 and json.loads(out)["status"] == "confirmed"
+
+
+@pytest.mark.parametrize("argv", [
+    ("3.11", "--p-max", "3"),
+    ("3.4", "--p-max", "2"),
+    ("3.5", "--p-max", "2"),
+    ("3.6", "--p-max", "2"),
+    ("3.12", "--p-max", "3"),
+    ("2.7", "--n", "3"),
+])
+def test_verify_empty_lemma_grid_is_usage_error(capsys, argv):
+    # a claim checked over no point is not confirmed
+    code, out, err = run_cli(capsys, "verify", "--claims", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: claim {argv[0]}: ") and "Traceback" not in err
+
+
 def test_json_formatting_fixed_digits():
     assert cli.to_json({"x": 1.0}) == '{"x":1}'
     assert cli.to_json(7.737587999399938) == "7.7375879994"

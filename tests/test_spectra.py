@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_graphcore import diameter_gt3_graphs
 
 from cdspectra.graphcore import complement, distance_matrix, from_edge_mask
 from cdspectra.families import build_path
@@ -12,17 +15,13 @@ from cdspectra.spectra import (
     IntPolynomial,
     TooLargeMatrix,
     _count_roots,
-    _deriv,
-    _divide_exact,
-    _frac,
     _gcd,
     _isolate,
+    _pdivmod,
     _refine,
-    _scaled,
     _sign,
     _squarefree,
     _sturm_chain,
-    _trim,
     cauchy_root_bound,
     certify_root_order,
     char_poly_exact,
@@ -194,13 +193,7 @@ def test_sturm_agrees_with_jacobi_on_symmetric_integer_matrices():
     rng = np.random.default_rng(42)
     for n in (3, 5, 8, 12, 16):
         m = rng.integers(-2, 3, size=(n, n))
-        m = m + m.T
-        poly = char_poly_exact(m)
-        b = float(cauchy_root_bound(poly)) + 1
-        roots = sturm_real_roots(poly, -b, b, 1e-12)
-        vals = sorted(sym_eigenvalues(m.astype(float)).values.tolist())
-        assert len(roots) == n
-        assert np.allclose(roots, vals, atol=1e-9)
+        _assert_exact_roots_match_lapack(m + m.T)
 
 
 def _fraction_horner(c, x: Fraction) -> Fraction:
@@ -220,18 +213,12 @@ def test_integer_sign_matches_fraction_horner():
         b = int(rng.choice(denominators))
         x = Fraction(int(rng.integers(-40 * b, 40 * b + 1)), b)
         ref = _fraction_horner(c, x)
-        assert _sign(tuple(c), x) == (ref > 0) - (ref < 0)
+        assert _sign(IntPolynomial(c), x) == (ref > 0) - (ref < 0)
     # exact rational roots, including non-dyadic ones, give sign 0
     for r in (Fraction(1, 3), Fraction(-5, 7), Fraction(22, 9), Fraction(0), Fraction(-4)):
         c = IntPolynomial((-r.numerator, r.denominator)) * IntPolynomial((3, 0, 1))
-        assert _sign(c.coeffs, r) == 0
-        assert _sign(c.coeffs, r + Fraction(1, 10**9)) != 0
-    # Sturm chain members are rational; scaling by the lcm keeps every sign
-    c = [Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5, 9)]
-    assert _scaled(c) == (6, -27, 0, 20)
-    for x in (Fraction(-3), Fraction(1, 3), Fraction(7, 5), Fraction(2**30 + 1, 2**30)):
-        ref = _fraction_horner(c, x)
-        assert _sign(_scaled(c), x) == (ref > 0) - (ref < 0)
+        assert _sign(c, r) == 0
+        assert _sign(c, r + Fraction(1, 10**9)) != 0
 
 
 def test_quotient_poly_roots_inside_full_spectrum():
@@ -283,16 +270,101 @@ def test_int_polynomial_arithmetic():
     assert str(IntPolynomial((-4, -6, 0, 1))) == "L^3 - 6*L - 4"
 
 
-# --- reference: Sturm counts at every bisection step ---------------------------
+# --- reference: rational Sturm chains, Sturm counts at every bisection step ---
+
+
+def _ref_frac(p):
+    return [Fraction(c) for c in p.coeffs]
+
+
+def _ref_trim(c):
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_is_zero(c):
+    return all(x == 0 for x in c)
+
+
+def _ref_scaled(c):
+    m = math.lcm(*(x.denominator for x in c))
+    return IntPolynomial(tuple(x.numerator * (m // x.denominator) for x in c))
+
+
+def _ref_deriv(c):
+    return _ref_trim([k * c[k] for k in range(1, len(c))]) if len(c) > 1 else [Fraction(0)]
+
+
+def _ref_rem(a, b):
+    r = _ref_trim(a[:])
+    db, lead = len(b) - 1, b[-1]
+    while len(r) - 1 >= db and not _ref_is_zero(r):
+        if r[-1] == 0:
+            r.pop()
+            continue
+        q = r[-1] / lead
+        shift = (len(r) - 1) - db
+        for i in range(len(b)):
+            r[i + shift] -= q * b[i]
+        r.pop()
+    return _ref_trim(r) if r else [Fraction(0)]
+
+
+def _ref_gcd(a, b):
+    a, b = _ref_trim(a[:]), _ref_trim(b[:])
+    while not _ref_is_zero(b):
+        a, b = b, _ref_rem(a, b)
+    if a[-1] not in (0, 1):
+        a = [x / a[-1] for x in a]
+    return a
+
+
+def _ref_divide_exact(a, b):
+    r = _ref_trim(a[:])
+    out = [Fraction(0)] * (len(r) - len(b) + 1)
+    while len(r) >= len(b) and not _ref_is_zero(r):
+        if r[-1] == 0:
+            r.pop()
+            continue
+        q = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        out[shift] = q
+        for i in range(len(b)):
+            r[i + shift] -= q * b[i]
+        r.pop()
+    return _ref_trim(out)
+
+
+def _ref_rational_chain(c):
+    """Sturm sequence c, c', -rem(c, c'), ... over the rationals."""
+    chain = [_ref_trim(c[:]), _ref_deriv(c)]
+    while not _ref_is_zero(chain[-1]) and len(chain[-1]) > 1:
+        chain.append(_ref_trim([-x for x in _ref_rem(chain[-2], chain[-1])]))
+    if _ref_is_zero(chain[-1]):
+        chain.pop()
+    return chain
+
+
+def _ref_sturm_chain(c):
+    """The rational Sturm sequence, each member scaled to integers by the lcm
+    of its denominators."""
+    return [_ref_scaled(f) for f in _ref_rational_chain(c)]
+
+
+def _ref_squarefree(c):
+    g = _ref_gcd(c, _ref_deriv(c))
+    return _ref_divide_exact(c, g) if len(g) > 1 else _ref_trim(c[:])
 
 
 def _reference_brackets(f, lo, hi, tol):
     """Brackets of square-free f in [lo, hi], each step decided by Sturm counts.
 
-    This is the single-phase bisection that the two-phase isolate-then-refine
-    code must reproduce bracket for bracket.
+    f is a list of Fraction coefficients.  This is the single-phase
+    bisection on rational Sturm chains that the two-phase isolate-then-refine
+    code on integer chains must reproduce bracket for bracket.
     """
-    chain = _sturm_chain(f)
+    chain = _ref_sturm_chain(f)
     fi = chain[0]
     out = []
     if _sign(fi, lo) == 0:
@@ -339,20 +411,20 @@ def _reference_brackets(f, lo, hi, tol):
 
 def _reference_has_root(g, a, b):
     if a == b:
-        return _sign(_scaled(g), a) == 0
-    return _count_roots(_sturm_chain(g), a, b) > 0
+        return _sign(_ref_scaled(g), a) == 0
+    return _count_roots(_ref_sturm_chain(g), a, b) > 0
 
 
 def _reference_roots(p, lo, hi, tol):
     """sturm_real_roots through the reference bisection."""
-    f = _frac(p)
-    gchain = [_trim(f[:])]
+    f = _ref_frac(p)
+    gchain = [_ref_trim(f[:])]
     while len(gchain[-1]) > 1:
-        g = _gcd(gchain[-1], _deriv(gchain[-1]))
+        g = _ref_gcd(gchain[-1], _ref_deriv(gchain[-1]))
         if len(g) == 1:
             break
         gchain.append(g)
-    squarefree = _divide_exact(f, gchain[1]) if len(gchain) > 1 else _trim(f[:])
+    squarefree = _ref_divide_exact(f, gchain[1]) if len(gchain) > 1 else _ref_trim(f[:])
     roots = []
     for a, b in _reference_brackets(squarefree, Fraction(lo), Fraction(hi), Fraction(tol)):
         mult = 1
@@ -366,7 +438,7 @@ def _reference_roots(p, lo, hi, tol):
 
 def _reference_extreme(p, side, width):
     bound = cauchy_root_bound(p)
-    brackets = _reference_brackets(_squarefree(_frac(p)), -bound, bound, width)
+    brackets = _reference_brackets(_ref_squarefree(_ref_frac(p)), -bound, bound, width)
     if not brackets:
         raise ValueError("polynomial has no real roots")
     return brackets[-1] if side == "max" else brackets[0]
@@ -381,7 +453,7 @@ def _reference_order(p, q, side):
             return -1
         if b[1] <= a[0] and a != b:
             return 1
-        g = _gcd(_frac(p), _frac(q))
+        g = _ref_gcd(_ref_frac(p), _ref_frac(q))
         if len(g) > 1:
             lo, hi = max(a[0], b[0]), min(a[1], b[1])
             if lo <= hi and _reference_has_root(g, lo, hi):
@@ -419,8 +491,8 @@ def test_two_phase_brackets_equal_single_phase_reference():
     rng = np.random.default_rng(20201006)
     for _ in range(120):
         p, rational = _random_poly(rng)
-        f = _squarefree(_frac(p))
-        chain = _sturm_chain(f)
+        f = _ref_squarefree(_ref_frac(p))
+        chain = _sturm_chain(_squarefree(p))
         r = rational[int(rng.integers(0, len(rational)))]
         # intervals that end exactly on a rational root, from either side,
         # and wide ones with non-dyadic ends
@@ -486,3 +558,71 @@ def test_certify_root_order_equals_reference_and_retries_near_ties():
                     certify_root_order(p, q, side)
                 continue
             assert certify_root_order(p, q, side) == want
+
+
+def _positive_multiple(p, f):
+    """Whether the integer polynomial p is a positive multiple of the rational f."""
+    f = _ref_trim(list(f))
+    if _ref_is_zero(f):
+        return p.is_zero()
+    c = p.coeffs
+    return (len(c) == len(f) and c[-1] * f[-1] > 0
+            and all(ci * f[-1] == fi * c[-1] for ci, fi in zip(c, f)))
+
+
+def test_integer_remainder_sequences_are_positive_multiples_of_the_rational_ones():
+    rng = np.random.default_rng(20201007)
+    for _ in range(80):
+        p, _ = _random_poly(rng)
+        q, _ = _random_poly(rng)
+        if rng.integers(0, 2):
+            p = -p
+        if rng.integers(0, 2):
+            q = q * IntPolynomial((-1, 3))          # often a shared root
+        fp, fq = _ref_frac(p), _ref_frac(q)
+        for poly, rational in ((p, fp), (_squarefree(p), _ref_squarefree(fp))):
+            chain, ref = _sturm_chain(poly), _ref_rational_chain(rational)
+            assert len(chain) == len(ref)
+            assert all(_positive_multiple(c, r) for c, r in zip(chain, ref)), p
+        for a, b in ((p, q), (p * q, q), (q, p * p)):
+            g = _gcd(a, b)
+            assert math.gcd(*g.coeffs) == 1 and g.coeffs[-1] > 0
+            assert _positive_multiple(g, _ref_gcd(_ref_frac(a), _ref_frac(b)))
+        # an exact division, by divisors of either sign, and a remainder
+        for d in (q, -q, _gcd(p, p.derivative())):
+            quo, rem = _pdivmod(p * q, d)
+            assert rem.is_zero()
+            assert _positive_multiple(quo, _ref_divide_exact(_ref_frac(p * q), _ref_frac(d)))
+        quo, rem = _pdivmod(p, q)
+        assert _positive_multiple(rem, _ref_rem(fp, fq))
+
+
+@st.composite
+def symmetric_int_matrices(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    m = np.zeros((n, n), dtype=int)
+    m[np.triu_indices(n)] = draw(st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2,
+                                          max_size=n * (n + 1) // 2))
+    return m + np.triu(m, 1).T
+
+
+def _assert_exact_roots_match_lapack(m):
+    poly = char_poly_exact(m)
+    b = float(cauchy_root_bound(poly)) + 1
+    roots = sturm_real_roots(poly, -b, b, 1e-12)
+    vals = sorted(sym_eigenvalues(m).values.tolist())
+    assert len(roots) == len(vals)
+    assert np.allclose(roots, vals, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=25)
+@given(diameter_gt3_graphs(max_n=16))
+def test_exact_roots_of_distance_complement_match_lapack(g):
+    # -1 and -2 eigenspaces give repeated roots, counted with multiplicity
+    _assert_exact_roots_match_lapack(distance_matrix(complement(g)))
+
+
+@settings(max_examples=40)
+@given(symmetric_int_matrices())
+def test_exact_roots_of_symmetric_integer_matrices_match_lapack(m):
+    _assert_exact_roots_match_lapack(m)
