@@ -17,6 +17,7 @@ from cdspectra.graphcore import (
     adjacency_matrix,
     complement,
     diameter,
+    distance_matrices,
     distance_matrix,
     from_graph6,
     is_connected,
@@ -43,6 +44,7 @@ __all__ = [
     "char_poly_exact",
     "complement",
     "diameter",
+    "distance_matrices",
     "distance_matrix",
     "from_graph6",
     "is_connected",

@@ -94,8 +94,11 @@ def _build_family_graph(args) -> Graph:
     family = args.family
     if family not in FAMILIES:
         raise SystemExit2(f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}")
-    names = FAMILIES[family].param_names
-    return FAMILIES[family].build(*_family_params(args, family, names))
+    params = _family_params(args, family, FAMILIES[family].param_names)
+    try:
+        return FAMILIES[family].build(*params)
+    except ValueError as exc:
+        raise SystemExit2(f"family {family}: {exc}") from exc
 
 
 def _graph_record(label: str, g: Graph) -> dict:
@@ -122,7 +125,10 @@ def cmd_spectrum(args) -> int:
     errors = 0
     if args.family:
         g = _build_family_graph(args)
-        records.append(_graph_record(args.family, g))
+        try:
+            records.append(_graph_record(args.family, g))
+        except DisconnectedGraph as exc:
+            raise SystemExit2(f"family {args.family}: complement is disconnected: {exc}") from exc
     else:
         for lineno, line in enumerate(sys.stdin, start=1):
             line = line.strip()
@@ -147,7 +153,10 @@ def cmd_poly(args) -> int:
             f"family {family!r} has no quotient model; "
             f"supported: {', '.join(sorted(QUOTIENT_PARAMS))}")
     params = _family_params(args, family, QUOTIENT_PARAMS[family])
-    rep = quotients.quotient_consistency(family, params, args.tol)
+    try:
+        rep = quotients.quotient_consistency(family, params, args.tol)
+    except ValueError as exc:
+        raise SystemExit2(f"poly {family}: {exc}") from exc
     emit({
         "family": family,
         "params": list(params),
@@ -175,8 +184,8 @@ def cmd_family(args) -> int:
 def _read_stream(lines: list[str]) -> tuple[int, list[Graph], dict]:
     """Decode an external graph6 stream once: its order, members and their values.
 
-    The values are lambda_1 and lambda_n of D(G^c) per member, from one
-    spectrum each, shared by every claim of the run.
+    The values are lambda_1 and lambda_n of D(G^c) per member, solved for
+    all members in one batch and shared by every claim of the run.
     """
     graphs: list[Graph] = []
     try:
@@ -188,9 +197,7 @@ def _read_stream(lines: list[str]) -> tuple[int, list[Graph], dict]:
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise SystemExit2("input stream mixes graph orders")
-    spectra = [verify.complement_distance_spectrum(g) for g in graphs]
-    values = {"l1": [s.lambda1 for s in spectra], "ln": [s.lambda_n for s in spectra]}
-    return n, graphs, values
+    return n, graphs, verify.complement_distance_extremes(graphs)
 
 
 def _stream_theorem(tid: str, stream: tuple[int, list[Graph], dict]) -> verify.VerificationReport:

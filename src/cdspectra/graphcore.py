@@ -1,9 +1,13 @@
 """Bitset-backed simple graphs: graph6 I/O, complement, BFS metrics, isomorphism.
 
 A graph lives on vertices 0..n-1 (n <= 64) with one machine-word neighbour
-bitmask per vertex, so complements, BFS sweeps and connectivity tests are a
-handful of integer operations.  All functions are pure and graphs are
-immutable, so values can be shared freely between worker processes.
+bitmask per vertex, so complements and edge tests are a handful of integer
+operations.  Every distance matrix and diameter comes from one kernel,
+`distance_matrices`, which runs BFS from all vertices of a stack of
+same-order graphs at once by Boolean matrix products; `is_connected` is a
+flood fill from vertex 0 over the bitsets.  All functions are pure and
+graphs are immutable, so values can be shared freely between worker
+processes.
 """
 
 from dataclasses import dataclass
@@ -174,7 +178,54 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((full & ~(g.adj[v] | (1 << v))) for v in range(g.n)))
 
 
+def adjacency_stack(graphs) -> np.ndarray:
+    """0/1 adjacency matrices of same-order graphs as one (m, n, n) int64 tensor."""
+    n = graphs[0].n
+    rows = np.array([g.adj for g in graphs], dtype=np.uint64)
+    bits = np.arange(n, dtype=np.uint64)
+    return ((rows[:, :, None] >> bits) & np.uint64(1)).astype(np.int64)
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    return adjacency_stack([g])[0]
+
+
+def distance_matrices(adj) -> np.ndarray:
+    """BFS hop distances of 0/1 adjacency matrices stacked as (..., n, n), n <= 64.
+
+    Breadth-first search by Boolean matrix products (Seidel, JCSS 51,
+    1995): row u of `seen` is the ball around u, and one product
+    seen . A grows every ball by one hop.  An entry of the product counts
+    at most n vertices, so float64 holds it exactly.  A pair enters `seen`
+    at its hop distance, which is its entry; pairs never reached are -1.
+    """
+    a = np.asarray(adj, dtype=np.float64)
+    diag = np.arange(a.shape[-1])
+    seen = a > 0                        # the balls of radius 1
+    seen[..., diag, diag] = True
+    dist = np.where(seen, np.int64(1), np.int64(-1))
+    dist[..., diag, diag] = 0
+    depth = 1
+    while True:
+        depth += 1
+        new = (np.matmul(seen, a) > 0) & ~seen
+        if not new.any():
+            return dist
+        dist[new] = depth
+        seen |= new
+
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    """BFS hop distances as an n x n integer matrix: `distance_matrices` of one graph."""
+    d = distance_matrices(adjacency_matrix(g))
+    if d.min() < 0:
+        # no vertex of a disconnected graph reaches all the others
+        raise DisconnectedGraph("vertex 0 does not reach all vertices")
+    return d
+
+
 def is_connected(g: Graph) -> bool:
+    """Whether vertex 0 reaches every vertex, by a bitset flood fill."""
     full = (1 << g.n) - 1
     seen = 1
     frontier = 1
@@ -187,39 +238,8 @@ def is_connected(g: Graph) -> bool:
     return seen == full
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """BFS hop distances as an n x n integer matrix."""
-    n = g.n
-    full = (1 << n) - 1
-    out = np.zeros((n, n), dtype=np.int64)
-    for s in range(n):
-        seen = frontier = 1 << s
-        depth = 0
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-            depth += 1
-            for v in _bits(frontier):
-                out[s, v] = depth
-        if seen != full:
-            raise DisconnectedGraph(f"vertex {s} does not reach all vertices")
-    return out
-
-
 def diameter(g: Graph) -> int:
     return int(distance_matrix(g).max())
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    n = g.n
-    out = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        for v in _bits(g.adj[u]):
-            out[u, v] = 1
-    return out
 
 
 # --- isomorphism ------------------------------------------------------------

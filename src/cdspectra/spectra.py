@@ -17,12 +17,14 @@ counts only until each bracket holds one root of the square-free part.
 Refinement then bisects each isolating bracket by the sign of the
 square-free part alone, in integer arithmetic.  `sturm_real_roots`
 refines every bracket; `extreme_root_bracket` and `certify_root_order`
-refine only the bracket of the largest or smallest root.
+refine only the bracket of the largest or smallest root, and each
+polynomial's extreme root is isolated once per process.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -434,10 +436,12 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
+@lru_cache(maxsize=None)
 def _extreme_isolated(p: IntPolynomial,
                       side: str) -> tuple[IntPolynomial, tuple[Fraction, Fraction]]:
     """The square-free part of p and the isolating bracket of its largest
-    ("max") or smallest ("min") real root."""
+    ("max") or smallest ("min") real root, isolated once per process:
+    grids compare the same polynomial at many points."""
     if side not in ("max", "min"):
         raise ValueError("side must be 'max' or 'min'")
     bound = cauchy_root_bound(p)

@@ -36,16 +36,17 @@ from cdspectra.families import (
 )
 from cdspectra.graphcore import (
     ISO_MAX_VERTICES,
+    DisconnectedGraph,
     Graph,
     Graph6Error,
+    adjacency_stack,
     complement,
-    diameter,
+    distance_matrices,
     distance_matrix,
     from_edge_mask,
     from_edges,
     from_graph6,
     g6_pairs,
-    is_connected,
     is_isomorphic,
     to_graph6,
 )
@@ -57,6 +58,7 @@ from cdspectra.spectra import (
 )
 
 CHUNK_BITS = 20                     # fixed: scan results must not depend on workers
+STREAM_BLOCK_ENTRIES = 1 << 18      # matrix entries per kernel call on a graph6 stream
 CLUSTER_TOL = 1e-9
 STRICT_MARGIN = 1e-9
 EXACT_RECHECK_BELOW = 1e-6
@@ -401,10 +403,12 @@ def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
 
     Internal exhaustive enumeration runs for 5 <= n <= 8; alternatively an
     iterable of graph6 lines can be ingested (any order <= 64), in which
-    case graphs failing the class conditions are skipped.
+    case graphs failing the class conditions are skipped.  A stream is
+    decoded whole, then filtered in one batch per order by the distance
+    kernel, and its members reach `sink` in line order.
     """
-    count = 0
     if source is not None:
+        graphs = []
         for lineno, line in enumerate(source, start=1):
             line = line.strip()
             if not line:
@@ -413,16 +417,16 @@ def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
                 g = from_graph6(line)
             except Graph6Error as exc:
                 raise Graph6Error(f"line {lineno}: {exc}") from exc
-            if n is not None and g.n != n:
-                continue
-            if not is_connected(g) or diameter(g) <= 3:
-                continue
-            count += 1
-            if sink is not None:
+            if n is None or g.n == n:
+                graphs.append(g)
+        members = [g for g, keep in zip(graphs, _class_members(graphs)) if keep]
+        if sink is not None:
+            for g in members:
                 sink(g)
-        return count
+        return len(members)
     if n is None or not 5 <= n <= 8:
         raise ValueError("internal enumeration supports 5 <= n <= 8")
+    count = 0
     for i in range(_chunk_count(n)):
         masks, _ = _survivor_adj(_chunk_masks(n, i), n)
         count += len(masks)
@@ -430,6 +434,26 @@ def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
             for m in masks:
                 sink(from_edge_mask(n, int(m)))
     return count
+
+
+def _blocks(items: list, n: int) -> list[list]:
+    """`items` in runs of at most STREAM_BLOCK_ENTRIES / n^2, so that one
+    run's (m, n, n) tensors stay small at any order."""
+    size = max(1, STREAM_BLOCK_ENTRIES // (n * n))
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _class_members(graphs: list[Graph]) -> np.ndarray:
+    """Which graphs are connected with diameter > 3, by the distance kernel per order."""
+    keep = np.zeros(len(graphs), dtype=bool)
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    for order, index in by_order.items():
+        for block in _blocks(index, order):
+            d = distance_matrices(adjacency_stack([graphs[i] for i in block]))
+            keep[block] = (d.min(axis=(1, 2)) >= 0) & (d.max(axis=(1, 2)) > 3)
+    return keep
 
 
 # --- witness handling ---------------------------------------------------------
@@ -455,6 +479,28 @@ def _dedup_isomorphic(graphs: list[Graph]) -> list[Graph]:
 def complement_distance_spectrum(g: Graph):
     """Spectrum of D(g^c); raises DisconnectedGraph if the complement is not connected."""
     return sym_eigenvalues(distance_matrix(complement(g)).astype(np.float64))
+
+
+def complement_distance_extremes(graphs: list[Graph]) -> dict:
+    """lambda_1 and lambda_n of D(G^c) for same-order graphs, solved in one batch.
+
+    D(G^c) comes from the distance kernel on the stacked complements, and
+    each block of them is solved by one stacked `numpy.linalg.eigh`, whose
+    values are bitwise those of `complement_distance_spectrum`.  Returns
+    {"l1": [...], "ln": [...]} aligned with `graphs`.
+    """
+    n = graphs[0].n
+    l1: list[float] = []
+    ln: list[float] = []
+    for block in _blocks(graphs, n):
+        d = distance_matrices(1 - np.eye(n, dtype=np.int64) - adjacency_stack(block))
+        if d.min() < 0:
+            k = int(np.argmax(d.min(axis=(1, 2)) < 0))
+            raise DisconnectedGraph(f"complement of {to_graph6(block[k])} is disconnected")
+        values = np.linalg.eigh(d.astype(np.float64))[0]
+        l1 += values[:, -1].tolist()
+        ln += values[:, 0].tolist()
+    return {"l1": l1, "ln": ln}
 
 
 @lru_cache(maxsize=None)

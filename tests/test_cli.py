@@ -174,18 +174,22 @@ def test_verify_stdin_solves_each_member_once(capsys, monkeypatch):
     from cdspectra import verify
     from cdspectra.families import build_L
     from cdspectra.graphcore import to_graph6
-    calls = []
+    calls, batches = [], []
     real = verify.complement_distance_spectrum
+    real_batch = verify.complement_distance_extremes
     monkeypatch.setattr(verify, "complement_distance_spectrum",
                         lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(verify, "complement_distance_extremes",
+                        lambda gs: batches.append(list(gs)) or real_batch(gs))
     lines = "\n".join([to_graph6(build_path(7)), "FZ?Z_", to_graph6(build_L(4, 3)),
                        to_graph6(build_path(4))]) + "\n"
     code, out, _ = run_cli(capsys, "verify", "--claims", "T3.13,T2.8,T3.7", "--stdin",
                            stdin=lines, monkeypatch=monkeypatch)
     assert code == 2
     assert len(out.splitlines()) == 3
-    # three members, plus one bound graph per claim
-    assert len(calls) == 3 + 3
+    # the three members in one batch, and one bound graph per claim
+    assert [len(b) for b in batches] == [3]
+    assert len(calls) == 3
 
 
 def test_spectrum_solves_each_graph_once(capsys, monkeypatch):
@@ -276,6 +280,20 @@ def test_verify_empty_lemma_grid_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "verify", "--claims", *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: claim {argv[0]}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--family", "path", "--n", "3"),
+    ("spectrum", "--family", "star", "--n", "5"),
+    ("spectrum", "--family", "path", "--n", "70"),
+    ("poly", "--family", "L", "--p", "30", "--q", "30"),
+    ("family", "--family", "H", "--s", "0", "--t", "3"),
+])
+def test_domain_guard_is_one_error_line(capsys, argv):
+    # a disconnected complement or a parameter outside a family's domain
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_json_formatting_fixed_digits():

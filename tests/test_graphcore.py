@@ -13,9 +13,11 @@ from cdspectra.graphcore import (
     Graph6Error,
     TooLarge,
     adjacency_matrix,
+    adjacency_stack,
     all_relabelings,
     complement,
     diameter,
+    distance_matrices,
     distance_matrix,
     from_edge_mask,
     from_edges,
@@ -167,6 +169,99 @@ def test_distance_complement_identity_beyond_exhaustive_range(g):
     assert is_connected(g) and diameter(g) > 3
     j_minus_i = np.ones((g.n, g.n), dtype=int) - np.eye(g.n, dtype=int)
     assert np.array_equal(distance_matrix(complement(g)), j_minus_i + adjacency_matrix(g))
+
+
+def _reference_distances(g: Graph) -> np.ndarray:
+    """Per-vertex bitmask BFS, as distance_matrix computed it before the
+    matrix-product kernel; unreached pairs are -1."""
+    n = g.n
+    out = np.full((n, n), -1, dtype=np.int64)
+    for s in range(n):
+        out[s, s] = 0
+        seen = frontier = 1 << s
+        depth = 0
+        while frontier:
+            nxt = 0
+            for v in range(n):
+                if (frontier >> v) & 1:
+                    nxt |= g.adj[v]
+            frontier = nxt & ~seen
+            seen |= frontier
+            depth += 1
+            for v in range(n):
+                if (frontier >> v) & 1:
+                    out[s, v] = depth
+    return out
+
+
+def _reference_distance_matrix(g: Graph) -> np.ndarray:
+    d = _reference_distances(g)
+    for s in range(g.n):
+        if (d[s] < 0).any():
+            raise DisconnectedGraph(f"vertex {s} does not reach all vertices")
+    return d
+
+
+@st.composite
+def random_graphs(draw, min_n=1, max_n=64):
+    """Labeled graphs of every density: sparse ones are often disconnected."""
+    n = draw(st.integers(min_n, max_n))
+    p = draw(st.sampled_from([0.0, 0.01, 0.03, 0.06, 0.1, 0.3, 0.7, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return from_edges(n, [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p])
+
+
+@settings(max_examples=60)
+@given(random_graphs())
+def test_distance_kernel_equals_per_vertex_bfs(g):
+    ref = _reference_distances(g)
+    assert np.array_equal(distance_matrices(adjacency_matrix(g)[None])[0], ref)
+    try:
+        want = _reference_distance_matrix(g)
+    except DisconnectedGraph as exc:
+        with pytest.raises(DisconnectedGraph) as got:
+            distance_matrix(g)
+        assert str(got.value) == str(exc)
+        assert not is_connected(g)
+    else:
+        got = distance_matrix(g)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert is_connected(g) and diameter(g) == want.max()
+
+
+def test_distance_kernel_on_paths():
+    for n in range(1, 65):
+        p = build_path(n)
+        assert np.array_equal(distance_matrix(p), _reference_distance_matrix(p))
+        assert diameter(p) == n - 1
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_distance_kernel_batch_mixing_members_and_non_members(data):
+    n = data.draw(st.integers(9, 14))
+    members = data.draw(st.lists(diameter_gt3_graphs(n, n), min_size=1, max_size=4))
+    others = data.draw(st.lists(random_graphs(n, n), min_size=1, max_size=6))
+    graphs = data.draw(st.permutations(members + others))
+    d = distance_matrices(adjacency_stack(graphs))
+    assert d.shape == (len(graphs), n, n)
+    refs = [_reference_distances(g) for g in graphs]
+    assert all(np.array_equal(dk, ref) for dk, ref in zip(d, refs))
+    member = (d.min(axis=(1, 2)) >= 0) & (d.max(axis=(1, 2)) > 3)
+    assert member.tolist() == [(r >= 0).all() and r.max() > 3 for r in refs]
+    assert member.sum() >= len(members)
+
+
+@pytest.mark.parametrize("order", [None, 62, 63, 64])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_graph6_roundtrip_property(order, data):
+    # n = 62 has a one-byte size header; 63 and 64 take "~" plus three bytes
+    g = data.draw(random_graphs(order or 1, order or 64))
+    text = to_graph6(g)
+    assert from_graph6(text) == g
+    assert len(text) == (1 if g.n <= 62 else 4) + (g.n * (g.n - 1) // 2 + 5) // 6
+    assert (text[0] == "~") == (g.n > 62)
 
 
 def test_complement_diameter_at_most_3_when_diameter_ge_3():

@@ -1,6 +1,7 @@
 """Enumeration engine, extremal scans, sign partitions, claim checkers."""
 
 import dataclasses
+import functools
 import math
 import random
 
@@ -28,14 +29,11 @@ from cdspectra.graphcore import (
 from cdspectra.spectra import sym_eigenvalues
 
 
-def _slow_class_masks(n: int) -> set[int]:
-    """Independent oracle: filter every labeled graph with plain BFS code."""
-    out = set()
-    for mask in range(1 << (n * (n - 1) // 2)):
-        g = from_edge_mask(n, mask)
-        if is_connected(g) and diameter(g) > 3:
-            out.add(mask)
-    return out
+@functools.cache
+def _slow_class_masks(n: int) -> frozenset[int]:
+    """Independent oracle: filter every labeled graph one at a time (built once per n)."""
+    return frozenset(mask for mask in range(1 << (n * (n - 1) // 2))
+                     if is_connected(g := from_edge_mask(n, mask)) and diameter(g) > 3)
 
 
 def test_enumeration_oracle_n5():
@@ -68,6 +66,31 @@ def test_enumeration_from_external_source():
     assert all(diameter(g) > 3 for g in seen)
     with pytest.raises(ValueError):
         verify.enumerate_diam_gt3(12)
+
+
+def test_stream_is_filtered_and_solved_in_one_batch(monkeypatch):
+    # every order-7 class relabeled at random, among rejects of orders 3, 7 and 9
+    rng = random.Random(11)
+    lines = []
+    for m in verify._classes(7).reps:
+        g = from_edge_mask(7, int(m))
+        lines += [to_graph6(relabel(g, rng.sample(range(7), 7))) for _ in range(2)]
+    lines += [to_graph6(from_edge_mask(7, rng.getrandbits(21))) for _ in range(80)]
+    lines += [to_graph6(build_path(3)), to_graph6(build_H(3, 4)), ""]
+    rng.shuffle(lines)
+    # three graphs per kernel block, so the stream is cut into many blocks
+    monkeypatch.setattr(verify, "STREAM_BLOCK_ENTRIES", 3 * 49)
+    graphs = []
+    count = verify.enumerate_diam_gt3(source=lines, sink=graphs.append)
+    decoded = [from_graph6(line) for line in lines if line]
+    want = [g for g in decoded if is_connected(g) and diameter(g) > 3]
+    assert count == len(graphs) == len(want) and graphs == want
+    assert verify.enumerate_diam_gt3(n=5, source=lines) == 0
+    values = verify.complement_distance_extremes(graphs)
+    spectra = [verify.complement_distance_spectrum(g) for g in graphs]
+    # bitwise: the stacked eigh gives the per-graph values
+    assert values["l1"] == [s.lambda1 for s in spectra]
+    assert values["ln"] == [s.lambda_n for s in spectra]
 
 
 def test_class_scan_counts_and_lemma21():
@@ -306,6 +329,16 @@ def test_lemma_3_11_refuted_with_certificate():
     # identity matches exactly at q=2 only
     assert rep.details["identity_matches"]["5,2"] is True
     assert rep.details["identity_matches"]["5,3"] is False
+
+
+def test_lemma_3_11_isolates_each_polynomial_once():
+    # 62 root orders compare 124 extreme roots of 80 distinct polynomials:
+    # Psi_Lprime(p + q) recurs along each anti-diagonal of the grid
+    from cdspectra import spectra
+    spectra._extreme_isolated.cache_clear()
+    verify.check_lemma("3.11", p_max=12)
+    info = spectra._extreme_isolated.cache_info()
+    assert (info.misses, info.hits) == (80, 44)
 
 
 def test_lemma_3_11_confirmed_on_small_grid():
