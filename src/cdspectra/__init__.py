@@ -30,7 +30,6 @@ from cdspectra.spectra import (
     char_poly_exact,
     sturm_real_roots,
     sym_eigenvalues,
-    verify_eigenpair,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "sturm_real_roots",
     "sym_eigenvalues",
     "to_graph6",
-    "verify_eigenpair",
 ]

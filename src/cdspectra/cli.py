@@ -20,13 +20,15 @@ from cdspectra.graphcore import (
     DisconnectedGraph,
     Graph,
     Graph6Error,
+    adjacency_stack,
     complement,
     diameter,
+    distance_matrices,
     distance_matrix,
     from_graph6,
     to_graph6,
 )
-from cdspectra.spectra import sym_eigenvalues
+from cdspectra.spectra import Spectrum, sym_eigenvalues, sym_spectra
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,10 +103,13 @@ def _build_family_graph(args) -> Graph:
         raise SystemExit2(f"family {family}: {exc}") from exc
 
 
-def _graph_record(label: str, g: Graph) -> dict:
-    d = diameter(g)
-    dc = distance_matrix(complement(g)).astype(np.float64)
-    spec = sym_eigenvalues(dc)
+def _graph_record(label: str, g: Graph, d: int | None = None,
+                  spec: Spectrum | None = None) -> dict:
+    """The record of one graph; its diameter d and the spectrum of D(g^c) are
+    computed here unless the caller has them."""
+    if spec is None:
+        d = diameter(g)
+        spec = sym_eigenvalues(distance_matrix(complement(g)).astype(np.float64))
     part = verify.sign_partition(g, spec)
     return {
         "input": label,
@@ -120,26 +125,56 @@ def _graph_record(label: str, g: Graph) -> dict:
     }
 
 
+def _stream_records(lines) -> list[dict]:
+    """One record per non-blank graph6 line, in line order.
+
+    Every line is decoded first.  Then each order's graphs go through the
+    distance kernel in blocks, for their diameters and D(G^c), and each
+    block is solved by one stacked `eigh` (`sym_spectra`).  A line that
+    does not decode, or whose graph or complement is disconnected, gets an
+    `error` record instead.
+    """
+    records: dict[int, dict] = {}
+    by_order: dict[int, list[tuple[int, Graph]]] = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            g = from_graph6(line)
+        except Graph6Error as exc:
+            records[lineno] = {"line": lineno, "error": str(exc)}
+            continue
+        by_order.setdefault(g.n, []).append((lineno, g))
+    for n, items in by_order.items():
+        for block in verify._blocks(items, n):
+            adj = adjacency_stack([g for _, g in block])
+            d = distance_matrices(adj)
+            dc = distance_matrices(1 - np.eye(n, dtype=np.int64) - adj)
+            ok = (d.min(axis=(1, 2)) >= 0) & (dc.min(axis=(1, 2)) >= 0)
+            spectra = iter(sym_spectra(dc[ok]))
+            for (lineno, g), good, dk in zip(block, ok, d):
+                label = f"line {lineno}"
+                if good:
+                    records[lineno] = _graph_record(label, g, int(dk.max()), next(spectra))
+                    continue
+                try:
+                    _graph_record(label, g)       # raises the per-graph error
+                except DisconnectedGraph as exc:
+                    records[lineno] = {"line": lineno, "error": str(exc)}
+    return [records[k] for k in sorted(records)]
+
+
 def cmd_spectrum(args) -> int:
-    records = []
-    errors = 0
     if args.family:
         g = _build_family_graph(args)
         try:
-            records.append(_graph_record(args.family, g))
+            records = [_graph_record(args.family, g)]
         except DisconnectedGraph as exc:
             raise SystemExit2(f"family {args.family}: complement is disconnected: {exc}") from exc
     else:
-        for lineno, line in enumerate(sys.stdin, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                g = from_graph6(line)
-                records.append(_graph_record(f"line {lineno}", g))
-            except (Graph6Error, DisconnectedGraph, ValueError) as exc:
-                errors += 1
-                records.append({"line": lineno, "error": str(exc)})
+        records = _stream_records(sys.stdin)
+    errors = sum("error" in r for r in records)
     for r in records:
         emit(r)
     print(f"spectrum: {len(records) - errors} graphs, {errors} errors", file=sys.stderr)
@@ -211,6 +246,8 @@ def cmd_verify(args) -> int:
     claims = [c.strip() for c in (args.claims or "").split(",") if c.strip()]
     if not claims:
         raise SystemExit2("no claims given; use --claims id[,id...]")
+    if args.workers < 1:
+        raise SystemExit2(f"--workers must be at least 1, got {args.workers}")
     for c in claims:
         if c not in verify.CLAIM_IDS:
             raise SystemExit2(

@@ -28,24 +28,6 @@ from dataclasses import dataclass
 from cdspectra.graphcore import Graph, diameter, from_edges
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its integer parameters, resolvable to a Graph."""
-
-    family_id: str
-    params: tuple[int, ...]
-
-    def build(self) -> Graph:
-        return FAMILIES[self.family_id].build(*self.params)
-
-    @property
-    def order(self) -> int:
-        return FAMILIES[self.family_id].order(*self.params)
-
-    def label(self) -> str:
-        return f"{self.family_id}({','.join(str(p) for p in self.params)})"
-
-
 def _check(name: str, g: Graph, want_diameter: int) -> Graph:
     d = diameter(g)
     if d != want_diameter:

@@ -11,8 +11,6 @@ processes.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
-
 import numpy as np
 
 MAX_VERTICES = 64
@@ -307,9 +305,3 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 def relabel(g: Graph, perm) -> Graph:
     """Image of g under the vertex bijection v -> perm[v]."""
     return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
-def all_relabelings(g: Graph):
-    """Every labeled copy of g (test helper; factorial in n)."""
-    for perm in permutations(range(g.n)):
-        yield relabel(g, perm)

@@ -62,26 +62,30 @@ def sym_eigenvalues(m) -> Spectrum:
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(a, a.T):
+    return sym_spectra(a[None])[0]
+
+
+def sym_spectra(stack) -> list[Spectrum]:
+    """`sym_eigenvalues` of every matrix in an (m, n, n) stack, by one stacked `eigh`.
+
+    LAPACK still solves the matrices one at a time, so each spectrum is
+    bitwise the one its matrix gives alone; the stack saves the per-call
+    overhead.  Values are non-increasing, and each eigenvector is negated
+    where its largest-magnitude entry is negative.
+    """
+    a = np.array(stack, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("stack must hold square matrices")
+    if not np.array_equal(a, a.swapaxes(1, 2)):
         raise ValueError("matrix must be exactly symmetric")
+    if len(a) == 0:
+        return []
     values, vec = np.linalg.eigh(a)
-    values, vec = values[::-1].copy(), vec[:, ::-1].copy()
-    cols = np.arange(a.shape[0])
-    piv = np.argmax(np.abs(vec), axis=0)
-    vec[:, vec[piv, cols] < 0] *= -1.0
-    residual = float(np.abs(a @ vec - vec * values).max())
-    return Spectrum(values, vec, residual)
-
-
-def verify_eigenpair(m, lam: float, x) -> float:
-    """Max-norm residual max_i |lam*x_i - (M x)_i|."""
-    a = np.asarray(m, dtype=np.float64)
-    v = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if v.shape != (a.shape[0],):
-        raise ValueError(f"vector length {v.shape} does not match matrix order {a.shape[0]}")
-    return float(np.abs(lam * v - a @ v).max())
+    values, vec = values[:, ::-1].copy(), vec[:, :, ::-1].copy()
+    lead = vec[np.arange(len(a))[:, None], np.argmax(np.abs(vec), axis=1), np.arange(a.shape[1])]
+    vec *= np.where(lead < 0, -1.0, 1.0)[:, None, :]
+    residual = np.abs(a @ vec - vec * values[:, None, :]).max(axis=(1, 2))
+    return [Spectrum(values[k], vec[k], float(residual[k])) for k in range(len(a))]
 
 
 # --- exact integer polynomials ----------------------------------------------
@@ -148,14 +152,6 @@ class IntPolynomial:
             coef = str(c) if (k == 0 or abs(c) != 1) else ("-" if c == -1 else "")
             terms.append(f"{coef}{mono}" if not (coef and mono) else f"{coef}*{mono}")
         return " + ".join(terms).replace("+ -", "- ")
-
-
-def poly_from_roots(roots) -> IntPolynomial:
-    """Monic integer polynomial with the given integer roots."""
-    p = IntPolynomial((1,))
-    for r in roots:
-        p = p * IntPolynomial((-int(r), 1))
-    return p
 
 
 def char_poly_exact(m) -> IntPolynomial:

@@ -1,15 +1,18 @@
 """Exhaustive enumeration of diameter->3 graphs and claim verification.
 
-The exhaustive scan runs in three phases.  A filter iterates all labeled
-graphs on n vertices as upper-triangular edge masks and keeps the
-connected graphs of diameter greater than three, with numpy-vectorized
-bitset BFS over fixed-size mask chunks; it checks Lemma 2.1's identity on
-every survivor.  One serial pass then partitions the survivors into S_n
-orbits, the isomorphism classes.  Last, D(G^c) is solved once per class,
-and every count is weighted by the class's orbit size.  Chunk boundaries
-are constants and the partition is serial, so results are byte-identical
-for any worker count.  A witness is the smallest edge mask of its class,
-a labeling that does not depend on eigensolver rounding.
+The exhaustive scan works on isomorphism classes, never on the labeled
+graphs.  A generator builds the connected graphs of diameter greater than
+three on n vertices one vertex at a time, up to isomorphism: each level
+extends the previous one by a new vertex with every non-empty
+neighbourhood, filters the candidates with numpy-vectorized bitset BFS,
+and keeps one smallest edge mask per S_n orbit, with the orbit's size.
+Every generated class member has Lemma 2.1's identity checked.  D(G^c) is
+then solved once per class, and every count is weighted by the class's
+orbit size.  The generator runs in one process, so results are
+byte-identical for any worker count; worker processes scan only the
+labeled chunks of Lemma 2.1's diameter-3 half.  A witness is the smallest
+edge mask of its class, a labeling that does not depend on eigensolver
+rounding.
 
 Every lemma and theorem checker returns a VerificationReport whose status
 is measured, never assumed: claims that fail are `refuted` with witnesses,
@@ -21,7 +24,7 @@ import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, repeat
 
 import numpy as np
@@ -57,7 +60,7 @@ from cdspectra.spectra import (
     sym_eigenvalues,
 )
 
-CHUNK_BITS = 20                     # fixed: scan results must not depend on workers
+CHUNK_BITS = 20                     # fixed: labeled scan results must not depend on workers
 STREAM_BLOCK_ENTRIES = 1 << 18      # matrix entries per kernel call on a graph6 stream
 CLUSTER_TOL = 1e-9
 STRICT_MARGIN = 1e-9
@@ -243,79 +246,131 @@ def _cluster(values: np.ndarray, keys: np.ndarray, mode: str) -> dict | None:
 
 
 def _map_chunks(fn, n: int, workers: int) -> list:
-    """fn(n, index) for every chunk, in chunk order, run in `workers` processes."""
+    """fn(n, index) for every chunk, in chunk order, run in at most `workers`
+    processes and never in more processes than there are chunks."""
     indices = range(_chunk_count(n))
     if workers > 1 and len(indices) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(indices))) as pool:
             return list(pool.map(fn, repeat(n), indices))
     return [fn(n, i) for i in indices]
 
 
-def _filter_chunk(n: int, index: int) -> tuple[np.ndarray, list[int]]:
-    """One chunk's class members and their Lemma 2.1 identity violations."""
-    masks, adj = _survivor_adj(_chunk_masks(n, index), n)
-    if len(masks) == 0:
-        return masks, []
-    d, covered = _complement_distances(adj, n)
-    if not covered.all():
-        raise AssertionError(
-            f"complement not within diameter 3 for masks {masks[~covered][:5].tolist()}")
-    # Lemma 2.1 identity on the diameter>3 class: D(G^c) == J - I + A(G)
-    expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-    holds = np.all(d == expected[None, :, :] + _adjacency_tensor(adj, n), axis=(1, 2))
-    return masks, [int(m) for m in masks[~holds]]
-
-
 @lru_cache(maxsize=None)
-def _perm_edge_table(n: int) -> np.ndarray:
-    """Row k maps each edge index to its image under the k-th permutation of S_n."""
+def _perm_edge_bits(n: int) -> np.ndarray:
+    """Row e holds, for each permutation of S_n, the mask bit of edge e's image."""
     pairs = np.array(g6_pairs(n)).T
     perms = np.array(list(permutations(range(n))), dtype=np.int64)
-    a, b = perms[:, pairs[0]], perms[:, pairs[1]]
+    a, b = perms[:, pairs[0]].T, perms[:, pairs[1]].T
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return (hi * (hi - 1) // 2 + lo).astype(np.uint32)   # index of (lo, hi) in g6_pairs order
+    # (lo, hi) is edge hi(hi-1)/2 + lo in g6_pairs order
+    return np.left_shift(np.uint32(1), (hi * (hi - 1) // 2 + lo).astype(np.uint32))
 
 
 def _orbit_masks(n: int, mask) -> np.ndarray:
     """Edge mask of the graph `mask` relabeled by each permutation of S_n, as uint32.
 
-    uint32 is the survivor dtype: searchsorted with wider keys would convert
-    the whole survivor array on every call.
+    uint32 is the candidate dtype: searchsorted with wider keys would convert
+    the whole candidate array on every call.
     """
-    table = _perm_edge_table(n)
-    bits = (np.uint32(mask) >> np.arange(table.shape[1], dtype=np.uint32)) & np.uint32(1)
-    return (bits << table).sum(axis=1, dtype=np.uint32)
+    mask = int(mask)
+    edges = [e for e in range(n * (n - 1) // 2) if (mask >> e) & 1]
+    return _perm_edge_bits(n)[edges].sum(axis=0, dtype=np.uint32)
 
 
-_FREE_BLOCK = 1 << 14               # masks inspected per step of the unassigned-mask walk
+def _orbit(n: int, mask) -> np.ndarray:
+    """The distinct relabelings of the graph `mask`, ascending.
 
-
-def _orbit_partition(masks: np.ndarray, n: int):
-    """S_n orbits of the sorted class masks: (reps, index, sizes).
-
-    reps holds the smallest mask of each orbit in ascending order, index the
-    orbit of every mask, and sizes the orbit sizes.
+    A sort and a neighbour compare: `np.unique` takes several times longer
+    on these arrays of n! uint32 masks.
     """
-    index = np.full(len(masks), -1, dtype=np.int32)
+    images = np.sort(_orbit_masks(n, mask))
+    return images[np.r_[True, images[1:] != images[:-1]]]
+
+
+def _extend(parents: np.ndarray, k: int) -> np.ndarray:
+    """Every graph made from a parent on k vertices by adding vertex k with a
+    non-empty neighbourhood, as sorted distinct edge masks on k + 1 vertices.
+
+    The edges of vertex k are the top k bits of a g6_pairs mask, so a child
+    is its parent's mask with the neighbourhood shifted above it.
+    """
+    hoods = np.arange(1, 1 << k, dtype=np.uint32) << np.uint32(k * (k - 1) // 2)
+    return np.unique(parents[:, None] | hoods[None, :])
+
+
+def _orbit_classes(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The S_n orbits that meet the sorted distinct masks: (reps, sizes).
+
+    Walks the masks in order.  The smallest one not yet seen starts an orbit,
+    and every mask in that orbit is marked seen.  reps holds the smallest
+    member of each orbit, ascending, and sizes n!/|Aut| of each.
+    """
+    seen = np.zeros(len(masks), dtype=bool)
     reps: list[int] = []
     sizes: list[int] = []
-    k = 0                           # every mask before k is assigned
-    while k < len(masks):
-        free = np.flatnonzero(index[k:k + _FREE_BLOCK] < 0)
-        if free.size == 0:
-            k += _FREE_BLOCK
+    for k in range(len(masks)):
+        if seen[k]:
             continue
-        k += int(free[0])
-        orbit = np.unique(_orbit_masks(n, masks[k]))
-        pos = np.searchsorted(masks, orbit)
-        if pos[-1] >= len(masks) or not np.array_equal(masks[pos], orbit):
-            raise AssertionError(f"a relabeling of mask {int(masks[k])} is not a class member")
-        index[pos] = len(reps)
-        reps.append(int(masks[k]))
+        orbit = _orbit(n, masks[k])
+        pos = np.minimum(np.searchsorted(masks, orbit), len(masks) - 1)
+        seen[pos[masks[pos] == orbit]] = True
+        reps.append(int(orbit[0]))
         sizes.append(len(orbit))
-    if sum(sizes) != len(masks):
-        raise AssertionError(f"orbit sizes sum to {sum(sizes)}, not {len(masks)}")
-    return np.array(reps, dtype=np.uint32), index, np.array(sizes, dtype=np.int64)
+    order = np.argsort(reps)
+    return np.array(reps, dtype=np.uint32)[order], np.array(sizes, dtype=np.int64)[order]
+
+
+def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The connected diameter>3 classes on n vertices, by one vertex at a time.
+
+    Returns (reps, sizes, violations): the smallest edge mask of each class
+    in ascending order, its orbit size n!/|Aut|, and every labeled member of
+    a class that breaks Lemma 2.1's identity D(G^c) = J - I + A(G).
+
+    Parent lemma: a connected graph G of diameter D >= 3 has a non-cut
+    vertex w such that G - w is connected and not complete, and G - w has
+    diameter >= 3 when D >= 4.  Proof: take u, v with d(u, v) = D.  A
+    connected graph has at least two non-cut vertices (the leaves of a
+    spanning tree).  If one of them, w, is neither u nor v, then G - w is
+    connected and d_{G-w}(u, v) >= D.  Otherwise u and v are the only
+    ones; delete u, and let u' be u's neighbour on a shortest u-v path.
+    Then d_{G-u}(u', v) >= d_G(u', v) = D - 1, which is >= 2 (G - u is not
+    complete) and >= 3 when D >= 4.  Every connected graph on k + 1
+    vertices has a non-cut vertex too, so it extends a connected graph on
+    k vertices.
+
+    So the classes come from three extensions by one vertex joined to every
+    non-empty neighbourhood (`_extend`): the connected graphs up to order
+    n - 2, starting from K1; the diameter >= 3 graphs at n - 1, from the
+    non-complete ones at n - 2; and the class at n, from those.  Each level
+    is filtered by the bitset kernel and reduced to its orbits by
+    `_orbit_classes`, in the manner of canonical augmentation (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Every
+    generated member of the class has its complement's diameter asserted
+    and the identity checked; the identity is relabeling-equivariant, so a
+    class that breaks it is listed with its whole orbit.
+    """
+    level = np.zeros(1, dtype=np.uint32)         # K1
+    for k in range(1, n - 2):
+        level, _ = _orbit_classes(_extend(level, k), k + 1)
+    complete = np.uint32((1 << ((n - 2) * (n - 3) // 2)) - 1)
+    masks = _extend(level[level != complete], n - 2)
+    balls = _ball_radius(_adj_rows(masks, n - 1), n - 1, 2)
+    diam_le2 = np.bitwise_and.reduce(balls, axis=0) == np.uint8((1 << (n - 1)) - 1)
+    level, _ = _orbit_classes(masks[~diam_le2], n - 1)
+    masks, adj = _survivor_adj(_extend(level, n - 1), n)
+    d, covered = _complement_distances(adj, n)
+    if not covered.all():
+        raise AssertionError(
+            f"complement not within diameter 3 for masks {masks[~covered][:5].tolist()}")
+    expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
+    holds = np.all(d == expected[None, :, :] + _adjacency_tensor(adj, n), axis=(1, 2))
+    violations: set[int] = set()
+    for m in masks[~holds]:
+        if int(m) not in violations:
+            violations.update(_orbit(n, m).tolist())
+    reps, sizes = _orbit_classes(masks, n)
+    return reps, sizes, sorted(violations)
 
 
 def _solve(masks: np.ndarray, n: int):
@@ -335,8 +390,7 @@ def _solve(masks: np.ndarray, n: int):
 class _Classes:
     """The isomorphism classes of the connected diameter>3 graphs on n vertices."""
 
-    masks: np.ndarray               # every labeled member, ascending
-    index: np.ndarray               # the class of each labeled member
+    n: int
     reps: np.ndarray                # the smallest member of each class, ascending
     sizes: np.ndarray               # labeled members per class
     l1: np.ndarray                  # lambda_1 of D(G^c) per class
@@ -344,29 +398,47 @@ class _Classes:
     q1: np.ndarray                  # labeled members with q = 1 per class
     summary: dict                   # what class_scan returns
 
+    @cached_property
+    def _labeled(self) -> tuple[np.ndarray, np.ndarray]:
+        orbits = [_orbit(self.n, r) for r in self.reps]
+        masks = np.concatenate(orbits)
+        masks.sort()
+        index = np.empty(len(masks), dtype=np.int32)
+        for k, orbit in enumerate(orbits):
+            index[np.searchsorted(masks, orbit)] = k
+        return masks, index
+
+    @property
+    def masks(self) -> np.ndarray:
+        """Every labeled member, ascending, built from the class orbits on first use."""
+        return self._labeled[0]
+
+    @property
+    def index(self) -> np.ndarray:
+        """The class of each labeled member."""
+        return self._labeled[1]
+
 
 _SCAN_CACHE: dict[int, _Classes] = {}
 
 
-def class_scan(n: int, workers: int = 1) -> dict:
+def class_scan(n: int) -> dict:
     """Labeled counts over all connected diameter>3 graphs on n vertices.
 
-    The labeled graphs are filtered chunk by chunk (in `workers` processes),
-    the survivors are partitioned into S_n orbits, and D(G^c) is solved once
-    per orbit; a class whose least eigenvalue is degenerate has its members
-    solved one by one, since q is not a class invariant there.  The summary
-    holds the class size, the Lemma 2.1 violations, the q histogram, the
-    degenerate count and the q = 1 count, every count over labeled graphs.
-    The per-class record, which the claim checkers read, is `_classes(n)`.
+    The classes are generated one vertex at a time (`_generate`), without
+    visiting the labeled graphs, and D(G^c) is solved once per class; a
+    class whose least eigenvalue is degenerate has its members solved one
+    by one, since q is not a class invariant there.  The summary holds the
+    class size, the Lemma 2.1 violations, the q histogram, the degenerate
+    count and the q = 1 count, every count over labeled graphs.  The
+    per-class record, which the claim checkers read, is `_classes(n)`.
     """
     if not 5 <= n <= 8:
         raise ValueError("exhaustive scans support 5 <= n <= 8")
     hit = _SCAN_CACHE.get(n)
     if hit is not None:
         return hit.summary
-    chunks = _map_chunks(_filter_chunk, n, workers)
-    masks = np.concatenate([m for m, _ in chunks])
-    reps, index, sizes = _orbit_partition(masks, n)
+    reps, sizes, violations = _generate(n)
     w, q, degenerate = _solve(reps, n)
     # q is a class invariant only where the least eigenvalue is simple; the
     # members of a degenerate class are solved one by one
@@ -376,25 +448,25 @@ def class_scan(n: int, workers: int = 1) -> dict:
         hist[int(q[k])] += int(sizes[k])
     degenerate_count = 0
     for k in np.flatnonzero(degenerate):
-        _, mq, mdeg = _solve(np.unique(_orbit_masks(n, reps[k])), n)
+        _, mq, mdeg = _solve(_orbit(n, reps[k]), n)
         degenerate_count += int(mdeg.sum())
         hist.update(mq.tolist())
         q1[k] = int((mq == 1).sum())
     summary = {
         "n": n,
-        "count": len(masks),
-        "lemma21_violations": sorted(v for _, bad in chunks for v in bad),
+        "count": int(sizes.sum()),
+        "lemma21_violations": violations,
         "q_hist": dict(sorted(hist.items())),
         "degenerate": degenerate_count,
         "q1_count": int(q1.sum()),
     }
-    _SCAN_CACHE[n] = _Classes(masks, index, reps, sizes, w[:, -1], w[:, 0], q1, summary)
+    _SCAN_CACHE[n] = _Classes(n, reps, sizes, w[:, -1], w[:, 0], q1, summary)
     return summary
 
 
-def _classes(n: int, workers: int = 1) -> _Classes:
-    """The class partition at order n, scanned by class_scan on first use."""
-    class_scan(n, workers)
+def _classes(n: int) -> _Classes:
+    """The class record at order n, built by class_scan on first use."""
+    class_scan(n)
     return _SCAN_CACHE[n]
 
 
@@ -563,10 +635,10 @@ class _Extremum:
         return None if self.runner_up is None else abs(self.runner_up - self.value)
 
 
-def _class_extremum(n: int, objective: str, workers: int = 1) -> _Extremum:
+def _class_extremum(n: int, objective: str) -> _Extremum:
     if objective not in ("min_l1", "max_l1", "min_ln", "max_ln"):
         raise ValueError(f"unknown objective {objective!r}")
-    classes = _classes(n, workers)
+    classes = _classes(n)
     values = classes.l1 if objective.endswith("l1") else classes.ln
     cluster = _cluster(values, np.arange(len(values)), objective[:3])
     ids = [k for _, k in cluster["pairs"]]      # (value, rep) order: reps ascend
@@ -601,9 +673,9 @@ def _sample_extremum(n: int, graphs: list[Graph], values: dict, objective: str) 
     )
 
 
-def scan_extremal(n: int, objective: str, workers: int = 1) -> VerificationReport:
+def scan_extremal(n: int, objective: str) -> VerificationReport:
     """Extremal value of lambda_1 or lambda_n of D(G^c) over the class."""
-    ext = _class_extremum(n, objective, workers)
+    ext = _class_extremum(n, objective)
     return VerificationReport(
         claim_id=f"scan:{objective}",
         status="confirmed",
@@ -710,10 +782,10 @@ def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
     )
 
 
-def check_theorem(tid: str, n: int, workers: int = 1) -> VerificationReport:
+def check_theorem(tid: str, n: int) -> VerificationReport:
     """Exhaustive check of one of the four extremal theorems at order n."""
     tid = _theorem_order_guard(tid, n)
-    return _theorem_verdict(tid, n, _class_extremum(n, _THEOREMS[tid][0], workers))
+    return _theorem_verdict(tid, n, _class_extremum(n, _THEOREMS[tid][0]))
 
 
 def check_theorem_on_values(tid: str, n: int, graphs: list[Graph],
@@ -751,7 +823,7 @@ def _escalate_margin(margin: float | None, graphs, bound_graph: Graph, side: str
 
 def _lemma_2_1(n: int, workers: int = 1) -> VerificationReport:
     """Distance/complement identity (diam>3) and inequality (diam=3)."""
-    scan = class_scan(n, workers=workers)
+    scan = class_scan(n)
     ident_bad = scan["lemma21_violations"]
     ineq = _lemma21_diam3_scan(n, workers)
     status = "confirmed" if not ident_bad and not ineq["violations"] else "refuted"
@@ -844,13 +916,13 @@ def _lemma_2_3(n: int) -> VerificationReport:
     )
 
 
-def _lemma_2_5(n: int, workers: int = 1) -> VerificationReport:
+def _lemma_2_5(n: int) -> VerificationReport:
     """Measured direction of lambda_1(G^c) under edge deletion keeping diam>3.
 
     Every labeled pair (G, G - e) with both graphs in the class counts; each
     graph's lambda_1 is its class's.
     """
-    classes = _classes(n, workers)
+    classes = _classes(n)
     masks = classes.masks
     graph, edge, minus = [], [], []           # (G, e, G - e) with G - e in the class
     for e in range(n * (n - 1) // 2):
@@ -893,13 +965,12 @@ def _lemma_2_5(n: int, workers: int = 1) -> VerificationReport:
     )
 
 
-def _lemma_2_6(n: int, samples: int = 200, trees_per_graph: int = 3,
-               workers: int = 1) -> VerificationReport:
+def _lemma_2_6(n: int, samples: int = 200, trees_per_graph: int = 3) -> VerificationReport:
     """lambda_1(G^c) >= lambda_1(T^c) over seeded random spanning trees.
 
     The graphs are every stride-th labeled class member in ascending mask order.
     """
-    masks = _classes(n, workers).masks
+    masks = _classes(n).masks
     rng = random.Random(20240 + n)
     stride = max(1, len(masks) // samples)
     worst = None
@@ -1139,13 +1210,13 @@ def _lemma_3_6(p_max: int = 12) -> VerificationReport:
     )
 
 
-def _lemma_3_9(n: int, n_max: int = 20, workers: int = 1) -> VerificationReport:
+def _lemma_3_9(n: int, n_max: int = 20) -> VerificationReport:
     """q=1 bound by lambda_n(L'^c) plus the L'' vs L' comparison.
 
     The L''-vs-L' sub-claim is measured; exact computation shows it holds
     in the direction opposite to the printed one at every order.
     """
-    classes = _classes(n, workers)
+    classes = _classes(n)
     bound = _family_spectrum("Lprime", (n,)).lambda_n
     notes = [f"q histogram at n={n}: {classes.summary['q_hist']}"]
     counterexamples: list[str] = []
@@ -1293,9 +1364,9 @@ def check_lemma(claim_id: str, n: int | None = None, p_max: int = 12,
     if claim_id == "2.3":
         return _lemma_2_3(n or 12)
     if claim_id == "2.5":
-        return _lemma_2_5(n or 6, workers)
+        return _lemma_2_5(n or 6)
     if claim_id == "2.6":
-        return _lemma_2_6(n or 7, workers=workers)
+        return _lemma_2_6(n or 7)
     if claim_id == "2.7":
         return _lemma_2_7(n or 9)
     if claim_id == "3.1":
@@ -1307,7 +1378,7 @@ def check_lemma(claim_id: str, n: int | None = None, p_max: int = 12,
     if claim_id == "3.6":
         return _lemma_3_6(p_max)
     if claim_id == "3.9":
-        return _lemma_3_9(n or 7, workers=workers)
+        return _lemma_3_9(n or 7)
     if claim_id == "3.11":
         return _lemma_3_11(p_max)
     if claim_id == "3.12":
@@ -1324,5 +1395,5 @@ def run_claim(claim_id: str, n: int | None = None, p_max: int = 12,
         raise ValueError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     if claim_id.startswith("T"):
         default_n = 7
-        return check_theorem(claim_id, n or default_n, workers=workers)
+        return check_theorem(claim_id, n or default_n)
     return check_lemma(claim_id, n=n, p_max=p_max, workers=workers)

@@ -196,21 +196,27 @@ def test_spectrum_solves_each_graph_once(capsys, monkeypatch):
     from cdspectra import verify
     from cdspectra.graphcore import from_edge_mask, to_graph6
     reps = [to_graph6(from_edge_mask(7, int(m))) for m in verify._classes(7).reps]
-    calls = []
-    real = verify.sym_eigenvalues
+    calls, stacks = [], []
+    real, real_stack = verify.sym_eigenvalues, cli.sym_spectra
 
     def counted(m):
         calls.append(m)
         return real(m)
 
+    def counted_stack(stack):
+        stacks.append(len(stack))
+        return real_stack(stack)
+
     monkeypatch.setattr(verify, "sym_eigenvalues", counted)
     monkeypatch.setattr(cli, "sym_eigenvalues", counted)
+    monkeypatch.setattr(cli, "sym_spectra", counted_stack)
     code, out, _ = run_cli(capsys, "spectrum", stdin="\n".join(reps) + "\n",
                            monkeypatch=monkeypatch)
     assert code == 0
     recs = [json.loads(line) for line in out.splitlines()]
     assert [r["graph6"] for r in recs] == reps
-    assert len(calls) == 92
+    # all 92 graphs in one stacked solve, and none on its own
+    assert stacks == [92] and calls == []
     # the sign partition read from the shared spectrum is the standalone one
     for rec, text in zip(recs[:5], reps):
         part = verify.sign_partition(from_graph6(text))
@@ -267,6 +273,41 @@ def test_verify_lemma_2_3_below_its_first_step_is_usage_error(capsys):
     assert code == 0 and json.loads(out)["status"] == "confirmed"
 
 
+def test_spectrum_stdin_batch_equals_per_graph_records(capsys, monkeypatch):
+    # orders 2..9 mixed, with bad lines and disconnected graphs and complements,
+    # cut into kernel blocks of a few graphs each
+    import random
+
+    from cdspectra import verify
+    from cdspectra.graphcore import from_edge_mask, to_graph6
+    rng = random.Random(5)
+    lines = [to_graph6(from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
+             for n in rng.choices(range(2, 10), k=120)]
+    lines += [to_graph6(build_path(n)) for n in range(1, 10)]
+    lines += ["", "not_g6", "FZ?Z", "  ", "~??~"]
+    rng.shuffle(lines)
+    monkeypatch.setattr(verify, "STREAM_BLOCK_ENTRIES", 4 * 49)
+    got = cli._stream_records(line + "\n" for line in lines)
+    want = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                want.append(cli._graph_record(f"line {lineno}", from_graph6(line)))
+            except ValueError as exc:
+                want.append({"line": lineno, "error": str(exc)})
+    assert [cli.to_json(r) for r in got] == [cli.to_json(r) for r in want]
+    # the stream holds both kinds of record
+    assert 20 < sum("error" in r for r in got) < len(got) - 20
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_verify_workers_below_one_is_usage_error(capsys, workers):
+    code, out, err = run_cli(capsys, "verify", "--claims", "T2.8", "--n", "6",
+                             "--workers", workers)
+    assert code == 1 and out == ""
+    assert err == f"error: --workers must be at least 1, got {workers}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("3.11", "--p-max", "3"),
     ("3.4", "--p-max", "2"),
@@ -305,7 +346,6 @@ def test_json_formatting_fixed_digits():
         cli.to_json(object())
 
 
-@pytest.mark.slow
 def test_verify_theorems_exhaustive_n8(capsys, monkeypatch):
     from cdspectra import verify
     monkeypatch.setattr(verify, "_SCAN_CACHE", {})

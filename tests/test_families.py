@@ -1,12 +1,12 @@
 """Family constructors: orders, edge counts, diameters, symmetries."""
 
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from cdspectra.families import (
     FAMILIES,
-    FamilySpec,
     build_B1,
     build_B2,
     build_H,
@@ -19,7 +19,25 @@ from cdspectra.families import (
     build_path,
     build_star,
 )
-from cdspectra.graphcore import complement, diameter, is_connected, is_isomorphic
+from cdspectra.graphcore import Graph, complement, diameter, is_connected, is_isomorphic
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """A family name plus its integer parameters, resolvable to a Graph."""
+
+    family_id: str
+    params: tuple[int, ...]
+
+    def build(self) -> Graph:
+        return FAMILIES[self.family_id].build(*self.params)
+
+    @property
+    def order(self) -> int:
+        return FAMILIES[self.family_id].order(*self.params)
+
+    def label(self) -> str:
+        return f"{self.family_id}({','.join(str(p) for p in self.params)})"
 
 
 def test_path_and_star():

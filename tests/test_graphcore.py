@@ -1,6 +1,7 @@
 """Graph representation, graph6 codec, BFS metrics, isomorphism."""
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from cdspectra.graphcore import (
     TooLarge,
     adjacency_matrix,
     adjacency_stack,
-    all_relabelings,
     complement,
     diameter,
     distance_matrices,
@@ -29,6 +29,12 @@ from cdspectra.graphcore import (
     to_graph6,
 )
 from cdspectra.families import build_B2, build_H, build_path, build_star
+
+
+def all_relabelings(g: Graph):
+    """Every labeled copy of g (factorial in n)."""
+    for perm in permutations(range(g.n)):
+        yield relabel(g, perm)
 
 
 def test_graph6_format_defined_examples():

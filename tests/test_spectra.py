@@ -26,13 +26,31 @@ from cdspectra.spectra import (
     certify_root_order,
     char_poly_exact,
     extreme_root_bracket,
-    poly_from_roots,
     sturm_real_roots,
     sym_eigenvalues,
-    verify_eigenpair,
+    sym_spectra,
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def verify_eigenpair(m, lam: float, x) -> float:
+    """Max-norm residual max_i |lam*x_i - (M x)_i|."""
+    a = np.asarray(m, dtype=np.float64)
+    v = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if v.shape != (a.shape[0],):
+        raise ValueError(f"vector length {v.shape} does not match matrix order {a.shape[0]}")
+    return float(np.abs(lam * v - a @ v).max())
+
+
+def poly_from_roots(roots) -> IntPolynomial:
+    """Monic integer polynomial with the given integer roots."""
+    p = IntPolynomial((1,))
+    for r in roots:
+        p = p * IntPolynomial((-int(r), 1))
+    return p
 
 
 def test_eigenvalues_single_edge():
@@ -63,6 +81,36 @@ def test_eigen_requires_symmetric_square():
         sym_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         sym_eigenvalues(np.zeros((2, 3)))
+
+
+def _ref_sym_eigenvalues(a: np.ndarray):
+    """One matrix solved alone, normalised as the spectrum record specifies."""
+    values, vec = np.linalg.eigh(a)
+    values, vec = values[::-1].copy(), vec[:, ::-1].copy()
+    cols = np.arange(a.shape[0])
+    vec[:, vec[np.argmax(np.abs(vec), axis=0), cols] < 0] *= -1.0
+    return values, vec
+
+
+def test_stacked_spectra_are_bitwise_the_per_matrix_ones():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 16):
+        m = rng.integers(-3, 4, size=(40, n, n)).astype(float)
+        m = m + m.swapaxes(1, 2)
+        m[:5] = 0.0                         # repeated eigenvalues, where signs are fragile
+        stacked = sym_spectra(m)
+        assert len(stacked) == 40
+        for a, s in zip(m, stacked):
+            values, vec = _ref_sym_eigenvalues(a)
+            assert s.values.tobytes() == values.tobytes()
+            assert s.vectors.tobytes() == vec.tobytes()
+            assert s.max_residual < 1e-10
+            assert sym_eigenvalues(a).vectors.tobytes() == vec.tobytes()
+    assert sym_spectra(np.zeros((0, 4, 4))) == []
+    with pytest.raises(ValueError):
+        sym_spectra(np.array([[[0.0, 1.0], [2.0, 0.0]]]))
+    with pytest.raises(ValueError):
+        sym_spectra(np.zeros((2, 3)))
 
 
 def test_trace_and_frobenius_invariants():

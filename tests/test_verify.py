@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import math
 import random
+from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from cdspectra.graphcore import (
     distance_matrix,
     from_edge_mask,
     from_graph6,
+    g6_pairs,
     is_connected,
     is_isomorphic,
     relabel,
@@ -447,6 +450,7 @@ def test_orbit_contains_every_relabeling(data):
     orbit = set(verify._orbit_masks(n, mask).tolist())
     assert mask in orbit
     assert to_edge_mask(relabel(from_edge_mask(n, mask), perm)) in orbit
+    assert verify._orbit(n, mask).tolist() == sorted(orbit)
 
 
 def test_t28_near_tie_decided_by_exact_recheck(monkeypatch):
@@ -628,17 +632,53 @@ def test_relabeled_survivor_stays_in_its_class(data):
     assert part.index[j] == part.index[i]
 
 
-def test_class_scan_same_for_any_worker_count(monkeypatch):
-    one = verify.class_scan(6, workers=1)
-    part = verify._classes(6)
-    # smaller chunks, so the six-vertex scan spreads over several worker tasks
-    monkeypatch.setattr(verify, "_SCAN_CACHE", {})
+class _StubPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def stub_pool(monkeypatch) -> list:
+    """The max_workers of every pool started while the test runs."""
+    monkeypatch.setattr(_StubPool, "started", [])
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _StubPool)
+    return _StubPool.started
+
+
+def test_class_scan_same_for_any_worker_count(monkeypatch, stub_pool):
+    # the class record is generated in this process: a worker count starts no
+    # pool for the class claims, and cannot change their reports
     monkeypatch.setattr(verify, "CHUNK_BITS", 12)
-    assert verify._chunk_count(6) == 8
-    assert verify.class_scan(6, workers=2) == one
-    two = verify._classes(6)
-    for name in ("masks", "index", "reps", "sizes", "l1", "ln", "q1"):
-        assert np.array_equal(getattr(two, name), getattr(part, name)), name
+    for claim in ("T2.4", "T2.8", "T3.13", "3.9"):
+        monkeypatch.setattr(verify, "_SCAN_CACHE", {})
+        one = verify.run_claim(claim, n=7, workers=1).to_dict()
+        monkeypatch.setattr(verify, "_SCAN_CACHE", {})
+        assert verify.run_claim(claim, n=7, workers=2).to_dict() == one, claim
+    assert stub_pool == []
+
+
+def test_worker_pool_never_exceeds_the_chunk_count(monkeypatch, stub_pool):
+    monkeypatch.setattr(verify, "CHUNK_BITS", 9)
+    assert verify._chunk_count(5) == 2
+    assert verify._map_chunks(lambda n, i: (n, i), 5, 64) == [(5, 0), (5, 1)]
+    assert verify._map_chunks(lambda n, i: (n, i), 5, 1) == [(5, 0), (5, 1)]
+    monkeypatch.setattr(verify, "CHUNK_BITS", 12)
+    assert verify._lemma21_diam3_scan(6, workers=3) == verify._lemma21_diam3_scan(6)
+    # one process per chunk at most, and none for one worker
+    assert stub_pool == [2, 3]
 
 
 def test_near_tie_recheck_solves_one_graph_per_class(monkeypatch):
@@ -664,21 +704,13 @@ def test_lemma_2_5_example_pair_is_an_edge_deletion():
 
 
 def test_lemmas_2_5_and_2_6_scan_with_the_worker_pool(monkeypatch):
-    monkeypatch.setattr(verify, "CHUNK_BITS", 12)
-    started = []
-    real = verify.ProcessPoolExecutor
-
-    def pool(*args, **kwargs):
-        started.append(kwargs.get("max_workers"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", pool)
+    # the labeled members these lemmas read come from the class orbits, so one
+    # and two workers give the same reports
     for claim in ("2.5", "2.6"):
         monkeypatch.setattr(verify, "_SCAN_CACHE", {})
-        started.clear()
-        rep = verify.check_lemma(claim, n=6, workers=2)
-        assert started == [2], claim
-        assert rep.to_dict() == verify.check_lemma(claim, n=6).to_dict(), claim
+        one = verify.check_lemma(claim, n=6, workers=1).to_dict()
+        monkeypatch.setattr(verify, "_SCAN_CACHE", {})
+        assert verify.check_lemma(claim, n=6, workers=2).to_dict() == one, claim
 
 
 def test_witnesses_list_every_class_of_the_cluster(monkeypatch):
@@ -705,3 +737,140 @@ def test_lemma_3_9_q1_class_above_the_bound_refutes(monkeypatch):
     assert rep.details["q1_count"] == part.sizes[k]
     assert rep.margin == pytest.approx(rep.extremal["ln_Lprime_c"] - part.ln[k], abs=1e-12)
     assert rep.margin < 0
+
+
+# --- the labeled scan, as an oracle for the generator --------------------------
+# The labeled path that built the class record before it was generated: filter
+# every labeled mask chunk by chunk, then partition the survivors into S_n orbits.
+
+
+@functools.cache
+def _ref_perm_edge_table(n: int) -> np.ndarray:
+    """Row k maps each edge index to its image under the k-th permutation of S_n."""
+    pairs = np.array(g6_pairs(n)).T
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    a, b = perms[:, pairs[0]], perms[:, pairs[1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return (hi * (hi - 1) // 2 + lo).astype(np.uint32)
+
+
+def _ref_orbit_masks(n: int, mask) -> np.ndarray:
+    table = _ref_perm_edge_table(n)
+    bits = (np.uint32(mask) >> np.arange(table.shape[1], dtype=np.uint32)) & np.uint32(1)
+    return (bits << table).sum(axis=1, dtype=np.uint32)
+
+
+def _ref_filter_chunk(n: int, index: int) -> tuple[np.ndarray, list[int]]:
+    """One chunk's class members and their Lemma 2.1 identity violations."""
+    masks, adj = verify._survivor_adj(verify._chunk_masks(n, index), n)
+    if len(masks) == 0:
+        return masks, []
+    d, covered = verify._complement_distances(adj, n)
+    assert covered.all()
+    expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
+    holds = np.all(d == expected[None, :, :] + verify._adjacency_tensor(adj, n), axis=(1, 2))
+    return masks, [int(m) for m in masks[~holds]]
+
+
+_REF_FREE_BLOCK = 1 << 14
+
+
+def _ref_orbit_partition(masks: np.ndarray, n: int):
+    """S_n orbits of the sorted class masks: (reps, index, sizes)."""
+    index = np.full(len(masks), -1, dtype=np.int32)
+    reps: list[int] = []
+    sizes: list[int] = []
+    k = 0
+    while k < len(masks):
+        free = np.flatnonzero(index[k:k + _REF_FREE_BLOCK] < 0)
+        if free.size == 0:
+            k += _REF_FREE_BLOCK
+            continue
+        k += int(free[0])
+        orbit = np.unique(_ref_orbit_masks(n, masks[k]))
+        pos = np.searchsorted(masks, orbit)
+        assert pos[-1] < len(masks) and np.array_equal(masks[pos], orbit)
+        index[pos] = len(reps)
+        reps.append(int(masks[k]))
+        sizes.append(len(orbit))
+    assert sum(sizes) == len(masks)
+    return np.array(reps, dtype=np.uint32), index, np.array(sizes, dtype=np.int64)
+
+
+@functools.cache
+def _ref_class_record(n: int) -> dict:
+    """Every _Classes field and the summary, from the labeled scan."""
+    chunks = [_ref_filter_chunk(n, i) for i in range(verify._chunk_count(n))]
+    masks = np.concatenate([m for m, _ in chunks])
+    reps, index, sizes = _ref_orbit_partition(masks, n)
+    w, q, degenerate = verify._solve(reps, n)
+    hist: Counter = Counter()
+    q1 = np.where(q == 1, sizes, 0)
+    for k in np.flatnonzero(~degenerate):
+        hist[int(q[k])] += int(sizes[k])
+    degenerate_count = 0
+    for k in np.flatnonzero(degenerate):
+        _, mq, mdeg = verify._solve(np.unique(_ref_orbit_masks(n, reps[k])), n)
+        degenerate_count += int(mdeg.sum())
+        hist.update(mq.tolist())
+        q1[k] = int((mq == 1).sum())
+    return {
+        "masks": masks, "index": index, "reps": reps, "sizes": sizes,
+        "l1": w[:, -1], "ln": w[:, 0], "q1": q1,
+        "summary": {
+            "n": n,
+            "count": len(masks),
+            "lemma21_violations": sorted(v for _, bad in chunks for v in bad),
+            "q_hist": dict(sorted(hist.items())),
+            "degenerate": degenerate_count,
+            "q1_count": int(q1.sum()),
+        },
+    }
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_generated_classes_equal_the_labeled_scan(n):
+    want = _ref_class_record(n)
+    part = verify._classes(n)
+    for name in ("masks", "index", "reps", "sizes", "l1", "ln", "q1"):
+        got = getattr(part, name)
+        assert got.dtype == want[name].dtype, name
+        assert got.tobytes() == want[name].tobytes(), name
+    assert part.summary == want["summary"]
+
+
+def test_generated_classes_n8():
+    part = verify._classes(8)
+    assert len(part.reps) == len(part.sizes) == 1165
+    assert np.all(part.reps[1:] > part.reps[:-1])
+    assert all(math.factorial(8) % int(s) == 0 for s in part.sizes)
+    assert int(part.sizes.sum()) == part.summary["count"] == 25_130_280
+    # each representative is the smallest member of its orbit, which has sizes[k] members
+    for r, s in zip(part.reps[::50], part.sizes[::50]):
+        orbit = verify._orbit(8, r)
+        assert orbit[0] == r and len(orbit) == s
+
+
+def test_lemma21_violation_lists_the_whole_orbit(monkeypatch):
+    # break D(G^c) on the paths P6 only: the generator meets two of P6's 360
+    # labelings, and the violations list all 360
+    real = verify._complement_distances
+    flagged = []
+
+    def broken(adj, n):
+        d, covered = real(adj, n)
+        degrees = np.unpackbits(adj[:, :, None], axis=2).sum(axis=2)
+        path = (degrees.max(axis=0) <= 2) & (degrees.sum(axis=0) == 2 * (n - 1))
+        flagged.append(int(path.sum()))
+        d[path, 0, 1] += 1
+        return d, covered
+
+    monkeypatch.setattr(verify, "_SCAN_CACHE", {})
+    monkeypatch.setattr(verify, "_complement_distances", broken)
+    scan = verify.class_scan(6)
+    p6 = sorted(to_edge_mask(relabel(build_path(6), perm)) for perm in permutations(range(6)))
+    assert scan["lemma21_violations"] == sorted(set(p6))
+    assert len(scan["lemma21_violations"]) == 360
+    assert 0 < flagged[0] < 360                 # the generated members, before expansion
+    rep = verify.check_lemma("2.1", n=6)
+    assert rep.status == "refuted" and rep.details["identity_violations"] == 360
