@@ -14,18 +14,18 @@ import sys
 
 import numpy as np
 
-from cdspectra import quotients, verify
+from cdspectra import verify
 from cdspectra.families import FAMILIES
 from cdspectra.graphcore import (
+    MAX_VERTICES,
     DisconnectedGraph,
     Graph,
-    Graph6Error,
-    adjacency_stack,
     complement,
+    decode_graph6_lines,
     diameter,
     distance_matrices,
     distance_matrix,
-    from_graph6,
+    graphs_from_stack,
     to_graph6,
 )
 from cdspectra.spectra import Spectrum, sym_eigenvalues, sym_spectra
@@ -128,27 +128,18 @@ def _graph_record(label: str, g: Graph, d: int | None = None,
 def _stream_records(lines) -> list[dict]:
     """One record per non-blank graph6 line, in line order.
 
-    Every line is decoded first.  Then each order's graphs go through the
+    Every line is decoded first, into one adjacency stack per order
+    (`decode_graph6_lines`).  Then each order's graphs go through the
     distance kernel in blocks, for their diameters and D(G^c), and each
     block is solved by one stacked `eigh` (`sym_spectra`).  A line that
     does not decode, or whose graph or complement is disconnected, gets an
     `error` record instead.
     """
-    records: dict[int, dict] = {}
-    by_order: dict[int, list[tuple[int, Graph]]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            g = from_graph6(line)
-        except Graph6Error as exc:
-            records[lineno] = {"line": lineno, "error": str(exc)}
-            continue
-        by_order.setdefault(g.n, []).append((lineno, g))
-    for n, items in by_order.items():
-        for block in verify._blocks(items, n):
-            adj = adjacency_stack([g for _, g in block])
+    orders, errors = decode_graph6_lines(lines)
+    records = {lineno: {"line": lineno, "error": message} for lineno, message in errors}
+    for n, (linenos, stack) in orders.items():
+        items = list(zip(linenos.tolist(), graphs_from_stack(stack)))
+        for block, adj in zip(verify._blocks(items, n), verify._blocks(stack, n)):
             d = distance_matrices(adj)
             dc = distance_matrices(1 - np.eye(n, dtype=np.int64) - adj)
             ok = (d.min(axis=(1, 2)) >= 0) & (dc.min(axis=(1, 2)) >= 0)
@@ -188,6 +179,8 @@ def cmd_poly(args) -> int:
             f"family {family!r} has no quotient model; "
             f"supported: {', '.join(sorted(QUOTIENT_PARAMS))}")
     params = _family_params(args, family, QUOTIENT_PARAMS[family])
+    from cdspectra import quotients     # imported here: no other command uses it
+
     try:
         rep = quotients.quotient_consistency(family, params, args.tol)
     except ValueError as exc:
@@ -248,6 +241,9 @@ def cmd_verify(args) -> int:
         raise SystemExit2("no claims given; use --claims id[,id...]")
     if args.workers < 1:
         raise SystemExit2(f"--workers must be at least 1, got {args.workers}")
+    # the grids' largest graphs have p + q vertices, and a Graph holds at most MAX_VERTICES
+    if args.p_max > MAX_VERTICES // 2:
+        raise SystemExit2(f"--p-max must be at most {MAX_VERTICES // 2}, got {args.p_max}")
     for c in claims:
         if c not in verify.CLAIM_IDS:
             raise SystemExit2(
@@ -324,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--n", type=int, default=None, help="order for scans")
     vp.add_argument("--p-max", type=int, default=12, help="grid upper bound for p")
     vp.add_argument("--workers", type=int, default=_default_workers(),
-                    help="worker processes for exhaustive scans "
+                    help="processes for Lemma 2.1's labeled diameter-3 scan "
                          "(default $CDSPECTRA_WORKERS or 1)")
     vp.add_argument("--stdin", action="store_true",
                     help="read class members as graph6 lines from stdin")

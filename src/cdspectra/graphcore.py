@@ -108,13 +108,16 @@ def to_edge_mask(g: Graph) -> int:
 # --- graph6 ----------------------------------------------------------------
 
 
+G6_HEADER = ">>graph6<<"
+
+
 def from_graph6(text: str) -> Graph:
     """Decode one graph6 record (n <= 64)."""
     s = text.strip()
+    if s.startswith(G6_HEADER):
+        s = s[len(G6_HEADER):]
     if not s:
         raise Graph6Error("empty graph6 record")
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
     data = [ord(c) - 63 for c in s]
     if any(not 0 <= d <= 63 for d in data):
         raise Graph6Error(f"character outside graph6 alphabet in {s!r}")
@@ -168,6 +171,86 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(out)
 
 
+def _graph6_error(text: str) -> str:
+    """The message `from_graph6` rejects a record with."""
+    try:
+        from_graph6(text)
+    except Graph6Error as exc:
+        return str(exc)
+    raise AssertionError(f"the batch decoder rejected the valid record {text!r}")
+
+
+def decode_graph6_lines(lines) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]],
+                                       list[tuple[int, str]]]:
+    """Decode the graph6 lines of a stream together, with no `Graph` per line.
+
+    Lines are numbered from 1, and blank ones are skipped.  The records of
+    one length become one uint8 array, whose alphabet, order field, length
+    and zero padding are checked in vectorised form; each order's records
+    then become one (m, n, n) uint8 adjacency stack, as `distance_matrices`
+    takes it.  Returns (orders, errors): `orders` maps each vertex count to
+    the line numbers of its records, ascending, and their adjacency stack;
+    `errors` holds (line number, `from_graph6`'s message) for every line
+    that `from_graph6` rejects, in line order.
+    """
+    numbers: list[int] = []             # the line number of each non-blank line
+    texts: list[str] = []               # the line, stripped
+    records: list[str] = []             # the stripped line without its header
+    by_length: dict[int, list[int]] = {}    # record length -> indices into texts
+    bad: list[int] = []
+    for lineno, line in enumerate(lines, start=1):
+        s = line.strip()
+        if not s:
+            continue
+        rec = s[len(G6_HEADER):] if s.startswith(G6_HEADER) else s
+        if rec and rec.isascii():
+            by_length.setdefault(len(rec), []).append(len(texts))
+        else:
+            bad.append(len(texts))
+        numbers.append(lineno)
+        texts.append(s)
+        records.append(rec)
+    parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for length, index in by_length.items():
+        data = np.frombuffer("".join([records[k] for k in index]).encode("ascii"), dtype=np.uint8)
+        index = np.array(index)
+        data = data.reshape(len(index), length).astype(np.int64) - 63
+        ok = ((data >= 0) & (data <= 63)).all(axis=1)
+        n = data[:, 0].copy()
+        head = np.ones(len(index), dtype=np.int64)
+        if length >= 4:
+            # the 4-byte order field; an 8-byte one gives n >= 63 << 12
+            wide = n == 63
+            n[wide] = (data[wide, 1] << 12) | (data[wide, 2] << 6) | data[wide, 3]
+            head[wide] = 4
+        # a shorter "~" record reads as n = 63, whose length check fails
+        ok &= (n >= 1) & (n <= MAX_VERTICES) & (head + (n * (n - 1) // 2 + 5) // 6 == length)
+        bad += index[~ok].tolist()
+        for order, h in sorted(set(zip(n[ok].tolist(), head[ok].tolist()))):
+            rows = np.flatnonzero(ok & (n == order) & (head == h))
+            body = data[rows, h:].astype(np.uint8)
+            # six bits per character, most significant first
+            bits = np.unpackbits(body[:, :, None], axis=2)[:, :, 2:].reshape(len(rows), -1)
+            nbits = order * (order - 1) // 2
+            padded = bits[:, nbits:].any(axis=1)
+            bad += index[rows[padded]].tolist()
+            if padded.all():
+                continue
+            bits = bits[~padded, :nbits]
+            adj = np.zeros((len(bits), order, order), dtype=np.uint8)
+            hi, lo = np.tril_indices(order, -1)     # g6_pairs order: (lo, hi) by hi, then lo
+            adj[:, lo, hi] = bits
+            adj[:, hi, lo] = bits
+            parts.setdefault(order, []).append((index[rows[~padded]], adj))
+    orders = {}
+    for order in sorted(parts):
+        index = np.concatenate([k for k, _ in parts[order]])
+        line_order = np.argsort(index)
+        orders[order] = (np.array(numbers)[index[line_order]],
+                         np.concatenate([a for _, a in parts[order]])[line_order])
+    return orders, [(numbers[k], _graph6_error(texts[k])) for k in sorted(bad)]
+
+
 # --- basic operations -------------------------------------------------------
 
 
@@ -182,6 +265,15 @@ def adjacency_stack(graphs) -> np.ndarray:
     rows = np.array([g.adj for g in graphs], dtype=np.uint64)
     bits = np.arange(n, dtype=np.uint64)
     return ((rows[:, :, None] >> bits) & np.uint64(1)).astype(np.int64)
+
+
+def graphs_from_stack(adj) -> list[Graph]:
+    """Same-order graphs from their stacked 0/1 adjacency matrices (m, n, n):
+    the inverse of `adjacency_stack`."""
+    n = adj.shape[-1]
+    rows = (np.asarray(adj, dtype=np.uint64) << np.arange(n, dtype=np.uint64)).sum(
+        axis=-1, dtype=np.uint64)
+    return [Graph(n, tuple(r)) for r in rows.tolist()]
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

@@ -38,9 +38,6 @@ from cdspectra.spectra import (
     sym_eigenvalues,
 )
 
-QUOTIENT_FAMILIES = ("H", "B1", "B2", "T", "L", "Lprime", "Ldprime")
-
-
 class UnsupportedFamily(ValueError):
     """No quotient model is defined for this family."""
 
@@ -92,21 +89,6 @@ def quotient_from_partition(dmat: np.ndarray, classes: list[list[int]]) -> np.nd
                 raise ValueError(f"partition not equitable between classes {i} and {j}: {sums}")
             out[i, j] = sums.pop()
     return out
-
-
-def quotient_matrix(family_id: str, params) -> np.ndarray:
-    """The family's integer divisor matrix, derived from the graph itself.
-
-    For H, B2, T, L and L' this reproduces the printed closed-form matrix
-    (checked by `printed_quotient_matrix` consumers); B1 and L'' have no
-    printed matrix and are defined by their orbit partitions.
-    """
-    params = tuple(int(p) for p in params)
-    if family_id not in QUOTIENT_FAMILIES:
-        raise UnsupportedFamily(f"no quotient model for family {family_id!r}")
-    g = _build(family_id, params)
-    dc = distance_matrix(complement(g))
-    return quotient_from_partition(dc, _classes(family_id, params))
 
 
 def printed_quotient_matrix(family_id: str, params) -> np.ndarray | None:

@@ -14,29 +14,20 @@ labeled chunks of Lemma 2.1's diameter-3 half.  A witness is the smallest
 edge mask of its class, a labeling that does not depend on eigensolver
 rounding.
 
-Every lemma and theorem checker returns a VerificationReport whose status
-is measured, never assumed: claims that fail are `refuted` with witnesses,
-claims whose true direction opposes the stated one are
-`confirmed-with-reversed-direction`.
+Every theorem checker here, and every lemma checker in `lemmas`, returns
+a VerificationReport whose status is measured, never assumed: claims that
+fail are `refuted` with witnesses, claims whose true direction opposes the
+stated one are `confirmed-with-reversed-direction`.
 """
 
-import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import permutations, repeat
 
 import numpy as np
 
-from cdspectra import quotients
-from cdspectra.families import (
-    FAMILIES,
-    build_T1,
-    build_T2,
-    build_path,
-    build_star,
-)
+from cdspectra.families import FAMILIES
 from cdspectra.graphcore import (
     ISO_MAX_VERTICES,
     DisconnectedGraph,
@@ -44,12 +35,12 @@ from cdspectra.graphcore import (
     Graph6Error,
     adjacency_stack,
     complement,
+    decode_graph6_lines,
     distance_matrices,
     distance_matrix,
     from_edge_mask,
-    from_edges,
-    from_graph6,
     g6_pairs,
+    graphs_from_stack,
     is_isomorphic,
     to_graph6,
 )
@@ -250,6 +241,9 @@ def _map_chunks(fn, n: int, workers: int) -> list:
     processes and never in more processes than there are chunks."""
     indices = range(_chunk_count(n))
     if workers > 1 and len(indices) > 1:
+        # imported here: only Lemma 2.1's diameter-3 scan starts a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(indices))) as pool:
             return list(pool.map(fn, repeat(n), indices))
     return [fn(n, i) for i in indices]
@@ -277,14 +271,21 @@ def _orbit_masks(n: int, mask) -> np.ndarray:
     return _perm_edge_bits(n)[edges].sum(axis=0, dtype=np.uint32)
 
 
-def _orbit(n: int, mask) -> np.ndarray:
-    """The distinct relabelings of the graph `mask`, ascending.
+def _distinct(masks: np.ndarray) -> np.ndarray:
+    """The distinct entries of `masks`, flattened and ascending.
 
     A sort and a neighbour compare: `np.unique` takes several times longer
-    on these arrays of n! uint32 masks.
+    on these uint32 mask arrays, and loads `numpy.ma` on its first call.
     """
-    images = np.sort(_orbit_masks(n, mask))
-    return images[np.r_[True, images[1:] != images[:-1]]]
+    out = np.sort(masks, axis=None)
+    keep = np.ones(len(out), dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+def _orbit(n: int, mask) -> np.ndarray:
+    """The distinct relabelings of the graph `mask`, ascending."""
+    return _distinct(_orbit_masks(n, mask))
 
 
 def _extend(parents: np.ndarray, k: int) -> np.ndarray:
@@ -295,7 +296,7 @@ def _extend(parents: np.ndarray, k: int) -> np.ndarray:
     is its parent's mask with the neighbourhood shifted above it.
     """
     hoods = np.arange(1, 1 << k, dtype=np.uint32) << np.uint32(k * (k - 1) // 2)
-    return np.unique(parents[:, None] | hoods[None, :])
+    return _distinct(parents[:, None] | hoods[None, :])
 
 
 def _orbit_classes(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -476,24 +477,24 @@ def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
     Internal exhaustive enumeration runs for 5 <= n <= 8; alternatively an
     iterable of graph6 lines can be ingested (any order <= 64), in which
     case graphs failing the class conditions are skipped.  A stream is
-    decoded whole, then filtered in one batch per order by the distance
-    kernel, and its members reach `sink` in line order.
+    decoded whole into one adjacency stack per order (`decode_graph6_lines`),
+    and the first malformed line raises its line-numbered Graph6Error.
+    Each stack is filtered by the distance kernel, a `Graph` is built for
+    the members only, and they reach `sink` in line order.
     """
     if source is not None:
-        graphs = []
-        for lineno, line in enumerate(source, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                g = from_graph6(line)
-            except Graph6Error as exc:
-                raise Graph6Error(f"line {lineno}: {exc}") from exc
-            if n is None or g.n == n:
-                graphs.append(g)
-        members = [g for g, keep in zip(graphs, _class_members(graphs)) if keep]
+        orders, errors = decode_graph6_lines(source)
+        if errors:
+            lineno, message = errors[0]
+            raise Graph6Error(f"line {lineno}: {message}")
+        members: list[tuple[int, Graph]] = []
+        for order, (linenos, adj) in orders.items():
+            if n is None or order == n:
+                keep = _class_members(adj)
+                members += zip(linenos[keep].tolist(), graphs_from_stack(adj[keep]))
+        members.sort(key=lambda item: item[0])
         if sink is not None:
-            for g in members:
+            for _, g in members:
                 sink(g)
         return len(members)
     if n is None or not 5 <= n <= 8:
@@ -508,24 +509,21 @@ def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
     return count
 
 
-def _blocks(items: list, n: int) -> list[list]:
-    """`items` in runs of at most STREAM_BLOCK_ENTRIES / n^2, so that one
-    run's (m, n, n) tensors stay small at any order."""
+def _blocks(items, n: int) -> list:
+    """`items`, a list or an array, in runs of at most STREAM_BLOCK_ENTRIES / n^2,
+    so that one run's (m, n, n) tensors stay small at any order."""
     size = max(1, STREAM_BLOCK_ENTRIES // (n * n))
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _class_members(graphs: list[Graph]) -> np.ndarray:
-    """Which graphs are connected with diameter > 3, by the distance kernel per order."""
-    keep = np.zeros(len(graphs), dtype=bool)
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    for order, index in by_order.items():
-        for block in _blocks(index, order):
-            d = distance_matrices(adjacency_stack([graphs[i] for i in block]))
-            keep[block] = (d.min(axis=(1, 2)) >= 0) & (d.max(axis=(1, 2)) > 3)
-    return keep
+def _class_members(adj: np.ndarray) -> np.ndarray:
+    """Which graphs of a same-order adjacency stack are connected with
+    diameter > 3, by the distance kernel in blocks."""
+    keep = []
+    for block in _blocks(adj, adj.shape[-1]):
+        d = distance_matrices(block)
+        keep.append((d.min(axis=(1, 2)) >= 0) & (d.max(axis=(1, 2)) > 3))
+    return np.concatenate(keep)
 
 
 # --- witness handling ---------------------------------------------------------
@@ -673,20 +671,6 @@ def _sample_extremum(n: int, graphs: list[Graph], values: dict, objective: str) 
     )
 
 
-def scan_extremal(n: int, objective: str) -> VerificationReport:
-    """Extremal value of lambda_1 or lambda_n of D(G^c) over the class."""
-    ext = _class_extremum(n, objective)
-    return VerificationReport(
-        claim_id=f"scan:{objective}",
-        status="confirmed",
-        params={"n": n, "objective": objective},
-        extremal={objective: ext.value},
-        witnesses=[to_graph6(g) for g in ext.witnesses],
-        margin=ext.margin,
-        details=ext.details,
-    )
-
-
 def _balanced_H(n: int):
     s = (n - 2) // 2
     return s, n - 2 - s
@@ -818,574 +802,18 @@ def _escalate_margin(margin: float | None, graphs, bound_graph: Graph, side: str
     return orders
 
 
-# --- lemma checks --------------------------------------------------------------
-
-
-def _lemma_2_1(n: int, workers: int = 1) -> VerificationReport:
-    """Distance/complement identity (diam>3) and inequality (diam=3)."""
-    scan = class_scan(n)
-    ident_bad = scan["lemma21_violations"]
-    ineq = _lemma21_diam3_scan(n, workers)
-    status = "confirmed" if not ident_bad and not ineq["violations"] else "refuted"
-    return VerificationReport(
-        claim_id="2.1", status=status, params={"n": n},
-        counterexamples=[to_graph6(from_edge_mask(n, m)) for m in ident_bad]
-        + [to_graph6(from_edge_mask(n, m)) for m in ineq["violations"]],
-        notes=[
-            f"diam>3: identity D(G^c) = J - I + A(G) checked on {scan['count']} graphs",
-            f"diam=3: entrywise >= checked on {ineq['count']} graphs "
-            f"({ineq['complement_not_small']} with complement outside diameter<=3)",
-        ],
-        details={
-            "class_size_diam_gt3": scan["count"],
-            "identity_violations": len(ident_bad),
-            "diam3_count": ineq["count"],
-            "inequality_violations": len(ineq["violations"]),
-            "diam3_complement_exceptions": ineq["complement_not_small"],
-        },
-    )
-
-
-def _diam3_chunk(n: int, index: int) -> tuple[int, int, list[int]]:
-    """One chunk's diameter-exactly-3 graphs: how many have a complement of
-    diameter <= 3, how many do not, and which of the former violate
-    D(G^c) >= J - I + A(G) entrywise."""
-    full = np.uint8((1 << n) - 1)
-    masks = _chunk_masks(n, index)
-    adj = _adj_rows(masks, n)
-    b2 = _ball_radius(adj, n, 2)
-    b3 = _expand_all(b2, adj, n)
-    # every radius-3 ball full already implies connected
-    diam3 = ((np.bitwise_and.reduce(b3, axis=0) == full)
-             & (np.bitwise_and.reduce(b2, axis=0) != full))
-    masks, adj = masks[diam3], adj[:, diam3]
-    if len(masks) == 0:
-        return 0, 0, []
-    d, covered = _complement_distances(adj, n)
-    masks, adj, d = masks[covered], adj[:, covered], d[covered]
-    amat = _adjacency_tensor(adj, n)
-    expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-    ok = np.all(d >= expected[None, :, :] + amat, axis=(1, 2))
-    return len(masks), int((~covered).sum()), [int(m) for m in masks[~ok]]
-
-
-def _lemma21_diam3_scan(n: int, workers: int = 1) -> dict:
-    """Entrywise D(G^c) >= J - I + A(G) over all diameter-exactly-3 graphs."""
-    chunks = _map_chunks(_diam3_chunk, n, workers)
-    return {
-        "count": sum(count for count, _, _ in chunks),
-        "violations": [m for _, _, bad in chunks for m in bad],
-        "complement_not_small": sum(not_small for _, not_small, _ in chunks),
-    }
-
-
-def _lemma_2_3(n: int) -> VerificationReport:
-    """Ordering of lambda_1(H^c(s,t)) as (s,t) moves toward balance."""
-    if n < 6:
-        # below n = 6 there is no step (s-1, t+1) -> (s, t) with 2 <= s <= t
-        raise ValueError("Lemma 2.3 needs n >= 6")
-    values = {}
-    for s in range(1, n - 2):
-        t = n - 2 - s
-        values[(s, t)] = _family_spectrum("H", (s, t)).lambda1
-    sb, tb = _balanced_H(n)
-    vmax = values[(sb, tb)]
-    step_ok = True
-    min_step = None
-    for (s, t), v in values.items():
-        if 2 <= s <= t:
-            gap = v - values[(s - 1, t + 1)]
-            step_ok &= gap > STRICT_MARGIN
-            min_step = gap if min_step is None else min(min_step, gap)
-    bal_ok = all(v <= vmax + CLUSTER_TOL for v in values.values())
-    ident = all(
-        quotients.check_identity_H_step(s, t).matches
-        for s in range(2, 21) for t in range(1, 21)
-    )
-    status = "confirmed" if step_ok and bal_ok and ident else "refuted"
-    return VerificationReport(
-        claim_id="2.3", status=status, params={"n": n},
-        extremal={"l1_balanced": vmax},
-        margin=min_step,
-        notes=[
-            "measured: lambda_1(H^c(s,t)) strictly increases as (s,t) approaches balance"
-            f" (min step {min_step:.6g}); consistent with the balanced maximum",
-            f"difference identity lambda(s-t-1)(5 lambda+4) exact on 2<=s<=20, 1<=t<=20: {ident}",
-        ],
-        details={"l1_by_split": {f"{s},{t}": v for (s, t), v in sorted(values.items())}},
-    )
-
-
-def _lemma_2_5(n: int) -> VerificationReport:
-    """Measured direction of lambda_1(G^c) under edge deletion keeping diam>3.
-
-    Every labeled pair (G, G - e) with both graphs in the class counts; each
-    graph's lambda_1 is its class's.
-    """
-    classes = _classes(n)
-    masks = classes.masks
-    graph, edge, minus = [], [], []           # (G, e, G - e) with G - e in the class
-    for e in range(n * (n - 1) // 2):
-        bit = np.uint32(1 << e)
-        g = masks[(masks & bit) != 0]
-        g2 = g ^ bit
-        keep = masks[np.minimum(np.searchsorted(masks, g2), len(masks) - 1)] == g2
-        graph.append(g[keep])
-        edge.append(np.full(int(keep.sum()), e))
-        minus.append(g2[keep])
-    graph, edge, minus = np.concatenate(graph), np.concatenate(edge), np.concatenate(minus)
-    if len(graph) == 0:
-        raise ValueError(f"no edge deletion keeps a graph in the class at n={n}")
-    order = np.lexsort((edge, graph))          # pairs in (mask, edge) order
-    graph, minus = graph[order], minus[order]
-    v = classes.l1[classes.index[np.searchsorted(masks, graph)]]
-    v2 = classes.l1[classes.index[np.searchsorted(masks, minus)]]
-    tie = np.abs(v - v2) <= CLUSTER_TOL
-    rev = ~tie & (v > v2)
-    ties, reversed_holds = int(tie.sum()), int(rev.sum())
-    stated_holds = len(graph) - ties - reversed_holds
-    worst = example = None
-    if reversed_holds:
-        k = np.flatnonzero(rev)[np.argmin((v - v2)[rev])]
-        worst = v[k] - v2[k]
-        example = (to_graph6(from_edge_mask(n, int(graph[k]))),
-                   to_graph6(from_edge_mask(n, int(minus[k]))))
-    status = ("confirmed-with-reversed-direction"
-              if stated_holds == 0 and ties == 0 and reversed_holds else "refuted")
-    return VerificationReport(
-        claim_id="2.5", status=status, params={"n": n},
-        margin=worst,
-        notes=[
-            f"measured on {len(graph)} (G, G-e) pairs with d(G-e)>3: "
-            f"lambda_1(G^c) > lambda_1((G-e)^c) in {reversed_holds}, "
-            f"ties {ties}, stated direction {stated_holds}",
-            "the statement's <= opposes its own proof; deleting an edge strictly decreases lambda_1(G^c)",
-        ],
-        details={"example_pair": example},
-    )
-
-
-def _lemma_2_6(n: int, samples: int = 200, trees_per_graph: int = 3) -> VerificationReport:
-    """lambda_1(G^c) >= lambda_1(T^c) over seeded random spanning trees.
-
-    The graphs are every stride-th labeled class member in ascending mask order.
-    """
-    masks = _classes(n).masks
-    rng = random.Random(20240 + n)
-    stride = max(1, len(masks) // samples)
-    worst = None
-    checked = 0
-    bad: list[str] = []
-    for m in masks[::stride]:
-        g = from_edge_mask(n, int(m))
-        v = complement_distance_spectrum(g).lambda1
-        edges = g.edges()
-        for _ in range(trees_per_graph):
-            shuffled = edges[:]
-            rng.shuffle(shuffled)
-            parent = list(range(n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            tree_edges = []
-            for a, b in shuffled:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-                    tree_edges.append((a, b))
-            t = from_edges(n, tree_edges)
-            vt = complement_distance_spectrum(t).lambda1
-            checked += 1
-            gap = v - vt
-            is_tree = g.edge_count() == n - 1
-            if gap < -CLUSTER_TOL:
-                bad.append(to_graph6(g))
-            elif abs(gap) <= CLUSTER_TOL and not is_tree:
-                bad.append(to_graph6(g))
-            elif gap > 0 and (worst is None or gap < worst) and not is_tree:
-                worst = gap
-    status = "confirmed" if not bad else "refuted"
-    return VerificationReport(
-        claim_id="2.6", status=status, params={"n": n, "samples": checked},
-        margin=worst, counterexamples=sorted(set(bad)),
-        notes=[f"{checked} (graph, spanning tree) pairs; equality only when G is its own tree"],
-    )
-
-
-# --- tree enumeration (for Lemma 2.7) -----------------------------------------
-
-
-def _ahu_key(g: Graph) -> str:
-    """Canonical string for a tree: AHU encoding rooted at the center(s)."""
-    degs = [g.degree(v) for v in range(g.n)]
-    if g.n == 1:
-        return "()"
-    # peel leaves to find the center
-    level = {v: 0 for v in range(g.n) if degs[v] <= 1}
-    deg = degs[:]
-    frontier = sorted(level)
-    remaining = g.n
-    while remaining > 2:
-        nxt = []
-        remaining -= len(frontier)
-        for v in frontier:
-            for u in range(g.n):
-                if g.has_edge(u, v) and u not in level:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        level[u] = level[v] + 1
-                        nxt.append(u)
-        frontier = sorted(set(nxt))
-    centers = [v for v in range(g.n) if v not in level] or frontier
-
-    def code(v: int, parent: int) -> str:
-        parts = sorted(code(u, v) for u in range(g.n) if g.has_edge(u, v) and u != parent)
-        return "(" + "".join(parts) + ")"
-
-    return min(code(c, -1) for c in centers)
-
-
-def free_trees(n: int) -> list[Graph]:
-    """All unlabeled trees on n vertices, one labeled representative each."""
-    trees = {"()": Graph(1, (0,))}
-    for _ in range(n - 1):
-        grown: dict[str, Graph] = {}
-        for t in trees.values():
-            for v in range(t.n):
-                g2 = Graph(t.n + 1, tuple(
-                    (t.adj[u] | (1 << t.n)) if u == v else t.adj[u]
-                    for u in range(t.n)) + ((1 << v),))
-                grown.setdefault(_ahu_key(g2), g2)
-        trees = grown
-    return [trees[k] for k in sorted(trees)]
-
-
-def _lemma_2_7(n_max: int = 9) -> VerificationReport:
-    """lambda_1(T^c) >= lambda_1(P_n^c) over all non-star trees, 4 <= n <= n_max."""
-    bad: list[str] = []
-    worst = None
-    total = 0
-    for n in range(4, n_max + 1):
-        pn = build_path(n)
-        star = build_star(n)
-        base = complement_distance_spectrum(pn).lambda1
-        for t in free_trees(n):
-            if is_isomorphic(t, star):
-                continue
-            total += 1
-            v = complement_distance_spectrum(t).lambda1
-            gap = v - base
-            if gap < -CLUSTER_TOL:
-                bad.append(to_graph6(t))
-            elif abs(gap) <= CLUSTER_TOL:
-                if not is_isomorphic(t, pn):
-                    bad.append(to_graph6(t))
-            elif worst is None or gap < worst:
-                worst = gap
-    if not total:
-        raise ValueError("Lemma 2.7 needs n >= 4: no non-star tree was checked")
-    status = "confirmed" if not bad else "refuted"
-    return VerificationReport(
-        claim_id="2.7", status=status, params={"n_max": n_max},
-        margin=worst, counterexamples=bad,
-        notes=[f"{total} non-star trees checked; equality exactly at P_n"],
-    )
-
-
-def _grid_reports(pairs, fn) -> tuple[list[dict], float | None, list[dict]]:
-    if not pairs:
-        raise ValueError("the parameter grid is empty")
-    rows = []
-    worst = None
-    bad = []
-    for pq in pairs:
-        row = fn(*pq)
-        rows.append(row)
-        m = row["margin"]
-        if m is not None and (worst is None or m < worst):
-            worst = m
-        if not row["ok"]:
-            bad.append(row)
-    return rows, worst, bad
-
-
-def _lemma_3_1(a_max: int = 9, b_max: int = 9) -> VerificationReport:
-    """Chain lambda_n(T1^c) >= lambda_n(T2^c) > lambda_n(T^c(a+1,b))."""
-    def point(a, b):
-        t1 = _family_spectrum("T1", (a, b)).lambda_n
-        t2 = _family_spectrum("T2", (a, b)).lambda_n
-        t0 = _family_spectrum("T", (a + 1, b)).lambda_n
-        iso = is_isomorphic(build_T1(a, b), build_T2(a, b)) if a + b + 3 <= 10 else None
-        tie = abs(t1 - t2) <= CLUSTER_TOL
-        ok = (t1 - t2 > -CLUSTER_TOL) and (t2 - t0 > STRICT_MARGIN) and (
-            not tie or iso is not False)
-        return {"params": (a, b), "lns": (t1, t2, t0), "tie": tie, "iso": iso,
-                "margin": min(t1 - t2 if not tie else t2 - t0, t2 - t0), "ok": ok}
-
-    pairs = [(a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)
-             if a + b + 3 <= 24]
-    rows, worst, bad = _grid_reports(pairs, point)
-    ties = [r["params"] for r in rows if r["tie"]]
-    return VerificationReport(
-        claim_id="3.1", status="confirmed" if not bad else "refuted",
-        params={"a_max": a_max, "b_max": b_max, "points": len(rows)},
-        margin=worst,
-        counterexamples=[str(r["params"]) for r in bad],
-        notes=[f"equality T1=T2 at {ties}; these parameter pairs give isomorphic trees"],
-    )
-
-
-def _lemma_3_4(p_max: int = 12) -> VerificationReport:
-    """lambda_n(B1^c) < lambda_n(B2^c) < -3, plus the (lambda+1)-power verdict."""
-    def point(p, q):
-        b1 = _family_spectrum("B1", (p, q)).lambda_n
-        b2 = _family_spectrum("B2", (p, q)).lambda_n
-        m = min(b2 - b1, -3.0 - b2)
-        return {"params": (p, q), "margin": m, "ok": m > STRICT_MARGIN,
-                "lns": (b1, b2)}
-
-    pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)]
-    rows, worst, bad = _grid_reports(pairs, point)
-    ident = all(quotients.check_identity_B2_vs_B1(p, q).matches for p, q in pairs)
-    power = quotients.power_discrepancy_verdict(6, 4)
-    status = "confirmed" if not bad and ident else "refuted"
-    return VerificationReport(
-        claim_id="3.4", status=status,
-        params={"grid": f"4<=p<={p_max}, 2<=q<=p", "points": len(rows)},
-        margin=worst, counterexamples=[str(r["params"]) for r in bad],
-        notes=[
-            f"printed cubic equals varphi - (lambda+1)^1 phi exactly: {ident}",
-            f"power verdict at (6,4): consistent power = {power['consistent_power']} "
-            "(the (lambda+1)^2 form is positive on [lambda_n(B2^c), -3), "
-            "the printed ^1 form is negative there)",
-        ],
-        details={"power_verdict": power},
-    )
-
-
-def _lemma_3_5(p_max: int = 12) -> VerificationReport:
-    """lambda_n(B1^c(p,q)) < lambda_n(T^c(n-3,1)) < -3 at n = p+q."""
-    def point(p, q):
-        b1 = _family_spectrum("B1", (p, q)).lambda_n
-        t = _family_spectrum("T", (p + q - 3, 1)).lambda_n
-        m = min(t - b1, -3.0 - t)
-        return {"params": (p, q), "margin": m, "ok": m > STRICT_MARGIN}
-
-    pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)]
-    rows, worst, bad = _grid_reports(pairs, point)
-    ident = all(quotients.check_identity_B1_vs_T(p, q).matches for p, q in pairs)
-    return VerificationReport(
-        claim_id="3.5", status="confirmed" if not bad and ident else "refuted",
-        params={"grid": f"4<=p<={p_max}, 2<=q<=p", "points": len(rows)},
-        margin=worst, counterexamples=[str(r["params"]) for r in bad],
-        notes=[f"difference identity phi - psi exact on the grid: {ident}"],
-    )
-
-
-def _lemma_3_6(p_max: int = 12) -> VerificationReport:
-    """Balance minimizes lambda_n(B1^c); equality only at the balanced split."""
-    def point(p, q):
-        n = p + q
-        pb, qb = _balanced_pq(n)
-        v = _family_spectrum("B1", (p, q)).lambda_n
-        vb = _family_spectrum("B1", (pb, qb)).lambda_n
-        balanced = (p, q) == (pb, qb)
-        m = v - vb
-        ok = m > STRICT_MARGIN or (balanced and abs(m) <= CLUSTER_TOL)
-        return {"params": (p, q), "margin": None if balanced else m, "ok": ok}
-
-    pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)]
-    rows, worst, bad = _grid_reports(pairs, point)
-    ident = all(quotients.check_identity_B1_step(p, q).matches
-                for p, q in pairs if p >= 3)
-    return VerificationReport(
-        claim_id="3.6", status="confirmed" if not bad and ident else "refuted",
-        params={"grid": f"4<=p<={p_max}, 2<=q<=p", "points": len(rows)},
-        margin=worst, counterexamples=[str(r["params"]) for r in bad],
-        notes=[f"step identity exact on the grid: {ident}"],
-    )
-
-
-def _lemma_3_9(n: int, n_max: int = 20) -> VerificationReport:
-    """q=1 bound by lambda_n(L'^c) plus the L'' vs L' comparison.
-
-    The L''-vs-L' sub-claim is measured; exact computation shows it holds
-    in the direction opposite to the printed one at every order.
-    """
-    classes = _classes(n)
-    bound = _family_spectrum("Lprime", (n,)).lambda_n
-    notes = [f"q histogram at n={n}: {classes.summary['q_hist']}"]
-    counterexamples: list[str] = []
-    q1_ok = True
-    has_q1 = np.flatnonzero(classes.q1)
-    if has_q1.size == 0:
-        notes.append(f"no diameter>3 graph on {n} vertices has q = 1: "
-                     "the q=1 claim is vacuous at this order")
-        q1_margin = None
-    else:
-        cluster = _cluster(classes.ln[has_q1], has_q1, "max")
-        q1_margin = bound - cluster["value"]
-        q1_ok = q1_margin >= -CLUSTER_TOL
-        if not q1_ok:
-            counterexamples = [to_graph6(from_edge_mask(n, int(classes.reps[k])))
-                               for _, k in cluster["pairs"]]
-        notes.append(f"max lambda_n over q=1 members: {cluster['value']:.12g} "
-                     f"vs lambda_n(L'^c) {bound:.12g}")
-    sub = []
-    sub_margin = None
-    for m in range(7, n_max + 1):
-        lp = _family_spectrum("Lprime", (m,)).lambda_n
-        lpp = _family_spectrum("Ldprime", (m,)).lambda_n
-        gap = lpp - lp     # printed claim: <= 0
-        sub.append({"n": m, "ln_Lprime": lp, "ln_Ldprime": lpp})
-        sub_margin = gap if sub_margin is None else min(sub_margin, gap)
-    reversed_sub = sub_margin is not None and sub_margin > STRICT_MARGIN
-    ident = all(quotients.check_identity_Lprime_vs_Ldprime(m).matches
-                for m in range(7, n_max + 1))
-    if reversed_sub:
-        notes.append(
-            "measured: lambda_n(L''^c) > lambda_n(L'^c) at every order "
-            f"7..{n_max} (min gap {sub_margin:.6g}); the printed direction is reversed")
-    notes.append(f"Psi - Psi' printed identity exact: {ident}")
-    status = ("refuted" if not q1_ok
-              else "confirmed-with-reversed-direction" if reversed_sub
-              else "confirmed")
-    return VerificationReport(
-        claim_id="3.9", status=status, params={"n": n, "sub_claim_n_max": n_max},
-        extremal={"ln_Lprime_c": bound},
-        margin=q1_margin if q1_margin is not None else sub_margin,
-        counterexamples=counterexamples,
-        notes=notes,
-        details={"q1_count": int(classes.q1.sum()), "lprime_vs_ldprime": sub},
-    )
-
-
-def _lemma_3_11(p_max: int = 12) -> VerificationReport:
-    """lambda_n(L'^c(n)) < lambda_n(L^c(p,q)) at n = p+q >= 7."""
-    def point(p, q):
-        l = _family_spectrum("L", (p, q)).lambda_n
-        lp = _family_spectrum("Lprime", (p + q,)).lambda_n
-        # least roots of the quotient polynomials are the two lambda_n values
-        exact = certify_root_order(quotients.Phi_L(p, q), quotients.Psi_Lprime(p + q), "min")
-        return {"params": (p, q), "margin": l - lp, "ok": exact == 1, "exact": exact}
-
-    pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1) if p + q >= 7]
-    rows, worst, bad = _grid_reports(pairs, point)
-    ident_pts = {pq: quotients.check_identity_L_vs_Lprime(*pq).matches for pq in pairs}
-    only_q2 = all(v == (pq[1] == 2) for pq, v in ident_pts.items())
-    notes = [
-        "printed Phi - Psi identity matches exactly iff q = 2 "
-        f"(verified across the grid: {only_q2}); derived difference kept as ground truth",
-    ]
-    if bad:
-        p0, q0 = bad[0]["params"]
-        exact = bad[0]["exact"]
-        notes.append(
-            f"counterexample certified exactly at ({p0},{q0}): least root of "
-            f"Phi is {'below' if exact == -1 else 'not below'} the least root of Psi, "
-            "so lambda_n(L^c) < lambda_n(L'^c) there and the stated inequality fails")
-    return VerificationReport(
-        claim_id="3.11", status="confirmed" if not bad else "refuted",
-        params={"grid": f"4<=p<={p_max}, 2<=q<=p, p+q>=7", "points": len(rows)},
-        margin=worst, counterexamples=[str(r["params"]) for r in bad],
-        notes=notes,
-        details={"identity_matches": {f"{p},{q}": v for (p, q), v in sorted(ident_pts.items())}},
-    )
-
-
-def _lemma_3_12(p_max: int = 12) -> VerificationReport:
-    """Balance maximizes lambda_n(L^c); equality only at the balanced split."""
-    def point(p, q):
-        n = p + q
-        pb, qb = _balanced_pq(n)
-        v = _family_spectrum("L", (p, q)).lambda_n
-        vb = _family_spectrum("L", (pb, qb)).lambda_n
-        balanced = (p, q) == (pb, qb)
-        m = vb - v
-        ok = m > STRICT_MARGIN or (balanced and abs(m) <= CLUSTER_TOL)
-        return {"params": (p, q), "margin": None if balanced else m, "ok": ok}
-
-    pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)
-             if p + q >= 7 and _balanced_pq(p + q)[0] >= 4]
-    rows, worst, bad = _grid_reports(pairs, point)
-    ident_any = any(quotients.check_identity_L_step(p, q).matches
-                    for p, q in pairs if p > q and p >= 5)
-    return VerificationReport(
-        claim_id="3.12", status="confirmed" if not bad else "refuted",
-        params={"grid": f"4<=p<={p_max}, 2<=q<=p, p+q>=7", "points": len(rows)},
-        margin=worst, counterexamples=[str(r["params"]) for r in bad],
-        notes=[
-            "printed step-difference polynomial never matches Eq.(5)'s exact difference "
-            f"(any match on grid: {ident_any}); the monotonicity conclusion itself holds",
-        ],
-    )
-
-
-def _quotient_consistency_claim(orders=range(7, 21), tol: float = 1e-9) -> VerificationReport:
-    reports = []
-    for n in orders:
-        sb, tb = _balanced_H(n)
-        pb, qb = _balanced_pq(n)
-        reports.append(quotients.quotient_consistency("H", (sb, tb), tol))
-        reports.append(quotients.quotient_consistency("B1", (pb, qb), tol))
-        reports.append(quotients.quotient_consistency("B2", (pb, qb), tol))
-        reports.append(quotients.quotient_consistency("T", (n,), tol))
-        if pb >= 4:
-            reports.append(quotients.quotient_consistency("L", (pb, qb), tol))
-        reports.append(quotients.quotient_consistency("Lprime", (n,), tol))
-        reports.append(quotients.quotient_consistency("Ldprime", (n,), tol))
-    bad = [r for r in reports if not r.ok()]
-    mismatched = [r for r in reports if not r.poly_matches]
-    ln_missing = [r for r in reports if not r.lambda_n_is_root]
-    return VerificationReport(
-        claim_id="quotient-consistency",
-        status="confirmed" if not bad else "refuted",
-        params={"orders": [min(orders), max(orders)], "cases": len(reports)},
-        counterexamples=[f"{r.family_id}{r.params}" for r in bad],
-        notes=[
-            f"printed-vs-derived coefficient mismatches: "
-            f"{[f'{r.family_id}{r.params}' for r in mismatched] or 'none'}",
-            f"lambda_n outside quotient roots: "
-            f"{[f'{r.family_id}{r.params}' for r in ln_missing] or 'never'}",
-        ],
-        details={"summaries": [r.summary() for r in reports]},
-    )
-
-
 def check_lemma(claim_id: str, n: int | None = None, p_max: int = 12,
                 workers: int = 1) -> VerificationReport:
-    """Dispatch a lemma claim check at the given order / grid size."""
-    if claim_id == "2.1":
-        return _lemma_2_1(n or 6, workers)
-    if claim_id == "2.3":
-        return _lemma_2_3(n or 12)
-    if claim_id == "2.5":
-        return _lemma_2_5(n or 6)
-    if claim_id == "2.6":
-        return _lemma_2_6(n or 7)
-    if claim_id == "2.7":
-        return _lemma_2_7(n or 9)
-    if claim_id == "3.1":
-        return _lemma_3_1()
-    if claim_id == "3.4":
-        return _lemma_3_4(p_max)
-    if claim_id == "3.5":
-        return _lemma_3_5(p_max)
-    if claim_id == "3.6":
-        return _lemma_3_6(p_max)
-    if claim_id == "3.9":
-        return _lemma_3_9(n or 7)
-    if claim_id == "3.11":
-        return _lemma_3_11(p_max)
-    if claim_id == "3.12":
-        return _lemma_3_12(p_max)
-    if claim_id == "quotient-consistency":
-        return _quotient_consistency_claim()
-    raise ValueError(f"unknown claim id {claim_id!r}")
+    """Dispatch a lemma claim check at the given order / grid size.
+
+    `workers` sets the processes of Lemma 2.1's labeled diameter-3 scan; no
+    other check starts one.  The checks live in `lemmas`, imported on the
+    first call, so a run that checks only theorems never compiles them or
+    loads `quotients`.
+    """
+    from cdspectra import lemmas
+
+    return lemmas.check(claim_id, n, p_max, workers)
 
 
 def run_claim(claim_id: str, n: int | None = None, p_max: int = 12,

@@ -323,6 +323,25 @@ def test_verify_empty_lemma_grid_is_usage_error(capsys, argv):
     assert err.startswith(f"error: claim {argv[0]}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("claim", ["3.4", "3.5", "3.6", "3.11", "3.12"])
+def test_verify_p_max_above_32_is_rejected_before_any_grid_work(capsys, monkeypatch, claim):
+    # the grids reach p + q = 2 p_max vertices, and a Graph holds at most 64
+    from cdspectra import verify
+
+    def no_claim_runs(*args, **kwargs):
+        raise AssertionError("a claim ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "run_claim", no_claim_runs)
+        code, out, err = run_cli(capsys, "verify", "--claims", claim, "--p-max", "33")
+    assert code == 1 and out == ""
+    assert err == "error: --p-max must be at most 32, got 33\n"
+    code, out, err = run_cli(capsys, "verify", "--claims", claim, "--p-max", "32")
+    assert code in (0, 2) and "Traceback" not in err
+    rep = json.loads(out)
+    assert rep["claim"] == claim and rep["params"]["grid"].startswith("4<=p<=32,")
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--family", "path", "--n", "3"),
     ("spectrum", "--family", "star", "--n", "5"),

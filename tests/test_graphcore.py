@@ -16,6 +16,7 @@ from cdspectra.graphcore import (
     adjacency_matrix,
     adjacency_stack,
     complement,
+    decode_graph6_lines,
     diameter,
     distance_matrices,
     distance_matrix,
@@ -23,12 +24,14 @@ from cdspectra.graphcore import (
     from_edges,
     from_graph6,
     g6_pairs,
+    graphs_from_stack,
     is_connected,
     is_isomorphic,
     relabel,
     to_graph6,
 )
 from cdspectra.families import build_B2, build_H, build_path, build_star
+from cdspectra.verify import enumerate_diam_gt3
 
 
 def all_relabelings(g: Graph):
@@ -339,3 +342,73 @@ def test_from_edges_rejects_bad_input():
         Graph(0, ())
     with pytest.raises(ValueError):
         Graph(65, tuple(0 for _ in range(65)))
+
+
+def _order_field(n: int) -> str:
+    """The 4-byte graph6 order field, "~" and n in three 6-bit characters."""
+    return "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+
+
+@st.composite
+def graph6_lines(draw):
+    """One stream line: a graph6 record with n <= 64, maybe damaged, or a line
+    holding no record."""
+    # orders 62 to 64 often, where the order field changes form
+    g = draw(st.one_of(random_graphs(), random_graphs(62, 64)))
+    text = to_graph6(g)
+    body = text[1:] if g.n <= 62 else text[4:]
+    kind = draw(st.sampled_from([
+        "record", "record", "header", "spaces", "wide order", "blank", "header only",
+        "bad character", "short", "long", "padding", "8-byte order", "order 0", "order 65",
+    ]))
+    if kind == "header":
+        return ">>graph6<<" + text
+    if kind == "spaces":
+        return draw(st.sampled_from([" ", "\t", "  "])) + text + draw(st.sampled_from(["\n", " \r\n"]))
+    if kind == "wide order":
+        return _order_field(g.n) + body
+    if kind == "blank":
+        return draw(st.sampled_from(["", "\n", "  \t"]))
+    if kind == "header only":
+        return ">>graph6<<"
+    if kind == "bad character":
+        k = draw(st.integers(0, len(text) - 1))
+        return text[:k] + draw(st.sampled_from([" ", "!", "0", "\x7f", "\x00", "é", "\u20ac"])) + text[k + 1:]
+    if kind == "short":
+        return text[:-1]
+    if kind == "long":
+        return text + draw(st.sampled_from(["?", "~", "A"]))
+    if kind == "padding":
+        # set the last padding bit, where the record has one
+        return text[:-1] + chr((ord(text[-1]) - 63 | 1) + 63) if g.n * (g.n - 1) // 2 % 6 else text
+    if kind == "8-byte order":
+        return "~~" + text
+    if kind == "order 0":
+        return "?" + body
+    return _order_field(draw(st.one_of(st.just(65), st.integers(65, 64**3 - 1)))) + body
+
+
+@settings(max_examples=200)
+@given(st.lists(graph6_lines(), max_size=12))
+def test_batch_decoder_agrees_with_from_graph6(lines):
+    graphs, errors = {}, []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            graphs[lineno] = from_graph6(line)
+        except Graph6Error as exc:
+            errors.append((lineno, str(exc)))
+    orders, got_errors = decode_graph6_lines(lines)
+    assert got_errors == errors
+    got = {}
+    for n, (linenos, adj) in orders.items():
+        assert adj.dtype == np.uint8 and adj.shape == (len(linenos), n, n)
+        assert np.all(linenos[1:] > linenos[:-1])
+        assert np.array_equal(adj, adjacency_stack(graphs_from_stack(adj)))
+        got.update(zip(linenos.tolist(), graphs_from_stack(adj)))
+    assert got == graphs
+    if errors:
+        with pytest.raises(Graph6Error) as exc:
+            enumerate_diam_gt3(source=lines)
+        assert str(exc.value) == "line {}: {}".format(*errors[0])

@@ -1,0 +1,76 @@
+"""Import budget: a `cdspectra` process loads only what its command runs.
+
+Each case runs in a fresh interpreter, since this test process has long
+since loaded everything.  The child prints the watched modules it has
+loaded, as JSON, and the assertions run here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from cdspectra.families import build_Lprime, build_path
+from cdspectra.graphcore import to_graph6
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+WATCHED = ("concurrent.futures", "multiprocessing", "numpy.ma",
+           "cdspectra.quotients", "cdspectra.lemmas")
+RUN_CLI = """
+import contextlib, io, json, sys
+from cdspectra import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+"""
+REPORT = f"""
+print(json.dumps({{"code": code, "loaded": [m for m in {WATCHED!r} if m in sys.modules]}}))
+"""
+
+
+def _child(code: str, *argv: str, stdin: str = "") -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code, *argv], input=stdin, env=env,
+                         capture_output=True, text=True, check=False, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_pool_and_no_masked_arrays():
+    got = _child("import json, sys\nimport cdspectra.cli\ncode = None\n" + REPORT)
+    assert not {"concurrent.futures", "multiprocessing", "numpy.ma"} & set(got["loaded"])
+
+
+def test_the_class_scan_loads_no_pool_and_no_masked_arrays():
+    got = _child(RUN_CLI + REPORT, "verify", "--claims", "T2.4,T2.8,T3.7,T3.13,3.9", "--n", "7")
+    assert got["code"] == 2
+    assert not {"concurrent.futures", "numpy.ma"} & set(got["loaded"])
+
+
+def test_a_stream_run_loads_no_lemma_checks_and_no_quotients():
+    lines = [to_graph6(build_path(7)), "FZ?Z_", to_graph6(build_Lprime(7)), "Fhc?G"]
+    got = _child(RUN_CLI + REPORT, "verify", "--stdin", "--claims", "T3.13",
+                 stdin="\n".join(lines) + "\n")
+    assert got["code"] == 2
+    assert not {"cdspectra.quotients", "cdspectra.lemmas"} & set(got["loaded"])
+
+
+def test_lemma_2_1_with_two_workers_still_starts_a_pool():
+    # smaller chunks, so that the six-vertex diameter-3 scan has several
+    code = """
+import concurrent.futures
+from cdspectra import verify
+verify.CHUNK_BITS = 12
+started = []
+
+class Counted(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers):
+        started.append(max_workers)
+        super().__init__(max_workers)
+
+concurrent.futures.ProcessPoolExecutor = Counted
+""" + RUN_CLI + """
+print(json.dumps({"code": code, "started": started}))
+"""
+    got = _child(code, "verify", "--claims", "2.1", "--n", "6", "--workers", "2")
+    assert got == {"code": 0, "started": [2]}

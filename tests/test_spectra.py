@@ -271,12 +271,13 @@ def test_integer_sign_matches_fraction_horner():
 
 def test_quotient_poly_roots_inside_full_spectrum():
     # roots of the H(2,2) quotient polynomial appear in the 6x6 spectrum
-    from cdspectra.quotients import quotient_matrix
+    from cdspectra.quotients import _classes, quotient_from_partition
     from cdspectra.families import build_H
-    qm = quotient_matrix("H", (2, 2))
+    dc = distance_matrix(complement(build_H(2, 2)))
+    qm = quotient_from_partition(dc, _classes("H", (2, 2)))
     poly = char_poly_exact(qm)
     roots = sturm_real_roots(poly, -12, 12, 1e-10)
-    dc = distance_matrix(complement(build_H(2, 2))).astype(float)
+    dc = dc.astype(float)
     vals = sym_eigenvalues(dc).values
     for r in roots:
         assert min(abs(r - v) for v in vals) < 1e-9

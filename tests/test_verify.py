@@ -1,5 +1,6 @@
 """Enumeration engine, extremal scans, sign partitions, claim checkers."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdspectra import verify
+from cdspectra import lemmas, verify
 from cdspectra.families import (
     build_B1, build_H, build_L, build_Ldprime, build_Lprime, build_path,
 )
@@ -30,6 +31,20 @@ from cdspectra.graphcore import (
     to_graph6,
 )
 from cdspectra.spectra import sym_eigenvalues
+
+
+def scan_extremal(n: int, objective: str) -> verify.VerificationReport:
+    """Extremal value of lambda_1 or lambda_n of D(G^c) over the class."""
+    ext = verify._class_extremum(n, objective)
+    return verify.VerificationReport(
+        claim_id=f"scan:{objective}",
+        status="confirmed",
+        params={"n": n, "objective": objective},
+        extremal={objective: ext.value},
+        witnesses=[to_graph6(g) for g in ext.witnesses],
+        margin=ext.margin,
+        details=ext.details,
+    )
 
 
 @functools.cache
@@ -73,13 +88,14 @@ def test_enumeration_from_external_source():
 
 def test_stream_is_filtered_and_solved_in_one_batch(monkeypatch):
     # every order-7 class relabeled at random, among rejects of orders 3, 7 and 9
+    # and one member of order 9, which must reach the sink in line order too
     rng = random.Random(11)
     lines = []
     for m in verify._classes(7).reps:
         g = from_edge_mask(7, int(m))
         lines += [to_graph6(relabel(g, rng.sample(range(7), 7))) for _ in range(2)]
     lines += [to_graph6(from_edge_mask(7, rng.getrandbits(21))) for _ in range(80)]
-    lines += [to_graph6(build_path(3)), to_graph6(build_H(3, 4)), ""]
+    lines += [to_graph6(build_path(3)), to_graph6(build_H(3, 4)), to_graph6(build_path(9)), ""]
     rng.shuffle(lines)
     # three graphs per kernel block, so the stream is cut into many blocks
     monkeypatch.setattr(verify, "STREAM_BLOCK_ENTRIES", 3 * 49)
@@ -89,6 +105,8 @@ def test_stream_is_filtered_and_solved_in_one_batch(monkeypatch):
     want = [g for g in decoded if is_connected(g) and diameter(g) > 3]
     assert count == len(graphs) == len(want) and graphs == want
     assert verify.enumerate_diam_gt3(n=5, source=lines) == 0
+    assert verify.enumerate_diam_gt3(n=9, source=lines) == 1
+    graphs = [g for g in graphs if g.n == 7]
     values = verify.complement_distance_extremes(graphs)
     spectra = [verify.complement_distance_spectrum(g) for g in graphs]
     # bitwise: the stacked eigh gives the per-graph values
@@ -103,26 +121,26 @@ def test_class_scan_counts_and_lemma21():
     scan5 = verify.class_scan(5)
     assert scan5["count"] == 60
     # all survivors at n=5 share one lambda_1 (single isomorphism class)
-    ext = verify.scan_extremal(5, "min_l1")
+    ext = scan_extremal(5, "min_l1")
     assert ext.margin is None and ext.details["runner_up"] is None
     assert ext.details["labeled_witnesses"] == 60
 
 
 def test_scan_extremal_min_l1_is_path():
     for n in (5, 6):
-        rep = verify.scan_extremal(n, "min_l1")
+        rep = scan_extremal(n, "min_l1")
         assert len(rep.witnesses) == 1
         assert is_isomorphic(from_graph6(rep.witnesses[0]), build_path(n))
         want = sym_eigenvalues(
             distance_matrix(complement(build_path(n))).astype(float)).lambda1
         assert rep.extremal["min_l1"] == pytest.approx(want, abs=1e-9)
     with pytest.raises(ValueError):
-        verify.scan_extremal(6, "max_everything")
+        scan_extremal(6, "max_everything")
 
 
 def test_scan_values_match_direct_solver_spot():
     # class-solved cluster values equal a direct per-graph eigensolve
-    rep = verify.scan_extremal(6, "max_ln")
+    rep = scan_extremal(6, "max_ln")
     g = from_graph6(rep.witnesses[0])
     direct = sym_eigenvalues(distance_matrix(complement(g)).astype(float)).lambda_n
     assert rep.extremal["max_ln"] == pytest.approx(direct, abs=1e-10)
@@ -130,7 +148,7 @@ def test_scan_values_match_direct_solver_spot():
 
 def test_relabeling_invariance_spot_check_n6():
     # extremal values over labeled graphs match those over relabeled copies
-    rep = verify.scan_extremal(6, "min_l1")
+    rep = scan_extremal(6, "min_l1")
     g = from_graph6(rep.witnesses[0])
     for perm in ([1, 0, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [2, 3, 4, 5, 0, 1]):
         h = relabel(g, perm)
@@ -184,23 +202,23 @@ def test_check_theorem_on_values_stream():
 
 
 def test_lemma_2_1_diameter_3_scan_with_the_worker_pool(monkeypatch):
-    one = verify._lemma21_diam3_scan(6, workers=1)
+    one = lemmas._lemma21_diam3_scan(6, workers=1)
     rep = verify.check_lemma("2.1", n=6).to_dict()
     # smaller chunks, so the six-vertex scan spreads over several worker tasks
     monkeypatch.setattr(verify, "CHUNK_BITS", 12)
     monkeypatch.setattr(verify, "_SCAN_CACHE", {})
     assert verify._chunk_count(6) == 8
     started = []
-    real = verify.ProcessPoolExecutor
+    real = concurrent.futures.ProcessPoolExecutor
 
     def pool(*args, **kwargs):
         started.append(kwargs.get("max_workers"))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", pool)
-    assert verify._lemma21_diam3_scan(6, workers=1) == one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    assert lemmas._lemma21_diam3_scan(6, workers=1) == one
     assert started == []
-    assert verify._lemma21_diam3_scan(6, workers=2) == one
+    assert lemmas._lemma21_diam3_scan(6, workers=2) == one
     assert started == [2]
     assert one["count"] > 0
     assert verify.check_lemma("2.1", n=6, workers=2).to_dict() == rep
@@ -252,9 +270,9 @@ def test_spectrum_and_sign_partition_relabel_invariant(data):
 
 
 def test_free_trees_counts():
-    assert [len(verify.free_trees(k)) for k in range(1, 10)] == [
+    assert [len(lemmas.free_trees(k)) for k in range(1, 10)] == [
         1, 1, 1, 2, 3, 6, 11, 23, 47]
-    for t in verify.free_trees(7):
+    for t in lemmas.free_trees(7):
         assert t.edge_count() == 6
         assert is_connected(t)
 
@@ -587,7 +605,7 @@ def test_class_scan_equals_labeled_reference(n):
     part = verify._classes(n)
     want = _labeled_reference(n)
     for name, cluster in want["objectives"].items():
-        rep = verify.scan_extremal(n, name)
+        rep = scan_extremal(n, name)
         ids = [int(part.index[np.searchsorted(part.masks, to_edge_mask(from_graph6(w)))])
                for w in rep.witnesses]
         values = part.l1 if name.endswith("l1") else part.ln
@@ -654,7 +672,7 @@ class _StubPool:
 def stub_pool(monkeypatch) -> list:
     """The max_workers of every pool started while the test runs."""
     monkeypatch.setattr(_StubPool, "started", [])
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _StubPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
     return _StubPool.started
 
 
@@ -676,7 +694,7 @@ def test_worker_pool_never_exceeds_the_chunk_count(monkeypatch, stub_pool):
     assert verify._map_chunks(lambda n, i: (n, i), 5, 64) == [(5, 0), (5, 1)]
     assert verify._map_chunks(lambda n, i: (n, i), 5, 1) == [(5, 0), (5, 1)]
     monkeypatch.setattr(verify, "CHUNK_BITS", 12)
-    assert verify._lemma21_diam3_scan(6, workers=3) == verify._lemma21_diam3_scan(6)
+    assert lemmas._lemma21_diam3_scan(6, workers=3) == lemmas._lemma21_diam3_scan(6)
     # one process per chunk at most, and none for one worker
     assert stub_pool == [2, 3]
 
@@ -716,7 +734,7 @@ def test_lemmas_2_5_and_2_6_scan_with_the_worker_pool(monkeypatch):
 def test_witnesses_list_every_class_of_the_cluster(monkeypatch):
     part = verify._classes(7)
     monkeypatch.setattr(verify, "CLUSTER_TOL", math.inf)
-    rep = verify.scan_extremal(7, "max_ln")
+    rep = scan_extremal(7, "max_ln")
     want = [to_graph6(from_edge_mask(7, m))
             for _, m in sorted(zip(part.ln.tolist(), part.reps.tolist()))]
     assert len(want) == 92
