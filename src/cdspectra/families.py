@@ -21,84 +21,118 @@ contiguous index ranges (the quotients module relies on this):
              u' - (n-2) - (n-1).
 
 Every constructor is deterministic and checks its declared diameter.
+`build_many` builds many graphs, of any families, as one batch: the
+diameters of each order are checked with one `distance_matrices` call,
+and a single `build_*` is a batch of one.
 """
 
 from dataclasses import dataclass
 
-from cdspectra.graphcore import Graph, diameter, from_edges
+from cdspectra.graphcore import (
+    DisconnectedGraph,
+    Graph,
+    adjacency_stack,
+    distance_matrices,
+    from_edges,
+)
+
+# A maker validates its parameters (ValueError) and returns the graph
+# unchecked, as (label, graph, declared diameter or None).
+_Made = tuple[str, Graph, int | None]
 
 
-def _check(name: str, g: Graph, want_diameter: int) -> Graph:
-    d = diameter(g)
-    if d != want_diameter:
-        raise AssertionError(f"{name}: expected diameter {want_diameter}, got {d}")
-    return g
+def _checked(made: list[_Made]) -> list[Graph]:
+    """The graphs made, once every declared diameter is checked.
+
+    The graphs of one order go through one `distance_matrices` call.  The
+    first graph in input order that fails raises what a check of it alone
+    raises: DisconnectedGraph, or AssertionError naming the graph.
+    """
+    by_order: dict[int, list[int]] = {}
+    for k, (_, g, want) in enumerate(made):
+        if want is not None:
+            by_order.setdefault(g.n, []).append(k)
+    failures: dict[int, Exception] = {}
+    for ks in by_order.values():
+        d = distance_matrices(adjacency_stack([made[k][1] for k in ks]))
+        lowest, diameters = d.min(axis=(1, 2)).tolist(), d.max(axis=(1, 2)).tolist()
+        for k, low, got in zip(ks, lowest, diameters):
+            name, _, want = made[k]
+            if low < 0:
+                failures[k] = DisconnectedGraph("vertex 0 does not reach all vertices")
+            elif got != want:
+                failures[k] = AssertionError(f"{name}: expected diameter {want}, got {got}")
+    if failures:
+        raise failures[min(failures)]
+    return [g for _, g, _ in made]
 
 
-def build_path(n: int) -> Graph:
+def build_many(keys) -> list[Graph]:
+    """The family graphs FAMILIES[family].build(*params) for (family, params)
+    keys, in key order, built as one batch: every key's parameters are
+    validated, then the diameters are checked with one `distance_matrices`
+    call per order."""
+    return _checked([FAMILIES[family].make(*params) for family, params in keys])
+
+
+def _path(n: int) -> _Made:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return f"path({n})", from_edges(n, [(i, i + 1) for i in range(n - 1)]), None
 
 
-def build_star(n: int) -> Graph:
+def _star(n: int) -> _Made:
     if n < 1:
         raise ValueError("star needs n >= 1")
-    return from_edges(n, [(0, i) for i in range(1, n)])
+    return f"star({n})", from_edges(n, [(0, i) for i in range(1, n)]), None
 
 
-def build_H(s: int, t: int) -> Graph:
-    """Clique K_{s+t} plus nonadjacent u, v joined to s resp. t clique vertices."""
+def _H(s: int, t: int) -> _Made:
     if s < 1 or t < 1:
         raise ValueError("H(s,t) needs s, t >= 1")
     k = s + t
     edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     edges += [(k, i) for i in range(s)]
     edges += [(k + 1, i) for i in range(s, k)]
-    return _check(f"H({s},{t})", from_edges(k + 2, edges), 3)
+    return f"H({s},{t})", from_edges(k + 2, edges), 3
 
 
-def build_T(a: int, b: int) -> Graph:
-    """Double star: adjacent centers with a and b pendant vertices."""
+def _T(a: int, b: int) -> _Made:
     if a < 1 or b < 1:
         raise ValueError("T(a,b) needs a, b >= 1")
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
     edges += [(1, 2 + a + i) for i in range(b)]
-    return _check(f"T({a},{b})", from_edges(a + b + 2, edges), 3)
+    return f"T({a},{b})", from_edges(a + b + 2, edges), 3
 
 
-def build_T1(a: int, b: int) -> Graph:
-    """Path P3 with a pendants on one end vertex and b on the other."""
+def _T1(a: int, b: int) -> _Made:
     if a < 1 or b < 1:
         raise ValueError("T1(a,b) needs a, b >= 1")
     edges = [(0, 1), (1, 2)]
     edges += [(0, 3 + i) for i in range(a)]
     edges += [(2, 3 + a + i) for i in range(b)]
-    return _check(f"T1({a},{b})", from_edges(a + b + 3, edges), 4)
+    return f"T1({a},{b})", from_edges(a + b + 3, edges), 4
 
 
-def build_T2(a: int, b: int) -> Graph:
-    """T(a,b) with one extra pendant edge hung on an a-side pendant vertex."""
+def _T2(a: int, b: int) -> _Made:
     if a < 1 or b < 1:
         raise ValueError("T2(a,b) needs a, b >= 1")
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
     edges += [(1, 2 + a + i) for i in range(b)]
     edges += [(2, a + b + 2)]
-    return _check(f"T2({a},{b})", from_edges(a + b + 3, edges), 4)
+    return f"T2({a},{b})", from_edges(a + b + 3, edges), 4
 
 
-def build_B1(p: int, q: int) -> Graph:
-    """Complete bipartite K_{p,q} minus one edge."""
+def _B1(p: int, q: int) -> _Made:
     if p < 2 or q < 2:
         raise ValueError("B1(p,q) needs p, q >= 2")
     edges = [(i, p + j) for i in range(p) for j in range(q) if not (i == 0 and j == 0)]
-    return _check(f"B1({p},{q})", from_edges(p + q, edges), 3)
+    return f"B1({p},{q})", from_edges(p + q, edges), 3
 
 
-def build_B2(p: int, q: int) -> Graph:
-    """B1(p,q) further pruned at w, leaving only the edge w v."""
+def _B2(p: int, q: int) -> _Made:
     if p < 3 or q < 2:
         raise ValueError("B2(p,q) needs p >= 3, q >= 2")
     edges = [
@@ -107,37 +141,87 @@ def build_B2(p: int, q: int) -> Graph:
         for j in range(q)
         if not (i == 0 and j == 0) and not (i == 1 and j != 0)
     ]
-    return _check(f"B2({p},{q})", from_edges(p + q, edges), 4)
+    return f"B2({p},{q})", from_edges(p + q, edges), 4
 
 
-def build_L(p: int, q: int) -> Graph:
-    """K_p minus one edge, bridged by a single edge into K_q."""
+def _L(p: int, q: int) -> _Made:
     if p < 4 or q < 2:
         raise ValueError("L(p,q) needs p >= 4, q >= 2")
     edges = [(i, j) for i in range(p) for j in range(i + 1, p) if (i, j) != (0, 1)]
     edges += [(p + i, p + j) for i in range(q) for j in range(i + 1, q)]
     edges += [(1, p)]
-    return _check(f"L({p},{q})", from_edges(p + q, edges), 4)
+    return f"L({p},{q})", from_edges(p + q, edges), 4
 
 
-def build_Lprime(n: int) -> Graph:
-    """K_{n-2} minus one edge, with a pendant vertex on each deleted endpoint."""
+def _Lprime(n: int) -> _Made:
     if n < 7:
         raise ValueError("L'(n) needs n >= 7")
     k = n - 2
     edges = [(i, j) for i in range(k) for j in range(i + 1, k) if (i, j) != (0, 1)]
     edges += [(0, n - 2), (1, n - 1)]
-    return _check(f"L'({n})", from_edges(n, edges), 4)
+    return f"L'({n})", from_edges(n, edges), 4
 
 
-def build_Ldprime(n: int) -> Graph:
-    """K_{n-2} minus one edge, with a 2-vertex path appended to one endpoint."""
+def _Ldprime(n: int) -> _Made:
     if n < 7:
         raise ValueError("L''(n) needs n >= 7")
     k = n - 2
     edges = [(i, j) for i in range(k) for j in range(i + 1, k) if (i, j) != (0, 1)]
     edges += [(1, n - 2), (n - 2, n - 1)]
-    return _check(f"L''({n})", from_edges(n, edges), 4)
+    return f"L''({n})", from_edges(n, edges), 4
+
+
+def build_path(n: int) -> Graph:
+    return _checked([_path(n)])[0]
+
+
+def build_star(n: int) -> Graph:
+    return _checked([_star(n)])[0]
+
+
+def build_H(s: int, t: int) -> Graph:
+    """Clique K_{s+t} plus nonadjacent u, v joined to s resp. t clique vertices."""
+    return _checked([_H(s, t)])[0]
+
+
+def build_T(a: int, b: int) -> Graph:
+    """Double star: adjacent centers with a and b pendant vertices."""
+    return _checked([_T(a, b)])[0]
+
+
+def build_T1(a: int, b: int) -> Graph:
+    """Path P3 with a pendants on one end vertex and b on the other."""
+    return _checked([_T1(a, b)])[0]
+
+
+def build_T2(a: int, b: int) -> Graph:
+    """T(a,b) with one extra pendant edge hung on an a-side pendant vertex."""
+    return _checked([_T2(a, b)])[0]
+
+
+def build_B1(p: int, q: int) -> Graph:
+    """Complete bipartite K_{p,q} minus one edge."""
+    return _checked([_B1(p, q)])[0]
+
+
+def build_B2(p: int, q: int) -> Graph:
+    """B1(p,q) further pruned at w, leaving only the edge w v."""
+    return _checked([_B2(p, q)])[0]
+
+
+def build_L(p: int, q: int) -> Graph:
+    """K_p minus one edge, bridged by a single edge into K_q."""
+    return _checked([_L(p, q)])[0]
+
+
+def build_Lprime(n: int) -> Graph:
+    """K_{n-2} minus one edge, with a pendant vertex on each deleted endpoint."""
+    return _checked([_Lprime(n)])[0]
+
+
+def build_Ldprime(n: int) -> Graph:
+    """K_{n-2} minus one edge, with a 2-vertex path appended to one endpoint."""
+    return _checked([_Ldprime(n)])[0]
 
 
 @dataclass(frozen=True)
@@ -145,18 +229,19 @@ class _Family:
     build: object
     param_names: tuple[str, ...]
     order: object
+    make: object                    # the unchecked maker behind build
 
 
 FAMILIES: dict[str, _Family] = {
-    "path": _Family(build_path, ("n",), lambda n: n),
-    "star": _Family(build_star, ("n",), lambda n: n),
-    "H": _Family(build_H, ("s", "t"), lambda s, t: s + t + 2),
-    "T": _Family(build_T, ("a", "b"), lambda a, b: a + b + 2),
-    "T1": _Family(build_T1, ("a", "b"), lambda a, b: a + b + 3),
-    "T2": _Family(build_T2, ("a", "b"), lambda a, b: a + b + 3),
-    "B1": _Family(build_B1, ("p", "q"), lambda p, q: p + q),
-    "B2": _Family(build_B2, ("p", "q"), lambda p, q: p + q),
-    "L": _Family(build_L, ("p", "q"), lambda p, q: p + q),
-    "Lprime": _Family(build_Lprime, ("n",), lambda n: n),
-    "Ldprime": _Family(build_Ldprime, ("n",), lambda n: n),
+    "path": _Family(build_path, ("n",), lambda n: n, _path),
+    "star": _Family(build_star, ("n",), lambda n: n, _star),
+    "H": _Family(build_H, ("s", "t"), lambda s, t: s + t + 2, _H),
+    "T": _Family(build_T, ("a", "b"), lambda a, b: a + b + 2, _T),
+    "T1": _Family(build_T1, ("a", "b"), lambda a, b: a + b + 3, _T1),
+    "T2": _Family(build_T2, ("a", "b"), lambda a, b: a + b + 3, _T2),
+    "B1": _Family(build_B1, ("p", "q"), lambda p, q: p + q, _B1),
+    "B2": _Family(build_B2, ("p", "q"), lambda p, q: p + q, _B2),
+    "L": _Family(build_L, ("p", "q"), lambda p, q: p + q, _L),
+    "Lprime": _Family(build_Lprime, ("n",), lambda n: n, _Lprime),
+    "Ldprime": _Family(build_Ldprime, ("n",), lambda n: n, _Ldprime),
 }

@@ -12,7 +12,7 @@ import random
 import numpy as np
 
 from cdspectra import quotients
-from cdspectra.families import build_T1, build_T2, build_path, build_star
+from cdspectra.families import build_many, build_path, build_star
 from cdspectra.graphcore import Graph, from_edge_mask, from_edges, is_isomorphic, to_graph6
 from cdspectra.spectra import certify_root_order
 from cdspectra.verify import (
@@ -29,6 +29,7 @@ from cdspectra.verify import (
     _cluster,
     _complement_distances,
     _expand_all,
+    _family_spectra,
     _family_spectrum,
     _map_chunks,
     class_scan,
@@ -99,10 +100,9 @@ def _lemma_2_3(n: int) -> VerificationReport:
     if n < 6:
         # below n = 6 there is no step (s-1, t+1) -> (s, t) with 2 <= s <= t
         raise ValueError("Lemma 2.3 needs n >= 6")
-    values = {}
-    for s in range(1, n - 2):
-        t = n - 2 - s
-        values[(s, t)] = _family_spectrum("H", (s, t)).lambda1
+    splits = [(s, n - 2 - s) for s in range(1, n - 2)]
+    solved = _family_spectra(("H", st) for st in splits)
+    values = {st: spec.lambda1 for st, spec in zip(splits, solved)}
     sb, tb = _balanced_H(n)
     vmax = values[(sb, tb)]
     step_ok = True
@@ -334,7 +334,8 @@ def _lemma_3_1(a_max: int = 9, b_max: int = 9) -> VerificationReport:
         t1 = _family_spectrum("T1", (a, b)).lambda_n
         t2 = _family_spectrum("T2", (a, b)).lambda_n
         t0 = _family_spectrum("T", (a + 1, b)).lambda_n
-        iso = is_isomorphic(build_T1(a, b), build_T2(a, b)) if a + b + 3 <= 10 else None
+        iso = (is_isomorphic(trees["T1", (a, b)], trees["T2", (a, b)])
+               if a + b + 3 <= 10 else None)
         tie = abs(t1 - t2) <= CLUSTER_TOL
         ok = (t1 - t2 > -CLUSTER_TOL) and (t2 - t0 > STRICT_MARGIN) and (
             not tie or iso is not False)
@@ -343,6 +344,11 @@ def _lemma_3_1(a_max: int = 9, b_max: int = 9) -> VerificationReport:
 
     pairs = [(a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)
              if a + b + 3 <= 24]
+    _family_spectra(key for a, b in pairs
+                    for key in (("T1", (a, b)), ("T2", (a, b)), ("T", (a + 1, b))))
+    # T1 and T2 are compared up to isomorphism where is_isomorphic reaches
+    small = [(f, (a, b)) for a, b in pairs if a + b + 3 <= 10 for f in ("T1", "T2")]
+    trees = dict(zip(small, build_many(small)))
     rows, worst, bad = _grid_reports(pairs, point)
     ties = [r["params"] for r in rows if r["tie"]]
     return VerificationReport(
@@ -364,6 +370,7 @@ def _lemma_3_4(p_max: int = 12) -> VerificationReport:
                 "lns": (b1, b2)}
 
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)]
+    _family_spectra(key for pq in pairs for key in (("B1", pq), ("B2", pq)))
     rows, worst, bad = _grid_reports(pairs, point)
     ident = all(quotients.check_identity_B2_vs_B1(p, q).matches for p, q in pairs)
     power = quotients.power_discrepancy_verdict(6, 4)
@@ -391,6 +398,7 @@ def _lemma_3_5(p_max: int = 12) -> VerificationReport:
         return {"params": (p, q), "margin": m, "ok": m > STRICT_MARGIN}
 
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)]
+    _family_spectra(key for p, q in pairs for key in (("B1", (p, q)), ("T", (p + q - 3, 1))))
     rows, worst, bad = _grid_reports(pairs, point)
     ident = all(quotients.check_identity_B1_vs_T(p, q).matches for p, q in pairs)
     return VerificationReport(
@@ -414,6 +422,7 @@ def _lemma_3_6(p_max: int = 12) -> VerificationReport:
         return {"params": (p, q), "margin": None if balanced else m, "ok": ok}
 
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)]
+    _family_spectra(key for pq in pairs for key in (("B1", pq), ("B1", _balanced_pq(sum(pq)))))
     rows, worst, bad = _grid_reports(pairs, point)
     ident = all(quotients.check_identity_B1_step(p, q).matches
                 for p, q in pairs if p >= 3)
@@ -432,6 +441,8 @@ def _lemma_3_9(n: int, n_max: int = 20) -> VerificationReport:
     in the direction opposite to the printed one at every order.
     """
     classes = _classes(n)
+    _family_spectra([("Lprime", (n,))] + [(f, (m,)) for m in range(7, n_max + 1)
+                                          for f in ("Lprime", "Ldprime")])
     bound = _family_spectrum("Lprime", (n,)).lambda_n
     notes = [f"q histogram at n={n}: {classes.summary['q_hist']}"]
     counterexamples: list[str] = []
@@ -489,6 +500,7 @@ def _lemma_3_11(p_max: int = 12) -> VerificationReport:
         return {"params": (p, q), "margin": l - lp, "ok": exact == 1, "exact": exact}
 
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1) if p + q >= 7]
+    _family_spectra(key for p, q in pairs for key in (("L", (p, q)), ("Lprime", (p + q,))))
     rows, worst, bad = _grid_reports(pairs, point)
     ident_pts = {pq: quotients.check_identity_L_vs_Lprime(*pq).matches for pq in pairs}
     only_q2 = all(v == (pq[1] == 2) for pq, v in ident_pts.items())
@@ -526,6 +538,7 @@ def _lemma_3_12(p_max: int = 12) -> VerificationReport:
 
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)
              if p + q >= 7 and _balanced_pq(p + q)[0] >= 4]
+    _family_spectra(key for pq in pairs for key in (("L", pq), ("L", _balanced_pq(sum(pq)))))
     rows, worst, bad = _grid_reports(pairs, point)
     ident_any = any(quotients.check_identity_L_step(p, q).matches
                     for p, q in pairs if p > q and p >= 5)
@@ -541,18 +554,15 @@ def _lemma_3_12(p_max: int = 12) -> VerificationReport:
 
 
 def _quotient_consistency_claim(orders=range(7, 21), tol: float = 1e-9) -> VerificationReport:
-    reports = []
+    cases = []
     for n in orders:
-        sb, tb = _balanced_H(n)
         pb, qb = _balanced_pq(n)
-        reports.append(quotients.quotient_consistency("H", (sb, tb), tol))
-        reports.append(quotients.quotient_consistency("B1", (pb, qb), tol))
-        reports.append(quotients.quotient_consistency("B2", (pb, qb), tol))
-        reports.append(quotients.quotient_consistency("T", (n,), tol))
+        cases += [("H", _balanced_H(n)), ("B1", (pb, qb)), ("B2", (pb, qb)), ("T", (n,))]
         if pb >= 4:
-            reports.append(quotients.quotient_consistency("L", (pb, qb), tol))
-        reports.append(quotients.quotient_consistency("Lprime", (n,), tol))
-        reports.append(quotients.quotient_consistency("Ldprime", (n,), tol))
+            cases.append(("L", (pb, qb)))
+        cases += [("Lprime", (n,)), ("Ldprime", (n,))]
+    _family_spectra(quotients.model_graph_key(*case) for case in cases)
+    reports = [quotients.quotient_consistency(*case, tol) for case in cases]
     bad = [r for r in reports if not r.ok()]
     mismatched = [r for r in reports if not r.poly_matches]
     ln_missing = [r for r in reports if not r.lambda_n_is_root]
@@ -572,17 +582,21 @@ def _quotient_consistency_claim(orders=range(7, 21), tol: float = 1e-9) -> Verif
 
 
 def check(claim_id: str, n: int | None, p_max: int, workers: int) -> VerificationReport:
-    """Run one lemma check at the given order / grid size."""
+    """Run one lemma check at the given order / grid size; n = None takes
+    the claim's default order."""
+    def order(default: int) -> int:
+        return default if n is None else n
+
     if claim_id == "2.1":
-        return _lemma_2_1(n or 6, workers)
+        return _lemma_2_1(order(6), workers)
     if claim_id == "2.3":
-        return _lemma_2_3(n or 12)
+        return _lemma_2_3(order(12))
     if claim_id == "2.5":
-        return _lemma_2_5(n or 6)
+        return _lemma_2_5(order(6))
     if claim_id == "2.6":
-        return _lemma_2_6(n or 7)
+        return _lemma_2_6(order(7))
     if claim_id == "2.7":
-        return _lemma_2_7(n or 9)
+        return _lemma_2_7(order(9))
     if claim_id == "3.1":
         return _lemma_3_1()
     if claim_id == "3.4":
@@ -592,7 +606,7 @@ def check(claim_id: str, n: int | None, p_max: int, workers: int) -> Verificatio
     if claim_id == "3.6":
         return _lemma_3_6(p_max)
     if claim_id == "3.9":
-        return _lemma_3_9(n or 7)
+        return _lemma_3_9(order(7))
     if claim_id == "3.11":
         return _lemma_3_11(p_max)
     if claim_id == "3.12":

@@ -19,24 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from cdspectra.families import (
-    FAMILIES,
-    build_B1,
-    build_B2,
-    build_H,
-    build_L,
-    build_Ldprime,
-    build_Lprime,
-    build_T,
-)
-from cdspectra.graphcore import Graph, complement, distance_matrix
 from cdspectra.spectra import (
     IntPolynomial,
     char_poly_exact,
     cauchy_root_bound,
     sturm_real_roots,
-    sym_eigenvalues,
 )
+from cdspectra.verify import _family_spectrum
 
 class UnsupportedFamily(ValueError):
     """No quotient model is defined for this family."""
@@ -71,23 +60,37 @@ def _classes(family_id: str, params: tuple[int, ...]) -> list[list[int]]:
     raise UnsupportedFamily(f"no quotient partition for family {family_id!r}")
 
 
-def _build(family_id: str, params: tuple[int, ...]) -> Graph:
+def model_graph_key(family_id: str, params) -> tuple[str, tuple[int, ...]]:
+    """The (family, params) of the graph a quotient model covers: the T
+    model of order n covers the double star T(n-3, 1)."""
+    params = tuple(int(p) for p in params)
     if family_id == "T":
-        (n,) = params        # quotient model covers the double star T(n-3, 1)
-        return build_T(n - 3, 1)
-    return FAMILIES[family_id].build(*params)
+        (n,) = params
+        return "T", (n - 3, 1)
+    return family_id, params
 
 
 def quotient_from_partition(dmat: np.ndarray, classes: list[list[int]]) -> np.ndarray:
-    """Class-wise row sums of a distance matrix; raises if not equitable."""
-    k = len(classes)
-    out = np.zeros((k, k), dtype=np.int64)
+    """Class-wise row sums of a distance matrix; raises if not equitable.
+
+    Row r's sum over class j, leaving out r itself, is entry (r, j) of one
+    product with the vertex-by-class indicator matrix.
+    """
+    d = np.array(dmat, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    indicator = np.zeros((len(d), len(classes)), dtype=np.int64)
+    for j, cj in enumerate(classes):
+        np.add.at(indicator[:, j], cj, 1)
+    sums = d @ indicator
+    out = np.zeros((len(classes), len(classes)), dtype=np.int64)
     for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            sums = {int(sum(dmat[r, c] for c in cj if c != r)) for r in ci}
-            if len(sums) != 1:
-                raise ValueError(f"partition not equitable between classes {i} and {j}: {sums}")
-            out[i, j] = sums.pop()
+        rows = sums[ci]
+        unequal = (rows != rows[:1]).any(axis=0) if len(ci) else np.ones(len(classes), bool)
+        if unequal.any():
+            j = int(np.argmax(unequal))
+            values = {int(v) for v in rows[:, j]}
+            raise ValueError(f"partition not equitable between classes {i} and {j}: {values}")
+        out[i] = rows[0]
     return out
 
 
@@ -435,26 +438,31 @@ class QuotientReport:
 
 
 def quotient_consistency(family_id: str, params, tol: float = 1e-9) -> QuotientReport:
-    """Compare derived/printed quotient artifacts and the full spectrum."""
+    """Compare derived/printed quotient artifacts and the full spectrum.
+
+    D(X^c) and its eigenvalues come from the per-process store of solved
+    family graphs (`verify._family_spectra`), which a claim fills for all
+    its cases at once; a case not yet there is built and solved alone.
+    """
     params = tuple(int(p) for p in params)
-    g = _build(family_id, params)
-    if g.n > 40:
+    spec = _family_spectrum(*model_graph_key(family_id, params))
+    dc = spec.dc
+    order = len(dc)
+    if order > 40:
         raise ValueError("quotient_consistency supports orders up to 40")
-    dc = distance_matrix(complement(g))
     qm = quotient_from_partition(dc, _classes(family_id, params))
     pm = printed_quotient_matrix(family_id, params)
     derived = char_poly_exact(qm)
     printed = printed_poly(family_id, params)
-    spec = sym_eigenvalues(dc.astype(np.float64))
     # any eigenvalue is bounded by the max row sum <= n * max distance; the
     # complements here have diameter up to 3, so 2n would clip lambda_1
-    bound = g.n * int(dc.max())
+    bound = order * int(dc.max())
     roots = sturm_real_roots(derived, -bound, bound, min(tol, 1e-10) / 10)
     unmatched = [r for r in roots if min(abs(r - v) for v in spec.values) > tol]
     return QuotientReport(
         family_id=family_id,
         params=params,
-        order=g.n,
+        order=order,
         derived_matrix=qm,
         printed_matrix=pm,
         matrix_matches=None if pm is None else bool(np.array_equal(qm, pm)),

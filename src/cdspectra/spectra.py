@@ -18,7 +18,18 @@ Refinement then bisects each isolating bracket by the sign of the
 square-free part alone, in integer arithmetic.  `sturm_real_roots`
 refines every bracket; `extreme_root_bracket` and `certify_root_order`
 refine only the bracket of the largest or smallest root, and each
-polynomial's extreme root is isolated once per process.
+polynomial's extreme root is bracketed once per process.
+
+Floats propose and exact signs decide, in the manner of numeric-first
+real root solvers (Sagraloff & Mehlhorn, "Computing real roots of real
+polynomials", J. Symb. Comput. 73, 2016).  `sturm_real_roots` locates
+each root by float regula falsi inside its isolating bracket, and two
+integer signs confirm that the root lies strictly inside the grid cell
+that bisection would end in; the bracket is then bisection's own.
+`certify_root_order` takes the extreme root's bracket from float Newton
+steps once Sturm counts confirm it.  A seed that is not confirmed, or
+coefficients beyond float range, fall back to bisection and isolation,
+so no result depends on a float.
 """
 
 import math
@@ -285,9 +296,20 @@ def _count_roots(chain, lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _squarefree(p: IntPolynomial) -> IntPolynomial:
-    """The square-free part p / gcd(p, p'), as a primitive positive multiple."""
-    return _pdivmod(p, _gcd(p, p.derivative()))[0]
+def _squarefree_chain(p: IntPolynomial) -> tuple[list[IntPolynomial], IntPolynomial]:
+    """The Sturm chain of the square-free part p / gcd(p, p'), and that gcd.
+
+    p's own chain is Euclid's algorithm on p and p', so its last member is
+    the gcd up to sign, and when the gcd is constant the chain already is
+    the square-free part's.  The gcd is primitive with a positive leading
+    coefficient, and chain[0] is a primitive positive multiple of the
+    square-free part, as `_gcd` and `_pdivmod` give them.
+    """
+    chain = _sturm_chain(p)
+    g = chain[-1] if chain[-1].coeffs[-1] > 0 else -chain[-1]
+    if g.degree > 0:
+        chain = _sturm_chain(_pdivmod(p, g)[0])
+    return chain, g
 
 
 def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -375,6 +397,83 @@ def _refine(fi: IntPolynomial, a: Fraction, b: Fraction,
     return Fraction(lo, den), Fraction(hi, den)
 
 
+def _float_coeffs(c: tuple[int, ...]) -> tuple[float, ...] | None:
+    """The integer coefficients c as floats, or None if one is beyond float range."""
+    try:
+        return tuple(float(x) for x in c)
+    except OverflowError:
+        return None
+
+
+def _horner(fc: tuple[float, ...], x: float) -> float:
+    acc = 0.0
+    for c in reversed(fc):
+        acc = acc * x + c
+    return acc
+
+
+def _illinois(fc: tuple[float, ...], a: float, b: float) -> float:
+    """A float estimate of the one root of fc between a and b, or NaN.
+
+    Illinois regula falsi: the end that stays put has its value halved, so
+    the bracket keeps shrinking from both sides.  It stops when the next
+    point does not fall strictly inside the bracket, so it ends on floats.
+    NaN when the float values at a and b do not differ in sign.
+    """
+    fa, fb = _horner(fc, a), _horner(fc, b)
+    if not fa * fb < 0:
+        return math.nan
+    x, side = a, 0
+    while True:
+        nx = (a * fb - b * fa) / (fb - fa)
+        if not a < nx < b:
+            return x
+        x = nx
+        fx = _horner(fc, x)
+        if fx == 0 or fx != fx:
+            return x
+        if (fx > 0) == (fb > 0):
+            b, fb = x, fx
+            if side == 1:
+                fa /= 2
+            side = 1
+        else:
+            a, fa = x, fx
+            if side == -1:
+                fb /= 2
+            side = -1
+
+
+def _refine_seeded(fi: IntPolynomial, a: Fraction, b: Fraction, tol: Fraction,
+                   seed: float) -> tuple[Fraction, Fraction]:
+    """`_refine`'s bracket of the root in (a, b], found from the float estimate seed.
+
+    Bisection to width <= tol takes K halvings and ends in one of the 2^K
+    equal cells of (a, b], unless it hits the root exactly.  The seed names
+    a cell.  When the signs of fi at the cell's ends confirm that the root
+    lies strictly inside it, the root is no grid point, so every bisection
+    step goes the same way and ends in this very cell.  Otherwise, and for a
+    seed that is not finite, the bracket is bisected.
+    """
+    if b - a <= tol or not math.isfinite(seed):
+        return _refine(fi, a, b, tol)
+    c = fi.coeffs
+    den = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    span = hi - lo
+    # K is the least k with span * tol.denominator <= tol.numerator * den * 2^k
+    k = (-(-span * tol.denominator // (tol.numerator * den)) - 1).bit_length()
+    sn, sd = seed.as_integer_ratio()
+    last = (1 << k) - 1
+    j = min(max(((sn * den - lo * sd) << k) // (sd * span), 0), last)
+    left, scale = (lo << k) + j * span, den << k
+    sb = _sign_at(c, hi, den)
+    if ((j == 0 or _sign_at(c, left, scale) == -sb)
+            and (j == last or _sign_at(c, left + span, scale) == sb)):
+        return Fraction(left, scale), Fraction(left + span, scale)
+    return _refine(fi, a, b, tol)
+
+
 def _has_root(chain, a: Fraction, b: Fraction) -> bool:
     """Whether chain[0] vanishes somewhere in the bracket ((a, b], or the point a==b)."""
     if a == b:
@@ -387,28 +486,35 @@ def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12)
 
     A root of multiplicity m appears m times.  The roots of the square-free
     part are isolated by Sturm counts, then every isolating bracket is
-    refined by the sign of the square-free part alone; each root is the
-    midpoint of its bracket.  Multiplicities come from the derivative-gcd
-    chain.  Every chain is integer: its members are positive multiples of
-    the rational ones, so the counts and brackets are the same.
+    refined to bisection's bracket: seeded by float regula falsi and
+    confirmed by two signs, or bisected by the sign of the square-free part
+    alone.  Each root is the midpoint of its bracket.  Multiplicities come
+    from the derivative-gcd chain.  Every chain is integer: its members are
+    positive multiples of the rational ones, so the counts and brackets are
+    the same.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if not lo < hi:
         raise ValueError("need lo < hi")
+    if not tol > 0:
+        # bisection to a width <= 0 would not end
+        raise ValueError("need tol > 0")
     if p.degree == 0:
         return []
     ftol = Fraction(tol)
+    chain, g = _squarefree_chain(p)
     # gcd chain, ending in a constant: a root of multiplicity m survives
     # into the first m entries
-    gchain = [p, _gcd(p, p.derivative())]
+    gchain = [p, g]
     while gchain[-1].degree > 0:
         gchain.append(_gcd(gchain[-1], gchain[-1].derivative()))
-    chain = _sturm_chain(_pdivmod(p, gchain[1])[0])
     repeated = [_sturm_chain(g) for g in gchain[1:-1]]
+    fc = _float_coeffs(chain[0].coeffs)
     roots: list[float] = []
-    for bracket in _isolate(chain, Fraction(lo), Fraction(hi)):
-        a, b = _refine(chain[0], *bracket, ftol)
+    for a, b in _isolate(chain, Fraction(lo), Fraction(hi)):
+        seed = math.nan if fc is None or a == b else _illinois(fc, float(a), float(b))
+        a, b = _refine_seeded(chain[0], a, b, ftol, seed)
         mult = 1
         for rchain in repeated:
             if _has_root(rchain, a, b):
@@ -441,11 +547,66 @@ def _extreme_isolated(p: IntPolynomial,
     if side not in ("max", "min"):
         raise ValueError("side must be 'max' or 'min'")
     bound = cauchy_root_bound(p)
-    chain = _sturm_chain(_squarefree(p))
+    chain, _ = _squarefree_chain(p)
     brackets = _isolate(chain, -bound, bound)
     if not brackets:
         raise ValueError("polynomial has no real roots")
     return chain[0], brackets[-1] if side == "max" else brackets[0]
+
+
+def _newton_extreme(fc: tuple[float, ...], x: float, inward: int) -> float:
+    """Float Newton steps from x, beyond every real root of fc, toward the
+    extreme one: inward is -1 from above, +1 from below.
+
+    Steps are taken while they move x strictly inward, so the loop ends on
+    floats; the last point is returned, NaN and overshoot included.
+    """
+    dc = tuple(k * c for k, c in enumerate(fc))[1:]
+    while True:
+        d = _horner(dc, x)
+        if d == 0:
+            return x
+        nx = x - _horner(fc, x) / d
+        if not (nx - x) * inward > 0:
+            return x
+        x = nx
+
+
+def _variations_at_infinity(chain, direction: int) -> int:
+    """Sign variations of the chain at +infinity (direction 1) or -infinity (-1)."""
+    signs = [(1 if c.coeffs[-1] > 0 else -1) * direction ** c.degree for c in chain]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+@lru_cache(maxsize=None)
+def _extreme_seeded(p: IntPolynomial,
+                    side: str) -> tuple[IntPolynomial, tuple[Fraction, Fraction]]:
+    """The square-free part of p and a bracket of its largest ("max") or
+    smallest ("min") real root, found once per process.
+
+    Float Newton from the square-free part's Cauchy bound proposes the
+    root, and the bracket of width 2^-20 around it, on the grid of
+    2^-21, is kept when Sturm counts show that it holds one root and no
+    root lies beyond it.  A right end that is the root gives the point
+    bracket.  Otherwise the root is isolated as `_extreme_isolated` does.
+    """
+    if side not in ("max", "min"):
+        raise ValueError("side must be 'max' or 'min'")
+    cauchy_root_bound(p)            # rejects the zero polynomial, as isolation does
+    chain, _ = _squarefree_chain(p)
+    fc = _float_coeffs(chain[0].coeffs)
+    if fc is not None and len(fc) > 1:
+        inward = -1 if side == "max" else 1
+        bound = 1 + max(abs(c) for c in fc[:-1]) / abs(fc[-1])
+        t = _newton_extreme(fc, -inward * bound, inward) * 2**21
+        if math.isfinite(t):
+            k = math.floor(t)
+            a, b = Fraction(k - 1, 2**21), Fraction(k + 1, 2**21)
+            va, vb = _variations(chain, a), _variations(chain, b)
+            beyond = vb if side == "max" else va
+            if va - vb == 1 and beyond == _variations_at_infinity(chain, -inward):
+                return chain[0], (b, b) if _sign(chain[0], b) == 0 else (a, b)
+    return _extreme_isolated(p, side)
 
 
 def extreme_root_bracket(p: IntPolynomial, side: str,
@@ -468,11 +629,12 @@ def certify_root_order(p: IntPolynomial, q: IntPolynomial, side: str = "max") ->
     equality because each bracket isolates a single root.  A bracket is
     either the point (r, r) or the half-open (a, b], whose right end is
     never a root, so two brackets that only touch are disjoint unless they
-    are the same point.  Each root is isolated once; a retry refines the
+    are the same point.  Each extreme root is bracketed once, from a float
+    seed that Sturm counts confirm (`_extreme_seeded`); a retry refines the
     brackets already found.
     """
-    fp, a = _extreme_isolated(p, side)
-    fq, b = _extreme_isolated(q, side)
+    fp, a = _extreme_seeded(p, side)
+    fq, b = _extreme_seeded(q, side)
     width = Fraction(1, 2**20)
     common = None
     for _ in range(8):

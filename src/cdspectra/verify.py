@@ -27,7 +27,7 @@ from itertools import permutations, repeat
 
 import numpy as np
 
-from cdspectra.families import FAMILIES
+from cdspectra.families import FAMILIES, build_many
 from cdspectra.graphcore import (
     ISO_MAX_VERTICES,
     DisconnectedGraph,
@@ -49,6 +49,7 @@ from cdspectra.spectra import (
     certify_root_order,
     char_poly_exact,
     sym_eigenvalues,
+    sym_spectra,
 )
 
 CHUNK_BITS = 20                     # fixed: labeled scan results must not depend on workers
@@ -253,7 +254,9 @@ def _map_chunks(fn, n: int, workers: int) -> list:
 def _perm_edge_bits(n: int) -> np.ndarray:
     """Row e holds, for each permutation of S_n, the mask bit of edge e's image."""
     pairs = np.array(g6_pairs(n)).T
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    # vertex labels and edge indices fit in uint8; int64 temporaries of
+    # these (n!, n(n-1)/2) arrays set the peak memory of an n = 7 scan
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
     a, b = perms[:, pairs[0]].T, perms[:, pairs[1]].T
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     # (lo, hi) is edge hi(hi-1)/2 + lo in g6_pairs order
@@ -573,10 +576,61 @@ def complement_distance_extremes(graphs: list[Graph]) -> dict:
     return {"l1": l1, "ln": ln}
 
 
-@lru_cache(maxsize=None)
-def _family_spectrum(family: str, params: tuple[int, ...]):
-    """Spectrum of D(X^c) for the family graph X(params), solved once per process."""
-    return complement_distance_spectrum(FAMILIES[family].build(*params))
+class _FamilySolution:
+    """D(X^c) of a family graph X and its eigenvalues.
+
+    A plain class: a dataclass runs generated code at import, which every
+    command would pay for.
+    """
+
+    __slots__ = ("values", "dc")
+
+    def __init__(self, values: np.ndarray, dc: np.ndarray):
+        self.values = values        # non-increasing, bitwise those of complement_distance_spectrum
+        self.dc = dc                # D(X^c), uint8
+
+    @property
+    def lambda1(self) -> float:
+        return float(self.values[0])
+
+    @property
+    def lambda_n(self) -> float:
+        return float(self.values[-1])
+
+
+_FAMILY_STORE: dict[tuple[str, tuple[int, ...]], _FamilySolution] = {}
+
+
+def _family_spectra(keys) -> list[_FamilySolution]:
+    """D(X^c) and its eigenvalues for each (family, params) key, solved once per process.
+
+    The keys not yet in the store are built as one batch (`build_many`).
+    Each `_blocks` block of one order then gets one complement distance
+    kernel call and one stacked eigensolve (`sym_spectra`), whose values
+    are bitwise those of `complement_distance_spectrum`.  Only the values
+    and D(X^c) are kept.  A claim fills the store with its whole grid
+    before it reads any point.
+    """
+    keys = list(keys)
+    missing = list(dict.fromkeys(k for k in keys if k not in _FAMILY_STORE))
+    by_order: dict[int, list] = {}
+    for key, g in zip(missing, build_many(missing)):
+        by_order.setdefault(g.n, []).append((key, g))
+    for n, items in by_order.items():
+        for block in _blocks(items, n):
+            dc = distance_matrices(1 - np.eye(n, dtype=np.int64)
+                                   - adjacency_stack([g for _, g in block]))
+            if dc.min() < 0:
+                raise DisconnectedGraph("vertex 0 does not reach all vertices")
+            for (key, _), d, spec in zip(block, dc, sym_spectra(dc)):
+                _FAMILY_STORE[key] = _FamilySolution(spec.values, d.astype(np.uint8))
+    return [_FAMILY_STORE[k] for k in keys]
+
+
+def _family_spectrum(family: str, params: tuple[int, ...]) -> _FamilySolution:
+    """D(X^c) and its eigenvalues for the family graph X(params), from the store."""
+    key = (family, params)
+    return _FAMILY_STORE.get(key) or _family_spectra([key])[0]
 
 
 def _exact_order(g: Graph, bound_poly, side: str) -> int:
@@ -818,10 +872,10 @@ def check_lemma(claim_id: str, n: int | None = None, p_max: int = 12,
 
 def run_claim(claim_id: str, n: int | None = None, p_max: int = 12,
               workers: int = 1) -> VerificationReport:
-    """Run any registered claim (lemma or theorem) by id."""
+    """Run any registered claim (lemma or theorem) by id; n = None takes the
+    claim's default order."""
     if claim_id not in CLAIM_IDS:
         raise ValueError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     if claim_id.startswith("T"):
-        default_n = 7
-        return check_theorem(claim_id, n or default_n)
+        return check_theorem(claim_id, 7 if n is None else n)
     return check_lemma(claim_id, n=n, p_max=p_max, workers=workers)

@@ -39,6 +39,10 @@ def test_poly_usage_errors(capsys):
     assert code == 1 and "no quotient model" in err
     code, _, err = run_cli(capsys, "poly", "--family", "H", "--s", "2")
     assert code == 1 and "needs --t" in err
+    for tol in ("0", "-1"):
+        code, out, err = run_cli(capsys, "poly", "--family", "H", "--s", "2", "--t", "2",
+                                 "--tol", tol)
+        assert (code, out, err) == (1, "", "error: poly H: need tol > 0\n")
 
 
 def test_family_subcommand(capsys):
@@ -306,6 +310,16 @@ def test_verify_workers_below_one_is_usage_error(capsys, workers):
                              "--workers", workers)
     assert code == 1 and out == ""
     assert err == f"error: --workers must be at least 1, got {workers}\n"
+
+
+@pytest.mark.parametrize("claim", ["T2.4", "T2.8", "T3.7", "T3.13",
+                                   "2.1", "2.3", "2.5", "2.6", "2.7", "3.9"])
+def test_verify_order_zero_is_usage_error(capsys, claim):
+    # n = 0 is an order like any other, not "use the default"
+    code, out, err = run_cli(capsys, "verify", "--claims", claim, "--n", "0")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: claim {claim}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,12 @@
 """Family constructors: orders, edge counts, diameters, symmetries."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import pytest
 
+from cdspectra import families
 from cdspectra.families import (
     FAMILIES,
     build_B1,
@@ -16,10 +18,19 @@ from cdspectra.families import (
     build_T,
     build_T1,
     build_T2,
+    build_many,
     build_path,
     build_star,
 )
-from cdspectra.graphcore import Graph, complement, diameter, is_connected, is_isomorphic
+from cdspectra.graphcore import (
+    DisconnectedGraph,
+    Graph,
+    complement,
+    diameter,
+    from_edges,
+    is_connected,
+    is_isomorphic,
+)
 
 
 @dataclass(frozen=True)
@@ -129,3 +140,39 @@ def test_family_spec_registry():
         "path", "star", "H", "T", "T1", "T2", "B1", "B2", "L", "Lprime", "Ldprime"}
     assert FAMILIES["B2"].param_names == ("p", "q")
     assert FAMILIES["Lprime"].order(9) == 9
+
+
+def test_build_many_equals_the_single_builds():
+    keys = [("H", (2, 3)), ("T", (3, 1)), ("B1", (4, 3)), ("L", (4, 3)), ("path", (7,)),
+            ("Lprime", (9,)), ("T1", (2, 2)), ("star", (5,)), ("H", (2, 3))]
+    assert build_many(keys) == [FAMILIES[f].build(*params) for f, params in keys]
+    assert build_many([]) == []
+    with pytest.raises(ValueError, match=r"^L\(p,q\) needs p >= 4, q >= 2$"):
+        build_many([("H", (2, 3)), ("L", (3, 2))])
+
+
+def _declaring(family: str, want: int):
+    """FAMILIES[family] with its maker declaring the diameter `want`."""
+    make = FAMILIES[family].make
+
+    def declared(*params):
+        label, graph, _ = make(*params)
+        return label, graph, want
+
+    return dataclasses.replace(FAMILIES[family], make=declared)
+
+
+def test_failing_diameter_in_a_batch_raises_the_per_graph_text(monkeypatch):
+    monkeypatch.setitem(FAMILIES, "T", _declaring("T", 4))
+    # the first failure in key order wins, though its order's check runs second
+    keys = [("H", (2, 3)), ("T", (3, 3)), ("B1", (4, 3)), ("T", (3, 2))]
+    with pytest.raises(AssertionError) as info:
+        build_many(keys)
+    assert str(info.value) == "T(3,3): expected diameter 4, got 3"
+    # a disconnected graph raises what its own diameter raises
+    two = from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedGraph) as batch:
+        families._checked([FAMILIES["H"].make(1, 1), ("2K2", two, 2)])
+    with pytest.raises(DisconnectedGraph) as alone:
+        diameter(two)
+    assert str(batch.value) == str(alone.value)

@@ -1,5 +1,6 @@
 """Eigensolver, exact characteristic polynomials, Sturm root isolation."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -11,16 +12,20 @@ from test_graphcore import diameter_gt3_graphs
 
 from cdspectra.graphcore import complement, distance_matrix, from_edge_mask
 from cdspectra.families import build_path
+from cdspectra import spectra
 from cdspectra.spectra import (
     IntPolynomial,
     TooLargeMatrix,
     _count_roots,
+    _float_coeffs,
     _gcd,
+    _illinois,
     _isolate,
     _pdivmod,
     _refine,
+    _refine_seeded,
     _sign,
-    _squarefree,
+    _squarefree_chain,
     _sturm_chain,
     cauchy_root_bound,
     certify_root_order,
@@ -235,6 +240,9 @@ def test_sturm_no_roots_and_validation():
         sturm_real_roots(IntPolynomial((0,)), -1, 1)
     with pytest.raises(ValueError):
         sturm_real_roots(IntPolynomial((1, 1)), 2, 1)
+    for tol in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="need tol > 0"):
+            sturm_real_roots(IntPolynomial((-2, 0, 1)), -5, 5, tol)
 
 
 def test_sturm_agrees_with_jacobi_on_symmetric_integer_matrices():
@@ -541,7 +549,7 @@ def test_two_phase_brackets_equal_single_phase_reference():
     for _ in range(120):
         p, rational = _random_poly(rng)
         f = _ref_squarefree(_ref_frac(p))
-        chain = _sturm_chain(_squarefree(p))
+        chain = _squarefree_chain(p)[0]
         r = rational[int(rng.integers(0, len(rational)))]
         # intervals that end exactly on a rational root, from either side,
         # and wide ones with non-dyadic ends
@@ -609,6 +617,120 @@ def test_certify_root_order_equals_reference_and_retries_near_ties():
             assert certify_root_order(p, q, side) == want
 
 
+def test_seeded_refinement_equals_bisection(monkeypatch):
+    # every seed, good or bad, must give bisection's own bracket; a good
+    # seed must mostly do so without bisecting
+    bisected = []
+
+    def counting_refine(*args):
+        bisected.append(args)
+        return _refine(*args)
+
+    monkeypatch.setattr(spectra, "_refine", counting_refine)
+    rng = np.random.default_rng(20201019)
+    confirmed = tried = 0
+    for _ in range(100):
+        p, rational = _random_poly(rng)
+        chain = _squarefree_chain(p)[0]
+        fc = _float_coeffs(chain[0].coeffs)
+        r = rational[int(rng.integers(0, len(rational)))]
+        # intervals that end exactly on a rational root, from either side,
+        # and wide ones with non-dyadic ends
+        spans = [(r, r + Fraction(7, 3)), (r - Fraction(5, 3), r),
+                 (Fraction(-31, 3), Fraction(29, 3))]
+        for lo, hi in spans:
+            for a, b in _isolate(chain, lo, hi):
+                if a == b:
+                    continue
+                good = _illinois(fc, float(a), float(b))
+                bad = [math.nan, math.inf, -math.inf, float(a) - 1, float(b) + 1,
+                       float(a), float(b), float((a + b) / 2)]
+                for tol in WIDTHS:
+                    want = _refine(chain[0], a, b, tol)
+                    if b - a > tol and math.isfinite(good):
+                        tried += 1
+                        bisected.clear()
+                        assert _refine_seeded(chain[0], a, b, tol, good) == want, (p, a, b, tol)
+                        confirmed += not bisected
+                    for seed in bad:
+                        assert _refine_seeded(chain[0], a, b, tol, seed) == want, (p, a, b, seed)
+    assert tried > 300 and confirmed > 0.9 * tried
+
+
+def test_illinois_seed_is_nan_without_a_float_sign_change():
+    sqrt2 = (-2.0, 0.0, 1.0)
+    assert abs(_illinois(sqrt2, 1.0, 2.0) - math.sqrt(2)) < 1e-15
+    assert math.isnan(_illinois(sqrt2, 2.0, 3.0))
+    assert math.isnan(_illinois((0.0, 1.0), 0.0, 1.0))      # a root on the left end
+    assert _float_coeffs((1, 10**400)) is None
+
+
+def test_certify_root_order_seeded_equals_bisection_only_reference(monkeypatch):
+    isolated = []
+
+    def recording_isolation(p, side):
+        isolated.append(p)
+        return _isolated(p, side)
+
+    _isolated = spectra._extreme_isolated
+    monkeypatch.setattr(spectra, "_extreme_isolated", recording_isolation)
+    monkeypatch.setattr(spectra, "_extreme_seeded",
+                        functools.lru_cache(maxsize=None)(spectra._extreme_seeded.__wrapped__))
+    x = IntPolynomial((0, 1))
+    sqrt2 = IntPolynomial((-2, 0, 1))
+    huge = IntPolynomial((-1, 1)) * IntPolynomial((10**320, 1))      # roots 1 and -1e320
+    on_grid = IntPolynomial((-3, 2**21)) * IntPolynomial((5, 0, 1))  # root 3 / 2^21
+    pairs = [
+        (sqrt2, IntPolynomial((-141421356, 10**8))),                # near tie
+        (sqrt2 * IntPolynomial((1, 1)), sqrt2),                     # shared root
+        (IntPolynomial((-1, 3)) * sqrt2, IntPolynomial((-1, 3))),   # shared rational root
+        (on_grid, IntPolynomial((-3, 2**21)) * x),                  # rational roots on the grid
+        (on_grid, IntPolynomial((-2, 2**20)) * (x - IntPolynomial((1,)))),
+        (huge, IntPolynomial((-2, 1)) * IntPolynomial((1, 1))),      # beyond float range
+        (huge, IntPolynomial((-1, 1)) * IntPolynomial((10**320 + 1, 1))),
+    ]
+    rng = np.random.default_rng(2016)
+    for _ in range(30):
+        pairs.append((_random_poly(rng)[0], _random_poly(rng)[0]))
+    for p, q in pairs:
+        for side in ("min", "max"):
+            want = _reference_order(p, q, side)
+            assert certify_root_order(p, q, side) == want, (p, q, side)
+            assert certify_root_order(q, p, side) == -want, (p, q, side)
+    # coefficients beyond float range fall back to Sturm isolation.  Newton
+    # from the Cauchy bound moves monotonically to the extreme root of a
+    # real-rooted polynomial, so only polynomials with non-real roots may
+    # need isolation otherwise
+    assert huge in isolated
+    for p in isolated:
+        fi = _squarefree_chain(p)[0][0]
+        bound = cauchy_root_bound(fi)
+        assert (_float_coeffs(p.coeffs) is None
+                or _count_roots(_sturm_chain(fi), -bound, bound) < fi.degree), p
+    assert len(isolated) < spectra._extreme_seeded.cache_info().misses / 5
+
+
+@pytest.mark.parametrize("offset", [-2.0**-22, 2.0**-22, 2.0**-19, -5.0, math.nan, math.inf])
+def test_certify_root_order_with_a_perturbed_newton_seed_equals_reference(monkeypatch, offset):
+    # a seed just below a root on the 2^-21 grid gives the point bracket, one
+    # beyond the bracket's reach or not finite falls back to isolation
+    newton = spectra._newton_extreme
+    monkeypatch.setattr(spectra, "_newton_extreme", lambda *args: newton(*args) + offset)
+    monkeypatch.setattr(spectra, "_extreme_seeded",
+                        functools.lru_cache(maxsize=None)(spectra._extreme_seeded.__wrapped__))
+    x = IntPolynomial((0, 1))
+    on_grid = IntPolynomial((-3, 2**21)) * IntPolynomial((5, 21, 2**21))
+    sqrt2 = IntPolynomial((-2, 0, 1))
+    pairs = [(on_grid, IntPolynomial((-3, 2**21)) * x), (on_grid, sqrt2),
+             (sqrt2, IntPolynomial((-141421356, 10**8))), (sqrt2 * x, sqrt2)]
+    for p, q in pairs:
+        for side in ("min", "max"):
+            assert certify_root_order(p, q, side) == _reference_order(p, q, side), (p, q, side)
+    if offset == -2.0**-22:
+        root = Fraction(3, 2**21)
+        assert spectra._extreme_seeded(IntPolynomial((-3, 2**21)) * x, "max")[1] == (root, root)
+
+
 def _positive_multiple(p, f):
     """Whether the integer polynomial p is a positive multiple of the rational f."""
     f = _ref_trim(list(f))
@@ -629,10 +751,12 @@ def test_integer_remainder_sequences_are_positive_multiples_of_the_rational_ones
         if rng.integers(0, 2):
             q = q * IntPolynomial((-1, 3))          # often a shared root
         fp, fq = _ref_frac(p), _ref_frac(q)
-        for poly, rational in ((p, fp), (_squarefree(p), _ref_squarefree(fp))):
-            chain, ref = _sturm_chain(poly), _ref_rational_chain(rational)
+        squarefree = _ref_squarefree(fp)
+        for chain, rational in ((_sturm_chain(p), fp), (_squarefree_chain(p)[0], squarefree)):
+            ref = _ref_rational_chain(rational)
             assert len(chain) == len(ref)
             assert all(_positive_multiple(c, r) for c, r in zip(chain, ref)), p
+        assert _positive_multiple(_squarefree_chain(p)[1], _ref_gcd(fp, _ref_deriv(fp)))
         for a, b in ((p, q), (p * q, q), (q, p * p)):
             g = _gcd(a, b)
             assert math.gcd(*g.coeffs) == 1 and g.coeffs[-1] > 0

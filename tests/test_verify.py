@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from cdspectra import lemmas, verify
 from cdspectra.families import (
-    build_B1, build_H, build_L, build_Ldprime, build_Lprime, build_path,
+    FAMILIES, build_B1, build_H, build_L, build_Ldprime, build_Lprime, build_path,
 )
 from cdspectra.graphcore import (
+    DisconnectedGraph,
     complement,
     diameter,
     distance_matrix,
@@ -354,12 +355,16 @@ def test_lemma_3_11_refuted_with_certificate():
 
 def test_lemma_3_11_isolates_each_polynomial_once():
     # 62 root orders compare 124 extreme roots of 80 distinct polynomials:
-    # Psi_Lprime(p + q) recurs along each anti-diagonal of the grid
+    # Psi_Lprime(p + q) recurs along each anti-diagonal of the grid.  Each
+    # extreme root is bracketed once, from a confirmed float seed, and
+    # never again by Sturm isolation
     from cdspectra import spectra
+    spectra._extreme_seeded.cache_clear()
     spectra._extreme_isolated.cache_clear()
     verify.check_lemma("3.11", p_max=12)
-    info = spectra._extreme_isolated.cache_info()
+    info = spectra._extreme_seeded.cache_info()
     assert (info.misses, info.hits) == (80, 44)
+    assert spectra._extreme_isolated.cache_info().hits == 0
 
 
 def test_lemma_3_11_confirmed_on_small_grid():
@@ -372,6 +377,51 @@ def test_lemma_3_12_balance():
     rep = verify.check_lemma("3.12", p_max=10)
     assert rep.status == "confirmed"
     assert rep.margin > 1e-9
+
+
+def test_family_store_is_bitwise_the_per_graph_spectrum(monkeypatch):
+    # every family graph the exact grid claims read, solved in batches per
+    # order and block, against one graph at a time
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
+    monkeypatch.setattr(verify, "STREAM_BLOCK_ENTRIES", 5 * 24 * 24)    # several blocks per order
+    for claim in ("quotient-consistency", "3.1", "3.4", "3.5", "3.6", "3.9", "3.11", "3.12"):
+        verify.check_lemma(claim, n=7)
+    store = verify._FAMILY_STORE
+    assert len(store) > 300
+    families = {"H", "T", "T1", "T2", "B1", "B2", "L", "Lprime", "Ldprime"}
+    assert {family for family, _ in store} == families
+    for (family, params), solved in store.items():
+        g = FAMILIES[family].build(*params)
+        want = verify.complement_distance_spectrum(g).values
+        assert solved.values.tobytes() == want.tobytes(), (family, params)
+        assert solved.dc.dtype == np.uint8
+        assert np.array_equal(solved.dc, distance_matrix(complement(g)))
+    # a disconnected complement in a batch raises the per-graph text
+    with pytest.raises(DisconnectedGraph) as alone:
+        verify.complement_distance_spectrum(build_path(3))
+    with pytest.raises(DisconnectedGraph) as batch:
+        verify._family_spectra([("H", (2, 2)), ("path", (3,)), ("path", (8,))])
+    assert str(batch.value) == str(alone.value)
+
+
+def test_claims_share_the_family_store(monkeypatch):
+    # a claim fills the store for its whole grid once; the other claims and
+    # quotient_consistency read the graphs already solved
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
+    solved = []
+    fill = verify.sym_spectra
+
+    def counting_spectra(stack):
+        solved.append(len(stack))
+        return fill(stack)
+
+    monkeypatch.setattr(verify, "sym_spectra", counting_spectra)
+    verify.check_lemma("3.11")
+    first = sum(solved)
+    assert first == len(verify._FAMILY_STORE) and len(solved) <= 24
+    verify.check_lemma("3.12")
+    verify.check_lemma("3.11")
+    assert sum(solved) == len(verify._FAMILY_STORE) < 2 * first
 
 
 def test_quotient_consistency_claim():
@@ -770,6 +820,13 @@ def _ref_perm_edge_table(n: int) -> np.ndarray:
     a, b = perms[:, pairs[0]], perms[:, pairs[1]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     return (hi * (hi - 1) // 2 + lo).astype(np.uint32)
+
+
+def test_perm_edge_bits_equal_the_int64_reference():
+    for n in range(2, 9):
+        want = np.left_shift(np.uint32(1), _ref_perm_edge_table(n).T)
+        got = verify._perm_edge_bits(n)
+        assert got.dtype == np.uint32 and np.array_equal(got, want), n
 
 
 def _ref_orbit_masks(n: int, mask) -> np.ndarray:
