@@ -28,6 +28,7 @@ from cdspectra.spectra import (
     IntPolynomial,
     Spectrum,
     char_poly_exact,
+    char_polys_exact,
     sturm_real_roots,
     sym_eigenvalues,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "TooLarge",
     "adjacency_matrix",
     "char_poly_exact",
+    "char_polys_exact",
     "complement",
     "diameter",
     "distance_matrices",

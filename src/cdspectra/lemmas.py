@@ -561,8 +561,7 @@ def _quotient_consistency_claim(orders=range(7, 21), tol: float = 1e-9) -> Verif
         if pb >= 4:
             cases.append(("L", (pb, qb)))
         cases += [("Lprime", (n,)), ("Ldprime", (n,))]
-    _family_spectra(quotients.model_graph_key(*case) for case in cases)
-    reports = [quotients.quotient_consistency(*case, tol) for case in cases]
+    reports = quotients.quotient_reports(cases, tol)
     bad = [r for r in reports if not r.ok()]
     mismatched = [r for r in reports if not r.poly_matches]
     ln_missing = [r for r in reports if not r.lambda_n_is_root]

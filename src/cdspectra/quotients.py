@@ -10,8 +10,9 @@ polynomial dividing interest into four cross-checkable artifacts:
   * the exact char poly of the derived matrix.
 
 `quotient_consistency` compares all four and checks the roots against the
-full numeric spectrum.  Printed-formula mismatches are reported, never
-silently patched: the derived objects win.
+full numeric spectrum; `quotient_reports` does so for many cases at once.
+Printed-formula mismatches are reported, never silently patched: the
+derived objects win.
 """
 
 from dataclasses import dataclass, field
@@ -21,11 +22,11 @@ import numpy as np
 
 from cdspectra.spectra import (
     IntPolynomial,
-    char_poly_exact,
     cauchy_root_bound,
+    char_polys_exact,
     sturm_real_roots,
 )
-from cdspectra.verify import _family_spectrum
+from cdspectra.verify import _family_spectra
 
 class UnsupportedFamily(ValueError):
     """No quotient model is defined for this family."""
@@ -438,27 +439,47 @@ class QuotientReport:
 
 
 def quotient_consistency(family_id: str, params, tol: float = 1e-9) -> QuotientReport:
-    """Compare derived/printed quotient artifacts and the full spectrum.
+    """Compare derived/printed quotient artifacts and the full spectrum:
+    `quotient_reports` of the one case."""
+    return quotient_reports([(family_id, params)], tol)[0]
+
+
+def quotient_reports(cases, tol: float = 1e-9) -> list[QuotientReport]:
+    """`quotient_consistency` of each (family_id, params) case, as one batch.
 
     D(X^c) and its eigenvalues come from the per-process store of solved
-    family graphs (`verify._family_spectra`), which a claim fills for all
-    its cases at once; a case not yet there is built and solved alone.
+    family graphs (`verify._family_spectra`), filled for every case at once.
+    All quotient matrices are built first, and their characteristic
+    polynomials come from one `char_polys_exact` call per matrix size.
+    Each quotient polynomial's roots are then isolated exactly and matched
+    against the full spectrum.
     """
-    params = tuple(int(p) for p in params)
-    spec = _family_spectrum(*model_graph_key(family_id, params))
-    dc = spec.dc
-    order = len(dc)
-    if order > 40:
-        raise ValueError("quotient_consistency supports orders up to 40")
-    qm = quotient_from_partition(dc, _classes(family_id, params))
+    cases = [(family_id, tuple(int(p) for p in params)) for family_id, params in cases]
+    solved = _family_spectra([model_graph_key(*case) for case in cases])
+    matrices = []
+    for (family_id, params), spec in zip(cases, solved):
+        if len(spec.dc) > 40:
+            raise ValueError("quotient_consistency supports orders up to 40")
+        matrices.append(quotient_from_partition(spec.dc, _classes(family_id, params)))
+    derived: dict[int, IntPolynomial] = {}
+    for size in {len(qm) for qm in matrices}:
+        index = [i for i, qm in enumerate(matrices) if len(qm) == size]
+        derived.update(zip(index, char_polys_exact([matrices[i] for i in index])))
+    return [_report(*case, spec, qm, derived[i], tol)
+            for i, (case, spec, qm) in enumerate(zip(cases, solved, matrices))]
+
+
+def _report(family_id: str, params: tuple[int, ...], spec, qm: np.ndarray,
+            derived: IntPolynomial, tol: float) -> QuotientReport:
     pm = printed_quotient_matrix(family_id, params)
-    derived = char_poly_exact(qm)
     printed = printed_poly(family_id, params)
+    order = len(spec.dc)
     # any eigenvalue is bounded by the max row sum <= n * max distance; the
     # complements here have diameter up to 3, so 2n would clip lambda_1
-    bound = order * int(dc.max())
+    bound = order * int(spec.dc.max())
     roots = sturm_real_roots(derived, -bound, bound, min(tol, 1e-10) / 10)
-    unmatched = [r for r in roots if min(abs(r - v) for v in spec.values) > tol]
+    values = spec.values.tolist()
+    unmatched = [r for r in roots if min(abs(r - v) for v in values) > tol]
     return QuotientReport(
         family_id=family_id,
         params=params,

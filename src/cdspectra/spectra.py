@@ -7,25 +7,32 @@ are bracketed exactly over the rationals.  Agreement between the two
 routes is what the verification harness leans on; neither side may be
 collapsed into the other.
 
+`char_polys_exact` runs Faddeev-LeVerrier on a whole stack of matrices at
+once, in numpy `object` dtype, so the coefficients are Python ints of any
+size; `char_poly_exact` is its batch of one.
+
 The exact layer computes in Z[x] only.  Sturm chains, gcds and square-free
 parts come from primitive pseudo-remainder sequences, so each member is a
-positive multiple of its rational counterpart and has the same signs;
-`Fraction` is used only for points and brackets.
+positive multiple of its rational counterpart and has the same signs.
+Each polynomial's square-free Sturm chain is built once per process.
 
 Exact roots are bracketed in two phases.  Isolation bisects by Sturm
 counts only until each bracket holds one root of the square-free part.
 Refinement then bisects each isolating bracket by the sign of the
-square-free part alone, in integer arithmetic.  `sturm_real_roots`
-refines every bracket; `extreme_root_bracket` and `certify_root_order`
-refine only the bracket of the largest or smallest root, and each
-polynomial's extreme root is bracketed once per process.
+square-free part alone.  Both phases take signs in plain integers: a point
+is an integer numerator over a power-of-two multiple of one denominator,
+and a `Fraction` is built only for a bracket that is returned.
+`sturm_real_roots` refines every bracket; `extreme_root_bracket` and
+`certify_root_order` refine only the bracket of the largest or smallest
+root, and each polynomial's extreme root is bracketed once per process.
 
 Floats propose and exact signs decide, in the manner of numeric-first
 real root solvers (Sagraloff & Mehlhorn, "Computing real roots of real
 polynomials", J. Symb. Comput. 73, 2016).  `sturm_real_roots` locates
-each root by float regula falsi inside its isolating bracket, and two
-integer signs confirm that the root lies strictly inside the grid cell
-that bisection would end in; the bracket is then bisection's own.
+each root by float regula falsi inside its isolating bracket (a bracket
+that starts on an exact root takes the sign there from its right end),
+and two integer signs confirm that the root lies strictly inside the grid
+cell that bisection would end in; the bracket is then bisection's own.
 `certify_root_order` takes the extreme root's bracket from float Newton
 steps once Sturm counts confirm it.  A seed that is not confirmed, or
 coefficients beyond float range, fall back to bisection and isolation,
@@ -102,17 +109,32 @@ def sym_spectra(stack) -> list[Spectrum]:
 # --- exact integer polynomials ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """Univariate polynomial with exact integer coefficients, ascending degree."""
+    """Univariate polynomial with exact integer coefficients, ascending degree.
 
-    coeffs: tuple[int, ...]
+    A plain class: a dataclass runs generated code at import, and the exact
+    layer builds thousands of these.  It is hashed and memoised on, so it
+    is never changed after construction.
+    """
 
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        c = [int(x) for x in coeffs]
         while len(c) > 1 and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c if c else (0,))
+            c.pop()
+        self.coeffs: tuple[int, ...] = tuple(c) if c else (0,)
+
+    def __eq__(self, other):
+        if other.__class__ is not IntPolynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self):
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
@@ -132,10 +154,10 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return _from_ints([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return _from_ints([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
@@ -146,12 +168,10 @@ class IntPolynomial:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPolynomial(tuple(out))
+        return _from_ints(out)
 
     def derivative(self) -> "IntPolynomial":
-        if self.degree == 0:
-            return IntPolynomial((0,))
-        return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        return _from_ints([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __str__(self) -> str:
         terms = []
@@ -165,38 +185,63 @@ class IntPolynomial:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def char_poly_exact(m) -> IntPolynomial:
-    """Exact integer coefficients of det(lambda*I - M) by Faddeev-LeVerrier.
+def _from_ints(c) -> IntPolynomial:
+    """The polynomial with the Python int coefficients c, trailing zeros dropped.
 
-    Every per-step trace division is exact over the integers, so the whole
-    run stays in arbitrary-precision integer arithmetic (n=16 distance
-    matrices overflow 64-bit coefficients comfortably).
+    The exact layer's own results are ints already, so they skip the
+    constructor's int() conversion.
     """
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    p = object.__new__(IntPolynomial)
+    p.coeffs = tuple(c[:n]) if n else (0,)
+    return p
+
+
+def char_poly_exact(m) -> IntPolynomial:
+    """Exact integer coefficients of det(lambda*I - M): `char_polys_exact`
+    of the one matrix M."""
     a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
+    return char_polys_exact(a[None])[0]
+
+
+def char_polys_exact(stack) -> list[IntPolynomial]:
+    """Exact integer coefficients of det(lambda*I - M) for each M of an (m, n, n) stack.
+
+    Faddeev-LeVerrier on the whole stack at once, in numpy `object` dtype,
+    so every entry stays an arbitrary-precision Python int (n=16 distance
+    matrices overflow 64-bit coefficients comfortably).  Every per-step
+    trace division is exact over the integers.
+    """
+    a = np.asarray(stack)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("matrix must be square")
+    n = a.shape[1]
     if n > CHAR_POLY_MAX_N:
         raise TooLargeMatrix(f"char_poly_exact supports n <= {CHAR_POLY_MAX_N}")
-    rows = [[int(a[i, j]) for j in range(n)] for i in range(n)]
-    if any(rows[i][j] != a[i, j] for i in range(n) for j in range(n)):
+    flat = a.ravel().tolist()
+    try:
+        ints = [int(x) for x in flat]
+    except (TypeError, ValueError, OverflowError):      # NaN, +-inf, complex
+        ints = None
+    if ints is None or ints != flat:
         raise ValueError("matrix entries must be integers")
-    # c[k] is the coefficient of lambda^(n-k)
-    c = [1]
-    mat = [[0] * n for _ in range(n)]
+    a = np.array(ints, dtype=object).reshape(a.shape)
+    # c[k] holds each matrix's coefficient of lambda^(n-k)
+    c = [np.full(len(a), 1, dtype=object)]
+    diag = np.arange(n)
+    mat = np.zeros(a.shape, dtype=object)
     for k in range(1, n + 1):
-        for i in range(n):
-            mat[i][i] += c[-1]
-        am = [
-            [sum(rows[i][l] * mat[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(am[i][i] for i in range(n))
-        if tr % k:
+        mat[:, diag, diag] += c[-1][:, None]
+        mat = a @ mat
+        tr = mat[:, diag, diag].sum(axis=1)
+        if any(t % k for t in tr.tolist()):
             raise ArithmeticError("Faddeev-LeVerrier trace not divisible by step index")
         c.append(-(tr // k))
-        mat = am
-    return IntPolynomial(tuple(reversed(c)))
+    return [_from_ints(col) for col in np.stack(c[::-1], axis=1).tolist()]
 
 
 # --- integer remainder sequences for Sturm chains ----------------------------
@@ -205,7 +250,7 @@ def char_poly_exact(m) -> IntPolynomial:
 def _primitive(c) -> IntPolynomial:
     """The polynomial with integer coefficients c, divided by their positive gcd."""
     g = math.gcd(*c)
-    return IntPolynomial(tuple(x // g for x in c) if g > 1 else c)
+    return _from_ints([x // g for x in c] if g > 1 else c)
 
 
 def _pdivmod(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
@@ -280,10 +325,15 @@ def _sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return chain
 
 
-def _variations(chain, x: Fraction) -> int:
-    a, b = x.numerator, x.denominator
-    signs = [s for s in (_sign_at(c.coeffs, a, b) for c in chain) if s]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+def _variations(chain, a: int, b: int) -> int:
+    """Sign variations of the chain at x = a/b, b > 0, zeros skipped."""
+    count = last = 0
+    for p in chain:
+        s = _sign_at(p.coeffs, a, b)
+        if s and s != last:
+            count += last != 0
+            last = s
+    return count
 
 
 def _count_roots(chain, lo: Fraction, hi: Fraction) -> int:
@@ -293,11 +343,15 @@ def _count_roots(chain, lo: Fraction, hi: Fraction) -> int:
     chain[0] vanishes at an endpoint: a root at lo is excluded, one at hi
     included.
     """
-    return _variations(chain, lo) - _variations(chain, hi)
+    return (_variations(chain, lo.numerator, lo.denominator)
+            - _variations(chain, hi.numerator, hi.denominator))
 
 
-def _squarefree_chain(p: IntPolynomial) -> tuple[list[IntPolynomial], IntPolynomial]:
-    """The Sturm chain of the square-free part p / gcd(p, p'), and that gcd.
+@lru_cache(maxsize=None)
+def _squarefree_chain(p: IntPolynomial) -> tuple[tuple[IntPolynomial, ...], IntPolynomial]:
+    """The Sturm chain of the square-free part p / gcd(p, p'), and that gcd,
+    built once per process: the quotient roots and the root orders of a
+    grid ask for the same polynomials.
 
     p's own chain is Euclid's algorithm on p and p', so its last member is
     the gcd up to sign, and when the gcd is constant the chain already is
@@ -309,7 +363,7 @@ def _squarefree_chain(p: IntPolynomial) -> tuple[list[IntPolynomial], IntPolynom
     g = chain[-1] if chain[-1].coeffs[-1] > 0 else -chain[-1]
     if g.degree > 0:
         chain = _sturm_chain(_pdivmod(p, g)[0])
-    return chain, g
+    return tuple(chain), g
 
 
 def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -321,45 +375,54 @@ def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction
     returned as a zero-width bracket and the bracket to its left is pulled
     off it.  The variation count of each point is computed once and carried
     on the stack.  Brackets are sorted left to right.
+
+    Every point is an integer numerator over den * 2^s, where den is the
+    common denominator of lo and hi and s the bisection depth, so signs are
+    taken in integers and a Fraction is built only for a returned bracket.
     """
-    fi = chain[0]
+    fc = chain[0].coeffs
+    a, b, den = _over_common(lo, hi)
     out: list[tuple[Fraction, Fraction]] = []
-    if _sign(fi, lo) == 0:
+    if _sign_at(fc, a, den) == 0:
         out.append((lo, lo))
 
-    def pull_left(a: Fraction, b: Fraction, vb: int) -> tuple[Fraction, int]:
-        # f(b) == 0: record b, then find a point nb left of it where f is
-        # nonzero and (nb, b] holds no root but b
-        out.append((b, b))
-        step = (b - a) / 2
+    def pull_left(a: int, b: int, s: int, vb: int) -> tuple[int, int, int]:
+        # f(b) == 0 at b / (den << s): record b, then find a point nb left of
+        # it where f is nonzero and (nb, b] holds no root but b; the j-th
+        # try is b - (b - a) / 2^j, at depth s + j
+        root = Fraction(b, den << s)
+        out.append((root, root))
+        width = b - a
         while True:
-            nb = b - step
-            if _sign(fi, nb) != 0:
-                vn = _variations(chain, nb)
+            b, s = 2 * b, s + 1
+            nb, d = b - width, den << s
+            if _sign_at(fc, nb, d) != 0:
+                vn = _variations(chain, nb, d)
                 if vn - vb == 1:
-                    return nb, vn
-            step /= 2
+                    return nb, s, vn
 
-    va, vb = _variations(chain, lo), _variations(chain, hi)
-    b = hi
-    if _sign(fi, hi) == 0:
-        b, vb = pull_left(lo, hi, vb)
-    stack = [(lo, b, va, vb)]
+    va, vb = _variations(chain, a, den), _variations(chain, b, den)
+    s = 0
+    if _sign_at(fc, b, den) == 0:
+        b, s, vb = pull_left(a, b, 0, vb)
+        a <<= s
+    stack = [(a, b, s, va, vb)]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, s, va, vb = stack.pop()
         if va - vb <= 0:
             continue
         if va - vb == 1:
-            out.append((a, b))
+            out.append((Fraction(a, den << s), Fraction(b, den << s)))
             continue
-        mid = (a + b) / 2
-        vm = _variations(chain, mid)
-        if _sign(fi, mid) == 0:
-            nm, vn = pull_left(a, mid, vm)
-            stack.append((a, nm, va, vn))
+        mid, a, b, s = a + b, 2 * a, 2 * b, s + 1
+        d = den << s
+        vm = _variations(chain, mid, d)
+        if _sign_at(fc, mid, d) == 0:
+            nm, t, vn = pull_left(a, mid, s, vm)
+            stack.append((a << (t - s), nm, t, va, vn))
         else:
-            stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
+            stack.append((a, mid, s, va, vm))
+        stack.append((mid, b, s, vm, vb))
     out.sort(key=lambda ab: ab[0])
     return out
 
@@ -374,15 +437,14 @@ def _refine(fi: IntPolynomial, a: Fraction, b: Fraction,
     endpoints are integers over one denominator that doubles each step, so
     the loop builds no Fraction.
     """
-    if b - a <= tol:
-        return a, b
     c = fi.coeffs
-    den = math.lcm(a.denominator, b.denominator)
-    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-    sb = _sign_at(c, hi, den)
+    lo, hi, den = _over_common(a, b)
     # b - a <= tol  <=>  (hi - lo) * tol.denominator <= tol.numerator * den,
     # and hi - lo stays fixed while den doubles
     width, reach = (hi - lo) * tol.denominator, tol.numerator * den
+    if width <= reach:
+        return a, b
+    sb = _sign_at(c, hi, den)
     while width > reach:
         mid = lo + hi
         lo, hi, den, reach = 2 * lo, 2 * hi, 2 * den, 2 * reach
@@ -395,6 +457,12 @@ def _refine(fi: IntPolynomial, a: Fraction, b: Fraction,
         else:
             lo = mid
     return Fraction(lo, den), Fraction(hi, den)
+
+
+def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """a and b as integer numerators over their least common denominator."""
+    den = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
 
 
 def _float_coeffs(c: tuple[int, ...]) -> tuple[float, ...] | None:
@@ -413,14 +481,18 @@ def _horner(fc: tuple[float, ...], x: float) -> float:
 
 
 def _illinois(fc: tuple[float, ...], a: float, b: float) -> float:
-    """A float estimate of the one root of fc between a and b, or NaN.
+    """A float estimate of the one simple root of fc in (a, b], or NaN.
 
     Illinois regula falsi: the end that stays put has its value halved, so
     the bracket keeps shrinking from both sides.  It stops when the next
     point does not fall strictly inside the bracket, so it ends on floats.
-    NaN when the float values at a and b do not differ in sign.
+    A float value 0 at a, as at an exact root left of the bracket's, takes
+    the sign of fc between a and the root, which is -sign(fb), and fb's
+    size.  NaN when the float values at a and b still do not differ in sign.
     """
     fa, fb = _horner(fc, a), _horner(fc, b)
+    if fa == 0:
+        fa = -fb
     if not fa * fb < 0:
         return math.nan
     x, side = a, 0
@@ -455,12 +527,13 @@ def _refine_seeded(fi: IntPolynomial, a: Fraction, b: Fraction, tol: Fraction,
     step goes the same way and ends in this very cell.  Otherwise, and for a
     seed that is not finite, the bracket is bisected.
     """
-    if b - a <= tol or not math.isfinite(seed):
+    if not math.isfinite(seed):
         return _refine(fi, a, b, tol)
     c = fi.coeffs
-    den = math.lcm(a.denominator, b.denominator)
-    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    lo, hi, den = _over_common(a, b)
     span = hi - lo
+    if span * tol.denominator <= tol.numerator * den:
+        return a, b
     # K is the least k with span * tol.denominator <= tol.numerator * den * 2^k
     k = (-(-span * tol.denominator // (tol.numerator * den)) - 1).bit_length()
     sn, sd = seed.as_integer_ratio()
@@ -521,7 +594,10 @@ def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12)
                 mult += 1
             else:
                 break
-        roots.extend([float((a + b) / 2)] * mult)
+        # int true division rounds correctly, as float((a + b) / 2) does
+        mid = ((a.numerator * b.denominator + b.numerator * a.denominator)
+               / (2 * a.denominator * b.denominator))
+        roots.extend([mid] * mult)
     return sorted(roots)
 
 
@@ -601,10 +677,10 @@ def _extreme_seeded(p: IntPolynomial,
         t = _newton_extreme(fc, -inward * bound, inward) * 2**21
         if math.isfinite(t):
             k = math.floor(t)
-            a, b = Fraction(k - 1, 2**21), Fraction(k + 1, 2**21)
-            va, vb = _variations(chain, a), _variations(chain, b)
+            va, vb = _variations(chain, k - 1, 2**21), _variations(chain, k + 1, 2**21)
             beyond = vb if side == "max" else va
             if va - vb == 1 and beyond == _variations_at_infinity(chain, -inward):
+                a, b = Fraction(k - 1, 2**21), Fraction(k + 1, 2**21)
                 return chain[0], (b, b) if _sign(chain[0], b) == 0 else (a, b)
     return _extreme_isolated(p, side)
 

@@ -47,9 +47,8 @@ from cdspectra.graphcore import (
 from cdspectra.spectra import (
     CHAR_POLY_MAX_N,
     certify_root_order,
-    char_poly_exact,
+    char_polys_exact,
     sym_eigenvalues,
-    sym_spectra,
 )
 
 CHUNK_BITS = 20                     # fixed: labeled scan results must not depend on workers
@@ -601,15 +600,27 @@ class _FamilySolution:
 _FAMILY_STORE: dict[tuple[str, tuple[int, ...]], _FamilySolution] = {}
 
 
+def _stacked_values(dc: np.ndarray) -> np.ndarray:
+    """Eigenvalues, non-increasing, of each exactly symmetric matrix in a stack.
+
+    One stacked `numpy.linalg.eigh`, the call `sym_spectra` makes, so the
+    values are bitwise its own; the eigenvectors are dropped unused.
+    """
+    a = dc.astype(np.float64)
+    if not np.array_equal(a, a.swapaxes(1, 2)):
+        raise ValueError("matrix must be exactly symmetric")
+    return np.linalg.eigh(a)[0][:, ::-1]
+
+
 def _family_spectra(keys) -> list[_FamilySolution]:
     """D(X^c) and its eigenvalues for each (family, params) key, solved once per process.
 
     The keys not yet in the store are built as one batch (`build_many`).
     Each `_blocks` block of one order then gets one complement distance
-    kernel call and one stacked eigensolve (`sym_spectra`), whose values
-    are bitwise those of `complement_distance_spectrum`.  Only the values
-    and D(X^c) are kept.  A claim fills the store with its whole grid
-    before it reads any point.
+    kernel call and one stacked eigensolve for the values alone
+    (`_stacked_values`), bitwise those of `complement_distance_spectrum`.
+    Only the values and D(X^c) are kept.  A claim fills the store with its
+    whole grid before it reads any point.
     """
     keys = list(keys)
     missing = list(dict.fromkeys(k for k in keys if k not in _FAMILY_STORE))
@@ -622,8 +633,8 @@ def _family_spectra(keys) -> list[_FamilySolution]:
                                    - adjacency_stack([g for _, g in block]))
             if dc.min() < 0:
                 raise DisconnectedGraph("vertex 0 does not reach all vertices")
-            for (key, _), d, spec in zip(block, dc, sym_spectra(dc)):
-                _FAMILY_STORE[key] = _FamilySolution(spec.values, d.astype(np.uint8))
+            for (key, _), d, values in zip(block, dc.astype(np.uint8), _stacked_values(dc)):
+                _FAMILY_STORE[key] = _FamilySolution(values, d)
     return [_FAMILY_STORE[k] for k in keys]
 
 
@@ -633,15 +644,18 @@ def _family_spectrum(family: str, params: tuple[int, ...]) -> _FamilySolution:
     return _FAMILY_STORE.get(key) or _family_spectra([key])[0]
 
 
-def _exact_order(g: Graph, bound_poly, side: str) -> int:
-    """Exact order of g's extreme D(g^c) eigenvalue against the bound polynomial's root."""
-    return certify_root_order(char_poly_exact(distance_matrix(complement(g))), bound_poly, side)
+def _exact_order(poly, bound_poly, side: str) -> int:
+    """Exact order of one graph's extreme D(g^c) eigenvalue, the extreme root
+    of its char poly, against the bound polynomial's root."""
+    return certify_root_order(poly, bound_poly, side)
 
 
 def _exact_orders(graphs, bound_graph: Graph, side: str) -> set[int]:
-    """Exact root orders of the graphs against the bound graph, its char poly built once."""
-    bound_poly = char_poly_exact(distance_matrix(complement(bound_graph)))
-    return {_exact_order(g, bound_poly, side) for g in graphs}
+    """Exact root orders of the graphs against the bound graph, of one order
+    n <= CHAR_POLY_MAX_N, all char polys from one stack."""
+    *polys, bound_poly = char_polys_exact(
+        [distance_matrix(complement(g)) for g in [*graphs, bound_graph]])
+    return {_exact_order(p, bound_poly, side) for p in polys}
 
 
 def sign_partition(g: Graph, spec=None) -> SignPartition:
@@ -845,7 +859,7 @@ def _escalate_margin(margin: float | None, graphs, bound_graph: Graph, side: str
     """Exact root orders of graphs() against the bound graph, for a near-tie margin.
 
     None when |margin| exceeds EXACT_RECHECK_BELOW, or when the order is
-    beyond char_poly_exact; the float margin then decides.
+    beyond char_polys_exact; the float margin then decides.
     """
     if margin is None or abs(margin) > EXACT_RECHECK_BELOW or bound_graph.n > CHAR_POLY_MAX_N:
         return None

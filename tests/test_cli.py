@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,22 @@ def test_verify_deterministic_output(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "--claims", "T2.8", "--n", "6")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("verify", "--claims", "quotient-consistency,3.4,3.5,3.6,3.11,3.12"),
+     "verify_exact_grid.out"),
+    (("verify", "--claims", "T2.4,T2.8,T3.7,T3.13,3.9", "--n", "7", "--workers", "1"),
+     "verify_theorems_n7.out"),
+])
+def test_verify_stdout_is_pinned(capsys, argv, expected):
+    # the exact layer's roots and orders and the n = 7 scan reach stdout
+    # byte for byte; a drift fails on the first differing JSON line
+    code, out, _ = run_cli(capsys, *argv)
+    want = (Path(__file__).parent / "expected" / expected).read_text()
+    assert code == 2
+    assert out.splitlines() == want.splitlines()
+    assert out == want
 
 
 def test_verify_csv(tmp_path, capsys):

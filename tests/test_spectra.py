@@ -19,6 +19,7 @@ from cdspectra.spectra import (
     _count_roots,
     _float_coeffs,
     _gcd,
+    _horner,
     _illinois,
     _isolate,
     _pdivmod,
@@ -30,6 +31,7 @@ from cdspectra.spectra import (
     cauchy_root_bound,
     certify_root_order,
     char_poly_exact,
+    char_polys_exact,
     extreme_root_bracket,
     sturm_real_roots,
     sym_eigenvalues,
@@ -206,6 +208,17 @@ def test_char_poly_large_coefficients_exact():
         assert p(lo) * p(hi) <= 0
 
 
+BAD_MATRICES = [
+    (np.eye(17, dtype=int), TooLargeMatrix),
+    (np.array([[0.5, 0], [0, 0.5]]), ValueError),
+    (np.array([[np.nan, 0], [0, 1.0]]), ValueError),
+    (np.array([[np.inf, 0], [0, 1.0]]), ValueError),
+    (np.array([[1.0, 0], [0, -np.inf]]), ValueError),
+    (np.array([[1, 0], [0, Fraction(1, 2)]], dtype=object), ValueError),
+    (np.zeros((2, 3)), ValueError),
+]
+
+
 def test_char_poly_input_validation():
     with pytest.raises(TooLargeMatrix):
         char_poly_exact(np.eye(17, dtype=int))
@@ -213,6 +226,74 @@ def test_char_poly_input_validation():
         char_poly_exact(np.array([[0.5, 0], [0, 0.5]]))
     with pytest.raises(ValueError):
         char_poly_exact(np.zeros((2, 3)))
+    # non-finite entries are not integers either, for the batch and for the
+    # batch of one
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.array([[0.0, 1.0], [1.0, bad]])
+        with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+            char_poly_exact(m)
+        with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+            char_polys_exact(np.stack([np.eye(2), m]))
+
+
+def _ref_char_poly(m) -> tuple[int, ...]:
+    """Faddeev-LeVerrier on Python int lists, one matrix at a time: the loop
+    that `char_polys_exact` replaced."""
+    n = len(m)
+    rows = [[int(x) for x in row] for row in m]
+    c = [1]
+    mat = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            mat[i][i] += c[-1]
+        am = [[sum(rows[i][l] * mat[l][j] for l in range(n)) for j in range(n)]
+              for i in range(n)]
+        tr = sum(am[i][i] for i in range(n))
+        assert tr % k == 0
+        c.append(-(tr // k))
+        mat = am
+    return tuple(reversed(c))
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 16), m=st.integers(1, 3),
+       kind=st.sampled_from(["small", "negative", "huge"]), seed=st.integers(0, 2**32 - 1))
+def test_char_polys_equal_the_per_matrix_reference(n, m, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "small":
+        stack = rng.integers(0, 4, size=(m, n, n))
+    elif kind == "negative":
+        stack = rng.integers(-20, 0, size=(m, n, n))
+    else:
+        # entries beyond 2^63 only fit an object stack
+        hi = rng.integers(-2**31, 2**31, size=(m, n, n)).tolist()
+        lo = rng.integers(0, 2**63, size=(m, n, n), dtype=np.uint64).tolist()
+        stack = np.array(hi, dtype=object) * 2**64 + np.array(lo, dtype=object)
+        assert max(abs(x) for x in stack.ravel().tolist()) > 2**63
+    polys = char_polys_exact(stack)
+    assert [p.coeffs for p in polys] == [_ref_char_poly(a.tolist()) for a in stack]
+    assert all(type(c) is int for p in polys for c in p.coeffs)
+    assert polys[0] == char_poly_exact(stack[0])
+
+
+def test_char_polys_edge_cases_and_errors():
+    # a dense symmetric 16x16 stack whose coefficients pass 2^63
+    rng = np.random.default_rng(3)
+    stack = rng.integers(-9, 10, size=(3, 16, 16))
+    stack = stack + stack.swapaxes(1, 2)
+    polys = char_polys_exact(stack)
+    assert [p.coeffs for p in polys] == [_ref_char_poly(a.tolist()) for a in stack]
+    assert all(max(abs(c) for c in p.coeffs) > 2**63 for p in polys)
+    assert char_polys_exact(np.zeros((0, 5, 5), dtype=int)) == []
+    # the batch raises what the batch of one raises, word for word
+    for bad, kind in BAD_MATRICES:
+        with pytest.raises(kind) as one:
+            char_poly_exact(bad)
+        with pytest.raises(kind) as batch:
+            char_polys_exact(bad[None])
+        assert str(batch.value) == str(one.value)
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        char_polys_exact(np.eye(3))
 
 
 def test_sturm_simple_roots():
@@ -559,6 +640,14 @@ def test_two_phase_brackets_equal_single_phase_reference():
             for tol in WIDTHS:
                 got = [_refine(chain[0], a, b, tol) for a, b in _isolate(chain, lo, hi)]
                 assert got == _reference_brackets(f, lo, hi, tol), (p, lo, hi, tol)
+        # roots at the first midpoints 0 and +-B/2 of [-B, B], where pull_left
+        # runs inside the bisection
+        q = p * IntPolynomial((0, 1))
+        bound = 2 * abs(r) or Fraction(2)
+        f, chain = _ref_squarefree(_ref_frac(q)), _squarefree_chain(q)[0]
+        for tol in WIDTHS:
+            got = [_refine(chain[0], a, b, tol) for a, b in _isolate(chain, -bound, bound)]
+            assert got == _reference_brackets(f, -bound, bound, tol), (q, bound, tol)
 
 
 def test_sturm_real_roots_equal_single_phase_reference():
@@ -657,11 +746,73 @@ def test_seeded_refinement_equals_bisection(monkeypatch):
     assert tried > 300 and confirmed > 0.9 * tried
 
 
+def test_seed_from_an_exact_root_on_the_left_end_equals_bisection(monkeypatch):
+    # a bracket (r, b] that starts on a rational root r gets a float seed from
+    # the sign -sign f(b) of f on (r, root), and the seed's bracket is
+    # bisection's own
+    bisected = []
+
+    def counting_refine(*args):
+        bisected.append(args)
+        return _refine(*args)
+
+    monkeypatch.setattr(spectra, "_refine", counting_refine)
+    rng = np.random.default_rng(20161019)
+    tried = confirmed = 0
+    for _ in range(150):
+        p, rational = _random_poly(rng)
+        chain = _squarefree_chain(p)[0]
+        fc = _float_coeffs(chain[0].coeffs)
+        for r in set(rational):
+            brackets = [ab for ab in _isolate(chain, r, Fraction(29, 3)) if ab[0] == r != ab[1]]
+            if not brackets or _horner(fc, float(r)) != 0:
+                continue
+            a, b = brackets[0]
+            seed = _illinois(fc, float(a), float(b))
+            assert a < seed <= b, (p, a, b, seed)
+            for tol in WIDTHS:
+                bisected.clear()
+                assert _refine_seeded(chain[0], a, b, tol, seed) == _refine(chain[0], a, b, tol)
+                tried += 1
+                confirmed += not bisected
+    # a root that bisection hits exactly is no cell's interior point, so the
+    # seed cannot confirm it and the bracket is bisected
+    assert tried > 100 and confirmed > 0.9 * tried
+
+
+def test_no_bracket_from_an_exact_root_is_bisected_on_the_quotient_grid(monkeypatch):
+    from cdspectra import verify
+
+    seeded, bisected = [], []
+    refine, refine_seeded = spectra._refine, spectra._refine_seeded
+
+    def starts_on_a_root(fi, a, b):
+        return a != b and _sign(fi, a) == 0
+
+    def recording_refine(fi, a, b, tol):
+        bisected.append(starts_on_a_root(fi, a, b))
+        return refine(fi, a, b, tol)
+
+    def recording_refine_seeded(fi, a, b, tol, seed):
+        seeded.append(starts_on_a_root(fi, a, b))
+        return refine_seeded(fi, a, b, tol, seed)
+
+    monkeypatch.setattr(spectra, "_refine", recording_refine)
+    monkeypatch.setattr(spectra, "_refine_seeded", recording_refine_seeded)
+    assert verify.check_lemma("quotient-consistency").status == "confirmed"
+    # Psi_L'(n) has the exact root 0, at the left end of the bracket of the
+    # next root, for 18 of the grid's L'(n) and L(p, q) cases
+    assert sum(seeded) == 18
+    assert not any(bisected)
+
+
 def test_illinois_seed_is_nan_without_a_float_sign_change():
     sqrt2 = (-2.0, 0.0, 1.0)
     assert abs(_illinois(sqrt2, 1.0, 2.0) - math.sqrt(2)) < 1e-15
     assert math.isnan(_illinois(sqrt2, 2.0, 3.0))
-    assert math.isnan(_illinois((0.0, 1.0), 0.0, 1.0))      # a root on the left end
+    # a root on the left end has float value 0; (0, 1] isolates the root 1/3
+    # of x (3x - 1), so x (3x - 1) < 0 between them
+    assert abs(_illinois((0.0, -1.0, 3.0), 0.0, 1.0) - 1 / 3) < 1e-15
     assert _float_coeffs((1, 10**400)) is None
 
 

@@ -409,13 +409,13 @@ def test_claims_share_the_family_store(monkeypatch):
     # quotient_consistency read the graphs already solved
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     solved = []
-    fill = verify.sym_spectra
+    fill = verify._stacked_values
 
-    def counting_spectra(stack):
+    def counting_solve(stack):
         solved.append(len(stack))
         return fill(stack)
 
-    monkeypatch.setattr(verify, "sym_spectra", counting_spectra)
+    monkeypatch.setattr(verify, "_stacked_values", counting_solve)
     verify.check_lemma("3.11")
     first = sum(solved)
     assert first == len(verify._FAMILY_STORE) and len(solved) <= 24
