@@ -1,15 +1,14 @@
 """Command-line surface: spectra, claim verification, polynomials, families.
 
 Output contract: one JSON object per line on stdout with sorted keys and
-floats fixed at 12 significant digits, so identical runs are byte-identical
-regardless of worker count; the human-readable summary goes to stderr.
+floats fixed at 12 significant digits, so identical runs are byte-identical;
+the human-readable summary goes to stderr.
 Exit codes: 0 all claims confirmed, 2 refuted, 3 reversed-direction only,
 1 usage or input errors.
 """
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -69,13 +68,6 @@ def to_json(obj) -> str:
 
 def emit(obj, out=None) -> None:
     print(to_json(obj), file=out or sys.stdout)
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CDSPECTRA_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _family_params(args, family: str, names: tuple[str, ...]) -> tuple[int, ...]:
@@ -258,7 +250,7 @@ def cmd_verify(args) -> int:
             if stream is not None:
                 rep = _stream_theorem(c, stream)
             else:
-                rep = verify.run_claim(c, n=args.n, p_max=args.p_max, workers=args.workers)
+                rep = verify.run_claim(c, n=args.n, p_max=args.p_max)
         except ValueError as exc:
             raise SystemExit2(f"claim {c}: {exc}") from exc
         reports.append(rep)
@@ -267,7 +259,10 @@ def cmd_verify(args) -> int:
               + (f" (margin {fmt_float(rep.margin)})" if rep.margin is not None else ""),
               file=sys.stderr)
     if args.csv:
-        _write_csv(args.csv, reports)
+        try:
+            _write_csv(args.csv, reports)
+        except OSError as exc:
+            raise SystemExit2(f"--csv: {exc}") from exc
     statuses = {r.status for r in reports}
     if "refuted" in statuses:
         return EXIT_REFUTED
@@ -319,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated ids, e.g. T2.8,3.4,quotient-consistency")
     vp.add_argument("--n", type=int, default=None, help="order for scans")
     vp.add_argument("--p-max", type=int, default=12, help="grid upper bound for p")
-    vp.add_argument("--workers", type=int, default=_default_workers(),
-                    help="processes for Lemma 2.1's labeled diameter-3 scan "
-                         "(default $CDSPECTRA_WORKERS or 1)")
+    vp.add_argument("--workers", type=int, default=1,
+                    help="accepted and ignored: every check runs in this process "
+                         "(must be at least 1)")
     vp.add_argument("--stdin", action="store_true",
                     help="read class members as graph6 lines from stdin")
     vp.add_argument("--csv", default=None, help="write a CSV summary table here")

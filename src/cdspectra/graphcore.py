@@ -6,8 +6,7 @@ operations.  Every distance matrix and diameter comes from one kernel,
 `distance_matrices`, which runs BFS from all vertices of a stack of
 same-order graphs at once by Boolean matrix products; `is_connected` is a
 flood fill from vertex 0 over the bitsets.  All functions are pure and
-graphs are immutable, so values can be shared freely between worker
-processes.
+graphs are immutable, so values can be shared freely.
 """
 
 from dataclasses import dataclass

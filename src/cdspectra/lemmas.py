@@ -24,24 +24,26 @@ from cdspectra.verify import (
     _balanced_H,
     _balanced_pq,
     _ball_radius,
-    _chunk_masks,
     _classes,
     _cluster,
     _complement_distances,
     _expand_all,
+    _extend,
     _family_spectra,
     _family_spectrum,
-    _map_chunks,
+    _noncomplete_connected,
+    _orbit,
+    _orbit_classes,
     class_scan,
     complement_distance_spectrum,
 )
 
 
-def _lemma_2_1(n: int, workers: int = 1) -> VerificationReport:
+def _lemma_2_1(n: int) -> VerificationReport:
     """Distance/complement identity (diam>3) and inequality (diam=3)."""
     scan = class_scan(n)
     ident_bad = scan["lemma21_violations"]
-    ineq = _lemma21_diam3_scan(n, workers)
+    ineq = _lemma21_diam3_scan(n)
     status = "confirmed" if not ident_bad and not ineq["violations"] else "refuted"
     return VerificationReport(
         claim_id="2.1", status=status, params={"n": n},
@@ -62,36 +64,33 @@ def _lemma_2_1(n: int, workers: int = 1) -> VerificationReport:
     )
 
 
-def _diam3_chunk(n: int, index: int) -> tuple[int, int, list[int]]:
-    """One chunk's diameter-exactly-3 graphs: how many have a complement of
-    diameter <= 3, how many do not, and which of the former violate
-    D(G^c) >= J - I + A(G) entrywise."""
+def _lemma21_diam3_scan(n: int) -> dict:
+    """Entrywise D(G^c) >= J - I + A(G) over all diameter-exactly-3 graphs.
+
+    By the parent lemma of `verify._generate` with D = 3, each one extends a
+    connected, non-complete graph on n - 1 vertices by one vertex.  So the
+    extensions (`_extend`) of diameter 3 are reduced to their S_n orbits,
+    and the inequality, which is relabeling-equivariant, is checked once
+    per class.  The counts are over labeled graphs: those with a complement
+    of diameter <= 3, those without, and every member of a violating class.
+    """
     full = np.uint8((1 << n) - 1)
-    masks = _chunk_masks(n, index)
+    masks = _extend(_noncomplete_connected(n - 1), n - 1)
     adj = _adj_rows(masks, n)
     b2 = _ball_radius(adj, n, 2)
     b3 = _expand_all(b2, adj, n)
     # every radius-3 ball full already implies connected
     diam3 = ((np.bitwise_and.reduce(b3, axis=0) == full)
              & (np.bitwise_and.reduce(b2, axis=0) != full))
-    masks, adj = masks[diam3], adj[:, diam3]
-    if len(masks) == 0:
-        return 0, 0, []
+    reps, sizes = _orbit_classes(masks[diam3], n)
+    adj = _adj_rows(reps, n)
     d, covered = _complement_distances(adj, n)
-    masks, adj, d = masks[covered], adj[:, covered], d[covered]
-    amat = _adjacency_tensor(adj, n)
     expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-    ok = np.all(d >= expected[None, :, :] + amat, axis=(1, 2))
-    return len(masks), int((~covered).sum()), [int(m) for m in masks[~ok]]
-
-
-def _lemma21_diam3_scan(n: int, workers: int = 1) -> dict:
-    """Entrywise D(G^c) >= J - I + A(G) over all diameter-exactly-3 graphs."""
-    chunks = _map_chunks(_diam3_chunk, n, workers)
+    ok = np.all(d >= expected[None, :, :] + _adjacency_tensor(adj, n), axis=(1, 2))
     return {
-        "count": sum(count for count, _, _ in chunks),
-        "violations": [m for _, _, bad in chunks for m in bad],
-        "complement_not_small": sum(not_small for _, not_small, _ in chunks),
+        "count": int(sizes[covered].sum()),
+        "violations": sorted(m for r in reps[covered & ~ok] for m in _orbit(n, r).tolist()),
+        "complement_not_small": int(sizes[~covered].sum()),
     }
 
 
@@ -580,14 +579,14 @@ def _quotient_consistency_claim(orders=range(7, 21), tol: float = 1e-9) -> Verif
     )
 
 
-def check(claim_id: str, n: int | None, p_max: int, workers: int) -> VerificationReport:
+def check(claim_id: str, n: int | None, p_max: int) -> VerificationReport:
     """Run one lemma check at the given order / grid size; n = None takes
     the claim's default order."""
     def order(default: int) -> int:
         return default if n is None else n
 
     if claim_id == "2.1":
-        return _lemma_2_1(order(6), workers)
+        return _lemma_2_1(order(6))
     if claim_id == "2.3":
         return _lemma_2_3(order(12))
     if claim_id == "2.5":

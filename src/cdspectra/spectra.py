@@ -524,8 +524,10 @@ def _refine_seeded(fi: IntPolynomial, a: Fraction, b: Fraction, tol: Fraction,
     equal cells of (a, b], unless it hits the root exactly.  The seed names
     a cell.  When the signs of fi at the cell's ends confirm that the root
     lies strictly inside it, the root is no grid point, so every bisection
-    step goes the same way and ends in this very cell.  Otherwise, and for a
-    seed that is not finite, the bracket is bisected.
+    step goes the same way and ends in this very cell.  When fi is 0 at a
+    cell end inside (a, b), the root is that grid point, which bisection
+    meets as a midpoint, so it returns the point bracket there.  Otherwise,
+    and for a seed that is not finite, the bracket is bisected.
     """
     if not math.isfinite(seed):
         return _refine(fi, a, b, tol)
@@ -541,9 +543,13 @@ def _refine_seeded(fi: IntPolynomial, a: Fraction, b: Fraction, tol: Fraction,
     j = min(max(((sn * den - lo * sd) << k) // (sd * span), 0), last)
     left, scale = (lo << k) + j * span, den << k
     sb = _sign_at(c, hi, den)
-    if ((j == 0 or _sign_at(c, left, scale) == -sb)
-            and (j == last or _sign_at(c, left + span, scale) == sb)):
+    sl = -sb if j == 0 else _sign_at(c, left, scale)
+    sr = sb if j == last else _sign_at(c, left + span, scale)
+    if sl == -sb and sr == sb:
         return Fraction(left, scale), Fraction(left + span, scale)
+    if sl == 0 or sr == 0:
+        root = Fraction(left if sl == 0 else left + span, scale)
+        return root, root
     return _refine(fi, a, b, tol)
 
 

@@ -8,11 +8,9 @@ neighbourhood, filters the candidates with numpy-vectorized bitset BFS,
 and keeps one smallest edge mask per S_n orbit, with the orbit's size.
 Every generated class member has Lemma 2.1's identity checked.  D(G^c) is
 then solved once per class, and every count is weighted by the class's
-orbit size.  The generator runs in one process, so results are
-byte-identical for any worker count; worker processes scan only the
-labeled chunks of Lemma 2.1's diameter-3 half.  A witness is the smallest
-edge mask of its class, a labeling that does not depend on eigensolver
-rounding.
+orbit size.  Lemma 2.1's diameter-3 half is generated the same way, and
+everything runs in one process.  A witness is the smallest edge mask of
+its class, a labeling that does not depend on eigensolver rounding.
 
 Every theorem checker here, and every lemma checker in `lemmas`, returns
 a VerificationReport whose status is measured, never assumed: claims that
@@ -23,7 +21,7 @@ stated one are `confirmed-with-reversed-direction`.
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import permutations, repeat
+from itertools import permutations
 
 import numpy as np
 
@@ -51,7 +49,6 @@ from cdspectra.spectra import (
     sym_eigenvalues,
 )
 
-CHUNK_BITS = 20                     # fixed: labeled scan results must not depend on workers
 STREAM_BLOCK_ENTRIES = 1 << 18      # matrix entries per kernel call on a graph6 stream
 CLUSTER_TOL = 1e-9
 STRICT_MARGIN = 1e-9
@@ -191,19 +188,6 @@ def _complement_distances(adj: np.ndarray, n: int):
     return _distance_from_balls(comp, cb2, n), covered
 
 
-def _chunk_masks(n: int, index: int) -> np.ndarray:
-    nbits = n * (n - 1) // 2
-    total = 1 << nbits
-    lo = index << CHUNK_BITS
-    hi = min(total, (index + 1) << CHUNK_BITS)
-    return np.arange(lo, hi, dtype=np.uint32)
-
-
-def _chunk_count(n: int) -> int:
-    nbits = n * (n - 1) // 2
-    return ((1 << nbits) + (1 << CHUNK_BITS) - 1) >> CHUNK_BITS
-
-
 def _class_keep(adj: np.ndarray, n: int) -> np.ndarray:
     """Which graphs are connected with diameter > 3."""
     full = np.uint8((1 << n) - 1)
@@ -234,19 +218,6 @@ def _cluster(values: np.ndarray, keys: np.ndarray, mode: str) -> dict | None:
         runner = float(rest.max()) if rest.size else None
     pairs = sorted((float(val), int(k)) for val, k in zip(values[sel], keys[sel]))
     return {"value": v, "pairs": pairs, "runner_up": runner}
-
-
-def _map_chunks(fn, n: int, workers: int) -> list:
-    """fn(n, index) for every chunk, in chunk order, run in at most `workers`
-    processes and never in more processes than there are chunks."""
-    indices = range(_chunk_count(n))
-    if workers > 1 and len(indices) > 1:
-        # imported here: only Lemma 2.1's diameter-3 scan starts a pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(indices))) as pool:
-            return list(pool.map(fn, repeat(n), indices))
-    return [fn(n, i) for i in indices]
 
 
 @lru_cache(maxsize=None)
@@ -323,6 +294,20 @@ def _orbit_classes(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(reps, dtype=np.uint32)[order], np.array(sizes, dtype=np.int64)[order]
 
 
+def _noncomplete_connected(k: int) -> np.ndarray:
+    """The smallest edge mask of each class of connected, non-complete graphs
+    on k vertices, ascending.
+
+    Every connected graph on j + 1 vertices extends one on j vertices (see
+    `_generate`), so the levels grow from K1 by `_extend`, each reduced to
+    its orbits.
+    """
+    level = np.zeros(1, dtype=np.uint32)         # K1
+    for j in range(1, k):
+        level, _ = _orbit_classes(_extend(level, j), j + 1)
+    return level[level != np.uint32((1 << (k * (k - 1) // 2)) - 1)]
+
+
 def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The connected diameter>3 classes on n vertices, by one vertex at a time.
 
@@ -344,20 +329,17 @@ def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
     So the classes come from three extensions by one vertex joined to every
     non-empty neighbourhood (`_extend`): the connected graphs up to order
-    n - 2, starting from K1; the diameter >= 3 graphs at n - 1, from the
-    non-complete ones at n - 2; and the class at n, from those.  Each level
-    is filtered by the bitset kernel and reduced to its orbits by
-    `_orbit_classes`, in the manner of canonical augmentation (McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Every
-    generated member of the class has its complement's diameter asserted
-    and the identity checked; the identity is relabeling-equivariant, so a
-    class that breaks it is listed with its whole orbit.
+    n - 2, starting from K1 (`_noncomplete_connected`); the diameter >= 3
+    graphs at n - 1, from the non-complete ones at n - 2; and the class at
+    n, from those.  Each level is filtered by the bitset kernel and reduced
+    to its orbits by `_orbit_classes`, in the manner of canonical
+    augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998).  Every generated member of the class has its
+    complement's diameter asserted and the identity checked; the identity
+    is relabeling-equivariant, so a class that breaks it is listed with its
+    whole orbit.
     """
-    level = np.zeros(1, dtype=np.uint32)         # K1
-    for k in range(1, n - 2):
-        level, _ = _orbit_classes(_extend(level, k), k + 1)
-    complete = np.uint32((1 << ((n - 2) * (n - 3) // 2)) - 1)
-    masks = _extend(level[level != complete], n - 2)
+    masks = _extend(_noncomplete_connected(n - 2), n - 2)
     balls = _ball_radius(_adj_rows(masks, n - 1), n - 1, 2)
     diam_le2 = np.bitwise_and.reduce(balls, axis=0) == np.uint8((1 << (n - 1)) - 1)
     level, _ = _orbit_classes(masks[~diam_le2], n - 1)
@@ -476,13 +458,15 @@ def _classes(n: int) -> _Classes:
 def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
     """Deliver every connected diameter>3 graph exactly once; return the count.
 
-    Internal exhaustive enumeration runs for 5 <= n <= 8; alternatively an
-    iterable of graph6 lines can be ingested (any order <= 64), in which
-    case graphs failing the class conditions are skipped.  A stream is
-    decoded whole into one adjacency stack per order (`decode_graph6_lines`),
-    and the first malformed line raises its line-numbered Graph6Error.
-    Each stack is filtered by the distance kernel, a `Graph` is built for
-    the members only, and they reach `sink` in line order.
+    Internal exhaustive enumeration runs for 5 <= n <= 8: the labeled
+    members of the class record `_classes(n)`, in ascending mask order.
+    Alternatively an iterable of graph6 lines can be ingested (any order
+    <= 64), in which case graphs failing the class conditions are skipped.  A
+    stream is decoded whole into one adjacency stack per order
+    (`decode_graph6_lines`), and the first malformed line raises its
+    line-numbered Graph6Error.  Each stack is filtered by the distance
+    kernel, a `Graph` is built for the members only, and they reach `sink`
+    in line order.
     """
     if source is not None:
         orders, errors = decode_graph6_lines(source)
@@ -501,14 +485,11 @@ def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
         return len(members)
     if n is None or not 5 <= n <= 8:
         raise ValueError("internal enumeration supports 5 <= n <= 8")
-    count = 0
-    for i in range(_chunk_count(n)):
-        masks, _ = _survivor_adj(_chunk_masks(n, i), n)
-        count += len(masks)
-        if sink is not None:
-            for m in masks:
-                sink(from_edge_mask(n, int(m)))
-    return count
+    masks = _classes(n).masks
+    if sink is not None:
+        for m in masks:
+            sink(from_edge_mask(n, int(m)))
+    return len(masks)
 
 
 def _blocks(items, n: int) -> list:
@@ -644,18 +625,12 @@ def _family_spectrum(family: str, params: tuple[int, ...]) -> _FamilySolution:
     return _FAMILY_STORE.get(key) or _family_spectra([key])[0]
 
 
-def _exact_order(poly, bound_poly, side: str) -> int:
-    """Exact order of one graph's extreme D(g^c) eigenvalue, the extreme root
-    of its char poly, against the bound polynomial's root."""
-    return certify_root_order(poly, bound_poly, side)
-
-
 def _exact_orders(graphs, bound_graph: Graph, side: str) -> set[int]:
     """Exact root orders of the graphs against the bound graph, of one order
     n <= CHAR_POLY_MAX_N, all char polys from one stack."""
     *polys, bound_poly = char_polys_exact(
         [distance_matrix(complement(g)) for g in [*graphs, bound_graph]])
-    return {_exact_order(p, bound_poly, side) for p in polys}
+    return {certify_root_order(p, bound_poly, side) for p in polys}
 
 
 def sign_partition(g: Graph, spec=None) -> SignPartition:
@@ -870,26 +845,22 @@ def _escalate_margin(margin: float | None, graphs, bound_graph: Graph, side: str
     return orders
 
 
-def check_lemma(claim_id: str, n: int | None = None, p_max: int = 12,
-                workers: int = 1) -> VerificationReport:
+def check_lemma(claim_id: str, n: int | None = None, p_max: int = 12) -> VerificationReport:
     """Dispatch a lemma claim check at the given order / grid size.
 
-    `workers` sets the processes of Lemma 2.1's labeled diameter-3 scan; no
-    other check starts one.  The checks live in `lemmas`, imported on the
-    first call, so a run that checks only theorems never compiles them or
-    loads `quotients`.
+    The checks live in `lemmas`, imported on the first call, so a run that
+    checks only theorems never compiles them or loads `quotients`.
     """
     from cdspectra import lemmas
 
-    return lemmas.check(claim_id, n, p_max, workers)
+    return lemmas.check(claim_id, n, p_max)
 
 
-def run_claim(claim_id: str, n: int | None = None, p_max: int = 12,
-              workers: int = 1) -> VerificationReport:
+def run_claim(claim_id: str, n: int | None = None, p_max: int = 12) -> VerificationReport:
     """Run any registered claim (lemma or theorem) by id; n = None takes the
     claim's default order."""
     if claim_id not in CLAIM_IDS:
         raise ValueError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     if claim_id.startswith("T"):
         return check_theorem(claim_id, 7 if n is None else n)
-    return check_lemma(claim_id, n=n, p_max=p_max, workers=workers)
+    return check_lemma(claim_id, n=n, p_max=p_max)

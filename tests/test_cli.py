@@ -115,18 +115,24 @@ def test_verify_deterministic_output(capsys):
     assert out1 == out2
 
 
+PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0}
+
+
 @pytest.mark.parametrize("argv,expected", [
     (("verify", "--claims", "quotient-consistency,3.4,3.5,3.6,3.11,3.12"),
      "verify_exact_grid.out"),
     (("verify", "--claims", "T2.4,T2.8,T3.7,T3.13,3.9", "--n", "7", "--workers", "1"),
      "verify_theorems_n7.out"),
+    (("verify", "--claims", "2.1,2.5,2.6", "--n", "6"), "verify_lemmas_n6.out"),
+    (("verify", "--claims", "2.1", "--n", "7"), "verify_lemma21_n7.out"),
 ])
 def test_verify_stdout_is_pinned(capsys, argv, expected):
-    # the exact layer's roots and orders and the n = 7 scan reach stdout
-    # byte for byte; a drift fails on the first differing JSON line
+    # the exact layer's roots and orders, the n = 7 scan and Lemma 2.1's
+    # counts reach stdout byte for byte; a drift fails on the first
+    # differing JSON line
     code, out, _ = run_cli(capsys, *argv)
     want = (Path(__file__).parent / "expected" / expected).read_text()
-    assert code == 2
+    assert code == PINNED_EXIT_CODES.get(expected, 2)
     assert out.splitlines() == want.splitlines()
     assert out == want
 
@@ -139,6 +145,16 @@ def test_verify_csv(tmp_path, capsys):
     body = path.read_text().splitlines()
     assert body[0].startswith("claim,status")
     assert body[1].startswith("T2.8,confirmed")
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_verify_csv_that_cannot_be_written_is_one_error_line(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(capsys, "verify", "--claims", "2.7", "--csv", str(path))
+    assert code == 1
+    assert json.loads(out)["claim"] == "2.7"
+    assert err.splitlines()[-1].startswith("error: --csv: [Errno ")
+    assert str(path) in err.splitlines()[-1] and "Traceback" not in err
 
 
 def test_verify_stdin_stream(capsys, monkeypatch):

@@ -758,7 +758,7 @@ def test_seed_from_an_exact_root_on_the_left_end_equals_bisection(monkeypatch):
 
     monkeypatch.setattr(spectra, "_refine", counting_refine)
     rng = np.random.default_rng(20161019)
-    tried = confirmed = 0
+    tried = confirmed = on_grid = 0
     for _ in range(150):
         p, rational = _random_poly(rng)
         chain = _squarefree_chain(p)[0]
@@ -772,11 +772,17 @@ def test_seed_from_an_exact_root_on_the_left_end_equals_bisection(monkeypatch):
             assert a < seed <= b, (p, a, b, seed)
             for tol in WIDTHS:
                 bisected.clear()
-                assert _refine_seeded(chain[0], a, b, tol, seed) == _refine(chain[0], a, b, tol)
+                want = _refine(chain[0], a, b, tol)
+                assert _refine_seeded(chain[0], a, b, tol, seed) == want
                 tried += 1
                 confirmed += not bisected
-    # a root that bisection hits exactly is no cell's interior point, so the
-    # seed cannot confirm it and the bracket is bisected
+                if want[0] == want[1]:
+                    # a root that bisection hits exactly is a grid point: it
+                    # ends the seed's cell, where the sign is 0
+                    on_grid += 1
+                    assert not bisected, (p, a, b, tol)
+    # rational roots with dyadic denominators land on the grid: 15 of 507
+    assert on_grid == 15
     assert tried > 100 and confirmed > 0.9 * tried
 
 

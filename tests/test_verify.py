@@ -1,6 +1,5 @@
 """Enumeration engine, extremal scans, sign partitions, claim checkers."""
 
-import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -23,6 +22,7 @@ from cdspectra.graphcore import (
     diameter,
     distance_matrix,
     from_edge_mask,
+    from_edges,
     from_graph6,
     g6_pairs,
     is_connected,
@@ -200,29 +200,6 @@ def test_check_theorem_on_values_stream():
     assert rep.status == "confirmed"
     rep = verify.check_theorem_on_values("2.4", 6, graphs, values)
     assert rep.status == "confirmed"
-
-
-def test_lemma_2_1_diameter_3_scan_with_the_worker_pool(monkeypatch):
-    one = lemmas._lemma21_diam3_scan(6, workers=1)
-    rep = verify.check_lemma("2.1", n=6).to_dict()
-    # smaller chunks, so the six-vertex scan spreads over several worker tasks
-    monkeypatch.setattr(verify, "CHUNK_BITS", 12)
-    monkeypatch.setattr(verify, "_SCAN_CACHE", {})
-    assert verify._chunk_count(6) == 8
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def pool(*args, **kwargs):
-        started.append(kwargs.get("max_workers"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    assert lemmas._lemma21_diam3_scan(6, workers=1) == one
-    assert started == []
-    assert lemmas._lemma21_diam3_scan(6, workers=2) == one
-    assert started == [2]
-    assert one["count"] > 0
-    assert verify.check_lemma("2.1", n=6, workers=2).to_dict() == rep
 
 
 def test_sign_partition_p7():
@@ -470,7 +447,7 @@ def test_survivor_filter_matches_graphcore_oracle(n):
     for k, m in enumerate(want):
         g = from_edge_mask(n, m)
         assert adj[:, k].tolist() == list(g.adj)
-    # the chunk kernel's D(G^c) tensor equals per-graph BFS on the complement
+    # the bitset kernel's D(G^c) tensor equals per-graph BFS on the complement
     d, covered = verify._complement_distances(adj, n)
     assert d.shape == (len(want), n, n) and d.flags.c_contiguous
     assert covered.all()
@@ -527,7 +504,7 @@ def test_t28_near_tie_decided_by_exact_recheck(monkeypatch):
     assert any("exact char-poly re-check" in note for note in rep.notes)
     assert rep.status == "confirmed"
     # an exact tie with a runner-up overrides the float margin
-    monkeypatch.setattr(verify, "_exact_order", lambda *args: 0)
+    monkeypatch.setattr(verify, "certify_root_order", lambda *args: 0)
     rep = verify.check_theorem("2.8", 6)
     assert rep.margin > verify.STRICT_MARGIN
     assert rep.status == "refuted"
@@ -540,7 +517,7 @@ def test_strict_bound_near_tie_decided_by_exact_recheck(monkeypatch, tid, n):
     assert any("exact char-poly re-check of witness graphs" in note for note in rep.notes)
     assert rep.status == "confirmed"
     # a witness tying the bound exactly overrides the float margin
-    monkeypatch.setattr(verify, "_exact_order", lambda *args: 0)
+    monkeypatch.setattr(verify, "certify_root_order", lambda *args: 0)
     rep = verify.check_theorem(tid, n)
     assert rep.margin > verify.STRICT_MARGIN
     assert rep.status == "refuted"
@@ -554,7 +531,7 @@ def test_t313_tie_decided_by_exact_order(monkeypatch):
     assert rep.status == "confirmed" and rep.margin == 0
     assert any("gives orders [0]" in note for note in rep.notes)
     # an exact overshoot refutes although the float values tie
-    monkeypatch.setattr(verify, "_exact_order", lambda *args: 1)
+    monkeypatch.setattr(verify, "certify_root_order", lambda *args: 1)
     rep = verify.check_theorem_on_values("3.13", 7, [lc], values)
     assert rep.status == "refuted"
     assert rep.counterexamples == [to_graph6(lc)]
@@ -700,60 +677,12 @@ def test_relabeled_survivor_stays_in_its_class(data):
     assert part.index[j] == part.index[i]
 
 
-class _StubPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
-
-    started: list = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-@pytest.fixture
-def stub_pool(monkeypatch) -> list:
-    """The max_workers of every pool started while the test runs."""
-    monkeypatch.setattr(_StubPool, "started", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
-    return _StubPool.started
-
-
-def test_class_scan_same_for_any_worker_count(monkeypatch, stub_pool):
-    # the class record is generated in this process: a worker count starts no
-    # pool for the class claims, and cannot change their reports
-    monkeypatch.setattr(verify, "CHUNK_BITS", 12)
-    for claim in ("T2.4", "T2.8", "T3.13", "3.9"):
-        monkeypatch.setattr(verify, "_SCAN_CACHE", {})
-        one = verify.run_claim(claim, n=7, workers=1).to_dict()
-        monkeypatch.setattr(verify, "_SCAN_CACHE", {})
-        assert verify.run_claim(claim, n=7, workers=2).to_dict() == one, claim
-    assert stub_pool == []
-
-
-def test_worker_pool_never_exceeds_the_chunk_count(monkeypatch, stub_pool):
-    monkeypatch.setattr(verify, "CHUNK_BITS", 9)
-    assert verify._chunk_count(5) == 2
-    assert verify._map_chunks(lambda n, i: (n, i), 5, 64) == [(5, 0), (5, 1)]
-    assert verify._map_chunks(lambda n, i: (n, i), 5, 1) == [(5, 0), (5, 1)]
-    monkeypatch.setattr(verify, "CHUNK_BITS", 12)
-    assert lemmas._lemma21_diam3_scan(6, workers=3) == lemmas._lemma21_diam3_scan(6)
-    # one process per chunk at most, and none for one worker
-    assert stub_pool == [2, 3]
-
-
 def test_near_tie_recheck_solves_one_graph_per_class(monkeypatch):
     monkeypatch.setattr(verify, "EXACT_RECHECK_BELOW", 10.0)
     calls = []
-    real = verify._exact_order
-    monkeypatch.setattr(verify, "_exact_order", lambda *args: calls.append(args) or real(*args))
+    real = verify.certify_root_order
+    monkeypatch.setattr(verify, "certify_root_order",
+                        lambda *args: calls.append(args) or real(*args))
     rep = verify.check_theorem("2.8", 6)
     assert rep.status == "confirmed"
     # the runner-up value is one class of 360 labeled graphs
@@ -769,16 +698,6 @@ def test_lemma_2_5_example_pair_is_an_edge_deletion():
     gap = (verify.complement_distance_spectrum(g).lambda1
            - verify.complement_distance_spectrum(h).lambda1)
     assert gap == pytest.approx(rep.margin, abs=1e-12)
-
-
-def test_lemmas_2_5_and_2_6_scan_with_the_worker_pool(monkeypatch):
-    # the labeled members these lemmas read come from the class orbits, so one
-    # and two workers give the same reports
-    for claim in ("2.5", "2.6"):
-        monkeypatch.setattr(verify, "_SCAN_CACHE", {})
-        one = verify.check_lemma(claim, n=6, workers=1).to_dict()
-        monkeypatch.setattr(verify, "_SCAN_CACHE", {})
-        assert verify.check_lemma(claim, n=6, workers=2).to_dict() == one, claim
 
 
 def test_witnesses_list_every_class_of_the_cluster(monkeypatch):
@@ -808,8 +727,18 @@ def test_lemma_3_9_q1_class_above_the_bound_refutes(monkeypatch):
 
 
 # --- the labeled scan, as an oracle for the generator --------------------------
-# The labeled path that built the class record before it was generated: filter
-# every labeled mask chunk by chunk, then partition the survivors into S_n orbits.
+# The labeled path that built the class record and Lemma 2.1's diameter-3 half
+# before they were generated: filter every labeled mask block by block, then
+# partition the class members into S_n orbits.
+
+_REF_MASK_BLOCK = 1 << 18
+
+
+def _ref_mask_blocks(n: int):
+    """Every edge mask on n vertices, ascending, in blocks of _REF_MASK_BLOCK."""
+    total = 1 << (n * (n - 1) // 2)
+    for lo in range(0, total, _REF_MASK_BLOCK):
+        yield np.arange(lo, min(total, lo + _REF_MASK_BLOCK), dtype=np.uint32)
 
 
 @functools.cache
@@ -835,9 +764,9 @@ def _ref_orbit_masks(n: int, mask) -> np.ndarray:
     return (bits << table).sum(axis=1, dtype=np.uint32)
 
 
-def _ref_filter_chunk(n: int, index: int) -> tuple[np.ndarray, list[int]]:
-    """One chunk's class members and their Lemma 2.1 identity violations."""
-    masks, adj = verify._survivor_adj(verify._chunk_masks(n, index), n)
+def _ref_filter_block(n: int, masks: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """One block's class members and their Lemma 2.1 identity violations."""
+    masks, adj = verify._survivor_adj(masks, n)
     if len(masks) == 0:
         return masks, []
     d, covered = verify._complement_distances(adj, n)
@@ -875,7 +804,7 @@ def _ref_orbit_partition(masks: np.ndarray, n: int):
 @functools.cache
 def _ref_class_record(n: int) -> dict:
     """Every _Classes field and the summary, from the labeled scan."""
-    chunks = [_ref_filter_chunk(n, i) for i in range(verify._chunk_count(n))]
+    chunks = [_ref_filter_block(n, masks) for masks in _ref_mask_blocks(n)]
     masks = np.concatenate([m for m, _ in chunks])
     reps, index, sizes = _ref_orbit_partition(masks, n)
     w, q, degenerate = verify._solve(reps, n)
@@ -949,3 +878,74 @@ def test_lemma21_violation_lists_the_whole_orbit(monkeypatch):
     assert 0 < flagged[0] < 360                 # the generated members, before expansion
     rep = verify.check_lemma("2.1", n=6)
     assert rep.status == "refuted" and rep.details["identity_violations"] == 360
+
+
+def _ref_diam3_block(n: int, masks: np.ndarray) -> tuple[int, int, list[int]]:
+    """One block's diameter-exactly-3 graphs: how many have a complement of
+    diameter <= 3, how many do not, and which of the former violate
+    D(G^c) >= J - I + A(G) entrywise."""
+    full = np.uint8((1 << n) - 1)
+    adj = verify._adj_rows(masks, n)
+    b2 = verify._ball_radius(adj, n, 2)
+    b3 = verify._expand_all(b2, adj, n)
+    # every radius-3 ball full already implies connected
+    diam3 = ((np.bitwise_and.reduce(b3, axis=0) == full)
+             & (np.bitwise_and.reduce(b2, axis=0) != full))
+    masks, adj = masks[diam3], adj[:, diam3]
+    if len(masks) == 0:
+        return 0, 0, []
+    d, covered = verify._complement_distances(adj, n)
+    masks, adj, d = masks[covered], adj[:, covered], d[covered]
+    expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
+    ok = np.all(d >= expected[None, :, :] + verify._adjacency_tensor(adj, n), axis=(1, 2))
+    return len(masks), int((~covered).sum()), [int(m) for m in masks[~ok]]
+
+
+@functools.cache
+def _ref_diam3_scan(n: int) -> dict:
+    """Lemma 2.1's diameter-3 half over every labeled graph."""
+    blocks = [_ref_diam3_block(n, masks) for masks in _ref_mask_blocks(n)]
+    return {
+        "count": sum(count for count, _, _ in blocks),
+        "violations": [m for _, _, bad in blocks for m in bad],
+        "complement_not_small": sum(not_small for _, not_small, _ in blocks),
+    }
+
+
+@pytest.mark.parametrize("n,count", [(5, 300), (6, 12540), (7, 965520)])
+def test_diameter_3_half_equals_the_labeled_scan(n, count):
+    want = _ref_diam3_scan(n)
+    assert want["count"] == count
+    assert lemmas._lemma21_diam3_scan(n) == want
+    rep = verify.check_lemma("2.1", n=n)
+    assert rep.details["diam3_count"] == count
+    assert rep.details["diam3_complement_exceptions"] == want["complement_not_small"]
+    assert rep.details["inequality_violations"] == len(want["violations"])
+
+
+def test_lemma21_inequality_violation_lists_the_whole_orbit(monkeypatch):
+    # break D(G^c) >= J - I + A(G) on the 6-cycles only, the 2-regular
+    # diameter-3 graphs on six vertices: one class is checked, and the
+    # violations list all 60 of its labelings
+    real = lemmas._complement_distances
+    flagged = []
+
+    def broken(adj, n):
+        d, covered = real(adj, n)
+        degrees = np.unpackbits(adj[:, :, None], axis=2).sum(axis=2)
+        cycle = np.all(degrees == 2, axis=0)
+        flagged.append(int(cycle.sum()))
+        d[cycle, 0, 1] = 0
+        return d, covered
+
+    monkeypatch.setattr(lemmas, "_complement_distances", broken)
+    c6 = from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
+    want = sorted({to_edge_mask(relabel(c6, perm)) for perm in permutations(range(6))})
+    assert len(want) == 60
+    scan = lemmas._lemma21_diam3_scan(6)
+    assert flagged == [1]
+    assert scan["violations"] == want
+    assert scan["count"] == 12540 and scan["complement_not_small"] == 0
+    rep = verify.check_lemma("2.1", n=6)
+    assert rep.status == "refuted" and rep.details["inequality_violations"] == 60
+    assert rep.counterexamples == [to_graph6(from_edge_mask(6, m)) for m in want]
