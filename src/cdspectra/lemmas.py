@@ -14,7 +14,7 @@ import numpy as np
 from cdspectra import quotients
 from cdspectra.families import build_many, build_path, build_star
 from cdspectra.graphcore import Graph, from_edge_mask, from_edges, is_isomorphic, to_graph6
-from cdspectra.spectra import certify_root_order
+from cdspectra.spectra import certify_root_orders
 from cdspectra.verify import (
     CLUSTER_TOL,
     STRICT_MARGIN,
@@ -494,12 +494,14 @@ def _lemma_3_11(p_max: int = 12) -> VerificationReport:
     def point(p, q):
         l = _family_spectrum("L", (p, q)).lambda_n
         lp = _family_spectrum("Lprime", (p + q,)).lambda_n
-        # least roots of the quotient polynomials are the two lambda_n values
-        exact = certify_root_order(quotients.Phi_L(p, q), quotients.Psi_Lprime(p + q), "min")
+        exact = orders[p, q]
         return {"params": (p, q), "margin": l - lp, "ok": exact == 1, "exact": exact}
 
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1) if p + q >= 7]
     _family_spectra(key for p, q in pairs for key in (("L", (p, q)), ("Lprime", (p + q,))))
+    # least roots of the quotient polynomials are the two lambda_n values
+    orders = dict(zip(pairs, certify_root_orders(
+        [(quotients.Phi_L(p, q), quotients.Psi_Lprime(p + q)) for p, q in pairs], "min")))
     rows, worst, bad = _grid_reports(pairs, point)
     ident_pts = {pq: quotients.check_identity_L_vs_Lprime(*pq).matches for pq in pairs}
     only_q2 = all(v == (pq[1] == 2) for pq, v in ident_pts.items())
@@ -547,12 +549,14 @@ def _lemma_3_12(p_max: int = 12) -> VerificationReport:
         margin=worst, counterexamples=[str(r["params"]) for r in bad],
         notes=[
             "printed step-difference polynomial never matches Eq.(5)'s exact difference "
-            f"(any match on grid: {ident_any}); the monotonicity conclusion itself holds",
+            f"(any match on grid: {ident_any}); the monotonicity conclusion itself "
+            + (f"fails at {bad[0]['params']}" if bad else "holds"),
         ],
     )
 
 
-def _quotient_consistency_claim(orders=range(7, 21), tol: float = 1e-9) -> VerificationReport:
+def _quotient_cases(orders) -> list[tuple[str, tuple[int, ...]]]:
+    """The (family, params) cases of the quotient-consistency claim at the orders."""
     cases = []
     for n in orders:
         pb, qb = _balanced_pq(n)
@@ -560,7 +564,11 @@ def _quotient_consistency_claim(orders=range(7, 21), tol: float = 1e-9) -> Verif
         if pb >= 4:
             cases.append(("L", (pb, qb)))
         cases += [("Lprime", (n,)), ("Ldprime", (n,))]
-    reports = quotients.quotient_reports(cases, tol)
+    return cases
+
+
+def _quotient_consistency_claim(orders=range(7, 21), tol: float = 1e-9) -> VerificationReport:
+    reports = quotients.quotient_reports(_quotient_cases(orders), tol)
     bad = [r for r in reports if not r.ok()]
     mismatched = [r for r in reports if not r.poly_matches]
     ln_missing = [r for r in reports if not r.lambda_n_is_root]

@@ -24,7 +24,7 @@ from cdspectra.spectra import (
     IntPolynomial,
     cauchy_root_bound,
     char_polys_exact,
-    sturm_real_roots,
+    sturm_real_roots_many,
 )
 from cdspectra.verify import _family_spectra
 
@@ -75,24 +75,27 @@ def quotient_from_partition(dmat: np.ndarray, classes: list[list[int]]) -> np.nd
     """Class-wise row sums of a distance matrix; raises if not equitable.
 
     Row r's sum over class j, leaving out r itself, is entry (r, j) of one
-    product with the vertex-by-class indicator matrix.
+    product with the vertex-by-class indicator matrix, and one comparison
+    with the first row of each class tests every class at once.
     """
     d = np.array(dmat, dtype=np.int64)
     np.fill_diagonal(d, 0)
+    sizes = [len(c) for c in classes]
+    owner = np.repeat(np.arange(len(classes)), sizes)
+    members = np.array([v for c in classes for v in c], dtype=np.intp)
     indicator = np.zeros((len(d), len(classes)), dtype=np.int64)
-    for j, cj in enumerate(classes):
-        np.add.at(indicator[:, j], cj, 1)
-    sums = d @ indicator
-    out = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for i, ci in enumerate(classes):
-        rows = sums[ci]
-        unequal = (rows != rows[:1]).any(axis=0) if len(ci) else np.ones(len(classes), bool)
-        if unequal.any():
-            j = int(np.argmax(unequal))
-            values = {int(v) for v in rows[:, j]}
-            raise ValueError(f"partition not equitable between classes {i} and {j}: {values}")
-        out[i] = rows[0]
-    return out
+    np.add.at(indicator, (members, owner), 1)        # a repeated member counts twice
+    rows = (d @ indicator)[members]
+    first = np.cumsum([0] + sizes[:-1])
+    bad = np.array(sizes) == 0
+    bad[owner[(rows != rows[first[owner]]).any(axis=1)]] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        ci = rows[owner == i]
+        j = int(np.argmax((ci != ci[:1]).any(axis=0))) if len(ci) else 0
+        values = {int(v) for v in ci[:, j]}
+        raise ValueError(f"partition not equitable between classes {i} and {j}: {values}")
+    return rows[first]
 
 
 def printed_quotient_matrix(family_id: str, params) -> np.ndarray | None:
@@ -375,7 +378,7 @@ def power_discrepancy_verdict(p: int, q: int, samples: int = 6) -> dict:
     d1 = varphi_B2(p, q) - lam1 * phi_B1(p, q)
     d2 = varphi_B2(p, q) - lam1 * lam1 * phi_B1(p, q)
     bound = cauchy_root_bound(varphi_B2(p, q))
-    least = sturm_real_roots(varphi_B2(p, q), float(-bound), float(bound), 1e-12)[0]
+    least = sturm_real_roots_many([(varphi_B2(p, q), float(-bound), float(bound))], 1e-12)[0][0]
     pts = []
     for k in range(samples):
         x = Fraction(least + (-3 - least) * k / samples).limit_denominator(10**9)
@@ -451,8 +454,8 @@ def quotient_reports(cases, tol: float = 1e-9) -> list[QuotientReport]:
     family graphs (`verify._family_spectra`), filled for every case at once.
     All quotient matrices are built first, and their characteristic
     polynomials come from one `char_polys_exact` call per matrix size.
-    Each quotient polynomial's roots are then isolated exactly and matched
-    against the full spectrum.
+    Each quotient polynomial's roots are then isolated exactly, all in one
+    `sturm_real_roots_many` batch, and matched against the full spectrum.
     """
     cases = [(family_id, tuple(int(p) for p in params)) for family_id, params in cases]
     solved = _family_spectra([model_graph_key(*case) for case in cases])
@@ -465,19 +468,20 @@ def quotient_reports(cases, tol: float = 1e-9) -> list[QuotientReport]:
     for size in {len(qm) for qm in matrices}:
         index = [i for i, qm in enumerate(matrices) if len(qm) == size]
         derived.update(zip(index, char_polys_exact([matrices[i] for i in index])))
-    return [_report(*case, spec, qm, derived[i], tol)
+    # any eigenvalue is bounded by the max row sum <= n * max distance; the
+    # complements here have diameter up to 3, so 2n would clip lambda_1
+    bounds = [len(spec.dc) * int(spec.dc.max()) for spec in solved]
+    roots = sturm_real_roots_many(
+        [(derived[i], -b, b) for i, b in enumerate(bounds)], min(tol, 1e-10) / 10)
+    return [_report(*case, spec, qm, derived[i], roots[i], tol)
             for i, (case, spec, qm) in enumerate(zip(cases, solved, matrices))]
 
 
 def _report(family_id: str, params: tuple[int, ...], spec, qm: np.ndarray,
-            derived: IntPolynomial, tol: float) -> QuotientReport:
+            derived: IntPolynomial, roots: list[float], tol: float) -> QuotientReport:
     pm = printed_quotient_matrix(family_id, params)
     printed = printed_poly(family_id, params)
     order = len(spec.dc)
-    # any eigenvalue is bounded by the max row sum <= n * max distance; the
-    # complements here have diameter up to 3, so 2n would clip lambda_1
-    bound = order * int(spec.dc.max())
-    roots = sturm_real_roots(derived, -bound, bound, min(tol, 1e-10) / 10)
     values = spec.values.tolist()
     unmatched = [r for r in roots if min(abs(r - v) for v in values) > tol]
     return QuotientReport(

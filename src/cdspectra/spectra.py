@@ -14,32 +14,29 @@ size; `char_poly_exact` is its batch of one.
 The exact layer computes in Z[x] only.  Sturm chains, gcds and square-free
 parts come from primitive pseudo-remainder sequences, so each member is a
 positive multiple of its rational counterpart and has the same signs.
-Each polynomial's square-free Sturm chain is built once per process.
 
-Exact roots are bracketed in two phases.  Isolation bisects by Sturm
-counts only until each bracket holds one root of the square-free part.
-Refinement then bisects each isolating bracket by the sign of the
-square-free part alone.  Both phases take signs in plain integers: a point
-is an integer numerator over a power-of-two multiple of one denominator,
-and a `Fraction` is built only for a bracket that is returned.
-`sturm_real_roots` refines every bracket; `extreme_root_bracket` and
-`certify_root_order` refine only the bracket of the largest or smallest
-root, and each polynomial's extreme root is bracketed once per process.
+Exact roots are bracketed in two phases, with signs taken in integers.
+Isolation bisects by counts of distinct roots until each bracket holds one
+root of the square-free part; refinement bisects each isolating bracket by
+the sign of that part alone.
 
 Floats propose and exact signs decide, in the manner of numeric-first
 real root solvers (Sagraloff & Mehlhorn, "Computing real roots of real
-polynomials", J. Symb. Comput. 73, 2016).  `sturm_real_roots` locates
-each root by float regula falsi inside its isolating bracket (a bracket
-that starts on an exact root takes the sign there from its right end),
-and two integer signs confirm that the root lies strictly inside the grid
-cell that bisection would end in; the bracket is then bisection's own.
-`certify_root_order` takes the extreme root's bracket from float Newton
-steps once Sturm counts confirm it.  A seed that is not confirmed, or
-coefficients beyond float range, fall back to bisection and isolation,
-so no result depends on a float.
+polynomials", J. Symb. Comput. 73, 2016).  `sturm_real_roots_many` and
+`certify_root_orders` seed the roots of every real-rooted, square-free
+polynomial, as the quotient polynomials of equitable partitions mostly
+are: the eigenvalues of the Jacobi matrix of its float Sturm sequence,
+from one stacked `numpy.linalg.eigh` per degree.  Isolation counts
+roots with one of two oracles: a `_RootCells` record, in which exact signs
+certify a grid cell for each of the deg p roots, or, only where no record
+holds, the square-free Sturm chain.  Both count alike, so no bracket
+depends on which one answered.  Refinement keeps the bisection cell that
+a seed names once two exact signs confirm it.  What floats cannot certify
+falls back to bisection and Sturm chains, so no result depends on a float.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 CHAR_POLY_MAX_N = 16
+CELL_DEPTH = 30                 # float seeds claim roots on this bisection depth
 
 
 class TooLargeMatrix(ValueError):
@@ -337,27 +335,20 @@ def _variations(chain, a: int, b: int) -> int:
 
 
 def _count_roots(chain, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of chain[0] in the half-open interval (lo, hi].
-
-    The zero-skipping sign-variation rule makes the count correct even when
-    chain[0] vanishes at an endpoint: a root at lo is excluded, one at hi
-    included.
-    """
+    """Distinct real roots of chain[0] in the half-open interval (lo, hi]:
+    skipping zeros, the variations exclude a root at lo and count one at hi."""
     return (_variations(chain, lo.numerator, lo.denominator)
             - _variations(chain, hi.numerator, hi.denominator))
 
 
 @lru_cache(maxsize=None)
 def _squarefree_chain(p: IntPolynomial) -> tuple[tuple[IntPolynomial, ...], IntPolynomial]:
-    """The Sturm chain of the square-free part p / gcd(p, p'), and that gcd,
-    built once per process: the quotient roots and the root orders of a
-    grid ask for the same polynomials.
+    """The Sturm chain of the square-free part p / gcd(p, p'), and that gcd
+    (primitive, positive leading coefficient), built once per process.
 
     p's own chain is Euclid's algorithm on p and p', so its last member is
     the gcd up to sign, and when the gcd is constant the chain already is
-    the square-free part's.  The gcd is primitive with a positive leading
-    coefficient, and chain[0] is a primitive positive multiple of the
-    square-free part, as `_gcd` and `_pdivmod` give them.
+    the square-free part's.
     """
     chain = _sturm_chain(p)
     g = chain[-1] if chain[-1].coeffs[-1] > 0 else -chain[-1]
@@ -366,24 +357,22 @@ def _squarefree_chain(p: IntPolynomial) -> tuple[tuple[IntPolynomial, ...], IntP
     return tuple(chain), g
 
 
-def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Isolating brackets of the distinct real roots of chain[0] in [lo, hi].
+def _isolate(oracle, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Isolating brackets, sorted, of the distinct real roots of a square-free f in [lo, hi].
 
-    chain is the Sturm sequence of a square-free polynomial.  Bisection by
-    Sturm counts stops as soon as a bracket (a, b] holds one root, and no
-    bracket's right end b is a root: an exactly-hit rational root is
-    returned as a zero-width bracket and the bracket to its left is pulled
-    off it.  The variation count of each point is computed once and carried
-    on the stack.  Brackets are sorted left to right.
-
-    Every point is an integer numerator over den * 2^s, where den is the
-    common denominator of lo and hi and s the bisection depth, so signs are
-    taken in integers and a Fraction is built only for a returned bracket.
+    The oracle, f's Sturm chain or f's `_RootCells` record on the grid of
+    the same [lo, hi], counts f's roots above a point and tests for a zero.
+    Bisection stops once a bracket (a, b] holds one root, and no right end
+    is a root: an exactly-hit root is a zero-width bracket, and the bracket
+    to its left is pulled off it.  A point is an integer over den * 2^s.
     """
-    fc = chain[0].coeffs
     a, b, den = _over_common(lo, hi)
+    # sign variations exceed the number of roots above a point by a constant
+    probe = oracle.probe if oracle.__class__ is _RootCells else lambda n, s: (
+        _variations(oracle, n, den << s), _sign_at(oracle[0].coeffs, n, den << s) == 0)
     out: list[tuple[Fraction, Fraction]] = []
-    if _sign_at(fc, a, den) == 0:
+    va, zero = probe(a, 0)
+    if zero:
         out.append((lo, lo))
 
     def pull_left(a: int, b: int, s: int, vb: int) -> tuple[int, int, int]:
@@ -395,15 +384,13 @@ def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction
         width = b - a
         while True:
             b, s = 2 * b, s + 1
-            nb, d = b - width, den << s
-            if _sign_at(fc, nb, d) != 0:
-                vn = _variations(chain, nb, d)
-                if vn - vb == 1:
-                    return nb, s, vn
+            vn, zero = probe(b - width, s)
+            if not zero and vn - vb == 1:
+                return b - width, s, vn
 
-    va, vb = _variations(chain, a, den), _variations(chain, b, den)
+    vb, zero = probe(b, 0)
     s = 0
-    if _sign_at(fc, b, den) == 0:
+    if zero:
         b, s, vb = pull_left(a, b, 0, vb)
         a <<= s
     stack = [(a, b, s, va, vb)]
@@ -415,9 +402,8 @@ def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction
             out.append((Fraction(a, den << s), Fraction(b, den << s)))
             continue
         mid, a, b, s = a + b, 2 * a, 2 * b, s + 1
-        d = den << s
-        vm = _variations(chain, mid, d)
-        if _sign_at(fc, mid, d) == 0:
+        vm, zero = probe(mid, s)
+        if zero:
             nm, t, vn = pull_left(a, mid, s, vm)
             stack.append((a << (t - s), nm, t, va, vn))
         else:
@@ -425,6 +411,106 @@ def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction
         stack.append((mid, b, s, vm, vb))
     out.sort(key=lambda ab: ab[0])
     return out
+
+
+class _RootCells:
+    """Every root of p certified alone in a cell of the depth-D bisection
+    grid of [lo, hi] (points a 2^D + k (b - a) over den 2^D for lo = a/den,
+    hi = b/den, k any integer): the other oracle of `_isolate`.
+
+    A root is claimed on a grid point where p is exactly 0, or in an open
+    cell whose ends have exact signs of opposite sign.  Distinct claims hold
+    distinct roots, so deg p claims prove deg p real, simple roots, one in
+    each, and one sign decides a point inside a claimed cell.  `lefts` and
+    `rights` are the claims' ends over den 2^D, ascending.
+    """
+
+    def __init__(self, coeffs, den, depth, lefts, rights, right_signs):
+        self.coeffs, self.den, self.depth = coeffs, den, depth
+        self.lefts, self.rights, self.right_signs = lefts, rights, right_signs
+
+    def probe(self, n: int, s: int) -> tuple[int, bool]:
+        """The number of roots above x = n / (den 2^s), and whether p(x) == 0."""
+        lefts, rights, t = self.lefts, self.rights, self.depth - s
+        # x on the grid's scale: exactly n 2^t, or strictly inside (x - 1, x)
+        x = n << t if t >= 0 else -(-n >> -t)
+        exact = t >= 0 or x << -t == n
+        i = bisect_left(lefts, x)
+        above = len(lefts) - i
+        if exact and i < len(lefts) and rights[i] == x:
+            return above - 1, True
+        if i and (rights[i - 1] > x or not exact and rights[i - 1] == x):
+            sign = _sign_at(self.coeffs, n, self.den << s)
+            if sign == 0:
+                return above, True
+            above += sign != self.right_signs[i - 1]
+        return above, False
+
+
+def _root_cells(p: IntPolynomial, lo, hi, depth: int, seeds) -> _RootCells | None:
+    """p's `_RootCells` on the depth-`depth` grid of the rationals [lo, hi],
+    claimed from float seeds of its roots (the cell each names), or None
+    when the exact signs do not give deg p claims."""
+    a, b, den = _over_common(lo, hi)
+    c, span, base, scale = p.coeffs, b - a, a << depth, den << depth
+    flo, per_unit = float(lo), 2.0**depth / float(hi - lo)
+    claims: dict[tuple[int, int], int] = {}         # (k, k + 1) or (k, k): right sign
+    for r in seeds or ():
+        t = (r - flo) * per_unit
+        if not math.isfinite(t):
+            return None
+        k = math.floor(t)
+        sl, sr = _sign_at(c, base + k * span, scale), _sign_at(c, base + (k + 1) * span, scale)
+        if sl == -sr != 0:
+            claims[k, k + 1] = sr
+        elif sl and sr:
+            return None
+        claims.update(((j, j), 0) for j, sj in ((k, sl), (k + 1, sr)) if not sj)
+    if len(claims) != p.degree:
+        return None
+    order = sorted(claims)
+    return _RootCells(c, den, depth, [base + i * span for i, _ in order],
+                      [base + j * span for _, j in order], [claims[ij] for ij in order])
+
+
+def _float_seeds(polys) -> list[list[float] | None]:
+    """Float roots, ascending, of each polynomial with a `_jacobi` matrix,
+    else None: its eigenvalues, from one stacked `numpy.linalg.eigh` per degree."""
+    by_degree: dict[int, list] = {}
+    for i, p in enumerate(polys):
+        try:
+            jac = _jacobi([float(x) for x in reversed(p.coeffs)])
+        except (OverflowError, ZeroDivisionError):      # beyond float range, or p = 0
+            continue
+        if jac is not None:
+            by_degree.setdefault(p.degree, []).append((i, jac))
+    out: list[list[float] | None] = [None] * len(polys)
+    for d, items in by_degree.items():
+        roots = np.linalg.eigh(np.array([j for _, j in items]).reshape(len(items), d, d))[0]
+        for (i, _), r in zip(items, roots.tolist()):
+            out[i] = r
+    return out
+
+
+def _jacobi(f: list[float]) -> list[list[float]] | None:
+    """The tridiagonal matrix with char poly f (coefficients descending), from
+    its monic float Sturm sequence f_k = (x - a_k) f_(k-1) - b_k^2 f_(k-2)
+    (Schmeisser): None unless all b_k^2 > 0, as just for real simple roots."""
+    d = len(f) - 1
+    prev = [x / f[0] for x in f]
+    cur = [x * (d - i) / d for i, x in enumerate(prev[:-1])]
+    jac = [[0.0] * d for _ in range(d)]
+    for m in range(d - 1, 0, -1):                   # prev = (x - a) cur - b^2 next
+        t = prev[1] - cur[1]
+        rem = [p - t * c - n for p, c, n in zip(prev[2:], cur[1:], cur[2:] + [0.0])]
+        if not -rem[0] > 0:
+            return None
+        jac[m][m], jac[m][m - 1] = -t, math.sqrt(-rem[0])
+        jac[m - 1][m] = jac[m][m - 1]
+        prev, cur = cur, [x / rem[0] for x in rem]
+    if d:
+        jac[0][0] = -prev[1]
+    return jac if math.isfinite(sum(map(sum, jac))) else None
 
 
 def _refine(fi: IntPolynomial, a: Fraction, b: Fraction,
@@ -465,69 +551,16 @@ def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
     return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
 
 
-def _float_coeffs(c: tuple[int, ...]) -> tuple[float, ...] | None:
-    """The integer coefficients c as floats, or None if one is beyond float range."""
-    try:
-        return tuple(float(x) for x in c)
-    except OverflowError:
-        return None
-
-
-def _horner(fc: tuple[float, ...], x: float) -> float:
-    acc = 0.0
-    for c in reversed(fc):
-        acc = acc * x + c
-    return acc
-
-
-def _illinois(fc: tuple[float, ...], a: float, b: float) -> float:
-    """A float estimate of the one simple root of fc in (a, b], or NaN.
-
-    Illinois regula falsi: the end that stays put has its value halved, so
-    the bracket keeps shrinking from both sides.  It stops when the next
-    point does not fall strictly inside the bracket, so it ends on floats.
-    A float value 0 at a, as at an exact root left of the bracket's, takes
-    the sign of fc between a and the root, which is -sign(fb), and fb's
-    size.  NaN when the float values at a and b still do not differ in sign.
-    """
-    fa, fb = _horner(fc, a), _horner(fc, b)
-    if fa == 0:
-        fa = -fb
-    if not fa * fb < 0:
-        return math.nan
-    x, side = a, 0
-    while True:
-        nx = (a * fb - b * fa) / (fb - fa)
-        if not a < nx < b:
-            return x
-        x = nx
-        fx = _horner(fc, x)
-        if fx == 0 or fx != fx:
-            return x
-        if (fx > 0) == (fb > 0):
-            b, fb = x, fx
-            if side == 1:
-                fa /= 2
-            side = 1
-        else:
-            a, fa = x, fx
-            if side == -1:
-                fb /= 2
-            side = -1
-
-
 def _refine_seeded(fi: IntPolynomial, a: Fraction, b: Fraction, tol: Fraction,
                    seed: float) -> tuple[Fraction, Fraction]:
     """`_refine`'s bracket of the root in (a, b], found from the float estimate seed.
 
-    Bisection to width <= tol takes K halvings and ends in one of the 2^K
-    equal cells of (a, b], unless it hits the root exactly.  The seed names
-    a cell.  When the signs of fi at the cell's ends confirm that the root
-    lies strictly inside it, the root is no grid point, so every bisection
-    step goes the same way and ends in this very cell.  When fi is 0 at a
-    cell end inside (a, b), the root is that grid point, which bisection
-    meets as a midpoint, so it returns the point bracket there.  Otherwise,
-    and for a seed that is not finite, the bracket is bisected.
+    Bisection to width <= tol ends in one of the 2^K equal cells of (a, b],
+    unless it hits the root exactly.  The seed names a cell.  Signs of fi
+    at its ends that put the root strictly inside make it bisection's cell;
+    a 0 at an end inside (a, b) is a root that bisection meets as a
+    midpoint, so its point bracket.  Otherwise, and for a seed that is not
+    finite, the bracket is bisected.
     """
     if not math.isfinite(seed):
         return _refine(fi, a, b, tol)
@@ -561,45 +594,56 @@ def _has_root(chain, a: Fraction, b: Fraction) -> bool:
 
 
 def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12) -> list[float]:
-    """All real roots of p in [lo, hi], sorted, bracketed to width <= tol.
+    """All real roots of p in [lo, hi], sorted, bracketed to width <= tol, a root of
+    multiplicity m m times: `sturm_real_roots_many` of the one problem."""
+    return sturm_real_roots_many([(p, lo, hi)], tol)[0]
 
-    A root of multiplicity m appears m times.  The roots of the square-free
-    part are isolated by Sturm counts, then every isolating bracket is
-    refined to bisection's bracket: seeded by float regula falsi and
-    confirmed by two signs, or bisected by the sign of the square-free part
-    alone.  Each root is the midpoint of its bracket.  Multiplicities come
-    from the derivative-gcd chain.  Every chain is integer: its members are
-    positive multiples of the rational ones, so the counts and brackets are
-    the same.
+
+def sturm_real_roots_many(problems, tol: float = 1e-12) -> list[list[float]]:
+    """`sturm_real_roots(p, lo, hi, tol)` of each (p, lo, hi) problem, as one batch.
+
+    `_float_seeds` proposes every root at once.  The isolation oracle is p's
+    `_RootCells` record on the depth-`CELL_DEPTH` grid of [lo, hi] where the
+    seeds give one, else p's square-free Sturm chain, with multiplicities
+    from the derivative-gcd chain.  Each bracket is refined from the seed in
+    it (`_refine_seeded`); a root is its bracket's midpoint.
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    problems = list(problems)
+    for p, lo, hi in problems:
+        if p.is_zero() or not lo < hi:
+            raise ValueError("zero polynomial" if p.is_zero() else "need lo < hi")
     if not tol > 0:
         # bisection to a width <= 0 would not end
         raise ValueError("need tol > 0")
+    seeds, ftol = _float_seeds([p for p, _, _ in problems]), Fraction(tol)
+    return [_real_roots(p, Fraction(lo), Fraction(hi), ftol, s)
+            for (p, lo, hi), s in zip(problems, seeds)]
+
+
+def _real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction,
+                seeds: list[float] | None) -> list[float]:
     if p.degree == 0:
         return []
-    ftol = Fraction(tol)
-    chain, g = _squarefree_chain(p)
-    # gcd chain, ending in a constant: a root of multiplicity m survives
-    # into the first m entries
-    gchain = [p, g]
-    while gchain[-1].degree > 0:
-        gchain.append(_gcd(gchain[-1], gchain[-1].derivative()))
-    repeated = [_sturm_chain(g) for g in gchain[1:-1]]
-    fc = _float_coeffs(chain[0].coeffs)
+    oracle = _root_cells(p, lo, hi, CELL_DEPTH, seeds)
+    fi, repeated = p, []
+    if oracle is None:
+        oracle, g = _squarefree_chain(p)
+        fi, seeds = oracle[0], _float_seeds([oracle[0]])[0]
+        # gcd chain, ending in a constant: a root of multiplicity m survives
+        # into the first m entries
+        gchain = [p, g]
+        while gchain[-1].degree > 0:
+            gchain.append(_gcd(gchain[-1], gchain[-1].derivative()))
+        repeated = [_sturm_chain(g) for g in gchain[1:-1]]
     roots: list[float] = []
-    for a, b in _isolate(chain, Fraction(lo), Fraction(hi)):
-        seed = math.nan if fc is None or a == b else _illinois(fc, float(a), float(b))
-        a, b = _refine_seeded(chain[0], a, b, ftol, seed)
+    for a, b in _isolate(oracle, lo, hi):
+        # the seed of the root in (a, b] is the last one <= b, if above a
+        j = bisect_right(seeds, float(b)) - 1 if seeds and a != b else -1
+        a, b = _refine_seeded(fi, a, b, tol,
+                              seeds[j] if j >= 0 and seeds[j] > float(a) else math.nan)
         mult = 1
-        for rchain in repeated:
-            if _has_root(rchain, a, b):
-                mult += 1
-            else:
-                break
+        while mult <= len(repeated) and _has_root(repeated[mult - 1], a, b):
+            mult += 1
         # int true division rounds correctly, as float((a + b) / 2) does
         mid = ((a.numerator * b.denominator + b.numerator * a.denominator)
                / (2 * a.denominator * b.denominator))
@@ -636,92 +680,47 @@ def _extreme_isolated(p: IntPolynomial,
     return chain[0], brackets[-1] if side == "max" else brackets[0]
 
 
-def _newton_extreme(fc: tuple[float, ...], x: float, inward: int) -> float:
-    """Float Newton steps from x, beyond every real root of fc, toward the
-    extreme one: inward is -1 from above, +1 from below.
-
-    Steps are taken while they move x strictly inward, so the loop ends on
-    floats; the last point is returned, NaN and overshoot included.
-    """
-    dc = tuple(k * c for k, c in enumerate(fc))[1:]
-    while True:
-        d = _horner(dc, x)
-        if d == 0:
-            return x
-        nx = x - _horner(fc, x) / d
-        if not (nx - x) * inward > 0:
-            return x
-        x = nx
-
-
-def _variations_at_infinity(chain, direction: int) -> int:
-    """Sign variations of the chain at +infinity (direction 1) or -infinity (-1)."""
-    signs = [(1 if c.coeffs[-1] > 0 else -1) * direction ** c.degree for c in chain]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-
-
-@lru_cache(maxsize=None)
-def _extreme_seeded(p: IntPolynomial,
-                    side: str) -> tuple[IntPolynomial, tuple[Fraction, Fraction]]:
-    """The square-free part of p and a bracket of its largest ("max") or
-    smallest ("min") real root, found once per process.
-
-    Float Newton from the square-free part's Cauchy bound proposes the
-    root, and the bracket of width 2^-20 around it, on the grid of
-    2^-21, is kept when Sturm counts show that it holds one root and no
-    root lies beyond it.  A right end that is the root gives the point
-    bracket.  Otherwise the root is isolated as `_extreme_isolated` does.
-    """
-    if side not in ("max", "min"):
-        raise ValueError("side must be 'max' or 'min'")
-    cauchy_root_bound(p)            # rejects the zero polynomial, as isolation does
-    chain, _ = _squarefree_chain(p)
-    fc = _float_coeffs(chain[0].coeffs)
-    if fc is not None and len(fc) > 1:
-        inward = -1 if side == "max" else 1
-        bound = 1 + max(abs(c) for c in fc[:-1]) / abs(fc[-1])
-        t = _newton_extreme(fc, -inward * bound, inward) * 2**21
-        if math.isfinite(t):
-            k = math.floor(t)
-            va, vb = _variations(chain, k - 1, 2**21), _variations(chain, k + 1, 2**21)
-            beyond = vb if side == "max" else va
-            if va - vb == 1 and beyond == _variations_at_infinity(chain, -inward):
-                a, b = Fraction(k - 1, 2**21), Fraction(k + 1, 2**21)
-                return chain[0], (b, b) if _sign(chain[0], b) == 0 else (a, b)
-    return _extreme_isolated(p, side)
-
-
 def extreme_root_bracket(p: IntPolynomial, side: str,
                          width: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational bracket of width <= width around the largest or smallest real root.
-
-    Sturm counts isolate every real root inside the Cauchy bound; only the
-    bracket of the requested root (the last for "max", the first for
-    "min") is then refined, by the sign of the square-free part alone.
-    """
+    """Rational bracket of width <= width around the largest or smallest real root:
+    `_extreme_isolated`'s bracket, refined by the sign of the square-free part."""
     fi, bracket = _extreme_isolated(p, side)
     return _refine(fi, *bracket, Fraction(width))
 
 
 def certify_root_order(p: IntPolynomial, q: IntPolynomial, side: str = "max") -> int:
-    """Exact comparison of the extreme real roots of p and q: -1, 0 or +1.
+    """`certify_root_orders` of the one pair (p, q)."""
+    return certify_root_orders([(p, q)], side)[0]
 
-    Brackets shrink until disjoint; a persistent overlap is resolved by a
-    shared root of gcd(p, q) inside the intersection, which certifies
-    equality because each bracket isolates a single root.  A bracket is
-    either the point (r, r) or the half-open (a, b], whose right end is
-    never a root, so two brackets that only touch are disjoint unless they
-    are the same point.  Each extreme root is bracketed once, from a float
-    seed that Sturm counts confirm (`_extreme_seeded`); a retry refines the
-    brackets already found.
+
+def certify_root_orders(pairs, side: str = "max") -> list[int]:
+    """Exact comparison of the largest ("max") or smallest ("min") real roots
+    of each pair (p, q): -1, 0 or +1.
+
+    Each distinct polynomial's extreme root is bracketed once per call, by
+    the extreme claim of its `_RootCells` record on the grid of 2^-21 (one
+    `_float_seeds` batch) or by `_extreme_isolated`.  Disjoint brackets
+    decide at once; otherwise they shrink until disjoint, and a persistent
+    overlap is equality when a shared root of gcd(p, q) lies in it.
     """
-    fp, a = _extreme_seeded(p, side)
-    fq, b = _extreme_seeded(q, side)
-    width = Fraction(1, 2**20)
-    common = None
+    if side not in ("max", "min"):
+        raise ValueError("side must be 'max' or 'min'")
+    pairs = list(pairs)
+    polys = list(dict.fromkeys(p for pair in pairs for p in pair))
+    k, extreme = (-1 if side == "max" else 0), {}
+    for p, seeds in zip(polys, _float_seeds(polys)):
+        cells = _root_cells(p, 0, 1, 21, seeds)
+        extreme[p] = (_extreme_isolated(p, side) if cells is None or not cells.lefts else
+                      (p, (Fraction(cells.lefts[k], 2**21), Fraction(cells.rights[k], 2**21))))
+    return [_root_order(p, q, *extreme[p], *extreme[q]) for p, q in pairs]
+
+
+def _root_order(p: IntPolynomial, q: IntPolynomial, fp, a, fq, b) -> int:
+    """The order of the roots of p and q in the brackets a of fp and b of fq,
+    each a point (r, r) or a half-open (a, b] whose right end is no root."""
+    width, common = Fraction(1, 2**20), None
     for _ in range(8):
-        a = _refine(fp, *a, width)
-        b = _refine(fq, *b, width)
+        a, b = _refine(fp, *a, width), _refine(fq, *b, width)
         if a[1] <= b[0] and a != b:
             return -1
         if b[1] <= a[0] and a != b:

@@ -44,7 +44,7 @@ from cdspectra.graphcore import (
 )
 from cdspectra.spectra import (
     CHAR_POLY_MAX_N,
-    certify_root_order,
+    certify_root_orders,
     char_polys_exact,
     sym_eigenvalues,
 )
@@ -630,7 +630,7 @@ def _exact_orders(graphs, bound_graph: Graph, side: str) -> set[int]:
     n <= CHAR_POLY_MAX_N, all char polys from one stack."""
     *polys, bound_poly = char_polys_exact(
         [distance_matrix(complement(g)) for g in [*graphs, bound_graph]])
-    return {certify_root_order(p, bound_poly, side) for p in polys}
+    return set(certify_root_orders([(p, bound_poly) for p in polys], side))
 
 
 def sign_partition(g: Graph, spec=None) -> SignPartition:

@@ -125,11 +125,12 @@ PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0}
      "verify_theorems_n7.out"),
     (("verify", "--claims", "2.1,2.5,2.6", "--n", "6"), "verify_lemmas_n6.out"),
     (("verify", "--claims", "2.1", "--n", "7"), "verify_lemma21_n7.out"),
+    (("verify", "--claims", "3.11", "--p-max", "32"), "verify_lemma311_p32.out"),
 ])
 def test_verify_stdout_is_pinned(capsys, argv, expected):
-    # the exact layer's roots and orders, the n = 7 scan and Lemma 2.1's
-    # counts reach stdout byte for byte; a drift fails on the first
-    # differing JSON line
+    # the exact layer's roots and orders (492 of them on the 3.11 grid to
+    # p = 32), the n = 7 scan and Lemma 2.1's counts reach stdout byte for
+    # byte; a drift fails on the first differing JSON line
     code, out, _ = run_cli(capsys, *argv)
     want = (Path(__file__).parent / "expected" / expected).read_text()
     assert code == PINNED_EXIT_CODES.get(expected, 2)

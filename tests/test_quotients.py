@@ -232,3 +232,18 @@ def test_unsupported_family():
         quotient_matrix("T1", (2, 2))
     with pytest.raises(q.UnsupportedFamily):
         q.printed_poly("path", (5,))
+
+
+def test_quotient_reports_build_a_sturm_chain_for_Lprime_12_only():
+    # float seeds certify the roots of 97 of the 98 default quotient
+    # polynomials; Psi_L'(12) = x^2 (x^3 - 14 x^2 - 92 x - 120) has the
+    # double root 0, which no cell record holds, so only it gets a chain
+    from cdspectra import spectra, verify
+    spectra._squarefree_chain.cache_clear()
+    assert verify.check_lemma("quotient-consistency").status == "confirmed"
+    info = spectra._squarefree_chain.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # L'(12) alone asks for its chain again, and finds it cached
+    lp12 = q.quotient_consistency("Lprime", (12,)).derived_poly
+    assert lp12.coeffs[:3] == (0, 0, -120)
+    assert spectra._squarefree_chain.cache_info().misses == 1

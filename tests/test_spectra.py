@@ -14,26 +14,28 @@ from cdspectra.graphcore import complement, distance_matrix, from_edge_mask
 from cdspectra.families import build_path
 from cdspectra import spectra
 from cdspectra.spectra import (
+    CELL_DEPTH,
     IntPolynomial,
     TooLargeMatrix,
     _count_roots,
-    _float_coeffs,
+    _float_seeds,
     _gcd,
-    _horner,
-    _illinois,
     _isolate,
     _pdivmod,
     _refine,
     _refine_seeded,
+    _root_cells,
     _sign,
     _squarefree_chain,
     _sturm_chain,
     cauchy_root_bound,
     certify_root_order,
+    certify_root_orders,
     char_poly_exact,
     char_polys_exact,
     extreme_root_bracket,
     sturm_real_roots,
+    sturm_real_roots_many,
     sym_eigenvalues,
     sym_spectra,
 )
@@ -706,6 +708,12 @@ def test_certify_root_order_equals_reference_and_retries_near_ties():
             assert certify_root_order(p, q, side) == want
 
 
+def _seed_in(seeds, a, b):
+    """The float seed `sturm_real_roots_many` takes for the bracket (a, b]."""
+    inside = [r for r in seeds or [] if float(a) < r <= float(b)]
+    return inside[-1] if inside and a != b else math.nan
+
+
 def test_seeded_refinement_equals_bisection(monkeypatch):
     # every seed, good or bad, must give bisection's own bracket; a good
     # seed must mostly do so without bisecting
@@ -721,7 +729,7 @@ def test_seeded_refinement_equals_bisection(monkeypatch):
     for _ in range(100):
         p, rational = _random_poly(rng)
         chain = _squarefree_chain(p)[0]
-        fc = _float_coeffs(chain[0].coeffs)
+        seeds = _float_seeds([chain[0]])[0]
         r = rational[int(rng.integers(0, len(rational)))]
         # intervals that end exactly on a rational root, from either side,
         # and wide ones with non-dyadic ends
@@ -731,7 +739,7 @@ def test_seeded_refinement_equals_bisection(monkeypatch):
             for a, b in _isolate(chain, lo, hi):
                 if a == b:
                     continue
-                good = _illinois(fc, float(a), float(b))
+                good = _seed_in(seeds, a, b)
                 bad = [math.nan, math.inf, -math.inf, float(a) - 1, float(b) + 1,
                        float(a), float(b), float((a + b) / 2)]
                 for tol in WIDTHS:
@@ -747,9 +755,9 @@ def test_seeded_refinement_equals_bisection(monkeypatch):
 
 
 def test_seed_from_an_exact_root_on_the_left_end_equals_bisection(monkeypatch):
-    # a bracket (r, b] that starts on a rational root r gets a float seed from
-    # the sign -sign f(b) of f on (r, root), and the seed's bracket is
-    # bisection's own
+    # a bracket (r, b] that starts on a rational root r takes the float seed
+    # of the root in it, not r's own, and the seed's bracket is bisection's;
+    # only square-free parts with real roots alone have seeds
     bisected = []
 
     def counting_refine(*args):
@@ -762,13 +770,13 @@ def test_seed_from_an_exact_root_on_the_left_end_equals_bisection(monkeypatch):
     for _ in range(150):
         p, rational = _random_poly(rng)
         chain = _squarefree_chain(p)[0]
-        fc = _float_coeffs(chain[0].coeffs)
+        seeds = _float_seeds([chain[0]])[0]
         for r in set(rational):
             brackets = [ab for ab in _isolate(chain, r, Fraction(29, 3)) if ab[0] == r != ab[1]]
-            if not brackets or _horner(fc, float(r)) != 0:
+            if not brackets or seeds is None:
                 continue
             a, b = brackets[0]
-            seed = _illinois(fc, float(a), float(b))
+            seed = _seed_in(seeds, a, b)
             assert a < seed <= b, (p, a, b, seed)
             for tol in WIDTHS:
                 bisected.clear()
@@ -781,8 +789,8 @@ def test_seed_from_an_exact_root_on_the_left_end_equals_bisection(monkeypatch):
                     # ends the seed's cell, where the sign is 0
                     on_grid += 1
                     assert not bisected, (p, a, b, tol)
-    # rational roots with dyadic denominators land on the grid: 15 of 507
-    assert on_grid == 15
+    # rational roots with dyadic denominators land on the grid: 9 of 369
+    assert on_grid == 9
     assert tried > 100 and confirmed > 0.9 * tried
 
 
@@ -812,14 +820,35 @@ def test_no_bracket_from_an_exact_root_is_bisected_on_the_quotient_grid(monkeypa
     assert not any(bisected)
 
 
-def test_illinois_seed_is_nan_without_a_float_sign_change():
-    sqrt2 = (-2.0, 0.0, 1.0)
-    assert abs(_illinois(sqrt2, 1.0, 2.0) - math.sqrt(2)) < 1e-15
-    assert math.isnan(_illinois(sqrt2, 2.0, 3.0))
-    # a root on the left end has float value 0; (0, 1] isolates the root 1/3
-    # of x (3x - 1), so x (3x - 1) < 0 between them
-    assert abs(_illinois((0.0, -1.0, 3.0), 0.0, 1.0) - 1 / 3) < 1e-15
-    assert _float_coeffs((1, 10**400)) is None
+def test_float_seeds_and_cell_records_at_the_edges():
+    # seeds are the float roots, ascending, of a polynomial whose roots are
+    # all real and simple; complex or repeated roots and a coefficient
+    # beyond float range give none
+    sqrt2 = IntPolynomial((-2, 0, 1))
+    low, high = _float_seeds([sqrt2])[0]
+    assert abs(high - math.sqrt(2)) < 1e-15 and abs(low + math.sqrt(2)) < 1e-15
+    assert _float_seeds([IntPolynomial((1, 0, 1)) * sqrt2, sqrt2 * sqrt2, IntPolynomial((3,)),
+                         IntPolynomial((1, 10**400))]) == [None, None, [], None]
+    # (x - 1)^2 has the float Sturm sequence x^2 - 2x + 1, x - 1, 0 exactly,
+    # and (x + 10^200)(x^2 - 1) one that overflows float range
+    wide = IntPolynomial((-10**200, -1, 10**200, 1))
+    assert _float_seeds([IntPolynomial((1, -2, 1)), IntPolynomial((0, 0, 1)), wide]) == [None] * 3
+    assert sturm_real_roots(wide, -2, 2, 1e-9) == [-1.0, 1.0]
+    # a root on a grid point is claimed by its exact zero: x (3x - 1) on
+    # [0, 1], where 0 is the left end
+    p = IntPolynomial((0, -1, 3))
+    cells = _root_cells(p, 0, 1, CELL_DEPTH, _float_seeds([p])[0])
+    assert cells.lefts[0] == cells.rights[0] == 0
+    assert cells.lefts[1] < 2**CELL_DEPTH / 3 < cells.rights[1]
+    want = [(0, 0), (0, 1)]
+    assert _isolate(cells, Fraction(0), Fraction(1)) == _isolate(_sturm_chain(p), 0, 1) == want
+    # whatever the seeds, exact signs give complex or repeated roots, two
+    # seeds in one cell or a missing seed fewer than deg p claims
+    r = math.sqrt(2)
+    for p, seeds in ((IntPolynomial((1, 0, 1)) * sqrt2, [-r, 0.0, 0.0, r]),
+                     (sqrt2 * sqrt2, [-r, -r, r, r]),
+                     (sqrt2, [r, r]), (sqrt2, [r]), (sqrt2, None)):
+        assert _root_cells(p, -4, 4, CELL_DEPTH, seeds) is None
 
 
 def test_certify_root_order_seeded_equals_bisection_only_reference(monkeypatch):
@@ -831,8 +860,6 @@ def test_certify_root_order_seeded_equals_bisection_only_reference(monkeypatch):
 
     _isolated = spectra._extreme_isolated
     monkeypatch.setattr(spectra, "_extreme_isolated", recording_isolation)
-    monkeypatch.setattr(spectra, "_extreme_seeded",
-                        functools.lru_cache(maxsize=None)(spectra._extreme_seeded.__wrapped__))
     x = IntPolynomial((0, 1))
     sqrt2 = IntPolynomial((-2, 0, 1))
     huge = IntPolynomial((-1, 1)) * IntPolynomial((10**320, 1))      # roots 1 and -1e320
@@ -854,27 +881,25 @@ def test_certify_root_order_seeded_equals_bisection_only_reference(monkeypatch):
             want = _reference_order(p, q, side)
             assert certify_root_order(p, q, side) == want, (p, q, side)
             assert certify_root_order(q, p, side) == -want, (p, q, side)
-    # coefficients beyond float range fall back to Sturm isolation.  Newton
-    # from the Cauchy bound moves monotonically to the extreme root of a
-    # real-rooted polynomial, so only polynomials with non-real roots may
-    # need isolation otherwise
+    # Sturm isolation runs exactly for the polynomials that no cell record
+    # can hold: coefficients beyond float range, or fewer than deg p
+    # distinct real roots
     assert huge in isolated
-    for p in isolated:
-        fi = _squarefree_chain(p)[0][0]
-        bound = cauchy_root_bound(fi)
-        assert (_float_coeffs(p.coeffs) is None
-                or _count_roots(_sturm_chain(fi), -bound, bound) < fi.degree), p
-    assert len(isolated) < spectra._extreme_seeded.cache_info().misses / 5
+    for p in {p for pair in pairs for p in pair}:
+        bound = cauchy_root_bound(p)
+        recordless = (_float_seeds([p])[0] is None
+                      or _count_roots(_sturm_chain(p), -bound, bound) < p.degree)
+        assert (p in isolated) == recordless, p
 
 
 @pytest.mark.parametrize("offset", [-2.0**-22, 2.0**-22, 2.0**-19, -5.0, math.nan, math.inf])
 def test_certify_root_order_with_a_perturbed_newton_seed_equals_reference(monkeypatch, offset):
-    # a seed just below a root on the 2^-21 grid gives the point bracket, one
-    # beyond the bracket's reach or not finite falls back to isolation
-    newton = spectra._newton_extreme
-    monkeypatch.setattr(spectra, "_newton_extreme", lambda *args: newton(*args) + offset)
-    monkeypatch.setattr(spectra, "_extreme_seeded",
-                        functools.lru_cache(maxsize=None)(spectra._extreme_seeded.__wrapped__))
+    # every float seed is moved by offset: a seed still inside the cell next
+    # to a root on the 2^-21 grid gives the point bracket, one beyond its
+    # cell or not finite falls back to isolation
+    seeds = spectra._float_seeds
+    monkeypatch.setattr(spectra, "_float_seeds", lambda polys: [
+        None if r is None else [v + offset for v in r] for r in seeds(polys)])
     x = IntPolynomial((0, 1))
     on_grid = IntPolynomial((-3, 2**21)) * IntPolynomial((5, 21, 2**21))
     sqrt2 = IntPolynomial((-2, 0, 1))
@@ -883,9 +908,12 @@ def test_certify_root_order_with_a_perturbed_newton_seed_equals_reference(monkey
     for p, q in pairs:
         for side in ("min", "max"):
             assert certify_root_order(p, q, side) == _reference_order(p, q, side), (p, q, side)
-    if offset == -2.0**-22:
-        root = Fraction(3, 2**21)
-        assert spectra._extreme_seeded(IntPolynomial((-3, 2**21)) * x, "max")[1] == (root, root)
+    p = IntPolynomial((-3, 2**21)) * x
+    cells = _root_cells(p, 0, 1, 21, spectra._float_seeds([p])[0])
+    if abs(offset) == 2.0**-22:
+        assert cells.lefts == [0, 3] and cells.rights == [0, 3]
+    else:
+        assert cells is None
 
 
 def _positive_multiple(p, f):
@@ -956,3 +984,89 @@ def test_exact_roots_of_distance_complement_match_lapack(g):
 @given(symmetric_int_matrices())
 def test_exact_roots_of_symmetric_integer_matrices_match_lapack(m):
     _assert_exact_roots_match_lapack(m)
+
+
+def test_cell_records_isolate_like_sturm_chains_on_the_quotient_polynomials(monkeypatch):
+    # the 238 quotient polynomials of orders 7 to 40, on the [lo, hi] that
+    # `quotient_reports` gives them: every one but Psi_L'(12), which has the
+    # double root 0, gets a record, and a record isolates exactly as the
+    # Sturm chain does
+    from cdspectra import lemmas, quotients, verify
+    cases = lemmas._quotient_cases(range(7, 41))
+    solved = verify._family_spectra(quotients.model_graph_key(*case) for case in cases)
+    problems = [(r.derived_poly, -len(s.dc) * int(s.dc.max()), len(s.dc) * int(s.dc.max()))
+                for r, s in zip(quotients.quotient_reports(cases), solved)]
+    assert len(problems) == 238
+    recordless = []
+    for (p, lo, hi), seeds in zip(problems, _float_seeds([p for p, _, _ in problems])):
+        cells = _root_cells(p, Fraction(lo), Fraction(hi), CELL_DEPTH, seeds)
+        if cells is None:
+            recordless.append(p)
+            continue
+        chain = _squarefree_chain(p)[0]
+        assert _isolate(cells, Fraction(lo), Fraction(hi)) == _isolate(chain, lo, hi), p
+    assert recordless == [quotients.Psi_Lprime(12)]
+    # the refined roots equal those of the Sturm chains alone
+    roots = sturm_real_roots_many(problems, 1e-11)
+    monkeypatch.setattr(spectra, "_root_cells", lambda *args: None)
+    assert sturm_real_roots_many(problems, 1e-11) == roots
+
+
+@st.composite
+def chosen_root_polynomials(draw):
+    """An integer polynomial with chosen rational roots, the bound B of the
+    interval [-B, B] it is isolated on, its distinct roots, and its kind:
+    simple real roots only, or a repeated or a complex pair added."""
+    half = draw(st.sampled_from([1, 3, 8]))
+    roots = draw(st.lists(st.one_of(
+        # 0 and +-B/2, the first midpoints of [-B, B]
+        st.sampled_from([Fraction(0), Fraction(half), Fraction(-half)]),
+        # inside [-B, B], on the bisection grid or off it, and beyond it
+        st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 3, 7, 16, 1024])),
+        st.builds(Fraction, st.integers(-10**3, 10**3), st.sampled_from([1, 9])),
+    ), min_size=1, max_size=5, unique=True))
+    p = IntPolynomial((draw(st.sampled_from([1, -2, 3])),))
+    for r in roots:
+        p = p * IntPolynomial((-r.numerator, r.denominator))
+    kind = draw(st.sampled_from(["simple", "repeated", "complex"]))
+    if kind == "repeated":
+        r = draw(st.sampled_from(roots))
+        p = p * IntPolynomial((-r.numerator, r.denominator))
+    elif kind == "complex":
+        p = p * IntPolynomial((draw(st.integers(1, 5)), draw(st.integers(-1, 1)), 1))
+    return p, 2 * half, roots, kind
+
+
+@settings(max_examples=60)
+@given(chosen_root_polynomials())
+def test_cell_records_isolate_like_sturm_chains_on_chosen_roots(case):
+    p, bound, roots, kind = case
+    cells = _root_cells(p, -bound, bound, CELL_DEPTH, _float_seeds([p])[0])
+    if kind != "simple":
+        # a repeated or complex root leaves fewer than deg p claims
+        assert cells is None
+        return
+    assert cells is not None
+    lo, hi = Fraction(-bound), Fraction(bound)
+    assert _isolate(cells, lo, hi) == _isolate(_squarefree_chain(p)[0], lo, hi)
+    # the counts above a point and the zero tests are exact at grid points,
+    # at points inside a root's cell (deeper than the grid) and at the roots
+    for r in roots:
+        for s in (0, 3, CELL_DEPTH, CELL_DEPTH + 4):
+            for n in {math.floor(r * 2**s) + d for d in (-1, 0, 1)}:
+                x = Fraction(n, 2**s)
+                assert cells.probe(n, s) == (sum(t > x for t in roots), x in roots), (r, x)
+
+
+def test_certify_root_orders_equal_pairwise_orders_on_the_lemma_3_11_grid(monkeypatch):
+    # the 492 root orders of Lemma 3.11's grid up to p = 32, as one batch,
+    # pair by pair, and by Sturm isolation alone
+    from cdspectra import quotients
+    pairs = [(quotients.Phi_L(p, q), quotients.Psi_Lprime(p + q))
+             for p in range(4, 33) for q in range(2, p + 1) if p + q >= 7]
+    assert len(pairs) == 492
+    orders = certify_root_orders(pairs, "min")
+    assert orders == [certify_root_order(p, q, "min") for p, q in pairs]
+    assert orders.count(-1) == 424 and orders.count(0) == 0
+    monkeypatch.setattr(spectra, "_root_cells", lambda *args: None)
+    assert certify_root_orders(pairs, "min") == orders

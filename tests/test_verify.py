@@ -330,18 +330,34 @@ def test_lemma_3_11_refuted_with_certificate():
     assert rep.details["identity_matches"]["5,3"] is False
 
 
-def test_lemma_3_11_isolates_each_polynomial_once():
+def test_lemma_3_11_isolates_each_polynomial_once(monkeypatch):
     # 62 root orders compare 124 extreme roots of 80 distinct polynomials:
-    # Psi_Lprime(p + q) recurs along each anti-diagonal of the grid.  Each
-    # extreme root is bracketed once, from a confirmed float seed, and
-    # never again by Sturm isolation
-    from cdspectra import spectra
-    spectra._extreme_seeded.cache_clear()
+    # Psi_Lprime(p + q) recurs along each anti-diagonal of the grid.  One
+    # batch seeds each polynomial once, and only Psi_Lprime(12), whose
+    # double root 0 no cell record holds, is isolated by Sturm counts
+    from cdspectra import quotients, spectra
+    batches = []
+    seeds = spectra._float_seeds
+    monkeypatch.setattr(spectra, "_float_seeds",
+                        lambda polys: batches.append(list(polys)) or seeds(polys))
     spectra._extreme_isolated.cache_clear()
     verify.check_lemma("3.11", p_max=12)
-    info = spectra._extreme_seeded.cache_info()
-    assert (info.misses, info.hits) == (80, 44)
-    assert spectra._extreme_isolated.cache_info().hits == 0
+    assert [len(b) for b in batches] == [80] and len(set(batches[0])) == 80
+    info = spectra._extreme_isolated.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    spectra._extreme_isolated(quotients.Psi_Lprime(12), "min")
+    assert spectra._extreme_isolated.cache_info().hits == 1
+
+
+def test_lemma_3_12_note_follows_its_verdict():
+    # the grid up to p = 15 reaches (15, 2), where lambda_n(L^c) overshoots
+    # the balanced split; the default grid confirms the claim
+    rep = verify.check_lemma("3.12", p_max=15)
+    assert rep.status == "refuted" and rep.counterexamples == ["(15, 2)"]
+    assert rep.notes[-1].endswith("the monotonicity conclusion itself fails at (15, 2)")
+    rep = verify.check_lemma("3.12", p_max=12)
+    assert rep.status == "confirmed"
+    assert rep.notes[-1].endswith("the monotonicity conclusion itself holds")
 
 
 def test_lemma_3_11_confirmed_on_small_grid():
@@ -504,7 +520,7 @@ def test_t28_near_tie_decided_by_exact_recheck(monkeypatch):
     assert any("exact char-poly re-check" in note for note in rep.notes)
     assert rep.status == "confirmed"
     # an exact tie with a runner-up overrides the float margin
-    monkeypatch.setattr(verify, "certify_root_order", lambda *args: 0)
+    monkeypatch.setattr(verify, "certify_root_orders", lambda pairs, side: [0] * len(pairs))
     rep = verify.check_theorem("2.8", 6)
     assert rep.margin > verify.STRICT_MARGIN
     assert rep.status == "refuted"
@@ -517,7 +533,7 @@ def test_strict_bound_near_tie_decided_by_exact_recheck(monkeypatch, tid, n):
     assert any("exact char-poly re-check of witness graphs" in note for note in rep.notes)
     assert rep.status == "confirmed"
     # a witness tying the bound exactly overrides the float margin
-    monkeypatch.setattr(verify, "certify_root_order", lambda *args: 0)
+    monkeypatch.setattr(verify, "certify_root_orders", lambda pairs, side: [0] * len(pairs))
     rep = verify.check_theorem(tid, n)
     assert rep.margin > verify.STRICT_MARGIN
     assert rep.status == "refuted"
@@ -531,7 +547,7 @@ def test_t313_tie_decided_by_exact_order(monkeypatch):
     assert rep.status == "confirmed" and rep.margin == 0
     assert any("gives orders [0]" in note for note in rep.notes)
     # an exact overshoot refutes although the float values tie
-    monkeypatch.setattr(verify, "certify_root_order", lambda *args: 1)
+    monkeypatch.setattr(verify, "certify_root_orders", lambda pairs, side: [1] * len(pairs))
     rep = verify.check_theorem_on_values("3.13", 7, [lc], values)
     assert rep.status == "refuted"
     assert rep.counterexamples == [to_graph6(lc)]
@@ -680,9 +696,9 @@ def test_relabeled_survivor_stays_in_its_class(data):
 def test_near_tie_recheck_solves_one_graph_per_class(monkeypatch):
     monkeypatch.setattr(verify, "EXACT_RECHECK_BELOW", 10.0)
     calls = []
-    real = verify.certify_root_order
-    monkeypatch.setattr(verify, "certify_root_order",
-                        lambda *args: calls.append(args) or real(*args))
+    real = verify.certify_root_orders
+    monkeypatch.setattr(verify, "certify_root_orders",
+                        lambda pairs, side: calls.extend(pairs) or real(pairs, side))
     rep = verify.check_theorem("2.8", 6)
     assert rep.status == "confirmed"
     # the runner-up value is one class of 360 labeled graphs
