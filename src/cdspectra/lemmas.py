@@ -7,13 +7,13 @@ Each check returns a VerificationReport whose status is measured, never
 assumed, as the theorem checks in `verify` do.
 """
 
-import random
+from functools import lru_cache
 
 import numpy as np
 
 from cdspectra import quotients
 from cdspectra.families import build_many, build_path, build_star
-from cdspectra.graphcore import Graph, from_edge_mask, from_edges, is_isomorphic, to_graph6
+from cdspectra.graphcore import Graph, from_edge_mask, is_isomorphic, to_graph6
 from cdspectra.spectra import certify_root_orders
 from cdspectra.verify import (
     CLUSTER_TOL,
@@ -24,6 +24,7 @@ from cdspectra.verify import (
     _balanced_H,
     _balanced_pq,
     _ball_radius,
+    _class_keep,
     _classes,
     _cluster,
     _complement_distances,
@@ -33,6 +34,7 @@ from cdspectra.verify import (
     _family_spectrum,
     _noncomplete_connected,
     _orbit,
+    _orbit_masks,
     _orbit_classes,
     class_scan,
     complement_distance_spectrum,
@@ -130,47 +132,58 @@ def _lemma_2_3(n: int) -> VerificationReport:
     )
 
 
+@lru_cache(maxsize=None)
+def _deletion_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The class-level edge deletions that stay in the class: (k, e, k2).
+
+    One triple per class k and edge e of its representative with
+    reps[k] - e in the class, where it lies in class k2; in (reps[k], e)
+    order.  Deleting an edge commutes with relabeling, so a labeled member
+    of class k has an edge into class k2 exactly as often as reps[k] does,
+    and a count over the labeled pairs (G, G - e) weights each triple by
+    sizes[k].
+    """
+    classes = _classes(n)
+    k, e = np.nonzero(classes.reps[:, None] >> np.arange(n * (n - 1) // 2, dtype=np.uint32) & 1)
+    minus = classes.reps[k] ^ np.left_shift(np.uint32(1), e.astype(np.uint32))
+    keep = _class_keep(_adj_rows(minus, n), n)
+    smallest = [_orbit_masks(n, m).min() for m in minus[keep]]
+    return k[keep], e[keep], np.searchsorted(classes.reps, np.array(smallest, dtype=np.uint32))
+
+
 def _lemma_2_5(n: int) -> VerificationReport:
     """Measured direction of lambda_1(G^c) under edge deletion keeping diam>3.
 
-    Every labeled pair (G, G - e) with both graphs in the class counts; each
-    graph's lambda_1 is its class's.
+    Every labeled pair (G, G - e) with both graphs in the class counts, as
+    its class triple from `_deletion_pairs` weighted by the size of G's
+    class; each graph's lambda_1 is its class's.  The example is the first
+    pair of least gap in (mask, edge) order: the smallest such G is the
+    representative of its class, and the pair is its first edge of least
+    gap, so the first minimising triple.
     """
     classes = _classes(n)
-    masks = classes.masks
-    graph, edge, minus = [], [], []           # (G, e, G - e) with G - e in the class
-    for e in range(n * (n - 1) // 2):
-        bit = np.uint32(1 << e)
-        g = masks[(masks & bit) != 0]
-        g2 = g ^ bit
-        keep = masks[np.minimum(np.searchsorted(masks, g2), len(masks) - 1)] == g2
-        graph.append(g[keep])
-        edge.append(np.full(int(keep.sum()), e))
-        minus.append(g2[keep])
-    graph, edge, minus = np.concatenate(graph), np.concatenate(edge), np.concatenate(minus)
-    if len(graph) == 0:
+    k, e, k2 = _deletion_pairs(n)
+    if len(k) == 0:
         raise ValueError(f"no edge deletion keeps a graph in the class at n={n}")
-    order = np.lexsort((edge, graph))          # pairs in (mask, edge) order
-    graph, minus = graph[order], minus[order]
-    v = classes.l1[classes.index[np.searchsorted(masks, graph)]]
-    v2 = classes.l1[classes.index[np.searchsorted(masks, minus)]]
-    tie = np.abs(v - v2) <= CLUSTER_TOL
-    rev = ~tie & (v > v2)
-    ties, reversed_holds = int(tie.sum()), int(rev.sum())
-    stated_holds = len(graph) - ties - reversed_holds
+    gap = classes.l1[k] - classes.l1[k2]
+    weight = classes.sizes[k]
+    tie = np.abs(gap) <= CLUSTER_TOL
+    rev = ~tie & (gap > 0)
+    pairs, ties, reversed_holds = int(weight.sum()), int(weight[tie].sum()), int(weight[rev].sum())
+    stated_holds = pairs - ties - reversed_holds
     worst = example = None
     if reversed_holds:
-        k = np.flatnonzero(rev)[np.argmin((v - v2)[rev])]
-        worst = v[k] - v2[k]
-        example = (to_graph6(from_edge_mask(n, int(graph[k]))),
-                   to_graph6(from_edge_mask(n, int(minus[k]))))
+        i = np.flatnonzero(rev)[np.argmin(gap[rev])]
+        worst = gap[i]
+        g = int(classes.reps[k[i]])
+        example = tuple(to_graph6(from_edge_mask(n, m)) for m in (g, g ^ 1 << int(e[i])))
     status = ("confirmed-with-reversed-direction"
               if stated_holds == 0 and ties == 0 and reversed_holds else "refuted")
     return VerificationReport(
         claim_id="2.5", status=status, params={"n": n},
         margin=worst,
         notes=[
-            f"measured on {len(graph)} (G, G-e) pairs with d(G-e)>3: "
+            f"measured on {pairs} (G, G-e) pairs with d(G-e)>3: "
             f"lambda_1(G^c) > lambda_1((G-e)^c) in {reversed_holds}, "
             f"ties {ties}, stated direction {stated_holds}",
             "the statement's <= opposes its own proof; deleting an edge strictly decreases lambda_1(G^c)",
@@ -179,54 +192,33 @@ def _lemma_2_5(n: int) -> VerificationReport:
     )
 
 
-def _lemma_2_6(n: int, samples: int = 200, trees_per_graph: int = 3) -> VerificationReport:
-    """lambda_1(G^c) >= lambda_1(T^c) over seeded random spanning trees.
+def _lemma_2_6(n: int) -> VerificationReport:
+    """lambda_1(G^c) >= lambda_1(T^c) for every spanning tree T of every class member.
 
-    The graphs are every stride-th labeled class member in ascending mask order.
+    Every graph H with T <= H <= G contains the spanning tree T, so it is
+    connected, and lies inside G, so its distances are at least G's and
+    its diameter exceeds three: H is in the class.  So the spanning trees
+    of G are exactly the trees that a chain of class deletions reaches
+    from G, and one pass over the classes in ascending edge count, along
+    `_deletion_pairs`, gives the largest tree lambda_1 below each class.
+    Equality is allowed only when G is its own tree.
     """
-    masks = _classes(n).masks
-    rng = random.Random(20240 + n)
-    stride = max(1, len(masks) // samples)
-    worst = None
-    checked = 0
-    bad: list[str] = []
-    for m in masks[::stride]:
-        g = from_edge_mask(n, int(m))
-        v = complement_distance_spectrum(g).lambda1
-        edges = g.edges()
-        for _ in range(trees_per_graph):
-            shuffled = edges[:]
-            rng.shuffle(shuffled)
-            parent = list(range(n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            tree_edges = []
-            for a, b in shuffled:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-                    tree_edges.append((a, b))
-            t = from_edges(n, tree_edges)
-            vt = complement_distance_spectrum(t).lambda1
-            checked += 1
-            gap = v - vt
-            is_tree = g.edge_count() == n - 1
-            if gap < -CLUSTER_TOL:
-                bad.append(to_graph6(g))
-            elif abs(gap) <= CLUSTER_TOL and not is_tree:
-                bad.append(to_graph6(g))
-            elif gap > 0 and (worst is None or gap < worst) and not is_tree:
-                worst = gap
-    status = "confirmed" if not bad else "refuted"
+    classes = _classes(n)
+    k, _, k2 = _deletion_pairs(n)
+    edges = np.array([bin(m).count("1") for m in classes.reps.tolist()])
+    tree = edges == n - 1
+    below = np.where(tree, classes.l1, -np.inf)       # max lambda_1 of a spanning tree
+    for count in range(n, int(edges.max()) + 1):
+        at = edges[k] == count
+        np.maximum.at(below, k[at], below[k2[at]])
+    gap = (classes.l1 - below)[~tree]
+    bad = classes.reps[~tree][gap <= CLUSTER_TOL]
     return VerificationReport(
-        claim_id="2.6", status=status, params={"n": n, "samples": checked},
-        margin=worst, counterexamples=sorted(set(bad)),
-        notes=[f"{checked} (graph, spanning tree) pairs; equality only when G is its own tree"],
+        claim_id="2.6", status="confirmed" if not len(bad) else "refuted", params={"n": n},
+        margin=float(gap.min()) if len(gap) else None,
+        counterexamples=[to_graph6(from_edge_mask(n, int(m))) for m in bad],
+        notes=[f"every spanning tree of all {classes.summary['count']} graphs; "
+               "equality only when G is its own tree"],
     )
 
 
@@ -444,6 +436,9 @@ def _lemma_3_9(n: int, n_max: int = 20) -> VerificationReport:
                                           for f in ("Lprime", "Ldprime")])
     bound = _family_spectrum("Lprime", (n,)).lambda_n
     notes = [f"q histogram at n={n}: {classes.summary['q_hist']}"]
+    if classes.summary["degenerate"]:
+        notes.append(f"{classes.summary['degenerate']} graphs with a repeated least "
+                     "eigenvalue, where q is not defined, are left out of the q counts")
     counterexamples: list[str] = []
     q1_ok = True
     has_q1 = np.flatnonzero(classes.q1)

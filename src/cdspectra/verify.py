@@ -7,10 +7,14 @@ extends the previous one by a new vertex with every non-empty
 neighbourhood, filters the candidates with numpy-vectorized bitset BFS,
 and keeps one smallest edge mask per S_n orbit, with the orbit's size.
 Every generated class member has Lemma 2.1's identity checked.  D(G^c) is
-then solved once per class, and every count is weighted by the class's
-orbit size.  Lemma 2.1's diameter-3 half is generated the same way, and
-everything runs in one process.  A witness is the smallest edge mask of
-its class, a labeling that does not depend on eigensolver rounding.
+then solved once per class, and every labeled count is a sum over the
+classes weighted by orbit size: the spectrum is a class invariant, and so
+is every relation the checks count, since relabeling commutes with
+complement, distance and edge deletion.  Lemma 2.1's diameter-3 half and
+the edge deletions of Lemmas 2.5 and 2.6 are read at the class level too,
+no list of labeled members is built, and everything runs in one process.
+A witness is the smallest edge mask of its class, a labeling that does
+not depend on eigensolver rounding.
 
 Every theorem checker here, and every lemma checker in `lemmas`, returns
 a VerificationReport whose status is measured, never assumed: claims that
@@ -20,7 +24,7 @@ stated one are `confirmed-with-reversed-direction`.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -373,35 +377,19 @@ def _solve(masks: np.ndarray, n: int):
 
 @dataclass
 class _Classes:
-    """The isomorphism classes of the connected diameter>3 graphs on n vertices."""
+    """The isomorphism classes of the connected diameter>3 graphs on n vertices.
+
+    One entry per class; a count over labeled graphs weights each class by
+    its size.
+    """
 
     n: int
     reps: np.ndarray                # the smallest member of each class, ascending
     sizes: np.ndarray               # labeled members per class
     l1: np.ndarray                  # lambda_1 of D(G^c) per class
     ln: np.ndarray                  # lambda_n of D(G^c) per class
-    q1: np.ndarray                  # labeled members with q = 1 per class
+    q1: np.ndarray                  # labeled members with q = 1 per class, 0 if degenerate
     summary: dict                   # what class_scan returns
-
-    @cached_property
-    def _labeled(self) -> tuple[np.ndarray, np.ndarray]:
-        orbits = [_orbit(self.n, r) for r in self.reps]
-        masks = np.concatenate(orbits)
-        masks.sort()
-        index = np.empty(len(masks), dtype=np.int32)
-        for k, orbit in enumerate(orbits):
-            index[np.searchsorted(masks, orbit)] = k
-        return masks, index
-
-    @property
-    def masks(self) -> np.ndarray:
-        """Every labeled member, ascending, built from the class orbits on first use."""
-        return self._labeled[0]
-
-    @property
-    def index(self) -> np.ndarray:
-        """The class of each labeled member."""
-        return self._labeled[1]
 
 
 _SCAN_CACHE: dict[int, _Classes] = {}
@@ -411,12 +399,14 @@ def class_scan(n: int) -> dict:
     """Labeled counts over all connected diameter>3 graphs on n vertices.
 
     The classes are generated one vertex at a time (`_generate`), without
-    visiting the labeled graphs, and D(G^c) is solved once per class; a
-    class whose least eigenvalue is degenerate has its members solved one
-    by one, since q is not a class invariant there.  The summary holds the
-    class size, the Lemma 2.1 violations, the q histogram, the degenerate
-    count and the q = 1 count, every count over labeled graphs.  The
-    per-class record, which the claim checkers read, is `_classes(n)`.
+    visiting the labeled graphs, and D(G^c) is solved once per class.  The
+    summary holds the class size, the Lemma 2.1 violations, the q
+    histogram, the degenerate count and the q = 1 count, every count over
+    labeled graphs.  q, the smaller side of the least eigenvector's sign
+    split, is a class invariant only where the least eigenvalue is simple:
+    the q histogram and the q = 1 count cover those classes alone, and
+    `degenerate` counts the members of the others.  The per-class record,
+    which the claim checkers read, is `_classes(n)`.
     """
     if not 5 <= n <= 8:
         raise ValueError("exhaustive scans support 5 <= n <= 8")
@@ -425,24 +415,16 @@ def class_scan(n: int) -> dict:
         return hit.summary
     reps, sizes, violations = _generate(n)
     w, q, degenerate = _solve(reps, n)
-    # q is a class invariant only where the least eigenvalue is simple; the
-    # members of a degenerate class are solved one by one
     hist: Counter = Counter()
-    q1 = np.where(q == 1, sizes, 0)
     for k in np.flatnonzero(~degenerate):
         hist[int(q[k])] += int(sizes[k])
-    degenerate_count = 0
-    for k in np.flatnonzero(degenerate):
-        _, mq, mdeg = _solve(_orbit(n, reps[k]), n)
-        degenerate_count += int(mdeg.sum())
-        hist.update(mq.tolist())
-        q1[k] = int((mq == 1).sum())
+    q1 = np.where((q == 1) & ~degenerate, sizes, 0)
     summary = {
         "n": n,
         "count": int(sizes.sum()),
         "lemma21_violations": violations,
         "q_hist": dict(sorted(hist.items())),
-        "degenerate": degenerate_count,
+        "degenerate": int(sizes[degenerate].sum()),
         "q1_count": int(q1.sum()),
     }
     _SCAN_CACHE[n] = _Classes(n, reps, sizes, w[:, -1], w[:, 0], q1, summary)
@@ -458,12 +440,14 @@ def _classes(n: int) -> _Classes:
 def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
     """Deliver every connected diameter>3 graph exactly once; return the count.
 
-    Internal exhaustive enumeration runs for 5 <= n <= 8: the labeled
-    members of the class record `_classes(n)`, in ascending mask order.
-    Alternatively an iterable of graph6 lines can be ingested (any order
-    <= 64), in which case graphs failing the class conditions are skipped.  A
-    stream is decoded whole into one adjacency stack per order
-    (`decode_graph6_lines`), and the first malformed line raises its
+    Internal exhaustive enumeration runs for 5 <= n <= 8 and counts the
+    labeled class members from the class record `_classes(n)`, as the sum
+    of its orbit sizes.  Only a `sink` makes it list them: the orbits of
+    the class representatives, merged into ascending mask order for this
+    call alone.  Alternatively an iterable of graph6 lines can be ingested
+    (any order <= 64), in which case graphs failing the class conditions
+    are skipped.  A stream is decoded whole into one adjacency stack per
+    order (`decode_graph6_lines`), and the first malformed line raises its
     line-numbered Graph6Error.  Each stack is filtered by the distance
     kernel, a `Graph` is built for the members only, and they reach `sink`
     in line order.
@@ -485,11 +469,11 @@ def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
         return len(members)
     if n is None or not 5 <= n <= 8:
         raise ValueError("internal enumeration supports 5 <= n <= 8")
-    masks = _classes(n).masks
+    classes = _classes(n)
     if sink is not None:
-        for m in masks:
+        for m in np.sort(np.concatenate([_orbit(n, r) for r in classes.reps])):
             sink(from_edge_mask(n, int(m)))
-    return len(masks)
+    return int(classes.sizes.sum())
 
 
 def _blocks(items, n: int) -> list:

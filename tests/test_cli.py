@@ -115,7 +115,8 @@ def test_verify_deterministic_output(capsys):
     assert out1 == out2
 
 
-PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0}
+PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0,
+                     "verify_lemma25_n7.out": 3}
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -126,10 +127,11 @@ PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0}
     (("verify", "--claims", "2.1,2.5,2.6", "--n", "6"), "verify_lemmas_n6.out"),
     (("verify", "--claims", "2.1", "--n", "7"), "verify_lemma21_n7.out"),
     (("verify", "--claims", "3.11", "--p-max", "32"), "verify_lemma311_p32.out"),
+    (("verify", "--claims", "2.5", "--n", "7"), "verify_lemma25_n7.out"),
 ])
 def test_verify_stdout_is_pinned(capsys, argv, expected):
     # the exact layer's roots and orders (492 of them on the 3.11 grid to
-    # p = 32), the n = 7 scan and Lemma 2.1's counts reach stdout byte for
+    # p = 32), the n = 7 scan and Lemma 2.1's and 2.5's counts reach stdout byte for
     # byte; a drift fails on the first differing JSON line
     code, out, _ = run_cli(capsys, *argv)
     want = (Path(__file__).parent / "expected" / expected).read_text()
@@ -296,10 +298,11 @@ def test_parser_errors_are_usage_errors(capsys):
 
 
 def test_verify_lemma_2_6_outside_exhaustive_orders_is_usage_error(capsys):
-    for n in ("4", "9"):
-        code, out, err = run_cli(capsys, "verify", "--claims", "2.6", "--n", n)
-        assert code == 1 and out == ""
-        assert "exhaustive scans support 5 <= n <= 8" in err and "Traceback" not in err
+    for claim in ("2.5", "2.6"):
+        for n in ("4", "9"):
+            code, out, err = run_cli(capsys, "verify", "--claims", claim, "--n", n)
+            assert code == 1 and out == ""
+            assert "exhaustive scans support 5 <= n <= 8" in err and "Traceback" not in err
 
 
 def test_verify_lemma_2_3_below_its_first_step_is_usage_error(capsys):
@@ -430,7 +433,11 @@ def test_verify_theorems_exhaustive_n8(capsys, monkeypatch):
     # T2.8's cluster is one class of 20,160 labeled members
     for claim, labeled in (("T2.4", 840), ("T2.8", 20160), ("T3.7", 3360), ("T3.13", 6720)):
         assert recs[claim]["details"]["labeled_witnesses"] == labeled, claim
-    # one class has a degenerate least eigenvalue, so its members are solved one by one
-    assert "q histogram at n=8: {2: 1206246, 3: 11231056, 4: 12692978}" in recs["3.9"]["notes"]
+    # one class of 10,080 members has a degenerate least eigenvalue, where q is
+    # not defined, so the q counts leave it out
+    notes = recs["3.9"]["notes"]
+    assert notes[:2] == ["q histogram at n=8: {2: 1206240, 3: 11229120, 4: 12684840}",
+                         "10080 graphs with a repeated least eigenvalue, where q is not "
+                         "defined, are left out of the q counts"]
     assert recs["3.9"]["details"]["q1_count"] == 0
     assert verify.class_scan(8)["degenerate"] == 10080

@@ -5,7 +5,7 @@ import functools
 import math
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -224,7 +224,7 @@ def test_sign_partition_relabel_invariant():
 @given(st.data())
 def test_spectrum_and_sign_partition_relabel_invariant(data):
     n = data.draw(st.sampled_from([6, 7]))
-    masks = verify._classes(n).masks
+    masks = _ref_class_record(n)["masks"]
     g = from_edge_mask(n, int(masks[data.draw(st.integers(0, len(masks) - 1))]))
     perm = data.draw(st.permutations(range(n)))
     h = relabel(g, perm)
@@ -584,12 +584,13 @@ def test_sample_of_every_class_gives_the_exhaustive_verdict(n, tids):
 @pytest.mark.parametrize("n,classes,labeled", [(5, 1, 60), (6, 9, 3240), (7, 92, 224280)])
 def test_orbit_partition_sizes(n, classes, labeled):
     part = verify._classes(n)
+    ref = _ref_class_record(n)
     assert len(part.reps) == len(part.sizes) == classes
-    assert int(part.sizes.sum()) == len(part.masks) == labeled
+    assert int(part.sizes.sum()) == len(ref["masks"]) == labeled
     assert all(math.factorial(n) % int(s) == 0 for s in part.sizes)
     # each representative is the smallest member of its class, and owns it
     for k, r in enumerate(part.reps):
-        members = part.masks[part.index == k]
+        members = ref["masks"][ref["index"] == k]
         assert len(members) == part.sizes[k] and members[0] == r
         assert set(members.tolist()) == set(verify._orbit_masks(n, int(r)).tolist())
 
@@ -625,8 +626,9 @@ def _labeled_reference(n: int) -> dict:
 
 
 def _class_members(part, ids) -> list[int]:
-    """The labeled members of the classes `ids`, ascending."""
-    return sorted(m for k in ids for m in part.masks[part.index == k].tolist())
+    """The labeled members of the classes `ids`, ascending, from the labeled scan."""
+    ref = _ref_class_record(part.n)
+    return sorted(m for k in ids for m in ref["masks"][ref["index"] == k].tolist())
 
 
 def _assert_cluster_matches(part, values, ids, runner_up, want: dict | None):
@@ -646,10 +648,11 @@ def _assert_cluster_matches(part, values, ids, runner_up, want: dict | None):
 def test_class_scan_equals_labeled_reference(n):
     scan = verify.class_scan(n)
     part = verify._classes(n)
+    ref = _ref_class_record(n)
     want = _labeled_reference(n)
     for name, cluster in want["objectives"].items():
         rep = scan_extremal(n, name)
-        ids = [int(part.index[np.searchsorted(part.masks, to_edge_mask(from_graph6(w)))])
+        ids = [int(ref["index"][np.searchsorted(ref["masks"], to_edge_mask(from_graph6(w)))])
                for w in rep.witnesses]
         values = part.l1 if name.endswith("l1") else part.ln
         assert rep.extremal[name] == pytest.approx(cluster["value"], abs=1e-12)
@@ -668,29 +671,52 @@ def test_class_scan_equals_labeled_reference(n):
         assert scan[key] == want[key], key
 
 
-def test_degenerate_classes_are_solved_member_by_member(monkeypatch):
-    # with every least eigenvalue degenerate, every class takes the labeled path
+def test_degenerate_classes_are_left_out_of_the_q_counts(monkeypatch):
+    # q is not defined where the least eigenvalue is repeated: with every
+    # least eigenvalue degenerate, and every eigenvector read as q = 1,
+    # every class leaves the q counts, and 3.9 says how many graphs it left out
     monkeypatch.setattr(verify, "_SCAN_CACHE", {})
-    monkeypatch.setattr(verify, "DEGENERATE_GAP", math.inf)
+    solve = verify._solve
+
+    def degenerate_q1(masks, n):
+        w, q, _ = solve(masks, n)
+        return w, np.ones_like(q), np.ones(len(masks), dtype=bool)
+
+    monkeypatch.setattr(verify, "_solve", degenerate_q1)
+    for n, count in ((6, 3240), (7, 224280)):
+        scan = verify.class_scan(n)
+        assert scan["degenerate"] == scan["count"] == count
+        assert scan["q_hist"] == {} and scan["q1_count"] == 0
+        assert not verify._classes(n).q1.any()
+    monkeypatch.setattr(verify, "_solve", solve)
+    rep = verify.check_lemma("3.9", n=7)
+    assert rep.notes[:3] == [
+        "q histogram at n=7: {}",
+        "224280 graphs with a repeated least eigenvalue, where q is not defined, "
+        "are left out of the q counts",
+        "no diameter>3 graph on 7 vertices has q = 1: the q=1 claim is vacuous at this order"]
+    # where every least eigenvalue is simple, the counts are the labeled ones
+    # and 3.9 prints no such note
+    monkeypatch.setattr(verify, "_SCAN_CACHE", {})
     scan = verify.class_scan(6)
-    monkeypatch.setattr(verify, "DEGENERATE_GAP", 1e-8)
     want = _labeled_reference(6)
-    assert scan["degenerate"] == scan["count"] == 3240
-    assert scan["q_hist"] == want["q_hist"]
-    assert scan["q1_count"] == want["q1_count"]
-    assert int(verify._classes(6).q1.sum()) == want["q1_count"]
+    assert scan["degenerate"] == want["degenerate"] == 0
+    assert scan["q_hist"] == want["q_hist"] and scan["q1_count"] == want["q1_count"]
+    assert not any("repeated least eigenvalue" in note
+                   for note in verify.check_lemma("3.9", n=7).notes)
 
 
 @settings(max_examples=40)
 @given(st.data())
 def test_relabeled_survivor_stays_in_its_class(data):
-    part = verify._classes(7)
-    i = data.draw(st.integers(min_value=0, max_value=len(part.masks) - 1))
+    ref = _ref_class_record(7)
+    masks, index = ref["masks"], ref["index"]
+    i = data.draw(st.integers(min_value=0, max_value=len(masks) - 1))
     perm = data.draw(st.permutations(range(7)))
-    image = to_edge_mask(relabel(from_edge_mask(7, int(part.masks[i])), perm))
-    j = int(np.searchsorted(part.masks, image))
-    assert part.masks[j] == image
-    assert part.index[j] == part.index[i]
+    image = to_edge_mask(relabel(from_edge_mask(7, int(masks[i])), perm))
+    j = int(np.searchsorted(masks, image))
+    assert masks[j] == image
+    assert index[j] == index[i]
 
 
 def test_near_tie_recheck_solves_one_graph_per_class(monkeypatch):
@@ -824,16 +850,9 @@ def _ref_class_record(n: int) -> dict:
     masks = np.concatenate([m for m, _ in chunks])
     reps, index, sizes = _ref_orbit_partition(masks, n)
     w, q, degenerate = verify._solve(reps, n)
-    hist: Counter = Counter()
-    q1 = np.where(q == 1, sizes, 0)
-    for k in np.flatnonzero(~degenerate):
-        hist[int(q[k])] += int(sizes[k])
-    degenerate_count = 0
-    for k in np.flatnonzero(degenerate):
-        _, mq, mdeg = verify._solve(np.unique(_ref_orbit_masks(n, reps[k])), n)
-        degenerate_count += int(mdeg.sum())
-        hist.update(mq.tolist())
-        q1[k] = int((mq == 1).sum())
+    # q counts only the classes whose least eigenvalue is simple
+    hist = Counter({int(v): int(sizes[(q == v) & ~degenerate].sum()) for v in q[~degenerate]})
+    q1 = np.where((q == 1) & ~degenerate, sizes, 0)
     return {
         "masks": masks, "index": index, "reps": reps, "sizes": sizes,
         "l1": w[:, -1], "ln": w[:, 0], "q1": q1,
@@ -842,7 +861,7 @@ def _ref_class_record(n: int) -> dict:
             "count": len(masks),
             "lemma21_violations": sorted(v for _, bad in chunks for v in bad),
             "q_hist": dict(sorted(hist.items())),
-            "degenerate": degenerate_count,
+            "degenerate": int(sizes[degenerate].sum()),
             "q1_count": int(q1.sum()),
         },
     }
@@ -852,10 +871,18 @@ def _ref_class_record(n: int) -> dict:
 def test_generated_classes_equal_the_labeled_scan(n):
     want = _ref_class_record(n)
     part = verify._classes(n)
-    for name in ("masks", "index", "reps", "sizes", "l1", "ln", "q1"):
+    for name in ("reps", "sizes", "l1", "ln", "q1"):
         got = getattr(part, name)
         assert got.dtype == want[name].dtype, name
         assert got.tobytes() == want[name].tobytes(), name
+    # the class orbits, merged, are the labeled members, and each orbit is
+    # the labeled scan's class of its representative
+    orbits = [verify._orbit(n, r) for r in part.reps]
+    members = np.sort(np.concatenate(orbits))
+    assert members.dtype == want["masks"].dtype
+    assert members.tobytes() == want["masks"].tobytes()
+    for k, orbit in enumerate(orbits):
+        assert np.all(want["index"][np.searchsorted(want["masks"], orbit)] == k)
     assert part.summary == want["summary"]
 
 
@@ -965,3 +992,113 @@ def test_lemma21_inequality_violation_lists_the_whole_orbit(monkeypatch):
     rep = verify.check_lemma("2.1", n=6)
     assert rep.status == "refuted" and rep.details["inequality_violations"] == 60
     assert rep.counterexamples == [to_graph6(from_edge_mask(6, m)) for m in want]
+
+
+def test_counting_the_class_lists_no_orbit(monkeypatch):
+    # without a sink the count is the sum of the orbit sizes; only a sink
+    # makes enumerate_diam_gt3 list the labeled members
+    verify._classes(7)
+    monkeypatch.setattr(verify, "_orbit", None)
+    assert verify.enumerate_diam_gt3(7) == 224280
+    assert verify.enumerate_diam_gt3(n=8) == 25_130_280
+
+
+def _ref_lemma_2_5(n: int) -> dict:
+    """Lemma 2.5's counts over every labeled pair (G, G - e) of class members,
+    each graph's lambda_1 read from its class in the labeled scan."""
+    ref = _ref_class_record(n)
+    masks, l1 = ref["masks"], ref["l1"][ref["index"]]
+    graph, edge, minus = [], [], []
+    for e in range(n * (n - 1) // 2):
+        bit = np.uint32(1 << e)
+        g = masks[(masks & bit) != 0]
+        g2 = g ^ bit
+        keep = masks[np.minimum(np.searchsorted(masks, g2), len(masks) - 1)] == g2
+        graph += g[keep].tolist()
+        edge += [e] * int(keep.sum())
+        minus += g2[keep].tolist()
+    order = np.lexsort((edge, graph))          # pairs in (mask, edge) order
+    graph, minus = np.array(graph)[order], np.array(minus)[order]
+    gap = l1[np.searchsorted(masks, graph)] - l1[np.searchsorted(masks, minus)]
+    tie = np.abs(gap) <= verify.CLUSTER_TOL
+    rev = ~tie & (gap > 0)
+    k = np.flatnonzero(rev)[np.argmin(gap[rev])]
+    return {"pairs": len(graph), "ties": int(tie.sum()), "reversed": int(rev.sum()),
+            "margin": gap[k],
+            "example_pair": (to_graph6(from_edge_mask(n, int(graph[k]))),
+                             to_graph6(from_edge_mask(n, int(minus[k]))))}
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_lemma_2_5_equals_the_labeled_pair_walk(n):
+    want = _ref_lemma_2_5(n)
+    rep = verify.check_lemma("2.5", n=n)
+    stated = want["pairs"] - want["ties"] - want["reversed"]
+    assert rep.notes[0] == (
+        f"measured on {want['pairs']} (G, G-e) pairs with d(G-e)>3: "
+        f"lambda_1(G^c) > lambda_1((G-e)^c) in {want['reversed']}, "
+        f"ties {want['ties']}, stated direction {stated}")
+    assert rep.margin == want["margin"]
+    assert rep.details["example_pair"] == want["example_pair"]
+
+
+def test_lemma_2_6_equals_every_spanning_tree_by_brute_force():
+    # every 5-edge subset of each class representative that is a tree
+    n = 6
+    part = verify._classes(n)
+    margin, bad = math.inf, []
+    for r, v in zip(part.reps.tolist(), part.l1.tolist()):
+        g = from_edge_mask(n, r)
+        trees = [t for sub in combinations(g.edges(), n - 1)
+                 if is_connected(t := from_edges(n, list(sub)))]
+        if g.edge_count() == n - 1:
+            continue
+        gap = v - max(verify.complement_distance_spectrum(t).lambda1 for t in trees)
+        margin = min(margin, gap)
+        if gap <= verify.CLUSTER_TOL:
+            bad.append(to_graph6(g))
+    rep = verify.check_lemma("2.6", n=n)
+    assert rep.status == "confirmed" and rep.counterexamples == bad == []
+    assert rep.margin == pytest.approx(margin, abs=1e-12)
+    assert rep.notes == ["every spanning tree of all 3240 graphs; "
+                         "equality only when G is its own tree"]
+    assert rep.params == {"n": n}
+
+
+def test_lemma_2_6_refutes_when_trees_rise_above_their_graphs(monkeypatch):
+    # lift every tree class above every other class: each non-tree class is
+    # a counterexample, and the margin is the least gap, now negative
+    part = verify._classes(6)
+    trees = np.array([bin(m).count("1") == 5 for m in part.reps.tolist()])
+    l1 = np.where(trees, part.l1.max() + 1, part.l1)
+    monkeypatch.setitem(verify._SCAN_CACHE, 6, dataclasses.replace(part, l1=l1))
+    rep = verify.check_lemma("2.6", n=6)
+    assert rep.status == "refuted"
+    assert rep.counterexamples == [to_graph6(from_edge_mask(6, int(m)))
+                                   for m in part.reps[~trees]]
+    assert rep.margin == float(part.l1[~trees].min() - part.l1.max() - 1)
+    # a tree that ties its graph refutes too, since equality is allowed only
+    # when G is its own tree: move every tree class to the least non-tree
+    # lambda_1, which only that class's graph then ties
+    k = int(np.argmin(np.where(trees, np.inf, part.l1)))
+    l1 = np.where(trees, part.l1[k], part.l1)
+    monkeypatch.setitem(verify._SCAN_CACHE, 6, dataclasses.replace(part, l1=l1))
+    rep = verify.check_lemma("2.6", n=6)
+    assert rep.status == "refuted" and rep.margin == 0
+    assert rep.counterexamples == [to_graph6(from_edge_mask(6, int(part.reps[k])))]
+
+
+def test_lemmas_2_5_and_2_6_at_n8():
+    rep = verify.check_lemma("2.5", n=8)
+    assert rep.status == "confirmed-with-reversed-direction"
+    assert rep.notes[0].startswith("measured on 220513440 (G, G-e) pairs")
+    g, h = (from_graph6(text) for text in rep.details["example_pair"])
+    removed = to_edge_mask(g) ^ to_edge_mask(h)
+    assert to_edge_mask(h) & removed == 0 and bin(removed).count("1") == 1
+    assert diameter(g) > 3 and diameter(h) > 3
+    gap = (verify.complement_distance_spectrum(g).lambda1
+           - verify.complement_distance_spectrum(h).lambda1)
+    assert gap == pytest.approx(rep.margin, abs=1e-12)
+    rep = verify.check_lemma("2.6", n=8)
+    assert rep.status == "confirmed" and rep.counterexamples == []
+    assert rep.margin == pytest.approx(0.226120, abs=5e-7)
