@@ -5,8 +5,11 @@ bitmask per vertex, so complements and edge tests are a handful of integer
 operations.  Every distance matrix and diameter comes from one kernel,
 `distance_matrices`, which runs BFS from all vertices of a stack of
 same-order graphs at once by Boolean matrix products; `is_connected` is a
-flood fill from vertex 0 over the bitsets.  All functions are pure and
-graphs are immutable, so values can be shared freely.
+flood fill from vertex 0 over the bitsets.  Isomorphism has one primitive
+too, `orbit_minima`: a batched search for each graph's least edge mask over
+all relabelings, with its automorphism count, which needs no table of the
+n! relabelings.  All functions are pure and graphs are immutable, so values
+can be shared freely.
 """
 
 from dataclasses import dataclass
@@ -334,63 +337,92 @@ def diameter(g: Graph) -> int:
 # --- isomorphism ------------------------------------------------------------
 
 
-def _refined_colors(g: Graph) -> list[int]:
-    """Iterated degree refinement (1-WL); stable color per vertex."""
-    colors = [g.degree(v) for v in range(g.n)]
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in _bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        relabel = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [relabel[s] for s in sig]
-        if new == colors:
-            return colors
-        colors = new
+MINIMA_BLOCK_ENTRIES = 1 << 14      # (graphs x n^2) per block of the orbit-minimum search
+
+
+def _minima_block(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`orbit_minima` of one block of graphs."""
+    bit = np.uint16(1) << np.arange(n, dtype=np.uint16)
+    pos = np.arange(n)
+    # the twins of each vertex, itself included: the vertices with its open
+    # or its closed neighbourhood.  Swapping two is an automorphism, and no
+    # vertex has both kinds, so the twin classes partition the vertices.
+    closed = rows | bit
+    twins = sum(((rows == rows[:, w, None]) | (closed == closed[:, w, None])) * bit[w]
+                for w in range(n))
+    # one row per live branch: its graph, its labelings per branch, and its
+    # ordered partition as the cell bitset at each cell's first position
+    graph = np.arange(len(rows))
+    weight = np.ones(len(rows), dtype=np.int64)
+    cells = np.zeros((len(rows), n), dtype=np.uint16)
+    cells[:, 0] = (1 << n) - 1
+    minima = np.zeros(len(rows), dtype=np.int64)
+    for k in range(n - 1):
+        first = cells[:, k]
+        tw = twins[graph] & first[:, None]
+        # one candidate per twin class in the first cell: its lowest member
+        b, v = np.nonzero((first[:, None] & bit != 0) & (tw & (bit - np.uint16(1)) == 0))
+        graph, weight, cells = graph[b], weight[b] * np.bitwise_count(tw[b, v]), cells[b]
+        cells[:, k + 1] |= cells[:, k] & ~bit[v]
+        hood = rows[graph, v][:, None]
+        rest = cells[:, k + 1:]
+        # v's row: each later cell puts its cnt neighbours of v last
+        cnt = np.bitwise_count(rest & hood).astype(np.int64)
+        end = pos[k + 1:] + np.bitwise_count(rest)
+        row = (((1 << cnt) - 1) << (n - end)).sum(axis=1)
+        starts = np.flatnonzero(np.r_[True, graph[1:] != graph[:-1]])
+        best = np.minimum.reduceat(row, starts)
+        minima = (minima << (n - 1 - k)) | best
+        keep = row == np.repeat(best, np.diff(np.r_[starts, len(row)]))
+        graph, weight, cells, hood = graph[keep], weight[keep], cells[keep], hood[keep]
+        # split every later cell: non-neighbours of v first, then neighbours
+        rest = cells[:, k + 1:]
+        lo, hi = rest & ~hood, rest & hood
+        at = np.concatenate([np.broadcast_to(pos[k + 1:], lo.shape),
+                             pos[k + 1:] + np.bitwise_count(lo)], axis=1)
+        parts = np.concatenate([lo, hi], axis=1)
+        i, j = np.nonzero(parts)
+        cells[:, k + 1:] = 0
+        cells[i, at[i, j]] = parts[i, j]
+    starts = np.flatnonzero(np.r_[True, graph[1:] != graph[:-1]])
+    return minima.astype(np.uint64), np.add.reduceat(weight, starts)
+
+
+def orbit_minima(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least graph6 edge mask over all relabelings of each graph, and |Aut|.
+
+    `rows` is an (m, n) array of neighbour bitsets, the `Graph.adj` layout;
+    returns (minima, aut), uint64 and int64 arrays aligned with it, so two
+    graphs are isomorphic exactly when their minima are equal, and a
+    graph's S_n orbit has n!/|Aut| members.
+
+    Read from its top bit, a g6 mask is the row-major upper triangle in the
+    vertex order n-1, n-2, ..., 0.  So position k of that order takes the
+    vertex of the first cell of an ordered partition whose row, the sum over
+    the later cells of (2^cnt - 1) << (n - end), is least (cnt: its
+    neighbours in the cell; end: the cell's end position), and each cell
+    then splits, non-neighbours first.  Tied branches advance together,
+    level by level over a block of graphs (McKay & Piperno, "Practical graph
+    isomorphism, II", J. Symb. Comput. 60, 2014).  Twins share a cell and
+    tie, so a twin class branches once, weighted by its size there; the
+    surviving weight is |Aut|.
+    """
+    if n > ISO_MAX_VERTICES:
+        raise TooLarge(f"isomorphism supported up to n={ISO_MAX_VERTICES}")
+    rows = np.asarray(rows, dtype=np.uint16).reshape(-1, n)
+    if len(rows) == 0:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    size = max(1, MINIMA_BLOCK_ENTRIES // (n * n))
+    parts = [_minima_block(rows[i:i + size], n) for i in range(0, len(rows), size)]
+    return np.concatenate([m for m, _ in parts]), np.concatenate([a for _, a in parts])
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Backtracking isomorphism test with color-class pruning (n <= 10)."""
+    """Whether g and h have the same orbit minimum (n <= ISO_MAX_VERTICES)."""
     if g.n != h.n:
         return False
-    if g.n > ISO_MAX_VERTICES:
-        raise TooLarge(f"isomorphism supported up to n={ISO_MAX_VERTICES}")
-    if g.edge_count() != h.edge_count():
-        return False
-    cg, ch = _refined_colors(g), _refined_colors(h)
-    if sorted(cg) != sorted(ch):
-        return False
-    n = g.n
-    # map g-vertices in an order that fixes small color classes first
-    class_size = {c: cg.count(c) for c in set(cg)}
-    order = sorted(range(n), key=lambda v: (class_size[cg[v]], cg[v], v))
-    candidates = {v: [w for w in range(n) if ch[w] == cg[v]] for v in order}
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for vp in order[:k]:
-                if g.has_edge(v, vp) != h.has_edge(w, mapping[vp]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(k + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
+    minima, _ = orbit_minima([g.adj, h.adj], g.n)
+    return bool(minima[0] == minima[1])
 
 
 def relabel(g: Graph, perm) -> Graph:

@@ -12,8 +12,8 @@ from functools import lru_cache
 import numpy as np
 
 from cdspectra import quotients
-from cdspectra.families import build_many, build_path, build_star
-from cdspectra.graphcore import Graph, from_edge_mask, is_isomorphic, to_graph6
+from cdspectra.families import build_many, build_path
+from cdspectra.graphcore import Graph, from_edge_mask, is_isomorphic, orbit_minima, to_graph6
 from cdspectra.spectra import certify_root_orders
 from cdspectra.verify import (
     CLUSTER_TOL,
@@ -34,7 +34,6 @@ from cdspectra.verify import (
     _family_spectrum,
     _noncomplete_connected,
     _orbit,
-    _orbit_masks,
     _orbit_classes,
     class_scan,
     complement_distance_spectrum,
@@ -91,7 +90,7 @@ def _lemma21_diam3_scan(n: int) -> dict:
     ok = np.all(d >= expected[None, :, :] + _adjacency_tensor(adj, n), axis=(1, 2))
     return {
         "count": int(sizes[covered].sum()),
-        "violations": sorted(m for r in reps[covered & ~ok] for m in _orbit(n, r).tolist()),
+        "violations": _orbit(n, reps[covered & ~ok]).tolist(),
         "complement_not_small": int(sizes[~covered].sum()),
     }
 
@@ -137,7 +136,8 @@ def _deletion_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The class-level edge deletions that stay in the class: (k, e, k2).
 
     One triple per class k and edge e of its representative with
-    reps[k] - e in the class, where it lies in class k2; in (reps[k], e)
+    reps[k] - e in the class, where it lies in class k2, read off its orbit
+    minimum (one `orbit_minima` call for all of them); in (reps[k], e)
     order.  Deleting an edge commutes with relabeling, so a labeled member
     of class k has an edge into class k2 exactly as often as reps[k] does,
     and a count over the labeled pairs (G, G - e) weights each triple by
@@ -146,9 +146,10 @@ def _deletion_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     classes = _classes(n)
     k, e = np.nonzero(classes.reps[:, None] >> np.arange(n * (n - 1) // 2, dtype=np.uint32) & 1)
     minus = classes.reps[k] ^ np.left_shift(np.uint32(1), e.astype(np.uint32))
-    keep = _class_keep(_adj_rows(minus, n), n)
-    smallest = [_orbit_masks(n, m).min() for m in minus[keep]]
-    return k[keep], e[keep], np.searchsorted(classes.reps, np.array(smallest, dtype=np.uint32))
+    adj = _adj_rows(minus, n)
+    keep = _class_keep(adj, n)
+    smallest, _ = orbit_minima(adj[:, keep].T, n)
+    return k[keep], e[keep], np.searchsorted(classes.reps, smallest.astype(np.uint32))
 
 
 def _lemma_2_5(n: int) -> VerificationReport:
@@ -227,26 +228,11 @@ def _lemma_2_6(n: int) -> VerificationReport:
 
 def _ahu_key(g: Graph) -> str:
     """Canonical string for a tree: AHU encoding rooted at the center(s)."""
-    degs = [g.degree(v) for v in range(g.n)]
-    if g.n == 1:
-        return "()"
-    # peel leaves to find the center
-    level = {v: 0 for v in range(g.n) if degs[v] <= 1}
-    deg = degs[:]
-    frontier = sorted(level)
-    remaining = g.n
-    while remaining > 2:
-        nxt = []
-        remaining -= len(frontier)
-        for v in frontier:
-            for u in range(g.n):
-                if g.has_edge(u, v) and u not in level:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        level[u] = level[v] + 1
-                        nxt.append(u)
-        frontier = sorted(set(nxt))
-    centers = [v for v in range(g.n) if v not in level] or frontier
+    centers = set(range(g.n))
+    while len(centers) > 2:
+        # strip every leaf of the tree that is left
+        live = sum(1 << v for v in centers)
+        centers -= {v for v in centers if bin(g.adj[v] & live).count("1") <= 1}
 
     def code(v: int, parent: int) -> str:
         parts = sorted(code(u, v) for u in range(g.n) if g.has_edge(u, v) and u != parent)
@@ -271,16 +257,19 @@ def free_trees(n: int) -> list[Graph]:
 
 
 def _lemma_2_7(n_max: int = 9) -> VerificationReport:
-    """lambda_1(T^c) >= lambda_1(P_n^c) over all non-star trees, 4 <= n <= n_max."""
+    """lambda_1(T^c) >= lambda_1(P_n^c) over all non-star trees, 4 <= n <= n_max.
+
+    Among trees on n vertices the star is the one with a vertex of degree
+    n - 1, and the path the one of maximum degree <= 2.
+    """
     bad: list[str] = []
     worst = None
     total = 0
     for n in range(4, n_max + 1):
-        pn = build_path(n)
-        star = build_star(n)
-        base = complement_distance_spectrum(pn).lambda1
+        base = complement_distance_spectrum(build_path(n)).lambda1
         for t in free_trees(n):
-            if is_isomorphic(t, star):
+            degrees = [t.degree(v) for v in range(n)]
+            if max(degrees) == n - 1:
                 continue
             total += 1
             v = complement_distance_spectrum(t).lambda1
@@ -288,7 +277,7 @@ def _lemma_2_7(n_max: int = 9) -> VerificationReport:
             if gap < -CLUSTER_TOL:
                 bad.append(to_graph6(t))
             elif abs(gap) <= CLUSTER_TOL:
-                if not is_isomorphic(t, pn):
+                if max(degrees) > 2:
                     bad.append(to_graph6(t))
             elif worst is None or gap < worst:
                 worst = gap

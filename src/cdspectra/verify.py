@@ -6,6 +6,8 @@ three on n vertices one vertex at a time, up to isomorphism: each level
 extends the previous one by a new vertex with every non-empty
 neighbourhood, filters the candidates with numpy-vectorized bitset BFS,
 and keeps one smallest edge mask per S_n orbit, with the orbit's size.
+Both come from `graphcore.orbit_minima`, a search for each candidate's
+least relabeling and automorphism count; no table of relabelings is built.
 Every generated class member has Lemma 2.1's identity checked.  D(G^c) is
 then solved once per class, and every labeled count is a sum over the
 classes weighted by orbit size: the spectrum is a class invariant, and so
@@ -22,10 +24,10 @@ fail are `refuted` with witnesses, claims whose true direction opposes the
 stated one are `confirmed-with-reversed-direction`.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from cdspectra.graphcore import (
     g6_pairs,
     graphs_from_stack,
     is_isomorphic,
+    orbit_minima,
     to_graph6,
 )
 from cdspectra.spectra import (
@@ -224,30 +227,6 @@ def _cluster(values: np.ndarray, keys: np.ndarray, mode: str) -> dict | None:
     return {"value": v, "pairs": pairs, "runner_up": runner}
 
 
-@lru_cache(maxsize=None)
-def _perm_edge_bits(n: int) -> np.ndarray:
-    """Row e holds, for each permutation of S_n, the mask bit of edge e's image."""
-    pairs = np.array(g6_pairs(n)).T
-    # vertex labels and edge indices fit in uint8; int64 temporaries of
-    # these (n!, n(n-1)/2) arrays set the peak memory of an n = 7 scan
-    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
-    a, b = perms[:, pairs[0]].T, perms[:, pairs[1]].T
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # (lo, hi) is edge hi(hi-1)/2 + lo in g6_pairs order
-    return np.left_shift(np.uint32(1), (hi * (hi - 1) // 2 + lo).astype(np.uint32))
-
-
-def _orbit_masks(n: int, mask) -> np.ndarray:
-    """Edge mask of the graph `mask` relabeled by each permutation of S_n, as uint32.
-
-    uint32 is the candidate dtype: searchsorted with wider keys would convert
-    the whole candidate array on every call.
-    """
-    mask = int(mask)
-    edges = [e for e in range(n * (n - 1) // 2) if (mask >> e) & 1]
-    return _perm_edge_bits(n)[edges].sum(axis=0, dtype=np.uint32)
-
-
 def _distinct(masks: np.ndarray) -> np.ndarray:
     """The distinct entries of `masks`, flattened and ascending.
 
@@ -260,9 +239,24 @@ def _distinct(masks: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
-def _orbit(n: int, mask) -> np.ndarray:
-    """The distinct relabelings of the graph `mask`, ascending."""
-    return _distinct(_orbit_masks(n, mask))
+def _orbit(n: int, masks) -> np.ndarray:
+    """The distinct relabelings of the graphs `masks`, ascending, as uint32.
+
+    It lists labeled members only, so it walks every permutation of S_n;
+    classes and their sizes come from `orbit_minima` instead.
+    """
+    masks = np.atleast_1d(masks)
+    if len(masks) == 0:
+        return np.zeros(0, dtype=np.uint32)
+    perms = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.uint8,
+                        count=math.factorial(n) * n).reshape(-1, n)
+    hi, lo = np.tril_indices(n, -1)             # g6_pairs order: (lo, hi) by hi, then lo
+    edge = np.zeros((n, n), dtype=np.uint32)
+    edge[lo, hi] = edge[hi, lo] = np.arange(len(hi))
+    bit = np.left_shift(np.uint32(1), edge[perms[:, lo], perms[:, hi]])    # (n!, edges)
+    return _distinct(np.concatenate([
+        bit[:, [e for e in range(len(hi)) if int(m) >> e & 1]].sum(axis=1, dtype=np.uint32)
+        for m in masks]))
 
 
 def _extend(parents: np.ndarray, k: int) -> np.ndarray:
@@ -277,25 +271,17 @@ def _extend(parents: np.ndarray, k: int) -> np.ndarray:
 
 
 def _orbit_classes(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The S_n orbits that meet the sorted distinct masks: (reps, sizes).
+    """The S_n orbits that meet the masks: (reps, sizes).
 
-    Walks the masks in order.  The smallest one not yet seen starts an orbit,
-    and every mask in that orbit is marked seen.  reps holds the smallest
-    member of each orbit, ascending, and sizes n!/|Aut| of each.
+    reps holds the smallest member of each orbit, ascending, and sizes
+    n!/|Aut| of each, both from `orbit_minima`.
     """
-    seen = np.zeros(len(masks), dtype=bool)
-    reps: list[int] = []
-    sizes: list[int] = []
-    for k in range(len(masks)):
-        if seen[k]:
-            continue
-        orbit = _orbit(n, masks[k])
-        pos = np.minimum(np.searchsorted(masks, orbit), len(masks) - 1)
-        seen[pos[masks[pos] == orbit]] = True
-        reps.append(int(orbit[0]))
-        sizes.append(len(orbit))
-    order = np.argsort(reps)
-    return np.array(reps, dtype=np.uint32)[order], np.array(sizes, dtype=np.int64)[order]
+    minima, aut = orbit_minima(_adj_rows(masks, n).T, n)
+    order = np.argsort(minima)
+    minima, aut = minima[order], aut[order]
+    first = np.ones(len(minima), dtype=bool)
+    np.not_equal(minima[1:], minima[:-1], out=first[1:])
+    return minima[first].astype(np.uint32), math.factorial(n) // aut[first]
 
 
 def _noncomplete_connected(k: int) -> np.ndarray:
@@ -336,8 +322,9 @@ def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     n - 2, starting from K1 (`_noncomplete_connected`); the diameter >= 3
     graphs at n - 1, from the non-complete ones at n - 2; and the class at
     n, from those.  Each level is filtered by the bitset kernel and reduced
-    to its orbits by `_orbit_classes`, in the manner of canonical
-    augmentation (McKay, "Isomorph-free exhaustive generation",
+    to its orbits by `_orbit_classes`: the orbit minimum of every candidate
+    from the `orbit_minima` search, one per distinct minimum, in the manner
+    of canonical augmentation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26, 1998).  Every generated member of the class has its
     complement's diameter asserted and the identity checked; the identity
     is relabeling-equivariant, so a class that breaks it is listed with its
@@ -354,12 +341,9 @@ def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
             f"complement not within diameter 3 for masks {masks[~covered][:5].tolist()}")
     expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
     holds = np.all(d == expected[None, :, :] + _adjacency_tensor(adj, n), axis=(1, 2))
-    violations: set[int] = set()
-    for m in masks[~holds]:
-        if int(m) not in violations:
-            violations.update(_orbit(n, m).tolist())
     reps, sizes = _orbit_classes(masks, n)
-    return reps, sizes, sorted(violations)
+    violations = _orbit(n, _orbit_classes(masks[~holds], n)[0]).tolist()
+    return reps, sizes, violations
 
 
 def _solve(masks: np.ndarray, n: int):
@@ -471,7 +455,7 @@ def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
         raise ValueError("internal enumeration supports 5 <= n <= 8")
     classes = _classes(n)
     if sink is not None:
-        for m in np.sort(np.concatenate([_orbit(n, r) for r in classes.reps])):
+        for m in _orbit(n, classes.reps):
             sink(from_edge_mask(n, int(m)))
     return int(classes.sizes.sum())
 
@@ -497,20 +481,13 @@ def _class_members(adj: np.ndarray) -> np.ndarray:
 
 
 def _dedup_isomorphic(graphs: list[Graph]) -> list[Graph]:
-    """One representative per isomorphism class, in first-seen order."""
-    buckets: dict[tuple, list[Graph]] = {}
-    reps: list[Graph] = []
-    for g in graphs:
-        key = tuple(sorted(g.degree(v) for v in range(g.n)))
-        found = False
-        for r in buckets.setdefault(key, []):
-            if is_isomorphic(g, r):
-                found = True
-                break
-        if not found:
-            buckets[key].append(g)
-            reps.append(g)
-    return reps
+    """One representative per isomorphism class of same-order graphs, in
+    first-seen order: the first graph of each distinct orbit minimum."""
+    minima, _ = orbit_minima([g.adj for g in graphs], graphs[0].n)
+    first: dict[int, Graph] = {}
+    for m, g in zip(minima.tolist(), graphs):
+        first.setdefault(m, g)
+    return list(first.values())
 
 
 def complement_distance_spectrum(g: Graph):

@@ -116,7 +116,7 @@ def test_verify_deterministic_output(capsys):
 
 
 PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0,
-                     "verify_lemma25_n7.out": 3}
+                     "verify_lemma25_n7.out": 3, "verify_lemma21_n8.out": 0}
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -128,11 +128,13 @@ PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0,
     (("verify", "--claims", "2.1", "--n", "7"), "verify_lemma21_n7.out"),
     (("verify", "--claims", "3.11", "--p-max", "32"), "verify_lemma311_p32.out"),
     (("verify", "--claims", "2.5", "--n", "7"), "verify_lemma25_n7.out"),
+    (("verify", "--claims", "T2.4,T2.8,T3.7,T3.13,3.9", "--n", "8"), "verify_theorems_n8.out"),
+    (("verify", "--claims", "2.1", "--n", "8"), "verify_lemma21_n8.out"),
 ])
 def test_verify_stdout_is_pinned(capsys, argv, expected):
     # the exact layer's roots and orders (492 of them on the 3.11 grid to
-    # p = 32), the n = 7 scan and Lemma 2.1's and 2.5's counts reach stdout byte for
-    # byte; a drift fails on the first differing JSON line
+    # p = 32), the n = 7 and n = 8 scans and Lemma 2.1's and 2.5's counts
+    # reach stdout byte for byte; a drift fails on the first differing JSON line
     code, out, _ = run_cli(capsys, *argv)
     want = (Path(__file__).parent / "expected" / expected).read_text()
     assert code == PINNED_EXIT_CODES.get(expected, 2)
@@ -372,6 +374,14 @@ def test_verify_empty_lemma_grid_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "verify", "--claims", *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: claim {argv[0]}: ") and "Traceback" not in err
+
+
+def test_verify_lemma_2_7_runs_above_the_isomorphism_cap(capsys):
+    # Lemma 2.7 tells the star and the path by their degrees, so n = 11 runs
+    code, out, err = run_cli(capsys, "verify", "--claims", "2.7", "--n", "11")
+    assert code == 0 and "error:" not in err
+    rep = json.loads(out)
+    assert rep["status"] == "confirmed" and rep["params"] == {"n_max": 11}
 
 
 @pytest.mark.parametrize("claim", ["3.4", "3.5", "3.6", "3.11", "3.12"])

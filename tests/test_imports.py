@@ -60,3 +60,11 @@ def test_lemma_2_1_with_two_workers_loads_no_pool():
     got = _child(RUN_CLI + REPORT, "verify", "--claims", "2.1", "--n", "6", "--workers", "2")
     assert got["code"] == 0
     assert not {"concurrent.futures", "multiprocessing"} & set(got["loaded"])
+
+
+def test_the_lemma_checks_load_no_masked_arrays():
+    # Lemmas 2.1, 2.5 and 2.6 reduce their candidates by the orbit-minimum
+    # search, which finds runs by sorting instead of `np.unique`
+    got = _child(RUN_CLI + REPORT, "verify", "--claims", "2.1,2.5,2.6", "--n", "6")
+    assert got["code"] == 3
+    assert "numpy.ma" not in got["loaded"]

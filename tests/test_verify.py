@@ -27,6 +27,7 @@ from cdspectra.graphcore import (
     g6_pairs,
     is_connected,
     is_isomorphic,
+    orbit_minima,
     relabel,
     to_edge_mask,
     to_graph6,
@@ -248,8 +249,9 @@ def test_spectrum_and_sign_partition_relabel_invariant(data):
 
 
 def test_free_trees_counts():
-    assert [len(lemmas.free_trees(k)) for k in range(1, 10)] == [
-        1, 1, 1, 2, 3, 6, 11, 23, 47]
+    # OEIS A000055
+    assert [len(lemmas.free_trees(k)) for k in range(1, 13)] == [
+        1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
     for t in lemmas.free_trees(7):
         assert t.edge_count() == 6
         assert is_connected(t)
@@ -288,6 +290,17 @@ def test_lemma_2_7_trees():
     rep = verify.check_lemma("2.7")
     assert rep.status == "confirmed"
     assert rep.margin is not None and rep.margin > 1e-9
+
+
+def test_lemma_2_7_above_the_isomorphism_cap():
+    # the star and the path are named by their degrees, so no tree order is capped
+    rep = verify.check_lemma("2.7", n=11)
+    assert rep.status == "confirmed" and rep.counterexamples == []
+    assert rep.params == {"n_max": 11}
+    # the trees on 4..11 vertices, 1 + 2 + 5 + 10 + 22 + 46 + 105 + 234 of them without the stars
+    assert rep.notes == ["425 non-star trees checked; equality exactly at P_n"]
+    # the least gap over the trees shrinks as the order grows
+    assert 1e-9 < rep.margin < verify.check_lemma("2.7").margin
 
 
 def test_lemma_3_1_chain():
@@ -495,7 +508,8 @@ def test_orbit_dedup_matches_pairwise_isomorphism():
     got = verify._dedup_isomorphic([from_edge_mask(7, m) for m in masks])
     assert len(got) == len(classes)
     # one class per S_n orbit, and the first copy of each class in walk order
-    assert len({int(verify._orbit_masks(7, m).min()) for m in masks}) == len(classes)
+    minima, _ = orbit_minima([from_edge_mask(7, m).adj for m in masks], 7)
+    assert len(set(minima.tolist())) == len(classes)
     assert [to_edge_mask(g) for g in got] == [
         m for i, m in enumerate(masks)
         if not any(is_isomorphic(from_edge_mask(7, m), from_edge_mask(7, p))
@@ -508,10 +522,12 @@ def test_orbit_contains_every_relabeling(data):
     n = data.draw(st.integers(min_value=5, max_value=8))
     mask = data.draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
     perm = data.draw(st.permutations(range(n)))
-    orbit = set(verify._orbit_masks(n, mask).tolist())
+    orbit = set(_ref_orbit_masks(n, mask).tolist())
     assert mask in orbit
     assert to_edge_mask(relabel(from_edge_mask(n, mask), perm)) in orbit
     assert verify._orbit(n, mask).tolist() == sorted(orbit)
+    minima, aut = orbit_minima([from_edge_mask(n, mask).adj], n)
+    assert minima.tolist() == [min(orbit)] and aut.tolist() == [math.factorial(n) // len(orbit)]
 
 
 def test_t28_near_tie_decided_by_exact_recheck(monkeypatch):
@@ -592,7 +608,7 @@ def test_orbit_partition_sizes(n, classes, labeled):
     for k, r in enumerate(part.reps):
         members = ref["masks"][ref["index"] == k]
         assert len(members) == part.sizes[k] and members[0] == r
-        assert set(members.tolist()) == set(verify._orbit_masks(n, int(r)).tolist())
+        assert members.tolist() == verify._orbit(n, r).tolist()
 
 
 def _cluster_reference(values: np.ndarray, masks: np.ndarray, mode: str) -> dict | None:
@@ -793,17 +809,90 @@ def _ref_perm_edge_table(n: int) -> np.ndarray:
     return (hi * (hi - 1) // 2 + lo).astype(np.uint32)
 
 
-def test_perm_edge_bits_equal_the_int64_reference():
-    for n in range(2, 9):
-        want = np.left_shift(np.uint32(1), _ref_perm_edge_table(n).T)
-        got = verify._perm_edge_bits(n)
-        assert got.dtype == np.uint32 and np.array_equal(got, want), n
-
-
 def _ref_orbit_masks(n: int, mask) -> np.ndarray:
     table = _ref_perm_edge_table(n)
     bits = (np.uint32(mask) >> np.arange(table.shape[1], dtype=np.uint32)) & np.uint32(1)
     return (bits << table).sum(axis=1, dtype=np.uint32)
+
+
+def test_orbit_minima_equal_the_int64_reference():
+    # every graph on up to 5 vertices, and 300 random ones on 6, 7 and 8
+    rng = random.Random(5)
+    for n in range(2, 9):
+        edges = n * (n - 1) // 2
+        masks = range(1 << edges) if n <= 5 else [rng.randrange(1 << edges) for _ in range(300)]
+        minima, aut = orbit_minima([from_edge_mask(n, m).adj for m in masks], n)
+        assert minima.dtype == np.uint64 and aut.dtype == np.int64
+        orbits = [np.unique(_ref_orbit_masks(n, m)) for m in masks]
+        assert minima.tolist() == [int(o[0]) for o in orbits], n
+        assert (math.factorial(n) // aut).tolist() == [len(o) for o in orbits], n
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_orbit_minimum_is_the_least_relabeling(data):
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
+    perm = data.draw(st.permutations(range(n)))
+    g = from_edge_mask(n, mask)
+    orbit = np.unique(_ref_orbit_masks(n, mask))
+    minima, aut = orbit_minima([g.adj, relabel(g, perm).adj], n)
+    assert minima.tolist() == [int(orbit[0])] * 2
+    assert aut.tolist() == [math.factorial(n) // len(orbit)] * 2
+
+
+def _complete_bipartite(p: int, q: int):
+    return from_edges(p + q, [(u, p + v) for u in range(p) for v in range(q)])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_orbit_minima_of_twin_heavy_graphs(n):
+    # all vertices twins (K_n, the empty graph), all leaves twins (the star),
+    # and two twin classes (K_{p,q}), with |Aut| known in closed form
+    full = (1 << (n * (n - 1) // 2)) - 1
+    graphs = [(from_edge_mask(n, full), math.factorial(n), full),
+              (from_edge_mask(n, 0), math.factorial(n), 0)]
+    if n >= 3:
+        graphs.append((from_edges(n, [(0, v) for v in range(1, n)]), math.factorial(n - 1), None))
+    for p in range(1, n // 2 + 1):
+        q = n - p
+        aut = math.factorial(p) * math.factorial(q) * (2 if p == q else 1)
+        graphs.append((_complete_bipartite(p, q), aut, None))
+    rng = random.Random(n)
+    for g, aut, least in graphs:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        minima, auts = orbit_minima([g.adj, relabel(g, perm).adj], n)
+        assert auts.tolist() == [aut, aut]
+        assert minima[0] == minima[1]
+        if least is not None:
+            assert minima[0] == least
+        if 2 <= n <= 8:
+            assert minima[0] == _ref_orbit_masks(n, to_edge_mask(g)).min()
+
+
+@pytest.mark.parametrize("family,params", [
+    ("H", (1, 2)), ("H", (2, 3)), ("H", (3, 5)), ("H", (4, 4)),
+    ("B1", (3, 2)), ("B1", (4, 3)), ("B1", (5, 4)), ("B1", (5, 5)),
+    ("L", (4, 3)), ("L", (4, 4)), ("L", (5, 4)), ("L", (5, 5)),
+    ("Lprime", (7,)), ("Lprime", (8,)), ("Lprime", (9,)), ("Lprime", (10,)),
+])
+def test_orbit_minima_of_the_families_under_relabeling(family, params):
+    g = FAMILIES[family].build(*params)
+    rng = random.Random(g.n)
+    copies = [g]
+    for _ in range(6):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        copies.append(relabel(g, perm))
+    minima, aut = orbit_minima([h.adj for h in copies], g.n)
+    assert len(set(minima.tolist())) == 1 and len(set(aut.tolist())) == 1
+    assert minima[0] <= min(to_edge_mask(h) for h in copies)
+    # the graph the minimum encodes is a labeling of g, so its minimum is itself
+    assert orbit_minima([from_edge_mask(g.n, int(minima[0])).adj], g.n)[0][0] == minima[0]
+    if g.n <= 8:
+        orbit = np.unique(_ref_orbit_masks(g.n, to_edge_mask(g)))
+        assert minima[0] == orbit[0] and math.factorial(g.n) // aut[0] == len(orbit)
 
 
 def _ref_filter_block(n: int, masks: np.ndarray) -> tuple[np.ndarray, list[int]]:
