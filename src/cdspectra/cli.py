@@ -19,15 +19,14 @@ from cdspectra.graphcore import (
     MAX_VERTICES,
     DisconnectedGraph,
     Graph,
-    complement,
+    adjacency_stack,
     decode_graph6_lines,
     diameter,
     distance_matrices,
-    distance_matrix,
     graphs_from_stack,
     to_graph6,
 )
-from cdspectra.spectra import Spectrum, sym_eigenvalues, sym_spectra
+from cdspectra.spectra import Spectrum, sym_spectra
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,7 +100,7 @@ def _graph_record(label: str, g: Graph, d: int | None = None,
     computed here unless the caller has them."""
     if spec is None:
         d = diameter(g)
-        spec = sym_eigenvalues(distance_matrix(complement(g)).astype(np.float64))
+        spec = verify.complement_distance_spectrum(g)
     part = verify.sign_partition(g, spec)
     return {
         "input": label,
@@ -205,7 +204,8 @@ def _read_stream(lines: list[str]) -> tuple[int, list[Graph], dict]:
     """Decode an external graph6 stream once: its order, members and their values.
 
     The values are lambda_1 and lambda_n of D(G^c) per member, solved for
-    all members in one batch and shared by every claim of the run.
+    all members by one `complement_spectra` call and shared by every claim
+    of the run.
     """
     graphs: list[Graph] = []
     try:
@@ -217,7 +217,8 @@ def _read_stream(lines: list[str]) -> tuple[int, list[Graph], dict]:
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise SystemExit2("input stream mixes graph orders")
-    return n, graphs, verify.complement_distance_extremes(graphs)
+    _, values, _ = verify.complement_spectra(adjacency_stack(graphs))
+    return n, graphs, {"l1": values[:, -1].tolist(), "ln": values[:, 0].tolist()}
 
 
 def _stream_theorem(tid: str, stream: tuple[int, list[Graph], dict]) -> verify.VerificationReport:

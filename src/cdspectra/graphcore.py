@@ -4,12 +4,14 @@ A graph lives on vertices 0..n-1 (n <= 64) with one machine-word neighbour
 bitmask per vertex, so complements and edge tests are a handful of integer
 operations.  Every distance matrix and diameter comes from one kernel,
 `distance_matrices`, which runs BFS from all vertices of a stack of
-same-order graphs at once by Boolean matrix products; `is_connected` is a
-flood fill from vertex 0 over the bitsets.  Isomorphism has one primitive
-too, `orbit_minima`: a batched search for each graph's least edge mask over
-all relabelings, with its automorphism count, which needs no table of the
-n! relabelings.  All functions are pure and graphs are immutable, so values
-can be shared freely.
+same-order graphs at once by Boolean matrix products; so does every
+D(G^c), which `verify.complement_distances` gets from it on a stack of
+complements.  `is_connected` is a flood fill from vertex 0 over the
+bitsets.  Isomorphism has one primitive too, `orbit_minima`: a batched
+search for each graph's least edge mask over all relabelings, with its
+automorphism count, which needs no table of the n! relabelings.  All
+functions are pure and graphs are immutable, so values can be shared
+freely.
 """
 
 from dataclasses import dataclass
@@ -190,10 +192,10 @@ def decode_graph6_lines(lines) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]]
     one length become one uint8 array, whose alphabet, order field, length
     and zero padding are checked in vectorised form; each order's records
     then become one (m, n, n) uint8 adjacency stack, as `distance_matrices`
-    takes it.  Returns (orders, errors): `orders` maps each vertex count to
-    the line numbers of its records, ascending, and their adjacency stack;
-    `errors` holds (line number, `from_graph6`'s message) for every line
-    that `from_graph6` rejects, in line order.
+    takes it, by `stack_from_bits`.  Returns (orders, errors): `orders` maps
+    each vertex count to the line numbers of its records, ascending, and
+    their adjacency stack; `errors` holds (line number, `from_graph6`'s
+    message) for every line that `from_graph6` rejects, in line order.
     """
     numbers: list[int] = []             # the line number of each non-blank line
     texts: list[str] = []               # the line, stripped
@@ -238,11 +240,7 @@ def decode_graph6_lines(lines) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]]
             bad += index[rows[padded]].tolist()
             if padded.all():
                 continue
-            bits = bits[~padded, :nbits]
-            adj = np.zeros((len(bits), order, order), dtype=np.uint8)
-            hi, lo = np.tril_indices(order, -1)     # g6_pairs order: (lo, hi) by hi, then lo
-            adj[:, lo, hi] = bits
-            adj[:, hi, lo] = bits
+            adj = stack_from_bits(bits[~padded, :nbits], order)
             parts.setdefault(order, []).append((index[rows[~padded]], adj))
     orders = {}
     for order in sorted(parts):
@@ -267,6 +265,16 @@ def adjacency_stack(graphs) -> np.ndarray:
     rows = np.array([g.adj for g in graphs], dtype=np.uint64)
     bits = np.arange(n, dtype=np.uint64)
     return ((rows[:, :, None] >> bits) & np.uint64(1)).astype(np.int64)
+
+
+def stack_from_bits(bits, n: int) -> np.ndarray:
+    """(m, n, n) uint8 adjacency stack from (m, n(n-1)/2) 0/1 edge bits in
+    g6_pairs order."""
+    adj = np.zeros((len(bits), n, n), dtype=np.uint8)
+    hi, lo = np.tril_indices(n, -1)     # g6_pairs order: (lo, hi) by hi, then lo
+    adj[:, lo, hi] = bits
+    adj[:, hi, lo] = bits
+    return adj
 
 
 def graphs_from_stack(adj) -> list[Graph]:

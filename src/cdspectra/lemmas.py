@@ -13,30 +13,37 @@ import numpy as np
 
 from cdspectra import quotients
 from cdspectra.families import build_many, build_path
-from cdspectra.graphcore import Graph, from_edge_mask, is_isomorphic, orbit_minima, to_graph6
+from cdspectra.graphcore import (
+    Graph,
+    adjacency_stack,
+    from_edge_mask,
+    is_isomorphic,
+    orbit_minima,
+    to_graph6,
+)
 from cdspectra.spectra import certify_root_orders
 from cdspectra.verify import (
     CLUSTER_TOL,
     STRICT_MARGIN,
     VerificationReport,
     _adj_rows,
-    _adjacency_tensor,
     _balanced_H,
     _balanced_pq,
     _ball_radius,
     _class_keep,
     _classes,
     _cluster,
-    _complement_distances,
     _expand_all,
     _extend,
     _family_spectra,
     _family_spectrum,
+    _mask_stack,
     _noncomplete_connected,
     _orbit,
     _orbit_classes,
     class_scan,
-    complement_distance_spectrum,
+    complement_distances,
+    complement_spectra,
 )
 
 
@@ -72,8 +79,9 @@ def _lemma21_diam3_scan(n: int) -> dict:
     connected, non-complete graph on n - 1 vertices by one vertex.  So the
     extensions (`_extend`) of diameter 3 are reduced to their S_n orbits,
     and the inequality, which is relabeling-equivariant, is checked once
-    per class.  The counts are over labeled graphs: those with a complement
-    of diameter <= 3, those without, and every member of a violating class.
+    per class, on D(G^c) from one `complement_distances` call.  The counts
+    are over labeled graphs: those with a complement of diameter <= 3,
+    those without, and every member of a violating class.
     """
     full = np.uint8((1 << n) - 1)
     masks = _extend(_noncomplete_connected(n - 1), n - 1)
@@ -84,10 +92,10 @@ def _lemma21_diam3_scan(n: int) -> dict:
     diam3 = ((np.bitwise_and.reduce(b3, axis=0) == full)
              & (np.bitwise_and.reduce(b2, axis=0) != full))
     reps, sizes = _orbit_classes(masks[diam3], n)
-    adj = _adj_rows(reps, n)
-    d, covered = _complement_distances(adj, n)
-    expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-    ok = np.all(d >= expected[None, :, :] + _adjacency_tensor(adj, n), axis=(1, 2))
+    adj = _mask_stack(reps, n)
+    dc = complement_distances(adj)
+    covered = dc.max(axis=(1, 2)) <= 3
+    ok = np.all(dc >= 1 - np.eye(n, dtype=np.int64) + adj, axis=(1, 2))
     return {
         "count": int(sizes[covered].sum()),
         "violations": _orbit(n, reps[covered & ~ok]).tolist(),
@@ -260,24 +268,23 @@ def _lemma_2_7(n_max: int = 9) -> VerificationReport:
     """lambda_1(T^c) >= lambda_1(P_n^c) over all non-star trees, 4 <= n <= n_max.
 
     Among trees on n vertices the star is the one with a vertex of degree
-    n - 1, and the path the one of maximum degree <= 2.
+    n - 1, and the path the one of maximum degree <= 2.  Each order's
+    non-star trees are solved by one `complement_spectra` call, together
+    with `build_path(n)`, the bound.
     """
     bad: list[str] = []
     worst = None
     total = 0
     for n in range(4, n_max + 1):
-        base = complement_distance_spectrum(build_path(n)).lambda1
-        for t in free_trees(n):
-            degrees = [t.degree(v) for v in range(n)]
-            if max(degrees) == n - 1:
-                continue
-            total += 1
-            v = complement_distance_spectrum(t).lambda1
-            gap = v - base
+        trees = [(t, max(map(t.degree, range(n)))) for t in free_trees(n)]
+        trees = [(t, top) for t, top in trees if top < n - 1]
+        l1 = complement_spectra(adjacency_stack([build_path(n)] + [t for t, _ in trees]))[1][:, -1]
+        total += len(trees)
+        for (t, top), gap in zip(trees, (l1[1:] - l1[0]).tolist()):
             if gap < -CLUSTER_TOL:
                 bad.append(to_graph6(t))
             elif abs(gap) <= CLUSTER_TOL:
-                if max(degrees) > 2:
+                if top > 2:
                     bad.append(to_graph6(t))
             elif worst is None or gap < worst:
                 worst = gap

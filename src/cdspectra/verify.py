@@ -8,13 +8,16 @@ neighbourhood, filters the candidates with numpy-vectorized bitset BFS,
 and keeps one smallest edge mask per S_n orbit, with the orbit's size.
 Both come from `graphcore.orbit_minima`, a search for each candidate's
 least relabeling and automorphism count; no table of relabelings is built.
-Every generated class member has Lemma 2.1's identity checked.  D(G^c) is
-then solved once per class, and every labeled count is a sum over the
-classes weighted by orbit size: the spectrum is a class invariant, and so
-is every relation the checks count, since relabeling commutes with
-complement, distance and edge deletion.  Lemma 2.1's diameter-3 half and
-the edge deletions of Lemmas 2.5 and 2.6 are read at the class level too,
-no list of labeled members is built, and everything runs in one process.
+The bitset BFS only decides which candidates stay: every stacked D(G^c)
+comes from `complement_distances`, which runs `graphcore.distance_matrices`
+on the complements, and `complement_spectra` solves them.  D(G^c) is
+built, solved and checked against Lemma 2.1's identity once per class,
+and every labeled count is a sum over the classes weighted by orbit size:
+the spectrum is a class invariant, and so is every relation the checks
+count, since relabeling commutes with complement, distance and edge
+deletion.  Lemma 2.1's diameter-3 half and the edge deletions of Lemmas
+2.5 and 2.6 are read at the class level too, no list of labeled members
+is built, and everything runs in one process.
 A witness is the smallest edge mask of its class, a labeling that does
 not depend on eigensolver rounding.
 
@@ -47,6 +50,7 @@ from cdspectra.graphcore import (
     graphs_from_stack,
     is_isomorphic,
     orbit_minima,
+    stack_from_bits,
     to_graph6,
 )
 from cdspectra.spectra import (
@@ -167,34 +171,6 @@ def _connected_mask(adj: np.ndarray, n: int) -> np.ndarray:
     return r == full
 
 
-def _complement_rows(adj: np.ndarray, n: int) -> np.ndarray:
-    full = np.uint8((1 << n) - 1)
-    return (~(adj | _selfbits(n))) & full
-
-
-def _adjacency_tensor(rows: np.ndarray, n: int) -> np.ndarray:
-    """Bitset rows (n, m) as a C-contiguous 0/1 tensor t[k, u, v] = bit v of rows[u, k]."""
-    shifts = np.arange(n, dtype=np.uint8)[None, :, None]
-    bits = (rows[:, None, :] >> shifts) & np.uint8(1)
-    return bits.transpose(2, 0, 1).astype(np.int8, order="C")
-
-
-def _distance_from_balls(b1, b2, n: int) -> np.ndarray:
-    """Distances 1..3 from nested ball membership; caller checks coverage."""
-    d = 3 - _adjacency_tensor(b1, n) - _adjacency_tensor(b2, n)
-    d[:, np.arange(n), np.arange(n)] = 0
-    return d
-
-
-def _complement_distances(adj: np.ndarray, n: int):
-    """D(G^c) as an (m, n, n) int8 tensor, and which complements have diameter <= 3."""
-    comp = _complement_rows(adj, n)
-    cb2 = _expand_all(comp | _selfbits(n), comp, n)
-    cb3 = _expand_all(cb2, comp, n)
-    covered = np.bitwise_and.reduce(cb3, axis=0) == np.uint8((1 << n) - 1)
-    return _distance_from_balls(comp, cb2, n), covered
-
-
 def _class_keep(adj: np.ndarray, n: int) -> np.ndarray:
     """Which graphs are connected with diameter > 3."""
     full = np.uint8((1 << n) - 1)
@@ -202,11 +178,10 @@ def _class_keep(adj: np.ndarray, n: int) -> np.ndarray:
     return _connected_mask(adj, n) & ~diam_le3
 
 
-def _survivor_adj(masks: np.ndarray, n: int):
-    """Connected, diameter > 3 filter; returns (masks, adjacency rows)."""
-    adj = _adj_rows(masks, n)
-    keep = _class_keep(adj, n)
-    return masks[keep], adj[:, keep]
+def _mask_stack(masks: np.ndarray, n: int) -> np.ndarray:
+    """Edge masks in g6_pairs order as an (m, n, n) uint8 adjacency stack."""
+    bits = (masks[:, None] >> np.arange(n * (n - 1) // 2, dtype=np.uint32)) & np.uint32(1)
+    return stack_from_bits(bits, n)
 
 
 def _cluster(values: np.ndarray, keys: np.ndarray, mode: str) -> dict | None:
@@ -298,12 +273,14 @@ def _noncomplete_connected(k: int) -> np.ndarray:
     return level[level != np.uint32((1 << (k * (k - 1) // 2)) - 1)]
 
 
-def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray, np.ndarray]:
     """The connected diameter>3 classes on n vertices, by one vertex at a time.
 
-    Returns (reps, sizes, violations): the smallest edge mask of each class
-    in ascending order, its orbit size n!/|Aut|, and every labeled member of
-    a class that breaks Lemma 2.1's identity D(G^c) = J - I + A(G).
+    Returns (reps, sizes, violations, values, vectors): the smallest edge
+    mask of each class in ascending order, its orbit size n!/|Aut|, every
+    labeled member of a class that breaks Lemma 2.1's identity
+    D(G^c) = J - I + A(G), and the eigenpairs of each representative's
+    D(G^c) as `complement_spectra` returns them.
 
     Parent lemma: a connected graph G of diameter D >= 3 has a non-cut
     vertex w such that G - w is connected and not complete, and G - w has
@@ -325,38 +302,38 @@ def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     to its orbits by `_orbit_classes`: the orbit minimum of every candidate
     from the `orbit_minima` search, one per distinct minimum, in the manner
     of canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 26, 1998).  Every generated member of the class has its
-    complement's diameter asserted and the identity checked; the identity
-    is relabeling-equivariant, so a class that breaks it is listed with its
-    whole orbit.
+    J. Algorithms 26, 1998).  Then one `complement_spectra` call gives
+    D(G^c) of every class representative, whose diameter is asserted to be
+    at most 3 and on which the identity is checked, once per class: the
+    identity commutes with relabeling, so a class that breaks it is listed
+    with its whole orbit, and the labeled counts come from `sizes`.
     """
     masks = _extend(_noncomplete_connected(n - 2), n - 2)
     balls = _ball_radius(_adj_rows(masks, n - 1), n - 1, 2)
     diam_le2 = np.bitwise_and.reduce(balls, axis=0) == np.uint8((1 << (n - 1)) - 1)
     level, _ = _orbit_classes(masks[~diam_le2], n - 1)
-    masks, adj = _survivor_adj(_extend(level, n - 1), n)
-    d, covered = _complement_distances(adj, n)
-    if not covered.all():
+    masks = _extend(level, n - 1)
+    reps, sizes = _orbit_classes(masks[_class_keep(_adj_rows(masks, n), n)], n)
+    adj = _mask_stack(reps, n)
+    dc, values, vectors = complement_spectra(adj)
+    wide = dc.max(axis=(1, 2)) > 3
+    if wide.any():
         raise AssertionError(
-            f"complement not within diameter 3 for masks {masks[~covered][:5].tolist()}")
-    expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-    holds = np.all(d == expected[None, :, :] + _adjacency_tensor(adj, n), axis=(1, 2))
-    reps, sizes = _orbit_classes(masks, n)
-    violations = _orbit(n, _orbit_classes(masks[~holds], n)[0]).tolist()
-    return reps, sizes, violations
+            f"complement not within diameter 3 for masks {reps[wide][:5].tolist()}")
+    holds = np.all(dc == 1 - np.eye(n, dtype=np.int64) + adj, axis=(1, 2))
+    return reps, sizes, _orbit(n, reps[~holds]).tolist(), values, vectors
 
 
-def _solve(masks: np.ndarray, n: int):
-    """Eigenvalues of D(G^c) per mask, ascending, with the q and degenerate flag of each.
+def _least_split(values: np.ndarray, vectors: np.ndarray):
+    """q and the degenerate flag of each graph, from its D(G^c) eigenpairs
+    as `complement_spectra` returns them.
 
     q is the smaller side of the sign split of the least eigenvector;
     degenerate flags a least eigenvalue whose gap is below DEGENERATE_GAP.
     """
-    d, _ = _complement_distances(_adj_rows(masks, n), n)
-    w, vecs = np.linalg.eigh(d.astype(np.float64))
-    x = vecs[:, :, 0]
+    x = vectors[:, :, 0]
     q = np.minimum((x < -ZERO_TOL).sum(axis=1), (x > ZERO_TOL).sum(axis=1))
-    return w, q, w[:, 1] - w[:, 0] < DEGENERATE_GAP
+    return q, values[:, 1] - values[:, 0] < DEGENERATE_GAP
 
 
 @dataclass
@@ -397,8 +374,8 @@ def class_scan(n: int) -> dict:
     hit = _SCAN_CACHE.get(n)
     if hit is not None:
         return hit.summary
-    reps, sizes, violations = _generate(n)
-    w, q, degenerate = _solve(reps, n)
+    reps, sizes, violations, w, vectors = _generate(n)
+    q, degenerate = _least_split(w, vectors)
     hist: Counter = Counter()
     for k in np.flatnonzero(~degenerate):
         hist[int(q[k])] += int(sizes[k])
@@ -495,26 +472,40 @@ def complement_distance_spectrum(g: Graph):
     return sym_eigenvalues(distance_matrix(complement(g)).astype(np.float64))
 
 
-def complement_distance_extremes(graphs: list[Graph]) -> dict:
-    """lambda_1 and lambda_n of D(G^c) for same-order graphs, solved in one batch.
+def complement_distances(adj) -> np.ndarray:
+    """D(G^c) as int64 for every graph of a same-order (m, n, n) 0/1
+    adjacency stack: the one place the program stacks D(G^c).
 
-    D(G^c) comes from the distance kernel on the stacked complements, and
-    each block of them is solved by one stacked `numpy.linalg.eigh`, whose
-    values are bitwise those of `complement_distance_spectrum`.  Returns
-    {"l1": [...], "ln": [...]} aligned with `graphs`.
+    It is `distance_matrices` of the complements 1 - I - A, in `_blocks`,
+    so that the kernel's temporaries stay small at any order.  Raises
+    DisconnectedGraph naming the first graph whose complement is
+    disconnected.
     """
-    n = graphs[0].n
-    l1: list[float] = []
-    ln: list[float] = []
-    for block in _blocks(graphs, n):
-        d = distance_matrices(1 - np.eye(n, dtype=np.int64) - adjacency_stack(block))
-        if d.min() < 0:
-            k = int(np.argmax(d.min(axis=(1, 2)) < 0))
-            raise DisconnectedGraph(f"complement of {to_graph6(block[k])} is disconnected")
-        values = np.linalg.eigh(d.astype(np.float64))[0]
-        l1 += values[:, -1].tolist()
-        ln += values[:, 0].tolist()
-    return {"l1": l1, "ln": ln}
+    adj = np.asarray(adj)
+    n = adj.shape[-1]
+    dc = np.concatenate([np.zeros((0, n, n), dtype=np.int64)]
+                        + [distance_matrices(1 - np.eye(n, dtype=np.int64) - block)
+                           for block in _blocks(adj, n)])
+    bad = np.flatnonzero(dc.min(axis=(1, 2)) < 0)
+    if len(bad):
+        g = graphs_from_stack(adj[bad[:1]])[0]
+        raise DisconnectedGraph(f"complement of {to_graph6(g)} is disconnected")
+    return dc
+
+
+def complement_spectra(adj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`complement_distances` of a stack and their eigenpairs: (dc, values, vectors).
+
+    One stacked `numpy.linalg.eigh`, the call `sym_spectra` makes, so each
+    graph's values are bitwise those of `complement_distance_spectrum`.
+    The values are ascending, and vectors[k][:, j] is the eigenvector of
+    values[k, j].
+    """
+    dc = complement_distances(adj)
+    a = dc.astype(np.float64)
+    if not np.array_equal(a, a.swapaxes(1, 2)):
+        raise ValueError("matrix must be exactly symmetric")
+    return (dc, *np.linalg.eigh(a))
 
 
 class _FamilySolution:
@@ -542,27 +533,14 @@ class _FamilySolution:
 _FAMILY_STORE: dict[tuple[str, tuple[int, ...]], _FamilySolution] = {}
 
 
-def _stacked_values(dc: np.ndarray) -> np.ndarray:
-    """Eigenvalues, non-increasing, of each exactly symmetric matrix in a stack.
-
-    One stacked `numpy.linalg.eigh`, the call `sym_spectra` makes, so the
-    values are bitwise its own; the eigenvectors are dropped unused.
-    """
-    a = dc.astype(np.float64)
-    if not np.array_equal(a, a.swapaxes(1, 2)):
-        raise ValueError("matrix must be exactly symmetric")
-    return np.linalg.eigh(a)[0][:, ::-1]
-
-
 def _family_spectra(keys) -> list[_FamilySolution]:
     """D(X^c) and its eigenvalues for each (family, params) key, solved once per process.
 
-    The keys not yet in the store are built as one batch (`build_many`).
-    Each `_blocks` block of one order then gets one complement distance
-    kernel call and one stacked eigensolve for the values alone
-    (`_stacked_values`), bitwise those of `complement_distance_spectrum`.
-    Only the values and D(X^c) are kept.  A claim fills the store with its
-    whole grid before it reads any point.
+    The keys not yet in the store are built as one batch (`build_many`),
+    and the graphs of each order are solved by one `complement_spectra`
+    call, bitwise as `complement_distance_spectrum` solves them.  Only the
+    values and D(X^c) are kept.  A claim fills the store with its whole
+    grid before it reads any point.
     """
     keys = list(keys)
     missing = list(dict.fromkeys(k for k in keys if k not in _FAMILY_STORE))
@@ -570,13 +548,9 @@ def _family_spectra(keys) -> list[_FamilySolution]:
     for key, g in zip(missing, build_many(missing)):
         by_order.setdefault(g.n, []).append((key, g))
     for n, items in by_order.items():
-        for block in _blocks(items, n):
-            dc = distance_matrices(1 - np.eye(n, dtype=np.int64)
-                                   - adjacency_stack([g for _, g in block]))
-            if dc.min() < 0:
-                raise DisconnectedGraph("vertex 0 does not reach all vertices")
-            for (key, _), d, values in zip(block, dc.astype(np.uint8), _stacked_values(dc)):
-                _FAMILY_STORE[key] = _FamilySolution(values, d)
+        dc, values, _ = complement_spectra(adjacency_stack([g for _, g in items]))
+        for (key, _), d, v in zip(items, dc.astype(np.uint8), values[:, ::-1]):
+            _FAMILY_STORE[key] = _FamilySolution(v, d)
     return [_FAMILY_STORE[k] for k in keys]
 
 
@@ -590,7 +564,7 @@ def _exact_orders(graphs, bound_graph: Graph, side: str) -> set[int]:
     """Exact root orders of the graphs against the bound graph, of one order
     n <= CHAR_POLY_MAX_N, all char polys from one stack."""
     *polys, bound_poly = char_polys_exact(
-        [distance_matrix(complement(g)) for g in [*graphs, bound_graph]])
+        complement_distances(adjacency_stack([*graphs, bound_graph])))
     return set(certify_root_orders([(p, bound_poly) for p in polys], side))
 
 
@@ -732,8 +706,11 @@ def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
         orders = _escalate_margin(margin, lambda: ext.near(ext.runner_up), bound_graph, side,
                                   notes, "runner-up graphs")
         strict = orders == {1} if orders is not None else margin is None or margin > STRICT_MARGIN
+        # a witness is connected, so it is P_n exactly when it has n - 1 edges
+        # and no vertex of degree above 2, at any order
         paths_only = (abs(value - bound) <= CLUSTER_TOL
-                      and all(is_isomorphic(w, bound_graph) for w in witnesses))
+                      and all(w.edge_count() == n - 1 and max(map(w.degree, range(n))) <= 2
+                              for w in witnesses))
         if not paths_only and value <= bound + CLUSTER_TOL:
             counterexamples = witnesses
             notes.append("non-path witness attains the minimum")

@@ -116,7 +116,9 @@ def test_verify_deterministic_output(capsys):
 
 
 PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0,
-                     "verify_lemma25_n7.out": 3, "verify_lemma21_n8.out": 0}
+                     "verify_lemma25_n7.out": 3, "verify_lemma21_n8.out": 0,
+                     "verify_lemmas25_26_n8.out": 3}
+EXPECTED = Path(__file__).parent / "expected"
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -130,13 +132,18 @@ PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0,
     (("verify", "--claims", "2.5", "--n", "7"), "verify_lemma25_n7.out"),
     (("verify", "--claims", "T2.4,T2.8,T3.7,T3.13,3.9", "--n", "8"), "verify_theorems_n8.out"),
     (("verify", "--claims", "2.1", "--n", "8"), "verify_lemma21_n8.out"),
+    (("verify", "--claims", "2.5,2.6", "--n", "8"), "verify_lemmas25_26_n8.out"),
+    # the 92 classes at n = 7, each relabeled at random, among 8 rejects
+    (("verify", "--stdin", "--claims", "T2.4,T2.8,T3.7,T3.13"), "verify_stream_n7.out"),
 ])
-def test_verify_stdout_is_pinned(capsys, argv, expected):
+def test_verify_stdout_is_pinned(capsys, monkeypatch, argv, expected):
     # the exact layer's roots and orders (492 of them on the 3.11 grid to
-    # p = 32), the n = 7 and n = 8 scans and Lemma 2.1's and 2.5's counts
-    # reach stdout byte for byte; a drift fails on the first differing JSON line
-    code, out, _ = run_cli(capsys, *argv)
-    want = (Path(__file__).parent / "expected" / expected).read_text()
+    # p = 32), the n = 7 and n = 8 scans, Lemma 2.1's, 2.5's and 2.6's counts
+    # and a graph6 stream's verdicts reach stdout byte for byte; a drift
+    # fails on the first differing JSON line
+    stdin = (EXPECTED / "stream_n7.g6").read_text() if "--stdin" in argv else None
+    code, out, _ = run_cli(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    want = (EXPECTED / expected).read_text()
     assert code == PINNED_EXIT_CODES.get(expected, 2)
     assert out.splitlines() == want.splitlines()
     assert out == want
@@ -218,11 +225,11 @@ def test_verify_stdin_solves_each_member_once(capsys, monkeypatch):
     from cdspectra.graphcore import to_graph6
     calls, batches = [], []
     real = verify.complement_distance_spectrum
-    real_batch = verify.complement_distance_extremes
+    real_batch = verify.complement_spectra
     monkeypatch.setattr(verify, "complement_distance_spectrum",
                         lambda g: calls.append(g) or real(g))
-    monkeypatch.setattr(verify, "complement_distance_extremes",
-                        lambda gs: batches.append(list(gs)) or real_batch(gs))
+    monkeypatch.setattr(verify, "complement_spectra",
+                        lambda adj: batches.append(len(adj)) or real_batch(adj))
     lines = "\n".join([to_graph6(build_path(7)), "FZ?Z_", to_graph6(build_L(4, 3)),
                        to_graph6(build_path(4))]) + "\n"
     code, out, _ = run_cli(capsys, "verify", "--claims", "T3.13,T2.8,T3.7", "--stdin",
@@ -230,7 +237,7 @@ def test_verify_stdin_solves_each_member_once(capsys, monkeypatch):
     assert code == 2
     assert len(out.splitlines()) == 3
     # the three members in one batch, and one bound graph per claim
-    assert [len(b) for b in batches] == [3]
+    assert batches == [3]
     assert len(calls) == 3
 
 
@@ -250,7 +257,6 @@ def test_spectrum_solves_each_graph_once(capsys, monkeypatch):
         return real_stack(stack)
 
     monkeypatch.setattr(verify, "sym_eigenvalues", counted)
-    monkeypatch.setattr(cli, "sym_eigenvalues", counted)
     monkeypatch.setattr(cli, "sym_spectra", counted_stack)
     code, out, _ = run_cli(capsys, "spectrum", stdin="\n".join(reps) + "\n",
                            monkeypatch=monkeypatch)
@@ -273,6 +279,17 @@ def test_verify_stdin_t313_tie_above_isomorphism_cap_is_usage_error(capsys, monk
     assert code == 1
     assert out == ""
     assert "up to n=10" in err and "Traceback" not in err
+
+
+def test_verify_stdin_t28_above_isomorphism_cap(capsys, monkeypatch):
+    # T2.8 tells P_n by its degrees, so a stream of order 11 is decided
+    assert from_graph6("JhCGGC@?G?_") == build_path(11)
+    code, out, err = run_cli(capsys, "verify", "--claims", "T2.8", "--stdin",
+                             stdin="JhCGGC@?G?_\n", monkeypatch=monkeypatch)
+    assert code == 0 and "error:" not in err
+    rep = json.loads(out)
+    assert rep["status"] == "confirmed" and rep["params"] == {"n": 11, "sample": 1}
+    assert "unique up to isomorphism: True" in rep["notes"]
 
 
 def test_verify_stdin_above_char_poly_cap_still_decides(capsys, monkeypatch):

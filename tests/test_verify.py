@@ -18,8 +18,10 @@ from cdspectra.families import (
 )
 from cdspectra.graphcore import (
     DisconnectedGraph,
+    adjacency_stack,
     complement,
     diameter,
+    distance_matrices,
     distance_matrix,
     from_edge_mask,
     from_edges,
@@ -109,11 +111,11 @@ def test_stream_is_filtered_and_solved_in_one_batch(monkeypatch):
     assert verify.enumerate_diam_gt3(n=5, source=lines) == 0
     assert verify.enumerate_diam_gt3(n=9, source=lines) == 1
     graphs = [g for g in graphs if g.n == 7]
-    values = verify.complement_distance_extremes(graphs)
+    _, values, _ = verify.complement_spectra(adjacency_stack(graphs))
     spectra = [verify.complement_distance_spectrum(g) for g in graphs]
     # bitwise: the stacked eigh gives the per-graph values
-    assert values["l1"] == [s.lambda1 for s in spectra]
-    assert values["ln"] == [s.lambda_n for s in spectra]
+    assert values[:, -1].tolist() == [s.lambda1 for s in spectra]
+    assert values[:, 0].tolist() == [s.lambda_n for s in spectra]
 
 
 def test_class_scan_counts_and_lemma21():
@@ -402,12 +404,10 @@ def test_family_store_is_bitwise_the_per_graph_spectrum(monkeypatch):
         assert solved.values.tobytes() == want.tobytes(), (family, params)
         assert solved.dc.dtype == np.uint8
         assert np.array_equal(solved.dc, distance_matrix(complement(g)))
-    # a disconnected complement in a batch raises the per-graph text
-    with pytest.raises(DisconnectedGraph) as alone:
-        verify.complement_distance_spectrum(build_path(3))
+    # a disconnected complement in a batch is named
     with pytest.raises(DisconnectedGraph) as batch:
         verify._family_spectra([("H", (2, 2)), ("path", (3,)), ("path", (8,))])
-    assert str(batch.value) == str(alone.value)
+    assert str(batch.value) == f"complement of {to_graph6(build_path(3))} is disconnected"
 
 
 def test_claims_share_the_family_store(monkeypatch):
@@ -415,13 +415,13 @@ def test_claims_share_the_family_store(monkeypatch):
     # quotient_consistency read the graphs already solved
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     solved = []
-    fill = verify._stacked_values
+    fill = verify.complement_spectra
 
-    def counting_solve(stack):
-        solved.append(len(stack))
-        return fill(stack)
+    def counting_solve(adj):
+        solved.append(len(adj))
+        return fill(adj)
 
-    monkeypatch.setattr(verify, "_stacked_values", counting_solve)
+    monkeypatch.setattr(verify, "complement_spectra", counting_solve)
     verify.check_lemma("3.11")
     first = sum(solved)
     assert first == len(verify._FAMILY_STORE) and len(solved) <= 24
@@ -470,18 +470,44 @@ def test_survivor_filter_matches_graphcore_oracle(n):
     want = [int(m) for m in masks
             if is_connected(g := from_edge_mask(n, int(m))) and diameter(g) > 3]
     assert len(want) >= 20              # the sample reaches into the class
-    got, adj = verify._survivor_adj(masks, n)
+    adj = verify._adj_rows(masks, n)
+    for k in range(0, len(masks), 97):
+        assert adj[:, k].tolist() == list(from_edge_mask(n, int(masks[k])).adj)
+    got = masks[verify._class_keep(adj, n)]
     assert got.tolist() == want
-    assert adj.shape == (n, len(want))
+    # the members' stack, and D(G^c) from it, equal per-graph BFS on the complement
+    stack = verify._mask_stack(got, n)
+    assert stack.dtype == np.uint8
+    assert np.array_equal(stack, adjacency_stack([from_edge_mask(n, m) for m in want]))
+    dc = verify.complement_distances(stack)
+    assert dc.shape == (len(want), n, n) and dc.max() <= 3
     for k, m in enumerate(want):
-        g = from_edge_mask(n, m)
-        assert adj[:, k].tolist() == list(g.adj)
-    # the bitset kernel's D(G^c) tensor equals per-graph BFS on the complement
-    d, covered = verify._complement_distances(adj, n)
-    assert d.shape == (len(want), n, n) and d.flags.c_contiguous
-    assert covered.all()
-    for k, m in enumerate(want):
-        assert np.array_equal(d[k], distance_matrix(complement(from_edge_mask(n, m))))
+        assert np.array_equal(dc[k], distance_matrix(complement(from_edge_mask(n, m))))
+
+
+def test_complement_spectra_is_bitwise_the_per_graph_spectrum(monkeypatch):
+    # class representatives and family graphs of order 7, in blocks of three,
+    # against one graph at a time
+    monkeypatch.setattr(verify, "STREAM_BLOCK_ENTRIES", 3 * 49)
+    graphs = [from_edge_mask(7, int(m)) for m in verify._classes(7).reps[:20]]
+    graphs += [build_H(2, 3), build_B1(4, 3), build_L(4, 3), build_Lprime(7)]
+    dc, values, vectors = verify.complement_spectra(adjacency_stack(graphs))
+    assert dc.dtype == np.int64 and values.shape == (len(graphs), 7)
+    for g, d, w, x in zip(graphs, dc, values, vectors):
+        want = verify.complement_distance_spectrum(g)
+        assert np.array_equal(d, distance_matrix(complement(g)))
+        assert w[::-1].tobytes() == want.values.tobytes()
+        # the same eigenvectors, but for the sign that sym_spectra fixes
+        assert np.array_equal(np.abs(x[:, ::-1]), np.abs(want.vectors))
+    # an empty stack gives empty arrays of the stack's order
+    dc, values, vectors = verify.complement_spectra(np.zeros((0, 5, 5), dtype=np.uint8))
+    assert dc.shape == (0, 5, 5) and values.shape == (0, 5) and vectors.shape == (0, 5, 5)
+    # the first graph with a disconnected complement is named, in a later block
+    star = from_edges(7, [(0, v) for v in range(1, 7)])
+    bad = [build_path(7)] * 4 + [star, build_H(2, 3), star]
+    with pytest.raises(DisconnectedGraph) as raised:
+        verify.complement_spectra(adjacency_stack(bad))
+    assert str(raised.value) == f"complement of {to_graph6(star)} is disconnected"
 
 
 def _relabeled_masks(classes: list[str], copies: int, seed: int) -> list[int]:
@@ -692,19 +718,19 @@ def test_degenerate_classes_are_left_out_of_the_q_counts(monkeypatch):
     # least eigenvalue degenerate, and every eigenvector read as q = 1,
     # every class leaves the q counts, and 3.9 says how many graphs it left out
     monkeypatch.setattr(verify, "_SCAN_CACHE", {})
-    solve = verify._solve
+    solve = verify._least_split
 
-    def degenerate_q1(masks, n):
-        w, q, _ = solve(masks, n)
-        return w, np.ones_like(q), np.ones(len(masks), dtype=bool)
+    def degenerate_q1(values, vectors):
+        q, _ = solve(values, vectors)
+        return np.ones_like(q), np.ones(len(values), dtype=bool)
 
-    monkeypatch.setattr(verify, "_solve", degenerate_q1)
+    monkeypatch.setattr(verify, "_least_split", degenerate_q1)
     for n, count in ((6, 3240), (7, 224280)):
         scan = verify.class_scan(n)
         assert scan["degenerate"] == scan["count"] == count
         assert scan["q_hist"] == {} and scan["q1_count"] == 0
         assert not verify._classes(n).q1.any()
-    monkeypatch.setattr(verify, "_solve", solve)
+    monkeypatch.setattr(verify, "_least_split", solve)
     rep = verify.check_lemma("3.9", n=7)
     assert rep.notes[:3] == [
         "q histogram at n=7: {}",
@@ -895,15 +921,21 @@ def test_orbit_minima_of_the_families_under_relabeling(family, params):
         assert minima[0] == orbit[0] and math.factorial(g.n) // aut[0] == len(orbit)
 
 
+def _ref_complement_distances(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency stack of each mask and D(G^c) by BFS on the complements,
+    4096 graphs per `distance_matrices` call."""
+    adj = verify._mask_stack(masks, n)
+    comp = 1 - np.eye(n, dtype=np.int64) - adj
+    return adj, np.concatenate([comp[:0], *(distance_matrices(comp[i:i + 4096])
+                                            for i in range(0, len(comp), 4096))])
+
+
 def _ref_filter_block(n: int, masks: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """One block's class members and their Lemma 2.1 identity violations."""
-    masks, adj = verify._survivor_adj(masks, n)
-    if len(masks) == 0:
-        return masks, []
-    d, covered = verify._complement_distances(adj, n)
-    assert covered.all()
-    expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-    holds = np.all(d == expected[None, :, :] + verify._adjacency_tensor(adj, n), axis=(1, 2))
+    masks = masks[verify._class_keep(verify._adj_rows(masks, n), n)]
+    adj, d = _ref_complement_distances(masks, n)
+    assert d.min(initial=0) >= 0 and d.max(initial=0) <= 3
+    holds = np.all(d == 1 - np.eye(n, dtype=np.int64) + adj, axis=(1, 2))
     return masks, [int(m) for m in masks[~holds]]
 
 
@@ -938,7 +970,8 @@ def _ref_class_record(n: int) -> dict:
     chunks = [_ref_filter_block(n, masks) for masks in _ref_mask_blocks(n)]
     masks = np.concatenate([m for m, _ in chunks])
     reps, index, sizes = _ref_orbit_partition(masks, n)
-    w, q, degenerate = verify._solve(reps, n)
+    w, vectors = np.linalg.eigh(_ref_complement_distances(reps, n)[1].astype(np.float64))
+    q, degenerate = verify._least_split(w, vectors)
     # q counts only the classes whose least eigenvalue is simple
     hist = Counter({int(v): int(sizes[(q == v) & ~degenerate].sum()) for v in q[~degenerate]})
     q1 = np.where((q == 1) & ~degenerate, sizes, 0)
@@ -988,26 +1021,26 @@ def test_generated_classes_n8():
 
 
 def test_lemma21_violation_lists_the_whole_orbit(monkeypatch):
-    # break D(G^c) on the paths P6 only: the generator meets two of P6's 360
-    # labelings, and the violations list all 360
-    real = verify._complement_distances
+    # break D(G^c) on the paths P6 only: the identity is checked on P6's
+    # class representative alone, and the violations list all 360 labelings
+    real = verify.complement_spectra
     flagged = []
 
-    def broken(adj, n):
-        d, covered = real(adj, n)
-        degrees = np.unpackbits(adj[:, :, None], axis=2).sum(axis=2)
-        path = (degrees.max(axis=0) <= 2) & (degrees.sum(axis=0) == 2 * (n - 1))
+    def broken(adj):
+        d, values, vectors = real(adj)
+        degrees = adj.sum(axis=2)
+        path = (degrees.max(axis=1) <= 2) & (degrees.sum(axis=1) == 2 * (adj.shape[-1] - 1))
         flagged.append(int(path.sum()))
         d[path, 0, 1] += 1
-        return d, covered
+        return d, values, vectors
 
     monkeypatch.setattr(verify, "_SCAN_CACHE", {})
-    monkeypatch.setattr(verify, "_complement_distances", broken)
+    monkeypatch.setattr(verify, "complement_spectra", broken)
     scan = verify.class_scan(6)
     p6 = sorted(to_edge_mask(relabel(build_path(6), perm)) for perm in permutations(range(6)))
     assert scan["lemma21_violations"] == sorted(set(p6))
     assert len(scan["lemma21_violations"]) == 360
-    assert 0 < flagged[0] < 360                 # the generated members, before expansion
+    assert flagged == [1]                       # one class representative, before expansion
     rep = verify.check_lemma("2.1", n=6)
     assert rep.status == "refuted" and rep.details["identity_violations"] == 360
 
@@ -1023,13 +1056,11 @@ def _ref_diam3_block(n: int, masks: np.ndarray) -> tuple[int, int, list[int]]:
     # every radius-3 ball full already implies connected
     diam3 = ((np.bitwise_and.reduce(b3, axis=0) == full)
              & (np.bitwise_and.reduce(b2, axis=0) != full))
-    masks, adj = masks[diam3], adj[:, diam3]
-    if len(masks) == 0:
-        return 0, 0, []
-    d, covered = verify._complement_distances(adj, n)
-    masks, adj, d = masks[covered], adj[:, covered], d[covered]
-    expected = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-    ok = np.all(d >= expected[None, :, :] + verify._adjacency_tensor(adj, n), axis=(1, 2))
+    masks = masks[diam3]
+    adj, d = _ref_complement_distances(masks, n)
+    covered = (d.min(axis=(1, 2), initial=0) >= 0) & (d.max(axis=(1, 2), initial=0) <= 3)
+    masks, adj, d = masks[covered], adj[covered], d[covered]
+    ok = np.all(d >= 1 - np.eye(n, dtype=np.int64) + adj, axis=(1, 2))
     return len(masks), int((~covered).sum()), [int(m) for m in masks[~ok]]
 
 
@@ -1059,18 +1090,17 @@ def test_lemma21_inequality_violation_lists_the_whole_orbit(monkeypatch):
     # break D(G^c) >= J - I + A(G) on the 6-cycles only, the 2-regular
     # diameter-3 graphs on six vertices: one class is checked, and the
     # violations list all 60 of its labelings
-    real = lemmas._complement_distances
+    real = lemmas.complement_distances
     flagged = []
 
-    def broken(adj, n):
-        d, covered = real(adj, n)
-        degrees = np.unpackbits(adj[:, :, None], axis=2).sum(axis=2)
-        cycle = np.all(degrees == 2, axis=0)
+    def broken(adj):
+        d = real(adj)
+        cycle = np.all(adj.sum(axis=2) == 2, axis=1)
         flagged.append(int(cycle.sum()))
         d[cycle, 0, 1] = 0
-        return d, covered
+        return d
 
-    monkeypatch.setattr(lemmas, "_complement_distances", broken)
+    monkeypatch.setattr(lemmas, "complement_distances", broken)
     c6 = from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
     want = sorted({to_edge_mask(relabel(c6, perm)) for perm in permutations(range(6))})
     assert len(want) == 60
