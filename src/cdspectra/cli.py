@@ -5,11 +5,17 @@ floats fixed at 12 significant digits, so identical runs are byte-identical;
 the human-readable summary goes to stderr.
 Exit codes: 0 all claims confirmed, 2 refuted, 3 reversed-direction only,
 1 usage or input errors.
+
+`spectrum` and `verify --stdin` read graph6 alike: `decode_graph6_lines`,
+then `verify.graph_diameters` of each order's stack.  Neither solves a
+graph alone: D(G^c) is built by `verify._complements` and solved by
+`verify.eigenpairs`, for a stream's blocks and a family graph alike.
 """
 
 import argparse
 import json
 import sys
+from itertools import compress
 
 import numpy as np
 
@@ -17,16 +23,14 @@ from cdspectra import verify
 from cdspectra.families import FAMILIES
 from cdspectra.graphcore import (
     MAX_VERTICES,
-    DisconnectedGraph,
+    NOT_CONNECTED,
     Graph,
     adjacency_stack,
     decode_graph6_lines,
     diameter,
-    distance_matrices,
     graphs_from_stack,
     to_graph6,
 )
-from cdspectra.spectra import Spectrum, sym_spectra
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,66 +98,55 @@ def _build_family_graph(args) -> Graph:
         raise SystemExit2(f"family {family}: {exc}") from exc
 
 
-def _graph_record(label: str, g: Graph, d: int | None = None,
-                  spec: Spectrum | None = None) -> dict:
-    """The record of one graph; its diameter d and the spectrum of D(g^c) are
-    computed here unless the caller has them."""
-    if spec is None:
-        d = diameter(g)
-        spec = verify.complement_distance_spectrum(g)
-    part = verify.sign_partition(g, spec)
-    return {
-        "input": label,
-        "n": g.n,
-        "diameter": d,
-        "lambda1_complement": spec.lambda1,
-        "lambda_n_complement": spec.lambda_n,
-        "complement_spectrum": [float(v) for v in spec.values],
-        "p": part.p,
-        "q": part.q,
-        "degenerate_least_eigenvalue": part.degenerate,
-        "graph6": to_graph6(g),
-    }
+def _records(labels: list[str], adj: np.ndarray) -> list[dict | None]:
+    """The spectrum record of each graph of a same-order adjacency stack,
+    labelled in turn by `labels`; None for a graph that is disconnected or
+    whose complement is.
+
+    The diameters come from `verify.graph_diameters`, D(G^c) from
+    `verify._complements`, and one `verify.eigenpairs` call solves the
+    connected complements.  q, the smaller side of the least eigenvector's
+    sign split, comes from `verify._least_split`, and p = n - q.
+    """
+    n = adj.shape[-1]
+    diameters = verify.graph_diameters(adj)
+    dc = verify._complements(adj)
+    ok = (diameters >= 0) & (dc.min(axis=(1, 2)) >= 0)
+    values, vectors = verify.eigenpairs(dc[ok])
+    q, degenerate = verify._least_split(values, vectors)
+    solved = iter([{
+        "input": label, "n": n, "diameter": d,
+        "lambda1_complement": w[0], "lambda_n_complement": w[-1], "complement_spectrum": w,
+        "p": n - k, "q": k, "degenerate_least_eigenvalue": flat, "graph6": to_graph6(g),
+    } for label, d, w, k, flat, g in zip(
+        compress(labels, ok), diameters[ok].tolist(), values[:, ::-1].tolist(), q.tolist(),
+        degenerate.tolist(), graphs_from_stack(adj[ok]))])
+    return [next(solved) if good else None for good in ok.tolist()]
 
 
 def _stream_records(lines) -> list[dict]:
     """One record per non-blank graph6 line, in line order.
 
     Every line is decoded first, into one adjacency stack per order
-    (`decode_graph6_lines`).  Then each order's graphs go through the
-    distance kernel in blocks, for their diameters and D(G^c), and each
-    block is solved by one stacked `eigh` (`sym_spectra`).  A line that
-    does not decode, or whose graph or complement is disconnected, gets an
-    `error` record instead.
+    (`decode_graph6_lines`), and each order's stack goes through `_records`
+    in `verify._blocks`.  A line that does not decode, or whose graph or
+    complement is disconnected, gets an `error` record instead.
     """
     orders, errors = decode_graph6_lines(lines)
     records = {lineno: {"line": lineno, "error": message} for lineno, message in errors}
     for n, (linenos, stack) in orders.items():
-        items = list(zip(linenos.tolist(), graphs_from_stack(stack)))
-        for block, adj in zip(verify._blocks(items, n), verify._blocks(stack, n)):
-            d = distance_matrices(adj)
-            dc = distance_matrices(1 - np.eye(n, dtype=np.int64) - adj)
-            ok = (d.min(axis=(1, 2)) >= 0) & (dc.min(axis=(1, 2)) >= 0)
-            spectra = iter(sym_spectra(dc[ok]))
-            for (lineno, g), good, dk in zip(block, ok, d):
-                label = f"line {lineno}"
-                if good:
-                    records[lineno] = _graph_record(label, g, int(dk.max()), next(spectra))
-                    continue
-                try:
-                    _graph_record(label, g)       # raises the per-graph error
-                except DisconnectedGraph as exc:
-                    records[lineno] = {"line": lineno, "error": str(exc)}
+        for numbers, adj in zip(verify._blocks(linenos.tolist(), n), verify._blocks(stack, n)):
+            for lineno, rec in zip(numbers, _records([f"line {k}" for k in numbers], adj)):
+                records[lineno] = rec or {"line": lineno, "error": NOT_CONNECTED}
     return [records[k] for k in sorted(records)]
 
 
 def cmd_spectrum(args) -> int:
     if args.family:
         g = _build_family_graph(args)
-        try:
-            records = [_graph_record(args.family, g)]
-        except DisconnectedGraph as exc:
-            raise SystemExit2(f"family {args.family}: complement is disconnected: {exc}") from exc
+        records = _records([args.family], adjacency_stack([g]))
+        if records[0] is None:
+            raise SystemExit2(f"family {args.family}: complement is disconnected: {NOT_CONNECTED}")
     else:
         records = _stream_records(sys.stdin)
     errors = sum("error" in r for r in records)
@@ -203,22 +196,25 @@ def cmd_family(args) -> int:
 def _read_stream(lines: list[str]) -> tuple[int, list[Graph], dict]:
     """Decode an external graph6 stream once: its order, members and their values.
 
-    The values are lambda_1 and lambda_n of D(G^c) per member, solved for
-    all members by one `complement_spectra` call and shared by every claim
-    of the run.
+    The members are the graphs of diameter > 3 (`verify.graph_diameters`),
+    in line order, and a `Graph` is built for them alone.  The values are
+    lambda_1 and lambda_n of D(G^c) per member, solved for all members by
+    one `complement_spectra` call and shared by every claim of the run.
     """
-    graphs: list[Graph] = []
-    try:
-        verify.enumerate_diam_gt3(sink=graphs.append, source=lines)
-    except ValueError as exc:
-        raise SystemExit2(f"input stream: {exc}") from exc
-    if not graphs:
+    orders, errors = decode_graph6_lines(lines)
+    if errors:
+        lineno, message = errors[0]
+        raise SystemExit2(f"input stream: line {lineno}: {message}")
+    members = [adj[verify.graph_diameters(adj) > 3] for _, adj in orders.values()]
+    members = [adj for adj in members if len(adj)]
+    if not members:
         raise SystemExit2("no diameter>3 graphs in the input stream")
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
+    if len(members) > 1:
         raise SystemExit2("input stream mixes graph orders")
-    _, values, _ = verify.complement_spectra(adjacency_stack(graphs))
-    return n, graphs, {"l1": values[:, -1].tolist(), "ln": values[:, 0].tolist()}
+    adj = members[0]
+    _, values, _ = verify.complement_spectra(adj)
+    graphs = graphs_from_stack(adj)
+    return graphs[0].n, graphs, {"l1": values[:, -1].tolist(), "ln": values[:, 0].tolist()}
 
 
 def _stream_theorem(tid: str, stream: tuple[int, list[Graph], dict]) -> verify.VerificationReport:

@@ -5,8 +5,8 @@ bitmask per vertex, so complements and edge tests are a handful of integer
 operations.  Every distance matrix and diameter comes from one kernel,
 `distance_matrices`, which runs BFS from all vertices of a stack of
 same-order graphs at once by Boolean matrix products; so does every
-D(G^c), which `verify.complement_distances` gets from it on a stack of
-complements.  `is_connected` is a flood fill from vertex 0 over the
+D(G^c): one function, `verify._complements`, builds it from this kernel on
+a stack of complements, and one, `verify.eigenpairs`, solves it.  `is_connected` is a flood fill from vertex 0 over the
 bitsets.  Isomorphism has one primitive too, `orbit_minima`: a batched
 search for each graph's least edge mask over all relabelings, with its
 automorphism count, which needs no table of the n! relabelings.  All
@@ -27,6 +27,9 @@ class Graph6Error(ValueError):
 
 class DisconnectedGraph(ValueError):
     """The operation needs a connected graph."""
+
+
+NOT_CONNECTED = "vertex 0 does not reach all vertices"    # why a graph has no distance matrix
 
 
 class TooLarge(ValueError):
@@ -320,7 +323,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     d = distance_matrices(adjacency_matrix(g))
     if d.min() < 0:
         # no vertex of a disconnected graph reaches all the others
-        raise DisconnectedGraph("vertex 0 does not reach all vertices")
+        raise DisconnectedGraph(NOT_CONNECTED)
     return d
 
 

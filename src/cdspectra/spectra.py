@@ -7,6 +7,11 @@ are bracketed exactly over the rationals.  Agreement between the two
 routes is what the verification harness leans on; neither side may be
 collapsed into the other.
 
+The float route for D(G^c) is not here: `verify._complements` builds every
+D(G^c) and `verify.eigenpairs` solves every stack of them.
+`sym_eigenvalues` solves one matrix alone, with sign-fixed eigenvectors,
+as the per-graph float reference.
+
 `char_polys_exact` runs Faddeev-LeVerrier on a whole stack of matrices at
 once, in numpy `object` dtype, so the coefficients are Python ints of any
 size; `char_poly_exact` is its batch of one.
@@ -74,34 +79,23 @@ class Spectrum:
 
 
 def sym_eigenvalues(m) -> Spectrum:
-    """All eigenpairs of a real symmetric matrix by LAPACK (`numpy.linalg.eigh`)."""
+    """All eigenpairs of a real symmetric matrix by LAPACK (`numpy.linalg.eigh`).
+
+    Values are non-increasing, and each eigenvector is negated where its
+    largest-magnitude entry is negative.  It is the per-graph float
+    reference: the program solves D(G^c) stacks with `verify.eigenpairs`.
+    """
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    return sym_spectra(a[None])[0]
-
-
-def sym_spectra(stack) -> list[Spectrum]:
-    """`sym_eigenvalues` of every matrix in an (m, n, n) stack, by one stacked `eigh`.
-
-    LAPACK still solves the matrices one at a time, so each spectrum is
-    bitwise the one its matrix gives alone; the stack saves the per-call
-    overhead.  Values are non-increasing, and each eigenvector is negated
-    where its largest-magnitude entry is negative.
-    """
-    a = np.array(stack, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("stack must hold square matrices")
-    if not np.array_equal(a, a.swapaxes(1, 2)):
+    if not np.array_equal(a, a.T):
         raise ValueError("matrix must be exactly symmetric")
-    if len(a) == 0:
-        return []
     values, vec = np.linalg.eigh(a)
-    values, vec = values[:, ::-1].copy(), vec[:, :, ::-1].copy()
-    lead = vec[np.arange(len(a))[:, None], np.argmax(np.abs(vec), axis=1), np.arange(a.shape[1])]
-    vec *= np.where(lead < 0, -1.0, 1.0)[:, None, :]
-    residual = np.abs(a @ vec - vec * values[:, None, :]).max(axis=(1, 2))
-    return [Spectrum(values[k], vec[k], float(residual[k])) for k in range(len(a))]
+    values, vec = values[::-1].copy(), vec[:, ::-1].copy()
+    lead = vec[np.argmax(np.abs(vec), axis=0), np.arange(len(a))]
+    vec *= np.where(lead < 0, -1.0, 1.0)
+    residual = np.abs(a @ vec - vec * values).max()
+    return Spectrum(values, vec, float(residual))
 
 
 # --- exact integer polynomials ----------------------------------------------

@@ -8,9 +8,12 @@ neighbourhood, filters the candidates with numpy-vectorized bitset BFS,
 and keeps one smallest edge mask per S_n orbit, with the orbit's size.
 Both come from `graphcore.orbit_minima`, a search for each candidate's
 least relabeling and automorphism count; no table of relabelings is built.
-The bitset BFS only decides which candidates stay: every stacked D(G^c)
-comes from `complement_distances`, which runs `graphcore.distance_matrices`
-on the complements, and `complement_spectra` solves them.  D(G^c) is
+The bitset BFS only decides which candidates stay.  Every D(G^c) of the
+program, for the scan, the family grids, the theorem bounds and both
+graph6 stream commands, is built by one function, `_complements`, which
+runs `graphcore.distance_matrices` on the complements, and solved by one,
+`eigenpairs`, a stacked `numpy.linalg.eigh`; `complement_spectra` is the
+two in turn, for stacks whose complements are connected.  D(G^c) is
 built, solved and checked against Lemma 2.1's identity once per class,
 and every labeled count is a sum over the classes weighted by orbit size:
 the spectrum is a class invariant, and so is every relation the checks
@@ -39,16 +42,11 @@ from cdspectra.graphcore import (
     ISO_MAX_VERTICES,
     DisconnectedGraph,
     Graph,
-    Graph6Error,
     adjacency_stack,
-    complement,
-    decode_graph6_lines,
     distance_matrices,
-    distance_matrix,
     from_edge_mask,
     g6_pairs,
     graphs_from_stack,
-    is_isomorphic,
     orbit_minima,
     stack_from_bits,
     to_graph6,
@@ -57,7 +55,6 @@ from cdspectra.spectra import (
     CHAR_POLY_MAX_N,
     certify_root_orders,
     char_polys_exact,
-    sym_eigenvalues,
 )
 
 STREAM_BLOCK_ENTRIES = 1 << 18      # matrix entries per kernel call on a graph6 stream
@@ -74,18 +71,6 @@ CLAIM_IDS = (
     "T2.4", "T2.8", "T3.7", "T3.13",
     "quotient-consistency",
 )
-
-
-@dataclass
-class SignPartition:
-    """Vertex classes by sign of the least-eigenvalue eigenvector of D(g^c)."""
-
-    plus: tuple[int, ...]
-    zero: tuple[int, ...]
-    minus: tuple[int, ...]
-    p: int
-    q: int
-    degenerate: bool
 
 
 @dataclass
@@ -328,12 +313,14 @@ def _least_split(values: np.ndarray, vectors: np.ndarray):
     """q and the degenerate flag of each graph, from its D(G^c) eigenpairs
     as `complement_spectra` returns them.
 
-    q is the smaller side of the sign split of the least eigenvector;
-    degenerate flags a least eigenvalue whose gap is below DEGENERATE_GAP.
+    q is the smaller side of the sign split of the least eigenvector, whose
+    entries within ZERO_TOL of zero join neither side; degenerate flags a
+    least eigenvalue whose gap is below DEGENERATE_GAP, never the one
+    eigenvalue of a graph on one vertex.
     """
     x = vectors[:, :, 0]
     q = np.minimum((x < -ZERO_TOL).sum(axis=1), (x > ZERO_TOL).sum(axis=1))
-    return q, values[:, 1] - values[:, 0] < DEGENERATE_GAP
+    return q, (values[:, 1:2] - values[:, :1] < DEGENERATE_GAP).any(axis=1)
 
 
 @dataclass
@@ -398,37 +385,16 @@ def _classes(n: int) -> _Classes:
     return _SCAN_CACHE[n]
 
 
-def enumerate_diam_gt3(n: int | None = None, sink=None, source=None) -> int:
-    """Deliver every connected diameter>3 graph exactly once; return the count.
+def enumerate_diam_gt3(n: int, sink=None) -> int:
+    """Deliver every connected diameter>3 graph on n vertices exactly once;
+    return the count.
 
-    Internal exhaustive enumeration runs for 5 <= n <= 8 and counts the
-    labeled class members from the class record `_classes(n)`, as the sum
-    of its orbit sizes.  Only a `sink` makes it list them: the orbits of
-    the class representatives, merged into ascending mask order for this
-    call alone.  Alternatively an iterable of graph6 lines can be ingested
-    (any order <= 64), in which case graphs failing the class conditions
-    are skipped.  A stream is decoded whole into one adjacency stack per
-    order (`decode_graph6_lines`), and the first malformed line raises its
-    line-numbered Graph6Error.  Each stack is filtered by the distance
-    kernel, a `Graph` is built for the members only, and they reach `sink`
-    in line order.
+    Exhaustive enumeration runs for 5 <= n <= 8 and counts the labeled
+    class members from the class record `_classes(n)`, as the sum of its
+    orbit sizes.  Only a `sink` makes it list them: the orbits of the class
+    representatives, merged into ascending mask order for this call alone.
     """
-    if source is not None:
-        orders, errors = decode_graph6_lines(source)
-        if errors:
-            lineno, message = errors[0]
-            raise Graph6Error(f"line {lineno}: {message}")
-        members: list[tuple[int, Graph]] = []
-        for order, (linenos, adj) in orders.items():
-            if n is None or order == n:
-                keep = _class_members(adj)
-                members += zip(linenos[keep].tolist(), graphs_from_stack(adj[keep]))
-        members.sort(key=lambda item: item[0])
-        if sink is not None:
-            for _, g in members:
-                sink(g)
-        return len(members)
-    if n is None or not 5 <= n <= 8:
+    if not 5 <= n <= 8:
         raise ValueError("internal enumeration supports 5 <= n <= 8")
     classes = _classes(n)
     if sink is not None:
@@ -444,14 +410,16 @@ def _blocks(items, n: int) -> list:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _class_members(adj: np.ndarray) -> np.ndarray:
-    """Which graphs of a same-order adjacency stack are connected with
-    diameter > 3, by the distance kernel in blocks."""
-    keep = []
+def graph_diameters(adj) -> np.ndarray:
+    """The diameter of every graph of a same-order (m, n, n) 0/1 adjacency
+    stack, -1 where the graph is disconnected, by `distance_matrices` in
+    `_blocks`."""
+    adj = np.asarray(adj)
+    out = [np.zeros(0, dtype=np.int64)]
     for block in _blocks(adj, adj.shape[-1]):
         d = distance_matrices(block)
-        keep.append((d.min(axis=(1, 2)) >= 0) & (d.max(axis=(1, 2)) > 3))
-    return np.concatenate(keep)
+        out.append(np.where(d.min(axis=(1, 2)) < 0, -1, d.max(axis=(1, 2))))
+    return np.concatenate(out)
 
 
 # --- witness handling ---------------------------------------------------------
@@ -467,45 +435,55 @@ def _dedup_isomorphic(graphs: list[Graph]) -> list[Graph]:
     return list(first.values())
 
 
-def complement_distance_spectrum(g: Graph):
-    """Spectrum of D(g^c); raises DisconnectedGraph if the complement is not connected."""
-    return sym_eigenvalues(distance_matrix(complement(g)).astype(np.float64))
-
-
-def complement_distances(adj) -> np.ndarray:
+def _complements(adj) -> np.ndarray:
     """D(G^c) as int64 for every graph of a same-order (m, n, n) 0/1
-    adjacency stack: the one place the program stacks D(G^c).
+    adjacency stack, -1 off the diagonal where the complement is
+    disconnected: the one place the program builds D(G^c).
 
     It is `distance_matrices` of the complements 1 - I - A, in `_blocks`,
-    so that the kernel's temporaries stay small at any order.  Raises
-    DisconnectedGraph naming the first graph whose complement is
-    disconnected.
+    so that the kernel's temporaries stay small at any order.
     """
     adj = np.asarray(adj)
     n = adj.shape[-1]
-    dc = np.concatenate([np.zeros((0, n, n), dtype=np.int64)]
-                        + [distance_matrices(1 - np.eye(n, dtype=np.int64) - block)
-                           for block in _blocks(adj, n)])
+    return np.concatenate([np.zeros((0, n, n), dtype=np.int64)]
+                          + [distance_matrices(1 - np.eye(n, dtype=np.int64) - block)
+                             for block in _blocks(adj, n)])
+
+
+def complement_distances(adj) -> np.ndarray:
+    """`_complements` of a stack whose complements are all connected.
+
+    Raises DisconnectedGraph naming the first graph whose complement is
+    disconnected.
+    """
+    dc = _complements(adj)
     bad = np.flatnonzero(dc.min(axis=(1, 2)) < 0)
     if len(bad):
-        g = graphs_from_stack(adj[bad[:1]])[0]
+        g = graphs_from_stack(np.asarray(adj)[bad[:1]])[0]
         raise DisconnectedGraph(f"complement of {to_graph6(g)} is disconnected")
     return dc
 
 
-def complement_spectra(adj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`complement_distances` of a stack and their eigenpairs: (dc, values, vectors).
+def eigenpairs(dc) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of every matrix of an (m, n, n) stack of D(G^c):
+    (values, vectors), by one stacked `numpy.linalg.eigh`, the one place
+    the program solves D(G^c).
 
-    One stacked `numpy.linalg.eigh`, the call `sym_spectra` makes, so each
-    graph's values are bitwise those of `complement_distance_spectrum`.
-    The values are ascending, and vectors[k][:, j] is the eigenvector of
+    LAPACK still solves the matrices one at a time, so each graph's values
+    are bitwise those `sym_eigenvalues` gives it alone, in reverse.  The
+    values are ascending, and vectors[k][:, j] is the eigenvector of
     values[k, j].
     """
-    dc = complement_distances(adj)
-    a = dc.astype(np.float64)
+    a = np.asarray(dc, dtype=np.float64)
     if not np.array_equal(a, a.swapaxes(1, 2)):
         raise ValueError("matrix must be exactly symmetric")
-    return (dc, *np.linalg.eigh(a))
+    return np.linalg.eigh(a)
+
+
+def complement_spectra(adj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`complement_distances` of a stack and their `eigenpairs`: (dc, values, vectors)."""
+    dc = complement_distances(adj)
+    return (dc, *eigenpairs(dc))
 
 
 class _FamilySolution:
@@ -518,7 +496,7 @@ class _FamilySolution:
     __slots__ = ("values", "dc")
 
     def __init__(self, values: np.ndarray, dc: np.ndarray):
-        self.values = values        # non-increasing, bitwise those of complement_distance_spectrum
+        self.values = values        # non-increasing, bitwise those of sym_eigenvalues
         self.dc = dc                # D(X^c), uint8
 
     @property
@@ -538,9 +516,8 @@ def _family_spectra(keys) -> list[_FamilySolution]:
 
     The keys not yet in the store are built as one batch (`build_many`),
     and the graphs of each order are solved by one `complement_spectra`
-    call, bitwise as `complement_distance_spectrum` solves them.  Only the
-    values and D(X^c) are kept.  A claim fills the store with its whole
-    grid before it reads any point.
+    call.  Only the values and D(X^c) are kept.  A claim fills the store
+    with its whole grid before it reads any point.
     """
     keys = list(keys)
     missing = list(dict.fromkeys(k for k in keys if k not in _FAMILY_STORE))
@@ -566,30 +543,6 @@ def _exact_orders(graphs, bound_graph: Graph, side: str) -> set[int]:
     *polys, bound_poly = char_polys_exact(
         complement_distances(adjacency_stack([*graphs, bound_graph])))
     return set(certify_root_orders([(p, bound_poly) for p in polys], side))
-
-
-def sign_partition(g: Graph, spec=None) -> SignPartition:
-    """Partition by sign of the least-eigenvalue unit eigenvector of D(g^c).
-
-    Oriented so that p = |V+ u V0| >= q = |V-|; entries within 1e-9 of zero
-    go to V0.  `degenerate` flags a near-degenerate least eigenvalue, where
-    the partition is not well defined.  `spec` is D(g^c)'s spectrum when the
-    caller has already solved it.
-    """
-    if spec is None:
-        spec = complement_distance_spectrum(g)
-    x = spec.vectors[:, -1]
-    neg = [v for v in range(g.n) if x[v] < -ZERO_TOL]
-    pos = [v for v in range(g.n) if x[v] > ZERO_TOL]
-    zero = [v for v in range(g.n) if abs(x[v]) <= ZERO_TOL]
-    if len(neg) > len(pos):
-        neg, pos = pos, neg
-    degenerate = bool(len(spec.values) > 1
-                      and spec.values[-2] - spec.values[-1] < DEGENERATE_GAP)
-    return SignPartition(
-        plus=tuple(pos), zero=tuple(zero), minus=tuple(neg),
-        p=len(pos) + len(zero), q=len(neg), degenerate=degenerate,
-    )
 
 
 # --- extremal scans and theorem checks ----------------------------------------
@@ -679,13 +632,36 @@ def _theorem_order_guard(tid: str, n: int) -> str:
     return tid
 
 
+def _is_L(g: Graph, p: int, q: int) -> bool:
+    """Whether g is L(p, q), at any order: it has C(p,2) + C(q,2) edges and
+    a bridge u-v whose v side is a clique on q vertices and whose u side is
+    a clique on p vertices but for one edge, at u.
+
+    v's side is then N[v] - u, each of its vertices w has the closed
+    neighbourhood N[w] = that side (plus u for w = v), and the edge count
+    leaves the u side one edge short of K_p, so u having p - 2 neighbours
+    there places the missing edge at u.
+    """
+    if g.n != p + q or g.edge_count() != p * (p - 1) // 2 + q * (q - 1) // 2:
+        return False
+    for a, b in g.edges():
+        for u, v in ((a, b), (b, a)):
+            side = (g.adj[v] | 1 << v) & ~(1 << u)
+            if (bin(side).count("1") == q
+                    and bin(g.adj[u] & ~side).count("1") == p - 2
+                    and all(g.adj[w] | 1 << w == side | (1 << u if w == v else 0)
+                            for w in range(g.n) if side >> w & 1)):
+                return True
+    return False
+
+
 def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
     """Decide theorem `tid` at order n from its objective's extremum over any source."""
     objective, key, family, bound_params = _THEOREMS[tid]
     params = bound_params(n)
     args = ",".join(map(str, params))
     bound_graph = FAMILIES[family].build(*params)
-    spec = complement_distance_spectrum(bound_graph)
+    spec = _family_spectrum(family, params)
     side = "max" if objective.endswith("l1") else "min"
     bound = spec.lambda1 if side == "max" else spec.lambda_n
     value, witnesses = ext.value, ext.witnesses
@@ -735,7 +711,7 @@ def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
             ok = False
         else:
             tie = 0 in orders if orders is not None else abs(margin) <= CLUSTER_TOL
-            ok = tie and any(is_isomorphic(w, bound_graph) for w in witnesses)
+            ok = tie and any(_is_L(w, *params) for w in witnesses)
             margin = abs(margin)
             notes.append(f"unique up to isomorphism: {len(witnesses) == 1 and ok}")
     return VerificationReport(

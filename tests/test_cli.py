@@ -117,7 +117,11 @@ def test_verify_deterministic_output(capsys):
 
 PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0,
                      "verify_lemma25_n7.out": 3, "verify_lemma21_n8.out": 0,
-                     "verify_lemmas25_26_n8.out": 3}
+                     "verify_lemmas25_26_n8.out": 3, "spectrum_stream_n7.out": 1,
+                     "spectrum_mixed.out": 1, "spectrum_family_L53.out": 0}
+# the stdin of each run that reads one
+PINNED_STDIN = {"verify_stream_n7.out": "stream_n7.g6", "spectrum_stream_n7.out": "stream_n7.g6",
+                "spectrum_mixed.out": "spectrum_mixed.g6"}
 EXPECTED = Path(__file__).parent / "expected"
 
 
@@ -135,13 +139,18 @@ EXPECTED = Path(__file__).parent / "expected"
     (("verify", "--claims", "2.5,2.6", "--n", "8"), "verify_lemmas25_26_n8.out"),
     # the 92 classes at n = 7, each relabeled at random, among 8 rejects
     (("verify", "--stdin", "--claims", "T2.4,T2.8,T3.7,T3.13"), "verify_stream_n7.out"),
+    (("spectrum",), "spectrum_stream_n7.out"),
+    # orders 1 to 12 drawn with random.Random(20): K1, disconnected graphs and
+    # complements, a ">>graph6<<" header and malformed lines
+    (("spectrum",), "spectrum_mixed.out"),
+    (("spectrum", "--family", "L", "--p", "5", "--q", "3"), "spectrum_family_L53.out"),
 ])
 def test_verify_stdout_is_pinned(capsys, monkeypatch, argv, expected):
     # the exact layer's roots and orders (492 of them on the 3.11 grid to
-    # p = 32), the n = 7 and n = 8 scans, Lemma 2.1's, 2.5's and 2.6's counts
-    # and a graph6 stream's verdicts reach stdout byte for byte; a drift
-    # fails on the first differing JSON line
-    stdin = (EXPECTED / "stream_n7.g6").read_text() if "--stdin" in argv else None
+    # p = 32), the n = 7 and n = 8 scans, Lemma 2.1's, 2.5's and 2.6's counts,
+    # a graph6 stream's verdicts and the spectrum records reach stdout byte
+    # for byte; a drift fails on the first differing JSON line
+    stdin = (EXPECTED / PINNED_STDIN[expected]).read_text() if expected in PINNED_STDIN else None
     code, out, _ = run_cli(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
     want = (EXPECTED / expected).read_text()
     assert code == PINNED_EXIT_CODES.get(expected, 2)
@@ -223,11 +232,9 @@ def test_verify_stdin_solves_each_member_once(capsys, monkeypatch):
     from cdspectra import verify
     from cdspectra.families import build_L
     from cdspectra.graphcore import to_graph6
-    calls, batches = [], []
-    real = verify.complement_distance_spectrum
+    batches = []
     real_batch = verify.complement_spectra
-    monkeypatch.setattr(verify, "complement_distance_spectrum",
-                        lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     monkeypatch.setattr(verify, "complement_spectra",
                         lambda adj: batches.append(len(adj)) or real_batch(adj))
     lines = "\n".join([to_graph6(build_path(7)), "FZ?Z_", to_graph6(build_L(4, 3)),
@@ -236,28 +243,38 @@ def test_verify_stdin_solves_each_member_once(capsys, monkeypatch):
                            stdin=lines, monkeypatch=monkeypatch)
     assert code == 2
     assert len(out.splitlines()) == 3
-    # the three members in one batch, and one bound graph per claim
-    assert batches == [3]
-    assert len(calls) == 3
+    # the three members in one batch, then one bound graph per claim from the family store
+    assert batches == [3, 1, 1, 1]
+    assert set(verify._FAMILY_STORE) == {("L", (4, 3)), ("path", (7,)), ("B1", (4, 3))}
+
+
+def _least_eigenvector_split(g) -> tuple[int, int]:
+    """(p, q) of the least eigenvector of D(g^c), solved alone: q counts its
+    smaller sign side, p the rest."""
+    from cdspectra.graphcore import complement, distance_matrix
+    from cdspectra.spectra import sym_eigenvalues
+    x = sym_eigenvalues(distance_matrix(complement(g))).vectors[:, -1]
+    q = min(int((x < -1e-9).sum()), int((x > 1e-9).sum()))
+    return g.n - q, q
 
 
 def test_spectrum_solves_each_graph_once(capsys, monkeypatch):
-    from cdspectra import verify
+    from cdspectra import spectra, verify
     from cdspectra.graphcore import from_edge_mask, to_graph6
     reps = [to_graph6(from_edge_mask(7, int(m))) for m in verify._classes(7).reps]
     calls, stacks = [], []
-    real, real_stack = verify.sym_eigenvalues, cli.sym_spectra
+    real, real_stack = spectra.sym_eigenvalues, verify.eigenpairs
 
     def counted(m):
         calls.append(m)
         return real(m)
 
-    def counted_stack(stack):
-        stacks.append(len(stack))
-        return real_stack(stack)
+    def counted_stack(dc):
+        stacks.append(len(dc))
+        return real_stack(dc)
 
-    monkeypatch.setattr(verify, "sym_eigenvalues", counted)
-    monkeypatch.setattr(cli, "sym_spectra", counted_stack)
+    monkeypatch.setattr(spectra, "sym_eigenvalues", counted)
+    monkeypatch.setattr(verify, "eigenpairs", counted_stack)
     code, out, _ = run_cli(capsys, "spectrum", stdin="\n".join(reps) + "\n",
                            monkeypatch=monkeypatch)
     assert code == 0
@@ -265,20 +282,22 @@ def test_spectrum_solves_each_graph_once(capsys, monkeypatch):
     assert [r["graph6"] for r in recs] == reps
     # all 92 graphs in one stacked solve, and none on its own
     assert stacks == [92] and calls == []
-    # the sign partition read from the shared spectrum is the standalone one
-    for rec, text in zip(recs[:5], reps):
-        part = verify.sign_partition(from_graph6(text))
-        assert (rec["p"], rec["q"]) == (part.p, part.q)
+    # the sign split read from the shared solve is the one of each graph alone
+    monkeypatch.undo()
+    for rec, text in zip(recs, reps):
+        assert (rec["p"], rec["q"]) == _least_eigenvector_split(from_graph6(text))
 
 
-def test_verify_stdin_t313_tie_above_isomorphism_cap_is_usage_error(capsys, monkeypatch):
+def test_verify_stdin_t313_tie_above_isomorphism_cap(capsys, monkeypatch):
+    # T3.13 tells L(p, q) by its structure, so a stream of order 11 is decided
     from cdspectra.families import build_L
     from cdspectra.graphcore import to_graph6
     code, out, err = run_cli(capsys, "verify", "--claims", "T3.13", "--stdin",
                              stdin=to_graph6(build_L(6, 5)) + "\n", monkeypatch=monkeypatch)
-    assert code == 1
-    assert out == ""
-    assert "up to n=10" in err and "Traceback" not in err
+    assert code == 0 and "error:" not in err
+    rep = json.loads(out)
+    assert rep["status"] == "confirmed" and rep["params"] == {"n": 11, "sample": 1}
+    assert rep["margin"] == 0 and "unique up to isomorphism: True" in rep["notes"]
 
 
 def test_verify_stdin_t28_above_isomorphism_cap(capsys, monkeypatch):
@@ -333,8 +352,25 @@ def test_verify_lemma_2_3_below_its_first_step_is_usage_error(capsys):
     assert code == 0 and json.loads(out)["status"] == "confirmed"
 
 
+def _per_graph_record(label: str, g) -> dict:
+    """The spectrum record of one graph, from per-graph calls alone; raises
+    DisconnectedGraph where the graph or its complement is disconnected."""
+    from cdspectra.graphcore import complement, diameter, distance_matrix, to_graph6
+    from cdspectra.spectra import sym_eigenvalues
+    d = diameter(g)
+    spec = sym_eigenvalues(distance_matrix(complement(g)))
+    p, q = _least_eigenvector_split(g)
+    return {
+        "input": label, "n": g.n, "diameter": d,
+        "lambda1_complement": spec.lambda1, "lambda_n_complement": spec.lambda_n,
+        "complement_spectrum": spec.values.tolist(), "p": p, "q": q,
+        "degenerate_least_eigenvalue": bool(g.n > 1 and spec.values[-2] - spec.values[-1] < 1e-8),
+        "graph6": to_graph6(g),
+    }
+
+
 def test_spectrum_stdin_batch_equals_per_graph_records(capsys, monkeypatch):
-    # orders 2..9 mixed, with bad lines and disconnected graphs and complements,
+    # orders 1..9 mixed, with bad lines and disconnected graphs and complements,
     # cut into kernel blocks of a few graphs each
     import random
 
@@ -352,7 +388,7 @@ def test_spectrum_stdin_batch_equals_per_graph_records(capsys, monkeypatch):
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
-                want.append(cli._graph_record(f"line {lineno}", from_graph6(line)))
+                want.append(_per_graph_record(f"line {lineno}", from_graph6(line)))
             except ValueError as exc:
                 want.append({"line": lineno, "error": str(exc)})
     assert [cli.to_json(r) for r in got] == [cli.to_json(r) for r in want]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdspectra import cli
 from cdspectra.graphcore import (
     DisconnectedGraph,
     Graph,
@@ -31,7 +32,6 @@ from cdspectra.graphcore import (
     to_graph6,
 )
 from cdspectra.families import build_B2, build_H, build_path, build_star
-from cdspectra.verify import enumerate_diam_gt3
 
 
 def all_relabelings(g: Graph):
@@ -409,6 +409,7 @@ def test_batch_decoder_agrees_with_from_graph6(lines):
         got.update(zip(linenos.tolist(), graphs_from_stack(adj)))
     assert got == graphs
     if errors:
-        with pytest.raises(Graph6Error) as exc:
-            enumerate_diam_gt3(source=lines)
-        assert str(exc.value) == "line {}: {}".format(*errors[0])
+        # `verify --stdin` names the first bad line
+        with pytest.raises(cli.SystemExit2) as exc:
+            cli._read_stream(lines)
+        assert str(exc.value) == "input stream: line {}: {}".format(*errors[0])

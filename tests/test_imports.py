@@ -55,6 +55,13 @@ def test_a_stream_run_loads_no_lemma_checks_and_no_quotients():
     assert not {"cdspectra.quotients", "cdspectra.lemmas"} & set(got["loaded"])
 
 
+def test_a_spectrum_run_loads_no_lemma_checks_and_no_quotients():
+    lines = [to_graph6(build_path(7)), "FZ?Z_", "@", "A_", "not_g6", to_graph6(build_Lprime(9))]
+    got = _child(RUN_CLI + REPORT, "spectrum", stdin="\n".join(lines) + "\n")
+    assert got["code"] == 1
+    assert not {"cdspectra.quotients", "cdspectra.lemmas"} & set(got["loaded"])
+
+
 def test_lemma_2_1_with_two_workers_loads_no_pool():
     # every scan runs in this process, so --workers starts nothing
     got = _child(RUN_CLI + REPORT, "verify", "--claims", "2.1", "--n", "6", "--workers", "2")

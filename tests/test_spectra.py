@@ -37,8 +37,8 @@ from cdspectra.spectra import (
     sturm_real_roots,
     sturm_real_roots_many,
     sym_eigenvalues,
-    sym_spectra,
 )
+from cdspectra.verify import eigenpairs
 
 SQRT3 = math.sqrt(3.0)
 
@@ -107,19 +107,24 @@ def test_stacked_spectra_are_bitwise_the_per_matrix_ones():
         m = rng.integers(-3, 4, size=(40, n, n)).astype(float)
         m = m + m.swapaxes(1, 2)
         m[:5] = 0.0                         # repeated eigenvalues, where signs are fragile
-        stacked = sym_spectra(m)
-        assert len(stacked) == 40
-        for a, s in zip(m, stacked):
-            values, vec = _ref_sym_eigenvalues(a)
-            assert s.values.tobytes() == values.tobytes()
-            assert s.vectors.tobytes() == vec.tobytes()
+        values, vectors = eigenpairs(m)
+        assert values.shape == (40, n) and vectors.shape == (40, n, n)
+        for a, w, x in zip(m, values, vectors):
+            want_w, want_x = np.linalg.eigh(a)
+            assert w.tobytes() == want_w.tobytes() and x.tobytes() == want_x.tobytes()
+            s = sym_eigenvalues(a)
+            ref_values, ref_vec = _ref_sym_eigenvalues(a)
+            assert s.values.tobytes() == ref_values.tobytes() == w[::-1].tobytes()
+            assert s.vectors.tobytes() == ref_vec.tobytes()
             assert s.max_residual < 1e-10
-            assert sym_eigenvalues(a).vectors.tobytes() == vec.tobytes()
-    assert sym_spectra(np.zeros((0, 4, 4))) == []
+    values, vectors = eigenpairs(np.zeros((0, 4, 4)))
+    assert values.shape == (0, 4) and vectors.shape == (0, 4, 4)
     with pytest.raises(ValueError):
-        sym_spectra(np.array([[[0.0, 1.0], [2.0, 0.0]]]))
+        eigenpairs(np.array([[[0.0, 1.0], [2.0, 0.0]]]))
     with pytest.raises(ValueError):
-        sym_spectra(np.zeros((2, 3)))
+        sym_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(ValueError):
+        sym_eigenvalues(np.zeros((2, 3)))
 
 
 def test_trace_and_frobenius_invariants():

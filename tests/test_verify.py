@@ -20,6 +20,7 @@ from cdspectra.graphcore import (
     DisconnectedGraph,
     adjacency_stack,
     complement,
+    decode_graph6_lines,
     diameter,
     distance_matrices,
     distance_matrix,
@@ -27,6 +28,7 @@ from cdspectra.graphcore import (
     from_edges,
     from_graph6,
     g6_pairs,
+    graphs_from_stack,
     is_connected,
     is_isomorphic,
     orbit_minima,
@@ -35,6 +37,27 @@ from cdspectra.graphcore import (
     to_graph6,
 )
 from cdspectra.spectra import sym_eigenvalues
+
+
+def _spectrum(g):
+    """The per-graph oracle: D(g^c) solved alone by `sym_eigenvalues`."""
+    return sym_eigenvalues(distance_matrix(complement(g)))
+
+
+def _sign_split(g):
+    """(plus, zero, minus, degenerate): the vertices by the sign of the least
+    eigenvector of D(g^c), solved alone, with entries within ZERO_TOL of
+    zero in `zero` and |minus| <= |plus|, and whether the least eigenvalue
+    is closer than DEGENERATE_GAP to the next."""
+    spec = _spectrum(g)
+    x = spec.vectors[:, -1]
+    minus = frozenset(v for v in range(g.n) if x[v] < -verify.ZERO_TOL)
+    plus = frozenset(v for v in range(g.n) if x[v] > verify.ZERO_TOL)
+    if len(minus) > len(plus):
+        minus, plus = plus, minus
+    zero = frozenset(range(g.n)) - plus - minus
+    degenerate = g.n > 1 and spec.values[-2] - spec.values[-1] < verify.DEGENERATE_GAP
+    return plus, zero, minus, degenerate
 
 
 def scan_extremal(n: int, objective: str) -> verify.VerificationReport:
@@ -79,20 +102,34 @@ def test_enumeration_oracle_n6_count():
     assert verify.enumerate_diam_gt3(6) == len(_slow_class_masks(6))
 
 
+def _stream_members(lines) -> list:
+    """The diameter > 3 graphs of a graph6 stream, in line order, as
+    `cli._read_stream` selects them: `decode_graph6_lines`, then
+    `graph_diameters` of each order's stack."""
+    members = []
+    for linenos, adj in decode_graph6_lines(lines)[0].values():
+        keep = verify.graph_diameters(adj) > 3
+        members += zip(linenos[keep].tolist(), graphs_from_stack(adj[keep]))
+    return [g for _, g in sorted(members, key=lambda item: item[0])]
+
+
 def test_enumeration_from_external_source():
     lines = [to_graph6(build_path(9)), to_graph6(build_H(3, 4)),  # H has diameter 3
-             to_graph6(build_Lprime(9)), "", to_graph6(build_path(3))]
-    seen = []
-    count = verify.enumerate_diam_gt3(source=lines, sink=seen.append)
-    assert count == 2
-    assert all(diameter(g) > 3 for g in seen)
+             to_graph6(build_Lprime(9)), "", to_graph6(build_path(3)), "@",
+             to_graph6(from_edges(9, [(0, 1), (2, 3)]))]
+    seen = _stream_members(lines)
+    assert seen == [build_path(9), build_Lprime(9)]
+    adj = adjacency_stack([from_graph6(line) for line in lines[:3]] + [from_graph6(lines[-1])])
+    assert verify.graph_diameters(adj).tolist() == [8, 3, 4, -1]
+    assert verify.graph_diameters(adjacency_stack([from_graph6("@")])).tolist() == [0]
+    assert verify.graph_diameters(np.zeros((0, 4, 4), dtype=np.uint8)).shape == (0,)
     with pytest.raises(ValueError):
         verify.enumerate_diam_gt3(12)
 
 
 def test_stream_is_filtered_and_solved_in_one_batch(monkeypatch):
     # every order-7 class relabeled at random, among rejects of orders 3, 7 and 9
-    # and one member of order 9, which must reach the sink in line order too
+    # and one member of order 9, which must be selected in line order too
     rng = random.Random(11)
     lines = []
     for m in verify._classes(7).reps:
@@ -103,16 +140,14 @@ def test_stream_is_filtered_and_solved_in_one_batch(monkeypatch):
     rng.shuffle(lines)
     # three graphs per kernel block, so the stream is cut into many blocks
     monkeypatch.setattr(verify, "STREAM_BLOCK_ENTRIES", 3 * 49)
-    graphs = []
-    count = verify.enumerate_diam_gt3(source=lines, sink=graphs.append)
+    graphs = _stream_members(lines)
     decoded = [from_graph6(line) for line in lines if line]
     want = [g for g in decoded if is_connected(g) and diameter(g) > 3]
-    assert count == len(graphs) == len(want) and graphs == want
-    assert verify.enumerate_diam_gt3(n=5, source=lines) == 0
-    assert verify.enumerate_diam_gt3(n=9, source=lines) == 1
+    assert graphs == want
+    assert [g.n for g in graphs].count(9) == 1
     graphs = [g for g in graphs if g.n == 7]
     _, values, _ = verify.complement_spectra(adjacency_stack(graphs))
-    spectra = [verify.complement_distance_spectrum(g) for g in graphs]
+    spectra = [_spectrum(g) for g in graphs]
     # bitwise: the stacked eigh gives the per-graph values
     assert values[:, -1].tolist() == [s.lambda1 for s in spectra]
     assert values[:, 0].tolist() == [s.lambda_n for s in spectra]
@@ -196,8 +231,8 @@ def test_check_theorem_on_values_stream():
     graphs = []
     verify.enumerate_diam_gt3(6, sink=graphs.append)
     values = {
-        "l1": [verify.complement_distance_spectrum(g).lambda1 for g in graphs],
-        "ln": [verify.complement_distance_spectrum(g).lambda_n for g in graphs],
+        "l1": [_spectrum(g).lambda1 for g in graphs],
+        "ln": [_spectrum(g).lambda_n for g in graphs],
     }
     rep = verify.check_theorem_on_values("2.8", 6, graphs, values)
     assert rep.status == "confirmed"
@@ -205,22 +240,29 @@ def test_check_theorem_on_values_stream():
     assert rep.status == "confirmed"
 
 
+def _least_split_of(graphs) -> list[tuple[int, bool]]:
+    """(q, degenerate) of each graph from the stacked solve, as `spectrum` reports them."""
+    q, degenerate = verify._least_split(*verify.complement_spectra(adjacency_stack(graphs))[1:])
+    return list(zip(q.tolist(), degenerate.tolist()))
+
+
 def test_sign_partition_p7():
-    sp = verify.sign_partition(build_path(7))
-    assert sp.p + sp.q == 7
-    assert sp.p >= sp.q
-    assert sp.p >= 4
-    assert not sp.degenerate
-    assert len(sp.plus) + len(sp.zero) + len(sp.minus) == 7
+    plus, zero, minus, degenerate = _sign_split(build_path(7))
+    assert len(plus) + len(zero) + len(minus) == 7
+    assert len(plus) + len(zero) >= 4 and len(minus) <= len(plus)
+    assert not degenerate
+    assert _least_split_of([build_path(7)]) == [(len(minus), False)]
 
 
 def test_sign_partition_relabel_invariant():
     g = build_Lprime(8)
-    sp = verify.sign_partition(g)
     perm = [3, 1, 0, 2, 5, 4, 7, 6]
-    sp2 = verify.sign_partition(relabel(g, perm))
-    assert (sp.p, sp.q) == (sp2.p, sp2.q)
-    assert sorted(perm[v] for v in sp.minus) == sorted(sp2.minus)
+    h = relabel(g, perm)
+    plus, zero, minus, _ = _sign_split(g)
+    plus2, zero2, minus2, _ = _sign_split(h)
+    assert len(plus) != len(minus)
+    assert {perm[v] for v in minus} == minus2 and {perm[v] for v in zero} == zero2
+    assert _least_split_of([g, h]) == [(len(minus), False)] * 2
 
 
 @settings(max_examples=40)
@@ -231,23 +273,24 @@ def test_spectrum_and_sign_partition_relabel_invariant(data):
     g = from_edge_mask(n, int(masks[data.draw(st.integers(0, len(masks) - 1))]))
     perm = data.draw(st.permutations(range(n)))
     h = relabel(g, perm)
-    sg = verify.complement_distance_spectrum(g)
-    sh = verify.complement_distance_spectrum(h)
-    assert np.allclose(sg.values, sh.values, atol=1e-10)
-    a, b = verify.sign_partition(g, sg), verify.sign_partition(h, sh)
-    assert a.degenerate == b.degenerate
-    if a.degenerate:
+    assert np.allclose(_spectrum(g).values, _spectrum(h).values, atol=1e-10)
+    a, b = _sign_split(g), _sign_split(h)
+    # the stacked solve reads the same q and flag as each graph solved alone
+    assert _least_split_of([g, h]) == [(len(a[2]), a[3]), (len(b[2]), b[3])]
+    assert a[3] == b[3]
+    if a[3]:
         return      # the least eigenvector, and so the partition, is not unique
 
     def moved(vs):
         return frozenset(perm[v] for v in vs)
 
-    assert (a.p, a.q) == (b.p, b.q)
-    assert moved(a.zero) == frozenset(b.zero)
+    plus, zero, minus, _ = a
+    assert (len(plus), len(minus)) == (len(b[0]), len(b[2]))
+    assert moved(zero) == b[1]
     # the eigenvector's sign is free; it is fixed only where |V+| != |V-|
-    assert {moved(a.plus), moved(a.minus)} == {frozenset(b.plus), frozenset(b.minus)}
-    if len(a.plus) != len(a.minus):
-        assert moved(a.minus) == frozenset(b.minus)
+    assert {moved(plus), moved(minus)} == {b[0], b[2]}
+    if len(plus) != len(minus):
+        assert moved(minus) == b[2]
 
 
 def test_free_trees_counts():
@@ -400,7 +443,7 @@ def test_family_store_is_bitwise_the_per_graph_spectrum(monkeypatch):
     assert {family for family, _ in store} == families
     for (family, params), solved in store.items():
         g = FAMILIES[family].build(*params)
-        want = verify.complement_distance_spectrum(g).values
+        want = _spectrum(g).values
         assert solved.values.tobytes() == want.tobytes(), (family, params)
         assert solved.dc.dtype == np.uint8
         assert np.array_equal(solved.dc, distance_matrix(complement(g)))
@@ -494,10 +537,10 @@ def test_complement_spectra_is_bitwise_the_per_graph_spectrum(monkeypatch):
     dc, values, vectors = verify.complement_spectra(adjacency_stack(graphs))
     assert dc.dtype == np.int64 and values.shape == (len(graphs), 7)
     for g, d, w, x in zip(graphs, dc, values, vectors):
-        want = verify.complement_distance_spectrum(g)
+        want = _spectrum(g)
         assert np.array_equal(d, distance_matrix(complement(g)))
         assert w[::-1].tobytes() == want.values.tobytes()
-        # the same eigenvectors, but for the sign that sym_spectra fixes
+        # the same eigenvectors, but for the sign that sym_eigenvalues fixes
         assert np.array_equal(np.abs(x[:, ::-1]), np.abs(want.vectors))
     # an empty stack gives empty arrays of the stack's order
     dc, values, vectors = verify.complement_spectra(np.zeros((0, 5, 5), dtype=np.uint8))
@@ -583,8 +626,8 @@ def test_strict_bound_near_tie_decided_by_exact_recheck(monkeypatch, tid, n):
 
 def test_t313_tie_decided_by_exact_order(monkeypatch):
     lc = build_L(4, 3)
-    values = {"l1": [verify.complement_distance_spectrum(lc).lambda1],
-              "ln": [verify.complement_distance_spectrum(lc).lambda_n]}
+    values = {"l1": [_spectrum(lc).lambda1],
+              "ln": [_spectrum(lc).lambda_n]}
     rep = verify.check_theorem_on_values("3.13", 7, [lc], values)
     assert rep.status == "confirmed" and rep.margin == 0
     assert any("gives orders [0]" in note for note in rep.notes)
@@ -593,6 +636,30 @@ def test_t313_tie_decided_by_exact_order(monkeypatch):
     rep = verify.check_theorem_on_values("3.13", 7, [lc], values)
     assert rep.status == "refuted"
     assert rep.counterexamples == [to_graph6(lc)]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_L_is_told_by_its_structure_as_by_isomorphism(n):
+    p, q = verify._balanced_pq(n)
+    bound = build_L(p, q)
+    reps = _class_representatives(n)
+    told = [g for g in reps if verify._is_L(g, p, q)]
+    assert told == [g for g in reps if is_isomorphic(g, bound)] and len(told) == 1
+    others = [build_Lprime(n), build_Ldprime(n), build_B1(p, q), build_path(n)]
+    assert not any(verify._is_L(g, p, q) for g in others)
+
+
+def test_L_is_told_above_the_isomorphism_cap():
+    rng = random.Random(13)
+    for n in range(7, 30):
+        p, q = verify._balanced_pq(n)
+        g = build_L(p, q)
+        assert verify._is_L(g, p, q)
+        assert verify._is_L(relabel(g, rng.sample(range(n), n)), p, q), n
+        # the bridge moved off the missing edge, and a lopsided L, are not L(p, q)
+        moved = from_edges(n, [e for e in g.edges() if e != (1, p)] + [(2, p)])
+        assert not verify._is_L(relabel(moved, rng.sample(range(n), n)), p, q), n
+        assert not verify._is_L(build_L(p + 1, q - 1), p, q), n
 
 
 def _class_representatives(n: int) -> list:
@@ -608,7 +675,7 @@ def _pairwise_isomorphic(a: list[str], b: list[str]) -> bool:
 def test_sample_of_every_class_gives_the_exhaustive_verdict(n, tids):
     graphs = _class_representatives(n)
     assert len(graphs) == {6: 9, 7: 92}[n]
-    spectra = [verify.complement_distance_spectrum(g) for g in graphs]
+    spectra = [_spectrum(g) for g in graphs]
     values = {"l1": [s.lambda1 for s in spectra], "ln": [s.lambda_n for s in spectra]}
     for tid in tids:
         want = verify.check_theorem(tid, n)
@@ -779,8 +846,8 @@ def test_lemma_2_5_example_pair_is_an_edge_deletion():
     removed = to_edge_mask(g) ^ to_edge_mask(h)
     assert to_edge_mask(h) & removed == 0 and bin(removed).count("1") == 1
     assert diameter(g) > 3 and diameter(h) > 3
-    gap = (verify.complement_distance_spectrum(g).lambda1
-           - verify.complement_distance_spectrum(h).lambda1)
+    gap = (_spectrum(g).lambda1
+           - _spectrum(h).lambda1)
     assert gap == pytest.approx(rep.margin, abs=1e-12)
 
 
@@ -1172,7 +1239,7 @@ def test_lemma_2_6_equals_every_spanning_tree_by_brute_force():
                  if is_connected(t := from_edges(n, list(sub)))]
         if g.edge_count() == n - 1:
             continue
-        gap = v - max(verify.complement_distance_spectrum(t).lambda1 for t in trees)
+        gap = v - max(_spectrum(t).lambda1 for t in trees)
         margin = min(margin, gap)
         if gap <= verify.CLUSTER_TOL:
             bad.append(to_graph6(g))
@@ -1215,8 +1282,8 @@ def test_lemmas_2_5_and_2_6_at_n8():
     removed = to_edge_mask(g) ^ to_edge_mask(h)
     assert to_edge_mask(h) & removed == 0 and bin(removed).count("1") == 1
     assert diameter(g) > 3 and diameter(h) > 3
-    gap = (verify.complement_distance_spectrum(g).lambda1
-           - verify.complement_distance_spectrum(h).lambda1)
+    gap = (_spectrum(g).lambda1
+           - _spectrum(h).lambda1)
     assert gap == pytest.approx(rep.margin, abs=1e-12)
     rep = verify.check_lemma("2.6", n=8)
     assert rep.status == "confirmed" and rep.counterexamples == []
