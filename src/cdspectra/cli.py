@@ -20,7 +20,7 @@ from itertools import compress
 import numpy as np
 
 from cdspectra import verify
-from cdspectra.families import FAMILIES
+from cdspectra.families import FAMILIES, build_many
 from cdspectra.graphcore import (
     MAX_VERTICES,
     NOT_CONNECTED,
@@ -93,7 +93,7 @@ def _build_family_graph(args) -> Graph:
         raise SystemExit2(f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}")
     params = _family_params(args, family, FAMILIES[family].param_names)
     try:
-        return FAMILIES[family].build(*params)
+        return build_many([(family, params)])[0]
     except ValueError as exc:
         raise SystemExit2(f"family {family}: {exc}") from exc
 
@@ -239,6 +239,8 @@ def cmd_verify(args) -> int:
                 f"unknown claim id {c!r}; known: {', '.join(verify.CLAIM_IDS)}")
         if args.stdin and not c.startswith("T"):
             raise SystemExit2("--stdin supports theorem claims only")
+    if args.stdin and args.n is not None:
+        raise SystemExit2("--stdin takes the order from the stream; --n does not apply")
     # every claim sees the whole stream, so it is read and solved once
     stream = _read_stream(sys.stdin.readlines()) if args.stdin else None
     reports = []

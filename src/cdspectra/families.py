@@ -26,8 +26,6 @@ diameters of each order are checked with one `distance_matrices` call,
 and a single `build_*` is a batch of one.
 """
 
-from dataclasses import dataclass
-
 from cdspectra.graphcore import (
     DisconnectedGraph,
     Graph,
@@ -68,10 +66,10 @@ def _checked(made: list[_Made]) -> list[Graph]:
 
 
 def build_many(keys) -> list[Graph]:
-    """The family graphs FAMILIES[family].build(*params) for (family, params)
-    keys, in key order, built as one batch: every key's parameters are
-    validated, then the diameters are checked with one `distance_matrices`
-    call per order."""
+    """The family graph of each (family, params) key, in key order, built as
+    one batch: every key's parameters are validated by the family's maker,
+    then the diameters are checked with one `distance_matrices` call per
+    order.  A single graph is `build_many([(family, params)])[0]`."""
     return _checked([FAMILIES[family].make(*params) for family, params in keys])
 
 
@@ -224,24 +222,28 @@ def build_Ldprime(n: int) -> Graph:
     return _checked([_Ldprime(n)])[0]
 
 
-@dataclass(frozen=True)
 class _Family:
-    build: object
-    param_names: tuple[str, ...]
-    order: object
-    make: object                    # the unchecked maker behind build
+    """A family's parameter names, its order as a function of them, and its
+    unchecked maker; graphs are built through `build_many`."""
+
+    __slots__ = ("param_names", "order", "make")
+
+    def __init__(self, param_names: tuple[str, ...], order, make):
+        self.param_names = param_names
+        self.order = order
+        self.make = make
 
 
 FAMILIES: dict[str, _Family] = {
-    "path": _Family(build_path, ("n",), lambda n: n, _path),
-    "star": _Family(build_star, ("n",), lambda n: n, _star),
-    "H": _Family(build_H, ("s", "t"), lambda s, t: s + t + 2, _H),
-    "T": _Family(build_T, ("a", "b"), lambda a, b: a + b + 2, _T),
-    "T1": _Family(build_T1, ("a", "b"), lambda a, b: a + b + 3, _T1),
-    "T2": _Family(build_T2, ("a", "b"), lambda a, b: a + b + 3, _T2),
-    "B1": _Family(build_B1, ("p", "q"), lambda p, q: p + q, _B1),
-    "B2": _Family(build_B2, ("p", "q"), lambda p, q: p + q, _B2),
-    "L": _Family(build_L, ("p", "q"), lambda p, q: p + q, _L),
-    "Lprime": _Family(build_Lprime, ("n",), lambda n: n, _Lprime),
-    "Ldprime": _Family(build_Ldprime, ("n",), lambda n: n, _Ldprime),
+    "path": _Family(("n",), lambda n: n, _path),
+    "star": _Family(("n",), lambda n: n, _star),
+    "H": _Family(("s", "t"), lambda s, t: s + t + 2, _H),
+    "T": _Family(("a", "b"), lambda a, b: a + b + 2, _T),
+    "T1": _Family(("a", "b"), lambda a, b: a + b + 3, _T1),
+    "T2": _Family(("a", "b"), lambda a, b: a + b + 3, _T2),
+    "B1": _Family(("p", "q"), lambda p, q: p + q, _B1),
+    "B2": _Family(("p", "q"), lambda p, q: p + q, _B2),
+    "L": _Family(("p", "q"), lambda p, q: p + q, _L),
+    "Lprime": _Family(("n",), lambda n: n, _Lprime),
+    "Ldprime": _Family(("n",), lambda n: n, _Ldprime),
 }

@@ -14,7 +14,6 @@ functions are pure and graphs are immutable, so values can be shared
 freely.
 """
 
-from dataclasses import dataclass
 import numpy as np
 
 MAX_VERTICES = 64
@@ -36,23 +35,36 @@ class TooLarge(ValueError):
     """Graph exceeds the size cap of the requested operation."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph as per-vertex neighbour bitsets.
 
     Invariants: adjacency is symmetric and irreflexive, and every bitset
     uses only bits 0..n-1.  `from_edges` and the graph6 decoder enforce
-    both; code constructing `Graph` directly must do the same.
+    both; code constructing `Graph` directly must do the same.  A plain
+    class, as `spectra.IntPolynomial` is: graphs are compared and hashed
+    by (n, adj), so they are never changed after construction.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        if len(adj) != n:
             raise ValueError("adjacency tuple length differs from n")
+        self.n = n
+        self.adj = adj
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -348,7 +360,7 @@ def diameter(g: Graph) -> int:
 # --- isomorphism ------------------------------------------------------------
 
 
-MINIMA_BLOCK_ENTRIES = 1 << 14      # (graphs x n^2) per block of the orbit-minimum search
+MINIMA_BLOCK_ENTRIES = 1 << 16      # (graphs x n^2) per block of the orbit-minimum search
 
 
 def _minima_block(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

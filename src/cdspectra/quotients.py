@@ -15,7 +15,6 @@ Printed-formula mismatches are reported, never silently patched: the
 derived objects win.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -278,14 +277,17 @@ def printed_poly(family_id: str, params) -> IntPolynomial:
 # --- the paper's difference identities, checked exactly ----------------------
 
 
-@dataclass(frozen=True)
 class IdentityCheck:
     """Exact comparison of a printed difference identity at one grid point."""
 
-    claim: str
-    params: tuple[int, ...]
-    matches: bool
-    residual: tuple[int, ...]       # derived difference minus printed, ascending
+    __slots__ = ("claim", "params", "matches", "residual")
+
+    def __init__(self, claim: str, params: tuple[int, ...], matches: bool,
+                 residual: tuple[int, ...]):
+        self.claim = claim
+        self.params = params
+        self.matches = matches
+        self.residual = residual    # derived difference minus printed, ascending
 
     @property
     def derived_minus_printed(self) -> IntPolynomial:
@@ -399,27 +401,38 @@ def power_discrepancy_verdict(p: int, q: int, samples: int = 6) -> dict:
 # --- consistency against the full spectrum -----------------------------------
 
 
-@dataclass
 class QuotientReport:
     """quotient_consistency outcome; failures are content, not exceptions."""
 
-    family_id: str
-    params: tuple[int, ...]
-    order: int
-    derived_matrix: np.ndarray
-    printed_matrix: np.ndarray | None
-    matrix_matches: bool | None
-    derived_poly: IntPolynomial
-    printed_poly: IntPolynomial
-    poly_matches: bool
-    coeff_diff: tuple[int, ...]
-    quotient_roots: list[float]
-    roots_matched: bool
-    unmatched_roots: list[float] = field(default_factory=list)
-    lambda1_is_root: bool = False
-    lambda_n_is_root: bool = False
-    lambda1: float = 0.0
-    lambda_n: float = 0.0
+    __slots__ = ("family_id", "params", "order", "derived_matrix", "printed_matrix",
+                 "matrix_matches", "derived_poly", "printed_poly", "poly_matches",
+                 "coeff_diff", "quotient_roots", "roots_matched", "unmatched_roots",
+                 "lambda1_is_root", "lambda_n_is_root", "lambda1", "lambda_n")
+
+    def __init__(self, family_id: str, params: tuple[int, ...], order: int,
+                 derived_matrix: np.ndarray, printed_matrix: np.ndarray | None,
+                 matrix_matches: bool | None, derived_poly: IntPolynomial,
+                 printed_poly: IntPolynomial, poly_matches: bool, coeff_diff: tuple[int, ...],
+                 quotient_roots: list[float], roots_matched: bool,
+                 unmatched_roots: list[float] | None = None, lambda1_is_root: bool = False,
+                 lambda_n_is_root: bool = False, lambda1: float = 0.0, lambda_n: float = 0.0):
+        self.family_id = family_id
+        self.params = params
+        self.order = order
+        self.derived_matrix = derived_matrix
+        self.printed_matrix = printed_matrix
+        self.matrix_matches = matrix_matches
+        self.derived_poly = derived_poly
+        self.printed_poly = printed_poly
+        self.poly_matches = poly_matches
+        self.coeff_diff = coeff_diff
+        self.quotient_roots = quotient_roots
+        self.roots_matched = roots_matched
+        self.unmatched_roots = [] if unmatched_roots is None else unmatched_roots
+        self.lambda1_is_root = lambda1_is_root
+        self.lambda_n_is_root = lambda_n_is_root
+        self.lambda1 = lambda1
+        self.lambda_n = lambda_n
 
     def ok(self) -> bool:
         return self.roots_matched and self.lambda1_is_root

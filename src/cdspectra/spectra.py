@@ -42,7 +42,6 @@ falls back to bisection and Sturm chains, so no result depends on a float.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -56,7 +55,6 @@ class TooLargeMatrix(ValueError):
     """Matrix order beyond the exact characteristic polynomial cap."""
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues sorted non-increasing, with eigenvectors and residuals.
 
@@ -65,9 +63,12 @@ class Spectrum:
     nonnegative irreducible matrix directly readable off column 0).
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
-    max_residual: float
+    __slots__ = ("values", "vectors", "max_residual")
+
+    def __init__(self, values: np.ndarray, vectors: np.ndarray, max_residual: float):
+        self.values = values
+        self.vectors = vectors
+        self.max_residual = max_residual
 
     @property
     def lambda1(self) -> float:

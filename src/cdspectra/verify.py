@@ -24,20 +24,19 @@ is built, and everything runs in one process.
 A witness is the smallest edge mask of its class, a labeling that does
 not depend on eigensolver rounding.
 
-Every theorem checker here, and every lemma checker in `lemmas`, returns
-a VerificationReport whose status is measured, never assumed: claims that
-fail are `refuted` with witnesses, claims whose true direction opposes the
-stated one are `confirmed-with-reversed-direction`.
+Every theorem checker here, and every lemma checker in `lemmas` and
+`family_lemmas`, returns a VerificationReport whose status is measured,
+never assumed: claims that fail are `refuted` with witnesses, claims whose
+true direction opposes the stated one are `confirmed-with-reversed-direction`.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, permutations
 
 import numpy as np
 
-from cdspectra.families import FAMILIES, build_many
+from cdspectra.families import build_many
 from cdspectra.graphcore import (
     ISO_MAX_VERTICES,
     DisconnectedGraph,
@@ -73,17 +72,29 @@ CLAIM_IDS = (
 )
 
 
-@dataclass
 class VerificationReport:
-    claim_id: str
-    status: str                     # confirmed | refuted | confirmed-with-reversed-direction
-    params: dict
-    extremal: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-    margin: float | None = None
-    counterexamples: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    """One claim's verdict, as `to_dict` prints it.
+
+    A plain class: a dataclass runs generated code at import, which every
+    command would pay for.  The collection fields left out start empty.
+    """
+
+    __slots__ = ("claim_id", "status", "params", "extremal", "witnesses", "margin",
+                 "counterexamples", "notes", "details")
+
+    def __init__(self, claim_id: str, status: str, params: dict, extremal: dict | None = None,
+                 witnesses: list | None = None, margin: float | None = None,
+                 counterexamples: list | None = None, notes: list | None = None,
+                 details: dict | None = None):
+        self.claim_id = claim_id
+        self.status = status            # confirmed | refuted | confirmed-with-reversed-direction
+        self.params = params
+        self.extremal = {} if extremal is None else extremal
+        self.witnesses = [] if witnesses is None else witnesses
+        self.margin = margin
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.notes = [] if notes is None else notes
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
         return {
@@ -323,7 +334,6 @@ def _least_split(values: np.ndarray, vectors: np.ndarray):
     return q, (values[:, 1:2] - values[:, :1] < DEGENERATE_GAP).any(axis=1)
 
 
-@dataclass
 class _Classes:
     """The isomorphism classes of the connected diameter>3 graphs on n vertices.
 
@@ -331,13 +341,17 @@ class _Classes:
     its size.
     """
 
-    n: int
-    reps: np.ndarray                # the smallest member of each class, ascending
-    sizes: np.ndarray               # labeled members per class
-    l1: np.ndarray                  # lambda_1 of D(G^c) per class
-    ln: np.ndarray                  # lambda_n of D(G^c) per class
-    q1: np.ndarray                  # labeled members with q = 1 per class, 0 if degenerate
-    summary: dict                   # what class_scan returns
+    __slots__ = ("n", "reps", "sizes", "l1", "ln", "q1", "summary")
+
+    def __init__(self, n: int, reps: np.ndarray, sizes: np.ndarray, l1: np.ndarray,
+                 ln: np.ndarray, q1: np.ndarray, summary: dict):
+        self.n = n
+        self.reps = reps            # the smallest member of each class, ascending
+        self.sizes = sizes          # labeled members per class
+        self.l1 = l1                # lambda_1 of D(G^c) per class
+        self.ln = ln                # lambda_n of D(G^c) per class
+        self.q1 = q1                # labeled members with q = 1 per class, 0 if degenerate
+        self.summary = summary      # what class_scan returns
 
 
 _SCAN_CACHE: dict[int, _Classes] = {}
@@ -487,11 +501,7 @@ def complement_spectra(adj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _FamilySolution:
-    """D(X^c) of a family graph X and its eigenvalues.
-
-    A plain class: a dataclass runs generated code at import, which every
-    command would pay for.
-    """
+    """D(X^c) of a family graph X and its eigenvalues."""
 
     __slots__ = ("values", "dc")
 
@@ -537,27 +547,31 @@ def _family_spectrum(family: str, params: tuple[int, ...]) -> _FamilySolution:
     return _FAMILY_STORE.get(key) or _family_spectra([key])[0]
 
 
-def _exact_orders(graphs, bound_graph: Graph, side: str) -> set[int]:
-    """Exact root orders of the graphs against the bound graph, of one order
-    n <= CHAR_POLY_MAX_N, all char polys from one stack."""
-    *polys, bound_poly = char_polys_exact(
-        complement_distances(adjacency_stack([*graphs, bound_graph])))
+def _exact_orders(graphs, bound_dc: np.ndarray, side: str) -> set[int]:
+    """Exact root orders of the graphs against the bound, given by its D(X^c)
+    from the family store, at one order n <= CHAR_POLY_MAX_N: all char polys
+    from one stack."""
+    *polys, bound_poly = char_polys_exact(np.concatenate(
+        [complement_distances(adjacency_stack(graphs)), bound_dc[None]]))
     return set(certify_root_orders([(p, bound_poly) for p in polys], side))
 
 
 # --- extremal scans and theorem checks ----------------------------------------
 
 
-@dataclass
 class _Extremum:
     """One objective's extremal cluster over a witness source: the class or a sample."""
 
-    value: float
-    witnesses: list[Graph]          # one per isomorphism class, in source order
-    runner_up: float | None
-    near: object                    # value -> one graph per class within RECHECK_WINDOW of it
-    params: dict
-    details: dict
+    __slots__ = ("value", "witnesses", "runner_up", "near", "params", "details")
+
+    def __init__(self, value: float, witnesses: list[Graph], runner_up: float | None,
+                 near, params: dict, details: dict):
+        self.value = value
+        self.witnesses = witnesses  # one per isomorphism class, in source order
+        self.runner_up = runner_up
+        self.near = near            # value -> one graph per class within RECHECK_WINDOW of it
+        self.params = params
+        self.details = details
 
     @property
     def margin(self) -> float | None:
@@ -660,7 +674,6 @@ def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
     objective, key, family, bound_params = _THEOREMS[tid]
     params = bound_params(n)
     args = ",".join(map(str, params))
-    bound_graph = FAMILIES[family].build(*params)
     spec = _family_spectrum(family, params)
     side = "max" if objective.endswith("l1") else "min"
     bound = spec.lambda1 if side == "max" else spec.lambda_n
@@ -672,14 +685,14 @@ def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
         margin = bound - value if side == "max" else value - bound
         notes.append(f"bound graph {family}({args}) has diameter 3: outside the class, "
                      "strictness expected")
-        orders = _escalate_margin(margin, lambda: witnesses, bound_graph, side, notes,
+        orders = _escalate_margin(margin, lambda: witnesses, spec.dc, side, notes,
                                   "witness graphs")
         below = -1 if side == "max" else 1      # the witnesses' side of the bound
         ok = orders == {below} if orders is not None else margin > STRICT_MARGIN
     elif tid == "2.8":
         # the minimum is attained by P_n only; a sample without P_n only has to stay above it
         margin = ext.margin
-        orders = _escalate_margin(margin, lambda: ext.near(ext.runner_up), bound_graph, side,
+        orders = _escalate_margin(margin, lambda: ext.near(ext.runner_up), spec.dc, side,
                                   notes, "runner-up graphs")
         strict = orders == {1} if orders is not None else margin is None or margin > STRICT_MARGIN
         # a witness is connected, so it is P_n exactly when it has n - 1 edges
@@ -695,13 +708,13 @@ def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
     else:
         # 3.13: an overshoot refutes; otherwise the bound must be attained
         margin = value - bound
-        orders = _escalate_margin(margin, lambda: witnesses, bound_graph, side, notes,
+        orders = _escalate_margin(margin, lambda: witnesses, spec.dc, side, notes,
                                   "witness graphs")
         over = 1 in orders if orders is not None else margin > CLUSTER_TOL
         if over:
             counterexamples = witnesses
             if orders is None and n <= CHAR_POLY_MAX_N:
-                orders = _exact_orders(witnesses, bound_graph, side)
+                orders = _exact_orders(witnesses, spec.dc, side)
             notes += [
                 f"max lambda_n over the class exceeds lambda_n({family}^c({args})) by {margin:.6g}",
                 f"exact char-poly comparison confirms witness root > bound root: {orders == {1}}"
@@ -743,16 +756,17 @@ def check_theorem_on_values(tid: str, n: int, graphs: list[Graph],
     return _theorem_verdict(tid, n, _sample_extremum(n, graphs, values, _THEOREMS[tid][0]))
 
 
-def _escalate_margin(margin: float | None, graphs, bound_graph: Graph, side: str,
+def _escalate_margin(margin: float | None, graphs, bound_dc: np.ndarray, side: str,
                      notes: list, what: str) -> set[int] | None:
-    """Exact root orders of graphs() against the bound graph, for a near-tie margin.
+    """Exact root orders of graphs() against the bound, given by its D(X^c),
+    for a near-tie margin.
 
     None when |margin| exceeds EXACT_RECHECK_BELOW, or when the order is
     beyond char_polys_exact; the float margin then decides.
     """
-    if margin is None or abs(margin) > EXACT_RECHECK_BELOW or bound_graph.n > CHAR_POLY_MAX_N:
+    if margin is None or abs(margin) > EXACT_RECHECK_BELOW or len(bound_dc) > CHAR_POLY_MAX_N:
         return None
-    orders = _exact_orders(graphs(), bound_graph, side)
+    orders = _exact_orders(graphs(), bound_dc, side)
     notes.append(
         f"margin {margin:.3e} <= {EXACT_RECHECK_BELOW:.0e}: exact char-poly "
         f"re-check of {what} vs bound gives orders {sorted(orders)}")
@@ -762,12 +776,20 @@ def _escalate_margin(margin: float | None, graphs, bound_graph: Graph, side: str
 def check_lemma(claim_id: str, n: int | None = None, p_max: int = 12) -> VerificationReport:
     """Dispatch a lemma claim check at the given order / grid size.
 
-    The checks live in `lemmas`, imported on the first call, so a run that
-    checks only theorems never compiles them or loads `quotients`.
+    The checks live in two modules, split by the data they read: `lemmas`
+    holds those of the class record (Lemmas 2.1, 2.5, 2.6 and 3.9), and
+    `family_lemmas` those of the family graphs and their quotients (the
+    rest).  Only the module that holds the claim is imported, on its first
+    call, so a run compiles only the lemma checks it runs, and a run that
+    checks only theorems loads neither module nor `quotients`.
     """
-    from cdspectra import lemmas
+    if claim_id in ("2.1", "2.5", "2.6", "3.9"):
+        from cdspectra import lemmas
 
-    return lemmas.check(claim_id, n, p_max)
+        return lemmas.check(claim_id, n)
+    from cdspectra import family_lemmas
+
+    return family_lemmas.check(claim_id, n, p_max)
 
 
 def run_claim(claim_id: str, n: int | None = None, p_max: int = 12) -> VerificationReport:

@@ -215,6 +215,17 @@ def test_verify_stdin_order_guard_is_usage_error(capsys, monkeypatch):
     assert "n >= 7" in err
 
 
+def test_verify_stdin_rejects_an_order(capsys, monkeypatch):
+    # a stream's order is its graphs' order, so --n cannot be honoured there
+    from cdspectra.families import build_L
+    from cdspectra.graphcore import to_graph6
+    code, out, err = run_cli(capsys, "verify", "--claims", "T3.13", "--stdin", "--n", "8",
+                             stdin=to_graph6(build_L(4, 3)) + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --stdin takes the order from the stream; --n does not apply\n"
+
+
 def test_verify_stdin_shared_by_every_claim(capsys, monkeypatch):
     from cdspectra.families import build_L
     from cdspectra.graphcore import to_graph6

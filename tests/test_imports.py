@@ -15,8 +15,9 @@ from cdspectra.families import build_Lprime, build_path
 from cdspectra.graphcore import to_graph6
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WATCHED = ("concurrent.futures", "multiprocessing", "numpy.ma",
-           "cdspectra.quotients", "cdspectra.lemmas")
+WATCHED = ("concurrent.futures", "multiprocessing", "numpy.ma", "dataclasses",
+           "cdspectra.quotients", "cdspectra.lemmas", "cdspectra.family_lemmas")
+LEMMA_MODULES = {"cdspectra.lemmas", "cdspectra.family_lemmas"}
 RUN_CLI = """
 import contextlib, io, json, sys
 from cdspectra import cli
@@ -41,10 +42,28 @@ def test_importing_the_cli_loads_no_pool_and_no_masked_arrays():
     assert not {"concurrent.futures", "multiprocessing", "numpy.ma"} & set(got["loaded"])
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    # the package's records are plain classes: defining a dataclass runs
+    # generated code in every process
+    got = _child("import json, sys\nimport cdspectra.cli\ncode = None\n" + REPORT)
+    assert "dataclasses" not in got["loaded"]
+
+
 def test_the_class_scan_loads_no_pool_and_no_masked_arrays():
     got = _child(RUN_CLI + REPORT, "verify", "--claims", "T2.4,T2.8,T3.7,T3.13,3.9", "--n", "7")
     assert got["code"] == 2
     assert not {"concurrent.futures", "numpy.ma"} & set(got["loaded"])
+    # Lemma 3.9 reads the class record: the family checks are not compiled
+    assert "cdspectra.lemmas" in got["loaded"]
+    assert "cdspectra.family_lemmas" not in got["loaded"]
+
+
+def test_the_exact_grid_loads_no_class_record_lemmas():
+    got = _child(RUN_CLI + REPORT, "verify", "--claims",
+                 "quotient-consistency,3.4,3.5,3.6,3.11,3.12")
+    assert got["code"] == 2
+    assert "cdspectra.family_lemmas" in got["loaded"]
+    assert "cdspectra.lemmas" not in got["loaded"]
 
 
 def test_a_stream_run_loads_no_lemma_checks_and_no_quotients():
@@ -52,14 +71,14 @@ def test_a_stream_run_loads_no_lemma_checks_and_no_quotients():
     got = _child(RUN_CLI + REPORT, "verify", "--stdin", "--claims", "T3.13",
                  stdin="\n".join(lines) + "\n")
     assert got["code"] == 2
-    assert not {"cdspectra.quotients", "cdspectra.lemmas"} & set(got["loaded"])
+    assert not {"cdspectra.quotients", *LEMMA_MODULES} & set(got["loaded"])
 
 
 def test_a_spectrum_run_loads_no_lemma_checks_and_no_quotients():
     lines = [to_graph6(build_path(7)), "FZ?Z_", "@", "A_", "not_g6", to_graph6(build_Lprime(9))]
     got = _child(RUN_CLI + REPORT, "spectrum", stdin="\n".join(lines) + "\n")
     assert got["code"] == 1
-    assert not {"cdspectra.quotients", "cdspectra.lemmas"} & set(got["loaded"])
+    assert not {"cdspectra.quotients", *LEMMA_MODULES} & set(got["loaded"])
 
 
 def test_lemma_2_1_with_two_workers_loads_no_pool():

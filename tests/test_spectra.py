@@ -996,8 +996,8 @@ def test_cell_records_isolate_like_sturm_chains_on_the_quotient_polynomials(monk
     # `quotient_reports` gives them: every one but Psi_L'(12), which has the
     # double root 0, gets a record, and a record isolates exactly as the
     # Sturm chain does
-    from cdspectra import lemmas, quotients, verify
-    cases = lemmas._quotient_cases(range(7, 41))
+    from cdspectra import family_lemmas, quotients, verify
+    cases = family_lemmas._quotient_cases(range(7, 41))
     solved = verify._family_spectra(quotients.model_graph_key(*case) for case in cases)
     problems = [(r.derived_poly, -len(s.dc) * int(s.dc.max()), len(s.dc) * int(s.dc.max()))
                 for r, s in zip(quotients.quotient_reports(cases), solved)]

@@ -1,6 +1,5 @@
 """Enumeration engine, extremal scans, sign partitions, claim checkers."""
 
-import dataclasses
 import functools
 import math
 import random
@@ -12,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdspectra import lemmas, verify
+from cdspectra import families, family_lemmas, lemmas, verify
 from cdspectra.families import (
-    FAMILIES, build_B1, build_H, build_L, build_Ldprime, build_Lprime, build_path,
+    build_B1, build_H, build_L, build_Ldprime, build_Lprime, build_many, build_path,
 )
 from cdspectra.graphcore import (
     DisconnectedGraph,
@@ -295,9 +294,9 @@ def test_spectrum_and_sign_partition_relabel_invariant(data):
 
 def test_free_trees_counts():
     # OEIS A000055
-    assert [len(lemmas.free_trees(k)) for k in range(1, 13)] == [
+    assert [len(family_lemmas.free_trees(k)) for k in range(1, 13)] == [
         1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
-    for t in lemmas.free_trees(7):
+    for t in family_lemmas.free_trees(7):
         assert t.edge_count() == 6
         assert is_connected(t)
 
@@ -442,7 +441,7 @@ def test_family_store_is_bitwise_the_per_graph_spectrum(monkeypatch):
     families = {"H", "T", "T1", "T2", "B1", "B2", "L", "Lprime", "Ldprime"}
     assert {family for family, _ in store} == families
     for (family, params), solved in store.items():
-        g = FAMILIES[family].build(*params)
+        (g,) = build_many([(family, params)])
         want = _spectrum(g).values
         assert solved.values.tobytes() == want.tobytes(), (family, params)
         assert solved.dc.dtype == np.uint8
@@ -471,6 +470,25 @@ def test_claims_share_the_family_store(monkeypatch):
     verify.check_lemma("3.12")
     verify.check_lemma("3.11")
     assert sum(solved) == len(verify._FAMILY_STORE) < 2 * first
+
+
+def test_a_theorem_run_makes_each_family_graph_once(monkeypatch):
+    # the bound's float value and its exact re-check both read the family
+    # store, so no bound graph is built twice
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
+    monkeypatch.setattr(verify, "EXACT_RECHECK_BELOW", 10.0)
+    made = Counter()
+    check = families._checked
+
+    def counted(batch):
+        made.update(label for label, _, _ in batch)
+        return check(batch)
+
+    monkeypatch.setattr(families, "_checked", counted)
+    reports = [verify.check_theorem(tid, 7) for tid in ("2.4", "2.8", "3.7", "3.13")]
+    assert all(any("exact char-poly re-check" in note for note in rep.notes) for rep in reports)
+    assert [rep.status for rep in reports] == ["confirmed", "confirmed", "confirmed", "refuted"]
+    assert made == Counter({"H(2,3)": 1, "path(7)": 1, "B1(4,3)": 1, "L(4,3)": 1})
 
 
 def test_quotient_consistency_claim():
@@ -868,7 +886,8 @@ def test_lemma_3_9_q1_class_above_the_bound_refutes(monkeypatch):
     k = int(np.argmax(part.ln))
     q1 = np.zeros_like(part.q1)
     q1[k] = part.sizes[k]
-    monkeypatch.setitem(verify._SCAN_CACHE, 7, dataclasses.replace(part, q1=q1))
+    monkeypatch.setitem(verify._SCAN_CACHE, 7, verify._Classes(
+        part.n, part.reps, part.sizes, part.l1, part.ln, q1, part.summary))
     rep = verify.check_lemma("3.9", n=7)
     assert rep.status == "refuted"
     assert rep.counterexamples == [to_graph6(from_edge_mask(7, int(part.reps[k])))]
@@ -971,7 +990,7 @@ def test_orbit_minima_of_twin_heavy_graphs(n):
     ("Lprime", (7,)), ("Lprime", (8,)), ("Lprime", (9,)), ("Lprime", (10,)),
 ])
 def test_orbit_minima_of_the_families_under_relabeling(family, params):
-    g = FAMILIES[family].build(*params)
+    (g,) = build_many([(family, params)])
     rng = random.Random(g.n)
     copies = [g]
     for _ in range(6):
@@ -1257,7 +1276,8 @@ def test_lemma_2_6_refutes_when_trees_rise_above_their_graphs(monkeypatch):
     part = verify._classes(6)
     trees = np.array([bin(m).count("1") == 5 for m in part.reps.tolist()])
     l1 = np.where(trees, part.l1.max() + 1, part.l1)
-    monkeypatch.setitem(verify._SCAN_CACHE, 6, dataclasses.replace(part, l1=l1))
+    monkeypatch.setitem(verify._SCAN_CACHE, 6, verify._Classes(
+        part.n, part.reps, part.sizes, l1, part.ln, part.q1, part.summary))
     rep = verify.check_lemma("2.6", n=6)
     assert rep.status == "refuted"
     assert rep.counterexamples == [to_graph6(from_edge_mask(6, int(m)))
@@ -1268,7 +1288,8 @@ def test_lemma_2_6_refutes_when_trees_rise_above_their_graphs(monkeypatch):
     # lambda_1, which only that class's graph then ties
     k = int(np.argmin(np.where(trees, np.inf, part.l1)))
     l1 = np.where(trees, part.l1[k], part.l1)
-    monkeypatch.setitem(verify._SCAN_CACHE, 6, dataclasses.replace(part, l1=l1))
+    monkeypatch.setitem(verify._SCAN_CACHE, 6, verify._Classes(
+        part.n, part.reps, part.sizes, l1, part.ln, part.q1, part.summary))
     rep = verify.check_lemma("2.6", n=6)
     assert rep.status == "refuted" and rep.margin == 0
     assert rep.counterexamples == [to_graph6(from_edge_mask(6, int(part.reps[k])))]
