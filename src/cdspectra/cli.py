@@ -10,9 +10,21 @@ Exit codes: 0 all claims confirmed, 2 refuted, 3 reversed-direction only,
 then `verify.graph_diameters` of each order's stack.  Neither solves a
 graph alone: D(G^c) is built by `verify._complements` and solved by
 `verify.eigenpairs`, for a stream's blocks and a family graph alike.
+
+How a process ends: the `cdspectra` script and `python -m cdspectra.cli`
+both run `console_main`, which calls `gc.freeze()` once `main` has
+returned.  The interpreter's shutdown collections would otherwise free
+every cyclic object of numpy and of this package (functions, classes,
+module dicts) one at a time, although the operating system reclaims that
+memory at exit anyway; frozen objects sit in the permanent generation,
+which those collections skip.  The process
+still exits through `sys.exit`, so stdout and stderr are flushed and
+`atexit` handlers and enclosing `finally` blocks run.  `main` itself
+leaves the collector alone, since tests and tools call it in-process.
 """
 
 import argparse
+import gc
 import json
 import sys
 from itertools import compress
@@ -233,14 +245,20 @@ def cmd_verify(args) -> int:
     # the grids' largest graphs have p + q vertices, and a Graph holds at most MAX_VERTICES
     if args.p_max > MAX_VERTICES // 2:
         raise SystemExit2(f"--p-max must be at most {MAX_VERTICES // 2}, got {args.p_max}")
-    for c in claims:
+    for i, c in enumerate(claims):
         if c not in verify.CLAIM_IDS:
             raise SystemExit2(
                 f"unknown claim id {c!r}; known: {', '.join(verify.CLAIM_IDS)}")
+        if c in claims[:i]:
+            raise SystemExit2(f"claim {c} is given more than once")
         if args.stdin and not c.startswith("T"):
             raise SystemExit2("--stdin supports theorem claims only")
     if args.stdin and args.n is not None:
         raise SystemExit2("--stdin takes the order from the stream; --n does not apply")
+    if args.n is not None and not set(claims) & set(verify.ORDER_CLAIMS):
+        raise SystemExit2(
+            f"--n does not apply: none of {', '.join(claims)} reads an order "
+            f"(those that do: {', '.join(verify.ORDER_CLAIMS)})")
     # every claim sees the whole stream, so it is read and solved once
     stream = _read_stream(sys.stdin.readlines()) if args.stdin else None
     reports = []
@@ -342,5 +360,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def console_main() -> int:
+    """The process entry point: `main` on sys.argv, then `gc.freeze()`, so
+    that the interpreter's shutdown collections find nothing to free."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

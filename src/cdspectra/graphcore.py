@@ -17,7 +17,7 @@ freely.
 import numpy as np
 
 MAX_VERTICES = 64
-ISO_MAX_VERTICES = 10
+ISO_MAX_VERTICES = 11    # an order-11 g6 mask has 55 bits; order 12 would need 66 > 63
 
 
 class Graph6Error(ValueError):

@@ -70,6 +70,8 @@ CLAIM_IDS = (
     "T2.4", "T2.8", "T3.7", "T3.13",
     "quotient-consistency",
 )
+# the claims that read an order n; the others read the grid bound p_max or nothing
+ORDER_CLAIMS = ("2.1", "2.3", "2.5", "2.6", "2.7", "3.9", "T2.4", "T2.8", "T3.7", "T3.13")
 
 
 class VerificationReport:

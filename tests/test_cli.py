@@ -1,12 +1,18 @@
 """CLI subcommands: flags, JSON output determinism, exit codes."""
 
+import ast
+import gc
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cdspectra import cli
+from cdspectra import cli, verify
 from cdspectra.graphcore import from_graph6, is_isomorphic
 from cdspectra.families import build_H, build_path
 
@@ -17,6 +23,21 @@ def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_python(*args, stdin=b""):
+    """`python ARGS` in a fresh interpreter that imports this package;
+    stdout and stderr as bytes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], input=stdin, env=env,
+                          capture_output=True, check=False, timeout=300)
+
+
+def _no_claim_runs(*args, **kwargs):
+    raise AssertionError("a claim ran")
 
 
 def test_poly_examples(capsys):
@@ -123,9 +144,7 @@ PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0,
 PINNED_STDIN = {"verify_stream_n7.out": "stream_n7.g6", "spectrum_stream_n7.out": "stream_n7.g6",
                 "spectrum_mixed.out": "spectrum_mixed.g6"}
 EXPECTED = Path(__file__).parent / "expected"
-
-
-@pytest.mark.parametrize("argv,expected", [
+PINNED_RUNS = [
     (("verify", "--claims", "quotient-consistency,3.4,3.5,3.6,3.11,3.12"),
      "verify_exact_grid.out"),
     (("verify", "--claims", "T2.4,T2.8,T3.7,T3.13,3.9", "--n", "7", "--workers", "1"),
@@ -144,7 +163,10 @@ EXPECTED = Path(__file__).parent / "expected"
     # complements, a ">>graph6<<" header and malformed lines
     (("spectrum",), "spectrum_mixed.out"),
     (("spectrum", "--family", "L", "--p", "5", "--q", "3"), "spectrum_family_L53.out"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_RUNS)
 def test_verify_stdout_is_pinned(capsys, monkeypatch, argv, expected):
     # the exact layer's roots and orders (492 of them on the 3.11 grid to
     # p = 32), the n = 7 and n = 8 scans, Lemma 2.1's, 2.5's and 2.6's counts,
@@ -156,6 +178,53 @@ def test_verify_stdout_is_pinned(capsys, monkeypatch, argv, expected):
     assert code == PINNED_EXIT_CODES.get(expected, 2)
     assert out.splitlines() == want.splitlines()
     assert out == want
+
+
+@pytest.mark.parametrize("expected", ["verify_theorems_n7.out", "verify_stream_n7.out",
+                                      "verify_exact_grid.out"])
+def test_benchmark_commands_are_pinned_in_a_process(expected):
+    # the benchmark's three commands, each in its own interpreter, so the pins
+    # also cover what runs after `main` returns, up to the process's exit
+    argv = {name: argv for argv, name in PINNED_RUNS}[expected]
+    stdin = (EXPECTED / PINNED_STDIN[expected]).read_bytes() if expected in PINNED_STDIN else b""
+    res = run_python("-m", "cdspectra.cli", *argv, stdin=stdin)
+    assert res.returncode == PINNED_EXIT_CODES.get(expected, 2), res.stderr
+    assert res.stdout == (EXPECTED / expected).read_bytes()
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # tests and tools call `main` in-process; only `console_main` freezes
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run_cli(capsys, "verify", "--claims", "T2.8", "--n", "6")[0] == 0
+    assert run_cli(capsys, "verify", "--claims", "T2.8,T2.8")[0] == 1
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_a_process_ends_with_complete_output(tmp_path, capsys):
+    argv = ("verify", "--claims", "T2.8", "--n", "6", "--csv")
+    res = run_python("-m", "cdspectra.cli", *argv, str(tmp_path / "process.csv"))
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "in_process.csv"))
+    assert res.returncode == code == 0
+    assert res.stdout.decode() == out and res.stderr.decode() == err
+    csv = (tmp_path / "process.csv").read_text()
+    assert csv == (tmp_path / "in_process.csv").read_text()
+    assert csv.splitlines()[1].startswith("T2.8,confirmed,")
+
+
+def test_the_script_and_python_m_share_one_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    module, name = pyproject["project"]["scripts"]["cdspectra"].split(":")
+    assert module == "cdspectra.cli"
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(node) for node in block.body] == [f"sys.exit({name}())"]
+    # and the entry point freezes the collector once the run is done
+    res = run_python("-c", "import gc, sys; from cdspectra import cli; "
+                           "sys.argv[1:] = ['family', '--family', 'path', '--n', '5']; "
+                           f"print(cli.{name}(), gc.get_freeze_count() > 0)")
+    assert res.stdout.splitlines()[-1] == b"0 True", res.stderr
 
 
 def test_verify_csv(tmp_path, capsys):
@@ -300,25 +369,40 @@ def test_spectrum_solves_each_graph_once(capsys, monkeypatch):
 
 
 def test_verify_stdin_t313_tie_above_isomorphism_cap(capsys, monkeypatch):
-    # T3.13 tells L(p, q) by its structure, so a stream of order 11 is decided
+    # T3.13 tells L(p, q) by its structure, so a stream of order 12 is decided
     from cdspectra.families import build_L
     from cdspectra.graphcore import to_graph6
     code, out, err = run_cli(capsys, "verify", "--claims", "T3.13", "--stdin",
-                             stdin=to_graph6(build_L(6, 5)) + "\n", monkeypatch=monkeypatch)
+                             stdin=to_graph6(build_L(6, 6)) + "\n", monkeypatch=monkeypatch)
     assert code == 0 and "error:" not in err
     rep = json.loads(out)
-    assert rep["status"] == "confirmed" and rep["params"] == {"n": 11, "sample": 1}
+    assert rep["status"] == "confirmed" and rep["params"] == {"n": 12, "sample": 1}
     assert rep["margin"] == 0 and "unique up to isomorphism: True" in rep["notes"]
 
 
 def test_verify_stdin_t28_above_isomorphism_cap(capsys, monkeypatch):
-    # T2.8 tells P_n by its degrees, so a stream of order 11 is decided
-    assert from_graph6("JhCGGC@?G?_") == build_path(11)
+    # T2.8 tells P_n by its degrees, so a stream of order 12 is decided
+    assert from_graph6("KhCGGC@?G?_@") == build_path(12)
     code, out, err = run_cli(capsys, "verify", "--claims", "T2.8", "--stdin",
-                             stdin="JhCGGC@?G?_\n", monkeypatch=monkeypatch)
+                             stdin="KhCGGC@?G?_@\n", monkeypatch=monkeypatch)
     assert code == 0 and "error:" not in err
     rep = json.loads(out)
-    assert rep["status"] == "confirmed" and rep["params"] == {"n": 11, "sample": 1}
+    assert rep["status"] == "confirmed" and rep["params"] == {"n": 12, "sample": 1}
+    assert "unique up to isomorphism: True" in rep["notes"]
+
+
+def test_verify_stdin_merges_order_11_witnesses(capsys, monkeypatch):
+    # two relabelings of L(6, 5) are one witness up to isomorphism
+    from cdspectra.families import build_L
+    from cdspectra.graphcore import relabel, to_graph6
+    g = build_L(6, 5)
+    lines = [to_graph6(g), to_graph6(relabel(g, random.Random(3).sample(range(11), 11)))]
+    assert lines[0] != lines[1]
+    code, out, _ = run_cli(capsys, "verify", "--claims", "T3.13", "--stdin",
+                           stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
+    rep = json.loads(out)
+    assert code == 0 and rep["params"] == {"n": 11, "sample": 2}
+    assert rep["witnesses"] == lines[:1]
     assert "unique up to isomorphism: True" in rep["notes"]
 
 
@@ -415,8 +499,7 @@ def test_verify_workers_below_one_is_usage_error(capsys, workers):
     assert err == f"error: --workers must be at least 1, got {workers}\n"
 
 
-@pytest.mark.parametrize("claim", ["T2.4", "T2.8", "T3.7", "T3.13",
-                                   "2.1", "2.3", "2.5", "2.6", "2.7", "3.9"])
+@pytest.mark.parametrize("claim", verify.ORDER_CLAIMS)
 def test_verify_order_zero_is_usage_error(capsys, claim):
     # n = 0 is an order like any other, not "use the default"
     code, out, err = run_cli(capsys, "verify", "--claims", claim, "--n", "0")
@@ -441,23 +524,18 @@ def test_verify_empty_lemma_grid_is_usage_error(capsys, argv):
 
 
 def test_verify_lemma_2_7_runs_above_the_isomorphism_cap(capsys):
-    # Lemma 2.7 tells the star and the path by their degrees, so n = 11 runs
-    code, out, err = run_cli(capsys, "verify", "--claims", "2.7", "--n", "11")
+    # Lemma 2.7 tells the star and the path by their degrees, so n = 12 runs
+    code, out, err = run_cli(capsys, "verify", "--claims", "2.7", "--n", "12")
     assert code == 0 and "error:" not in err
     rep = json.loads(out)
-    assert rep["status"] == "confirmed" and rep["params"] == {"n_max": 11}
+    assert rep["status"] == "confirmed" and rep["params"] == {"n_max": 12}
 
 
 @pytest.mark.parametrize("claim", ["3.4", "3.5", "3.6", "3.11", "3.12"])
 def test_verify_p_max_above_32_is_rejected_before_any_grid_work(capsys, monkeypatch, claim):
     # the grids reach p + q = 2 p_max vertices, and a Graph holds at most 64
-    from cdspectra import verify
-
-    def no_claim_runs(*args, **kwargs):
-        raise AssertionError("a claim ran")
-
     with monkeypatch.context() as patched:
-        patched.setattr(verify, "run_claim", no_claim_runs)
+        patched.setattr(verify, "run_claim", _no_claim_runs)
         code, out, err = run_cli(capsys, "verify", "--claims", claim, "--p-max", "33")
     assert code == 1 and out == ""
     assert err == "error: --p-max must be at most 32, got 33\n"
@@ -465,6 +543,32 @@ def test_verify_p_max_above_32_is_rejected_before_any_grid_work(capsys, monkeypa
     assert code in (0, 2) and "Traceback" not in err
     rep = json.loads(out)
     assert rep["claim"] == claim and rep["params"]["grid"].startswith("4<=p<=32,")
+
+
+@pytest.mark.parametrize("claim", [c for c in verify.CLAIM_IDS if c not in verify.ORDER_CLAIMS])
+def test_verify_order_that_no_claim_reads_is_usage_error(capsys, monkeypatch, claim):
+    # the grid lemmas read --p-max, and 3.1 reads nothing: an order given to
+    # them alone would be ignored
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "run_claim", _no_claim_runs)
+        code, out, err = run_cli(capsys, "verify", "--claims", claim, "--n", "99")
+    assert code == 1 and out == ""
+    assert err == (f"error: --n does not apply: none of {claim} reads an order (those that do: "
+                   "2.1, 2.3, 2.5, 2.6, 2.7, 3.9, T2.4, T2.8, T3.7, T3.13)\n")
+
+
+def test_verify_order_read_by_one_claim_of_a_list(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--claims", "T2.4,3.4", "--n", "7")
+    assert code == 0
+    assert [json.loads(line)["claim"] for line in out.splitlines()] == ["T2.4", "3.4"]
+
+
+def test_verify_repeated_claim_is_usage_error(capsys, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "run_claim", _no_claim_runs)
+        code, out, err = run_cli(capsys, "verify", "--claims", "T2.4,T2.8,T2.4", "--n", "6")
+    assert code == 1 and out == ""
+    assert err == "error: claim T2.4 is given more than once\n"
 
 
 @pytest.mark.parametrize("argv", [

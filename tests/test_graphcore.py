@@ -28,6 +28,7 @@ from cdspectra.graphcore import (
     graphs_from_stack,
     is_connected,
     is_isomorphic,
+    orbit_minima,
     relabel,
     to_graph6,
 )
@@ -304,7 +305,58 @@ def test_isomorphism():
     assert is_isomorphic(build_path(5), build_path(5))
     assert not is_isomorphic(build_path(4), build_path(5))
     with pytest.raises(TooLarge):
-        is_isomorphic(build_path(11), build_path(11))
+        is_isomorphic(build_path(12), build_path(12))
+
+
+PAIRS_11 = [(u, v) for u in range(11) for v in range(u + 1, 11)]
+
+
+def _order_11_graph(rng: random.Random, kind: int) -> list:
+    """The edges of a random order-11 graph: a circulant (|Aut| >= 22), a
+    sparse graph with isolated vertices and edges, or a denser one."""
+    if kind == 0:
+        steps = rng.sample(range(1, 6), rng.randint(1, 4))
+        return [(u, v) for u, v in PAIRS_11 if min(v - u, 11 - v + u) in steps]
+    density = 0.15 if kind == 1 else rng.uniform(0.3, 0.7)
+    return [e for e in PAIRS_11 if rng.random() < density]
+
+
+def test_orbit_minima_at_order_11_agree_with_networkx():
+    # an order-11 g6 mask has 55 bits, so the int64 search holds it
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+
+    def nx_graph(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    def edge_moved(edges):
+        edges = list(edges)
+        edges.remove(rng.choice(edges))
+        return from_edges(11, edges + [rng.choice([e for e in PAIRS_11 if e not in edges])])
+
+    # each pair is a graph with one edge moved, and either its relabeling or
+    # a relabeling of the same graph with an edge moved elsewhere
+    firsts, seconds = [], []
+    for i in range(300):
+        edges = _order_11_graph(rng, i % 3)
+        g = edge_moved(edges)
+        other = edge_moved(edges) if rng.random() < 0.5 else g
+        firsts.append(g)
+        seconds.append(relabel(other, rng.sample(range(11), 11)))
+    minima, _ = orbit_minima([g.adj for g in firsts + seconds], 11)
+    same = [nx.is_isomorphic(nx_graph(g), nx_graph(h)) for g, h in zip(firsts, seconds)]
+    assert (minima[:300] == minima[300:]).tolist() == same
+    assert 100 < sum(same) < 200
+    # |Aut| of circulants and of sparse graphs, up to 1440 at this seed
+    graphs = [from_edges(11, _order_11_graph(rng, i % 2)) for i in range(40)]
+    _, aut = orbit_minima([g.adj for g in graphs], 11)
+    matcher = nx.algorithms.isomorphism.GraphMatcher
+    assert aut.tolist() == [sum(1 for _ in matcher(nx_graph(g), nx_graph(g)).isomorphisms_iter())
+                            for g in graphs]
+    assert aut.max() > 100
 
 
 def test_isomorphism_same_degree_sequence_nonisomorphic():

@@ -338,11 +338,12 @@ def test_lemma_2_7_trees():
 
 def test_lemma_2_7_above_the_isomorphism_cap():
     # the star and the path are named by their degrees, so no tree order is capped
-    rep = verify.check_lemma("2.7", n=11)
+    rep = verify.check_lemma("2.7", n=12)
     assert rep.status == "confirmed" and rep.counterexamples == []
-    assert rep.params == {"n_max": 11}
-    # the trees on 4..11 vertices, 1 + 2 + 5 + 10 + 22 + 46 + 105 + 234 of them without the stars
-    assert rep.notes == ["425 non-star trees checked; equality exactly at P_n"]
+    assert rep.params == {"n_max": 12}
+    # the trees on 4..12 vertices, 1 + 2 + 5 + 10 + 22 + 46 + 105 + 234 + 550
+    # of them without the stars
+    assert rep.notes == ["975 non-star trees checked; equality exactly at P_n"]
     # the least gap over the trees shrinks as the order grows
     assert 1e-9 < rep.margin < verify.check_lemma("2.7").margin
 
