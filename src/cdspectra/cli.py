@@ -243,7 +243,7 @@ def cmd_verify(args) -> int:
     if args.workers < 1:
         raise SystemExit2(f"--workers must be at least 1, got {args.workers}")
     # the grids' largest graphs have p + q vertices, and a Graph holds at most MAX_VERTICES
-    if args.p_max > MAX_VERTICES // 2:
+    if args.p_max is not None and args.p_max > MAX_VERTICES // 2:
         raise SystemExit2(f"--p-max must be at most {MAX_VERTICES // 2}, got {args.p_max}")
     for i, c in enumerate(claims):
         if c not in verify.CLAIM_IDS:
@@ -259,6 +259,11 @@ def cmd_verify(args) -> int:
         raise SystemExit2(
             f"--n does not apply: none of {', '.join(claims)} reads an order "
             f"(those that do: {', '.join(verify.ORDER_CLAIMS)})")
+    if args.p_max is not None and not set(claims) & set(verify.GRID_CLAIMS):
+        raise SystemExit2(
+            f"--p-max does not apply: none of {', '.join(claims)} reads the grid bound "
+            f"(those that do: {', '.join(verify.GRID_CLAIMS)})")
+    p_max = 12 if args.p_max is None else args.p_max
     # every claim sees the whole stream, so it is read and solved once
     stream = _read_stream(sys.stdin.readlines()) if args.stdin else None
     reports = []
@@ -267,7 +272,7 @@ def cmd_verify(args) -> int:
             if stream is not None:
                 rep = _stream_theorem(c, stream)
             else:
-                rep = verify.run_claim(c, n=args.n, p_max=args.p_max)
+                rep = verify.run_claim(c, n=args.n, p_max=p_max)
         except ValueError as exc:
             raise SystemExit2(f"claim {c}: {exc}") from exc
         reports.append(rep)
@@ -330,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--claims", required=True,
                     help="comma-separated ids, e.g. T2.8,3.4,quotient-consistency")
     vp.add_argument("--n", type=int, default=None, help="order for scans")
-    vp.add_argument("--p-max", type=int, default=12, help="grid upper bound for p")
+    vp.add_argument("--p-max", type=int, default=None,
+                    help="grid upper bound for p (default 12)")
     vp.add_argument("--workers", type=int, default=1,
                     help="accepted and ignored: every check runs in this process "
                          "(must be at least 1)")

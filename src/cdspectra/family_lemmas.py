@@ -149,26 +149,22 @@ def _grid_reports(pairs, fn) -> tuple[list[dict], float | None, list[dict]]:
 
 
 def _lemma_3_1(a_max: int = 9, b_max: int = 9) -> VerificationReport:
-    """Chain lambda_n(T1^c) >= lambda_n(T2^c) > lambda_n(T^c(a+1,b))."""
+    """Chain lambda_n(T1^c) >= lambda_n(T2^c) > lambda_n(T^c(a+1,b)); a tie
+    holds only where T1 and T2 are one tree, so only ties build them."""
     def point(a, b):
         t1 = _family_spectrum("T1", (a, b)).lambda_n
         t2 = _family_spectrum("T2", (a, b)).lambda_n
         t0 = _family_spectrum("T", (a + 1, b)).lambda_n
-        iso = (is_isomorphic(trees["T1", (a, b)], trees["T2", (a, b)])
-               if a + b + 3 <= 10 else None)
         tie = abs(t1 - t2) <= CLUSTER_TOL
         ok = (t1 - t2 > -CLUSTER_TOL) and (t2 - t0 > STRICT_MARGIN) and (
-            not tie or iso is not False)
-        return {"params": (a, b), "lns": (t1, t2, t0), "tie": tie, "iso": iso,
+            not tie or is_isomorphic(*build_many([("T1", (a, b)), ("T2", (a, b))])))
+        return {"params": (a, b), "lns": (t1, t2, t0), "tie": tie,
                 "margin": min(t1 - t2 if not tie else t2 - t0, t2 - t0), "ok": ok}
 
     pairs = [(a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)
              if a + b + 3 <= 24]
     _family_spectra(key for a, b in pairs
                     for key in (("T1", (a, b)), ("T2", (a, b)), ("T", (a + 1, b))))
-    # T1 and T2 are compared up to isomorphism where is_isomorphic reaches
-    small = [(f, (a, b)) for a, b in pairs if a + b + 3 <= 10 for f in ("T1", "T2")]
-    trees = dict(zip(small, build_many(small)))
     rows, worst, bad = _grid_reports(pairs, point)
     ties = [r["params"] for r in rows if r["tie"]]
     return VerificationReport(

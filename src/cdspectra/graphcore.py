@@ -6,18 +6,21 @@ operations.  Every distance matrix and diameter comes from one kernel,
 `distance_matrices`, which runs BFS from all vertices of a stack of
 same-order graphs at once by Boolean matrix products; so does every
 D(G^c): one function, `verify._complements`, builds it from this kernel on
-a stack of complements, and one, `verify.eigenpairs`, solves it.  `is_connected` is a flood fill from vertex 0 over the
-bitsets.  Isomorphism has one primitive too, `orbit_minima`: a batched
-search for each graph's least edge mask over all relabelings, with its
-automorphism count, which needs no table of the n! relabelings.  All
-functions are pure and graphs are immutable, so values can be shared
-freely.
+a stack of complements, and one, `verify.eigenpairs`, solves it.
+`is_connected` is a flood fill from vertex 0 over the bitsets.
+Isomorphism has one primitive too, `orbit_minima`, for n <= 16: a
+batched search for each graph's least relabeling, returned as canonical
+rows (equal exactly for isomorphic graphs) with its automorphism count,
+which needs no table of the n! relabelings.  `least_masks` packs
+canonical rows into graph6 edge masks where those fit a machine word,
+n <= 11.  All functions are pure and graphs are immutable, so values can
+be shared freely.
 """
 
 import numpy as np
 
 MAX_VERTICES = 64
-ISO_MAX_VERTICES = 11    # an order-11 g6 mask has 55 bits; order 12 would need 66 > 63
+ISO_MAX_VERTICES = 16    # the search keeps vertex sets and canonical rows in uint16
 
 
 class Graph6Error(ValueError):
@@ -379,7 +382,7 @@ def _minima_block(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     weight = np.ones(len(rows), dtype=np.int64)
     cells = np.zeros((len(rows), n), dtype=np.uint16)
     cells[:, 0] = (1 << n) - 1
-    minima = np.zeros(len(rows), dtype=np.int64)
+    canon = np.zeros((len(rows), n - 1), dtype=np.uint16)
     for k in range(n - 1):
         first = cells[:, k]
         tw = twins[graph] & first[:, None]
@@ -395,7 +398,7 @@ def _minima_block(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         row = (((1 << cnt) - 1) << (n - end)).sum(axis=1)
         starts = np.flatnonzero(np.r_[True, graph[1:] != graph[:-1]])
         best = np.minimum.reduceat(row, starts)
-        minima = (minima << (n - 1 - k)) | best
+        canon[:, k] = best
         keep = row == np.repeat(best, np.diff(np.r_[starts, len(row)]))
         graph, weight, cells, hood = graph[keep], weight[keep], cells[keep], hood[keep]
         # split every later cell: non-neighbours of v first, then neighbours
@@ -408,44 +411,58 @@ def _minima_block(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         cells[:, k + 1:] = 0
         cells[i, at[i, j]] = parts[i, j]
     starts = np.flatnonzero(np.r_[True, graph[1:] != graph[:-1]])
-    return minima.astype(np.uint64), np.add.reduceat(weight, starts)
+    return canon, np.add.reduceat(weight, starts)
 
 
 def orbit_minima(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least graph6 edge mask over all relabelings of each graph, and |Aut|.
+    """Canonical rows of each graph's least relabeling, and |Aut| (n <= 16).
 
     `rows` is an (m, n) array of neighbour bitsets, the `Graph.adj` layout;
-    returns (minima, aut), uint64 and int64 arrays aligned with it, so two
-    graphs are isomorphic exactly when their minima are equal, and a
-    graph's S_n orbit has n!/|Aut| members.
+    returns (canon, aut), an (m, n - 1) uint16 and an int64 array aligned
+    with it.  Two graphs are isomorphic exactly when their canonical rows
+    are equal, and a graph's S_n orbit has n!/|Aut| members.  Compared
+    lexicographically, canonical rows order graphs as their least graph6
+    edge masks do, and `least_masks` packs them into those masks.
 
     Read from its top bit, a g6 mask is the row-major upper triangle in the
-    vertex order n-1, n-2, ..., 0.  So position k of that order takes the
-    vertex of the first cell of an ordered partition whose row, the sum over
-    the later cells of (2^cnt - 1) << (n - end), is least (cnt: its
-    neighbours in the cell; end: the cell's end position), and each cell
-    then splits, non-neighbours first.  Tied branches advance together,
-    level by level over a block of graphs (McKay & Piperno, "Practical graph
-    isomorphism, II", J. Symb. Comput. 60, 2014).  Twins share a cell and
-    tie, so a twin class branches once, weighted by its size there; the
-    surviving weight is |Aut|.
+    vertex order n-1, n-2, ..., 0, and canonical row k is the row of
+    position k, n - 1 - k bits.  Position k takes the vertex of the first
+    cell of an ordered partition whose row, the sum over the later cells of
+    (2^cnt - 1) << (n - end), is least (cnt: its neighbours in the cell;
+    end: the cell's end position), and each cell then splits,
+    non-neighbours first.  Tied branches advance together, level by level
+    over a block of graphs (McKay & Piperno, "Practical graph isomorphism,
+    II", J. Symb. Comput. 60, 2014).  Twins share a cell and tie, so a twin
+    class branches once, weighted by its size there; the surviving weight
+    is |Aut|.  Cells are uint16 vertex sets, whence ISO_MAX_VERTICES = 16.
     """
     if n > ISO_MAX_VERTICES:
         raise TooLarge(f"isomorphism supported up to n={ISO_MAX_VERTICES}")
     rows = np.asarray(rows, dtype=np.uint16).reshape(-1, n)
     if len(rows) == 0:
-        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+        return np.zeros((0, n - 1), dtype=np.uint16), np.zeros(0, dtype=np.int64)
     size = max(1, MINIMA_BLOCK_ENTRIES // (n * n))
     parts = [_minima_block(rows[i:i + size], n) for i in range(0, len(rows), size)]
     return np.concatenate([m for m, _ in parts]), np.concatenate([a for _, a in parts])
 
 
+def least_masks(canon: np.ndarray) -> np.ndarray:
+    """The least graph6 edge masks (uint64) that `orbit_minima`'s canonical
+    rows encode, for n <= 11: an order-12 mask has 66 bits."""
+    n = canon.shape[1] + 1
+    if n > 11:
+        raise ValueError(f"a graph6 edge mask of order {n} does not fit in 64 bits")
+    # row k is followed by rows of n - 2 - k, ..., 1 bits
+    shift = np.array([(n - 2 - k) * (n - 1 - k) // 2 for k in range(n - 1)], dtype=np.uint64)
+    return (canon.astype(np.uint64) << shift).sum(axis=1, dtype=np.uint64)
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Whether g and h have the same orbit minimum (n <= ISO_MAX_VERTICES)."""
+    """Whether g and h have equal canonical rows (n <= ISO_MAX_VERTICES)."""
     if g.n != h.n:
         return False
-    minima, _ = orbit_minima([g.adj, h.adj], g.n)
-    return bool(minima[0] == minima[1])
+    canon, _ = orbit_minima([g.adj, h.adj], g.n)
+    return bool(np.array_equal(canon[0], canon[1]))
 
 
 def relabel(g: Graph, perm) -> Graph:

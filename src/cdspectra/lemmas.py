@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from cdspectra import quotients
-from cdspectra.graphcore import from_edge_mask, orbit_minima, to_graph6
+from cdspectra.graphcore import from_edge_mask, least_masks, orbit_minima, to_graph6
 from cdspectra.verify import (
     CLUSTER_TOL,
     STRICT_MARGIN,
@@ -32,23 +32,22 @@ from cdspectra.verify import (
     _family_spectrum,
     _mask_stack,
     _noncomplete_connected,
-    _orbit,
     _orbit_classes,
-    class_scan,
     complement_distances,
 )
 
 
 def _lemma_2_1(n: int) -> VerificationReport:
     """Distance/complement identity (diam>3) and inequality (diam=3)."""
-    scan = class_scan(n)
+    classes = _classes(n)
+    scan = classes.summary
     ident_bad = scan["lemma21_violations"]
+    ident_count = int(classes.sizes[np.searchsorted(classes.reps, ident_bad)].sum())
     ineq = _lemma21_diam3_scan(n)
     status = "confirmed" if not ident_bad and not ineq["violations"] else "refuted"
     return VerificationReport(
         claim_id="2.1", status=status, params={"n": n},
-        counterexamples=[to_graph6(from_edge_mask(n, m)) for m in ident_bad]
-        + [to_graph6(from_edge_mask(n, m)) for m in ineq["violations"]],
+        counterexamples=[to_graph6(from_edge_mask(n, m)) for m in ident_bad + ineq["violations"]],
         notes=[
             f"diam>3: identity D(G^c) = J - I + A(G) checked on {scan['count']} graphs",
             f"diam=3: entrywise >= checked on {ineq['count']} graphs "
@@ -56,9 +55,9 @@ def _lemma_2_1(n: int) -> VerificationReport:
         ],
         details={
             "class_size_diam_gt3": scan["count"],
-            "identity_violations": len(ident_bad),
+            "identity_violations": ident_count,
             "diam3_count": ineq["count"],
-            "inequality_violations": len(ineq["violations"]),
+            "inequality_violations": ineq["labeled_violations"],
             "diam3_complement_exceptions": ineq["complement_not_small"],
         },
     )
@@ -73,7 +72,8 @@ def _lemma21_diam3_scan(n: int) -> dict:
     and the inequality, which is relabeling-equivariant, is checked once
     per class, on D(G^c) from one `complement_distances` call.  The counts
     are over labeled graphs: those with a complement of diameter <= 3,
-    those without, and every member of a violating class.
+    those without, and the members of the violating classes, which are
+    listed by their representatives, ascending.
     """
     full = np.uint8((1 << n) - 1)
     masks = _extend(_noncomplete_connected(n - 1), n - 1)
@@ -87,10 +87,11 @@ def _lemma21_diam3_scan(n: int) -> dict:
     adj = _mask_stack(reps, n)
     dc = complement_distances(adj)
     covered = dc.max(axis=(1, 2)) <= 3
-    ok = np.all(dc >= 1 - np.eye(n, dtype=np.int64) + adj, axis=(1, 2))
+    bad = covered & ~np.all(dc >= 1 - np.eye(n, dtype=np.int64) + adj, axis=(1, 2))
     return {
         "count": int(sizes[covered].sum()),
-        "violations": _orbit(n, reps[covered & ~ok]).tolist(),
+        "violations": reps[bad].tolist(),
+        "labeled_violations": int(sizes[bad].sum()),
         "complement_not_small": int(sizes[~covered].sum()),
     }
 
@@ -112,7 +113,7 @@ def _deletion_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     minus = classes.reps[k] ^ np.left_shift(np.uint32(1), e.astype(np.uint32))
     adj = _adj_rows(minus, n)
     keep = _class_keep(adj, n)
-    smallest, _ = orbit_minima(adj[:, keep].T, n)
+    smallest = least_masks(orbit_minima(adj[:, keep].T, n)[0])
     return k[keep], e[keep], np.searchsorted(classes.reps, smallest.astype(np.uint32))
 
 

@@ -20,9 +20,11 @@ the spectrum is a class invariant, and so is every relation the checks
 count, since relabeling commutes with complement, distance and edge
 deletion.  Lemma 2.1's diameter-3 half and the edge deletions of Lemmas
 2.5 and 2.6 are read at the class level too, no list of labeled members
-is built, and everything runs in one process.
-A witness is the smallest edge mask of its class, a labeling that does
-not depend on eigensolver rounding.
+is built, nothing walks S_n, and everything runs in one process.
+A witness, or a class that breaks a claim, is given by the smallest edge
+mask of its class, a labeling that does not depend on eigensolver
+rounding.  A stream's witnesses are merged by the same search, up to
+order `ISO_MAX_VERTICES`.
 
 Every theorem checker here, and every lemma checker in `lemmas` and
 `family_lemmas`, returns a VerificationReport whose status is measured,
@@ -32,7 +34,6 @@ true direction opposes the stated one are `confirmed-with-reversed-direction`.
 
 import math
 from collections import Counter
-from itertools import chain, permutations
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from cdspectra.graphcore import (
     from_edge_mask,
     g6_pairs,
     graphs_from_stack,
+    least_masks,
     orbit_minima,
     stack_from_bits,
     to_graph6,
@@ -70,8 +72,9 @@ CLAIM_IDS = (
     "T2.4", "T2.8", "T3.7", "T3.13",
     "quotient-consistency",
 )
-# the claims that read an order n; the others read the grid bound p_max or nothing
+# the claims that read an order n, and those that read the grid bound p_max
 ORDER_CLAIMS = ("2.1", "2.3", "2.5", "2.6", "2.7", "3.9", "T2.4", "T2.8", "T3.7", "T3.13")
+GRID_CLAIMS = ("3.4", "3.5", "3.6", "3.11", "3.12")
 
 
 class VerificationReport:
@@ -200,38 +203,6 @@ def _cluster(values: np.ndarray, keys: np.ndarray, mode: str) -> dict | None:
     return {"value": v, "pairs": pairs, "runner_up": runner}
 
 
-def _distinct(masks: np.ndarray) -> np.ndarray:
-    """The distinct entries of `masks`, flattened and ascending.
-
-    A sort and a neighbour compare: `np.unique` takes several times longer
-    on these uint32 mask arrays, and loads `numpy.ma` on its first call.
-    """
-    out = np.sort(masks, axis=None)
-    keep = np.ones(len(out), dtype=bool)
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
-
-
-def _orbit(n: int, masks) -> np.ndarray:
-    """The distinct relabelings of the graphs `masks`, ascending, as uint32.
-
-    It lists labeled members only, so it walks every permutation of S_n;
-    classes and their sizes come from `orbit_minima` instead.
-    """
-    masks = np.atleast_1d(masks)
-    if len(masks) == 0:
-        return np.zeros(0, dtype=np.uint32)
-    perms = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.uint8,
-                        count=math.factorial(n) * n).reshape(-1, n)
-    hi, lo = np.tril_indices(n, -1)             # g6_pairs order: (lo, hi) by hi, then lo
-    edge = np.zeros((n, n), dtype=np.uint32)
-    edge[lo, hi] = edge[hi, lo] = np.arange(len(hi))
-    bit = np.left_shift(np.uint32(1), edge[perms[:, lo], perms[:, hi]])    # (n!, edges)
-    return _distinct(np.concatenate([
-        bit[:, [e for e in range(len(hi)) if int(m) >> e & 1]].sum(axis=1, dtype=np.uint32)
-        for m in masks]))
-
-
 def _extend(parents: np.ndarray, k: int) -> np.ndarray:
     """Every graph made from a parent on k vertices by adding vertex k with a
     non-empty neighbourhood, as sorted distinct edge masks on k + 1 vertices.
@@ -240,7 +211,12 @@ def _extend(parents: np.ndarray, k: int) -> np.ndarray:
     is its parent's mask with the neighbourhood shifted above it.
     """
     hoods = np.arange(1, 1 << k, dtype=np.uint32) << np.uint32(k * (k - 1) // 2)
-    return _distinct(parents[:, None] | hoods[None, :])
+    # a sort and a neighbour compare: `np.unique` takes several times longer
+    # on these uint32 mask arrays, and loads `numpy.ma` on its first call
+    out = np.sort(parents[:, None] | hoods[None, :], axis=None)
+    keep = np.ones(len(out), dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 def _orbit_classes(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +225,8 @@ def _orbit_classes(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     reps holds the smallest member of each orbit, ascending, and sizes
     n!/|Aut| of each, both from `orbit_minima`.
     """
-    minima, aut = orbit_minima(_adj_rows(masks, n).T, n)
+    canon, aut = orbit_minima(_adj_rows(masks, n).T, n)
+    minima = least_masks(canon)
     order = np.argsort(minima)
     minima, aut = minima[order], aut[order]
     first = np.ones(len(minima), dtype=bool)
@@ -275,8 +252,8 @@ def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray, np
     """The connected diameter>3 classes on n vertices, by one vertex at a time.
 
     Returns (reps, sizes, violations, values, vectors): the smallest edge
-    mask of each class in ascending order, its orbit size n!/|Aut|, every
-    labeled member of a class that breaks Lemma 2.1's identity
+    mask of each class in ascending order, its orbit size n!/|Aut|, the
+    representatives of the classes that break Lemma 2.1's identity
     D(G^c) = J - I + A(G), and the eigenpairs of each representative's
     D(G^c) as `complement_spectra` returns them.
 
@@ -303,8 +280,8 @@ def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray, np
     J. Algorithms 26, 1998).  Then one `complement_spectra` call gives
     D(G^c) of every class representative, whose diameter is asserted to be
     at most 3 and on which the identity is checked, once per class: the
-    identity commutes with relabeling, so a class that breaks it is listed
-    with its whole orbit, and the labeled counts come from `sizes`.
+    identity commutes with relabeling, so a class breaks it in every member
+    or in none, and the labeled counts come from `sizes`.
     """
     masks = _extend(_noncomplete_connected(n - 2), n - 2)
     balls = _ball_radius(_adj_rows(masks, n - 1), n - 1, 2)
@@ -319,7 +296,7 @@ def _generate(n: int) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray, np
         raise AssertionError(
             f"complement not within diameter 3 for masks {reps[wide][:5].tolist()}")
     holds = np.all(dc == 1 - np.eye(n, dtype=np.int64) + adj, axis=(1, 2))
-    return reps, sizes, _orbit(n, reps[~holds]).tolist(), values, vectors
+    return reps, sizes, reps[~holds].tolist(), values, vectors
 
 
 def _least_split(values: np.ndarray, vectors: np.ndarray):
@@ -364,10 +341,11 @@ def class_scan(n: int) -> dict:
 
     The classes are generated one vertex at a time (`_generate`), without
     visiting the labeled graphs, and D(G^c) is solved once per class.  The
-    summary holds the class size, the Lemma 2.1 violations, the q
-    histogram, the degenerate count and the q = 1 count, every count over
-    labeled graphs.  q, the smaller side of the least eigenvector's sign
-    split, is a class invariant only where the least eigenvalue is simple:
+    summary holds the class size, the representatives of the classes that
+    break Lemma 2.1's identity (ascending), the q histogram, the degenerate
+    count and the q = 1 count, every count over labeled graphs.  q, the
+    smaller side of the least eigenvector's sign split, is a class
+    invariant only where the least eigenvalue is simple:
     the q histogram and the q = 1 count cover those classes alone, and
     `degenerate` counts the members of the others.  The per-class record,
     which the claim checkers read, is `_classes(n)`.
@@ -401,22 +379,13 @@ def _classes(n: int) -> _Classes:
     return _SCAN_CACHE[n]
 
 
-def enumerate_diam_gt3(n: int, sink=None) -> int:
-    """Deliver every connected diameter>3 graph on n vertices exactly once;
-    return the count.
-
-    Exhaustive enumeration runs for 5 <= n <= 8 and counts the labeled
-    class members from the class record `_classes(n)`, as the sum of its
-    orbit sizes.  Only a `sink` makes it list them: the orbits of the class
-    representatives, merged into ascending mask order for this call alone.
-    """
+def enumerate_diam_gt3(n: int) -> int:
+    """The number of labeled connected diameter>3 graphs on n vertices, for
+    5 <= n <= 8: the sum of the orbit sizes of the class record
+    `_classes(n)`, which lists no labeled member."""
     if not 5 <= n <= 8:
         raise ValueError("internal enumeration supports 5 <= n <= 8")
-    classes = _classes(n)
-    if sink is not None:
-        for m in _orbit(n, classes.reps):
-            sink(from_edge_mask(n, int(m)))
-    return int(classes.sizes.sum())
+    return int(_classes(n).sizes.sum())
 
 
 def _blocks(items, n: int) -> list:
@@ -442,12 +411,13 @@ def graph_diameters(adj) -> np.ndarray:
 
 
 def _dedup_isomorphic(graphs: list[Graph]) -> list[Graph]:
-    """One representative per isomorphism class of same-order graphs, in
-    first-seen order: the first graph of each distinct orbit minimum."""
-    minima, _ = orbit_minima([g.adj for g in graphs], graphs[0].n)
-    first: dict[int, Graph] = {}
-    for m, g in zip(minima.tolist(), graphs):
-        first.setdefault(m, g)
+    """One representative per isomorphism class of same-order graphs
+    (n <= ISO_MAX_VERTICES), in first-seen order: the first graph of each
+    distinct set of canonical rows."""
+    canon, _ = orbit_minima([g.adj for g in graphs], graphs[0].n)
+    first: dict[bytes, Graph] = {}
+    for key, g in zip(canon, graphs):
+        first.setdefault(key.tobytes(), g)
     return list(first.values())
 
 

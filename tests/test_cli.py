@@ -248,12 +248,13 @@ def test_verify_csv_that_cannot_be_written_is_one_error_line(tmp_path, capsys, w
 
 
 def test_verify_stdin_stream(capsys, monkeypatch):
-    from cdspectra.graphcore import to_graph6
-    from cdspectra.verify import class_scan
+    from itertools import permutations
+
+    from cdspectra.graphcore import from_edge_mask, relabel, to_graph6
     # feed the full n=6 class as an external stream: same verdict as internal
-    masks = []
-    from cdspectra import verify as v
-    v.enumerate_diam_gt3(6, sink=lambda g: masks.append(to_graph6(g)))
+    masks = sorted({to_graph6(relabel(from_edge_mask(6, int(r)), perm))
+                    for r in verify._classes(6).reps for perm in permutations(range(6))})
+    assert len(masks) == verify.enumerate_diam_gt3(6) == 3240
     code, out, _ = run_cli(capsys, "verify", "--claims", "T2.8", "--stdin",
                            stdin="\n".join(masks), monkeypatch=monkeypatch)
     assert code == 0
@@ -369,41 +370,45 @@ def test_spectrum_solves_each_graph_once(capsys, monkeypatch):
 
 
 def test_verify_stdin_t313_tie_above_isomorphism_cap(capsys, monkeypatch):
-    # T3.13 tells L(p, q) by its structure, so a stream of order 12 is decided
+    # T3.13 tells L(p, q) by its structure, so a stream of order 17 is decided
     from cdspectra.families import build_L
-    from cdspectra.graphcore import to_graph6
+    from cdspectra.graphcore import ISO_MAX_VERTICES, to_graph6
+    assert ISO_MAX_VERTICES == 16
     code, out, err = run_cli(capsys, "verify", "--claims", "T3.13", "--stdin",
-                             stdin=to_graph6(build_L(6, 6)) + "\n", monkeypatch=monkeypatch)
+                             stdin=to_graph6(build_L(9, 8)) + "\n", monkeypatch=monkeypatch)
     assert code == 0 and "error:" not in err
     rep = json.loads(out)
-    assert rep["status"] == "confirmed" and rep["params"] == {"n": 12, "sample": 1}
+    assert rep["status"] == "confirmed" and rep["params"] == {"n": 17, "sample": 1}
     assert rep["margin"] == 0 and "unique up to isomorphism: True" in rep["notes"]
 
 
 def test_verify_stdin_t28_above_isomorphism_cap(capsys, monkeypatch):
-    # T2.8 tells P_n by its degrees, so a stream of order 12 is decided
-    assert from_graph6("KhCGGC@?G?_@") == build_path(12)
+    # T2.8 tells P_n by its degrees, so a stream of order 17 is decided
+    assert from_graph6("PhCGGC@?G?_@?@??_?G?@??C") == build_path(17)
     code, out, err = run_cli(capsys, "verify", "--claims", "T2.8", "--stdin",
-                             stdin="KhCGGC@?G?_@\n", monkeypatch=monkeypatch)
+                             stdin="PhCGGC@?G?_@?@??_?G?@??C\n", monkeypatch=monkeypatch)
     assert code == 0 and "error:" not in err
     rep = json.loads(out)
-    assert rep["status"] == "confirmed" and rep["params"] == {"n": 12, "sample": 1}
+    assert rep["status"] == "confirmed" and rep["params"] == {"n": 17, "sample": 1}
     assert "unique up to isomorphism: True" in rep["notes"]
 
 
 def test_verify_stdin_merges_order_11_witnesses(capsys, monkeypatch):
-    # two relabelings of L(6, 5) are one witness up to isomorphism
+    # two relabelings of L(p, q) are one witness up to isomorphism, at
+    # order 11 and up to the isomorphism cap, 16
     from cdspectra.families import build_L
     from cdspectra.graphcore import relabel, to_graph6
-    g = build_L(6, 5)
-    lines = [to_graph6(g), to_graph6(relabel(g, random.Random(3).sample(range(11), 11)))]
-    assert lines[0] != lines[1]
-    code, out, _ = run_cli(capsys, "verify", "--claims", "T3.13", "--stdin",
-                           stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
-    rep = json.loads(out)
-    assert code == 0 and rep["params"] == {"n": 11, "sample": 2}
-    assert rep["witnesses"] == lines[:1]
-    assert "unique up to isomorphism: True" in rep["notes"]
+    for p, q in ((6, 5), (8, 7), (8, 8)):
+        g = build_L(p, q)
+        perm = random.Random(3).sample(range(g.n), g.n)
+        lines = [to_graph6(g), to_graph6(relabel(g, perm))]
+        assert lines[0] != lines[1]
+        code, out, _ = run_cli(capsys, "verify", "--claims", "T3.13", "--stdin",
+                               stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
+        rep = json.loads(out)
+        assert code == 0 and rep["params"] == {"n": g.n, "sample": 2}
+        assert rep["witnesses"] == lines[:1]
+        assert "unique up to isomorphism: True" in rep["notes"]
 
 
 def test_verify_stdin_above_char_poly_cap_still_decides(capsys, monkeypatch):
@@ -561,6 +566,27 @@ def test_verify_order_read_by_one_claim_of_a_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claims", "T2.4,3.4", "--n", "7")
     assert code == 0
     assert [json.loads(line)["claim"] for line in out.splitlines()] == ["T2.4", "3.4"]
+
+
+@pytest.mark.parametrize("claim", [c for c in verify.CLAIM_IDS if c not in verify.GRID_CLAIMS])
+def test_verify_grid_bound_that_no_claim_reads_is_usage_error(capsys, monkeypatch, claim):
+    # only the grid lemmas read --p-max: given to any other claim alone, it
+    # would be ignored
+    argv = ["--n", "6"] if claim in verify.ORDER_CLAIMS else []
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "run_claim", _no_claim_runs)
+        code, out, err = run_cli(capsys, "verify", "--claims", claim, *argv, "--p-max", "20")
+    assert code == 1 and out == ""
+    assert err == (f"error: --p-max does not apply: none of {claim} reads the grid bound "
+                   "(those that do: 3.4, 3.5, 3.6, 3.11, 3.12)\n")
+
+
+def test_verify_grid_bound_read_by_one_claim_of_a_list(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--claims", "2.7,3.4", "--p-max", "5")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["claim"] for r in recs] == ["2.7", "3.4"]
+    assert recs[1]["params"]["grid"] == "4<=p<=5, 2<=q<=p"
 
 
 def test_verify_repeated_claim_is_usage_error(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """Graph representation, graph6 codec, BFS metrics, isomorphism."""
 
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -304,27 +304,31 @@ def test_isomorphism():
     assert not is_isomorphic(p4, build_star(4))
     assert is_isomorphic(build_path(5), build_path(5))
     assert not is_isomorphic(build_path(4), build_path(5))
+    assert is_isomorphic(build_path(16), relabel(build_path(16), list(range(15, -1, -1))))
     with pytest.raises(TooLarge):
-        is_isomorphic(build_path(12), build_path(12))
+        is_isomorphic(build_path(17), build_path(17))
 
 
-PAIRS_11 = [(u, v) for u in range(11) for v in range(u + 1, 11)]
-
-
-def _order_11_graph(rng: random.Random, kind: int) -> list:
-    """The edges of a random order-11 graph: a circulant (|Aut| >= 22), a
+def _random_graph(rng: random.Random, n: int, kind: int) -> list:
+    """The edges of a random order-n graph: a circulant (|Aut| >= 2n), a
     sparse graph with isolated vertices and edges, or a denser one."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if kind == 0:
-        steps = rng.sample(range(1, 6), rng.randint(1, 4))
-        return [(u, v) for u, v in PAIRS_11 if min(v - u, 11 - v + u) in steps]
+        steps = rng.sample(range(1, n // 2 + 1), rng.randint(1, 4))
+        return [(u, v) for u, v in pairs if min(v - u, n - v + u) in steps]
     density = 0.15 if kind == 1 else rng.uniform(0.3, 0.7)
-    return [e for e in PAIRS_11 if rng.random() < density]
+    return [e for e in pairs if rng.random() < density]
 
 
-def test_orbit_minima_at_order_11_agree_with_networkx():
-    # an order-11 g6 mask has 55 bits, so the int64 search holds it
+AUT_COUNT_CAP = 1500        # automorphisms networkx lists per graph at most
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_orbit_minima_agree_with_networkx(n):
+    # above order 11 a g6 mask outgrows 64 bits, and the canonical rows hold it
     nx = pytest.importorskip("networkx")
-    rng = random.Random(11)
+    rng = random.Random(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
 
     def nx_graph(g):
         h = nx.Graph()
@@ -335,28 +339,61 @@ def test_orbit_minima_at_order_11_agree_with_networkx():
     def edge_moved(edges):
         edges = list(edges)
         edges.remove(rng.choice(edges))
-        return from_edges(11, edges + [rng.choice([e for e in PAIRS_11 if e not in edges])])
+        return from_edges(n, edges + [rng.choice([e for e in pairs if e not in edges])])
 
     # each pair is a graph with one edge moved, and either its relabeling or
     # a relabeling of the same graph with an edge moved elsewhere
     firsts, seconds = [], []
     for i in range(300):
-        edges = _order_11_graph(rng, i % 3)
+        edges = _random_graph(rng, n, i % 3)
         g = edge_moved(edges)
         other = edge_moved(edges) if rng.random() < 0.5 else g
         firsts.append(g)
-        seconds.append(relabel(other, rng.sample(range(11), 11)))
-    minima, _ = orbit_minima([g.adj for g in firsts + seconds], 11)
+        seconds.append(relabel(other, rng.sample(range(n), n)))
+    canon, _ = orbit_minima([g.adj for g in firsts + seconds], n)
     same = [nx.is_isomorphic(nx_graph(g), nx_graph(h)) for g, h in zip(firsts, seconds)]
-    assert (minima[:300] == minima[300:]).tolist() == same
+    assert (canon[:300] == canon[300:]).all(axis=1).tolist() == same
     assert 100 < sum(same) < 200
-    # |Aut| of circulants and of sparse graphs, up to 1440 at this seed
-    graphs = [from_edges(11, _order_11_graph(rng, i % 2)) for i in range(40)]
-    _, aut = orbit_minima([g.adj for g in graphs], 11)
-    matcher = nx.algorithms.isomorphism.GraphMatcher
-    assert aut.tolist() == [sum(1 for _ in matcher(nx_graph(g), nx_graph(g)).isomorphisms_iter())
-                            for g in graphs]
-    assert aut.max() > 100
+    # |Aut| of circulants and of sparse graphs; networkx lists at most
+    # AUT_COUNT_CAP + 1 automorphisms, which bounds |Aut| from below
+    graphs = [from_edges(n, _random_graph(rng, n, i % 2)) for i in range(40)]
+    _, aut = orbit_minima([g.adj for g in graphs], n)
+    for g, a in zip(graphs, aut.tolist()):
+        count = sum(1 for _ in islice(nx.vf2pp_all_isomorphisms(nx_graph(g), nx_graph(g)),
+                                      AUT_COUNT_CAP + 1))
+        assert a == count if count <= AUT_COUNT_CAP else a > AUT_COUNT_CAP
+    # more than a circulant's dihedral group, at every order
+    assert aut.max() > 2 * n
+
+
+def _cayley_z4z4(steps) -> Graph:
+    """The Cayley graph of Z4 x Z4 with the connection set `steps`, closed under negation."""
+    def index(x, y):
+        return 4 * (x % 4) + y % 4
+    return from_edges(16, {tuple(sorted((index(x, y), index(x + dx, y + dy))))
+                           for x in range(4) for y in range(4) for dx, dy in steps})
+
+
+@pytest.mark.parametrize("g,aut", [
+    pytest.param(from_edges(16, [(v, v ^ 1 << b) for v in range(16) for b in range(4)
+                                 if v < v ^ 1 << b]), 384, id="Q4"),
+    pytest.param(_cayley_z4z4([(1, 0), (0, 1), (1, 1), (3, 0), (0, 3), (3, 3)]), 192,
+                 id="Shrikhande"),
+    pytest.param(_cayley_z4z4([(a, 0) for a in (1, 2, 3)] + [(0, b) for b in (1, 2, 3)]), 1152,
+                 id="K4xK4"),
+    pytest.param(from_edges(16, [(v, (v + 1) % 16) for v in range(16)]), 32, id="C16"),
+    pytest.param(from_edges(13, [(u, v) for u in range(13) for v in range(u + 1, 13)
+                                 if (v - u) % 13 in {x * x % 13 for x in range(1, 13)}]), 78,
+                 id="Paley13"),
+    pytest.param(from_edges(16, [(5 * c + v, 5 * c + (v + 1) % 5) for c in range(3)
+                                 for v in range(5)]), 6000, id="3C5+K1"),
+])
+def test_orbit_minima_count_automorphisms_up_to_order_16(g, aut):
+    # vertex-transitive graphs, and one with three equal components
+    perm = random.Random(g.n).sample(range(g.n), g.n)
+    canon, auts = orbit_minima([g.adj, relabel(g, perm).adj], g.n)
+    assert auts.tolist() == [aut, aut]
+    assert np.array_equal(canon[0], canon[1])
 
 
 def test_isomorphism_same_degree_sequence_nonisomorphic():

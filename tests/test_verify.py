@@ -30,6 +30,7 @@ from cdspectra.graphcore import (
     graphs_from_stack,
     is_connected,
     is_isomorphic,
+    least_masks,
     orbit_minima,
     relabel,
     to_edge_mask,
@@ -82,19 +83,12 @@ def _slow_class_masks(n: int) -> frozenset[int]:
 
 def test_enumeration_oracle_n5():
     slow = _slow_class_masks(5)
-    fast: list[int] = []
-    count = verify.enumerate_diam_gt3(5, sink=lambda g: fast.append(g))
-    assert count == len(slow) == 60
-    got = set()
-    for g in fast:
-        assert g.n == 5
-        assert diameter(g) >= 4
-        assert is_connected(complement(g))
-        from cdspectra.graphcore import to_edge_mask
-        got.add(to_edge_mask(g))
-    assert got == slow
-    # at n=5 the whole class is the 60 labelings of P5
-    assert all(is_isomorphic(g, build_path(5)) for g in fast)
+    assert verify.enumerate_diam_gt3(5) == len(slow) == 60
+    assert all(is_connected(complement(from_edge_mask(5, m))) for m in slow)
+    # at n=5 the whole class is the 60 labelings of P5: one class
+    (rep,) = verify._classes(5).reps
+    assert is_isomorphic(from_edge_mask(5, int(rep)), build_path(5))
+    assert set(_ref_orbit_masks(5, rep).tolist()) == slow
 
 
 def test_enumeration_oracle_n6_count():
@@ -227,8 +221,9 @@ def test_theorem_3_13_refuted_at_7():
 
 
 def test_check_theorem_on_values_stream():
-    graphs = []
-    verify.enumerate_diam_gt3(6, sink=graphs.append)
+    # every labeled member: the merged orbits of the class representatives
+    members = np.unique(np.concatenate([_ref_orbit_masks(6, r) for r in verify._classes(6).reps]))
+    graphs = [from_edge_mask(6, int(m)) for m in members]
     values = {
         "l1": [_spectrum(g).lambda1 for g in graphs],
         "ln": [_spectrum(g).lambda_n for g in graphs],
@@ -352,6 +347,29 @@ def test_lemma_3_1_chain():
     rep = verify.check_lemma("3.1")
     assert rep.status == "confirmed"
     assert rep.margin > 1e-9
+
+
+def test_lemma_3_1_compares_the_trees_at_every_tie(monkeypatch):
+    # T1(a, b) and T2(a, b) tie at (1, 1), ..., (1, 9), orders 5 to 13, and
+    # each tie is allowed only as an isomorphism, which is checked there alone
+    real = family_lemmas.is_isomorphic
+    seen = []
+
+    def recorded(g, h):
+        same = real(g, h)
+        seen.append((g.n, same))
+        return same
+
+    monkeypatch.setattr(family_lemmas, "is_isomorphic", recorded)
+    rep = verify.check_lemma("3.1")
+    assert rep.status == "confirmed"
+    assert seen == [(b + 4, True) for b in range(1, 10)]
+    assert rep.notes == [f"equality T1=T2 at {[(1, b) for b in range(1, 10)]}; "
+                         "these parameter pairs give isomorphic trees"]
+    monkeypatch.setattr(family_lemmas, "is_isomorphic", lambda g, h: False)
+    rep = verify.check_lemma("3.1")
+    assert rep.status == "refuted"
+    assert rep.counterexamples == [str((1, b)) for b in range(1, 10)]
 
 
 def test_lemma_3_4_and_3_5_grids():
@@ -596,8 +614,8 @@ def test_orbit_dedup_matches_pairwise_isomorphism():
     got = verify._dedup_isomorphic([from_edge_mask(7, m) for m in masks])
     assert len(got) == len(classes)
     # one class per S_n orbit, and the first copy of each class in walk order
-    minima, _ = orbit_minima([from_edge_mask(7, m).adj for m in masks], 7)
-    assert len(set(minima.tolist())) == len(classes)
+    canon, _ = orbit_minima([from_edge_mask(7, m).adj for m in masks], 7)
+    assert len(np.unique(canon, axis=0)) == len(classes)
     assert [to_edge_mask(g) for g in got] == [
         m for i, m in enumerate(masks)
         if not any(is_isomorphic(from_edge_mask(7, m), from_edge_mask(7, p))
@@ -613,9 +631,9 @@ def test_orbit_contains_every_relabeling(data):
     orbit = set(_ref_orbit_masks(n, mask).tolist())
     assert mask in orbit
     assert to_edge_mask(relabel(from_edge_mask(n, mask), perm)) in orbit
-    assert verify._orbit(n, mask).tolist() == sorted(orbit)
-    minima, aut = orbit_minima([from_edge_mask(n, mask).adj], n)
-    assert minima.tolist() == [min(orbit)] and aut.tolist() == [math.factorial(n) // len(orbit)]
+    canon, aut = orbit_minima([from_edge_mask(n, mask).adj], n)
+    assert least_masks(canon).tolist() == [min(orbit)]
+    assert aut.tolist() == [math.factorial(n) // len(orbit)]
 
 
 def test_t28_near_tie_decided_by_exact_recheck(monkeypatch):
@@ -720,7 +738,7 @@ def test_orbit_partition_sizes(n, classes, labeled):
     for k, r in enumerate(part.reps):
         members = ref["masks"][ref["index"] == k]
         assert len(members) == part.sizes[k] and members[0] == r
-        assert members.tolist() == verify._orbit(n, r).tolist()
+        assert members.tolist() == np.unique(_ref_orbit_masks(n, r)).tolist()
 
 
 def _cluster_reference(values: np.ndarray, masks: np.ndarray, mode: str) -> dict | None:
@@ -934,8 +952,11 @@ def test_orbit_minima_equal_the_int64_reference():
     for n in range(2, 9):
         edges = n * (n - 1) // 2
         masks = range(1 << edges) if n <= 5 else [rng.randrange(1 << edges) for _ in range(300)]
-        minima, aut = orbit_minima([from_edge_mask(n, m).adj for m in masks], n)
-        assert minima.dtype == np.uint64 and aut.dtype == np.int64
+        canon, aut = orbit_minima([from_edge_mask(n, m).adj for m in masks], n)
+        assert canon.dtype == np.uint16 and canon.shape == (len(masks), n - 1)
+        assert aut.dtype == np.int64
+        minima = least_masks(canon)
+        assert minima.dtype == np.uint64
         orbits = [np.unique(_ref_orbit_masks(n, m)) for m in masks]
         assert minima.tolist() == [int(o[0]) for o in orbits], n
         assert (math.factorial(n) // aut).tolist() == [len(o) for o in orbits], n
@@ -949,8 +970,8 @@ def test_orbit_minimum_is_the_least_relabeling(data):
     perm = data.draw(st.permutations(range(n)))
     g = from_edge_mask(n, mask)
     orbit = np.unique(_ref_orbit_masks(n, mask))
-    minima, aut = orbit_minima([g.adj, relabel(g, perm).adj], n)
-    assert minima.tolist() == [int(orbit[0])] * 2
+    canon, aut = orbit_minima([g.adj, relabel(g, perm).adj], n)
+    assert least_masks(canon).tolist() == [int(orbit[0])] * 2
     assert aut.tolist() == [math.factorial(n) // len(orbit)] * 2
 
 
@@ -975,7 +996,8 @@ def test_orbit_minima_of_twin_heavy_graphs(n):
     for g, aut, least in graphs:
         perm = list(range(n))
         rng.shuffle(perm)
-        minima, auts = orbit_minima([g.adj, relabel(g, perm).adj], n)
+        canon, auts = orbit_minima([g.adj, relabel(g, perm).adj], n)
+        minima = least_masks(canon)
         assert auts.tolist() == [aut, aut]
         assert minima[0] == minima[1]
         if least is not None:
@@ -998,11 +1020,13 @@ def test_orbit_minima_of_the_families_under_relabeling(family, params):
         perm = list(range(g.n))
         rng.shuffle(perm)
         copies.append(relabel(g, perm))
-    minima, aut = orbit_minima([h.adj for h in copies], g.n)
+    canon, aut = orbit_minima([h.adj for h in copies], g.n)
+    minima = least_masks(canon)
     assert len(set(minima.tolist())) == 1 and len(set(aut.tolist())) == 1
     assert minima[0] <= min(to_edge_mask(h) for h in copies)
     # the graph the minimum encodes is a labeling of g, so its minimum is itself
-    assert orbit_minima([from_edge_mask(g.n, int(minima[0])).adj], g.n)[0][0] == minima[0]
+    canon, _ = orbit_minima([from_edge_mask(g.n, int(minima[0])).adj], g.n)
+    assert least_masks(canon)[0] == minima[0]
     if g.n <= 8:
         orbit = np.unique(_ref_orbit_masks(g.n, to_edge_mask(g)))
         assert minima[0] == orbit[0] and math.factorial(g.n) // aut[0] == len(orbit)
@@ -1068,7 +1092,8 @@ def _ref_class_record(n: int) -> dict:
         "summary": {
             "n": n,
             "count": len(masks),
-            "lemma21_violations": sorted(v for _, bad in chunks for v in bad),
+            "lemma21_violations": sorted({int(reps[index[np.searchsorted(masks, v)]])
+                                          for _, bad in chunks for v in bad}),
             "q_hist": dict(sorted(hist.items())),
             "degenerate": int(sizes[degenerate].sum()),
             "q1_count": int(q1.sum()),
@@ -1086,7 +1111,7 @@ def test_generated_classes_equal_the_labeled_scan(n):
         assert got.tobytes() == want[name].tobytes(), name
     # the class orbits, merged, are the labeled members, and each orbit is
     # the labeled scan's class of its representative
-    orbits = [verify._orbit(n, r) for r in part.reps]
+    orbits = [np.unique(_ref_orbit_masks(n, r)) for r in part.reps]
     members = np.sort(np.concatenate(orbits))
     assert members.dtype == want["masks"].dtype
     assert members.tobytes() == want["masks"].tobytes()
@@ -1101,15 +1126,18 @@ def test_generated_classes_n8():
     assert np.all(part.reps[1:] > part.reps[:-1])
     assert all(math.factorial(8) % int(s) == 0 for s in part.sizes)
     assert int(part.sizes.sum()) == part.summary["count"] == 25_130_280
+    # the labeled count, read from the class record as the benchmark's tracer reads it
+    assert verify.enumerate_diam_gt3(n=8) == 25_130_280
     # each representative is the smallest member of its orbit, which has sizes[k] members
     for r, s in zip(part.reps[::50], part.sizes[::50]):
-        orbit = verify._orbit(8, r)
+        orbit = np.unique(_ref_orbit_masks(8, r))
         assert orbit[0] == r and len(orbit) == s
 
 
-def test_lemma21_violation_lists_the_whole_orbit(monkeypatch):
+def test_lemma21_violation_lists_the_class_representative(monkeypatch):
     # break D(G^c) on the paths P6 only: the identity is checked on P6's
-    # class representative alone, and the violations list all 360 labelings
+    # class representative alone, which the violations list, and the
+    # count covers all 360 labelings
     real = verify.complement_spectra
     flagged = []
 
@@ -1124,12 +1152,13 @@ def test_lemma21_violation_lists_the_whole_orbit(monkeypatch):
     monkeypatch.setattr(verify, "_SCAN_CACHE", {})
     monkeypatch.setattr(verify, "complement_spectra", broken)
     scan = verify.class_scan(6)
-    p6 = sorted(to_edge_mask(relabel(build_path(6), perm)) for perm in permutations(range(6)))
-    assert scan["lemma21_violations"] == sorted(set(p6))
-    assert len(scan["lemma21_violations"]) == 360
-    assert flagged == [1]                       # one class representative, before expansion
+    p6 = {to_edge_mask(relabel(build_path(6), perm)) for perm in permutations(range(6))}
+    assert len(p6) == 360
+    assert scan["lemma21_violations"] == [min(p6)]
+    assert flagged == [1]                       # one class representative
     rep = verify.check_lemma("2.1", n=6)
     assert rep.status == "refuted" and rep.details["identity_violations"] == 360
+    assert rep.counterexamples == [to_graph6(from_edge_mask(6, min(p6)))]
 
 
 def _ref_diam3_block(n: int, masks: np.ndarray) -> tuple[int, int, list[int]]:
@@ -1155,9 +1184,11 @@ def _ref_diam3_block(n: int, masks: np.ndarray) -> tuple[int, int, list[int]]:
 def _ref_diam3_scan(n: int) -> dict:
     """Lemma 2.1's diameter-3 half over every labeled graph."""
     blocks = [_ref_diam3_block(n, masks) for masks in _ref_mask_blocks(n)]
+    bad = [m for _, _, violating in blocks for m in violating]
     return {
         "count": sum(count for count, _, _ in blocks),
-        "violations": [m for _, _, bad in blocks for m in bad],
+        "violations": sorted({int(_ref_orbit_masks(n, m).min()) for m in bad}),
+        "labeled_violations": len(bad),
         "complement_not_small": sum(not_small for _, not_small, _ in blocks),
     }
 
@@ -1170,13 +1201,14 @@ def test_diameter_3_half_equals_the_labeled_scan(n, count):
     rep = verify.check_lemma("2.1", n=n)
     assert rep.details["diam3_count"] == count
     assert rep.details["diam3_complement_exceptions"] == want["complement_not_small"]
-    assert rep.details["inequality_violations"] == len(want["violations"])
+    assert rep.details["inequality_violations"] == want["labeled_violations"]
 
 
-def test_lemma21_inequality_violation_lists_the_whole_orbit(monkeypatch):
+def test_lemma21_inequality_violation_lists_the_class_representative(monkeypatch):
     # break D(G^c) >= J - I + A(G) on the 6-cycles only, the 2-regular
-    # diameter-3 graphs on six vertices: one class is checked, and the
-    # violations list all 60 of its labelings
+    # diameter-3 graphs on six vertices: one class is checked, the
+    # violations list its representative, and the count covers all 60 of
+    # its labelings
     real = lemmas.complement_distances
     flagged = []
 
@@ -1189,24 +1221,15 @@ def test_lemma21_inequality_violation_lists_the_whole_orbit(monkeypatch):
 
     monkeypatch.setattr(lemmas, "complement_distances", broken)
     c6 = from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
-    want = sorted({to_edge_mask(relabel(c6, perm)) for perm in permutations(range(6))})
-    assert len(want) == 60
+    c6s = {to_edge_mask(relabel(c6, perm)) for perm in permutations(range(6))}
+    assert len(c6s) == 60
     scan = lemmas._lemma21_diam3_scan(6)
     assert flagged == [1]
-    assert scan["violations"] == want
+    assert scan["violations"] == [min(c6s)] and scan["labeled_violations"] == 60
     assert scan["count"] == 12540 and scan["complement_not_small"] == 0
     rep = verify.check_lemma("2.1", n=6)
     assert rep.status == "refuted" and rep.details["inequality_violations"] == 60
-    assert rep.counterexamples == [to_graph6(from_edge_mask(6, m)) for m in want]
-
-
-def test_counting_the_class_lists_no_orbit(monkeypatch):
-    # without a sink the count is the sum of the orbit sizes; only a sink
-    # makes enumerate_diam_gt3 list the labeled members
-    verify._classes(7)
-    monkeypatch.setattr(verify, "_orbit", None)
-    assert verify.enumerate_diam_gt3(7) == 224280
-    assert verify.enumerate_diam_gt3(n=8) == 25_130_280
+    assert rep.counterexamples == [to_graph6(from_edge_mask(6, min(c6s)))]
 
 
 def _ref_lemma_2_5(n: int) -> dict:
