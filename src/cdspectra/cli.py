@@ -242,7 +242,9 @@ def cmd_verify(args) -> int:
         raise SystemExit2("no claims given; use --claims id[,id...]")
     if args.workers < 1:
         raise SystemExit2(f"--workers must be at least 1, got {args.workers}")
-    # the grids' largest graphs have p + q vertices, and a Graph holds at most MAX_VERTICES
+    # the grids build no Graph and would run past p + q = MAX_VERTICES, but 3.4, 3.5,
+    # 3.6 and 3.12 are decided by float margins, so the grids stay at the orders
+    # whose output is pinned until every point is decided exactly
     if args.p_max is not None and args.p_max > MAX_VERTICES // 2:
         raise SystemExit2(f"--p-max must be at most {MAX_VERTICES // 2}, got {args.p_max}")
     for i, c in enumerate(claims):

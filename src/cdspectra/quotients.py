@@ -1,8 +1,10 @@
 """Quotient (divisor) matrices of the family complements and their polynomials.
 
-Each extremal family's complement has an equitable orbit partition; the
-small integer matrix of class-wise distance row sums has a characteristic
-polynomial dividing interest into four cross-checkable artifacts:
+Each extremal family's complement has an equitable orbit partition, the
+cells of the family's pattern in `families.FAMILIES` taken in the printed
+matrix's order; the small integer matrix of class-wise distance row sums
+has a characteristic polynomial dividing interest into four
+cross-checkable artifacts:
 
   * the quotient matrix derived from the actual graph (ground truth),
   * the closed-form matrix printed for it, where one exists,
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cdspectra.families import cells
 from cdspectra.spectra import (
     IntPolynomial,
     cauchy_root_bound,
@@ -31,33 +34,27 @@ class UnsupportedFamily(ValueError):
     """No quotient model is defined for this family."""
 
 
-# --- orbit partitions (fixed by the constructors' labeling conventions) -----
+# --- orbit partitions (the family table's cells, in printed order) ----------
+
+# The cells of each model graph's row in `families.FAMILIES`, in the order
+# the printed matrix lists its classes.
+_PRINTED_CELLS = {
+    "H": (2, 0, 1, 3),              # u, A, B, v
+    "B1": (0, 2, 1, 3),             # u, v, U', V'
+    "B2": (0, 3, 1, 2, 4),          # u, v, w, U'', V'
+    "T": (0, 1, 2, 3),              # the two centres, then their pendants
+    "L": (1, 3, 0, 2, 4),           # u, v, w, P', Q'
+    "Lprime": (1, 4, 0, 3, 2),      # u, v, w, w', R
+    "Ldprime": (0, 1, 3, 4, 2),     # w', u', n-2, n-1, R
+}
 
 
 def _classes(family_id: str, params: tuple[int, ...]) -> list[list[int]]:
-    if family_id == "H":
-        s, t = params
-        k = s + t
-        return [[k], list(range(s)), list(range(s, k)), [k + 1]]
-    if family_id == "B1":
-        p, q = params
-        return [[0], [p], list(range(1, p)), list(range(p + 1, p + q))]
-    if family_id == "B2":
-        p, q = params
-        return [[0], [p], [1], list(range(2, p)), list(range(p + 1, p + q))]
-    if family_id == "T":
-        (n,) = params
-        return [[0], [1], list(range(2, n - 1)), [n - 1]]
-    if family_id == "L":
-        p, q = params
-        return [[1], [p], [0], list(range(2, p)), list(range(p + 1, p + q))]
-    if family_id == "Lprime":
-        (n,) = params
-        return [[1], [n - 1], [0], [n - 2], list(range(2, n - 2))]
-    if family_id == "Ldprime":
-        (n,) = params
-        return [[0], [1], [n - 2], [n - 1], list(range(2, n - 2))]
-    raise UnsupportedFamily(f"no quotient partition for family {family_id!r}")
+    """The orbit classes of the model graph, in printed order: its cells."""
+    if family_id not in _PRINTED_CELLS:
+        raise UnsupportedFamily(f"no quotient partition for family {family_id!r}")
+    found = cells(*model_graph_key(family_id, params))
+    return [found[i] for i in _PRINTED_CELLS[family_id]]
 
 
 def model_graph_key(family_id: str, params) -> tuple[str, tuple[int, ...]]:

@@ -31,13 +31,15 @@ polynomials", J. Symb. Comput. 73, 2016).  `sturm_real_roots_many` and
 `certify_root_orders` seed the roots of every real-rooted, square-free
 polynomial, as the quotient polynomials of equitable partitions mostly
 are: the eigenvalues of the Jacobi matrix of its float Sturm sequence,
-from one stacked `numpy.linalg.eigh` per degree.  Isolation counts
-roots with one of two oracles: a `_RootCells` record, in which exact signs
-certify a grid cell for each of the deg p roots, or, only where no record
-holds, the square-free Sturm chain.  Both count alike, so no bracket
-depends on which one answered.  Refinement keeps the bisection cell that
-a seed names once two exact signs confirm it.  What floats cannot certify
-falls back to bisection and Sturm chains, so no result depends on a float.
+from one stacked `numpy.linalg.eigh` per degree.  A `_RootCells` record
+certifies, by exact signs, one grid cell for each of the deg p roots.  On
+the grid where refinement to the tolerance stops, such a record already
+names every root, which is then read off with no isolation.  Otherwise
+isolation counts roots with a record on a coarser grid or, only where no
+record holds, with the square-free Sturm chain; both count alike.
+Refinement keeps the bisection cell that a seed names once two exact
+signs confirm it.  What floats cannot certify falls back to bisection and
+Sturm chains, so no result depends on a float.
 """
 
 import math
@@ -597,11 +599,13 @@ def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12)
 def sturm_real_roots_many(problems, tol: float = 1e-12) -> list[list[float]]:
     """`sturm_real_roots(p, lo, hi, tol)` of each (p, lo, hi) problem, as one batch.
 
-    `_float_seeds` proposes every root at once.  The isolation oracle is p's
-    `_RootCells` record on the depth-`CELL_DEPTH` grid of [lo, hi] where the
-    seeds give one, else p's square-free Sturm chain, with multiplicities
-    from the derivative-gcd chain.  Each bracket is refined from the seed in
-    it (`_refine_seeded`); a root is its bracket's midpoint.
+    `_float_seeds` proposes every root at once, and `_real_roots` reads
+    the roots the seeds certify off the cells where refinement stops.
+    Otherwise the isolation oracle is p's `_RootCells` record on the
+    depth-`CELL_DEPTH` grid of [lo, hi] where the seeds give one, else p's
+    square-free Sturm chain, with multiplicities from the derivative-gcd
+    chain.  Each bracket is refined from the seed in it (`_refine_seeded`);
+    a root is its bracket's midpoint.
     """
     problems = list(problems)
     for p, lo, hi in problems:
@@ -617,8 +621,27 @@ def sturm_real_roots_many(problems, tol: float = 1e-12) -> list[list[float]]:
 
 def _real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction,
                 seeds: list[float] | None) -> list[float]:
-    if p.degree == 0:
-        return []
+    """`_isolated_roots`, read off the cells of depth D, where refinement to
+    tol stops, when the seeds certify deg p open ones: each holds one simple
+    root, so isolation stops by depth D and refinement ends in that cell,
+    whose midpoint is the root, bitwise.  A root on a grid point (lo and hi
+    too) or a seed that certifies nothing falls back."""
+    a, b, den = _over_common(lo, hi)
+    # the least D with (b - a) tol.denominator <= tol.numerator den 2^D
+    depth = (((b - a) * tol.denominator - 1) // (tol.numerator * den)).bit_length()
+    # `_root_cells` scales the seeds by 2.0**depth, which overflows past 1023
+    cells = _root_cells(p, lo, hi, depth, seeds) if depth < 1024 else None
+    if cells is None or 0 in cells.right_signs:
+        return _isolated_roots(p, lo, hi, tol, seeds)
+    first, last, scale = a << depth, b << depth, den << (depth + 1)
+    # int true division rounds correctly, as `_isolated_roots`' midpoints do
+    return [(l + r) / scale for l, r in zip(cells.lefts, cells.rights) if first <= l and r <= last]
+
+
+def _isolated_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction,
+                    seeds: list[float] | None) -> list[float]:
+    """The roots of p in [lo, hi] by `_isolate`, then `_refine_seeded` of each
+    bracket, a root of multiplicity m m times: each its bracket's midpoint."""
     oracle = _root_cells(p, lo, hi, CELL_DEPTH, seeds)
     fi, repeated = p, []
     if oracle is None:

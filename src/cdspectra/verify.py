@@ -37,7 +37,7 @@ from collections import Counter
 
 import numpy as np
 
-from cdspectra.families import build_many
+from cdspectra.families import family_stacks
 from cdspectra.graphcore import (
     ISO_MAX_VERTICES,
     DisconnectedGraph,
@@ -496,20 +496,19 @@ _FAMILY_STORE: dict[tuple[str, tuple[int, ...]], _FamilySolution] = {}
 def _family_spectra(keys) -> list[_FamilySolution]:
     """D(X^c) and its eigenvalues for each (family, params) key, solved once per process.
 
-    The keys not yet in the store are built as one batch (`build_many`),
-    and the graphs of each order are solved by one `complement_spectra`
-    call.  Only the values and D(X^c) are kept.  A claim fills the store
-    with its whole grid before it reads any point.
+    The keys not yet in the store are built as one batch of adjacency
+    stacks (`family_stacks`), and each order's stack is solved by one
+    `complement_spectra` call.  No `Graph` is built, so orders above a
+    Graph's 64 vertices are solved too.  Only the values and D(X^c) are
+    kept.  A claim fills the store with its whole grid before it reads any
+    point.
     """
     keys = list(keys)
     missing = list(dict.fromkeys(k for k in keys if k not in _FAMILY_STORE))
-    by_order: dict[int, list] = {}
-    for key, g in zip(missing, build_many(missing)):
-        by_order.setdefault(g.n, []).append((key, g))
-    for n, items in by_order.items():
-        dc, values, _ = complement_spectra(adjacency_stack([g for _, g in items]))
-        for (key, _), d, v in zip(items, dc.astype(np.uint8), values[:, ::-1]):
-            _FAMILY_STORE[key] = _FamilySolution(v, d)
+    for ats, adj in family_stacks(missing).values():
+        dc, values, _ = complement_spectra(adj)
+        for at, d, v in zip(ats, dc.astype(np.uint8), values[:, ::-1]):
+            _FAMILY_STORE[missing[at]] = _FamilySolution(v, d)
     return [_FAMILY_STORE[k] for k in keys]
 
 

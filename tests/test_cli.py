@@ -14,7 +14,7 @@ import pytest
 
 from cdspectra import cli, verify
 from cdspectra.graphcore import from_graph6, is_isomorphic
-from cdspectra.families import build_H, build_path
+from cdspectra.families import FAMILIES, build_H, build_path
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -139,7 +139,8 @@ def test_verify_deterministic_output(capsys):
 PINNED_EXIT_CODES = {"verify_lemmas_n6.out": 3, "verify_lemma21_n7.out": 0,
                      "verify_lemma25_n7.out": 3, "verify_lemma21_n8.out": 0,
                      "verify_lemmas25_26_n8.out": 3, "spectrum_stream_n7.out": 1,
-                     "spectrum_mixed.out": 1, "spectrum_family_L53.out": 0}
+                     "spectrum_mixed.out": 1, "spectrum_family_L53.out": 0,
+                     "verify_lemmas23_27_31.out": 0}
 # the stdin of each run that reads one
 PINNED_STDIN = {"verify_stream_n7.out": "stream_n7.g6", "spectrum_stream_n7.out": "stream_n7.g6",
                 "spectrum_mixed.out": "spectrum_mixed.g6"}
@@ -163,6 +164,16 @@ PINNED_RUNS = [
     # complements, a ">>graph6<<" header and malformed lines
     (("spectrum",), "spectrum_mixed.out"),
     (("spectrum", "--family", "L", "--p", "5", "--q", "3"), "spectrum_family_L53.out"),
+    (("verify", "--claims", "2.3,2.7,3.1"), "verify_lemmas23_27_31.out"),
+    (("verify", "--claims", "3.4,3.5,3.6,3.12", "--p-max", "32"), "verify_grids_p32.out"),
+]
+# each family at its least parameters (T2(1, b) has an empty cell) and at a
+# larger set; family_graph6.out holds their graph6 lines in this order
+FAMILY_PINS = [
+    ("path", (1,)), ("star", (1,)), ("H", (1, 1)), ("T", (1, 1)), ("T1", (1, 1)), ("T2", (1, 1)),
+    ("B1", (2, 2)), ("B2", (3, 2)), ("L", (4, 2)), ("Lprime", (7,)), ("Ldprime", (7,)),
+    ("path", (9,)), ("star", (8,)), ("H", (3, 5)), ("T", (4, 3)), ("T1", (3, 4)), ("T2", (5, 2)),
+    ("B1", (6, 4)), ("B2", (6, 5)), ("L", (9, 7)), ("Lprime", (13,)), ("Ldprime", (12,)),
 ]
 
 
@@ -178,6 +189,17 @@ def test_verify_stdout_is_pinned(capsys, monkeypatch, argv, expected):
     assert code == PINNED_EXIT_CODES.get(expected, 2)
     assert out.splitlines() == want.splitlines()
     assert out == want
+
+
+def test_family_graph6_is_pinned(capsys):
+    out = []
+    for family, params in FAMILY_PINS:
+        names = FAMILIES[family].param_names
+        args = [arg for name, v in zip(names, params) for arg in (f"--{name}", str(v))]
+        code, text, _ = run_cli(capsys, "family", "--family", family, *args)
+        assert code == 0
+        out.append(text)
+    assert "".join(out) == (EXPECTED / "family_graph6.out").read_text()
 
 
 @pytest.mark.parametrize("expected", ["verify_theorems_n7.out", "verify_stream_n7.out",

@@ -1,8 +1,10 @@
 """Family constructors: orders, edge counts, diameters, symmetries."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from cdspectra import families
@@ -24,6 +26,7 @@ from cdspectra.families import (
 from cdspectra.graphcore import (
     DisconnectedGraph,
     Graph,
+    adjacency_stack,
     complement,
     diameter,
     from_edges,
@@ -152,15 +155,112 @@ def test_build_many_equals_the_single_builds():
         build_many([("H", (2, 3)), ("L", (3, 2))])
 
 
-def _declaring(family: str, want: int):
-    """FAMILIES[family] with its maker declaring the diameter `want`."""
-    make = FAMILIES[family].make
+# --- the edge lists the families were first built from, as a reference -------
 
-    def declared(*params):
-        label, graph, _ = make(*params)
-        return label, graph, want
 
-    return families._Family(FAMILIES[family].param_names, FAMILIES[family].order, declared)
+def _reference(family: str, params: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """(order, edge list) of a family graph, made one edge at a time with the
+    documented labeling; ValueError with the family's text on bad parameters."""
+    if family in ("path", "star"):
+        (n,) = params
+        if n < 1:
+            raise ValueError(f"{family} needs n >= 1")
+        if family == "path":
+            return n, [(i, i + 1) for i in range(n - 1)]
+        return n, [(0, i) for i in range(1, n)]
+    if family == "H":
+        s, t = params
+        if s < 1 or t < 1:
+            raise ValueError("H(s,t) needs s, t >= 1")
+        k = s + t
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        return k + 2, edges + [(k, i) for i in range(s)] + [(k + 1, i) for i in range(s, k)]
+    if family in ("T", "T1", "T2"):
+        a, b = params
+        if a < 1 or b < 1:
+            raise ValueError(f"{family}(a,b) needs a, b >= 1")
+        if family == "T1":
+            return a + b + 3, ([(0, 1), (1, 2)] + [(0, 3 + i) for i in range(a)]
+                               + [(2, 3 + a + i) for i in range(b)])
+        edges = [(0, 1)] + [(0, 2 + i) for i in range(a)] + [(1, 2 + a + i) for i in range(b)]
+        return (a + b + 2, edges) if family == "T" else (a + b + 3, edges + [(2, a + b + 2)])
+    if family in ("B1", "B2"):
+        p, q = params
+        if family == "B1" and (p < 2 or q < 2):
+            raise ValueError("B1(p,q) needs p, q >= 2")
+        if family == "B2" and (p < 3 or q < 2):
+            raise ValueError("B2(p,q) needs p >= 3, q >= 2")
+        return p + q, [(i, p + j) for i in range(p) for j in range(q)
+                       if (i, j) != (0, 0) and not (family == "B2" and i == 1 and j != 0)]
+    if family == "L":
+        p, q = params
+        if p < 4 or q < 2:
+            raise ValueError("L(p,q) needs p >= 4, q >= 2")
+        edges = [(i, j) for i in range(p) for j in range(i + 1, p) if (i, j) != (0, 1)]
+        return p + q, edges + [(p + i, p + j) for i in range(q) for j in range(i + 1, q)] + [(1, p)]
+    (n,) = params
+    name = {"Lprime": "L'", "Ldprime": "L''"}[family]
+    if n < 7:
+        raise ValueError(f"{name}(n) needs n >= 7")
+    edges = [(i, j) for i in range(n - 2) for j in range(i + 1, n - 2) if (i, j) != (0, 1)]
+    tail = [(0, n - 2), (1, n - 1)] if family == "Lprime" else [(1, n - 2), (n - 2, n - 1)]
+    return n, edges + tail
+
+
+def _grid(family: str, top: int):
+    return itertools.product(range(top), repeat=len(FAMILIES[family].param_names))
+
+
+def test_blow_ups_equal_the_edge_list_reference():
+    # every family on a parameter grid that starts below the least valid
+    # values, one key at a time and as one batch of every order
+    valid = []
+    for family in FAMILIES:
+        for params in _grid(family, 11):
+            try:
+                n, edges = _reference(family, params)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    build_many([(family, params)])
+                assert str(info.value) == str(exc), (family, params)
+                continue
+            want = from_edges(n, edges)
+            assert build_many([(family, params)]) == [want], (family, params)
+            assert FAMILIES[family].order(*params) == n
+            valid.append(((family, params), want))
+    assert len(valid) == 644
+    assert build_many(key for key, _ in valid) == [g for _, g in valid]
+    # the stacks hold the same adjacency, up to order 64
+    keys = [("path", (64,)), ("star", (40,)), ("H", (30, 32)), ("T2", (1, 60)), ("B1", (32, 32)),
+            ("B2", (33, 31)), ("L", (32, 32)), ("L", (60, 4)), ("Lprime", (64,)), ("Ldprime", (50,))]
+    for ats, adj in families.family_stacks(keys).values():
+        assert adj.dtype == np.uint8
+        for at, a in zip(ats, adj):
+            assert np.array_equal(a, adjacency_stack([from_edges(*_reference(*keys[at]))])[0])
+
+
+def test_cells_are_twin_classes_in_label_order():
+    # a cell is a clique of true twins or an independent set of false
+    # twins, and the cells cover 0..n-1 in order
+    for family, row in FAMILIES.items():
+        for params in _grid(family, 7):
+            if any(x < least for x, least in zip(params, row.least)):
+                continue
+            found = families.cells(family, params)
+            (g,) = build_many([(family, params)])
+            assert [v for c in found for v in c] == list(range(g.n))
+            for k, cell in enumerate(found):
+                for u in cell:
+                    closed = g.adj[u] | 1 << u if k in row.cliques else g.adj[u]
+                    assert all((g.adj[v] | 1 << v if k in row.cliques else g.adj[v]) == closed
+                               for v in cell), (family, params, cell)
+
+
+def _declaring(family: str, want: int | None):
+    """FAMILIES[family] with the declared diameter `want`."""
+    row = FAMILIES[family]
+    return families._Family(row.param_names, row.least, row.rule, row.name, row.sizes,
+                            row.cliques, row.joins, want)
 
 
 def test_failing_diameter_in_a_batch_raises_the_per_graph_text(monkeypatch):
@@ -170,10 +270,15 @@ def test_failing_diameter_in_a_batch_raises_the_per_graph_text(monkeypatch):
     with pytest.raises(AssertionError) as info:
         build_many(keys)
     assert str(info.value) == "T(3,3): expected diameter 4, got 3"
-    # a disconnected graph raises what its own diameter raises
+    # a pattern whose graph is disconnected (2K2: two cliques, no join)
+    # raises what that graph's own diameter raises
+    monkeypatch.setitem(FAMILIES, "2K", families._Family(
+        ("n",), (1,), "2K(n) needs n >= 1", "2K", lambda n: (n, n), (0, 1), (), 2))
     two = from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraph) as batch:
-        families._checked([FAMILIES["H"].make(1, 1), ("2K2", two, 2)])
+        build_many([("H", (1, 1)), ("2K", (2,))])
     with pytest.raises(DisconnectedGraph) as alone:
         diameter(two)
     assert str(batch.value) == str(alone.value)
+    monkeypatch.setitem(FAMILIES, "2K", _declaring("2K", None))
+    assert build_many([("2K", (2,))]) == [two]

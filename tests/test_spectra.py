@@ -21,7 +21,9 @@ from cdspectra.spectra import (
     _float_seeds,
     _gcd,
     _isolate,
+    _isolated_roots,
     _pdivmod,
+    _real_roots,
     _refine,
     _refine_seeded,
     _root_cells,
@@ -308,6 +310,8 @@ def test_sturm_simple_roots():
         [math.sqrt(2)], abs=1e-8)
     roots = sturm_real_roots(IntPolynomial((-4, -6, 0, 1)), -10, 10, 1e-10)
     assert roots == pytest.approx([-2.0, 1 - SQRT3, 1 + SQRT3], abs=1e-9)
+    # a width below any float's spacing: refinement goes past 2^-1023
+    assert sturm_real_roots(IntPolynomial((-2, 0, 1)), 0, 2, 5e-324) == [math.sqrt(2)]
 
 
 def test_sturm_multiplicities_and_exact_hits():
@@ -1075,3 +1079,76 @@ def test_certify_root_orders_equal_pairwise_orders_on_the_lemma_3_11_grid(monkey
     assert orders.count(-1) == 424 and orders.count(0) == 0
     monkeypatch.setattr(spectra, "_root_cells", lambda *args: None)
     assert certify_root_orders(pairs, "min") == orders
+
+
+@st.composite
+def real_rooted_problems(draw):
+    """A real-rooted integer polynomial with an interval [lo, hi] of floats
+    and a width: rational roots on dyadic grids and off them, close pairs,
+    irrational pairs +-sqrt(c), and ends that are roots or lie between them."""
+    roots = draw(st.lists(st.one_of(
+        st.builds(Fraction, st.integers(-64, 64), st.sampled_from([1, 2, 4, 1024, 2**20])),
+        st.builds(Fraction, st.integers(-10**3, 10**3), st.sampled_from([3, 7, 9, 1000003])),
+    ), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        # a pair closer than some of the widths below
+        roots.append(roots[0] + Fraction(1, draw(st.sampled_from([10**6, 10**9, 10**13, 2**40]))))
+    p = IntPolynomial((draw(st.sampled_from([1, -2, 3])),))
+    for r in roots:
+        p = p * IntPolynomial((-r.numerator, r.denominator))
+    for c in draw(st.lists(st.sampled_from([2, 3, 5, 7, 50]), max_size=2, unique=True)):
+        p = p * IntPolynomial((-c, 0, 1))
+    lo, hi = sorted(draw(st.lists(st.floats(-1100.0, 1100.0, allow_nan=False),
+                                  min_size=2, max_size=2, unique=True)))
+    if draw(st.integers(0, 3)) == 0:
+        # one end on a root, which is exact when the root is a float
+        r = float(draw(st.sampled_from(roots)))
+        lo, hi = (r, max(hi, r + 1)) if draw(st.booleans()) else (min(lo, r - 1), r)
+    return p, lo, hi, draw(st.sampled_from([1e-12, 1e-9, 2.0**-30, 1e-3]))
+
+
+def _cell_roots(*args):
+    """`_real_roots` of args where it reads the roots off final cells, else None."""
+    isolated, fell_back = spectra._isolated_roots, []
+    spectra._isolated_roots = lambda *a: fell_back.append(a) or isolated(*a)
+    try:
+        roots = _real_roots(*args)
+    finally:
+        spectra._isolated_roots = isolated
+    return None if fell_back else roots
+
+
+@settings(max_examples=150)
+@given(real_rooted_problems())
+def test_final_cell_roots_equal_isolate_and_refine(case):
+    # where the seeds certify every root in an open cell of the last depth,
+    # the roots read off those cells are bitwise those of isolation and
+    # refinement; a root on a grid point, lo and hi included, falls back
+    p, lo, hi, tol = case
+    args = (p, Fraction(lo), Fraction(hi), Fraction(tol), _float_seeds([p])[0])
+    want = _isolated_roots(*args)
+    got = _cell_roots(*args)
+    assert got is None or got == want
+    assert _real_roots(*args) == want
+    if got is not None:
+        assert all(lo < r < hi for r in got)
+    if any(p(Fraction(x)) == 0 for x in (lo, hi)):
+        assert got is None
+
+
+def test_final_cell_roots_on_the_quotient_grid():
+    # 80 of the default grid's 98 quotient polynomials are read off their
+    # final cells; every Psi_L', whose root 0 is a grid point, falls back
+    from cdspectra import family_lemmas, quotients, verify
+    cases = family_lemmas._quotient_cases(range(7, 21))
+    solved = verify._family_spectra(quotients.model_graph_key(*case) for case in cases)
+    polys = [r.derived_poly for r in quotients.quotient_reports(cases)]
+    read = []
+    for (family, _), p, s, seeds in zip(cases, polys, solved, _float_seeds(polys)):
+        bound = Fraction(len(s.dc) * int(s.dc.max()))
+        args = (p, -bound, bound, Fraction(1e-11), seeds)
+        got = _cell_roots(*args)
+        assert got is None or got == _isolated_roots(*args), (family, p)
+        read.append((family, got is not None))
+    assert len(read) == 98 and sum(ok for _, ok in read) == 80
+    assert not any(ok for family, ok in read if family == "Lprime")

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdspectra import families, family_lemmas, lemmas, verify
+from cdspectra import family_lemmas, lemmas, verify
 from cdspectra.families import (
     build_B1, build_H, build_L, build_Ldprime, build_Lprime, build_many, build_path,
 )
 from cdspectra.graphcore import (
     DisconnectedGraph,
+    Graph,
     adjacency_stack,
     complement,
     decode_graph6_lines,
@@ -471,6 +472,37 @@ def test_family_store_is_bitwise_the_per_graph_spectrum(monkeypatch):
     assert str(batch.value) == f"complement of {to_graph6(build_path(3))} is disconnected"
 
 
+def test_grid_claims_build_no_graph(monkeypatch):
+    # the store reads the family stacks, so the grid claims and the
+    # quotient-consistency claim run from an empty store without a Graph
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
+
+    def no_graph(self, n, adj):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(Graph, "__init__", no_graph)
+    statuses = {c: verify.check_lemma(c, p_max=12).status
+                for c in ("quotient-consistency",) + verify.GRID_CLAIMS}
+    assert statuses == {"quotient-consistency": "confirmed", "3.4": "confirmed",
+                        "3.5": "confirmed", "3.6": "confirmed", "3.11": "refuted",
+                        "3.12": "confirmed"}
+    assert len(verify._FAMILY_STORE) == 254
+
+
+def test_family_store_solves_orders_above_64(monkeypatch):
+    # L(40, 30) and L'(70) have 70 vertices, more than a Graph holds; the
+    # store still solves them, and lambda_n of L^c is Phi_L's least root
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
+    from cdspectra import quotients
+    from cdspectra.spectra import extreme_root_bracket
+    l, lp = verify._family_spectra([("L", (40, 30)), ("Lprime", (70,))])
+    assert l.dc.shape == lp.dc.shape == (70, 70)
+    a, b = extreme_root_bracket(quotients.Phi_L(40, 30), "min", 1e-12)
+    assert abs(l.lambda_n - float(a)) < 1e-9
+    with pytest.raises(ValueError, match="^vertex count 70 outside 1..64$"):
+        build_L(40, 30)
+
+
 def test_claims_share_the_family_store(monkeypatch):
     # a claim fills the store for its whole grid once; the other claims and
     # quotient_consistency read the graphs already solved
@@ -497,17 +529,19 @@ def test_a_theorem_run_makes_each_family_graph_once(monkeypatch):
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     monkeypatch.setattr(verify, "EXACT_RECHECK_BELOW", 10.0)
     made = Counter()
-    check = families._checked
+    stacks = verify.family_stacks
 
-    def counted(batch):
-        made.update(label for label, _, _ in batch)
-        return check(batch)
+    def counted(keys):
+        keys = list(keys)
+        made.update(keys)
+        return stacks(keys)
 
-    monkeypatch.setattr(families, "_checked", counted)
+    monkeypatch.setattr(verify, "family_stacks", counted)
     reports = [verify.check_theorem(tid, 7) for tid in ("2.4", "2.8", "3.7", "3.13")]
     assert all(any("exact char-poly re-check" in note for note in rep.notes) for rep in reports)
     assert [rep.status for rep in reports] == ["confirmed", "confirmed", "confirmed", "refuted"]
-    assert made == Counter({"H(2,3)": 1, "path(7)": 1, "B1(4,3)": 1, "L(4,3)": 1})
+    assert made == Counter({("H", (2, 3)): 1, ("path", (7,)): 1, ("B1", (4, 3)): 1,
+                            ("L", (4, 3)): 1})
 
 
 def test_quotient_consistency_claim():
