@@ -464,8 +464,12 @@ def quotient_reports(cases, tol: float = 1e-9) -> list[QuotientReport]:
     family graphs (`verify._family_spectra`), filled for every case at once.
     All quotient matrices are built first, and their characteristic
     polynomials come from one `char_polys_exact` call per matrix size.
-    Each quotient polynomial's roots are then isolated exactly, all in one
-    `sturm_real_roots_many` batch, and matched against the full spectrum.
+    Each quotient polynomial's roots are then found exactly, all in one
+    `sturm_real_roots_many` batch: each root is the midpoint of its cell on
+    the bisection grid of [-B, B], with B = n times the largest distance,
+    which bounds every eigenvalue.  The cell is read off a float seed's
+    certified claim or found by Sturm counts.  The roots are then matched
+    against the full spectrum.
     """
     cases = [(family_id, tuple(int(p) for p in params)) for family_id, params in cases]
     solved = _family_spectra([model_graph_key(*case) for case in cases])

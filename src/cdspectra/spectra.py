@@ -20,37 +20,29 @@ The exact layer computes in Z[x] only.  Sturm chains, gcds and square-free
 parts come from primitive pseudo-remainder sequences, so each member is a
 positive multiple of its rational counterpart and has the same signs.
 
-Exact roots are bracketed in two phases, with signs taken in integers.
-Isolation bisects by counts of distinct roots until each bracket holds one
-root of the square-free part; refinement bisects each isolating bracket by
-the sign of that part alone.
-
-Floats propose and exact signs decide, in the manner of numeric-first
-real root solvers (Sagraloff & Mehlhorn, "Computing real roots of real
-polynomials", J. Symb. Comput. 73, 2016).  `sturm_real_roots_many` and
-`certify_root_orders` seed the roots of every real-rooted, square-free
-polynomial, as the quotient polynomials of equitable partitions mostly
-are: the eigenvalues of the Jacobi matrix of its float Sturm sequence,
-from one stacked `numpy.linalg.eigh` per degree.  A `_RootCells` record
-certifies, by exact signs, one grid cell for each of the deg p roots.  On
-the grid where refinement to the tolerance stops, such a record already
-names every root, which is then read off with no isolation.  Otherwise
-isolation counts roots with a record on a coarser grid or, only where no
-record holds, with the square-free Sturm chain; both count alike.
-Refinement keeps the bisection cell that a seed names once two exact
-signs confirm it.  What floats cannot certify falls back to bisection and
-Sturm chains, so no result depends on a float.
+Exact roots come from one search on the bisection grid of an interval
+[lo, hi] (`_grid_roots`): a root is the grid point that a midpoint hits,
+or the cell that holds it alone once cells are no wider than the
+tolerance.  Floats propose and exact signs decide, in the manner of
+numeric-first real root solvers (Sagraloff & Mehlhorn, "Computing real
+roots of real polynomials", J. Symb. Comput. 73, 2016).  The seeds are the
+eigenvalues of the Jacobi matrix of each polynomial's float Sturm
+sequence, from one stacked `numpy.linalg.eigh` per degree, and exact
+integer signs at a seed's cell ends certify its root there.  Where the
+seeds do not certify every root, as for a repeated or a complex root, the
+square-free part's Sturm chain counts the roots of each cell of the same
+grid, so no result depends on a float.  `sturm_real_roots_many` returns
+the cell midpoints, and `certify_root_orders` compares extreme roots read
+at ever finer widths.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 CHAR_POLY_MAX_N = 16
-CELL_DEPTH = 30                 # float seeds claim roots on this bisection depth
 
 
 class TooLargeMatrix(ValueError):
@@ -276,11 +268,6 @@ def _pdivmod(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPoly
     return _primitive(q), _primitive(r or [0])
 
 
-def _sign(p: IntPolynomial, x: Fraction) -> int:
-    """Sign of p at the rational x."""
-    return _sign_at(p.coeffs, x.numerator, x.denominator)
-
-
 def _sign_at(c: tuple[int, ...], a: int, b: int) -> int:
     """Sign of the polynomial with integer coefficients c at x = a/b, b > 0.
 
@@ -331,143 +318,131 @@ def _variations(chain, a: int, b: int) -> int:
     return count
 
 
-def _count_roots(chain, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of chain[0] in the half-open interval (lo, hi]:
-    skipping zeros, the variations exclude a root at lo and count one at hi."""
-    return (_variations(chain, lo.numerator, lo.denominator)
-            - _variations(chain, hi.numerator, hi.denominator))
+def _holds_root(chain, l: int, r: int, scale: int) -> bool:
+    """Whether chain[0], square-free, vanishes at the point l == r, or in the
+    open cell (l, r), over scale: skipping zeros, the variations count the
+    roots in (l, r], so a root at r is taken off."""
+    if l == r:
+        return _sign_at(chain[0].coeffs, l, scale) == 0
+    zero_at_r = _sign_at(chain[0].coeffs, r, scale) == 0
+    return _variations(chain, l, scale) - _variations(chain, r, scale) > zero_at_r
 
 
 @lru_cache(maxsize=None)
-def _squarefree_chain(p: IntPolynomial) -> tuple[tuple[IntPolynomial, ...], IntPolynomial]:
-    """The Sturm chain of the square-free part p / gcd(p, p'), and that gcd
-    (primitive, positive leading coefficient), built once per process.
+def _squarefree_chains(p: IntPolynomial) -> tuple[tuple[IntPolynomial, ...], ...]:
+    """Sturm chains of the square-free parts of p, g1 = gcd(p, p'),
+    g2 = gcd(g1, g1'), ... up to the last non-constant gcd, built once per
+    process: the k-th chain's first member vanishes exactly at the roots of
+    p of multiplicity > k.
 
-    p's own chain is Euclid's algorithm on p and p', so its last member is
-    the gcd up to sign, and when the gcd is constant the chain already is
-    the square-free part's.
+    Each g's own chain is Euclid's algorithm on g and g', so its last member
+    is the next gcd up to sign, and when that gcd is constant the chain
+    already is the square-free part's.
     """
-    chain = _sturm_chain(p)
-    g = chain[-1] if chain[-1].coeffs[-1] > 0 else -chain[-1]
-    if g.degree > 0:
-        chain = _sturm_chain(_pdivmod(p, g)[0])
-    return tuple(chain), g
+    chains = []
+    while True:
+        chain = _sturm_chain(p)
+        g = chain[-1] if chain[-1].coeffs[-1] > 0 else -chain[-1]
+        if g.degree > 0:
+            chain = _sturm_chain(_pdivmod(p, g)[0])
+        chains.append(tuple(chain))
+        if g.degree == 0:
+            return tuple(chains)
+        p = g
 
 
-def _isolate(oracle, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Isolating brackets, sorted, of the distinct real roots of a square-free f in [lo, hi].
+def _grid_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction,
+                seeds: list[float] | None) -> list[tuple[int, int, int, int]]:
+    """The real roots of p in [lo, hi], ascending, as cells of the bisection grid of [lo, hi].
 
-    The oracle, f's Sturm chain or f's `_RootCells` record on the grid of
-    the same [lo, hi], counts f's roots above a point and tests for a zero.
-    Bisection stops once a bracket (a, b] holds one root, and no right end
-    is a root: an exactly-hit root is a zero-width bracket, and the bracket
-    to its left is pulled off it.  A point is an integer over den * 2^s.
+    Each root is (l, r, scale, m): the open cell (l / scale, r / scale) that
+    holds it alone, or the point l == r, and its multiplicity m.  Bisection
+    records a root that a midpoint hits (or lo, or hi) as a point, and
+    splits a cell that holds a root while it is shallower than the depth D
+    where a cell is first no wider than tol, and past D while it holds two
+    or more.  The seeds' claims on the depth-D grid (`_root_cells`), when
+    they account for every root, are that answer with no Sturm chain: a
+    simple root alone in its depth-D cell, or on a grid point, which
+    bisection meets as a midpoint.  Otherwise the square-free part's Sturm
+    chain counts the roots of each cell, and the gcd chains (as in
+    `_squarefree_chains`) the multiplicities.
     """
     a, b, den = _over_common(lo, hi)
-    # sign variations exceed the number of roots above a point by a constant
-    probe = oracle.probe if oracle.__class__ is _RootCells else lambda n, s: (
-        _variations(oracle, n, den << s), _sign_at(oracle[0].coeffs, n, den << s) == 0)
-    out: list[tuple[Fraction, Fraction]] = []
-    va, zero = probe(a, 0)
-    if zero:
-        out.append((lo, lo))
+    span = b - a
+    # the least D with (b - a) tol.denominator <= tol.numerator den 2^D
+    depth = ((span * tol.denominator - 1) // (tol.numerator * den)).bit_length()
+    claims = _root_cells(p, lo, hi, depth, seeds)
+    if claims is not None:
+        base, scale = a << depth, den << depth
+        return [(base + i * span, base + j * span, scale, 1)
+                for i, j in claims if 0 <= i and j <= 1 << depth]
+    chains = _squarefree_chains(p)
+    chain, f = chains[0], chains[0][0].coeffs
 
-    def pull_left(a: int, b: int, s: int, vb: int) -> tuple[int, int, int]:
-        # f(b) == 0 at b / (den << s): record b, then find a point nb left of
-        # it where f is nonzero and (nb, b] holds no root but b; the j-th
-        # try is b - (b - a) / 2^j, at depth s + j
-        root = Fraction(b, den << s)
-        out.append((root, root))
-        width = b - a
-        while True:
-            b, s = 2 * b, s + 1
-            vn, zero = probe(b - width, s)
-            if not zero and vn - vb == 1:
-                return b - width, s, vn
+    def probe(k: int, s: int) -> tuple[int, bool]:
+        # the variations at grid point k of depth s, and whether f vanishes there
+        n, d = (a << s) + k * span, den << s
+        return _variations(chain, n, d), _sign_at(f, n, d) == 0
 
-    vb, zero = probe(b, 0)
-    s = 0
-    if zero:
-        b, s, vb = pull_left(a, b, 0, vb)
-        a <<= s
-    stack = [(a, b, s, va, vb)]
+    (va, zero_lo), (vb, zero_hi) = probe(0, 0), probe(1, 0)
+    found = [(0, 0, 0)] if zero_lo else []          # (i, j, s): grid points i, j of depth s
+    if zero_hi:
+        found.append((1, 1, 0))
+    stack = [(0, 0, va, vb, zero_hi)]
     while stack:
-        a, b, s, va, vb = stack.pop()
-        if va - vb <= 0:
+        k, s, va, vb, zb = stack.pop()
+        count = va - vb - zb                        # distinct roots in the open cell
+        if count == 0:
             continue
-        if va - vb == 1:
-            out.append((Fraction(a, den << s), Fraction(b, den << s)))
+        if count == 1 and s >= depth:
+            found.append((k, k + 1, s))
             continue
-        mid, a, b, s = a + b, 2 * a, 2 * b, s + 1
-        vm, zero = probe(mid, s)
-        if zero:
-            nm, t, vn = pull_left(a, mid, s, vm)
-            stack.append((a << (t - s), nm, t, va, vn))
-        else:
-            stack.append((a, mid, s, va, vm))
-        stack.append((mid, b, s, vm, vb))
-    out.sort(key=lambda ab: ab[0])
-    return out
+        vm, zm = probe(2 * k + 1, s + 1)
+        if zm:
+            found.append((2 * k + 1, 2 * k + 1, s + 1))
+        stack.append((2 * k + 1, s + 1, vm, vb, zb))
+        stack.append((2 * k, s + 1, va, vm, zm))
+    top = max(s for _, _, s in found) if found else 0
+    found.sort(key=lambda ijs: (ijs[0] << (top - ijs[2]), ijs[1] << (top - ijs[2])))
+    roots = []
+    for i, j, s in found:
+        l, r, scale = (a << s) + i * span, (a << s) + j * span, den << s
+        m = 1
+        while m < len(chains) and _holds_root(chains[m], l, r, scale):
+            m += 1
+        roots.append((l, r, scale, m))
+    return roots
 
 
-class _RootCells:
-    """Every root of p certified alone in a cell of the depth-D bisection
-    grid of [lo, hi] (points a 2^D + k (b - a) over den 2^D for lo = a/den,
-    hi = b/den, k any integer): the other oracle of `_isolate`.
+def _root_cells(p: IntPolynomial, lo: Fraction, hi: Fraction, depth: int,
+                seeds) -> list[tuple[int, int]] | None:
+    """The cells of the depth-`depth` bisection grid of [lo, hi] that float
+    seeds of p's roots certify, sorted, or None unless they hold deg p roots.
 
-    A root is claimed on a grid point where p is exactly 0, or in an open
-    cell whose ends have exact signs of opposite sign.  Distinct claims hold
-    distinct roots, so deg p claims prove deg p real, simple roots, one in
-    each, and one sign decides a point inside a claimed cell.  `lefts` and
-    `rights` are the claims' ends over den 2^D, ascending.
+    Grid point k is lo + k (hi - lo) / 2^depth, k any integer; a claim (k, k)
+    is a root on point k, and (k, k + 1) a root in the open cell between.
+    A seed names the cell it falls in, and exact signs at the cell's ends
+    claim a root inside when they are opposite, or on an end where p is 0.
+    Distinct claims hold distinct roots, so deg p claims prove deg p real,
+    simple roots, one in each.
     """
-
-    def __init__(self, coeffs, den, depth, lefts, rights, right_signs):
-        self.coeffs, self.den, self.depth = coeffs, den, depth
-        self.lefts, self.rights, self.right_signs = lefts, rights, right_signs
-
-    def probe(self, n: int, s: int) -> tuple[int, bool]:
-        """The number of roots above x = n / (den 2^s), and whether p(x) == 0."""
-        lefts, rights, t = self.lefts, self.rights, self.depth - s
-        # x on the grid's scale: exactly n 2^t, or strictly inside (x - 1, x)
-        x = n << t if t >= 0 else -(-n >> -t)
-        exact = t >= 0 or x << -t == n
-        i = bisect_left(lefts, x)
-        above = len(lefts) - i
-        if exact and i < len(lefts) and rights[i] == x:
-            return above - 1, True
-        if i and (rights[i - 1] > x or not exact and rights[i - 1] == x):
-            sign = _sign_at(self.coeffs, n, self.den << s)
-            if sign == 0:
-                return above, True
-            above += sign != self.right_signs[i - 1]
-        return above, False
-
-
-def _root_cells(p: IntPolynomial, lo, hi, depth: int, seeds) -> _RootCells | None:
-    """p's `_RootCells` on the depth-`depth` grid of the rationals [lo, hi],
-    claimed from float seeds of its roots (the cell each names), or None
-    when the exact signs do not give deg p claims."""
+    if seeds is None:
+        return None
     a, b, den = _over_common(lo, hi)
     c, span, base, scale = p.coeffs, b - a, a << depth, den << depth
-    flo, per_unit = float(lo), 2.0**depth / float(hi - lo)
-    claims: dict[tuple[int, int], int] = {}         # (k, k + 1) or (k, k): right sign
-    for r in seeds or ():
-        t = (r - flo) * per_unit
-        if not math.isfinite(t):
+    claims = set()
+    for r in seeds:
+        if not math.isfinite(r):
             return None
-        k = math.floor(t)
+        rn, rd = r.as_integer_ratio()
+        k = ((rn * den - a * rd) << depth) // (rd * span)
         sl, sr = _sign_at(c, base + k * span, scale), _sign_at(c, base + (k + 1) * span, scale)
         if sl == -sr != 0:
-            claims[k, k + 1] = sr
+            claims.add((k, k + 1))
         elif sl and sr:
             return None
-        claims.update(((j, j), 0) for j, sj in ((k, sl), (k + 1, sr)) if not sj)
-    if len(claims) != p.degree:
-        return None
-    order = sorted(claims)
-    return _RootCells(c, den, depth, [base + i * span for i, _ in order],
-                      [base + j * span for _, j in order], [claims[ij] for ij in order])
+        claims.update((j, j) for j, sj in ((k, sl), (k + 1, sr)) if not sj)
+    return sorted(claims) if len(claims) == p.degree else None
 
 
 def _float_seeds(polys) -> list[list[float] | None]:
@@ -510,163 +485,47 @@ def _jacobi(f: list[float]) -> list[list[float]] | None:
     return jac if math.isfinite(sum(map(sum, jac))) else None
 
 
-def _refine(fi: IntPolynomial, a: Fraction, b: Fraction,
-            tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating bracket (a, b] of square-free fi to width <= tol.
-
-    fi(b) != 0 and (a, b] holds one simple root, so one sign decides each
-    step: the root lies left of the midpoint iff fi has the sign of fi(b)
-    there.  An exactly-hit root is returned as a zero-width bracket.  The
-    endpoints are integers over one denominator that doubles each step, so
-    the loop builds no Fraction.
-    """
-    c = fi.coeffs
-    lo, hi, den = _over_common(a, b)
-    # b - a <= tol  <=>  (hi - lo) * tol.denominator <= tol.numerator * den,
-    # and hi - lo stays fixed while den doubles
-    width, reach = (hi - lo) * tol.denominator, tol.numerator * den
-    if width <= reach:
-        return a, b
-    sb = _sign_at(c, hi, den)
-    while width > reach:
-        mid = lo + hi
-        lo, hi, den, reach = 2 * lo, 2 * hi, 2 * den, 2 * reach
-        s = _sign_at(c, mid, den)
-        if s == 0:
-            root = Fraction(mid, den)
-            return root, root
-        if s == sb:
-            hi = mid
-        else:
-            lo = mid
-    return Fraction(lo, den), Fraction(hi, den)
-
-
 def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
     """a and b as integer numerators over their least common denominator."""
     den = math.lcm(a.denominator, b.denominator)
     return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
 
 
-def _refine_seeded(fi: IntPolynomial, a: Fraction, b: Fraction, tol: Fraction,
-                   seed: float) -> tuple[Fraction, Fraction]:
-    """`_refine`'s bracket of the root in (a, b], found from the float estimate seed.
-
-    Bisection to width <= tol ends in one of the 2^K equal cells of (a, b],
-    unless it hits the root exactly.  The seed names a cell.  Signs of fi
-    at its ends that put the root strictly inside make it bisection's cell;
-    a 0 at an end inside (a, b) is a root that bisection meets as a
-    midpoint, so its point bracket.  Otherwise, and for a seed that is not
-    finite, the bracket is bisected.
-    """
-    if not math.isfinite(seed):
-        return _refine(fi, a, b, tol)
-    c = fi.coeffs
-    lo, hi, den = _over_common(a, b)
-    span = hi - lo
-    if span * tol.denominator <= tol.numerator * den:
-        return a, b
-    # K is the least k with span * tol.denominator <= tol.numerator * den * 2^k
-    k = (-(-span * tol.denominator // (tol.numerator * den)) - 1).bit_length()
-    sn, sd = seed.as_integer_ratio()
-    last = (1 << k) - 1
-    j = min(max(((sn * den - lo * sd) << k) // (sd * span), 0), last)
-    left, scale = (lo << k) + j * span, den << k
-    sb = _sign_at(c, hi, den)
-    sl = -sb if j == 0 else _sign_at(c, left, scale)
-    sr = sb if j == last else _sign_at(c, left + span, scale)
-    if sl == -sb and sr == sb:
-        return Fraction(left, scale), Fraction(left + span, scale)
-    if sl == 0 or sr == 0:
-        root = Fraction(left if sl == 0 else left + span, scale)
-        return root, root
-    return _refine(fi, a, b, tol)
-
-
-def _has_root(chain, a: Fraction, b: Fraction) -> bool:
-    """Whether chain[0] vanishes somewhere in the bracket ((a, b], or the point a==b)."""
-    if a == b:
-        return _sign(chain[0], a) == 0
-    return _count_roots(chain, a, b) > 0
-
-
 def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12) -> list[float]:
-    """All real roots of p in [lo, hi], sorted, bracketed to width <= tol, a root of
-    multiplicity m m times: `sturm_real_roots_many` of the one problem."""
+    """All real roots of p in [lo, hi], sorted, each the midpoint of its cell of
+    width <= tol, a root of multiplicity m m times: `sturm_real_roots_many` of
+    the one problem."""
     return sturm_real_roots_many([(p, lo, hi)], tol)[0]
 
 
 def sturm_real_roots_many(problems, tol: float = 1e-12) -> list[list[float]]:
     """`sturm_real_roots(p, lo, hi, tol)` of each (p, lo, hi) problem, as one batch.
 
-    `_float_seeds` proposes every root at once, and `_real_roots` reads
-    the roots the seeds certify off the cells where refinement stops.
-    Otherwise the isolation oracle is p's `_RootCells` record on the
-    depth-`CELL_DEPTH` grid of [lo, hi] where the seeds give one, else p's
-    square-free Sturm chain, with multiplicities from the derivative-gcd
-    chain.  Each bracket is refined from the seed in it (`_refine_seeded`);
-    a root is its bracket's midpoint.
+    `_float_seeds` proposes every root at once, and `_grid_roots` finds each
+    problem's roots on the bisection grid of its [lo, hi], where cells stop
+    at width <= tol: a root is its cell's midpoint, or the grid point it
+    lies on, correctly rounded.  A problem whose seeds do not certify every
+    root is bisected by Sturm counts, on the same grid, to the same cells.
     """
     problems = list(problems)
     for p, lo, hi in problems:
-        if p.is_zero() or not lo < hi:
-            raise ValueError("zero polynomial" if p.is_zero() else "need lo < hi")
+        if p.is_zero():
+            raise ValueError("zero polynomial")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("need finite lo and hi")
+        if not lo < hi:
+            raise ValueError("need lo < hi")
     if not tol > 0:
         # bisection to a width <= 0 would not end
         raise ValueError("need tol > 0")
+    if not math.isfinite(tol):
+        raise ValueError("need finite tol")
     seeds, ftol = _float_seeds([p for p, _, _ in problems]), Fraction(tol)
-    return [_real_roots(p, Fraction(lo), Fraction(hi), ftol, s)
+    # int true division rounds correctly
+    return [[(l + r) / (2 * scale)
+             for l, r, scale, m in _grid_roots(p, Fraction(lo), Fraction(hi), ftol, s)
+             for _ in range(m)]
             for (p, lo, hi), s in zip(problems, seeds)]
-
-
-def _real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction,
-                seeds: list[float] | None) -> list[float]:
-    """`_isolated_roots`, read off the cells of depth D, where refinement to
-    tol stops, when the seeds certify deg p open ones: each holds one simple
-    root, so isolation stops by depth D and refinement ends in that cell,
-    whose midpoint is the root, bitwise.  A root on a grid point (lo and hi
-    too) or a seed that certifies nothing falls back."""
-    a, b, den = _over_common(lo, hi)
-    # the least D with (b - a) tol.denominator <= tol.numerator den 2^D
-    depth = (((b - a) * tol.denominator - 1) // (tol.numerator * den)).bit_length()
-    # `_root_cells` scales the seeds by 2.0**depth, which overflows past 1023
-    cells = _root_cells(p, lo, hi, depth, seeds) if depth < 1024 else None
-    if cells is None or 0 in cells.right_signs:
-        return _isolated_roots(p, lo, hi, tol, seeds)
-    first, last, scale = a << depth, b << depth, den << (depth + 1)
-    # int true division rounds correctly, as `_isolated_roots`' midpoints do
-    return [(l + r) / scale for l, r in zip(cells.lefts, cells.rights) if first <= l and r <= last]
-
-
-def _isolated_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction,
-                    seeds: list[float] | None) -> list[float]:
-    """The roots of p in [lo, hi] by `_isolate`, then `_refine_seeded` of each
-    bracket, a root of multiplicity m m times: each its bracket's midpoint."""
-    oracle = _root_cells(p, lo, hi, CELL_DEPTH, seeds)
-    fi, repeated = p, []
-    if oracle is None:
-        oracle, g = _squarefree_chain(p)
-        fi, seeds = oracle[0], _float_seeds([oracle[0]])[0]
-        # gcd chain, ending in a constant: a root of multiplicity m survives
-        # into the first m entries
-        gchain = [p, g]
-        while gchain[-1].degree > 0:
-            gchain.append(_gcd(gchain[-1], gchain[-1].derivative()))
-        repeated = [_sturm_chain(g) for g in gchain[1:-1]]
-    roots: list[float] = []
-    for a, b in _isolate(oracle, lo, hi):
-        # the seed of the root in (a, b] is the last one <= b, if above a
-        j = bisect_right(seeds, float(b)) - 1 if seeds and a != b else -1
-        a, b = _refine_seeded(fi, a, b, tol,
-                              seeds[j] if j >= 0 and seeds[j] > float(a) else math.nan)
-        mult = 1
-        while mult <= len(repeated) and _has_root(repeated[mult - 1], a, b):
-            mult += 1
-        # int true division rounds correctly, as float((a + b) / 2) does
-        mid = ((a.numerator * b.denominator + b.numerator * a.denominator)
-               / (2 * a.denominator * b.denominator))
-        roots.extend([mid] * mult)
-    return sorted(roots)
 
 
 # --- certified comparison of extreme roots ------------------------------------
@@ -682,30 +541,6 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
-@lru_cache(maxsize=None)
-def _extreme_isolated(p: IntPolynomial,
-                      side: str) -> tuple[IntPolynomial, tuple[Fraction, Fraction]]:
-    """The square-free part of p and the isolating bracket of its largest
-    ("max") or smallest ("min") real root, isolated once per process:
-    grids compare the same polynomial at many points."""
-    if side not in ("max", "min"):
-        raise ValueError("side must be 'max' or 'min'")
-    bound = cauchy_root_bound(p)
-    chain, _ = _squarefree_chain(p)
-    brackets = _isolate(chain, -bound, bound)
-    if not brackets:
-        raise ValueError("polynomial has no real roots")
-    return chain[0], brackets[-1] if side == "max" else brackets[0]
-
-
-def extreme_root_bracket(p: IntPolynomial, side: str,
-                         width: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational bracket of width <= width around the largest or smallest real root:
-    `_extreme_isolated`'s bracket, refined by the sign of the square-free part."""
-    fi, bracket = _extreme_isolated(p, side)
-    return _refine(fi, *bracket, Fraction(width))
-
-
 def certify_root_order(p: IntPolynomial, q: IntPolynomial, side: str = "max") -> int:
     """`certify_root_orders` of the one pair (p, q)."""
     return certify_root_orders([(p, q)], side)[0]
@@ -715,40 +550,47 @@ def certify_root_orders(pairs, side: str = "max") -> list[int]:
     """Exact comparison of the largest ("max") or smallest ("min") real roots
     of each pair (p, q): -1, 0 or +1.
 
-    Each distinct polynomial's extreme root is bracketed once per call, by
-    the extreme claim of its `_RootCells` record on the grid of 2^-21 (one
-    `_float_seeds` batch) or by `_extreme_isolated`.  Disjoint brackets
-    decide at once; otherwise they shrink until disjoint, and a persistent
-    overlap is equality when a shared root of gcd(p, q) lies in it.
+    A polynomial's extreme root is the last or first of its `_grid_roots`
+    on [-2^e, 2^e], which holds every root, with cells of width 2^-20, then
+    2^-30 and so on, each read once per call; one `_float_seeds` batch seeds
+    every distinct polynomial.  Disjoint cells or points decide at once;
+    overlapping ones are equal roots when a root of gcd(p, q) lies in the
+    overlap, and are otherwise read again at the next width.
     """
     if side not in ("max", "min"):
         raise ValueError("side must be 'max' or 'min'")
     pairs = list(pairs)
     polys = list(dict.fromkeys(p for pair in pairs for p in pair))
-    k, extreme = (-1 if side == "max" else 0), {}
-    for p, seeds in zip(polys, _float_seeds(polys)):
-        cells = _root_cells(p, 0, 1, 21, seeds)
-        extreme[p] = (_extreme_isolated(p, side) if cells is None or not cells.lefts else
-                      (p, (Fraction(cells.lefts[k], 2**21), Fraction(cells.rights[k], 2**21))))
-    return [_root_order(p, q, *extreme[p], *extreme[q]) for p, q in pairs]
+    seeds = dict(zip(polys, _float_seeds(polys)))
+    pick, extremes = (-1 if side == "max" else 0), {}
+
+    def extreme(p: IntPolynomial, width: Fraction) -> tuple[Fraction, Fraction]:
+        if (p, width) not in extremes:
+            half = 1 << (math.ceil(cauchy_root_bound(p)) - 1).bit_length()
+            roots = _grid_roots(p, Fraction(-half), Fraction(half), width, seeds[p])
+            if not roots:
+                raise ValueError("polynomial has no real roots")
+            l, r, scale, _ = roots[pick]
+            extremes[p, width] = Fraction(l, scale), Fraction(r, scale)
+        return extremes[p, width]
+
+    return [_root_order(p, q, extreme) for p, q in pairs]
 
 
-def _root_order(p: IntPolynomial, q: IntPolynomial, fp, a, fq, b) -> int:
-    """The order of the roots of p and q in the brackets a of fp and b of fq,
-    each a point (r, r) or a half-open (a, b] whose right end is no root."""
+def _root_order(p: IntPolynomial, q: IntPolynomial, extreme) -> int:
+    """The order of the extreme roots of p and q, each `extreme(f, width)`:
+    a point (x, x) or an open cell (l, r) that holds it alone."""
     width, common = Fraction(1, 2**20), None
     for _ in range(8):
-        a, b = _refine(fp, *a, width), _refine(fq, *b, width)
+        a, b = extreme(p, width), extreme(q, width)
         if a[1] <= b[0] and a != b:
             return -1
         if b[1] <= a[0] and a != b:
             return 1
         if common is None:
             g = _gcd(p, q)
-            common = _sturm_chain(g) if g.degree > 0 else []
-        if common:
-            lo, hi = max(a[0], b[0]), min(a[1], b[1])
-            if lo <= hi and _has_root(common, lo, hi):
-                return 0
+            common = _squarefree_chains(g)[0] if g.degree > 0 else ()
+        if common and _holds_root(common, *_over_common(max(a[0], b[0]), min(a[1], b[1]))):
+            return 0
         width /= 2**10
     raise ArithmeticError("could not certify root order")

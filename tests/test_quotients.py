@@ -239,11 +239,11 @@ def test_quotient_reports_build_a_sturm_chain_for_Lprime_12_only():
     # polynomials; Psi_L'(12) = x^2 (x^3 - 14 x^2 - 92 x - 120) has the
     # double root 0, which no cell record holds, so only it gets a chain
     from cdspectra import spectra, verify
-    spectra._squarefree_chain.cache_clear()
+    spectra._squarefree_chains.cache_clear()
     assert verify.check_lemma("quotient-consistency").status == "confirmed"
-    info = spectra._squarefree_chain.cache_info()
+    info = spectra._squarefree_chains.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     # L'(12) alone asks for its chain again, and finds it cached
     lp12 = q.quotient_consistency("Lprime", (12,)).derived_poly
     assert lp12.coeffs[:3] == (0, 0, -120)
-    assert spectra._squarefree_chain.cache_info().misses == 1
+    assert spectra._squarefree_chains.cache_info().misses == 1

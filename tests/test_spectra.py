@@ -14,28 +14,21 @@ from cdspectra.graphcore import complement, distance_matrix, from_edge_mask
 from cdspectra.families import build_path
 from cdspectra import spectra
 from cdspectra.spectra import (
-    CELL_DEPTH,
     IntPolynomial,
     TooLargeMatrix,
-    _count_roots,
     _float_seeds,
     _gcd,
-    _isolate,
-    _isolated_roots,
+    _grid_roots,
     _pdivmod,
-    _real_roots,
-    _refine,
-    _refine_seeded,
     _root_cells,
-    _sign,
-    _squarefree_chain,
+    _sign_at,
+    _squarefree_chains,
     _sturm_chain,
     cauchy_root_bound,
     certify_root_order,
     certify_root_orders,
     char_poly_exact,
     char_polys_exact,
-    extreme_root_bracket,
     sturm_real_roots,
     sturm_real_roots_many,
     sym_eigenvalues,
@@ -335,6 +328,14 @@ def test_sturm_no_roots_and_validation():
     for tol in (0.0, -1e-9):
         with pytest.raises(ValueError, match="need tol > 0"):
             sturm_real_roots(IntPolynomial((-2, 0, 1)), -5, 5, tol)
+    # infinite ends or widths are refused before any Fraction is built
+    with pytest.raises(ValueError, match="^need finite tol$"):
+        sturm_real_roots(IntPolynomial((-2, 0, 1)), 0, 1, math.inf)
+    for lo, hi in ((-math.inf, 1), (0, math.inf), (-math.inf, math.inf), (math.nan, 1)):
+        with pytest.raises(ValueError, match="^need finite lo and hi$"):
+            sturm_real_roots(IntPolynomial((-2, 0, 1)), lo, hi)
+    with pytest.raises(ValueError, match="^need lo < hi$"):
+        sturm_real_roots(IntPolynomial((1, 1)), 1, 1)
 
 
 def test_sturm_agrees_with_jacobi_on_symmetric_integer_matrices():
@@ -361,12 +362,13 @@ def test_integer_sign_matches_fraction_horner():
         b = int(rng.choice(denominators))
         x = Fraction(int(rng.integers(-40 * b, 40 * b + 1)), b)
         ref = _fraction_horner(c, x)
-        assert _sign(IntPolynomial(c), x) == (ref > 0) - (ref < 0)
+        assert _sign_at(tuple(c), x.numerator, x.denominator) == (ref > 0) - (ref < 0)
     # exact rational roots, including non-dyadic ones, give sign 0
     for r in (Fraction(1, 3), Fraction(-5, 7), Fraction(22, 9), Fraction(0), Fraction(-4)):
         c = IntPolynomial((-r.numerator, r.denominator)) * IntPolynomial((3, 0, 1))
-        assert _sign(c, r) == 0
-        assert _sign(c, r + Fraction(1, 10**9)) != 0
+        assert _sign_at(c.coeffs, r.numerator, r.denominator) == 0
+        x = r + Fraction(1, 10**9)
+        assert _sign_at(c.coeffs, x.numerator, x.denominator) != 0
 
 
 def test_quotient_poly_roots_inside_full_spectrum():
@@ -392,17 +394,21 @@ def test_certified_root_order():
     # shared extreme root through a common factor
     c = a * IntPolynomial((1, 1))
     assert certify_root_order(a, c, "max") == 0
-    lo, hi = extreme_root_bracket(a, "max", Fraction(1, 10**12))
-    assert lo <= Fraction(math.sqrt(2)) <= hi or abs(float(lo) - math.sqrt(2)) < 1e-11
+    assert certify_root_orders([(a, b), (b, a), (a, c)], "max") == [-1, 1, 0]
+    for p in (IntPolynomial((1, 0, 1)), IntPolynomial((5,))):
+        with pytest.raises(ValueError, match="^polynomial has no real roots$"):
+            certify_root_order(p, a)
+    with pytest.raises(ValueError, match="^side must be 'max' or 'min'$"):
+        certify_root_order(a, b, "mid")
 
 
 def test_certified_order_of_an_exact_root_touching_a_bracket():
-    # the largest root 0 of x is hit exactly; x(10^9 x - 1) isolates its
-    # largest root 1e-9 in a bracket (0, b] that starts at the shared root 0
+    # the largest root 0 of x is a grid point; x(10^9 x - 1) has its largest
+    # root 1e-9 in the cell (0, 2^-20), which starts at the shared root 0
     p = IntPolynomial((0, 1))
     q = IntPolynomial((0, -1, 10**9))
-    assert extreme_root_bracket(p, "max", Fraction(1, 2**20)) == (0, 0)
-    assert extreme_root_bracket(q, "max", Fraction(1, 2**20))[0] == 0
+    assert sturm_real_roots(p, -1, 1, 2.0**-20) == [0.0]
+    assert sturm_real_roots(q, -1, 1, 2.0**-20) == [0.0, 2.0**-21]
     assert certify_root_order(p, q, "max") == -1
     assert certify_root_order(q, p, "max") == 1
     assert certify_root_order(p, p * IntPolynomial((1, 1)), "max") == 0
@@ -419,7 +425,7 @@ def test_int_polynomial_arithmetic():
     assert str(IntPolynomial((-4, -6, 0, 1))) == "L^3 - 6*L - 4"
 
 
-# --- reference: rational Sturm chains, Sturm counts at every bisection step ---
+# --- reference: grid bisection on rational Sturm chains, in Fractions --------
 
 
 def _ref_frac(p):
@@ -506,107 +512,99 @@ def _ref_squarefree(c):
     return _ref_divide_exact(c, g) if len(g) > 1 else _ref_trim(c[:])
 
 
-def _reference_brackets(f, lo, hi, tol):
-    """Brackets of square-free f in [lo, hi], each step decided by Sturm counts.
-
-    f is a list of Fraction coefficients.  This is the single-phase
-    bisection on rational Sturm chains that the two-phase isolate-then-refine
-    code on integer chains must reproduce bracket for bracket.
-    """
-    chain = _ref_sturm_chain(f)
-    fi = chain[0]
-    out = []
-    if _sign(fi, lo) == 0:
-        out.append((lo, lo))
-
-    def shrink_right(a, b, cnt):
-        while _sign(fi, b) == 0:
-            out.append((b, b))
-            cnt -= 1
-            step = (b - a) / 2
-            nb = b - step
-            while _sign(fi, nb) == 0 or _count_roots(chain, nb, b) != 1:
-                step /= 2
-                nb = b - step
-            b = nb
-        return b, cnt
-
-    hi2, cnt0 = shrink_right(lo, hi, _count_roots(chain, lo, hi))
-    stack = [(lo, hi2, cnt0)]
-    while stack:
-        a, b, cnt = stack.pop()
-        if cnt <= 0:
-            continue
-        if cnt == 1 and b - a <= tol:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if _sign(fi, mid) == 0:
-            out.append((mid, mid))
-            step = (mid - a) / 2
-            nm = mid - step
-            while _sign(fi, nm) == 0 or _count_roots(chain, nm, mid) != 1:
-                step /= 2
-                nm = mid - step
-            stack.append((a, nm, _count_roots(chain, a, nm)))
-            stack.append((mid, b, _count_roots(chain, mid, b)))
-        else:
-            cl = _count_roots(chain, a, mid)
-            stack.append((a, mid, cl))
-            stack.append((mid, b, cnt - cl))
-    out.sort(key=lambda ab: ab[0])
-    return out
+def _ref_sign(p: IntPolynomial, x: Fraction) -> int:
+    """Sign of p at the rational x = n / d: of the sum of c_i n^i d^(deg - i)."""
+    n, d, k = x.numerator, x.denominator, p.degree
+    v = sum(c * n**i * d ** (k - i) for i, c in enumerate(p.coeffs))
+    return (v > 0) - (v < 0)
 
 
-def _reference_has_root(g, a, b):
+def _ref_variations(chain, x: Fraction) -> int:
+    signs = [s for s in (_ref_sign(f, x) for f in chain) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _ref_open_count(chain, a: Fraction, b: Fraction) -> int:
+    """Distinct roots of chain[0] in the open (a, b), or at the point a == b."""
     if a == b:
-        return _sign(_ref_scaled(g), a) == 0
-    return _count_roots(_ref_sturm_chain(g), a, b) > 0
+        return int(_ref_sign(chain[0], a) == 0)
+    return (_ref_variations(chain, a) - _ref_variations(chain, b)
+            - (_ref_sign(chain[0], b) == 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_levels(p):
+    """Rational Sturm chains of the square-free parts of p, gcd(p, p'), ..."""
+    f, levels = _ref_frac(p), []
+    while len(f) > 1:
+        levels.append(_ref_sturm_chain(_ref_squarefree(f)))
+        f = _ref_gcd(f, _ref_deriv(f))
+    return levels
+
+
+def _reference_grid(p, lo, hi, tol):
+    """The roots of p in [lo, hi] as (a, b, multiplicity), ascending.
+
+    Grid bisection of [lo, hi] in Fractions, each step decided by rational
+    Sturm counts.  A root on lo, hi or a midpoint is the point (a, a); a
+    cell (a, b) that holds a root is split while it is wider than tol, and
+    while it holds two or more.  The multiplicity is the number of
+    gcd(f, f')-chain members, f = p first, that vanish in the cell.
+    """
+    lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
+    levels = _ref_levels(p)
+    if not levels:
+        return []
+    chain = levels[0]
+
+    def zero(x):
+        return _ref_sign(chain[0], x) == 0
+
+    found = [(x, x) for x in (lo, hi) if zero(x)]
+    # a cell with the variations at its ends, which count the roots in (a, b]
+    stack = [(lo, hi, _ref_variations(chain, lo), _ref_variations(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        count = va - vb - zero(b)
+        if count == 1 and b - a <= tol:
+            found.append((a, b))
+        elif count:
+            mid = (a + b) / 2
+            vm = _ref_variations(chain, mid)
+            if zero(mid):
+                found.append((mid, mid))
+            stack += [(a, mid, va, vm), (mid, b, vm, vb)]
+    return [(a, b, sum(_ref_open_count(c, a, b) > 0 for c in levels)) for a, b in sorted(found)]
 
 
 def _reference_roots(p, lo, hi, tol):
-    """sturm_real_roots through the reference bisection."""
-    f = _ref_frac(p)
-    gchain = [_ref_trim(f[:])]
-    while len(gchain[-1]) > 1:
-        g = _ref_gcd(gchain[-1], _ref_deriv(gchain[-1]))
-        if len(g) == 1:
-            break
-        gchain.append(g)
-    squarefree = _ref_divide_exact(f, gchain[1]) if len(gchain) > 1 else _ref_trim(f[:])
-    roots = []
-    for a, b in _reference_brackets(squarefree, Fraction(lo), Fraction(hi), Fraction(tol)):
-        mult = 1
-        for g in gchain[1:]:
-            if not _reference_has_root(g, a, b):
-                break
-            mult += 1
-        roots.extend([float((a + b) / 2)] * mult)
-    return sorted(roots)
+    """sturm_real_roots through the reference: cell midpoints, with multiplicity."""
+    return [float((a + b) / 2) for a, b, m in _reference_grid(p, lo, hi, tol) for _ in range(m)]
 
 
 def _reference_extreme(p, side, width):
     bound = cauchy_root_bound(p)
-    brackets = _reference_brackets(_ref_squarefree(_ref_frac(p)), -bound, bound, width)
-    if not brackets:
+    roots = _reference_grid(p, -bound, bound, width)
+    if not roots:
         raise ValueError("polynomial has no real roots")
-    return brackets[-1] if side == "max" else brackets[0]
+    return roots[-1 if side == "max" else 0][:2]
 
 
 def _reference_order(p, q, side):
+    """certify_root_order through the reference: the extreme roots on
+    [-B, B] at widths 2^-20, 2^-30, ..., equal where a root of gcd(p, q)
+    lies in both."""
+    g = _ref_gcd(_ref_frac(p), _ref_frac(q))
     width = Fraction(1, 2**20)
     for _ in range(8):
-        a = _reference_extreme(p, side, width)
-        b = _reference_extreme(q, side, width)
+        a, b = _reference_extreme(p, side, width), _reference_extreme(q, side, width)
         if a[1] <= b[0] and a != b:
             return -1
         if b[1] <= a[0] and a != b:
             return 1
-        g = _ref_gcd(_ref_frac(p), _ref_frac(q))
-        if len(g) > 1:
-            lo, hi = max(a[0], b[0]), min(a[1], b[1])
-            if lo <= hi and _reference_has_root(g, lo, hi):
-                return 0
+        lo, hi = max(a[0], b[0]), min(a[1], b[1])
+        if len(g) > 1 and _ref_open_count(_ref_sturm_chain(_ref_squarefree(g)), lo, hi):
+            return 0
         width /= 2**10
     raise ArithmeticError("could not certify root order")
 
@@ -636,29 +634,44 @@ def _random_poly(rng):
     return p, rational
 
 
-def test_two_phase_brackets_equal_single_phase_reference():
+def _unseeded(fn, *args):
+    """fn(*args) with every seed claim refused: roots from Sturm counts alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_root_cells", lambda *a: None)
+        return fn(*args)
+
+
+def _grid(p, lo, hi, tol):
+    """`_grid_roots` of p on [lo, hi] from its float seeds, as (a, b, multiplicity)."""
+    found = _grid_roots(p, Fraction(lo), Fraction(hi), Fraction(tol), _float_seeds([p])[0])
+    return [(Fraction(l, s), Fraction(r, s), m) for l, r, s, m in found]
+
+
+def _depth(lo, hi, tol) -> int:
+    """The least depth whose cells of [lo, hi] are no wider than tol."""
+    d = 0
+    while Fraction(hi) - Fraction(lo) > Fraction(tol) * 2**d:
+        d += 1
+    return d
+
+
+def test_grid_roots_equal_the_grid_reference():
+    # cells, points and multiplicities, from seed claims and from Sturm
+    # counts alone: on intervals that end exactly on a rational root, from
+    # either side, on wide ones with non-dyadic ends, and on [-B, B] with
+    # roots at its first midpoints 0 and +-B/2
     rng = np.random.default_rng(20201006)
     for _ in range(120):
         p, rational = _random_poly(rng)
-        f = _ref_squarefree(_ref_frac(p))
-        chain = _squarefree_chain(p)[0]
         r = rational[int(rng.integers(0, len(rational)))]
-        # intervals that end exactly on a rational root, from either side,
-        # and wide ones with non-dyadic ends
-        spans = [(r, r + Fraction(7, 3)), (r - Fraction(5, 3), r),
-                 (Fraction(-31, 3), Fraction(29, 3))]
-        for lo, hi in spans:
-            for tol in WIDTHS:
-                got = [_refine(chain[0], a, b, tol) for a, b in _isolate(chain, lo, hi)]
-                assert got == _reference_brackets(f, lo, hi, tol), (p, lo, hi, tol)
-        # roots at the first midpoints 0 and +-B/2 of [-B, B], where pull_left
-        # runs inside the bisection
         q = p * IntPolynomial((0, 1))
         bound = 2 * abs(r) or Fraction(2)
-        f, chain = _ref_squarefree(_ref_frac(q)), _squarefree_chain(q)[0]
-        for tol in WIDTHS:
-            got = [_refine(chain[0], a, b, tol) for a, b in _isolate(chain, -bound, bound)]
-            assert got == _reference_brackets(f, -bound, bound, tol), (q, bound, tol)
+        for f, lo, hi in ((p, r, r + Fraction(7, 3)), (p, r - Fraction(5, 3), r),
+                          (p, Fraction(-31, 3), Fraction(29, 3)), (q, -bound, bound)):
+            for tol in WIDTHS:
+                want = _reference_grid(f, lo, hi, tol)
+                assert _grid(f, lo, hi, tol) == want, (f, lo, hi, tol)
+                assert _unseeded(_grid, f, lo, hi, tol) == want, (f, lo, hi, tol)
 
 
 def test_sturm_real_roots_equal_single_phase_reference():
@@ -668,32 +681,41 @@ def test_sturm_real_roots_equal_single_phase_reference():
         r = float(rational[0])
         for lo, hi, tol in ((-10.0, 10.0, 1e-12), (r, r + 2.5, 2.0**-20), (-10.5, r, 2.0**-30)):
             if lo < hi:
-                assert sturm_real_roots(p, lo, hi, tol) == _reference_roots(p, lo, hi, tol)
+                want = _reference_roots(p, lo, hi, tol)
+                assert sturm_real_roots(p, lo, hi, tol) == want
+                assert _unseeded(sturm_real_roots, p, lo, hi, tol) == want
 
 
-def test_extreme_root_bracket_equals_single_phase_reference():
-    rng = np.random.default_rng(31)
-    for _ in range(80):
-        p, _ = _random_poly(rng)
-        for side in ("min", "max"):
-            for width in WIDTHS:
-                try:
-                    want = _reference_extreme(p, side, width)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        extreme_root_bracket(p, side, width)
-                    continue
-                assert extreme_root_bracket(p, side, width) == want
+def test_roots_on_cell_ends_and_interval_ends():
+    # x^2 (2^40 x + 1) on [-1, 1] at 1e-9: the simple root -2^-40 lies in the
+    # depth-31 cell (-2^-30, 0), whose right end is the double root 0, so
+    # neither its root count nor its multiplicity may count that end
+    p = IntPolynomial((0, 0, 1, 2**40))
+    want = [-(2.0**-31), 0.0, 0.0]
+    assert sturm_real_roots(p, -1, 1, 1e-9) == want
+    assert _unseeded(sturm_real_roots, p, -1, 1, 1e-9) == want
+    assert _reference_roots(p, -1, 1, 1e-9) == want
+    # roots exactly at lo and at hi are those points, claimed by seeds or not
+    q = IntPolynomial((-2, 0, 1)) * IntPolynomial((-3, 1)) * IntPolynomial((1, 1))
+    for tol in (1e-12, 2.0**-20):
+        got = sturm_real_roots(q, -1, 3, tol)
+        assert got[0] == -1.0 and got[-1] == 3.0 and len(got) == 3
+        assert got == _unseeded(sturm_real_roots, q, -1, 3, tol) == _reference_roots(q, -1, 3, tol)
+    # Psi_L'(12) = x^2 (x^3 - 14 x^2 - 92 x - 120) has the double root 0, the
+    # first midpoint of [-36, 36]
+    from cdspectra import quotients
+    psi = quotients.Psi_Lprime(12)
+    got = sturm_real_roots(psi, -36, 36, 1e-11)
+    assert len(got) == 5 and got.count(0.0) == 2
+    assert got == _reference_roots(psi, -36, 36, 1e-11)
 
 
 def test_certify_root_order_equals_reference_and_retries_near_ties():
     sqrt2 = IntPolynomial((-2, 0, 1))
     below = IntPolynomial((-141421356, 10**8))          # 1.41421356 < sqrt(2)
-    # the extreme roots agree to 2.4e-9, so the 2^-20 brackets overlap and
-    # the comparison is decided only after refining further
-    a = extreme_root_bracket(sqrt2, "max", Fraction(1, 2**20))
-    b = extreme_root_bracket(below, "max", Fraction(1, 2**20))
-    assert max(a[0], b[0]) <= min(a[1], b[1])
+    # the extreme roots agree to 2.4e-9, so they share a cell of width 2^-20
+    # and the comparison is decided only at a finer width
+    assert _grid(sqrt2, -4, 4, 2.0**-20)[-1] == _grid(below, -4, 4, 2.0**-20)[-1]
     assert certify_root_order(sqrt2, below, "max") == 1
     assert certify_root_order(below, sqrt2, "max") == -1
     # a shared extreme root after a near miss: 1/3 against 1/3 + 1e-8
@@ -715,118 +737,88 @@ def test_certify_root_order_equals_reference_and_retries_near_ties():
                     certify_root_order(p, q, side)
                 continue
             assert certify_root_order(p, q, side) == want
+            assert _unseeded(certify_root_order, p, q, side) == want
 
 
-def _seed_in(seeds, a, b):
-    """The float seed `sturm_real_roots_many` takes for the bracket (a, b]."""
-    inside = [r for r in seeds or [] if float(a) < r <= float(b)]
-    return inside[-1] if inside and a != b else math.nan
+def _seed_lists(seeds, lo, hi):
+    """Wrong seed lists: moved, reordered, short, long, not finite, or on the ends."""
+    return [[s + 1 for s in seeds], [s - 1e-3 for s in seeds], seeds[::-1], seeds[1:],
+            seeds + seeds[:1], [math.nan] + seeds[1:], [math.inf] * len(seeds),
+            [float(lo)] * len(seeds), [float(hi)] + seeds[1:]]
 
 
-def test_seeded_refinement_equals_bisection(monkeypatch):
-    # every seed, good or bad, must give bisection's own bracket; a good
-    # seed must mostly do so without bisecting
-    bisected = []
-
-    def counting_refine(*args):
-        bisected.append(args)
-        return _refine(*args)
-
-    monkeypatch.setattr(spectra, "_refine", counting_refine)
+def test_seeded_refinement_equals_bisection():
+    # every seed list, good or bad, gives bisection's own roots; the good
+    # seeds of a square-free part with real roots alone mostly do so with no
+    # Sturm chain
     rng = np.random.default_rng(20201019)
-    confirmed = tried = 0
+    tried = certified = 0
     for _ in range(100):
         p, rational = _random_poly(rng)
-        chain = _squarefree_chain(p)[0]
-        seeds = _float_seeds([chain[0]])[0]
+        p = _squarefree_chains(p)[0][0]
+        seeds = _float_seeds([p])[0]
+        if seeds is None:
+            continue
         r = rational[int(rng.integers(0, len(rational)))]
-        # intervals that end exactly on a rational root, from either side,
-        # and wide ones with non-dyadic ends
-        spans = [(r, r + Fraction(7, 3)), (r - Fraction(5, 3), r),
-                 (Fraction(-31, 3), Fraction(29, 3))]
-        for lo, hi in spans:
-            for a, b in _isolate(chain, lo, hi):
-                if a == b:
-                    continue
-                good = _seed_in(seeds, a, b)
-                bad = [math.nan, math.inf, -math.inf, float(a) - 1, float(b) + 1,
-                       float(a), float(b), float((a + b) / 2)]
-                for tol in WIDTHS:
-                    want = _refine(chain[0], a, b, tol)
-                    if b - a > tol and math.isfinite(good):
-                        tried += 1
-                        bisected.clear()
-                        assert _refine_seeded(chain[0], a, b, tol, good) == want, (p, a, b, tol)
-                        confirmed += not bisected
-                    for seed in bad:
-                        assert _refine_seeded(chain[0], a, b, tol, seed) == want, (p, a, b, seed)
-    assert tried > 300 and confirmed > 0.9 * tried
+        for lo, hi in ((r, r + Fraction(7, 3)), (r - Fraction(5, 3), r),
+                       (Fraction(-31, 3), Fraction(29, 3))):
+            for tol in WIDTHS:
+                want = _unseeded(_grid, p, lo, hi, tol)
+                tried += 1
+                certified += _root_cells(p, lo, hi, _depth(lo, hi, tol), seeds) is not None
+                assert _grid(p, lo, hi, tol) == want, (p, lo, hi, tol)
+                for bad in _seed_lists(seeds, lo, hi):
+                    got = _grid_roots(p, lo, hi, Fraction(tol), bad)
+                    assert [(Fraction(a, s), Fraction(b, s), m) for a, b, s, m in got] == want, bad
+    assert tried > 100 and certified > 0.9 * tried
 
 
-def test_seed_from_an_exact_root_on_the_left_end_equals_bisection(monkeypatch):
-    # a bracket (r, b] that starts on a rational root r takes the float seed
-    # of the root in it, not r's own, and the seed's bracket is bisection's;
-    # only square-free parts with real roots alone have seeds
-    bisected = []
-
-    def counting_refine(*args):
-        bisected.append(args)
-        return _refine(*args)
-
-    monkeypatch.setattr(spectra, "_refine", counting_refine)
+def test_seed_from_an_exact_root_on_the_left_end_equals_bisection():
+    # on [r, 29/3] from a rational root r of a square-free part with real
+    # roots alone, the seed of r claims the point lo and the root beside it
+    # its own cell, and the roots are bisection's
     rng = np.random.default_rng(20161019)
-    tried = confirmed = on_grid = 0
+    tried = certified = 0
+    hi = Fraction(29, 3)
     for _ in range(150):
         p, rational = _random_poly(rng)
-        chain = _squarefree_chain(p)[0]
-        seeds = _float_seeds([chain[0]])[0]
+        p = _squarefree_chains(p)[0][0]
+        seeds = _float_seeds([p])[0]
+        if seeds is None:
+            continue
         for r in set(rational):
-            brackets = [ab for ab in _isolate(chain, r, Fraction(29, 3)) if ab[0] == r != ab[1]]
-            if not brackets or seeds is None:
-                continue
-            a, b = brackets[0]
-            seed = _seed_in(seeds, a, b)
-            assert a < seed <= b, (p, a, b, seed)
             for tol in WIDTHS:
-                bisected.clear()
-                want = _refine(chain[0], a, b, tol)
-                assert _refine_seeded(chain[0], a, b, tol, seed) == want
+                want = _unseeded(_grid, p, r, hi, tol)
+                assert want[0][:2] == (r, r)
                 tried += 1
-                confirmed += not bisected
-                if want[0] == want[1]:
-                    # a root that bisection hits exactly is a grid point: it
-                    # ends the seed's cell, where the sign is 0
-                    on_grid += 1
-                    assert not bisected, (p, a, b, tol)
-    # rational roots with dyadic denominators land on the grid: 9 of 369
-    assert on_grid == 9
-    assert tried > 100 and confirmed > 0.9 * tried
+                certified += _root_cells(p, r, hi, _depth(r, hi, tol), seeds) is not None
+                assert _grid(p, r, hi, tol) == want
+    assert tried > 100 and certified > 0.9 * tried
+
+
+def _recording_claims(monkeypatch):
+    """Patch `_root_cells` to record each polynomial whose seeds claim nothing."""
+    claims, bisected = spectra._root_cells, []
+
+    def recording(p, *args):
+        found = claims(p, *args)
+        if found is None:
+            bisected.append(p)
+        return found
+
+    monkeypatch.setattr(spectra, "_root_cells", recording)
+    return bisected
 
 
 def test_no_bracket_from_an_exact_root_is_bisected_on_the_quotient_grid(monkeypatch):
-    from cdspectra import verify
-
-    seeded, bisected = [], []
-    refine, refine_seeded = spectra._refine, spectra._refine_seeded
-
-    def starts_on_a_root(fi, a, b):
-        return a != b and _sign(fi, a) == 0
-
-    def recording_refine(fi, a, b, tol):
-        bisected.append(starts_on_a_root(fi, a, b))
-        return refine(fi, a, b, tol)
-
-    def recording_refine_seeded(fi, a, b, tol, seed):
-        seeded.append(starts_on_a_root(fi, a, b))
-        return refine_seeded(fi, a, b, tol, seed)
-
-    monkeypatch.setattr(spectra, "_refine", recording_refine)
-    monkeypatch.setattr(spectra, "_refine_seeded", recording_refine_seeded)
+    # Psi_L'(n) has the exact root 0, the first midpoint of [-B, B]: its seed
+    # claims that grid point and the next seed its own cell, so of the
+    # default grid's quotient polynomials only Psi_L'(12), whose root 0 is
+    # double, is bisected by Sturm counts
+    from cdspectra import quotients, verify
+    bisected = _recording_claims(monkeypatch)
     assert verify.check_lemma("quotient-consistency").status == "confirmed"
-    # Psi_L'(n) has the exact root 0, at the left end of the bracket of the
-    # next root, for 18 of the grid's L'(n) and L(p, q) cases
-    assert sum(seeded) == 18
-    assert not any(bisected)
+    assert bisected == [quotients.Psi_Lprime(12)]
 
 
 def test_float_seeds_and_cell_records_at_the_edges():
@@ -846,29 +838,21 @@ def test_float_seeds_and_cell_records_at_the_edges():
     # a root on a grid point is claimed by its exact zero: x (3x - 1) on
     # [0, 1], where 0 is the left end
     p = IntPolynomial((0, -1, 3))
-    cells = _root_cells(p, 0, 1, CELL_DEPTH, _float_seeds([p])[0])
-    assert cells.lefts[0] == cells.rights[0] == 0
-    assert cells.lefts[1] < 2**CELL_DEPTH / 3 < cells.rights[1]
-    want = [(0, 0), (0, 1)]
-    assert _isolate(cells, Fraction(0), Fraction(1)) == _isolate(_sturm_chain(p), 0, 1) == want
+    cells = _root_cells(p, Fraction(0), Fraction(1), 30, _float_seeds([p])[0])
+    (i, j), (k, m) = cells
+    assert i == j == 0 and m == k + 1 and k < 2**30 / 3 < m
+    assert sturm_real_roots(p, 0, 1, 2.0**-30) == _unseeded(sturm_real_roots, p, 0, 1, 2.0**-30)
     # whatever the seeds, exact signs give complex or repeated roots, two
     # seeds in one cell or a missing seed fewer than deg p claims
     r = math.sqrt(2)
     for p, seeds in ((IntPolynomial((1, 0, 1)) * sqrt2, [-r, 0.0, 0.0, r]),
                      (sqrt2 * sqrt2, [-r, -r, r, r]),
                      (sqrt2, [r, r]), (sqrt2, [r]), (sqrt2, None)):
-        assert _root_cells(p, -4, 4, CELL_DEPTH, seeds) is None
+        assert _root_cells(p, Fraction(-4), Fraction(4), 30, seeds) is None
 
 
 def test_certify_root_order_seeded_equals_bisection_only_reference(monkeypatch):
-    isolated = []
-
-    def recording_isolation(p, side):
-        isolated.append(p)
-        return _isolated(p, side)
-
-    _isolated = spectra._extreme_isolated
-    monkeypatch.setattr(spectra, "_extreme_isolated", recording_isolation)
+    bisected = _recording_claims(monkeypatch)
     x = IntPolynomial((0, 1))
     sqrt2 = IntPolynomial((-2, 0, 1))
     huge = IntPolynomial((-1, 1)) * IntPolynomial((10**320, 1))      # roots 1 and -1e320
@@ -890,22 +874,24 @@ def test_certify_root_order_seeded_equals_bisection_only_reference(monkeypatch):
             want = _reference_order(p, q, side)
             assert certify_root_order(p, q, side) == want, (p, q, side)
             assert certify_root_order(q, p, side) == -want, (p, q, side)
-    # Sturm isolation runs exactly for the polynomials that no cell record
-    # can hold: coefficients beyond float range, or fewer than deg p
-    # distinct real roots
-    assert huge in isolated
+            assert _unseeded(certify_root_order, p, q, side) == want, (p, q, side)
+    # Sturm bisection runs exactly for the polynomials that no claims can
+    # hold: coefficients beyond float range, or fewer than deg p distinct
+    # real roots
+    assert huge in bisected
     for p in {p for pair in pairs for p in pair}:
         bound = cauchy_root_bound(p)
+        # cells no wider than 1 hold one distinct root each
         recordless = (_float_seeds([p])[0] is None
-                      or _count_roots(_sturm_chain(p), -bound, bound) < p.degree)
-        assert (p in isolated) == recordless, p
+                      or len(_reference_grid(p, -bound, bound, 1)) < p.degree)
+        assert (p in bisected) == recordless, p
 
 
 @pytest.mark.parametrize("offset", [-2.0**-22, 2.0**-22, 2.0**-19, -5.0, math.nan, math.inf])
 def test_certify_root_order_with_a_perturbed_newton_seed_equals_reference(monkeypatch, offset):
     # every float seed is moved by offset: a seed still inside the cell next
-    # to a root on the 2^-21 grid gives the point bracket, one beyond its
-    # cell or not finite falls back to isolation
+    # to a root on the 2^-21 grid claims that point, and one beyond its cell
+    # or not finite falls back to Sturm counts; no result changes
     seeds = spectra._float_seeds
     monkeypatch.setattr(spectra, "_float_seeds", lambda polys: [
         None if r is None else [v + offset for v in r] for r in seeds(polys)])
@@ -917,10 +903,12 @@ def test_certify_root_order_with_a_perturbed_newton_seed_equals_reference(monkey
     for p, q in pairs:
         for side in ("min", "max"):
             assert certify_root_order(p, q, side) == _reference_order(p, q, side), (p, q, side)
+        for tol in (2.0**-21, 1e-12):
+            assert sturm_real_roots(p, -4, 4, tol) == _reference_roots(p, -4, 4, tol), (p, tol)
     p = IntPolynomial((-3, 2**21)) * x
-    cells = _root_cells(p, 0, 1, 21, spectra._float_seeds([p])[0])
+    cells = _root_cells(p, Fraction(0), Fraction(1), 21, spectra._float_seeds([p])[0])
     if abs(offset) == 2.0**-22:
-        assert cells.lefts == [0, 3] and cells.rights == [0, 3]
+        assert cells == [(0, 0), (3, 3)]
     else:
         assert cells is None
 
@@ -945,12 +933,20 @@ def test_integer_remainder_sequences_are_positive_multiples_of_the_rational_ones
         if rng.integers(0, 2):
             q = q * IntPolynomial((-1, 3))          # often a shared root
         fp, fq = _ref_frac(p), _ref_frac(q)
-        squarefree = _ref_squarefree(fp)
-        for chain, rational in ((_sturm_chain(p), fp), (_squarefree_chain(p)[0], squarefree)):
-            ref = _ref_rational_chain(rational)
+        ref = _ref_rational_chain(fp)
+        chain = _sturm_chain(p)
+        assert len(chain) == len(ref)
+        assert all(_positive_multiple(c, r) for c, r in zip(chain, ref)), p
+        # one chain per level of the gcd chain p, gcd(p, p'), ..., each of
+        # its member's square-free part, ending where the gcd is constant
+        g = fp
+        for chain in _squarefree_chains(p):
+            ref = _ref_rational_chain(_ref_squarefree(g))
             assert len(chain) == len(ref)
             assert all(_positive_multiple(c, r) for c, r in zip(chain, ref)), p
-        assert _positive_multiple(_squarefree_chain(p)[1], _ref_gcd(fp, _ref_deriv(fp)))
+            g = _ref_gcd(g, _ref_deriv(g))
+        assert len(g) == 1
+        assert _positive_multiple(_gcd(p, p.derivative()), _ref_gcd(fp, _ref_deriv(fp)))
         for a, b in ((p, q), (p * q, q), (q, p * p)):
             g = _gcd(a, b)
             assert math.gcd(*g.coeffs) == 1 and g.coeffs[-1] > 0
@@ -995,30 +991,23 @@ def test_exact_roots_of_symmetric_integer_matrices_match_lapack(m):
     _assert_exact_roots_match_lapack(m)
 
 
-def test_cell_records_isolate_like_sturm_chains_on_the_quotient_polynomials(monkeypatch):
+def test_cell_records_isolate_like_sturm_chains_on_the_quotient_polynomials():
     # the 238 quotient polynomials of orders 7 to 40, on the [lo, hi] that
-    # `quotient_reports` gives them: every one but Psi_L'(12), which has the
-    # double root 0, gets a record, and a record isolates exactly as the
-    # Sturm chain does
+    # `quotient_reports` gives them: the seeds claim every root of all but
+    # Psi_L'(12), which has the double root 0, and the roots read off the
+    # claims are those of Sturm counts alone
     from cdspectra import family_lemmas, quotients, verify
     cases = family_lemmas._quotient_cases(range(7, 41))
     solved = verify._family_spectra(quotients.model_graph_key(*case) for case in cases)
     problems = [(r.derived_poly, -len(s.dc) * int(s.dc.max()), len(s.dc) * int(s.dc.max()))
                 for r, s in zip(quotients.quotient_reports(cases), solved)]
     assert len(problems) == 238
-    recordless = []
-    for (p, lo, hi), seeds in zip(problems, _float_seeds([p for p, _, _ in problems])):
-        cells = _root_cells(p, Fraction(lo), Fraction(hi), CELL_DEPTH, seeds)
-        if cells is None:
-            recordless.append(p)
-            continue
-        chain = _squarefree_chain(p)[0]
-        assert _isolate(cells, Fraction(lo), Fraction(hi)) == _isolate(chain, lo, hi), p
+    seeds = _float_seeds([p for p, _, _ in problems])
+    recordless = [p for (p, lo, hi), s in zip(problems, seeds)
+                  if _root_cells(p, Fraction(lo), Fraction(hi), _depth(lo, hi, 1e-11), s) is None]
     assert recordless == [quotients.Psi_Lprime(12)]
-    # the refined roots equal those of the Sturm chains alone
     roots = sturm_real_roots_many(problems, 1e-11)
-    monkeypatch.setattr(spectra, "_root_cells", lambda *args: None)
-    assert sturm_real_roots_many(problems, 1e-11) == roots
+    assert _unseeded(sturm_real_roots_many, problems, 1e-11) == roots
 
 
 @st.composite
@@ -1049,22 +1038,16 @@ def chosen_root_polynomials(draw):
 @settings(max_examples=60)
 @given(chosen_root_polynomials())
 def test_cell_records_isolate_like_sturm_chains_on_chosen_roots(case):
+    # on [-B, B], with roots at its first midpoints, on the grid, off it and
+    # beyond it: the seeds claim every root on the depth-30 grid just when
+    # all are real and simple, and the roots equal Sturm counts' and the
+    # reference's
     p, bound, roots, kind = case
-    cells = _root_cells(p, -bound, bound, CELL_DEPTH, _float_seeds([p])[0])
-    if kind != "simple":
-        # a repeated or complex root leaves fewer than deg p claims
-        assert cells is None
-        return
-    assert cells is not None
-    lo, hi = Fraction(-bound), Fraction(bound)
-    assert _isolate(cells, lo, hi) == _isolate(_squarefree_chain(p)[0], lo, hi)
-    # the counts above a point and the zero tests are exact at grid points,
-    # at points inside a root's cell (deeper than the grid) and at the roots
-    for r in roots:
-        for s in (0, 3, CELL_DEPTH, CELL_DEPTH + 4):
-            for n in {math.floor(r * 2**s) + d for d in (-1, 0, 1)}:
-                x = Fraction(n, 2**s)
-                assert cells.probe(n, s) == (sum(t > x for t in roots), x in roots), (r, x)
+    lo, hi, tol = Fraction(-bound), Fraction(bound), Fraction(bound, 2**29)
+    claims = _root_cells(p, lo, hi, 30, _float_seeds([p])[0])
+    assert (claims is not None) == (kind == "simple")
+    want = _reference_grid(p, lo, hi, tol)
+    assert _grid(p, lo, hi, tol) == _unseeded(_grid, p, lo, hi, tol) == want
 
 
 def test_certify_root_orders_equal_pairwise_orders_on_the_lemma_3_11_grid(monkeypatch):
@@ -1107,38 +1090,25 @@ def real_rooted_problems(draw):
     return p, lo, hi, draw(st.sampled_from([1e-12, 1e-9, 2.0**-30, 1e-3]))
 
 
-def _cell_roots(*args):
-    """`_real_roots` of args where it reads the roots off final cells, else None."""
-    isolated, fell_back = spectra._isolated_roots, []
-    spectra._isolated_roots = lambda *a: fell_back.append(a) or isolated(*a)
-    try:
-        roots = _real_roots(*args)
-    finally:
-        spectra._isolated_roots = isolated
-    return None if fell_back else roots
-
-
 @settings(max_examples=150)
 @given(real_rooted_problems())
-def test_final_cell_roots_equal_isolate_and_refine(case):
-    # where the seeds certify every root in an open cell of the last depth,
-    # the roots read off those cells are bitwise those of isolation and
-    # refinement; a root on a grid point, lo and hi included, falls back
+def test_sturm_real_roots_equal_the_grid_reference_on_real_rooted_problems(case):
+    # from the seeds' claims and from Sturm counts alone, bitwise the
+    # reference's midpoints; a root on lo or hi is that end itself
     p, lo, hi, tol = case
-    args = (p, Fraction(lo), Fraction(hi), Fraction(tol), _float_seeds([p])[0])
-    want = _isolated_roots(*args)
-    got = _cell_roots(*args)
-    assert got is None or got == want
-    assert _real_roots(*args) == want
-    if got is not None:
-        assert all(lo < r < hi for r in got)
-    if any(p(Fraction(x)) == 0 for x in (lo, hi)):
-        assert got is None
+    want = _reference_roots(p, lo, hi, tol)
+    assert sturm_real_roots(p, lo, hi, tol) == want
+    assert _unseeded(sturm_real_roots, p, lo, hi, tol) == want
+    for end in (lo, hi):
+        if p(Fraction(end)) == 0:
+            assert end in want
 
 
 def test_final_cell_roots_on_the_quotient_grid():
-    # 80 of the default grid's 98 quotient polynomials are read off their
-    # final cells; every Psi_L', whose root 0 is a grid point, falls back
+    # 97 of the default grid's 98 quotient polynomials are read off the
+    # claims of their final-depth cells, every other Psi_L' with its root 0
+    # claimed as the middle grid point; only Psi_L'(12), whose root 0 is
+    # double, is not
     from cdspectra import family_lemmas, quotients, verify
     cases = family_lemmas._quotient_cases(range(7, 21))
     solved = verify._family_spectra(quotients.model_graph_key(*case) for case in cases)
@@ -1146,9 +1116,9 @@ def test_final_cell_roots_on_the_quotient_grid():
     read = []
     for (family, _), p, s, seeds in zip(cases, polys, solved, _float_seeds(polys)):
         bound = Fraction(len(s.dc) * int(s.dc.max()))
-        args = (p, -bound, bound, Fraction(1e-11), seeds)
-        got = _cell_roots(*args)
-        assert got is None or got == _isolated_roots(*args), (family, p)
-        read.append((family, got is not None))
-    assert len(read) == 98 and sum(ok for _, ok in read) == 80
-    assert not any(ok for family, ok in read if family == "Lprime")
+        depth = _depth(-bound, bound, 1e-11)
+        claims = _root_cells(p, -bound, bound, depth, seeds)
+        read.append(claims is not None)
+        if family == "Lprime" and claims is not None:
+            assert (2**(depth - 1), 2**(depth - 1)) in claims
+    assert len(read) == 98 and sum(read) == 97

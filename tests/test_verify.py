@@ -411,19 +411,23 @@ def test_lemma_3_11_isolates_each_polynomial_once(monkeypatch):
     # 62 root orders compare 124 extreme roots of 80 distinct polynomials:
     # Psi_Lprime(p + q) recurs along each anti-diagonal of the grid.  One
     # batch seeds each polynomial once, and only Psi_Lprime(12), whose
-    # double root 0 no cell record holds, is isolated by Sturm counts
+    # double root 0 no seed claims, is bisected by Sturm counts
     from cdspectra import quotients, spectra
-    batches = []
-    seeds = spectra._float_seeds
+    batches, bisected = [], []
+    seeds, claims = spectra._float_seeds, spectra._root_cells
+
+    def recording_claims(p, *args):
+        found = claims(p, *args)
+        if found is None:
+            bisected.append(p)
+        return found
+
     monkeypatch.setattr(spectra, "_float_seeds",
                         lambda polys: batches.append(list(polys)) or seeds(polys))
-    spectra._extreme_isolated.cache_clear()
+    monkeypatch.setattr(spectra, "_root_cells", recording_claims)
     verify.check_lemma("3.11", p_max=12)
     assert [len(b) for b in batches] == [80] and len(set(batches[0])) == 80
-    info = spectra._extreme_isolated.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
-    spectra._extreme_isolated(quotients.Psi_Lprime(12), "min")
-    assert spectra._extreme_isolated.cache_info().hits == 1
+    assert bisected == [quotients.Psi_Lprime(12)]
 
 
 def test_lemma_3_12_note_follows_its_verdict():
@@ -494,11 +498,12 @@ def test_family_store_solves_orders_above_64(monkeypatch):
     # store still solves them, and lambda_n of L^c is Phi_L's least root
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     from cdspectra import quotients
-    from cdspectra.spectra import extreme_root_bracket
+    from cdspectra.spectra import cauchy_root_bound, sturm_real_roots
     l, lp = verify._family_spectra([("L", (40, 30)), ("Lprime", (70,))])
     assert l.dc.shape == lp.dc.shape == (70, 70)
-    a, b = extreme_root_bracket(quotients.Phi_L(40, 30), "min", 1e-12)
-    assert abs(l.lambda_n - float(a)) < 1e-9
+    phi = quotients.Phi_L(40, 30)
+    bound = float(cauchy_root_bound(phi))
+    assert abs(l.lambda_n - sturm_real_roots(phi, -bound, bound, 1e-12)[0]) < 1e-9
     with pytest.raises(ValueError, match="^vertex count 70 outside 1..64$"):
         build_L(40, 30)
 
