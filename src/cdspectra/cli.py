@@ -34,7 +34,6 @@ import numpy as np
 from cdspectra import verify
 from cdspectra.families import FAMILIES, build_many
 from cdspectra.graphcore import (
-    MAX_VERTICES,
     NOT_CONNECTED,
     Graph,
     adjacency_stack,
@@ -242,11 +241,10 @@ def cmd_verify(args) -> int:
         raise SystemExit2("no claims given; use --claims id[,id...]")
     if args.workers < 1:
         raise SystemExit2(f"--workers must be at least 1, got {args.workers}")
-    # the grids build no Graph and would run past p + q = MAX_VERTICES, but 3.4, 3.5,
-    # 3.6 and 3.12 are decided by float margins, so the grids stay at the orders
-    # whose output is pinned until every point is decided exactly
-    if args.p_max is not None and args.p_max > MAX_VERTICES // 2:
-        raise SystemExit2(f"--p-max must be at most {MAX_VERTICES // 2}, got {args.p_max}")
+    # the grids solve k x k cell quotients at any order, but 3.4, 3.5, 3.6 and 3.12
+    # are decided by float margins, the least of them to p = 60 (5.0e-5) 10^9 times the error
+    if args.p_max is not None and args.p_max > 60:
+        raise SystemExit2(f"--p-max must be at most 60, got {args.p_max}")
     for i, c in enumerate(claims):
         if c not in verify.CLAIM_IDS:
             raise SystemExit2(

@@ -4,7 +4,7 @@ Every family graph is a blow-up of a small pattern: a row of `FAMILIES`
 lists cells, each a clique (K) or an independent set (I) of a size given
 by the parameters, and the pairs of cells joined completely.  Cells take
 consecutive labels in the order listed, so the table is the labeling
-(the quotients module reads its orbit classes off it):
+(the quotients module reads its partitions off it):
 
   path(n):   n single cells, each joined to the next.
   star(n):   centre 0; leaves 1..n-1 (I).
@@ -28,13 +28,11 @@ consecutive labels in the order listed, so the table is the labeling
              u' - (n-2) - (n-1): w', u', R (K), n-2, n-1.
 
 A graph's adjacency is the pattern P (its diagonal marks the cliques)
-with each row and column repeated as often as its cell is large, that
-is P[owner][:, owner] for owner mapping each vertex to its cell, with a
-zero diagonal.  `family_stacks` builds the adjacency stacks of many
-graphs, of any families, as one batch: parameters are validated, each
-order is stacked once, and the declared diameters of each order are
-checked with one `distance_matrices` call.  `build_many` returns them as
-`Graph`s, and a single `build_*` is a batch of one.
+with each row and column repeated as often as its cell is large, with a
+zero diagonal (`_blow_up`).  `complement_cells` checks the declared
+diameters and gives D(X^c) as k x k distances between the non-empty
+cells.  `family_stacks` stacks the adjacency of many graphs once per
+order; `build_many` returns them as `Graph`s, a `build_*` a batch of one.
 """
 
 from functools import lru_cache
@@ -111,6 +109,54 @@ def _pattern(family: str, k: int) -> np.ndarray:
     return p
 
 
+def _blow_up(family: str, sizes) -> np.ndarray:
+    """The uint8 adjacency of the family graph whose cells have the sizes."""
+    adj = _pattern(family, len(sizes)).repeat(sizes, axis=0).repeat(sizes, axis=1)
+    np.fill_diagonal(adj, 0)
+    return adj
+
+
+@lru_cache(maxsize=None)
+def _cell_distances(family: str, shape: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """X's diameter (-1: disconnected) and X^c's distances (-1: none) from the
+    first vertex of each non-empty cell to the last of each, so d_ii joins two
+    twins, for the family graph X whose cell sizes, capped at 2, are `shape`."""
+    adj = _blow_up(family, shape)
+    dx, dxc = distance_matrices(np.stack([adj, 1 - np.eye(len(adj), dtype=np.uint8) - adj]))
+    live, ends = np.flatnonzero(shape), np.cumsum(shape)
+    dxc = dxc[np.ix_(ends[live] - np.array(shape)[live], ends[live] - 1)]
+    dxc.flags.writeable = False     # shared by every caller through the cache
+    return (int(dx.max()) if dx.min() >= 0 else -1), dxc
+
+
+def complement_cells(keys) -> list[tuple[list[int], np.ndarray]]:
+    """D(X^c) of each (family, params) key's graph X as the sizes of X's
+    non-empty cells and the `_cell_distances` d between them, once the
+    parameters (ValueError) and the declared diameter hold."""
+    out = []
+    for family, params in keys:
+        row = FAMILIES[family]
+        if any(x < least for x, least in zip(params, row.least)):
+            raise ValueError(row.rule)
+        sizes = row.sizes(*params)
+        got, dxc = _cell_distances(family, tuple(min(s, 2) for s in sizes))
+        if row.diameter is not None and got != row.diameter:
+            if got < 0:
+                raise DisconnectedGraph(NOT_CONNECTED)
+            raise AssertionError(f"{row.name}({','.join(map(str, params))}): "
+                                 f"expected diameter {row.diameter}, got {got}")
+        out.append(([s for s in sizes if s], dxc))
+    return out
+
+
+def cell_quotient(sizes: list[int], dist: np.ndarray) -> np.ndarray:
+    """The integer quotient of D(X^c) over the `complement_cells`:
+    Q_ij = s_j d_ij and Q_ii = (s_i - 1) d_ii."""
+    q = dist * np.array(sizes)
+    np.fill_diagonal(q, (np.array(sizes) - 1) * dist.diagonal())
+    return q
+
+
 def cells(family: str, params: tuple[int, ...]) -> list[list[int]]:
     """The vertices of each cell of the family graph, in table order."""
     ends = list(accumulate(FAMILIES[family].sizes(*params), initial=0))
@@ -118,50 +164,23 @@ def cells(family: str, params: tuple[int, ...]) -> list[list[int]]:
 
 
 def family_stacks(keys) -> dict[int, tuple[list[int], np.ndarray]]:
-    """The family graph of each (family, params) key as {order: (the keys'
-    positions, their (m, n, n) uint8 adjacency stack)}.
-
-    Every key's parameters are validated first (ValueError).  Then the
-    declared diameters of each order are checked by one `distance_matrices`
-    call, and the first key that fails raises what a check of it alone
-    raises: DisconnectedGraph, or AssertionError naming the graph.
-    """
-    keys = list(keys)
+    """The graph of each (family, params) key that `complement_cells` has checked,
+    as {order: (the keys' positions, their (m, n, n) uint8 adjacency stack)}."""
     by_order: dict[int, tuple[list[int], list[np.ndarray]]] = {}
     for at, (family, params) in enumerate(keys):
-        row = FAMILIES[family]
-        if any(x < least for x, least in zip(params, row.least)):
-            raise ValueError(row.rule)
-        sizes = row.sizes(*params)
-        ats, adjs = by_order.setdefault(sum(sizes), ([], []))
+        adj = _blow_up(family, FAMILIES[family].sizes(*params))
+        ats, adjs = by_order.setdefault(len(adj), ([], []))
         ats.append(at)
-        adjs.append(_pattern(family, len(sizes)).repeat(sizes, axis=0).repeat(sizes, axis=1))
-    stacks, failures = {}, {}
-    for n, (ats, adjs) in by_order.items():
-        adj = np.stack(adjs)
-        adj[:, np.arange(n), np.arange(n)] = 0
-        stacks[n] = ats, adj
-        checked = [i for i, at in enumerate(ats) if FAMILIES[keys[at][0]].diameter is not None]
-        d = distance_matrices(adj[checked])
-        for i, low, got in zip(checked, d.min(axis=(1, 2)).tolist(), d.max(axis=(1, 2)).tolist()):
-            family, params = keys[ats[i]]
-            row = FAMILIES[family]
-            if low < 0:
-                failures[ats[i]] = DisconnectedGraph(NOT_CONNECTED)
-            elif got != row.diameter:
-                failures[ats[i]] = AssertionError(
-                    f"{row.name}({','.join(map(str, params))}): "
-                    f"expected diameter {row.diameter}, got {got}")
-    if failures:
-        raise failures[min(failures)]
-    return stacks
+        adjs.append(adj)
+    return {n: (ats, np.stack(adjs)) for n, (ats, adjs) in by_order.items()}
 
 
 def build_many(keys) -> list[Graph]:
     """The family graph of each (family, params) key, in key order:
-    `family_stacks` as `Graph`s.  A single graph is
-    `build_many([(family, params)])[0]`."""
+    `family_stacks` as `Graph`s, once `complement_cells` passes them.  A
+    single graph is `build_many([(family, params)])[0]`."""
     keys = list(keys)
+    complement_cells(keys)
     out: list = [None] * len(keys)
     for ats, adj in family_stacks(keys).values():
         for at, g in zip(ats, graphs_from_stack(adj)):

@@ -1,43 +1,44 @@
 """Quotient (divisor) matrices of the family complements and their polynomials.
 
-Each extremal family's complement has an equitable orbit partition, the
-cells of the family's pattern in `families.FAMILIES` taken in the printed
+Each extremal family's complement has an equitable partition, the cells
+of the family's pattern in `families.FAMILIES` taken in the printed
 matrix's order; the small integer matrix of class-wise distance row sums
-has a characteristic polynomial dividing interest into four
-cross-checkable artifacts:
+(`families.cell_quotient`) has a characteristic polynomial whose roots
+are eigenvalues of D(X^c).  Three artifacts are cross-checked:
 
-  * the quotient matrix derived from the actual graph (ground truth),
+  * the quotient matrix derived from the family's pattern (ground truth),
+    and its exact char poly,
   * the closed-form matrix printed for it, where one exists,
-  * the closed-form characteristic polynomial printed for it,
-  * the exact char poly of the derived matrix.
+  * the closed-form characteristic polynomial printed for it.
 
-`quotient_consistency` compares all four and checks the roots against the
-full numeric spectrum; `quotient_reports` does so for many cases at once.
-Printed-formula mismatches are reported, never silently patched: the
-derived objects win.
+`quotient_consistency` compares them and checks the derived roots
+against the full spectrum of D(X^c), solved at order n apart from the
+family store, so the check does not lean on the quotient it checks;
+`quotient_reports` does so for many cases at once.  Printed-formula
+mismatches are reported, never silently patched: the derived objects win.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from cdspectra.families import cells
+from cdspectra.families import cell_quotient, complement_cells, family_stacks
 from cdspectra.spectra import (
     IntPolynomial,
     cauchy_root_bound,
     char_polys_exact,
     sturm_real_roots_many,
 )
-from cdspectra.verify import _family_spectra
+from cdspectra.verify import complement_distances
 
 class UnsupportedFamily(ValueError):
     """No quotient model is defined for this family."""
 
 
-# --- orbit partitions (the family table's cells, in printed order) ----------
+# --- partitions (the family table's cells, in printed order) ---------------
 
 # The cells of each model graph's row in `families.FAMILIES`, in the order
-# the printed matrix lists its classes.
+# the printed matrix lists its classes; none is empty.
 _PRINTED_CELLS = {
     "H": (2, 0, 1, 3),              # u, A, B, v
     "B1": (0, 2, 1, 3),             # u, v, U', V'
@@ -49,14 +50,6 @@ _PRINTED_CELLS = {
 }
 
 
-def _classes(family_id: str, params: tuple[int, ...]) -> list[list[int]]:
-    """The orbit classes of the model graph, in printed order: its cells."""
-    if family_id not in _PRINTED_CELLS:
-        raise UnsupportedFamily(f"no quotient partition for family {family_id!r}")
-    found = cells(*model_graph_key(family_id, params))
-    return [found[i] for i in _PRINTED_CELLS[family_id]]
-
-
 def model_graph_key(family_id: str, params) -> tuple[str, tuple[int, ...]]:
     """The (family, params) of the graph a quotient model covers: the T
     model of order n covers the double star T(n-3, 1)."""
@@ -65,33 +58,6 @@ def model_graph_key(family_id: str, params) -> tuple[str, tuple[int, ...]]:
         (n,) = params
         return "T", (n - 3, 1)
     return family_id, params
-
-
-def quotient_from_partition(dmat: np.ndarray, classes: list[list[int]]) -> np.ndarray:
-    """Class-wise row sums of a distance matrix; raises if not equitable.
-
-    Row r's sum over class j, leaving out r itself, is entry (r, j) of one
-    product with the vertex-by-class indicator matrix, and one comparison
-    with the first row of each class tests every class at once.
-    """
-    d = np.array(dmat, dtype=np.int64)
-    np.fill_diagonal(d, 0)
-    sizes = [len(c) for c in classes]
-    owner = np.repeat(np.arange(len(classes)), sizes)
-    members = np.array([v for c in classes for v in c], dtype=np.intp)
-    indicator = np.zeros((len(d), len(classes)), dtype=np.int64)
-    np.add.at(indicator, (members, owner), 1)        # a repeated member counts twice
-    rows = (d @ indicator)[members]
-    first = np.cumsum([0] + sizes[:-1])
-    bad = np.array(sizes) == 0
-    bad[owner[(rows != rows[first[owner]]).any(axis=1)]] = True
-    if bad.any():
-        i = int(np.argmax(bad))
-        ci = rows[owner == i]
-        j = int(np.argmax((ci != ci[:1]).any(axis=0))) if len(ci) else 0
-        values = {int(v) for v in ci[:, j]}
-        raise ValueError(f"partition not equitable between classes {i} and {j}: {values}")
-    return rows[first]
 
 
 def printed_quotient_matrix(family_id: str, params) -> np.ndarray | None:
@@ -460,48 +426,53 @@ def quotient_consistency(family_id: str, params, tol: float = 1e-9) -> QuotientR
 def quotient_reports(cases, tol: float = 1e-9) -> list[QuotientReport]:
     """`quotient_consistency` of each (family_id, params) case, as one batch.
 
-    D(X^c) and its eigenvalues come from the per-process store of solved
-    family graphs (`verify._family_spectra`), filled for every case at once.
-    All quotient matrices are built first, and their characteristic
-    polynomials come from one `char_polys_exact` call per matrix size.
-    Each quotient polynomial's roots are then found exactly, all in one
-    `sturm_real_roots_many` batch: each root is the midpoint of its cell on
-    the bisection grid of [-B, B], with B = n times the largest distance,
-    which bounds every eigenvalue.  The cell is read off a float seed's
-    certified claim or found by Sturm counts.  The roots are then matched
-    against the full spectrum.
+    Each case's quotient matrix is the `cell_quotient` of its model graph's
+    cells (`families.complement_cells`) in printed order, and the
+    characteristic polynomials come from one `char_polys_exact` call per
+    matrix size.  Each quotient polynomial's roots are then found exactly,
+    all in one `sturm_real_roots_many` batch: each root is the midpoint of
+    its cell on the bisection grid of [-B, B], with B = n times the largest
+    distance, which bounds every eigenvalue.  The cell is read off a float
+    seed's certified claim or found by Sturm counts.  The roots are then
+    matched against the full spectrum, which one `family_stacks` call and a
+    values-only `eigvalsh` per order give, apart from the family store.
     """
     cases = [(family_id, tuple(int(p) for p in params)) for family_id, params in cases]
-    solved = _family_spectra([model_graph_key(*case) for case in cases])
-    matrices = []
-    for (family_id, params), spec in zip(cases, solved):
-        if len(spec.dc) > 40:
-            raise ValueError("quotient_consistency supports orders up to 40")
-        matrices.append(quotient_from_partition(spec.dc, _classes(family_id, params)))
+    for family_id, _ in cases:
+        if family_id not in _PRINTED_CELLS:
+            raise UnsupportedFamily(f"no quotient partition for family {family_id!r}")
+    keys = [model_graph_key(*case) for case in cases]
+    matrices, bounds = [], []
+    for (family_id, _), (sizes, dist) in zip(cases, complement_cells(keys)):
+        order = _PRINTED_CELLS[family_id]
+        matrices.append(cell_quotient(sizes, dist)[np.ix_(order, order)])
+        # any eigenvalue is bounded by the max row sum <= n * max distance; the
+        # complements here have diameter up to 3, so 2n would clip lambda_1
+        bounds.append(sum(sizes) * int(dist.max()))
+    spectra: list = [None] * len(cases)
+    for ats, adj in family_stacks(keys).values():
+        for at, values in zip(ats, np.linalg.eigvalsh(complement_distances(adj))):
+            spectra[at] = values[::-1]
     derived: dict[int, IntPolynomial] = {}
     for size in {len(qm) for qm in matrices}:
         index = [i for i, qm in enumerate(matrices) if len(qm) == size]
         derived.update(zip(index, char_polys_exact([matrices[i] for i in index])))
-    # any eigenvalue is bounded by the max row sum <= n * max distance; the
-    # complements here have diameter up to 3, so 2n would clip lambda_1
-    bounds = [len(spec.dc) * int(spec.dc.max()) for spec in solved]
     roots = sturm_real_roots_many(
         [(derived[i], -b, b) for i, b in enumerate(bounds)], min(tol, 1e-10) / 10)
-    return [_report(*case, spec, qm, derived[i], roots[i], tol)
-            for i, (case, spec, qm) in enumerate(zip(cases, solved, matrices))]
+    return [_report(*case, values, qm, derived[i], roots[i], tol)
+            for i, (case, values, qm) in enumerate(zip(cases, spectra, matrices))]
 
 
-def _report(family_id: str, params: tuple[int, ...], spec, qm: np.ndarray,
+def _report(family_id: str, params: tuple[int, ...], spectrum: np.ndarray, qm: np.ndarray,
             derived: IntPolynomial, roots: list[float], tol: float) -> QuotientReport:
     pm = printed_quotient_matrix(family_id, params)
     printed = printed_poly(family_id, params)
-    order = len(spec.dc)
-    values = spec.values.tolist()
-    unmatched = [r for r in roots if min(abs(r - v) for v in values) > tol]
+    gaps = np.abs(np.subtract.outer(roots, spectrum))     # root by eigenvalue
+    unmatched = [r for r, gap in zip(roots, gaps.min(axis=1).tolist()) if gap > tol]
     return QuotientReport(
         family_id=family_id,
         params=params,
-        order=order,
+        order=len(spectrum),
         derived_matrix=qm,
         printed_matrix=pm,
         matrix_matches=None if pm is None else bool(np.array_equal(qm, pm)),
@@ -512,8 +483,8 @@ def _report(family_id: str, params: tuple[int, ...], spec, qm: np.ndarray,
         quotient_roots=roots,
         roots_matched=not unmatched,
         unmatched_roots=unmatched,
-        lambda1_is_root=bool(min(abs(spec.lambda1 - r) for r in roots) <= tol),
-        lambda_n_is_root=bool(min(abs(spec.lambda_n - r) for r in roots) <= tol),
-        lambda1=spec.lambda1,
-        lambda_n=spec.lambda_n,
+        lambda1_is_root=bool(gaps[:, 0].min() <= tol),
+        lambda_n_is_root=bool(gaps[:, -1].min() <= tol),
+        lambda1=float(spectrum[0]),
+        lambda_n=float(spectrum[-1]),
     )

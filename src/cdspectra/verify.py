@@ -8,12 +8,12 @@ neighbourhood, filters the candidates with numpy-vectorized bitset BFS,
 and keeps one smallest edge mask per S_n orbit, with the orbit's size.
 Both come from `graphcore.orbit_minima`, a search for each candidate's
 least relabeling and automorphism count; no table of relabelings is built.
-The bitset BFS only decides which candidates stay.  Every D(G^c) of the
-program, for the scan, the family grids, the theorem bounds and both
-graph6 stream commands, is built by one function, `_complements`, which
-runs `graphcore.distance_matrices` on the complements, and solved by one,
-`eigenpairs`, a stacked `numpy.linalg.eigh`; `complement_spectra` is the
-two in turn, for stacks whose complements are connected.  D(G^c) is
+The bitset BFS only decides which candidates stay.  Every order-n D(G^c)
+is built by `_complements`, and those of the scan and the graph6 streams
+are solved by `eigenpairs`, a stacked `numpy.linalg.eigh`; a family graph
+of the grids and the theorem bounds is solved as its k x k cell quotient
+(`_family_spectra`), with no order-n matrix, and only quotient-consistency
+solves family graphs at order n.  D(G^c) is
 built, solved and checked against Lemma 2.1's identity once per class,
 and every labeled count is a sum over the classes weighted by orbit size:
 the spectrum is a class invariant, and so is every relation the checks
@@ -37,7 +37,7 @@ from collections import Counter
 
 import numpy as np
 
-from cdspectra.families import family_stacks
+from cdspectra.families import cell_quotient, complement_cells, family_stacks
 from cdspectra.graphcore import (
     ISO_MAX_VERTICES,
     DisconnectedGraph,
@@ -54,6 +54,7 @@ from cdspectra.graphcore import (
 )
 from cdspectra.spectra import (
     CHAR_POLY_MAX_N,
+    IntPolynomial,
     certify_root_orders,
     char_polys_exact,
 )
@@ -424,7 +425,7 @@ def _dedup_isomorphic(graphs: list[Graph]) -> list[Graph]:
 def _complements(adj) -> np.ndarray:
     """D(G^c) as int64 for every graph of a same-order (m, n, n) 0/1
     adjacency stack, -1 off the diagonal where the complement is
-    disconnected: the one place the program builds D(G^c).
+    disconnected: the one place the program builds an order-n D(G^c).
 
     It is `distance_matrices` of the complements 1 - I - A, in `_blocks`,
     so that the kernel's temporaries stay small at any order.
@@ -453,7 +454,7 @@ def complement_distances(adj) -> np.ndarray:
 def eigenpairs(dc) -> tuple[np.ndarray, np.ndarray]:
     """The eigenpairs of every matrix of an (m, n, n) stack of D(G^c):
     (values, vectors), by one stacked `numpy.linalg.eigh`, the one place
-    the program solves D(G^c).
+    the program solves a graph's D(G^c) with its eigenvectors.
 
     LAPACK still solves the matrices one at a time, so each graph's values
     are bitwise those `sym_eigenvalues` gives it alone, in reverse.  The
@@ -473,13 +474,14 @@ def complement_spectra(adj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _FamilySolution:
-    """D(X^c) of a family graph X and its eigenvalues."""
+    """The eigenvalues of D(X^c) for a family graph X, and X's cells."""
 
-    __slots__ = ("values", "dc")
+    __slots__ = ("values", "sizes", "dist")
 
-    def __init__(self, values: np.ndarray, dc: np.ndarray):
-        self.values = values        # non-increasing, bitwise those of sym_eigenvalues
-        self.dc = dc                # D(X^c), uint8
+    def __init__(self, values: np.ndarray, sizes: list[int], dist: np.ndarray):
+        self.values = values        # all n, non-increasing
+        self.sizes = sizes          # the sizes and X^c distances of X's non-empty cells,
+        self.dist = dist            # as `complement_cells` gives them
 
     @property
     def lambda1(self) -> float:
@@ -489,41 +491,55 @@ class _FamilySolution:
     def lambda_n(self) -> float:
         return float(self.values[-1])
 
+    def char_poly(self) -> IntPolynomial:
+        """Exactly, the `cell_quotient`'s char poly times each (x + d_ii)^(s_i - 1)."""
+        poly = char_polys_exact(cell_quotient(self.sizes, self.dist)[None])[0]
+        twins = zip(self.sizes, self.dist.diagonal().tolist())
+        return math.prod((IntPolynomial((d, 1)) for s, d in twins for _ in range(s - 1)), start=poly)
+
 
 _FAMILY_STORE: dict[tuple[str, tuple[int, ...]], _FamilySolution] = {}
 
 
 def _family_spectra(keys) -> list[_FamilySolution]:
-    """D(X^c) and its eigenvalues for each (family, params) key, solved once per process.
+    """The eigenvalues of D(X^c) for each (family, params) key, solved once per process.
 
-    The keys not yet in the store are built as one batch of adjacency
-    stacks (`family_stacks`), and each order's stack is solved by one
-    `complement_spectra` call.  No `Graph` is built, so orders above a
-    Graph's 64 vertices are solved too.  Only the values and D(X^c) are
-    kept.  A claim fills the store with its whole grid before it reads any
-    point.
+    By the equitable partition into X's cells (Brouwer & Haemers, "Spectra
+    of Graphs", 2012), they are those of the k x k matrix M_ij = sqrt(s_i s_j)
+    d_ij, M_ii = (s_i - 1) d_ii over the `complement_cells`, from one stacked
+    `eigvalsh` per k, and -d_ii with multiplicity s_i - 1 for each cell.  A
+    claim fills the store with its whole grid before it reads any point.
     """
     keys = list(keys)
     missing = list(dict.fromkeys(k for k in keys if k not in _FAMILY_STORE))
-    for ats, adj in family_stacks(missing).values():
-        dc, values, _ = complement_spectra(adj)
-        for at, d, v in zip(ats, dc.astype(np.uint8), values[:, ::-1]):
-            _FAMILY_STORE[missing[at]] = _FamilySolution(v, d)
+    by_k: dict[int, list] = {}
+    for key, (sizes, dist) in zip(missing, complement_cells(missing)):
+        if dist.min() < 0:      # X^c is disconnected: raise what its D(X^c) raises
+            complement_distances(*(adj for _, adj in family_stacks([key]).values()))
+        by_k.setdefault(len(sizes), []).append((key, sizes, dist))
+    for items in by_k.values():
+        s = np.array([sizes for _, sizes, _ in items], dtype=np.float64)
+        d = np.array([dist for _, _, dist in items], dtype=np.float64)
+        m = d * np.sqrt(s[:, :, None] * s[:, None, :])
+        cell = np.arange(s.shape[1])
+        m[:, cell, cell] = (s - 1) * d.diagonal(axis1=1, axis2=2)
+        for (key, sizes, dist), v in zip(items, np.linalg.eigvalsh(m)):
+            values = np.sort(np.concatenate([v, -dist.diagonal().repeat(np.array(sizes) - 1)]))
+            _FAMILY_STORE[key] = _FamilySolution(values[::-1], sizes, dist)
     return [_FAMILY_STORE[k] for k in keys]
 
 
 def _family_spectrum(family: str, params: tuple[int, ...]) -> _FamilySolution:
-    """D(X^c) and its eigenvalues for the family graph X(params), from the store."""
+    """The eigenvalues of D(X^c) for the family graph X(params), from the store."""
     key = (family, params)
     return _FAMILY_STORE.get(key) or _family_spectra([key])[0]
 
 
-def _exact_orders(graphs, bound_dc: np.ndarray, side: str) -> set[int]:
-    """Exact root orders of the graphs against the bound, given by its D(X^c)
-    from the family store, at one order n <= CHAR_POLY_MAX_N: all char polys
-    from one stack."""
-    *polys, bound_poly = char_polys_exact(np.concatenate(
-        [complement_distances(adjacency_stack(graphs)), bound_dc[None]]))
+def _exact_orders(graphs, bound: _FamilySolution, side: str) -> set[int]:
+    """Exact root orders of the graphs against the bound's `char_poly`, at
+    one order n <= CHAR_POLY_MAX_N: the graphs' char polys from one stack."""
+    polys = char_polys_exact(complement_distances(adjacency_stack(graphs)))
+    bound_poly = bound.char_poly()
     return set(certify_root_orders([(p, bound_poly) for p in polys], side))
 
 
@@ -656,14 +672,14 @@ def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
         margin = bound - value if side == "max" else value - bound
         notes.append(f"bound graph {family}({args}) has diameter 3: outside the class, "
                      "strictness expected")
-        orders = _escalate_margin(margin, lambda: witnesses, spec.dc, side, notes,
+        orders = _escalate_margin(margin, lambda: witnesses, spec, side, notes,
                                   "witness graphs")
         below = -1 if side == "max" else 1      # the witnesses' side of the bound
         ok = orders == {below} if orders is not None else margin > STRICT_MARGIN
     elif tid == "2.8":
         # the minimum is attained by P_n only; a sample without P_n only has to stay above it
         margin = ext.margin
-        orders = _escalate_margin(margin, lambda: ext.near(ext.runner_up), spec.dc, side,
+        orders = _escalate_margin(margin, lambda: ext.near(ext.runner_up), spec, side,
                                   notes, "runner-up graphs")
         strict = orders == {1} if orders is not None else margin is None or margin > STRICT_MARGIN
         # a witness is connected, so it is P_n exactly when it has n - 1 edges
@@ -679,13 +695,13 @@ def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
     else:
         # 3.13: an overshoot refutes; otherwise the bound must be attained
         margin = value - bound
-        orders = _escalate_margin(margin, lambda: witnesses, spec.dc, side, notes,
+        orders = _escalate_margin(margin, lambda: witnesses, spec, side, notes,
                                   "witness graphs")
         over = 1 in orders if orders is not None else margin > CLUSTER_TOL
         if over:
             counterexamples = witnesses
             if orders is None and n <= CHAR_POLY_MAX_N:
-                orders = _exact_orders(witnesses, spec.dc, side)
+                orders = _exact_orders(witnesses, spec, side)
             notes += [
                 f"max lambda_n over the class exceeds lambda_n({family}^c({args})) by {margin:.6g}",
                 f"exact char-poly comparison confirms witness root > bound root: {orders == {1}}"
@@ -696,7 +712,8 @@ def _theorem_verdict(tid: str, n: int, ext: _Extremum) -> VerificationReport:
         else:
             tie = 0 in orders if orders is not None else abs(margin) <= CLUSTER_TOL
             ok = tie and any(_is_L(w, *params) for w in witnesses)
-            margin = abs(margin)
+            # a tie shown exactly, or by L as the one witness, is a zero margin
+            margin = 0.0 if orders == {0} or (ok and len(witnesses) == 1) else abs(margin)
             notes.append(f"unique up to isomorphism: {len(witnesses) == 1 and ok}")
     return VerificationReport(
         claim_id=f"T{tid}", status="confirmed" if ok else "refuted", params=ext.params,
@@ -727,17 +744,17 @@ def check_theorem_on_values(tid: str, n: int, graphs: list[Graph],
     return _theorem_verdict(tid, n, _sample_extremum(n, graphs, values, _THEOREMS[tid][0]))
 
 
-def _escalate_margin(margin: float | None, graphs, bound_dc: np.ndarray, side: str,
+def _escalate_margin(margin: float | None, graphs, bound: _FamilySolution, side: str,
                      notes: list, what: str) -> set[int] | None:
-    """Exact root orders of graphs() against the bound, given by its D(X^c),
+    """Exact root orders of graphs() against the bound from the family store,
     for a near-tie margin.
 
     None when |margin| exceeds EXACT_RECHECK_BELOW, or when the order is
     beyond char_polys_exact; the float margin then decides.
     """
-    if margin is None or abs(margin) > EXACT_RECHECK_BELOW or len(bound_dc) > CHAR_POLY_MAX_N:
+    if margin is None or abs(margin) > EXACT_RECHECK_BELOW or len(bound.values) > CHAR_POLY_MAX_N:
         return None
-    orders = _exact_orders(graphs(), bound_dc, side)
+    orders = _exact_orders(graphs(), bound, side)
     notes.append(
         f"margin {margin:.3e} <= {EXACT_RECHECK_BELOW:.0e}: exact char-poly "
         f"re-check of {what} vs bound gives orders {sorted(orders)}")

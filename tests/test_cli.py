@@ -346,8 +346,8 @@ def test_verify_stdin_solves_each_member_once(capsys, monkeypatch):
                            stdin=lines, monkeypatch=monkeypatch)
     assert code == 2
     assert len(out.splitlines()) == 3
-    # the three members in one batch, then one bound graph per claim from the family store
-    assert batches == [3, 1, 1, 1]
+    # the three members in one batch; the bound graphs come from the family store's cells
+    assert batches == [3]
     assert set(verify._FAMILY_STORE) == {("L", (4, 3)), ("path", (7,)), ("B1", (4, 3))}
 
 
@@ -560,16 +560,31 @@ def test_verify_lemma_2_7_runs_above_the_isomorphism_cap(capsys):
 
 @pytest.mark.parametrize("claim", ["3.4", "3.5", "3.6", "3.11", "3.12"])
 def test_verify_p_max_above_32_is_rejected_before_any_grid_work(capsys, monkeypatch, claim):
-    # the grids reach p + q = 2 p_max vertices, and a Graph holds at most 64
+    # the cap is now 60, where the float margins of the grids were last
+    # checked against their solve error; one above it is rejected
     with monkeypatch.context() as patched:
         patched.setattr(verify, "run_claim", _no_claim_runs)
-        code, out, err = run_cli(capsys, "verify", "--claims", claim, "--p-max", "33")
+        code, out, err = run_cli(capsys, "verify", "--claims", claim, "--p-max", "61")
     assert code == 1 and out == ""
-    assert err == "error: --p-max must be at most 32, got 33\n"
-    code, out, err = run_cli(capsys, "verify", "--claims", claim, "--p-max", "32")
+    assert err == "error: --p-max must be at most 60, got 61\n"
+    code, out, err = run_cli(capsys, "verify", "--claims", claim, "--p-max", "33")
     assert code in (0, 2) and "Traceback" not in err
     rep = json.loads(out)
-    assert rep["claim"] == claim and rep["params"]["grid"].startswith("4<=p<=32,")
+    assert rep["claim"] == claim and rep["params"]["grid"].startswith("4<=p<=33,")
+
+
+def test_verify_grids_at_p_max_60(capsys):
+    # orders up to 120, solved as cell quotients: 3.11 fails at most points
+    # and 3.12 past the orders of the default grid
+    code, out, err = run_cli(capsys, "verify", "--claims", "3.4,3.5,3.6,3.11,3.12",
+                             "--p-max", "60")
+    assert code == 2 and "Traceback" not in err
+    recs = {r["claim"]: r for r in map(json.loads, out.splitlines())}
+    got = {c: (r["status"], r["params"]["points"], len(r["counterexamples"]))
+           for c, r in recs.items()}
+    assert got == {"3.4": ("confirmed", 1767, 0), "3.5": ("confirmed", 1767, 0),
+                   "3.6": ("confirmed", 1767, 0), "3.11": ("refuted", 1766, 1670),
+                   "3.12": ("refuted", 1766, 196)}
 
 
 @pytest.mark.parametrize("claim", [c for c in verify.CLAIM_IDS if c not in verify.ORDER_CLAIMS])
@@ -623,7 +638,7 @@ def test_verify_repeated_claim_is_usage_error(capsys, monkeypatch):
     ("spectrum", "--family", "path", "--n", "3"),
     ("spectrum", "--family", "star", "--n", "5"),
     ("spectrum", "--family", "path", "--n", "70"),
-    ("poly", "--family", "L", "--p", "30", "--q", "30"),
+    ("poly", "--family", "L", "--p", "3", "--q", "3"),
     ("family", "--family", "H", "--s", "0", "--t", "3"),
 ])
 def test_domain_guard_is_one_error_line(capsys, argv):

@@ -1,31 +1,50 @@
 """Quotient matrices, printed polynomials, and exact difference identities."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
+from cdspectra import family_lemmas
 from cdspectra import quotients as q
-from cdspectra.families import build_B2, build_H, build_many
+from cdspectra.families import build_many, cells
 from cdspectra.graphcore import complement, distance_matrix
 from cdspectra.spectra import IntPolynomial, char_poly_exact
 
 QUOTIENT_FAMILIES = ("H", "B1", "B2", "T", "L", "Lprime", "Ldprime")
 
 
+def _reference_quotient(dmat, classes):
+    """Class-wise row sums entry by entry, the first unequal (i, j) raising."""
+    k = len(classes)
+    out = np.zeros((k, k), dtype=np.int64)
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            sums = {int(sum(int(dmat[r, c]) for c in cj if c != r)) for r in ci}
+            if len(sums) != 1:
+                raise ValueError(f"partition not equitable between classes {i} and {j}: {sums}")
+            out[i, j] = sums.pop()
+    return out
+
+
+def _graph_quotient(family_id: str, params) -> np.ndarray:
+    """`_reference_quotient` of the model graph's order-n D(X^c) over its
+    cells, in printed order: the divisor matrix derived from the graph."""
+    key = q.model_graph_key(family_id, params)
+    (graph,) = build_many([key])
+    found = cells(*key)
+    return _reference_quotient(distance_matrix(complement(graph)),
+                               [found[i] for i in q._PRINTED_CELLS[family_id]])
+
+
 def quotient_matrix(family_id: str, params) -> np.ndarray:
-    """The family's integer divisor matrix, derived from the graph itself.
+    """The family's integer divisor matrix as the package derives it from the
+    pattern, asserted equal to the one derived from the graph itself.
 
     For H, B2, T, L and L' this reproduces the printed closed-form matrix;
-    B1 and L'' have no printed matrix and are defined by their orbit
-    partitions.
+    B1 and L'' have no printed matrix and are defined by their partitions.
     """
-    params = tuple(int(p) for p in params)
-    if family_id not in QUOTIENT_FAMILIES:
-        raise q.UnsupportedFamily(f"no quotient model for family {family_id!r}")
-    (graph,) = build_many([q.model_graph_key(family_id, params)])
-    dc = distance_matrix(complement(graph))
-    return q.quotient_from_partition(dc, q._classes(family_id, params))
+    derived = q.quotient_consistency(family_id, params).derived_matrix
+    assert np.array_equal(derived, _graph_quotient(family_id, params)), (family_id, params)
+    return derived
 
 
 def test_quotient_matrix_H22_as_printed():
@@ -49,52 +68,23 @@ def test_derived_equals_printed_matrices_everywhere():
         assert np.array_equal(quotient_matrix(fam, params), pm), (fam, params)
 
 
-def test_equitable_partition_rejects_wrong_classes():
-    dc = distance_matrix(complement(build_H(2, 2)))
-    with pytest.raises(ValueError) as info:
-        q.quotient_from_partition(dc, [[0], [1, 4], [2, 3], [5]])
-    assert str(info.value) == "partition not equitable between classes 1 and 2: {2, 6}"
+def test_pattern_quotients_equal_the_graph_quotients():
+    # every quotient-consistency case at orders 7 to 20: the quotient taken
+    # from the pattern's cells is the class-wise row sums of the order-n
+    # D(X^c), entry by entry
+    cases = family_lemmas._quotient_cases(range(7, 21))
+    reports = q.quotient_reports(cases)
+    assert len(reports) == 98
+    for (family, params), rep in zip(cases, reports):
+        assert np.array_equal(rep.derived_matrix, _graph_quotient(family, params)), (family, params)
 
 
-def _reference_quotient(dmat, classes):
-    """Class-wise row sums entry by entry, the first unequal (i, j) raising."""
-    k = len(classes)
-    out = np.zeros((k, k), dtype=np.int64)
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            sums = {int(sum(int(dmat[r, c]) for c in cj if c != r)) for r in ci}
-            if len(sums) != 1:
-                raise ValueError(f"partition not equitable between classes {i} and {j}: {sums}")
-            out[i, j] = sums.pop()
-    return out
-
-
-def test_quotient_from_partition_equals_entrywise_reference():
-    # orbit partitions, random partitions (mostly not equitable) with
-    # overlapping, repeated and empty classes, on uint8 and int64 matrices
-    rng = np.random.default_rng(1985)
-    cases = [(distance_matrix(complement(build_B2(5, 4))), q._classes("B2", (5, 4)))]
-    for _ in range(60):
-        n = int(rng.integers(2, 9))
-        m = rng.integers(0, 200, size=(n, n))
-        # a nonzero diagonal: a row's own entry is left out of its sums
-        dmat = np.triu(m, 1) + np.triu(m, 1).T + np.diag(m.diagonal())
-        classes = [sorted(rng.choice(n, size=int(rng.integers(0, 4))).tolist())
-                   for _ in range(int(rng.integers(1, 5)))]
-        cases.append((dmat.astype(np.uint8) if rng.integers(0, 2) else dmat, classes))
-    outcomes = Counter()
-    for dmat, classes in cases:
-        try:
-            want = _reference_quotient(dmat, classes)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                q.quotient_from_partition(dmat, classes)
-            assert str(info.value) == str(exc)
-            outcomes["raised"] += 1
-            continue
-        assert np.array_equal(q.quotient_from_partition(dmat, classes), want)
-        outcomes["equitable"] += 1
-    assert min(outcomes.values()) >= 10, outcomes
+def test_quotient_reports_reach_orders_above_40():
+    # no order limit: L(30, 30) has 60 vertices, L'(64) 64
+    for family, params, order in (("L", (30, 30), 60), ("Lprime", (64,), 64)):
+        rep = q.quotient_consistency(family, params)
+        assert rep.order == order
+        assert rep.poly_matches and rep.ok() and rep.lambda_n_is_root
 
 
 def test_phi_H_values_and_symmetry():

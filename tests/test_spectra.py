@@ -373,11 +373,10 @@ def test_integer_sign_matches_fraction_horner():
 
 def test_quotient_poly_roots_inside_full_spectrum():
     # roots of the H(2,2) quotient polynomial appear in the 6x6 spectrum
-    from cdspectra.quotients import _classes, quotient_from_partition
-    from cdspectra.families import build_H
+    from cdspectra.families import build_H, cell_quotient, complement_cells
     dc = distance_matrix(complement(build_H(2, 2)))
-    qm = quotient_from_partition(dc, _classes("H", (2, 2)))
-    poly = char_poly_exact(qm)
+    ((sizes, dist),) = complement_cells([("H", (2, 2))])
+    poly = char_poly_exact(cell_quotient(sizes, dist))
     roots = sturm_real_roots(poly, -12, 12, 1e-10)
     dc = dc.astype(float)
     vals = sym_eigenvalues(dc).values
@@ -821,6 +820,27 @@ def test_no_bracket_from_an_exact_root_is_bisected_on_the_quotient_grid(monkeypa
     assert bisected == [quotients.Psi_Lprime(12)]
 
 
+def test_seeds_certify_the_exact_grid_polynomials(monkeypatch):
+    # on the claims of the exact grid, float seeds certify the roots of all
+    # 142 distinct polynomials but Psi_L'(12), whose double root 0 leaves it
+    # without a Jacobi matrix, so it gets no seeds
+    from cdspectra import verify
+    from cdspectra.quotients import Psi_Lprime
+    certified, refused = set(), set()
+    cells = spectra._root_cells
+
+    def claiming(p, *args):
+        out = cells(p, *args)
+        (certified if out is not None else refused).add(p)
+        return out
+
+    monkeypatch.setattr(spectra, "_root_cells", claiming)
+    for claim in ("quotient-consistency",) + verify.GRID_CLAIMS:
+        verify.run_claim(claim)
+    assert _float_seeds([Psi_Lprime(12)]) == [None]
+    assert len(certified) == 142 and refused == {Psi_Lprime(12)}
+
+
 def test_float_seeds_and_cell_records_at_the_edges():
     # seeds are the float roots, ascending, of a polynomial whose roots are
     # all real and simple; complex or repeated roots and a coefficient
@@ -999,7 +1019,8 @@ def test_cell_records_isolate_like_sturm_chains_on_the_quotient_polynomials():
     from cdspectra import family_lemmas, quotients, verify
     cases = family_lemmas._quotient_cases(range(7, 41))
     solved = verify._family_spectra(quotients.model_graph_key(*case) for case in cases)
-    problems = [(r.derived_poly, -len(s.dc) * int(s.dc.max()), len(s.dc) * int(s.dc.max()))
+    problems = [(r.derived_poly, -len(s.values) * int(s.dist.max()),
+                 len(s.values) * int(s.dist.max()))
                 for r, s in zip(quotients.quotient_reports(cases), solved)]
     assert len(problems) == 238
     seeds = _float_seeds([p for p, _, _ in problems])
@@ -1115,7 +1136,7 @@ def test_final_cell_roots_on_the_quotient_grid():
     polys = [r.derived_poly for r in quotients.quotient_reports(cases)]
     read = []
     for (family, _), p, s, seeds in zip(cases, polys, solved, _float_seeds(polys)):
-        bound = Fraction(len(s.dc) * int(s.dc.max()))
+        bound = Fraction(len(s.values) * int(s.dist.max()))
         depth = _depth(-bound, bound, 1e-11)
         claims = _root_cells(p, -bound, bound, depth, seeds)
         read.append(claims is not None)

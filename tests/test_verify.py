@@ -453,32 +453,91 @@ def test_lemma_3_12_balance():
     assert rep.margin > 1e-9
 
 
-def test_family_store_is_bitwise_the_per_graph_spectrum(monkeypatch):
-    # every family graph the exact grid claims read, solved in batches per
-    # order and block, against one graph at a time
+def test_family_store_matches_the_per_graph_spectrum(monkeypatch):
+    # every family graph the family lemmas read, paths (one cell per vertex)
+    # and T2(1, b) (an empty cell), solved as cell quotients, against one
+    # graph at a time
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
-    monkeypatch.setattr(verify, "STREAM_BLOCK_ENTRIES", 5 * 24 * 24)    # several blocks per order
-    for claim in ("quotient-consistency", "3.1", "3.4", "3.5", "3.6", "3.9", "3.11", "3.12"):
+    for claim in ("2.3", "3.1", "3.4", "3.5", "3.6", "3.9", "3.11", "3.12"):
         verify.check_lemma(claim, n=7)
+    verify._family_spectra([("path", (1,))] + [("path", (n,)) for n in range(4, 13)])
     store = verify._FAMILY_STORE
     assert len(store) > 300
-    families = {"H", "T", "T1", "T2", "B1", "B2", "L", "Lprime", "Ldprime"}
+    assert ("T2", (1, 9)) in store
+    families = {"H", "T", "T1", "T2", "B1", "B2", "L", "Lprime", "Ldprime", "path"}
     assert {family for family, _ in store} == families
     for (family, params), solved in store.items():
         (g,) = build_many([(family, params)])
         want = _spectrum(g).values
-        assert solved.values.tobytes() == want.tobytes(), (family, params)
-        assert solved.dc.dtype == np.uint8
-        assert np.array_equal(solved.dc, distance_matrix(complement(g)))
+        assert sum(solved.sizes) == len(solved.values) == g.n
+        assert np.all(np.abs(solved.values - want) <= 1e-12 * np.maximum(1, np.abs(want))), \
+            (family, params)
     # a disconnected complement in a batch is named
     with pytest.raises(DisconnectedGraph) as batch:
         verify._family_spectra([("H", (2, 2)), ("path", (3,)), ("path", (8,))])
     assert str(batch.value) == f"complement of {to_graph6(build_path(3))} is disconnected"
 
 
+def test_family_char_poly_is_that_of_the_order_n_matrix(monkeypatch):
+    # charpoly(Q) (x + d_ii)^(s_i - 1), from the cells, is the exact char poly
+    # of the order-n D(X^c) for every family graph of order <= 16 that the
+    # theorem bounds and the family lemmas read
+    from cdspectra.spectra import CHAR_POLY_MAX_N, char_polys_exact
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
+    for claim in ("2.3", "3.1", "3.9") + verify.GRID_CLAIMS:
+        verify.check_lemma(claim, n=7)
+    bounds = [(family, make(n)) for n in range(7, CHAR_POLY_MAX_N + 1)
+              for _, _, family, make in verify._THEOREMS.values()]
+    verify._family_spectra(bounds)
+    keys = [key for key, solved in verify._FAMILY_STORE.items()
+            if len(solved.values) <= CHAR_POLY_MAX_N]
+    assert len(keys) > 300 and set(bounds) <= set(keys)
+    by_order: dict[int, list] = {}
+    for key in keys:
+        by_order.setdefault(len(verify._FAMILY_STORE[key].values), []).append(key)
+    for group in by_order.values():
+        dc = np.stack([distance_matrix(complement(g)) for g in build_many(group)])
+        for key, want in zip(group, char_polys_exact(dc)):
+            assert verify._FAMILY_STORE[key].char_poly() == want, key
+
+
+def test_grid_claims_and_theorem_bounds_solve_no_order_n_matrix(monkeypatch):
+    # the five grid claims and the four theorem bounds read each family graph
+    # as its k x k cell quotient, exact re-checks included, so they run with
+    # the order-n solves and family stacks broken; quotient-consistency keeps
+    # an order-n solve of its own, from one family_stacks call
+    from cdspectra import families, quotients
+    for n in (7, 8):
+        verify.class_scan(n)            # the class records, solved before the break
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
+    monkeypatch.setattr(verify, "EXACT_RECHECK_BELOW", 10.0)
+
+    def broken(*args):
+        raise AssertionError("an order-n family matrix was built or solved")
+
+    with monkeypatch.context() as patched:
+        for module, name in ((verify, "complement_spectra"), (verify, "eigenpairs"),
+                             (families, "family_stacks"), (quotients, "family_stacks")):
+            patched.setattr(module, name, broken)
+        statuses = {c: verify.check_lemma(c).status for c in verify.GRID_CLAIMS}
+        theorems = [verify.check_theorem(t, n).status
+                    for n in (7, 8) for t in ("2.4", "2.8", "3.7", "3.13")]
+    assert statuses == {"3.4": "confirmed", "3.5": "confirmed", "3.6": "confirmed",
+                        "3.11": "refuted", "3.12": "confirmed"}
+    assert theorems == ["confirmed", "confirmed", "confirmed", "refuted"] * 2
+    calls = []
+    stacks = quotients.family_stacks
+    monkeypatch.setattr(quotients, "family_stacks",
+                        lambda keys: calls.append(list(keys)) or stacks(calls[-1]))
+    monkeypatch.setattr(verify, "complement_spectra", broken)
+    monkeypatch.setattr(verify, "eigenpairs", broken)
+    assert verify.check_lemma("quotient-consistency").status == "confirmed"
+    assert [len(keys) for keys in calls] == [98]
+
+
 def test_grid_claims_build_no_graph(monkeypatch):
-    # the store reads the family stacks, so the grid claims and the
-    # quotient-consistency claim run from an empty store without a Graph
+    # the store reads the family cells and the quotient-consistency claim
+    # the family stacks, so they run from an empty store without a Graph
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
 
     def no_graph(self, n, adj):
@@ -490,7 +549,7 @@ def test_grid_claims_build_no_graph(monkeypatch):
     assert statuses == {"quotient-consistency": "confirmed", "3.4": "confirmed",
                         "3.5": "confirmed", "3.6": "confirmed", "3.11": "refuted",
                         "3.12": "confirmed"}
-    assert len(verify._FAMILY_STORE) == 254
+    assert len(verify._FAMILY_STORE) == 226      # the grids: quotient-consistency adds none
 
 
 def test_family_store_solves_orders_above_64(monkeypatch):
@@ -500,7 +559,7 @@ def test_family_store_solves_orders_above_64(monkeypatch):
     from cdspectra import quotients
     from cdspectra.spectra import cauchy_root_bound, sturm_real_roots
     l, lp = verify._family_spectra([("L", (40, 30)), ("Lprime", (70,))])
-    assert l.dc.shape == lp.dc.shape == (70, 70)
+    assert len(l.values) == len(lp.values) == 70
     phi = quotients.Phi_L(40, 30)
     bound = float(cauchy_root_bound(phi))
     assert abs(l.lambda_n - sturm_real_roots(phi, -bound, bound, 1e-12)[0]) < 1e-9
@@ -509,39 +568,40 @@ def test_family_store_solves_orders_above_64(monkeypatch):
 
 
 def test_claims_share_the_family_store(monkeypatch):
-    # a claim fills the store for its whole grid once; the other claims and
-    # quotient_consistency read the graphs already solved
+    # a claim fills the store for its whole grid at once; the other claims
+    # read the graphs already solved
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     solved = []
-    fill = verify.complement_spectra
+    cells = verify.complement_cells
 
-    def counting_solve(adj):
-        solved.append(len(adj))
-        return fill(adj)
+    def counting_cells(keys):
+        keys = list(keys)
+        solved.append(len(keys))
+        return cells(keys)
 
-    monkeypatch.setattr(verify, "complement_spectra", counting_solve)
+    monkeypatch.setattr(verify, "complement_cells", counting_cells)
     verify.check_lemma("3.11")
     first = sum(solved)
-    assert first == len(verify._FAMILY_STORE) and len(solved) <= 24
+    assert first == len(verify._FAMILY_STORE) and len(solved) == 1
     verify.check_lemma("3.12")
     verify.check_lemma("3.11")
     assert sum(solved) == len(verify._FAMILY_STORE) < 2 * first
 
 
 def test_a_theorem_run_makes_each_family_graph_once(monkeypatch):
-    # the bound's float value and its exact re-check both read the family
-    # store, so no bound graph is built twice
+    # the bound's float value and its exact char poly both come from the
+    # family store, so no bound graph's cells are read twice
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     monkeypatch.setattr(verify, "EXACT_RECHECK_BELOW", 10.0)
     made = Counter()
-    stacks = verify.family_stacks
+    cells = verify.complement_cells
 
     def counted(keys):
         keys = list(keys)
         made.update(keys)
-        return stacks(keys)
+        return cells(keys)
 
-    monkeypatch.setattr(verify, "family_stacks", counted)
+    monkeypatch.setattr(verify, "complement_cells", counted)
     reports = [verify.check_theorem(tid, 7) for tid in ("2.4", "2.8", "3.7", "3.13")]
     assert all(any("exact char-poly re-check" in note for note in rep.notes) for rep in reports)
     assert [rep.status for rep in reports] == ["confirmed", "confirmed", "confirmed", "refuted"]
