@@ -25,9 +25,9 @@ leaves the collector alone, since tests and tools call it in-process.
 
 import argparse
 import gc
-import json
 import sys
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -54,30 +54,33 @@ QUOTIENT_PARAMS = {
 }
 
 
-def fmt_float(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def to_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 12 significant digits."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(to_json(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return to_json(obj.tolist())
-    if isinstance(obj, dict):
+    """Deterministic JSON: sorted keys, floats at 12 significant digits, strings
+    escaped to ASCII as `json.dumps` does.  Built-in types dispatch on their
+    exact type; other values (numpy, subclasses) become the one `_PLAIN` names."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is float:
+        return format(obj, ".12g")
+    if kind is dict:
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(f"{json.dumps(str(k))}:{to_json(v)}" for k, v in items) + "}"
-    raise TypeError(f"unserializable type {type(obj)!r}")
+        return "{" + ",".join([encode_basestring_ascii(str(k)) + ":" + to_json(v)
+                               for k, v in items]) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([to_json(v) for v in obj]) + "]"
+    if kind is int:
+        return str(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    plain = next((cast for kinds, cast in _PLAIN if isinstance(obj, kinds)), None)
+    if plain is None:
+        raise TypeError(f"unserializable type {type(obj)!r}")
+    return to_json(plain(obj))
+
+
+_PLAIN = (((int, np.integer), int), ((float, np.floating), float), (str, str.__str__),
+          ((list, tuple), list), (np.ndarray, np.ndarray.tolist), (dict, dict))
 
 
 def emit(obj, out=None) -> None:
@@ -278,7 +281,7 @@ def cmd_verify(args) -> int:
         reports.append(rep)
         emit(rep.to_dict())
         print(f"{rep.claim_id}: {rep.status}"
-              + (f" (margin {fmt_float(rep.margin)})" if rep.margin is not None else ""),
+              + (f" (margin {rep.margin:.12g})" if rep.margin is not None else ""),
               file=sys.stderr)
     if args.csv:
         try:
@@ -302,7 +305,7 @@ def _write_csv(path: str, reports) -> None:
         for r in reports:
             w.writerow([
                 r.claim_id, r.status,
-                "" if r.margin is None else fmt_float(r.margin),
+                "" if r.margin is None else format(r.margin, ".12g"),
                 ";".join(r.witnesses), ";".join(r.counterexamples),
                 " | ".join(r.notes),
             ])

@@ -29,14 +29,14 @@ consecutive labels in the order listed, so the table is the labeling
 
 A graph's adjacency is the pattern P (its diagonal marks the cliques)
 with each row and column repeated as often as its cell is large, with a
-zero diagonal (`_blow_up`).  `complement_cells` checks the declared
+zero diagonal (`_blow_up`).  `cell_groups` checks the declared
 diameters and gives D(X^c) as k x k distances between the non-empty
-cells.  `family_stacks` stacks the adjacency of many graphs once per
-order; `build_many` returns them as `Graph`s, a `build_*` a batch of one.
+cells, once per family and capped cell shape.  `family_stacks` stacks
+the adjacency of many graphs once per order; `build_many` returns them as
+`Graph`s, a `build_*` a batch of one.
 """
 
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class _Family:
     def __init__(self, param_names, least, rule, name, sizes, cliques, joins, diameter):
         self.param_names, self.least, self.rule, self.name = param_names, least, rule, name
         self.sizes, self.cliques, self.joins, self.diameter = sizes, cliques, joins, diameter
-
-    def order(self, *params) -> int:
-        return sum(self.sizes(*params))
 
 
 FAMILIES: dict[str, _Family] = {
@@ -129,42 +126,70 @@ def _cell_distances(family: str, shape: tuple[int, ...]) -> tuple[int, np.ndarra
     return (int(dx.max()) if dx.min() >= 0 else -1), dxc
 
 
-def complement_cells(keys) -> list[tuple[list[int], np.ndarray]]:
-    """D(X^c) of each (family, params) key's graph X as the sizes of X's
-    non-empty cells and the `_cell_distances` d between them, once the
-    parameters (ValueError) and the declared diameter hold."""
-    out = []
-    for family, params in keys:
-        row = FAMILIES[family]
-        if any(x < least for x, least in zip(params, row.least)):
-            raise ValueError(row.rule)
-        sizes = row.sizes(*params)
-        got, dxc = _cell_distances(family, tuple(min(s, 2) for s in sizes))
-        if row.diameter is not None and got != row.diameter:
-            if got < 0:
-                raise DisconnectedGraph(NOT_CONNECTED)
-            raise AssertionError(f"{row.name}({','.join(map(str, params))}): "
-                                 f"expected diameter {row.diameter}, got {got}")
-        out.append(([s for s in sizes if s], dxc))
-    return out
+def cell_groups(keys) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The (family, params) keys by family and capped cell shape, as (the keys'
+    positions, the (m, k) sizes of their non-empty cells, the `_cell_distances`
+    d between them), once the parameters (ValueError) and declared diameters
+    hold, else the first failing key's error.  Parameters are checked and
+    sized as columns, shapes grouped by sorting."""
+    keys = list(keys)
+    by_family: dict = {}
+    for at, (family, params) in enumerate(keys):
+        # a path has one cell per vertex, so its keys are sized one order at a time
+        by_family.setdefault((family, params if FAMILIES[family].joins is None else ()),
+                             []).append(at)
+    groups, failures = [], []
+    for (family, _), ats in by_family.items():
+        row, ats = FAMILIES[family], np.array(ats)
+        params = np.array([keys[at][1] for at in ats], dtype=np.int64).reshape(len(ats), -1)
+        bad = (params < row.least).any(axis=1)
+        if bad.any():
+            failures.append((int(ats[bad][0]), ValueError(row.rule)))
+            if bad.all():
+                continue
+            ats, params = ats[~bad], params[~bad]
+        cols = row.sizes(*params[0]) if row.joins is None else row.sizes(*params.T)
+        sizes = np.empty((len(ats), len(cols)), dtype=np.int64)
+        for i, col in enumerate(cols):
+            sizes[:, i] = col
+        capped = np.minimum(sizes, 2)
+        order = np.lexsort(capped.T)
+        capped, sizes, ats = capped[order], sizes[order], ats[order]
+        cuts = (np.flatnonzero((capped[1:] != capped[:-1]).any(axis=1)) + 1).tolist()
+        ats, shapes = ats.tolist(), capped[[0] + cuts].tolist()
+        for lo, hi, shape in zip([0] + cuts, cuts + [len(ats)], shapes):
+            got, dxc = _cell_distances(family, tuple(shape))
+            at = min(ats[lo:hi])
+            if row.diameter is not None and got != row.diameter:
+                failures.append((at, DisconnectedGraph(NOT_CONNECTED) if got < 0 else
+                                 AssertionError(f"{row.name}({','.join(map(str, keys[at][1]))}): "
+                                                f"expected diameter {row.diameter}, got {got}")))
+            groups.append((ats[lo:hi], sizes[lo:hi, [i for i, s in enumerate(shape) if s]], dxc))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return groups
+
+
+def cell_matrices(sizes: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """M_ij = sqrt(s_i s_j) d_ij, M_ii = (s_i - 1) d_ii for each row s of the
+    (m, k) sizes: symmetric, and similar to the `cell_quotient`."""
+    s, d = np.asarray(sizes, dtype=np.float64), np.asarray(dist, dtype=np.float64)
+    m = d * np.sqrt(s[:, :, None] * s[:, None, :])
+    cell = np.arange(s.shape[1])
+    m[:, cell, cell] = (s - 1) * d.diagonal(axis1=-2, axis2=-1)
+    return m
 
 
 def cell_quotient(sizes: list[int], dist: np.ndarray) -> np.ndarray:
-    """The integer quotient of D(X^c) over the `complement_cells`:
+    """The integer quotient of D(X^c) over the cells of one `cell_groups` row:
     Q_ij = s_j d_ij and Q_ii = (s_i - 1) d_ii."""
     q = dist * np.array(sizes)
     np.fill_diagonal(q, (np.array(sizes) - 1) * dist.diagonal())
     return q
 
 
-def cells(family: str, params: tuple[int, ...]) -> list[list[int]]:
-    """The vertices of each cell of the family graph, in table order."""
-    ends = list(accumulate(FAMILIES[family].sizes(*params), initial=0))
-    return [list(range(a, b)) for a, b in zip(ends, ends[1:])]
-
-
 def family_stacks(keys) -> dict[int, tuple[list[int], np.ndarray]]:
-    """The graph of each (family, params) key that `complement_cells` has checked,
+    """The graph of each (family, params) key that `cell_groups` has checked,
     as {order: (the keys' positions, their (m, n, n) uint8 adjacency stack)}."""
     by_order: dict[int, tuple[list[int], list[np.ndarray]]] = {}
     for at, (family, params) in enumerate(keys):
@@ -177,10 +202,10 @@ def family_stacks(keys) -> dict[int, tuple[list[int], np.ndarray]]:
 
 def build_many(keys) -> list[Graph]:
     """The family graph of each (family, params) key, in key order:
-    `family_stacks` as `Graph`s, once `complement_cells` passes them.  A
+    `family_stacks` as `Graph`s, once `cell_groups` passes them.  A
     single graph is `build_many([(family, params)])[0]`."""
     keys = list(keys)
-    complement_cells(keys)
+    cell_groups(keys)
     out: list = [None] * len(keys)
     for ats, adj in family_stacks(keys).values():
         for at, g in zip(ats, graphs_from_stack(adj)):

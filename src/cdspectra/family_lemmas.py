@@ -46,10 +46,8 @@ def _lemma_2_3(n: int) -> VerificationReport:
             step_ok &= gap > STRICT_MARGIN
             min_step = gap if min_step is None else min(min_step, gap)
     bal_ok = all(v <= vmax + CLUSTER_TOL for v in values.values())
-    ident = all(
-        quotients.check_identity_H_step(s, t).matches
-        for s in range(2, 21) for t in range(1, 21)
-    )
+    ident = bool(quotients.identities_hold(quotients.check_identity_H_step, [
+        (s, t) for s in range(2, 21) for t in range(1, 21)]).all())
     status = "confirmed" if step_ok and bal_ok and ident else "refuted"
     return VerificationReport(
         claim_id="2.3", status=status, params={"n": n},
@@ -134,18 +132,9 @@ def _lemma_2_7(n_max: int = 9) -> VerificationReport:
 def _grid_reports(pairs, fn) -> tuple[list[dict], float | None, list[dict]]:
     if not pairs:
         raise ValueError("the parameter grid is empty")
-    rows = []
-    worst = None
-    bad = []
-    for pq in pairs:
-        row = fn(*pq)
-        rows.append(row)
-        m = row["margin"]
-        if m is not None and (worst is None or m < worst):
-            worst = m
-        if not row["ok"]:
-            bad.append(row)
-    return rows, worst, bad
+    rows = [fn(*pq) for pq in pairs]
+    worst = min((row["margin"] for row in rows if row["margin"] is not None), default=None)
+    return rows, worst, [row for row in rows if not row["ok"]]
 
 
 def _lemma_3_1(a_max: int = 9, b_max: int = 9) -> VerificationReport:
@@ -188,7 +177,7 @@ def _lemma_3_4(p_max: int = 12) -> VerificationReport:
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)]
     _family_spectra(key for pq in pairs for key in (("B1", pq), ("B2", pq)))
     rows, worst, bad = _grid_reports(pairs, point)
-    ident = all(quotients.check_identity_B2_vs_B1(p, q).matches for p, q in pairs)
+    ident = bool(quotients.identities_hold(quotients.check_identity_B2_vs_B1, pairs).all())
     power = quotients.power_discrepancy_verdict(6, 4)
     status = "confirmed" if not bad and ident else "refuted"
     return VerificationReport(
@@ -216,7 +205,7 @@ def _lemma_3_5(p_max: int = 12) -> VerificationReport:
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)]
     _family_spectra(key for p, q in pairs for key in (("B1", (p, q)), ("T", (p + q - 3, 1))))
     rows, worst, bad = _grid_reports(pairs, point)
-    ident = all(quotients.check_identity_B1_vs_T(p, q).matches for p, q in pairs)
+    ident = bool(quotients.identities_hold(quotients.check_identity_B1_vs_T, pairs).all())
     return VerificationReport(
         claim_id="3.5", status="confirmed" if not bad and ident else "refuted",
         params={"grid": f"4<=p<={p_max}, 2<=q<=p", "points": len(rows)},
@@ -240,8 +229,8 @@ def _lemma_3_6(p_max: int = 12) -> VerificationReport:
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1)]
     _family_spectra(key for pq in pairs for key in (("B1", pq), ("B1", _balanced_pq(sum(pq)))))
     rows, worst, bad = _grid_reports(pairs, point)
-    ident = all(quotients.check_identity_B1_step(p, q).matches
-                for p, q in pairs if p >= 3)
+    ident = bool(quotients.identities_hold(
+        quotients.check_identity_B1_step, [pq for pq in pairs if pq[0] >= 3]).all())
     return VerificationReport(
         claim_id="3.6", status="confirmed" if not bad and ident else "refuted",
         params={"grid": f"4<=p<={p_max}, 2<=q<=p", "points": len(rows)},
@@ -259,12 +248,15 @@ def _lemma_3_11(p_max: int = 12) -> VerificationReport:
         return {"params": (p, q), "margin": l - lp, "ok": exact == 1, "exact": exact}
 
     pairs = [(p, q) for p in range(4, p_max + 1) for q in range(2, p + 1) if p + q >= 7]
-    _family_spectra(key for p, q in pairs for key in (("L", (p, q)), ("Lprime", (p + q,))))
-    # least roots of the quotient polynomials are the two lambda_n values
-    orders = dict(zip(pairs, certify_root_orders(
-        [(quotients.Phi_L(p, q), quotients.Psi_Lprime(p + q)) for p, q in pairs], "min")))
+    solved = _family_spectra(key for p, q in pairs for key in (("L", (p, q)), ("Lprime", (p + q,))))
+    # least roots of the quotient polynomials are the two lambda_n values, and
+    # the store's quotient eigenvalues seed them
+    polys = [(quotients.Phi_L(p, q), quotients.Psi_Lprime(p + q)) for p, q in pairs]
+    seeds = dict(zip([f for pair in polys for f in pair], [s.quotient for s in solved]))
+    orders = dict(zip(pairs, certify_root_orders(polys, "min", seeds)))
     rows, worst, bad = _grid_reports(pairs, point)
-    ident_pts = {pq: quotients.check_identity_L_vs_Lprime(*pq).matches for pq in pairs}
+    ident_pts = dict(zip(pairs, quotients.identities_hold(
+        quotients.check_identity_L_vs_Lprime, pairs).tolist()))
     only_q2 = all(v == (pq[1] == 2) for pq, v in ident_pts.items())
     notes = [
         "printed Phi - Psi identity matches exactly iff q = 2 "
@@ -302,8 +294,8 @@ def _lemma_3_12(p_max: int = 12) -> VerificationReport:
              if p + q >= 7 and _balanced_pq(p + q)[0] >= 4]
     _family_spectra(key for pq in pairs for key in (("L", pq), ("L", _balanced_pq(sum(pq)))))
     rows, worst, bad = _grid_reports(pairs, point)
-    ident_any = any(quotients.check_identity_L_step(p, q).matches
-                    for p, q in pairs if p > q and p >= 5)
+    ident_any = bool(quotients.identities_hold(
+        quotients.check_identity_L_step, [(p, q) for p, q in pairs if p > q and p >= 5]).any())
     return VerificationReport(
         claim_id="3.12", status="confirmed" if not bad else "refuted",
         params={"grid": f"4<=p<={p_max}, 2<=q<=p, p+q>=7", "points": len(rows)},

@@ -227,8 +227,8 @@ def _lemma_3_9(n: int, n_max: int = 20) -> VerificationReport:
         sub.append({"n": m, "ln_Lprime": lp, "ln_Ldprime": lpp})
         sub_margin = gap if sub_margin is None else min(sub_margin, gap)
     reversed_sub = sub_margin is not None and sub_margin > STRICT_MARGIN
-    ident = all(quotients.check_identity_Lprime_vs_Ldprime(m).matches
-                for m in range(7, n_max + 1))
+    ident = bool(quotients.identities_hold(
+        quotients.check_identity_Lprime_vs_Ldprime, [(m,) for m in range(7, n_max + 1)]).all())
     if reversed_sub:
         notes.append(
             "measured: lambda_n(L''^c) > lambda_n(L'^c) at every order "

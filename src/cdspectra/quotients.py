@@ -22,14 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from cdspectra.families import cell_quotient, complement_cells, family_stacks
+from cdspectra.families import cell_groups, cell_matrices, cell_quotient, family_stacks
 from cdspectra.spectra import (
     IntPolynomial,
     cauchy_root_bound,
     char_polys_exact,
     sturm_real_roots_many,
 )
-from cdspectra.verify import complement_distances
+from cdspectra.verify import _family_spectrum, complement_distances
 
 class UnsupportedFamily(ValueError):
     """No quotient model is defined for this family."""
@@ -117,113 +117,112 @@ def printed_quotient_matrix(family_id: str, params) -> np.ndarray | None:
 # --- printed characteristic polynomials --------------------------------------
 #
 # Each printed polynomial is written once, literally, in an unguarded private
-# function.  The difference identities are statements about these formulas as
-# polynomials in the parameters, so `check_identity_*` evaluate them at any
-# grid point, including points where no graph of the family exists.  The
-# public functions guard the family domain and call the private ones.
+# function that returns its coefficients, ascending, for ints and int64 arrays
+# alike: the difference identities evaluate them at any grid point, even where
+# no graph of the family exists.  The public functions guard the domain.
 
 
-def _phi_H(s: int, t: int) -> IntPolynomial:
-    return IntPolynomial((
+def _phi_H(s, t) -> tuple:
+    return (
         -4 * s - 4 * t - 4,
         -12 * s - 12 * t - 4 * s * t - 4,
         -9 * s - 9 * t - 5 * s * t + 3,
         -2 * s - 2 * t + 4,
         1,
-    ))
+    )
 
 
 def phi_H(s: int, t: int) -> IntPolynomial:
     """Quartic for the H(s,t) complement quotient, as printed."""
     if s < 1 or t < 1:
         raise ValueError("phi_H needs s, t >= 1")
-    return _phi_H(s, t)
+    return IntPolynomial(_phi_H(s, t))
 
 
-def _phi_B1(p: int, q: int) -> IntPolynomial:
-    return IntPolynomial((
+def _phi_B1(p, q) -> tuple:
+    return (
         -5 * p * q + 2 * p + 2 * q,
         -14 * p * q + 6 * p + 6 * q,
         -8 * p * q + 2 * p + 2 * q + 4,
         -q + 4 - p,
         1,
-    ))
+    )
 
 
 def phi_B1(p: int, q: int) -> IntPolynomial:
     """Quartic for the B1(p,q) complement quotient, as printed."""
     if p < 2 or q < 2:
         raise ValueError("phi_B1 needs p, q >= 2")
-    return _phi_B1(p, q)
+    return IntPolynomial(_phi_B1(p, q))
 
 
-def _varphi_B2(p: int, q: int) -> IntPolynomial:
-    return IntPolynomial((
+def _varphi_B2(p, q) -> tuple:
+    return (
         3 * p * q - 6 * p - 2 * q + 4,
         -(p * q + 10 * p - 8),
         -(8 * p * q + 6 * p - 4 * q - 8),
         -(3 * p * q + 4 * p + q - 10),
         -(q - 5 + p),
         1,
-    ))
+    )
 
 
 def varphi_B2(p: int, q: int) -> IntPolynomial:
     """Quintic for the B2(p,q) complement quotient, as printed."""
     if p < 3 or q < 2:
         raise ValueError("varphi_B2 needs p >= 3, q >= 2")
-    return _varphi_B2(p, q)
+    return IntPolynomial(_varphi_B2(p, q))
 
 
-def _psi_T(n: int) -> IntPolynomial:
-    return IntPolynomial((-12, -6 * n - 8, 4 - 6 * n, -n + 4, 1))
+def _psi_T(n) -> tuple:
+    return (-12, -6 * n - 8, 4 - 6 * n, -n + 4, 1)
 
 
 def psi_T(n: int) -> IntPolynomial:
     """Quartic for the T(n-3,1) complement quotient, as printed."""
     if n < 5:
         raise ValueError("psi_T needs n >= 5")
-    return _psi_T(n)
+    return IntPolynomial(_psi_T(n))
 
 
-def _Psi_Lprime(n: int) -> IntPolynomial:
-    return IntPolynomial((0, 4 * n - 48, -10 * n, 28 - 10 * n, 10 - 2 * n, 1))
+def _Psi_Lprime(n) -> tuple:
+    return (0, 4 * n - 48, -10 * n, 28 - 10 * n, 10 - 2 * n, 1)
 
 
 def Psi_Lprime(n: int) -> IntPolynomial:
     """Quintic for the L'(n) complement quotient, as printed (zero constant term)."""
     if n < 7:
         raise ValueError("Psi_Lprime needs n >= 7")
-    return _Psi_Lprime(n)
+    return IntPolynomial(_Psi_Lprime(n))
 
 
-def _Psi2_Ldprime(n: int) -> IntPolynomial:
-    return IntPolynomial((14 * n - 70, 15 * n - 103, -10 - 8 * n, 28 - 10 * n, 10 - 2 * n, 1))
+def _Psi2_Ldprime(n) -> tuple:
+    return (14 * n - 70, 15 * n - 103, -10 - 8 * n, 28 - 10 * n, 10 - 2 * n, 1)
 
 
 def Psi2_Ldprime(n: int) -> IntPolynomial:
     """Quintic for the L''(n) complement quotient, as printed."""
     if n < 7:
         raise ValueError("Psi2_Ldprime needs n >= 7")
-    return _Psi2_Ldprime(n)
+    return IntPolynomial(_Psi2_Ldprime(n))
 
 
-def _Phi_L(p: int, q: int) -> IntPolynomial:
-    return IntPolynomial((
+def _Phi_L(p, q) -> tuple:
+    return (
         12 * p * q - 10 * p - 22 * q + 2,
         30 * p * q - 45 * p - 63 * q + 53,
         18 * p * q - 44 * p - 50 * q + 74,
         3 * p * q - 16 * p - 16 * q + 40,
         10 - 2 * q - 2 * p,
         1,
-    ))
+    )
 
 
 def Phi_L(p: int, q: int) -> IntPolynomial:
     """Quintic for the L(p,q) complement quotient, as printed."""
     if p < 4 or q < 2:
         raise ValueError("Phi_L needs p >= 4, q >= 2")
-    return _Phi_L(p, q)
+    return IntPolynomial(_Phi_L(p, q))
 
 
 def printed_poly(family_id: str, params) -> IntPolynomial:
@@ -241,7 +240,8 @@ def printed_poly(family_id: str, params) -> IntPolynomial:
 
 
 class IdentityCheck:
-    """Exact comparison of a printed difference identity at one grid point."""
+    """Exact comparison of a printed difference identity at one grid point,
+    or at each point of parameter columns (`matches` an array)."""
 
     __slots__ = ("claim", "params", "matches", "residual")
 
@@ -257,53 +257,76 @@ class IdentityCheck:
         return IntPolynomial(self.residual)
 
 
-def _identity(claim, params, derived: IntPolynomial, printed: IntPolynomial) -> IdentityCheck:
-    resid = derived - printed
-    return IdentityCheck(claim, tuple(params), resid.is_zero(), resid.coeffs)
+def _minus(a: tuple, b: tuple) -> tuple:
+    """a - b, coefficients ascending."""
+    n = max(len(a), len(b))
+    return tuple(x - y for x, y in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b))))
+
+
+def _identity(claim, params, derived: tuple, printed: tuple) -> IdentityCheck:
+    resid = _minus(derived, printed)
+    if isinstance(params[0], np.ndarray):
+        zero = np.broadcast_arrays(params[0], *(np.equal(c, 0) for c in resid))[1:]
+        return IdentityCheck(claim, params, np.all(zero, axis=0), resid)
+    poly = IntPolynomial(resid)
+    return IdentityCheck(claim, tuple(params), poly.is_zero(), poly.coeffs)
+
+
+def identities_hold(check, points) -> np.ndarray:
+    """`check(*params).matches` at every parameter point at once: on int64
+    columns, exact below 2^20 as no coefficient is above quadratic, else ints."""
+    points = list(points)
+    if not points:
+        return np.zeros(0, dtype=bool)
+    cols = np.array(points).reshape(len(points), -1)
+    if cols.dtype == object or np.abs(cols).max(initial=0) >= 1 << 20:
+        cols = cols.astype(object)
+    return check(*cols.T).matches
 
 
 def check_identity_H_step(s: int, t: int) -> IdentityCheck:
     """phi_{s,t} - phi_{s-1,t+1} = lambda (s-t-1) (5 lambda + 4)."""
-    printed = IntPolynomial((0, 4 * (s - t - 1), 5 * (s - t - 1)))
-    return _identity("L2.3-step", (s, t), _phi_H(s, t) - _phi_H(s - 1, t + 1), printed)
+    printed = (0, 4 * (s - t - 1), 5 * (s - t - 1))
+    return _identity("L2.3-step", (s, t), _minus(_phi_H(s, t), _phi_H(s - 1, t + 1)), printed)
 
 
 def check_identity_B2_vs_B1(p: int, q: int) -> IdentityCheck:
     """varphi - (lambda+1) phi equals the printed cubic (the paper's first form)."""
-    printed = IntPolynomial((
+    printed = (
         8 * p * q - 8 * p - 4 * q + 4,
         18 * p * q - 18 * p - 8 * q + 8,
         14 * p * q - 14 * p - 4 * q + 4,
         5 * p * q - 5 * p - 2 * q + 2,
-    ))
-    derived = _varphi_B2(p, q) - IntPolynomial((1, 1)) * _phi_B1(p, q)
-    return _identity("L3.4-diff", (p, q), derived, printed)
+    )
+    phi = _phi_B1(p, q)
+    lam1_phi = tuple(a + b for a, b in zip((0,) + phi, phi + (0,)))     # (lambda + 1) phi
+    return _identity("L3.4-diff", (p, q), _minus(_varphi_B2(p, q), lam1_phi), printed)
 
 
 def check_identity_B1_vs_T(p: int, q: int) -> IdentityCheck:
     """phi_{p,q} - psi at n = p+q, as printed in Lemma 3.5."""
-    printed = IntPolynomial((
+    printed = (
         -5 * p * q + 2 * p + 2 * q + 12,
         -14 * p * q + 12 * p + 12 * q + 8,
         -8 * p * q + 8 * p + 8 * q,
-    ))
-    return _identity("L3.5-diff", (p, q), _phi_B1(p, q) - _psi_T(p + q), printed)
+    )
+    return _identity("L3.5-diff", (p, q), _minus(_phi_B1(p, q), _psi_T(p + q)), printed)
 
 
 def check_identity_B1_step(p: int, q: int) -> IdentityCheck:
     """phi_{p,q} - phi_{p-1,q+1}, as printed in Lemma 3.6."""
-    printed = IntPolynomial((
+    printed = (
         5 * p - 5 * q - 5,
         14 * p - 14 * q - 14,
         8 * p - 8 * q - 8,
-    ))
-    return _identity("L3.6-diff", (p, q), _phi_B1(p, q) - _phi_B1(p - 1, q + 1), printed)
+    )
+    return _identity("L3.6-diff", (p, q), _minus(_phi_B1(p, q), _phi_B1(p - 1, q + 1)), printed)
 
 
 def check_identity_Lprime_vs_Ldprime(n: int) -> IdentityCheck:
     """Psi - Psi', as printed in Lemma 3.9."""
-    printed = IntPolynomial((-14 * n + 70, -11 * n + 55, -2 * n + 10))
-    return _identity("L3.9-diff", (n,), _Psi_Lprime(n) - _Psi2_Ldprime(n), printed)
+    printed = (-14 * n + 70, -11 * n + 55, -2 * n + 10)
+    return _identity("L3.9-diff", (n,), _minus(_Psi_Lprime(n), _Psi2_Ldprime(n)), printed)
 
 
 def check_identity_L_vs_Lprime(p: int, q: int) -> IdentityCheck:
@@ -312,8 +335,8 @@ def check_identity_L_vs_Lprime(p: int, q: int) -> IdentityCheck:
     Exact computation shows the printed quadratic only matches at q = 2;
     the residual carries the derived correction.
     """
-    printed = IntPolynomial((14 * p - 42, 11 * p - 33, 2 * p - 6))
-    return _identity("L3.11-diff", (p, q), _Phi_L(p, q) - _Psi_Lprime(p + q), printed)
+    printed = (14 * p - 42, 11 * p - 33, 2 * p - 6)
+    return _identity("L3.11-diff", (p, q), _minus(_Phi_L(p, q), _Psi_Lprime(p + q)), printed)
 
 
 def check_identity_L_step(p: int, q: int) -> IdentityCheck:
@@ -322,13 +345,13 @@ def check_identity_L_step(p: int, q: int) -> IdentityCheck:
     Exact computation shows the printed cubic never matches Eq. (5); the
     residual carries the derived difference.
     """
-    printed = IntPolynomial((
+    printed = (
         12 * p * q - 10 * p - 22 * q + 2,
         30 * p * q - 49 * p - 67 * q + 101,
         18 * p * q - 34 * p - 40 * q + 74,
         3 * p * q - 6 * p - 6 * q + 12,
-    ))
-    return _identity("L3.12-diff", (p, q), _Phi_L(p, q) - _Phi_L(p - 1, q + 1), printed)
+    )
+    return _identity("L3.12-diff", (p, q), _minus(_Phi_L(p, q), _Phi_L(p - 1, q + 1)), printed)
 
 
 def power_discrepancy_verdict(p: int, q: int, samples: int = 6) -> dict:
@@ -337,13 +360,15 @@ def power_discrepancy_verdict(p: int, q: int, samples: int = 6) -> dict:
     The same difference is written once as varphi - (lambda+1) phi and once
     as varphi - (lambda+1)^2 phi with a positivity claim for lambda < -3.
     Exact sign sampling decides which power behaves as claimed on the
-    operative range [least root of varphi, -3).
+    operative range [least root of varphi, -3), whose end is found from the
+    family store's eigenvalues of B2(p, q) as seeds.
     """
     lam1 = IntPolynomial((1, 1))
     d1 = varphi_B2(p, q) - lam1 * phi_B1(p, q)
     d2 = varphi_B2(p, q) - lam1 * lam1 * phi_B1(p, q)
     bound = cauchy_root_bound(varphi_B2(p, q))
-    least = sturm_real_roots_many([(varphi_B2(p, q), float(-bound), float(bound))], 1e-12)[0][0]
+    least = sturm_real_roots_many([(varphi_B2(p, q), float(-bound), float(bound))], 1e-12,
+                                  [_family_spectrum("B2", (p, q)).quotient])[0][0]
     pts = []
     for k in range(samples):
         x = Fraction(least + (-3 - least) * k / samples).limit_denominator(10**9)
@@ -372,30 +397,10 @@ class QuotientReport:
                  "coeff_diff", "quotient_roots", "roots_matched", "unmatched_roots",
                  "lambda1_is_root", "lambda_n_is_root", "lambda1", "lambda_n")
 
-    def __init__(self, family_id: str, params: tuple[int, ...], order: int,
-                 derived_matrix: np.ndarray, printed_matrix: np.ndarray | None,
-                 matrix_matches: bool | None, derived_poly: IntPolynomial,
-                 printed_poly: IntPolynomial, poly_matches: bool, coeff_diff: tuple[int, ...],
-                 quotient_roots: list[float], roots_matched: bool,
-                 unmatched_roots: list[float] | None = None, lambda1_is_root: bool = False,
-                 lambda_n_is_root: bool = False, lambda1: float = 0.0, lambda_n: float = 0.0):
-        self.family_id = family_id
-        self.params = params
-        self.order = order
-        self.derived_matrix = derived_matrix
-        self.printed_matrix = printed_matrix
-        self.matrix_matches = matrix_matches
-        self.derived_poly = derived_poly
-        self.printed_poly = printed_poly
-        self.poly_matches = poly_matches
-        self.coeff_diff = coeff_diff
-        self.quotient_roots = quotient_roots
-        self.roots_matched = roots_matched
-        self.unmatched_roots = [] if unmatched_roots is None else unmatched_roots
-        self.lambda1_is_root = lambda1_is_root
-        self.lambda_n_is_root = lambda_n_is_root
-        self.lambda1 = lambda1
-        self.lambda_n = lambda_n
+    def __init__(self, **fields):
+        # every field by keyword, as `_report` gives them
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
 
     def ok(self) -> bool:
         return self.roots_matched and self.lambda1_is_root
@@ -427,28 +432,32 @@ def quotient_reports(cases, tol: float = 1e-9) -> list[QuotientReport]:
     """`quotient_consistency` of each (family_id, params) case, as one batch.
 
     Each case's quotient matrix is the `cell_quotient` of its model graph's
-    cells (`families.complement_cells`) in printed order, and the
+    cells (`families.cell_groups`) in printed order, and the
     characteristic polynomials come from one `char_polys_exact` call per
     matrix size.  Each quotient polynomial's roots are then found exactly,
     all in one `sturm_real_roots_many` batch: each root is the midpoint of
     its cell on the bisection grid of [-B, B], with B = n times the largest
-    distance, which bounds every eigenvalue.  The cell is read off a float
-    seed's certified claim or found by Sturm counts.  The roots are then
-    matched against the full spectrum, which one `family_stacks` call and a
-    values-only `eigvalsh` per order give, apart from the family store.
+    distance, which bounds every eigenvalue.  The cell is read off the
+    claim of a seed, an eigenvalue of the symmetric M similar to the
+    quotient (`families.cell_matrices`, one `eigvalsh` per cell group), or
+    found by Sturm counts.  The roots are then matched against the full
+    spectrum, which one `family_stacks` call and a values-only `eigvalsh`
+    per order give, apart from the family store.
     """
     cases = [(family_id, tuple(int(p) for p in params)) for family_id, params in cases]
     for family_id, _ in cases:
         if family_id not in _PRINTED_CELLS:
             raise UnsupportedFamily(f"no quotient partition for family {family_id!r}")
     keys = [model_graph_key(*case) for case in cases]
-    matrices, bounds = [], []
-    for (family_id, _), (sizes, dist) in zip(cases, complement_cells(keys)):
-        order = _PRINTED_CELLS[family_id]
-        matrices.append(cell_quotient(sizes, dist)[np.ix_(order, order)])
-        # any eigenvalue is bounded by the max row sum <= n * max distance; the
-        # complements here have diameter up to 3, so 2n would clip lambda_1
-        bounds.append(sum(sizes) * int(dist.max()))
+    matrices, bounds, seeds = [None] * len(cases), [0] * len(cases), [None] * len(cases)
+    for ats, sizes, dist in cell_groups(keys):
+        solved = np.linalg.eigvalsh(cell_matrices(sizes, dist)).tolist()
+        for at, row, values in zip(ats, sizes.tolist(), solved):
+            order = _PRINTED_CELLS[cases[at][0]]
+            matrices[at] = cell_quotient(row, dist)[np.ix_(order, order)]
+            # any eigenvalue is bounded by the max row sum <= n * max distance; the
+            # complements here have diameter up to 3, so 2n would clip lambda_1
+            bounds[at], seeds[at] = sum(row) * int(dist.max()), values
     spectra: list = [None] * len(cases)
     for ats, adj in family_stacks(keys).values():
         for at, values in zip(ats, np.linalg.eigvalsh(complement_distances(adj))):
@@ -458,7 +467,7 @@ def quotient_reports(cases, tol: float = 1e-9) -> list[QuotientReport]:
         index = [i for i, qm in enumerate(matrices) if len(qm) == size]
         derived.update(zip(index, char_polys_exact([matrices[i] for i in index])))
     roots = sturm_real_roots_many(
-        [(derived[i], -b, b) for i, b in enumerate(bounds)], min(tol, 1e-10) / 10)
+        [(derived[i], -b, b) for i, b in enumerate(bounds)], min(tol, 1e-10) / 10, seeds)
     return [_report(*case, values, qm, derived[i], roots[i], tol)
             for i, (case, values, qm) in enumerate(zip(cases, spectra, matrices))]
 

@@ -25,15 +25,15 @@ Exact roots come from one search on the bisection grid of an interval
 or the cell that holds it alone once cells are no wider than the
 tolerance.  Floats propose and exact signs decide, in the manner of
 numeric-first real root solvers (Sagraloff & Mehlhorn, "Computing real
-roots of real polynomials", J. Symb. Comput. 73, 2016).  The seeds are the
-eigenvalues of the Jacobi matrix of each polynomial's float Sturm
-sequence, from one stacked `numpy.linalg.eigh` per degree, and exact
-integer signs at a seed's cell ends certify its root there.  Where the
-seeds do not certify every root, as for a repeated or a complex root, the
-square-free part's Sturm chain counts the roots of each cell of the same
-grid, so no result depends on a float.  `sturm_real_roots_many` returns
-the cell midpoints, and `certify_root_orders` compares extreme roots read
-at ever finer widths.
+roots of real polynomials", J. Symb. Comput. 73, 2016).  The seeds come
+from the caller: the eigenvalues of the matrix whose characteristic
+polynomial is being rooted, which the caller has solved already, and
+exact integer signs at a seed's cell ends certify its root there.  Where
+there are no seeds, or they do not certify every root, as for a repeated
+or a complex root, the square-free part's Sturm chain counts the roots of
+each cell of the same grid, so no result depends on a float.
+`sturm_real_roots_many` returns the cell midpoints, and
+`certify_root_orders` compares extreme roots read at ever finer widths.
 """
 
 import math
@@ -351,8 +351,8 @@ def _squarefree_chains(p: IntPolynomial) -> tuple[tuple[IntPolynomial, ...], ...
         p = g
 
 
-def _grid_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction,
-                seeds: list[float] | None) -> list[tuple[int, int, int, int]]:
+def _grid_roots(p: IntPolynomial, lo, hi, tol: Fraction,
+                seeds) -> list[tuple[int, int, int, int]]:
     """The real roots of p in [lo, hi], ascending, as cells of the bisection grid of [lo, hi].
 
     Each root is (l, r, scale, m): the open cell (l / scale, r / scale) that
@@ -360,7 +360,7 @@ def _grid_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction,
     records a root that a midpoint hits (or lo, or hi) as a point, and
     splits a cell that holds a root while it is shallower than the depth D
     where a cell is first no wider than tol, and past D while it holds two
-    or more.  The seeds' claims on the depth-D grid (`_root_cells`), when
+    or more.  The float seeds' claims on the depth-D grid (`_root_cells`), when
     they account for every root, are that answer with no Sturm chain: a
     simple root alone in its depth-D cell, or on a grid point, which
     bisection meets as a midpoint.  Otherwise the square-free part's Sturm
@@ -414,8 +414,7 @@ def _grid_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction,
     return roots
 
 
-def _root_cells(p: IntPolynomial, lo: Fraction, hi: Fraction, depth: int,
-                seeds) -> list[tuple[int, int]] | None:
+def _root_cells(p: IntPolynomial, lo, hi, depth: int, seeds) -> list[tuple[int, int]] | None:
     """The cells of the depth-`depth` bisection grid of [lo, hi] that float
     seeds of p's roots certify, sorted, or None unless they hold deg p roots.
 
@@ -424,7 +423,8 @@ def _root_cells(p: IntPolynomial, lo: Fraction, hi: Fraction, depth: int,
     A seed names the cell it falls in, and exact signs at the cell's ends
     claim a root inside when they are opposite, or on an end where p is 0.
     Distinct claims hold distinct roots, so deg p claims prove deg p real,
-    simple roots, one in each.
+    simple roots, one in each.  A seed in a claimed cell, or beside a claimed
+    point, ends the search, so a repeated eigenvalue costs two signs at most.
     """
     if seeds is None:
         return None
@@ -436,53 +436,19 @@ def _root_cells(p: IntPolynomial, lo: Fraction, hi: Fraction, depth: int,
             return None
         rn, rd = r.as_integer_ratio()
         k = ((rn * den - a * rd) << depth) // (rd * span)
-        sl, sr = _sign_at(c, base + k * span, scale), _sign_at(c, base + (k + 1) * span, scale)
+        if (k, k + 1) in claims or (k, k) in claims or (k + 1, k + 1) in claims:
+            return None
+        left = base + k * span
+        sl, sr = _sign_at(c, left, scale), _sign_at(c, left + span, scale)
         if sl == -sr != 0:
             claims.add((k, k + 1))
         elif sl and sr:
             return None
-        claims.update((j, j) for j, sj in ((k, sl), (k + 1, sr)) if not sj)
+        if not sl:
+            claims.add((k, k))
+        if not sr:
+            claims.add((k + 1, k + 1))
     return sorted(claims) if len(claims) == p.degree else None
-
-
-def _float_seeds(polys) -> list[list[float] | None]:
-    """Float roots, ascending, of each polynomial with a `_jacobi` matrix,
-    else None: its eigenvalues, from one stacked `numpy.linalg.eigh` per degree."""
-    by_degree: dict[int, list] = {}
-    for i, p in enumerate(polys):
-        try:
-            jac = _jacobi([float(x) for x in reversed(p.coeffs)])
-        except (OverflowError, ZeroDivisionError):      # beyond float range, or p = 0
-            continue
-        if jac is not None:
-            by_degree.setdefault(p.degree, []).append((i, jac))
-    out: list[list[float] | None] = [None] * len(polys)
-    for d, items in by_degree.items():
-        roots = np.linalg.eigh(np.array([j for _, j in items]).reshape(len(items), d, d))[0]
-        for (i, _), r in zip(items, roots.tolist()):
-            out[i] = r
-    return out
-
-
-def _jacobi(f: list[float]) -> list[list[float]] | None:
-    """The tridiagonal matrix with char poly f (coefficients descending), from
-    its monic float Sturm sequence f_k = (x - a_k) f_(k-1) - b_k^2 f_(k-2)
-    (Schmeisser): None unless all b_k^2 > 0, as just for real simple roots."""
-    d = len(f) - 1
-    prev = [x / f[0] for x in f]
-    cur = [x * (d - i) / d for i, x in enumerate(prev[:-1])]
-    jac = [[0.0] * d for _ in range(d)]
-    for m in range(d - 1, 0, -1):                   # prev = (x - a) cur - b^2 next
-        t = prev[1] - cur[1]
-        rem = [p - t * c - n for p, c, n in zip(prev[2:], cur[1:], cur[2:] + [0.0])]
-        if not -rem[0] > 0:
-            return None
-        jac[m][m], jac[m][m - 1] = -t, math.sqrt(-rem[0])
-        jac[m - 1][m] = jac[m][m - 1]
-        prev, cur = cur, [x / rem[0] for x in rem]
-    if d:
-        jac[0][0] = -prev[1]
-    return jac if math.isfinite(sum(map(sum, jac))) else None
 
 
 def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
@@ -498,16 +464,19 @@ def sturm_real_roots(p: IntPolynomial, lo: float, hi: float, tol: float = 1e-12)
     return sturm_real_roots_many([(p, lo, hi)], tol)[0]
 
 
-def sturm_real_roots_many(problems, tol: float = 1e-12) -> list[list[float]]:
+def sturm_real_roots_many(problems, tol: float = 1e-12, seeds=None) -> list[list[float]]:
     """`sturm_real_roots(p, lo, hi, tol)` of each (p, lo, hi) problem, as one batch.
 
-    `_float_seeds` proposes every root at once, and `_grid_roots` finds each
-    problem's roots on the bisection grid of its [lo, hi], where cells stop
-    at width <= tol: a root is its cell's midpoint, or the grid point it
-    lies on, correctly rounded.  A problem whose seeds do not certify every
-    root is bisected by Sturm counts, on the same grid, to the same cells.
+    seeds, when given, holds one list of float roots per problem, or None:
+    the caller's eigenvalues of the matrix whose char poly p is.
+    `_grid_roots` finds each problem's roots on the bisection grid of its
+    [lo, hi], where cells stop at width <= tol: a root is its cell's
+    midpoint, or the grid point it lies on, correctly rounded.  A problem
+    whose seeds do not certify every root, or that has none, is bisected by
+    Sturm counts, on the same grid, to the same cells.
     """
     problems = list(problems)
+    seeds = [None] * len(problems) if seeds is None else list(seeds)
     for p, lo, hi in problems:
         if p.is_zero():
             raise ValueError("zero polynomial")
@@ -520,12 +489,12 @@ def sturm_real_roots_many(problems, tol: float = 1e-12) -> list[list[float]]:
         raise ValueError("need tol > 0")
     if not math.isfinite(tol):
         raise ValueError("need finite tol")
-    seeds, ftol = _float_seeds([p for p, _, _ in problems]), Fraction(tol)
+    ftol = Fraction(tol)
     # int true division rounds correctly
     return [[(l + r) / (2 * scale)
              for l, r, scale, m in _grid_roots(p, Fraction(lo), Fraction(hi), ftol, s)
              for _ in range(m)]
-            for (p, lo, hi), s in zip(problems, seeds)]
+            for (p, lo, hi), s in zip(problems, seeds, strict=True)]
 
 
 # --- certified comparison of extreme roots ------------------------------------
@@ -546,51 +515,52 @@ def certify_root_order(p: IntPolynomial, q: IntPolynomial, side: str = "max") ->
     return certify_root_orders([(p, q)], side)[0]
 
 
-def certify_root_orders(pairs, side: str = "max") -> list[int]:
+def certify_root_orders(pairs, side: str = "max", seeds=None) -> list[int]:
     """Exact comparison of the largest ("max") or smallest ("min") real roots
     of each pair (p, q): -1, 0 or +1.
 
-    A polynomial's extreme root is the last or first of its `_grid_roots`
-    on [-2^e, 2^e], which holds every root, with cells of width 2^-20, then
-    2^-30 and so on, each read once per call; one `_float_seeds` batch seeds
-    every distinct polynomial.  Disjoint cells or points decide at once;
-    overlapping ones are equal roots when a root of gcd(p, q) lies in the
-    overlap, and are otherwise read again at the next width.
+    seeds, when given, maps a polynomial to its float roots: the caller's
+    eigenvalues of the matrix whose char poly it is.  A polynomial's extreme
+    root is the last or first of its `_grid_roots` on [-h, h], h the least
+    power of two above ceil(`cauchy_root_bound`) - 1 (in ints), with cells of
+    width 2^-20, then 2^-30 and so on, each read once per call.  Cells are
+    integer numerators over powers of two, so they compare with no Fraction:
+    disjoint cells or points decide at once; overlapping ones are equal roots
+    when a root of gcd(p, q) lies in the overlap, else read at the next width.
     """
     if side not in ("max", "min"):
         raise ValueError("side must be 'max' or 'min'")
-    pairs = list(pairs)
-    polys = list(dict.fromkeys(p for pair in pairs for p in pair))
-    seeds = dict(zip(polys, _float_seeds(polys)))
-    pick, extremes = (-1 if side == "max" else 0), {}
+    seeds, pick, extremes = seeds or {}, (-1 if side == "max" else 0), {}
 
-    def extreme(p: IntPolynomial, width: Fraction) -> tuple[Fraction, Fraction]:
-        if (p, width) not in extremes:
-            half = 1 << (math.ceil(cauchy_root_bound(p)) - 1).bit_length()
-            roots = _grid_roots(p, Fraction(-half), Fraction(half), width, seeds[p])
+    def extreme(p: IntPolynomial, e: int) -> tuple[int, int, int]:
+        if (p, e) not in extremes:
+            *rest, lead = p.coeffs
+            if lead == 0:
+                raise ValueError("zero polynomial has no root bound")
+            half = 1 << (-(-max(map(abs, rest), default=0) // abs(lead))).bit_length()
+            roots = _grid_roots(p, -half, half, Fraction(1, 1 << e), seeds.get(p))
             if not roots:
                 raise ValueError("polynomial has no real roots")
-            l, r, scale, _ = roots[pick]
-            extremes[p, width] = Fraction(l, scale), Fraction(r, scale)
-        return extremes[p, width]
+            extremes[p, e] = roots[pick][:3]
+        return extremes[p, e]
 
     return [_root_order(p, q, extreme) for p, q in pairs]
 
 
 def _root_order(p: IntPolynomial, q: IntPolynomial, extreme) -> int:
-    """The order of the extreme roots of p and q, each `extreme(f, width)`:
-    a point (x, x) or an open cell (l, r) that holds it alone."""
-    width, common = Fraction(1, 2**20), None
-    for _ in range(8):
-        a, b = extreme(p, width), extreme(q, width)
-        if a[1] <= b[0] and a != b:
-            return -1
-        if b[1] <= a[0] and a != b:
-            return 1
+    """The order of the extreme roots of p and q, each `extreme(f, e)` at
+    width 2^-e: a point (x, x, s) or an open cell (l, r, s) over the power
+    of two s that holds it alone."""
+    common = None
+    for e in range(20, 100, 10):
+        (al, ar, sa), (bl, br, sb) = extreme(p, e), extreme(q, e)
+        s = max(sa, sb)
+        al, ar, bl, br = al * (s // sa), ar * (s // sa), bl * (s // sb), br * (s // sb)
+        if (al, ar) != (bl, br) and (ar <= bl or br <= al):
+            return -1 if ar <= bl else 1
         if common is None:
             g = _gcd(p, q)
             common = _squarefree_chains(g)[0] if g.degree > 0 else ()
-        if common and _holds_root(common, *_over_common(max(a[0], b[0]), min(a[1], b[1]))):
+        if common and _holds_root(common, max(al, bl), min(ar, br), s):
             return 0
-        width /= 2**10
     raise ArithmeticError("could not certify root order")

@@ -37,7 +37,7 @@ from collections import Counter
 
 import numpy as np
 
-from cdspectra.families import cell_quotient, complement_cells, family_stacks
+from cdspectra.families import cell_groups, cell_matrices, cell_quotient, family_stacks
 from cdspectra.graphcore import (
     ISO_MAX_VERTICES,
     DisconnectedGraph,
@@ -474,22 +474,22 @@ def complement_spectra(adj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _FamilySolution:
-    """The eigenvalues of D(X^c) for a family graph X, and X's cells."""
+    """The eigenvalues of D(X^c) for a family graph X, from X's cells."""
 
-    __slots__ = ("values", "sizes", "dist")
+    __slots__ = ("quotient", "sizes", "dist", "lambda1", "lambda_n")
 
-    def __init__(self, values: np.ndarray, sizes: list[int], dist: np.ndarray):
-        self.values = values        # all n, non-increasing
+    def __init__(self, quotient: list[float], sizes: list[int], dist: np.ndarray,
+                 lambda1: float, lambda_n: float):
+        self.quotient = quotient    # the k eigenvalues of M, ascending
         self.sizes = sizes          # the sizes and X^c distances of X's non-empty cells,
-        self.dist = dist            # as `complement_cells` gives them
+        self.dist = dist            # as `cell_groups` gives them
+        self.lambda1, self.lambda_n = lambda1, lambda_n
 
     @property
-    def lambda1(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def lambda_n(self) -> float:
-        return float(self.values[-1])
+    def values(self) -> np.ndarray:
+        """All n eigenvalues, non-increasing: M's and each -d_ii s_i - 1 times."""
+        twins = -self.dist.diagonal().repeat(np.array(self.sizes) - 1)
+        return np.sort(np.concatenate([self.quotient, twins]))[::-1]
 
     def char_poly(self) -> IntPolynomial:
         """Exactly, the `cell_quotient`'s char poly times each (x + d_ii)^(s_i - 1)."""
@@ -505,27 +505,25 @@ def _family_spectra(keys) -> list[_FamilySolution]:
     """The eigenvalues of D(X^c) for each (family, params) key, solved once per process.
 
     By the equitable partition into X's cells (Brouwer & Haemers, "Spectra
-    of Graphs", 2012), they are those of the k x k matrix M_ij = sqrt(s_i s_j)
-    d_ij, M_ii = (s_i - 1) d_ii over the `complement_cells`, from one stacked
-    `eigvalsh` per k, and -d_ii with multiplicity s_i - 1 for each cell.  A
-    claim fills the store with its whole grid before it reads any point.
+    of Graphs", 2012), they are those of the k x k `families.cell_matrices`
+    M and -d_ii with multiplicity s_i - 1 for each cell, from one stacked
+    `eigvalsh` per family and capped cell shape (`cell_groups`), which fixes
+    the cells with twins: lambda_1 and lambda_n are M's extremes against
+    those -d_ii.  A claim fills the store with its whole grid at once.
     """
     keys = list(keys)
     missing = list(dict.fromkeys(k for k in keys if k not in _FAMILY_STORE))
-    by_k: dict[int, list] = {}
-    for key, (sizes, dist) in zip(missing, complement_cells(missing)):
-        if dist.min() < 0:      # X^c is disconnected: raise what its D(X^c) raises
-            complement_distances(*(adj for _, adj in family_stacks([key]).values()))
-        by_k.setdefault(len(sizes), []).append((key, sizes, dist))
-    for items in by_k.values():
-        s = np.array([sizes for _, sizes, _ in items], dtype=np.float64)
-        d = np.array([dist for _, _, dist in items], dtype=np.float64)
-        m = d * np.sqrt(s[:, :, None] * s[:, None, :])
-        cell = np.arange(s.shape[1])
-        m[:, cell, cell] = (s - 1) * d.diagonal(axis1=1, axis2=2)
-        for (key, sizes, dist), v in zip(items, np.linalg.eigvalsh(m)):
-            values = np.sort(np.concatenate([v, -dist.diagonal().repeat(np.array(sizes) - 1)]))
-            _FAMILY_STORE[key] = _FamilySolution(values[::-1], sizes, dist)
+    groups = cell_groups(missing)
+    cut = [min(ats) for ats, _, dist in groups if dist.min() < 0]
+    if cut:                 # X^c is disconnected: raise what its D(X^c) raises
+        complement_distances(*(adj for _, adj in family_stacks([missing[min(cut)]]).values()))
+    for ats, sizes, dist in groups:
+        values = np.linalg.eigvalsh(cell_matrices(sizes, dist))
+        twins = -dist.diagonal()[sizes[0] > 1].astype(np.float64)
+        high = np.maximum(values[:, -1], twins.max(initial=-np.inf)).tolist()
+        low = np.minimum(values[:, 0], twins.min(initial=np.inf)).tolist()
+        for at, s, v, l1, ln in zip(ats, sizes.tolist(), values.tolist(), high, low):
+            _FAMILY_STORE[missing[at]] = _FamilySolution(v, s, dist, l1, ln)
     return [_FAMILY_STORE[k] for k in keys]
 
 
@@ -537,10 +535,13 @@ def _family_spectrum(family: str, params: tuple[int, ...]) -> _FamilySolution:
 
 def _exact_orders(graphs, bound: _FamilySolution, side: str) -> set[int]:
     """Exact root orders of the graphs against the bound's `char_poly`, at
-    one order n <= CHAR_POLY_MAX_N: the graphs' char polys from one stack."""
-    polys = char_polys_exact(complement_distances(adjacency_stack(graphs)))
-    bound_poly = bound.char_poly()
-    return set(certify_root_orders([(p, bound_poly) for p in polys], side))
+    one order n <= CHAR_POLY_MAX_N: the graphs' char polys from one stack,
+    seeded by its `eigvalsh` and the bound's stored eigenvalues."""
+    dc = complement_distances(adjacency_stack(graphs))
+    polys, bound_poly = char_polys_exact(dc), bound.char_poly()
+    seeds = dict(zip(polys, np.linalg.eigvalsh(dc.astype(np.float64)).tolist()))
+    seeds[bound_poly] = bound.values.tolist()
+    return set(certify_root_orders([(p, bound_poly) for p in polys], side, seeds))
 
 
 # --- extremal scans and theorem checks ----------------------------------------
@@ -752,7 +753,7 @@ def _escalate_margin(margin: float | None, graphs, bound: _FamilySolution, side:
     None when |margin| exceeds EXACT_RECHECK_BELOW, or when the order is
     beyond char_polys_exact; the float margin then decides.
     """
-    if margin is None or abs(margin) > EXACT_RECHECK_BELOW or len(bound.values) > CHAR_POLY_MAX_N:
+    if margin is None or abs(margin) > EXACT_RECHECK_BELOW or sum(bound.sizes) > CHAR_POLY_MAX_N:
         return None
     orders = _exact_orders(graphs(), bound, side)
     notes.append(

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cdspectra import cli, verify
@@ -655,6 +656,52 @@ def test_json_formatting_fixed_digits():
     assert cli.to_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
     with pytest.raises(TypeError):
         cli.to_json(object())
+
+
+def _listed_rules_json(obj) -> str:
+    """JSON by the rules as they read before the writer dispatched on type:
+    an isinstance chain with `json.dumps` for every string."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".12g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_listed_rules_json(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return _listed_rules_json(obj.tolist())
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        return "{" + ",".join(f"{json.dumps(str(k))}:{_listed_rules_json(v)}" for k, v in items) + "}"
+    raise TypeError(f"unserializable type {type(obj)!r}")
+
+
+def test_json_writer_keeps_the_listed_rules():
+    # numpy ints, floats, bools and arrays, tuples, None, non-string keys,
+    # escapes and non-ASCII strings, empty containers and subclasses
+    class Label(str):
+        pass
+
+    nested = {
+        "ints": [np.int64(-3), np.int32(7), np.uint8(255), 2**70, True, False],
+        "floats": (np.float64(1 / 3), np.float32(0.1), 1e-300, -0.0, float("inf"), float("nan")),
+        "arrays": [np.arange(3), np.array([[0.5, 2.0]]), np.array([True, False]), np.zeros((0, 2))],
+        3: None, 2.5: "quote \" tab\t line\n", (1, 2): "é∑😀", Label("k"): Label("v"),
+        "empty": [{}, [], ()], "nested": {"b": {"a": [None, {"z": 1, "y": np.float64(2.0)}]}},
+    }
+    assert cli.to_json(nested) == _listed_rules_json(nested)
+    assert cli.to_json(verify.run_claim("3.4", p_max=6).to_dict()) == _listed_rules_json(
+        verify.run_claim("3.4", p_max=6).to_dict())
+    for bad in (np.bool_(True), object(), {1, 2}):
+        with pytest.raises(TypeError):
+            cli.to_json(bad)
+        with pytest.raises(TypeError):
+            _listed_rules_json(bad)
 
 
 def test_verify_theorems_exhaustive_n8(capsys, monkeypatch):

@@ -1,11 +1,13 @@
 """Quotient matrices, printed polynomials, and exact difference identities."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from cdspectra import family_lemmas
 from cdspectra import quotients as q
-from cdspectra.families import build_many, cells
+from cdspectra.families import FAMILIES, build_many
 from cdspectra.graphcore import complement, distance_matrix
 from cdspectra.spectra import IntPolynomial, char_poly_exact
 
@@ -30,7 +32,8 @@ def _graph_quotient(family_id: str, params) -> np.ndarray:
     cells, in printed order: the divisor matrix derived from the graph."""
     key = q.model_graph_key(family_id, params)
     (graph,) = build_many([key])
-    found = cells(*key)
+    ends = list(itertools.accumulate(FAMILIES[key[0]].sizes(*key[1]), initial=0))
+    found = [list(range(a, b)) for a, b in zip(ends, ends[1:])]
     return _reference_quotient(distance_matrix(complement(graph)),
                                [found[i] for i in q._PRINTED_CELLS[family_id]])
 
@@ -181,6 +184,39 @@ def test_identity_L_step_never_matches():
             assert not chk.matches
             # residual is the honest derived-minus-printed correction
             assert chk.derived_minus_printed.degree >= 0
+
+
+def _grid_claim_points(p_max: int):
+    """The (p, q) points of the grid claims 3.4-3.6, 3.11 and 3.12 up to p_max."""
+    pairs = [(p, qq) for p in range(4, p_max + 1) for qq in range(2, p + 1)]
+    low = [(p, qq) for p, qq in pairs if p + qq >= 7]
+    return {q.check_identity_B2_vs_B1: pairs, q.check_identity_B1_vs_T: pairs,
+            q.check_identity_B1_step: pairs, q.check_identity_L_vs_Lprime: low,
+            q.check_identity_L_step: [(p, qq) for p, qq in low if p > qq and p >= 5]}
+
+
+def test_grid_wide_identity_checks_equal_the_per_point_checks():
+    # each identity over a claim's whole grid in one call, on int64 columns,
+    # against the per-point check on ints: the full --p-max 60 grids, the
+    # Lemma 2.3 and 3.9 ranges, points outside the family domains, and
+    # parameters beyond int64's exact range, which are evaluated as ints
+    grids = _grid_claim_points(60)
+    grids[q.check_identity_H_step] = [(s, t) for s in range(2, 21) for t in range(1, 21)]
+    grids[q.check_identity_Lprime_vs_Ldprime] = [(n,) for n in range(7, 41)]
+    assert len(grids[q.check_identity_L_vs_Lprime]) == 1766
+    for check, points in grids.items():
+        got = q.identities_hold(check, points)
+        assert got.dtype == bool and got.shape == (len(points),)
+        assert got.tolist() == [check(*point).matches for point in points], check.__name__
+    wide = [(2**40 + 3, 2), (2**40, 2**40 + 1), (5, 2), (5, 3)]
+    for check in (q.check_identity_L_vs_Lprime, q.check_identity_B1_step):
+        assert q.identities_hold(check, wide).tolist() == [check(*pt).matches for pt in wide]
+    assert q.identities_hold(q.check_identity_L_step, []).tolist() == []
+    # a column call keeps each point's residual
+    chk = q.check_identity_L_vs_Lprime(np.array([5, 6]), np.array([3, 3]))
+    for k, p in enumerate((5, 6)):
+        column = IntPolynomial(np.broadcast_to(c, 2)[k] for c in chk.residual)
+        assert column == q.check_identity_L_vs_Lprime(p, 3).derived_minus_printed
 
 
 def test_power_discrepancy_verdict():

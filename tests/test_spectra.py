@@ -16,7 +16,6 @@ from cdspectra import spectra
 from cdspectra.spectra import (
     IntPolynomial,
     TooLargeMatrix,
-    _float_seeds,
     _gcd,
     _grid_roots,
     _pdivmod,
@@ -373,10 +372,10 @@ def test_integer_sign_matches_fraction_horner():
 
 def test_quotient_poly_roots_inside_full_spectrum():
     # roots of the H(2,2) quotient polynomial appear in the 6x6 spectrum
-    from cdspectra.families import build_H, cell_quotient, complement_cells
+    from cdspectra.families import build_H, cell_groups, cell_quotient
     dc = distance_matrix(complement(build_H(2, 2)))
-    ((sizes, dist),) = complement_cells([("H", (2, 2))])
-    poly = char_poly_exact(cell_quotient(sizes, dist))
+    ((_, sizes, dist),) = cell_groups([("H", (2, 2))])
+    poly = char_poly_exact(cell_quotient(sizes[0].tolist(), dist))
     roots = sturm_real_roots(poly, -12, 12, 1e-10)
     dc = dc.astype(float)
     vals = sym_eigenvalues(dc).values
@@ -640,9 +639,30 @@ def _unseeded(fn, *args):
         return fn(*args)
 
 
+def _seeds(p):
+    """The float roots of p from `numpy.roots`, ascending, or None unless all
+    are real or where a coefficient is beyond float range: the seeds of a
+    caller with no matrix at hand."""
+    try:
+        roots = np.roots([float(c) for c in reversed(p.coeffs)])
+    except OverflowError:
+        return None
+    return None if np.iscomplexobj(roots) else sorted(roots.tolist())
+
+
+def _seeded_roots(p, lo, hi, tol):
+    """`sturm_real_roots` of p, seeded by `_seeds(p)`."""
+    return sturm_real_roots_many([(p, lo, hi)], tol, [_seeds(p)])[0]
+
+
+def _seeded_order(p, q, side):
+    """`certify_root_order` of p and q, seeded by `_seeds`."""
+    return certify_root_orders([(p, q)], side, {p: _seeds(p), q: _seeds(q)})[0]
+
+
 def _grid(p, lo, hi, tol):
     """`_grid_roots` of p on [lo, hi] from its float seeds, as (a, b, multiplicity)."""
-    found = _grid_roots(p, Fraction(lo), Fraction(hi), Fraction(tol), _float_seeds([p])[0])
+    found = _grid_roots(p, Fraction(lo), Fraction(hi), Fraction(tol), _seeds(p))
     return [(Fraction(l, s), Fraction(r, s), m) for l, r, s, m in found]
 
 
@@ -682,7 +702,7 @@ def test_sturm_real_roots_equal_single_phase_reference():
             if lo < hi:
                 want = _reference_roots(p, lo, hi, tol)
                 assert sturm_real_roots(p, lo, hi, tol) == want
-                assert _unseeded(sturm_real_roots, p, lo, hi, tol) == want
+                assert _seeded_roots(p, lo, hi, tol) == want
 
 
 def test_roots_on_cell_ends_and_interval_ends():
@@ -692,14 +712,14 @@ def test_roots_on_cell_ends_and_interval_ends():
     p = IntPolynomial((0, 0, 1, 2**40))
     want = [-(2.0**-31), 0.0, 0.0]
     assert sturm_real_roots(p, -1, 1, 1e-9) == want
-    assert _unseeded(sturm_real_roots, p, -1, 1, 1e-9) == want
+    assert _seeded_roots(p, -1, 1, 1e-9) == want
     assert _reference_roots(p, -1, 1, 1e-9) == want
     # roots exactly at lo and at hi are those points, claimed by seeds or not
     q = IntPolynomial((-2, 0, 1)) * IntPolynomial((-3, 1)) * IntPolynomial((1, 1))
     for tol in (1e-12, 2.0**-20):
         got = sturm_real_roots(q, -1, 3, tol)
         assert got[0] == -1.0 and got[-1] == 3.0 and len(got) == 3
-        assert got == _unseeded(sturm_real_roots, q, -1, 3, tol) == _reference_roots(q, -1, 3, tol)
+        assert got == _seeded_roots(q, -1, 3, tol) == _reference_roots(q, -1, 3, tol)
     # Psi_L'(12) = x^2 (x^3 - 14 x^2 - 92 x - 120) has the double root 0, the
     # first midpoint of [-36, 36]
     from cdspectra import quotients
@@ -736,7 +756,7 @@ def test_certify_root_order_equals_reference_and_retries_near_ties():
                     certify_root_order(p, q, side)
                 continue
             assert certify_root_order(p, q, side) == want
-            assert _unseeded(certify_root_order, p, q, side) == want
+            assert _seeded_order(p, q, side) == want
 
 
 def _seed_lists(seeds, lo, hi):
@@ -755,7 +775,7 @@ def test_seeded_refinement_equals_bisection():
     for _ in range(100):
         p, rational = _random_poly(rng)
         p = _squarefree_chains(p)[0][0]
-        seeds = _float_seeds([p])[0]
+        seeds = _seeds(p)
         if seeds is None:
             continue
         r = rational[int(rng.integers(0, len(rational)))]
@@ -782,7 +802,7 @@ def test_seed_from_an_exact_root_on_the_left_end_equals_bisection():
     for _ in range(150):
         p, rational = _random_poly(rng)
         p = _squarefree_chains(p)[0][0]
-        seeds = _float_seeds([p])[0]
+        seeds = _seeds(p)
         if seeds is None:
             continue
         for r in set(rational):
@@ -821,15 +841,16 @@ def test_no_bracket_from_an_exact_root_is_bisected_on_the_quotient_grid(monkeypa
 
 
 def test_seeds_certify_the_exact_grid_polynomials(monkeypatch):
-    # on the claims of the exact grid, float seeds certify the roots of all
-    # 142 distinct polynomials but Psi_L'(12), whose double root 0 leaves it
-    # without a Jacobi matrix, so it gets no seeds
+    # on the claims of the exact grid, the callers' seeds (the eigenvalues of
+    # the matrices whose char polys are rooted) certify the roots of all 142
+    # distinct polynomials but Psi_L'(12), whose double root 0 no seed claims
     from cdspectra import verify
     from cdspectra.quotients import Psi_Lprime
     certified, refused = set(), set()
     cells = spectra._root_cells
 
     def claiming(p, *args):
+        assert args[-1] is not None
         out = cells(p, *args)
         (certified if out is not None else refused).add(p)
         return out
@@ -837,31 +858,91 @@ def test_seeds_certify_the_exact_grid_polynomials(monkeypatch):
     monkeypatch.setattr(spectra, "_root_cells", claiming)
     for claim in ("quotient-consistency",) + verify.GRID_CLAIMS:
         verify.run_claim(claim)
-    assert _float_seeds([Psi_Lprime(12)]) == [None]
     assert len(certified) == 142 and refused == {Psi_Lprime(12)}
 
 
+def test_seeds_never_change_a_result_on_the_exact_grid(monkeypatch):
+    # every polynomial the default exact grid roots, and every root order it
+    # certifies: the caller's seeds, the seeds moved by one cell, and no
+    # seeds give the same cells and the same orders
+    from cdspectra import family_lemmas, verify
+    grids, orders = [], []
+    grid, certify = spectra._grid_roots, family_lemmas.certify_root_orders
+    monkeypatch.setattr(spectra, "_grid_roots", lambda *args: grids.append(args) or grid(*args))
+    monkeypatch.setattr(family_lemmas, "certify_root_orders",
+                        lambda *args: orders.append(args) or certify(*args))
+    for claim in ("quotient-consistency",) + verify.GRID_CLAIMS:
+        verify.run_claim(claim)
+    monkeypatch.undo()
+    assert len({args[0] for args in grids}) == 143 and len(orders) == 1
+
+    def cells(*args):
+        # a point may come as (x, x) over any power of two: compare the rationals
+        return [(Fraction(l, s), Fraction(r, s), m) for l, r, s, m in grid(*args)]
+
+    for p, lo, hi, tol, seeds in grids:
+        assert seeds is not None
+        width = float((Fraction(hi) - Fraction(lo)) / 2**_depth(lo, hi, tol))
+        want = cells(p, lo, hi, tol, seeds)
+        assert cells(p, lo, hi, tol, [s + width for s in seeds]) == want, p
+        assert cells(p, lo, hi, tol, None) == want, p
+    ((pairs, side, seeds),) = orders
+    want = certify(pairs, side, seeds)
+    assert certify(pairs, side, {p: [s + 2.0**-20 for s in r] for p, r in seeds.items()}) == want
+    assert certify(pairs, side) == want
+
+
+def test_a_repeated_root_costs_two_signs_before_the_sturm_walk(monkeypatch):
+    # (3x + 4)^2 (3x^2 - 9): a seed of the double root -4/3 sees one sign at
+    # both ends of its cell, and (x + 2)^3 (x - 1): the first seed of -2, a
+    # grid point, claims it, and the next copy lands on a claimed point or a
+    # cell beside it; either way a repeated root costs two signs
+    calls = []
+    sign = spectra._sign_at
+    monkeypatch.setattr(spectra, "_sign_at", lambda *args: calls.append(args) or sign(*args))
+    p = IntPolynomial((4, 3)) * IntPolynomial((4, 3)) * IntPolynomial((-9, 0, 3))
+    assert p.coeffs == (-144, -216, -33, 72, 27)
+    r, third = math.sqrt(3), -4 / 3
+    two = IntPolynomial((2, 1))
+    q = two * two * two * IntPolynomial((-1, 1))
+    ulp = 2.0**-51
+    for f, seeds, signs in ((p, [third, third, -r, r], 2), (p, [-r, third, third, r], 4),
+                            (p, [-r, third - 2e-8, third + 2e-8, r], 4),
+                            (q, [-2.0, -2.0, -2.0, 1.0], 2),
+                            (q, [-2 - 2 * ulp, -2 + ulp, -2.0, 1.0], 2)):
+        calls.clear()
+        assert _root_cells(f, Fraction(-4), Fraction(4), 40, seeds) is None
+        assert len(calls) == signs, (f, seeds)
+    # Psi_L'(12) with the family store's eigenvalues of L'(12): the second
+    # seed of the double root 0 ends the search
+    from cdspectra import quotients, verify
+    seeds = verify._family_spectra([("Lprime", (12,))])[0].quotient
+    first = min(i for i, x in enumerate(seeds) if abs(x) < 1e-9)
+    calls.clear()
+    assert _root_cells(quotients.Psi_Lprime(12), Fraction(-36), Fraction(36), 40, seeds) is None
+    assert len(calls) == 2 * (first + 1)
+
+
 def test_float_seeds_and_cell_records_at_the_edges():
-    # seeds are the float roots, ascending, of a polynomial whose roots are
-    # all real and simple; complex or repeated roots and a coefficient
-    # beyond float range give none
+    # seeds are float roots, from an integer matrix or from numpy.roots,
+    # whose cells exact signs then check; numpy.roots gives none where a
+    # root is complex or a coefficient is beyond float range
     sqrt2 = IntPolynomial((-2, 0, 1))
-    low, high = _float_seeds([sqrt2])[0]
+    low, high = np.linalg.eigvalsh(np.array([[1, 1], [1, -1]], dtype=float)).tolist()
     assert abs(high - math.sqrt(2)) < 1e-15 and abs(low + math.sqrt(2)) < 1e-15
-    assert _float_seeds([IntPolynomial((1, 0, 1)) * sqrt2, sqrt2 * sqrt2, IntPolynomial((3,)),
-                         IntPolynomial((1, 10**400))]) == [None, None, [], None]
-    # (x - 1)^2 has the float Sturm sequence x^2 - 2x + 1, x - 1, 0 exactly,
-    # and (x + 10^200)(x^2 - 1) one that overflows float range
+    assert _root_cells(sqrt2, Fraction(-4), Fraction(4), 30, [low, high]) is not None
+    assert [_seeds(f) for f in (IntPolynomial((1, 0, 1)) * sqrt2, IntPolynomial((3,)),
+                                IntPolynomial((1, 10**400)))] == [None, [], None]
+    # (x + 10^200)(x^2 - 1) on [-2, 2], by Sturm counts alone
     wide = IntPolynomial((-10**200, -1, 10**200, 1))
-    assert _float_seeds([IntPolynomial((1, -2, 1)), IntPolynomial((0, 0, 1)), wide]) == [None] * 3
     assert sturm_real_roots(wide, -2, 2, 1e-9) == [-1.0, 1.0]
     # a root on a grid point is claimed by its exact zero: x (3x - 1) on
     # [0, 1], where 0 is the left end
     p = IntPolynomial((0, -1, 3))
-    cells = _root_cells(p, Fraction(0), Fraction(1), 30, _float_seeds([p])[0])
+    cells = _root_cells(p, Fraction(0), Fraction(1), 30, _seeds(p))
     (i, j), (k, m) = cells
     assert i == j == 0 and m == k + 1 and k < 2**30 / 3 < m
-    assert sturm_real_roots(p, 0, 1, 2.0**-30) == _unseeded(sturm_real_roots, p, 0, 1, 2.0**-30)
+    assert _seeded_roots(p, 0, 1, 2.0**-30) == sturm_real_roots(p, 0, 1, 2.0**-30)
     # whatever the seeds, exact signs give complex or repeated roots, two
     # seeds in one cell or a missing seed fewer than deg p claims
     r = math.sqrt(2)
@@ -872,7 +953,6 @@ def test_float_seeds_and_cell_records_at_the_edges():
 
 
 def test_certify_root_order_seeded_equals_bisection_only_reference(monkeypatch):
-    bisected = _recording_claims(monkeypatch)
     x = IntPolynomial((0, 1))
     sqrt2 = IntPolynomial((-2, 0, 1))
     huge = IntPolynomial((-1, 1)) * IntPolynomial((10**320, 1))      # roots 1 and -1e320
@@ -889,12 +969,16 @@ def test_certify_root_order_seeded_equals_bisection_only_reference(monkeypatch):
     rng = np.random.default_rng(2016)
     for _ in range(30):
         pairs.append((_random_poly(rng)[0], _random_poly(rng)[0]))
+    want = {}
     for p, q in pairs:
         for side in ("min", "max"):
-            want = _reference_order(p, q, side)
-            assert certify_root_order(p, q, side) == want, (p, q, side)
-            assert certify_root_order(q, p, side) == -want, (p, q, side)
-            assert _unseeded(certify_root_order, p, q, side) == want, (p, q, side)
+            want[p, q, side] = _reference_order(p, q, side)
+            assert certify_root_order(p, q, side) == want[p, q, side], (p, q, side)
+    bisected = _recording_claims(monkeypatch)
+    for p, q in pairs:
+        for side in ("min", "max"):
+            assert _seeded_order(p, q, side) == want[p, q, side], (p, q, side)
+            assert _seeded_order(q, p, side) == -want[p, q, side], (p, q, side)
     # Sturm bisection runs exactly for the polynomials that no claims can
     # hold: coefficients beyond float range, or fewer than deg p distinct
     # real roots
@@ -902,7 +986,7 @@ def test_certify_root_order_seeded_equals_bisection_only_reference(monkeypatch):
     for p in {p for pair in pairs for p in pair}:
         bound = cauchy_root_bound(p)
         # cells no wider than 1 hold one distinct root each
-        recordless = (_float_seeds([p])[0] is None
+        recordless = (_seeds(p) is None
                       or len(_reference_grid(p, -bound, bound, 1)) < p.degree)
         assert (p in bisected) == recordless, p
 
@@ -912,9 +996,10 @@ def test_certify_root_order_with_a_perturbed_newton_seed_equals_reference(monkey
     # every float seed is moved by offset: a seed still inside the cell next
     # to a root on the 2^-21 grid claims that point, and one beyond its cell
     # or not finite falls back to Sturm counts; no result changes
-    seeds = spectra._float_seeds
-    monkeypatch.setattr(spectra, "_float_seeds", lambda polys: [
-        None if r is None else [v + offset for v in r] for r in seeds(polys)])
+    def moved(p):
+        seeds = _seeds(p)
+        return None if seeds is None else [v + offset for v in seeds]
+
     x = IntPolynomial((0, 1))
     on_grid = IntPolynomial((-3, 2**21)) * IntPolynomial((5, 21, 2**21))
     sqrt2 = IntPolynomial((-2, 0, 1))
@@ -922,11 +1007,13 @@ def test_certify_root_order_with_a_perturbed_newton_seed_equals_reference(monkey
              (sqrt2, IntPolynomial((-141421356, 10**8))), (sqrt2 * x, sqrt2)]
     for p, q in pairs:
         for side in ("min", "max"):
-            assert certify_root_order(p, q, side) == _reference_order(p, q, side), (p, q, side)
+            got = certify_root_orders([(p, q)], side, {p: moved(p), q: moved(q)})
+            assert got == [_reference_order(p, q, side)], (p, q, side)
         for tol in (2.0**-21, 1e-12):
-            assert sturm_real_roots(p, -4, 4, tol) == _reference_roots(p, -4, 4, tol), (p, tol)
+            got = sturm_real_roots_many([(p, -4, 4)], tol, [moved(p)])
+            assert got == [_reference_roots(p, -4, 4, tol)], (p, tol)
     p = IntPolynomial((-3, 2**21)) * x
-    cells = _root_cells(p, Fraction(0), Fraction(1), 21, spectra._float_seeds([p])[0])
+    cells = _root_cells(p, Fraction(0), Fraction(1), 21, moved(p))
     if abs(offset) == 2.0**-22:
         assert cells == [(0, 0), (3, 3)]
     else:
@@ -1023,12 +1110,12 @@ def test_cell_records_isolate_like_sturm_chains_on_the_quotient_polynomials():
                  len(s.values) * int(s.dist.max()))
                 for r, s in zip(quotients.quotient_reports(cases), solved)]
     assert len(problems) == 238
-    seeds = _float_seeds([p for p, _, _ in problems])
+    seeds = [s.quotient for s in solved]
     recordless = [p for (p, lo, hi), s in zip(problems, seeds)
                   if _root_cells(p, Fraction(lo), Fraction(hi), _depth(lo, hi, 1e-11), s) is None]
     assert recordless == [quotients.Psi_Lprime(12)]
-    roots = sturm_real_roots_many(problems, 1e-11)
-    assert _unseeded(sturm_real_roots_many, problems, 1e-11) == roots
+    roots = sturm_real_roots_many(problems, 1e-11, seeds)
+    assert sturm_real_roots_many(problems, 1e-11) == roots
 
 
 @st.composite
@@ -1065,7 +1152,7 @@ def test_cell_records_isolate_like_sturm_chains_on_chosen_roots(case):
     # reference's
     p, bound, roots, kind = case
     lo, hi, tol = Fraction(-bound), Fraction(bound), Fraction(bound, 2**29)
-    claims = _root_cells(p, lo, hi, 30, _float_seeds([p])[0])
+    claims = _root_cells(p, lo, hi, 30, _seeds(p))
     assert (claims is not None) == (kind == "simple")
     want = _reference_grid(p, lo, hi, tol)
     assert _grid(p, lo, hi, tol) == _unseeded(_grid, p, lo, hi, tol) == want
@@ -1119,7 +1206,7 @@ def test_sturm_real_roots_equal_the_grid_reference_on_real_rooted_problems(case)
     p, lo, hi, tol = case
     want = _reference_roots(p, lo, hi, tol)
     assert sturm_real_roots(p, lo, hi, tol) == want
-    assert _unseeded(sturm_real_roots, p, lo, hi, tol) == want
+    assert _seeded_roots(p, lo, hi, tol) == want
     for end in (lo, hi):
         if p(Fraction(end)) == 0:
             assert end in want
@@ -1135,10 +1222,10 @@ def test_final_cell_roots_on_the_quotient_grid():
     solved = verify._family_spectra(quotients.model_graph_key(*case) for case in cases)
     polys = [r.derived_poly for r in quotients.quotient_reports(cases)]
     read = []
-    for (family, _), p, s, seeds in zip(cases, polys, solved, _float_seeds(polys)):
+    for (family, _), p, s in zip(cases, polys, solved):
         bound = Fraction(len(s.values) * int(s.dist.max()))
         depth = _depth(-bound, bound, 1e-11)
-        claims = _root_cells(p, -bound, bound, depth, seeds)
+        claims = _root_cells(p, -bound, bound, depth, s.quotient)
         read.append(claims is not None)
         if family == "Lprime" and claims is not None:
             assert (2**(depth - 1), 2**(depth - 1)) in claims

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_families import _declaring
 
 from cdspectra import family_lemmas, lemmas, verify
 from cdspectra.families import (
-    build_B1, build_H, build_L, build_Ldprime, build_Lprime, build_many, build_path,
+    FAMILIES, _Family, build_B1, build_H, build_L, build_Ldprime, build_Lprime, build_many,
+    build_path, cell_groups,
 )
 from cdspectra.graphcore import (
     DisconnectedGraph,
@@ -409,12 +411,18 @@ def test_lemma_3_11_refuted_with_certificate():
 
 def test_lemma_3_11_isolates_each_polynomial_once(monkeypatch):
     # 62 root orders compare 124 extreme roots of 80 distinct polynomials:
-    # Psi_Lprime(p + q) recurs along each anti-diagonal of the grid.  One
-    # batch seeds each polynomial once, and only Psi_Lprime(12), whose
-    # double root 0 no seed claims, is bisected by Sturm counts
+    # Psi_Lprime(p + q) recurs along each anti-diagonal of the grid.  Each is
+    # isolated once, seeded by the family store's quotient eigenvalues, and
+    # only Psi_Lprime(12), whose double root 0 no seed claims, is bisected by
+    # Sturm counts
     from cdspectra import quotients, spectra
-    batches, bisected = [], []
-    seeds, claims = spectra._float_seeds, spectra._root_cells
+    isolated, bisected = [], []
+    grid, claims = spectra._grid_roots, spectra._root_cells
+
+    def recording_grid(p, lo, hi, tol, seeds):
+        assert seeds is not None
+        isolated.append(p)
+        return grid(p, lo, hi, tol, seeds)
 
     def recording_claims(p, *args):
         found = claims(p, *args)
@@ -422,11 +430,10 @@ def test_lemma_3_11_isolates_each_polynomial_once(monkeypatch):
             bisected.append(p)
         return found
 
-    monkeypatch.setattr(spectra, "_float_seeds",
-                        lambda polys: batches.append(list(polys)) or seeds(polys))
+    monkeypatch.setattr(spectra, "_grid_roots", recording_grid)
     monkeypatch.setattr(spectra, "_root_cells", recording_claims)
     verify.check_lemma("3.11", p_max=12)
-    assert [len(b) for b in batches] == [80] and len(set(batches[0])) == 80
+    assert len(isolated) == len(set(isolated)) == 80
     assert bisected == [quotients.Psi_Lprime(12)]
 
 
@@ -567,19 +574,109 @@ def test_family_store_solves_orders_above_64(monkeypatch):
         build_L(40, 30)
 
 
+def _one_key_solve(family: str, params: tuple[int, ...]):
+    """lambda_1, lambda_n and the quotient eigenvalues of one family graph from
+    its own k x k M, built here, and its whole spectrum sorted, as one key at
+    a time was solved before the store grouped its keys by shape."""
+    sizes = [s for s in FAMILIES[family].sizes(*params) if s]
+    ((_, _, dist),) = cell_groups([(family, params)])
+    s = np.array(sizes, dtype=np.float64)
+    m = dist * np.sqrt(np.outer(s, s))
+    np.fill_diagonal(m, (s - 1) * dist.diagonal())
+    quotient = np.linalg.eigvalsh(m)
+    values = np.sort(np.concatenate([quotient, -dist.diagonal().repeat(s.astype(int) - 1)]))
+    return float(values[-1]), float(values[0]), quotient.tolist(), values[::-1]
+
+
+def test_the_store_equals_one_key_solves_bitwise(monkeypatch):
+    # every key of the grid claims up to p = 60, T2(1, b) with its empty
+    # cell, the paths and the one star whose complement is connected:
+    # lambda_1, lambda_n, the quotient eigenvalues and the whole spectrum
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
+    for claim in verify.GRID_CLAIMS:
+        family_lemmas.check(claim, None, 60)
+    verify._family_spectra([("T2", (1, b)) for b in range(1, 31)] + [("star", (1,))]
+                           + [("path", (n,)) for n in (1, *range(4, 41))])
+    store = verify._FAMILY_STORE
+    assert len(store) == 5599
+    # no family graph above has a twin eigenvalue -d_ii as lambda_n: the
+    # independent set n K1, whose complement K_n has lambda_n = -1 from its
+    # one cell's twins, does
+    monkeypatch.setitem(FAMILIES, "I", _Family(("n",), (1,), "I(n) needs n >= 1", "I",
+                                               lambda n: (n,), (), (), None))
+    for n, solved in zip(range(1, 6), verify._family_spectra([("I", (n,)) for n in range(1, 6)])):
+        assert (solved.lambda1, solved.lambda_n) == (n - 1.0, -1.0 if n > 1 else 0.0)
+    for key, solved in store.items():
+        l1, ln, quotient, values = _one_key_solve(*key)
+        assert (solved.lambda1, solved.lambda_n, solved.quotient) == (l1, ln, quotient), key
+        assert solved.values.tobytes() == values.tobytes(), key
+
+
+def _family_keys():
+    """Keys of every family with a connected complement, valid or not, in a
+    mixed order: the grid families, T2(1, b), paths and star(1)."""
+    keys = [(f, (p, q)) for p in range(1, 14) for q in range(1, 14)
+            for f in ("B1", "B2", "L", "T", "T1", "T2", "H")]
+    keys += [(f, (n,)) for n in range(3, 30) for f in ("Lprime", "Ldprime")]
+    return keys + [("path", (n,)) for n in (1, 5, 9, 5)] + [("star", (1,))]
+
+
+def test_a_fill_solves_each_family_and_shape_group_once(monkeypatch):
+    # one stacked eigvalsh per (family, capped cell shape), as `cell_groups`
+    # gives them, and the shapes are the table's sizes capped at 2
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
+    keys = [(f, params) for f, params in _family_keys()
+            if all(x >= least for x, least in zip(params, FAMILIES[f].least))]
+    shapes = {(f, tuple(min(s, 2) for s in FAMILIES[f].sizes(*params))) for f, params in keys}
+    calls = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or solve(a))
+    verify._family_spectra(keys)
+    assert len(calls) == len(shapes) == len(cell_groups(keys))
+    assert sum(calls) == len(set(keys)) == len(verify._FAMILY_STORE)
+    # a second fill of the same keys solves nothing
+    verify._family_spectra(keys)
+    assert len(calls) == len(shapes)
+
+
+def test_store_errors_name_the_first_failing_key(monkeypatch):
+    # a parameter below a family's least value, a declared diameter the graph
+    # misses, and a disconnected complement: the store raises what one key at
+    # a time raised, for the first failing key in key order
+    monkeypatch.setattr(verify, "_FAMILY_STORE", {})
+    monkeypatch.setitem(FAMILIES, "T", _declaring("T", 4))
+    star = build_many([("star", (5,))])[0]
+    cases = [
+        ([("H", (2, 2)), ("T", (3, 3)), ("B1", (1, 3)), ("T", (3, 2))],
+         AssertionError, "T(3,3): expected diameter 4, got 3"),
+        ([("H", (2, 2)), ("B1", (1, 3)), ("T", (3, 3))], ValueError, "B1(p,q) needs p, q >= 2"),
+        # B1's keys are grouped first, but T(3, 3) comes before B1(1, 3)
+        ([("B1", (4, 4)), ("T", (3, 3)), ("B1", (1, 3))],
+         AssertionError, "T(3,3): expected diameter 4, got 3"),
+        ([("B1", (4, 4)), ("star", (5,)), ("path", (3,))], DisconnectedGraph,
+         f"complement of {to_graph6(star)} is disconnected"),
+        ([("path", (3,)), ("T", (2, 2))], AssertionError, "T(2,2): expected diameter 4, got 3"),
+    ]
+    for keys, error, text in cases:
+        with pytest.raises(error) as raised:
+            verify._family_spectra(keys)
+        assert str(raised.value) == text, keys
+    assert verify._FAMILY_STORE == {}
+
+
 def test_claims_share_the_family_store(monkeypatch):
     # a claim fills the store for its whole grid at once; the other claims
     # read the graphs already solved
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     solved = []
-    cells = verify.complement_cells
+    cells = verify.cell_groups
 
     def counting_cells(keys):
         keys = list(keys)
         solved.append(len(keys))
         return cells(keys)
 
-    monkeypatch.setattr(verify, "complement_cells", counting_cells)
+    monkeypatch.setattr(verify, "cell_groups", counting_cells)
     verify.check_lemma("3.11")
     first = sum(solved)
     assert first == len(verify._FAMILY_STORE) and len(solved) == 1
@@ -594,14 +691,14 @@ def test_a_theorem_run_makes_each_family_graph_once(monkeypatch):
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     monkeypatch.setattr(verify, "EXACT_RECHECK_BELOW", 10.0)
     made = Counter()
-    cells = verify.complement_cells
+    cells = verify.cell_groups
 
     def counted(keys):
         keys = list(keys)
         made.update(keys)
         return cells(keys)
 
-    monkeypatch.setattr(verify, "complement_cells", counted)
+    monkeypatch.setattr(verify, "cell_groups", counted)
     reports = [verify.check_theorem(tid, 7) for tid in ("2.4", "2.8", "3.7", "3.13")]
     assert all(any("exact char-poly re-check" in note for note in rep.notes) for rep in reports)
     assert [rep.status for rep in reports] == ["confirmed", "confirmed", "confirmed", "refuted"]
@@ -741,7 +838,7 @@ def test_t28_near_tie_decided_by_exact_recheck(monkeypatch):
     assert any("exact char-poly re-check" in note for note in rep.notes)
     assert rep.status == "confirmed"
     # an exact tie with a runner-up overrides the float margin
-    monkeypatch.setattr(verify, "certify_root_orders", lambda pairs, side: [0] * len(pairs))
+    monkeypatch.setattr(verify, "certify_root_orders", lambda pairs, side, seeds=None: [0] * len(pairs))
     rep = verify.check_theorem("2.8", 6)
     assert rep.margin > verify.STRICT_MARGIN
     assert rep.status == "refuted"
@@ -754,7 +851,7 @@ def test_strict_bound_near_tie_decided_by_exact_recheck(monkeypatch, tid, n):
     assert any("exact char-poly re-check of witness graphs" in note for note in rep.notes)
     assert rep.status == "confirmed"
     # a witness tying the bound exactly overrides the float margin
-    monkeypatch.setattr(verify, "certify_root_orders", lambda pairs, side: [0] * len(pairs))
+    monkeypatch.setattr(verify, "certify_root_orders", lambda pairs, side, seeds=None: [0] * len(pairs))
     rep = verify.check_theorem(tid, n)
     assert rep.margin > verify.STRICT_MARGIN
     assert rep.status == "refuted"
@@ -768,7 +865,7 @@ def test_t313_tie_decided_by_exact_order(monkeypatch):
     assert rep.status == "confirmed" and rep.margin == 0
     assert any("gives orders [0]" in note for note in rep.notes)
     # an exact overshoot refutes although the float values tie
-    monkeypatch.setattr(verify, "certify_root_orders", lambda pairs, side: [1] * len(pairs))
+    monkeypatch.setattr(verify, "certify_root_orders", lambda pairs, side, seeds=None: [1] * len(pairs))
     rep = verify.check_theorem_on_values("3.13", 7, [lc], values)
     assert rep.status == "refuted"
     assert rep.counterexamples == [to_graph6(lc)]
@@ -969,7 +1066,7 @@ def test_near_tie_recheck_solves_one_graph_per_class(monkeypatch):
     calls = []
     real = verify.certify_root_orders
     monkeypatch.setattr(verify, "certify_root_orders",
-                        lambda pairs, side: calls.extend(pairs) or real(pairs, side))
+                        lambda pairs, side, seeds: calls.extend(pairs) or real(pairs, side, seeds))
     rep = verify.check_theorem("2.8", 6)
     assert rep.status == "confirmed"
     # the runner-up value is one class of 360 labeled graphs
