@@ -48,11 +48,6 @@ EXIT_USAGE = 1
 EXIT_REFUTED = 2
 EXIT_REVERSED = 3
 
-QUOTIENT_PARAMS = {
-    "H": ("s", "t"), "B1": ("p", "q"), "B2": ("p", "q"), "T": ("n",),
-    "L": ("p", "q"), "Lprime": ("n",), "Ldprime": ("n",),
-}
-
 
 def to_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 12 significant digits, strings
@@ -171,14 +166,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    family = args.family
-    if family not in QUOTIENT_PARAMS:
-        raise SystemExit2(
-            f"family {family!r} has no quotient model; "
-            f"supported: {', '.join(sorted(QUOTIENT_PARAMS))}")
-    params = _family_params(args, family, QUOTIENT_PARAMS[family])
     from cdspectra import quotients     # imported here: no other command uses it
 
+    family = args.family
+    if family not in quotients.QUOTIENT_PARAMS:
+        raise SystemExit2(
+            f"family {family!r} has no quotient model; "
+            f"supported: {', '.join(sorted(quotients.QUOTIENT_PARAMS))}")
+    params = _family_params(args, family, quotients.QUOTIENT_PARAMS[family])
     try:
         rep = quotients.quotient_consistency(family, params, args.tol)
     except ValueError as exc:
@@ -266,7 +261,6 @@ def cmd_verify(args) -> int:
         raise SystemExit2(
             f"--p-max does not apply: none of {', '.join(claims)} reads the grid bound "
             f"(those that do: {', '.join(verify.GRID_CLAIMS)})")
-    p_max = 12 if args.p_max is None else args.p_max
     # every claim sees the whole stream, so it is read and solved once
     stream = _read_stream(sys.stdin.readlines()) if args.stdin else None
     reports = []
@@ -275,7 +269,7 @@ def cmd_verify(args) -> int:
             if stream is not None:
                 rep = _stream_theorem(c, stream)
             else:
-                rep = verify.run_claim(c, n=args.n, p_max=p_max)
+                rep = verify.run_claim(c, n=args.n, p_max=args.p_max)
         except ValueError as exc:
             raise SystemExit2(f"claim {c}: {exc}") from exc
         reports.append(rep)

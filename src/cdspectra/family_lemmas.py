@@ -5,7 +5,7 @@ Each reads family graphs over a parameter grid, or all trees of small
 orders (Lemma 2.7), through the per-process family store
 (`verify._family_spectra`), and most check the paper's difference
 identities exactly in `quotients`.  None reads the class record: the
-checks that do live in `lemmas`.  `verify.check_lemma`, the entry point,
+checks that do live in `lemmas`.  `verify.run_claim`, the entry point,
 imports this module on the first call for one of its claims, so a class
 scan never compiles these checks.  Each check returns a
 VerificationReport whose status is measured, never assumed, as the
@@ -95,7 +95,7 @@ def free_trees(n: int) -> list[Graph]:
     return [trees[k] for k in sorted(trees)]
 
 
-def _lemma_2_7(n_max: int = 9) -> VerificationReport:
+def _lemma_2_7(n_max: int) -> VerificationReport:
     """lambda_1(T^c) >= lambda_1(P_n^c) over all non-star trees, 4 <= n <= n_max.
 
     Among trees on n vertices the star is the one with a vertex of degree
@@ -165,7 +165,7 @@ def _lemma_3_1(a_max: int = 9, b_max: int = 9) -> VerificationReport:
     )
 
 
-def _lemma_3_4(p_max: int = 12) -> VerificationReport:
+def _lemma_3_4(p_max: int) -> VerificationReport:
     """lambda_n(B1^c) < lambda_n(B2^c) < -3, plus the (lambda+1)-power verdict."""
     def point(p, q):
         b1 = _family_spectrum("B1", (p, q)).lambda_n
@@ -194,7 +194,7 @@ def _lemma_3_4(p_max: int = 12) -> VerificationReport:
     )
 
 
-def _lemma_3_5(p_max: int = 12) -> VerificationReport:
+def _lemma_3_5(p_max: int) -> VerificationReport:
     """lambda_n(B1^c(p,q)) < lambda_n(T^c(n-3,1)) < -3 at n = p+q."""
     def point(p, q):
         b1 = _family_spectrum("B1", (p, q)).lambda_n
@@ -214,7 +214,7 @@ def _lemma_3_5(p_max: int = 12) -> VerificationReport:
     )
 
 
-def _lemma_3_6(p_max: int = 12) -> VerificationReport:
+def _lemma_3_6(p_max: int) -> VerificationReport:
     """Balance minimizes lambda_n(B1^c); equality only at the balanced split."""
     def point(p, q):
         n = p + q
@@ -239,7 +239,7 @@ def _lemma_3_6(p_max: int = 12) -> VerificationReport:
     )
 
 
-def _lemma_3_11(p_max: int = 12) -> VerificationReport:
+def _lemma_3_11(p_max: int) -> VerificationReport:
     """lambda_n(L'^c(n)) < lambda_n(L^c(p,q)) at n = p+q >= 7."""
     def point(p, q):
         l = _family_spectrum("L", (p, q)).lambda_n
@@ -278,7 +278,7 @@ def _lemma_3_11(p_max: int = 12) -> VerificationReport:
     )
 
 
-def _lemma_3_12(p_max: int = 12) -> VerificationReport:
+def _lemma_3_12(p_max: int) -> VerificationReport:
     """Balance maximizes lambda_n(L^c); equality only at the balanced split."""
     def point(p, q):
         n = p + q
@@ -338,27 +338,3 @@ def _quotient_consistency_claim(orders=range(7, 21), tol: float = 1e-9) -> Verif
         ],
         details={"summaries": [r.summary() for r in reports]},
     )
-
-
-def check(claim_id: str, n: int | None, p_max: int) -> VerificationReport:
-    """Run one family lemma check at the given order / grid size; n = None
-    takes the claim's default order."""
-    if claim_id == "2.3":
-        return _lemma_2_3(12 if n is None else n)
-    if claim_id == "2.7":
-        return _lemma_2_7(9 if n is None else n)
-    if claim_id == "3.1":
-        return _lemma_3_1()
-    if claim_id == "3.4":
-        return _lemma_3_4(p_max)
-    if claim_id == "3.5":
-        return _lemma_3_5(p_max)
-    if claim_id == "3.6":
-        return _lemma_3_6(p_max)
-    if claim_id == "3.11":
-        return _lemma_3_11(p_max)
-    if claim_id == "3.12":
-        return _lemma_3_12(p_max)
-    if claim_id == "quotient-consistency":
-        return _quotient_consistency_claim()
-    raise ValueError(f"unknown claim id {claim_id!r}")

@@ -3,7 +3,7 @@
 Each reads `verify._classes(n)`, the isomorphism classes of the connected
 diameter>3 graphs on n vertices with their D(G^c) spectra, and Lemma 2.1
 also scans the diameter-3 graphs.  The checks of the family graphs and
-their quotient polynomials live in `family_lemmas`.  `verify.check_lemma`,
+their quotient polynomials live in `family_lemmas`.  `verify.run_claim`,
 the entry point, imports the one module that holds the claim on its first
 call, so a run compiles only the lemma checks it runs, and a run that
 checks only theorems, or reads a graph6 stream, compiles neither.  Each
@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from cdspectra import quotients
 from cdspectra.graphcore import from_edge_mask, least_masks, orbit_minima, to_graph6
 from cdspectra.verify import (
     CLUSTER_TOL,
@@ -227,6 +226,8 @@ def _lemma_3_9(n: int, n_max: int = 20) -> VerificationReport:
         sub.append({"n": m, "ln_Lprime": lp, "ln_Ldprime": lpp})
         sub_margin = gap if sub_margin is None else min(sub_margin, gap)
     reversed_sub = sub_margin is not None and sub_margin > STRICT_MARGIN
+    from cdspectra import quotients     # imported here: no other check of this module uses it
+
     ident = bool(quotients.identities_hold(
         quotients.check_identity_Lprime_vs_Ldprime, [(m,) for m in range(7, n_max + 1)]).all())
     if reversed_sub:
@@ -245,20 +246,3 @@ def _lemma_3_9(n: int, n_max: int = 20) -> VerificationReport:
         notes=notes,
         details={"q1_count": int(classes.q1.sum()), "lprime_vs_ldprime": sub},
     )
-
-
-def check(claim_id: str, n: int | None) -> VerificationReport:
-    """Run one class-record lemma check at order n; n = None takes the
-    claim's default order."""
-    def order(default: int) -> int:
-        return default if n is None else n
-
-    if claim_id == "2.1":
-        return _lemma_2_1(order(6))
-    if claim_id == "2.5":
-        return _lemma_2_5(order(6))
-    if claim_id == "2.6":
-        return _lemma_2_6(order(7))
-    if claim_id == "3.9":
-        return _lemma_3_9(order(7))
-    raise ValueError(f"unknown claim id {claim_id!r}")

@@ -12,9 +12,11 @@ are eigenvalues of D(X^c).  Three artifacts are cross-checked:
   * the closed-form characteristic polynomial printed for it.
 
 `quotient_consistency` compares them and checks the derived roots
-against the full spectrum of D(X^c), solved at order n apart from the
-family store, so the check does not lean on the quotient it checks;
-`quotient_reports` does so for many cases at once.  Printed-formula
+against the full spectrum of D(X^c); `quotient_reports` does so for many
+cases at once.  The cells, and the float seeds of the roots, come from
+the family store (`verify._family_spectra`), but the full spectrum is
+solved at order n apart from it, so the check does not lean on the
+quotient it checks.  Printed-formula
 mismatches are reported, never silently patched: the derived objects win.
 """
 
@@ -22,14 +24,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from cdspectra.families import cell_groups, cell_matrices, cell_quotient, family_stacks
+from cdspectra.families import cell_quotient, family_stacks
 from cdspectra.spectra import (
     IntPolynomial,
     cauchy_root_bound,
     char_polys_exact,
     sturm_real_roots_many,
 )
-from cdspectra.verify import _family_spectrum, complement_distances
+from cdspectra.verify import _family_spectra, _family_spectrum, complement_distances
 
 class UnsupportedFamily(ValueError):
     """No quotient model is defined for this family."""
@@ -47,6 +49,11 @@ _PRINTED_CELLS = {
     "L": (1, 3, 0, 2, 4),           # u, v, w, P', Q'
     "Lprime": (1, 4, 0, 3, 2),      # u, v, w, w', R
     "Ldprime": (0, 1, 3, 4, 2),     # w', u', n-2, n-1, R
+}
+# The parameters each quotient model takes: the T model takes its order.
+QUOTIENT_PARAMS = {
+    "H": ("s", "t"), "B1": ("p", "q"), "B2": ("p", "q"), "T": ("n",),
+    "L": ("p", "q"), "Lprime": ("n",), "Ldprime": ("n",),
 }
 
 
@@ -431,16 +438,16 @@ def quotient_consistency(family_id: str, params, tol: float = 1e-9) -> QuotientR
 def quotient_reports(cases, tol: float = 1e-9) -> list[QuotientReport]:
     """`quotient_consistency` of each (family_id, params) case, as one batch.
 
-    Each case's quotient matrix is the `cell_quotient` of its model graph's
-    cells (`families.cell_groups`) in printed order, and the
-    characteristic polynomials come from one `char_polys_exact` call per
-    matrix size.  Each quotient polynomial's roots are then found exactly,
-    all in one `sturm_real_roots_many` batch: each root is the midpoint of
-    its cell on the bisection grid of [-B, B], with B = n times the largest
-    distance, which bounds every eigenvalue.  The cell is read off the
-    claim of a seed, an eigenvalue of the symmetric M similar to the
-    quotient (`families.cell_matrices`, one `eigvalsh` per cell group), or
-    found by Sturm counts.  The roots are then matched against the full
+    Each case's model graph is read from the family store
+    (`verify._family_spectra`): its quotient matrix is the `cell_quotient`
+    of the stored cells in printed order, and the characteristic
+    polynomials come from one `char_polys_exact` call per matrix size.
+    Each quotient polynomial's roots are then found exactly, all in one
+    `sturm_real_roots_many` batch: each root is the midpoint of its cell on
+    the bisection grid of [-B, B], with B = n times the largest distance,
+    which bounds every eigenvalue.  The cell is read off the claim of a
+    seed, a stored eigenvalue of the symmetric M similar to the quotient,
+    or found by Sturm counts.  The roots are then matched against the full
     spectrum, which one `family_stacks` call and a values-only `eigvalsh`
     per order give, apart from the family store.
     """
@@ -449,15 +456,12 @@ def quotient_reports(cases, tol: float = 1e-9) -> list[QuotientReport]:
         if family_id not in _PRINTED_CELLS:
             raise UnsupportedFamily(f"no quotient partition for family {family_id!r}")
     keys = [model_graph_key(*case) for case in cases]
-    matrices, bounds, seeds = [None] * len(cases), [0] * len(cases), [None] * len(cases)
-    for ats, sizes, dist in cell_groups(keys):
-        solved = np.linalg.eigvalsh(cell_matrices(sizes, dist)).tolist()
-        for at, row, values in zip(ats, sizes.tolist(), solved):
-            order = _PRINTED_CELLS[cases[at][0]]
-            matrices[at] = cell_quotient(row, dist)[np.ix_(order, order)]
-            # any eigenvalue is bounded by the max row sum <= n * max distance; the
-            # complements here have diameter up to 3, so 2n would clip lambda_1
-            bounds[at], seeds[at] = sum(row) * int(dist.max()), values
+    solved = _family_spectra(keys)
+    orders = [_PRINTED_CELLS[family_id] for family_id, _ in cases]
+    matrices = [cell_quotient(f.sizes, f.dist)[np.ix_(o, o)] for f, o in zip(solved, orders)]
+    # any eigenvalue is bounded by the max row sum <= n * max distance; the
+    # complements here have diameter up to 3, so 2n would clip lambda_1
+    bounds = [sum(f.sizes) * int(f.dist.max()) for f in solved]
     spectra: list = [None] * len(cases)
     for ats, adj in family_stacks(keys).values():
         for at, values in zip(ats, np.linalg.eigvalsh(complement_distances(adj))):
@@ -467,7 +471,8 @@ def quotient_reports(cases, tol: float = 1e-9) -> list[QuotientReport]:
         index = [i for i, qm in enumerate(matrices) if len(qm) == size]
         derived.update(zip(index, char_polys_exact([matrices[i] for i in index])))
     roots = sturm_real_roots_many(
-        [(derived[i], -b, b) for i, b in enumerate(bounds)], min(tol, 1e-10) / 10, seeds)
+        [(derived[i], -b, b) for i, b in enumerate(bounds)], min(tol, 1e-10) / 10,
+        [f.quotient for f in solved])
     return [_report(*case, values, qm, derived[i], roots[i], tol)
             for i, (case, values, qm) in enumerate(zip(cases, spectra, matrices))]
 

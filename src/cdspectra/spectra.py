@@ -360,12 +360,13 @@ def _grid_roots(p: IntPolynomial, lo, hi, tol: Fraction,
     records a root that a midpoint hits (or lo, or hi) as a point, and
     splits a cell that holds a root while it is shallower than the depth D
     where a cell is first no wider than tol, and past D while it holds two
-    or more.  The float seeds' claims on the depth-D grid (`_root_cells`), when
-    they account for every root, are that answer with no Sturm chain: a
-    simple root alone in its depth-D cell, or on a grid point, which
-    bisection meets as a midpoint.  Otherwise the square-free part's Sturm
-    chain counts the roots of each cell, and the gcd chains (as in
-    `_squarefree_chains`) the multiplicities.
+    or more.  A point shallower than D is given on the depth-D grid, so a
+    root has one tuple whichever path finds it.  The float seeds' claims on
+    the depth-D grid (`_root_cells`), when they account for every root, are
+    that answer with no Sturm chain: a simple root alone in its depth-D
+    cell, or on a grid point, which bisection meets as a midpoint.
+    Otherwise the square-free part's Sturm chain counts the roots of each
+    cell, and the gcd chains (as in `_squarefree_chains`) the multiplicities.
     """
     a, b, den = _over_common(lo, hi)
     span = b - a
@@ -406,6 +407,8 @@ def _grid_roots(p: IntPolynomial, lo, hi, tol: Fraction,
     found.sort(key=lambda ijs: (ijs[0] << (top - ijs[2]), ijs[1] << (top - ijs[2])))
     roots = []
     for i, j, s in found:
+        if s < depth:       # a point: on the depth-D grid, as a seed claims it
+            i, j, s = i << depth - s, j << depth - s, depth
         l, r, scale = (a << s) + i * span, (a << s) + j * span, den << s
         m = 1
         while m < len(chains) and _holds_root(chains[m], l, r, scale):

@@ -26,12 +26,14 @@ mask of its class, a labeling that does not depend on eigensolver
 rounding.  A stream's witnesses are merged by the same search, up to
 order `ISO_MAX_VERTICES`.
 
-Every theorem checker here, and every lemma checker in `lemmas` and
-`family_lemmas`, returns a VerificationReport whose status is measured,
-never assumed: claims that fail are `refuted` with witnesses, claims whose
-true direction opposes the stated one are `confirmed-with-reversed-direction`.
+`CLAIMS` names each claim's check, here, in `lemmas` or in
+`family_lemmas`, and `run_claim` runs it.  Every check returns a
+VerificationReport whose status is measured, never assumed: claims that
+fail are `refuted` with witnesses, claims whose true direction opposes
+the stated one are `confirmed-with-reversed-direction`.
 """
 
+import importlib
 import math
 from collections import Counter
 
@@ -67,15 +69,30 @@ RECHECK_WINDOW = 1e-11              # rescan window around a near-tie value
 ZERO_TOL = 1e-9                     # eigenvector entry treated as zero
 DEGENERATE_GAP = 1e-8
 
-CLAIM_IDS = (
-    "2.1", "2.3", "2.5", "2.6", "2.7",
-    "3.1", "3.4", "3.5", "3.6", "3.9", "3.11", "3.12",
-    "T2.4", "T2.8", "T3.7", "T3.13",
-    "quotient-consistency",
-)
-# the claims that read an order n, and those that read the grid bound p_max
-ORDER_CLAIMS = ("2.1", "2.3", "2.5", "2.6", "2.7", "3.9", "T2.4", "T2.8", "T3.7", "T3.13")
-GRID_CLAIMS = ("3.4", "3.5", "3.6", "3.11", "3.12")
+# claim id -> (module of its check, the check, its default): an order n, "p_max"
+# for a claim that reads the grid bound, or None for one that reads neither
+CLAIMS = {
+    "2.1": ("lemmas", "_lemma_2_1", 6),
+    "2.3": ("family_lemmas", "_lemma_2_3", 12),
+    "2.5": ("lemmas", "_lemma_2_5", 6),
+    "2.6": ("lemmas", "_lemma_2_6", 7),
+    "2.7": ("family_lemmas", "_lemma_2_7", 9),
+    "3.1": ("family_lemmas", "_lemma_3_1", None),
+    "3.4": ("family_lemmas", "_lemma_3_4", "p_max"),
+    "3.5": ("family_lemmas", "_lemma_3_5", "p_max"),
+    "3.6": ("family_lemmas", "_lemma_3_6", "p_max"),
+    "3.9": ("lemmas", "_lemma_3_9", 7),
+    "3.11": ("family_lemmas", "_lemma_3_11", "p_max"),
+    "3.12": ("family_lemmas", "_lemma_3_12", "p_max"),
+    "T2.4": ("verify", "check_theorem", 7),
+    "T2.8": ("verify", "check_theorem", 7),
+    "T3.7": ("verify", "check_theorem", 7),
+    "T3.13": ("verify", "check_theorem", 7),
+    "quotient-consistency": ("family_lemmas", "_quotient_consistency_claim", None),
+}
+CLAIM_IDS = tuple(CLAIMS)
+ORDER_CLAIMS = tuple(c for c, (_, _, default) in CLAIMS.items() if type(default) is int)
+GRID_CLAIMS = tuple(c for c, (_, _, default) in CLAIMS.items() if default == "p_max")
 
 
 class VerificationReport:
@@ -762,30 +779,24 @@ def _escalate_margin(margin: float | None, graphs, bound: _FamilySolution, side:
     return orders
 
 
-def check_lemma(claim_id: str, n: int | None = None, p_max: int = 12) -> VerificationReport:
-    """Dispatch a lemma claim check at the given order / grid size.
+def run_claim(claim_id: str, n: int | None = None, p_max: int | None = None) -> VerificationReport:
+    """Run any claim of `CLAIMS` by id: a theorem through `check_theorem`,
+    a claim that reads an order at n (None takes its default), one that
+    reads the grid at p_max (None takes 12), and any other with no argument.
 
-    The checks live in two modules, split by the data they read: `lemmas`
-    holds those of the class record (Lemmas 2.1, 2.5, 2.6 and 3.9), and
-    `family_lemmas` those of the family graphs and their quotients (the
-    rest).  Only the module that holds the claim is imported, on its first
-    call, so a run compiles only the lemma checks it runs, and a run that
-    checks only theorems loads neither module nor `quotients`.
+    The lemma checks live in two modules, split by the data they read:
+    `lemmas` holds those of the class record, and `family_lemmas` those of
+    the family graphs and their quotients.  A row's module is imported on
+    the first call for it, so a run compiles only the lemma checks it runs,
+    and a run that checks only theorems loads neither module nor `quotients`.
     """
-    if claim_id in ("2.1", "2.5", "2.6", "3.9"):
-        from cdspectra import lemmas
-
-        return lemmas.check(claim_id, n)
-    from cdspectra import family_lemmas
-
-    return family_lemmas.check(claim_id, n, p_max)
-
-
-def run_claim(claim_id: str, n: int | None = None, p_max: int = 12) -> VerificationReport:
-    """Run any registered claim (lemma or theorem) by id; n = None takes the
-    claim's default order."""
-    if claim_id not in CLAIM_IDS:
+    if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
-    if claim_id.startswith("T"):
-        return check_theorem(claim_id, 7 if n is None else n)
-    return check_lemma(claim_id, n=n, p_max=p_max)
+    module, name, default = CLAIMS[claim_id]
+    check = getattr(importlib.import_module(f"cdspectra.{module}"), name)
+    if default == "p_max":
+        return check(12 if p_max is None else p_max)
+    if default is None:
+        return check()
+    n = default if n is None else n
+    return check(claim_id, n) if name == "check_theorem" else check(n)

@@ -111,7 +111,7 @@ def test_criterion_05_theorem_3_13_maximum_at_L():
 
 
 def test_criterion_06_quotient_consistency():
-    rep = verify.check_lemma("quotient-consistency")
+    rep = verify.run_claim("quotient-consistency")
     summaries = rep.details["summaries"]
     by_family: dict[str, int] = {}
     for s in summaries:
@@ -154,7 +154,7 @@ EXPECTED_GRID_STATUS = {"3.4": "confirmed", "3.5": "confirmed", "3.1": "confirme
 
 @pytest.mark.parametrize("claim", ["3.4", "3.5", "3.1", "3.11", "3.12"])
 def test_criterion_08_inequality_grids(claim):
-    rep = verify.check_lemma(claim, p_max=12)
+    rep = verify.run_claim(claim, p_max=12)
     expected = EXPECTED_GRID_STATUS[claim]
     desc = (f"lemma {claim} inequality grid 4<=p<=12, 2<=q<=p: status {rep.status} "
             f"(expected {expected}), min margin {rep.margin}")
@@ -213,10 +213,10 @@ def test_criterion_09_spectral_sanity():
 
 
 def test_criterion_10_inconsistency_ledger_verdicts():
-    rep25 = verify.check_lemma("2.5", n=6)
+    rep25 = verify.run_claim("2.5", n=6)
     verdict_25 = (rep25.status == "confirmed-with-reversed-direction"
                   and any("opposes its own proof" in note for note in rep25.notes))
-    rep23 = verify.check_lemma("2.3", n=12)
+    rep23 = verify.run_claim("2.3", n=12)
     verdict_23 = any("strictly increases" in note for note in rep23.notes)
     power = quotients.power_discrepancy_verdict(6, 4)
     verdict_34 = (power["consistent_power"] == 2

@@ -97,3 +97,5 @@ def test_the_lemma_checks_load_no_masked_arrays():
     got = _child(RUN_CLI + REPORT, "verify", "--claims", "2.1,2.5,2.6", "--n", "6")
     assert got["code"] == 3
     assert "numpy.ma" not in got["loaded"]
+    # only Lemma 3.9 of the class-record checks reads `quotients`, and imports it itself
+    assert "cdspectra.quotients" not in got["loaded"]

@@ -266,7 +266,7 @@ def test_quotient_reports_build_a_sturm_chain_for_Lprime_12_only():
     # double root 0, which no cell record holds, so only it gets a chain
     from cdspectra import spectra, verify
     spectra._squarefree_chains.cache_clear()
-    assert verify.check_lemma("quotient-consistency").status == "confirmed"
+    assert verify.run_claim("quotient-consistency").status == "confirmed"
     info = spectra._squarefree_chains.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     # L'(12) alone asks for its chain again, and finds it cached

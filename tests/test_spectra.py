@@ -836,7 +836,7 @@ def test_no_bracket_from_an_exact_root_is_bisected_on_the_quotient_grid(monkeypa
     # double, is bisected by Sturm counts
     from cdspectra import quotients, verify
     bisected = _recording_claims(monkeypatch)
-    assert verify.check_lemma("quotient-consistency").status == "confirmed"
+    assert verify.run_claim("quotient-consistency").status == "confirmed"
     assert bisected == [quotients.Psi_Lprime(12)]
 
 
@@ -876,16 +876,13 @@ def test_seeds_never_change_a_result_on_the_exact_grid(monkeypatch):
     monkeypatch.undo()
     assert len({args[0] for args in grids}) == 143 and len(orders) == 1
 
-    def cells(*args):
-        # a point may come as (x, x) over any power of two: compare the rationals
-        return [(Fraction(l, s), Fraction(r, s), m) for l, r, s, m in grid(*args)]
-
     for p, lo, hi, tol, seeds in grids:
+        # raw tuples: a point found by bisection is given on the seeds' grid
         assert seeds is not None
         width = float((Fraction(hi) - Fraction(lo)) / 2**_depth(lo, hi, tol))
-        want = cells(p, lo, hi, tol, seeds)
-        assert cells(p, lo, hi, tol, [s + width for s in seeds]) == want, p
-        assert cells(p, lo, hi, tol, None) == want, p
+        want = grid(p, lo, hi, tol, seeds)
+        assert grid(p, lo, hi, tol, [s + width for s in seeds]) == want, p
+        assert grid(p, lo, hi, tol, None) == want, p
     ((pairs, side, seeds),) = orders
     want = certify(pairs, side, seeds)
     assert certify(pairs, side, {p: [s + 2.0**-20 for s in r] for p, r in seeds.items()}) == want

@@ -1,6 +1,7 @@
 """Enumeration engine, extremal scans, sign partitions, claim checkers."""
 
 import functools
+import importlib
 import math
 import random
 from collections import Counter
@@ -300,7 +301,7 @@ def test_free_trees_counts():
 
 
 def test_lemma_2_1():
-    rep = verify.check_lemma("2.1", n=6)
+    rep = verify.run_claim("2.1", n=6)
     assert rep.status == "confirmed"
     assert rep.details["identity_violations"] == 0
     assert rep.details["inequality_violations"] == 0
@@ -309,45 +310,45 @@ def test_lemma_2_1():
 
 
 def test_lemma_2_3_monotone_toward_balance():
-    rep = verify.check_lemma("2.3", n=10)
+    rep = verify.run_claim("2.3", n=10)
     assert rep.status == "confirmed"
     vals = rep.details["l1_by_split"]
     assert vals["4,4"] >= vals["3,5"] >= vals["2,6"] >= vals["1,7"]
 
 
 def test_lemma_2_5_direction_reversed():
-    rep = verify.check_lemma("2.5", n=6)
+    rep = verify.run_claim("2.5", n=6)
     assert rep.status == "confirmed-with-reversed-direction"
     assert rep.margin is not None and rep.margin > 0
     assert rep.details["example_pair"] is not None
 
 
 def test_lemma_2_6_spanning_trees():
-    rep = verify.check_lemma("2.6", n=6)
+    rep = verify.run_claim("2.6", n=6)
     assert rep.status == "confirmed"
     assert not rep.counterexamples
 
 
 def test_lemma_2_7_trees():
-    rep = verify.check_lemma("2.7")
+    rep = verify.run_claim("2.7")
     assert rep.status == "confirmed"
     assert rep.margin is not None and rep.margin > 1e-9
 
 
 def test_lemma_2_7_above_the_isomorphism_cap():
     # the star and the path are named by their degrees, so no tree order is capped
-    rep = verify.check_lemma("2.7", n=12)
+    rep = verify.run_claim("2.7", n=12)
     assert rep.status == "confirmed" and rep.counterexamples == []
     assert rep.params == {"n_max": 12}
     # the trees on 4..12 vertices, 1 + 2 + 5 + 10 + 22 + 46 + 105 + 234 + 550
     # of them without the stars
     assert rep.notes == ["975 non-star trees checked; equality exactly at P_n"]
     # the least gap over the trees shrinks as the order grows
-    assert 1e-9 < rep.margin < verify.check_lemma("2.7").margin
+    assert 1e-9 < rep.margin < verify.run_claim("2.7").margin
 
 
 def test_lemma_3_1_chain():
-    rep = verify.check_lemma("3.1")
+    rep = verify.run_claim("3.1")
     assert rep.status == "confirmed"
     assert rep.margin > 1e-9
 
@@ -364,34 +365,34 @@ def test_lemma_3_1_compares_the_trees_at_every_tie(monkeypatch):
         return same
 
     monkeypatch.setattr(family_lemmas, "is_isomorphic", recorded)
-    rep = verify.check_lemma("3.1")
+    rep = verify.run_claim("3.1")
     assert rep.status == "confirmed"
     assert seen == [(b + 4, True) for b in range(1, 10)]
     assert rep.notes == [f"equality T1=T2 at {[(1, b) for b in range(1, 10)]}; "
                          "these parameter pairs give isomorphic trees"]
     monkeypatch.setattr(family_lemmas, "is_isomorphic", lambda g, h: False)
-    rep = verify.check_lemma("3.1")
+    rep = verify.run_claim("3.1")
     assert rep.status == "refuted"
     assert rep.counterexamples == [str((1, b)) for b in range(1, 10)]
 
 
 def test_lemma_3_4_and_3_5_grids():
-    rep = verify.check_lemma("3.4", p_max=8)
+    rep = verify.run_claim("3.4", p_max=8)
     assert rep.status == "confirmed"
     assert rep.margin > 1e-9
     assert rep.details["power_verdict"]["consistent_power"] == 2
-    rep = verify.check_lemma("3.5", p_max=8)
+    rep = verify.run_claim("3.5", p_max=8)
     assert rep.status == "confirmed"
     assert rep.margin > 1e-9
 
 
 def test_lemma_3_6_balance():
-    rep = verify.check_lemma("3.6", p_max=8)
+    rep = verify.run_claim("3.6", p_max=8)
     assert rep.status == "confirmed"
 
 
 def test_lemma_3_9_vacuous_q1_and_reversed_subclaim():
-    rep = verify.check_lemma("3.9", n=7)
+    rep = verify.run_claim("3.9", n=7)
     assert rep.status == "confirmed-with-reversed-direction"
     assert rep.details["q1_count"] == 0
     assert any("vacuous" in note for note in rep.notes)
@@ -400,7 +401,7 @@ def test_lemma_3_9_vacuous_q1_and_reversed_subclaim():
 
 
 def test_lemma_3_11_refuted_with_certificate():
-    rep = verify.check_lemma("3.11", p_max=12)
+    rep = verify.run_claim("3.11", p_max=12)
     assert rep.status == "refuted"
     assert "(11, 4)" in rep.counterexamples
     assert any("certified exactly" in note for note in rep.notes)
@@ -432,7 +433,7 @@ def test_lemma_3_11_isolates_each_polynomial_once(monkeypatch):
 
     monkeypatch.setattr(spectra, "_grid_roots", recording_grid)
     monkeypatch.setattr(spectra, "_root_cells", recording_claims)
-    verify.check_lemma("3.11", p_max=12)
+    verify.run_claim("3.11", p_max=12)
     assert len(isolated) == len(set(isolated)) == 80
     assert bisected == [quotients.Psi_Lprime(12)]
 
@@ -440,22 +441,22 @@ def test_lemma_3_11_isolates_each_polynomial_once(monkeypatch):
 def test_lemma_3_12_note_follows_its_verdict():
     # the grid up to p = 15 reaches (15, 2), where lambda_n(L^c) overshoots
     # the balanced split; the default grid confirms the claim
-    rep = verify.check_lemma("3.12", p_max=15)
+    rep = verify.run_claim("3.12", p_max=15)
     assert rep.status == "refuted" and rep.counterexamples == ["(15, 2)"]
     assert rep.notes[-1].endswith("the monotonicity conclusion itself fails at (15, 2)")
-    rep = verify.check_lemma("3.12", p_max=12)
+    rep = verify.run_claim("3.12", p_max=12)
     assert rep.status == "confirmed"
     assert rep.notes[-1].endswith("the monotonicity conclusion itself holds")
 
 
 def test_lemma_3_11_confirmed_on_small_grid():
-    rep = verify.check_lemma("3.11", p_max=10)
+    rep = verify.run_claim("3.11", p_max=10)
     assert rep.status == "confirmed"
     assert rep.margin > 1e-9
 
 
 def test_lemma_3_12_balance():
-    rep = verify.check_lemma("3.12", p_max=10)
+    rep = verify.run_claim("3.12", p_max=10)
     assert rep.status == "confirmed"
     assert rep.margin > 1e-9
 
@@ -466,7 +467,7 @@ def test_family_store_matches_the_per_graph_spectrum(monkeypatch):
     # graph at a time
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     for claim in ("2.3", "3.1", "3.4", "3.5", "3.6", "3.9", "3.11", "3.12"):
-        verify.check_lemma(claim, n=7)
+        verify.run_claim(claim, n=7)
     verify._family_spectra([("path", (1,))] + [("path", (n,)) for n in range(4, 13)])
     store = verify._FAMILY_STORE
     assert len(store) > 300
@@ -492,7 +493,7 @@ def test_family_char_poly_is_that_of_the_order_n_matrix(monkeypatch):
     from cdspectra.spectra import CHAR_POLY_MAX_N, char_polys_exact
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     for claim in ("2.3", "3.1", "3.9") + verify.GRID_CLAIMS:
-        verify.check_lemma(claim, n=7)
+        verify.run_claim(claim, n=7)
     bounds = [(family, make(n)) for n in range(7, CHAR_POLY_MAX_N + 1)
               for _, _, family, make in verify._THEOREMS.values()]
     verify._family_spectra(bounds)
@@ -526,7 +527,7 @@ def test_grid_claims_and_theorem_bounds_solve_no_order_n_matrix(monkeypatch):
         for module, name in ((verify, "complement_spectra"), (verify, "eigenpairs"),
                              (families, "family_stacks"), (quotients, "family_stacks")):
             patched.setattr(module, name, broken)
-        statuses = {c: verify.check_lemma(c).status for c in verify.GRID_CLAIMS}
+        statuses = {c: verify.run_claim(c).status for c in verify.GRID_CLAIMS}
         theorems = [verify.check_theorem(t, n).status
                     for n in (7, 8) for t in ("2.4", "2.8", "3.7", "3.13")]
     assert statuses == {"3.4": "confirmed", "3.5": "confirmed", "3.6": "confirmed",
@@ -538,7 +539,7 @@ def test_grid_claims_and_theorem_bounds_solve_no_order_n_matrix(monkeypatch):
                         lambda keys: calls.append(list(keys)) or stacks(calls[-1]))
     monkeypatch.setattr(verify, "complement_spectra", broken)
     monkeypatch.setattr(verify, "eigenpairs", broken)
-    assert verify.check_lemma("quotient-consistency").status == "confirmed"
+    assert verify.run_claim("quotient-consistency").status == "confirmed"
     assert [len(keys) for keys in calls] == [98]
 
 
@@ -551,12 +552,12 @@ def test_grid_claims_build_no_graph(monkeypatch):
         raise AssertionError("a Graph was built")
 
     monkeypatch.setattr(Graph, "__init__", no_graph)
-    statuses = {c: verify.check_lemma(c, p_max=12).status
+    statuses = {c: verify.run_claim(c, p_max=12).status
                 for c in ("quotient-consistency",) + verify.GRID_CLAIMS}
     assert statuses == {"quotient-consistency": "confirmed", "3.4": "confirmed",
                         "3.5": "confirmed", "3.6": "confirmed", "3.11": "refuted",
                         "3.12": "confirmed"}
-    assert len(verify._FAMILY_STORE) == 226      # the grids: quotient-consistency adds none
+    assert len(verify._FAMILY_STORE) == 254      # the grids' 226, and quotient-consistency's H and L''
 
 
 def test_family_store_solves_orders_above_64(monkeypatch):
@@ -594,7 +595,7 @@ def test_the_store_equals_one_key_solves_bitwise(monkeypatch):
     # lambda_1, lambda_n, the quotient eigenvalues and the whole spectrum
     monkeypatch.setattr(verify, "_FAMILY_STORE", {})
     for claim in verify.GRID_CLAIMS:
-        family_lemmas.check(claim, None, 60)
+        verify.run_claim(claim, p_max=60)
     verify._family_spectra([("T2", (1, b)) for b in range(1, 31)] + [("star", (1,))]
                            + [("path", (n,)) for n in (1, *range(4, 41))])
     store = verify._FAMILY_STORE
@@ -677,11 +678,11 @@ def test_claims_share_the_family_store(monkeypatch):
         return cells(keys)
 
     monkeypatch.setattr(verify, "cell_groups", counting_cells)
-    verify.check_lemma("3.11")
+    verify.run_claim("3.11")
     first = sum(solved)
     assert first == len(verify._FAMILY_STORE) and len(solved) == 1
-    verify.check_lemma("3.12")
-    verify.check_lemma("3.11")
+    verify.run_claim("3.12")
+    verify.run_claim("3.11")
     assert sum(solved) == len(verify._FAMILY_STORE) < 2 * first
 
 
@@ -707,7 +708,7 @@ def test_a_theorem_run_makes_each_family_graph_once(monkeypatch):
 
 
 def test_quotient_consistency_claim():
-    rep = verify.check_lemma("quotient-consistency")
+    rep = verify.run_claim("quotient-consistency")
     assert rep.status == "confirmed"
     assert rep.params["cases"] == 98
     under = [s for s in rep.details["summaries"] if not s["poly_matches_printed"]]
@@ -719,6 +720,25 @@ def test_run_claim_registry():
         verify.run_claim("nope")
     rep = verify.run_claim("T2.8", n=6)
     assert rep.claim_id == "T2.8"
+
+
+def test_claims_table_gives_the_registries_checks_and_default_orders():
+    # the three id tuples come from `CLAIMS` in table order, every row names
+    # a check its module has, and run_claim with no n runs each order claim
+    # at its documented default
+    assert verify.CLAIM_IDS == (
+        "2.1", "2.3", "2.5", "2.6", "2.7", "3.1", "3.4", "3.5", "3.6", "3.9", "3.11", "3.12",
+        "T2.4", "T2.8", "T3.7", "T3.13", "quotient-consistency")
+    assert verify.ORDER_CLAIMS == (
+        "2.1", "2.3", "2.5", "2.6", "2.7", "3.9", "T2.4", "T2.8", "T3.7", "T3.13")
+    assert verify.GRID_CLAIMS == ("3.4", "3.5", "3.6", "3.11", "3.12")
+    for module, name, _ in verify.CLAIMS.values():
+        assert callable(getattr(importlib.import_module(f"cdspectra.{module}"), name))
+    orders = {c: verify.run_claim(c).params for c in verify.ORDER_CLAIMS}
+    assert {c: params.get("n", params.get("n_max")) for c, params in orders.items()} == {
+        "2.1": 6, "2.3": 12, "2.5": 6, "2.6": 7, "2.7": 9, "3.9": 7,
+        "T2.4": 7, "T2.8": 7, "T3.7": 7, "T3.13": 7}
+    assert verify.run_claim("3.4").params["grid"] == "4<=p<=12, 2<=q<=p"
 
 
 def test_scan_invalid_n():
@@ -1031,7 +1051,7 @@ def test_degenerate_classes_are_left_out_of_the_q_counts(monkeypatch):
         assert scan["q_hist"] == {} and scan["q1_count"] == 0
         assert not verify._classes(n).q1.any()
     monkeypatch.setattr(verify, "_least_split", solve)
-    rep = verify.check_lemma("3.9", n=7)
+    rep = verify.run_claim("3.9", n=7)
     assert rep.notes[:3] == [
         "q histogram at n=7: {}",
         "224280 graphs with a repeated least eigenvalue, where q is not defined, "
@@ -1045,7 +1065,7 @@ def test_degenerate_classes_are_left_out_of_the_q_counts(monkeypatch):
     assert scan["degenerate"] == want["degenerate"] == 0
     assert scan["q_hist"] == want["q_hist"] and scan["q1_count"] == want["q1_count"]
     assert not any("repeated least eigenvalue" in note
-                   for note in verify.check_lemma("3.9", n=7).notes)
+                   for note in verify.run_claim("3.9", n=7).notes)
 
 
 @settings(max_examples=40)
@@ -1074,7 +1094,7 @@ def test_near_tie_recheck_solves_one_graph_per_class(monkeypatch):
 
 
 def test_lemma_2_5_example_pair_is_an_edge_deletion():
-    rep = verify.check_lemma("2.5", n=6)
+    rep = verify.run_claim("2.5", n=6)
     g, h = (from_graph6(text) for text in rep.details["example_pair"])
     removed = to_edge_mask(g) ^ to_edge_mask(h)
     assert to_edge_mask(h) & removed == 0 and bin(removed).count("1") == 1
@@ -1103,7 +1123,7 @@ def test_lemma_3_9_q1_class_above_the_bound_refutes(monkeypatch):
     q1[k] = part.sizes[k]
     monkeypatch.setitem(verify._SCAN_CACHE, 7, verify._Classes(
         part.n, part.reps, part.sizes, part.l1, part.ln, q1, part.summary))
-    rep = verify.check_lemma("3.9", n=7)
+    rep = verify.run_claim("3.9", n=7)
     assert rep.status == "refuted"
     assert rep.counterexamples == [to_graph6(from_edge_mask(7, int(part.reps[k])))]
     assert rep.details["q1_count"] == part.sizes[k]
@@ -1352,7 +1372,7 @@ def test_lemma21_violation_lists_the_class_representative(monkeypatch):
     assert len(p6) == 360
     assert scan["lemma21_violations"] == [min(p6)]
     assert flagged == [1]                       # one class representative
-    rep = verify.check_lemma("2.1", n=6)
+    rep = verify.run_claim("2.1", n=6)
     assert rep.status == "refuted" and rep.details["identity_violations"] == 360
     assert rep.counterexamples == [to_graph6(from_edge_mask(6, min(p6)))]
 
@@ -1394,7 +1414,7 @@ def test_diameter_3_half_equals_the_labeled_scan(n, count):
     want = _ref_diam3_scan(n)
     assert want["count"] == count
     assert lemmas._lemma21_diam3_scan(n) == want
-    rep = verify.check_lemma("2.1", n=n)
+    rep = verify.run_claim("2.1", n=n)
     assert rep.details["diam3_count"] == count
     assert rep.details["diam3_complement_exceptions"] == want["complement_not_small"]
     assert rep.details["inequality_violations"] == want["labeled_violations"]
@@ -1423,7 +1443,7 @@ def test_lemma21_inequality_violation_lists_the_class_representative(monkeypatch
     assert flagged == [1]
     assert scan["violations"] == [min(c6s)] and scan["labeled_violations"] == 60
     assert scan["count"] == 12540 and scan["complement_not_small"] == 0
-    rep = verify.check_lemma("2.1", n=6)
+    rep = verify.run_claim("2.1", n=6)
     assert rep.status == "refuted" and rep.details["inequality_violations"] == 60
     assert rep.counterexamples == [to_graph6(from_edge_mask(6, min(c6s)))]
 
@@ -1457,7 +1477,7 @@ def _ref_lemma_2_5(n: int) -> dict:
 @pytest.mark.parametrize("n", [6, 7])
 def test_lemma_2_5_equals_the_labeled_pair_walk(n):
     want = _ref_lemma_2_5(n)
-    rep = verify.check_lemma("2.5", n=n)
+    rep = verify.run_claim("2.5", n=n)
     stated = want["pairs"] - want["ties"] - want["reversed"]
     assert rep.notes[0] == (
         f"measured on {want['pairs']} (G, G-e) pairs with d(G-e)>3: "
@@ -1482,7 +1502,7 @@ def test_lemma_2_6_equals_every_spanning_tree_by_brute_force():
         margin = min(margin, gap)
         if gap <= verify.CLUSTER_TOL:
             bad.append(to_graph6(g))
-    rep = verify.check_lemma("2.6", n=n)
+    rep = verify.run_claim("2.6", n=n)
     assert rep.status == "confirmed" and rep.counterexamples == bad == []
     assert rep.margin == pytest.approx(margin, abs=1e-12)
     assert rep.notes == ["every spanning tree of all 3240 graphs; "
@@ -1498,7 +1518,7 @@ def test_lemma_2_6_refutes_when_trees_rise_above_their_graphs(monkeypatch):
     l1 = np.where(trees, part.l1.max() + 1, part.l1)
     monkeypatch.setitem(verify._SCAN_CACHE, 6, verify._Classes(
         part.n, part.reps, part.sizes, l1, part.ln, part.q1, part.summary))
-    rep = verify.check_lemma("2.6", n=6)
+    rep = verify.run_claim("2.6", n=6)
     assert rep.status == "refuted"
     assert rep.counterexamples == [to_graph6(from_edge_mask(6, int(m)))
                                    for m in part.reps[~trees]]
@@ -1510,13 +1530,13 @@ def test_lemma_2_6_refutes_when_trees_rise_above_their_graphs(monkeypatch):
     l1 = np.where(trees, part.l1[k], part.l1)
     monkeypatch.setitem(verify._SCAN_CACHE, 6, verify._Classes(
         part.n, part.reps, part.sizes, l1, part.ln, part.q1, part.summary))
-    rep = verify.check_lemma("2.6", n=6)
+    rep = verify.run_claim("2.6", n=6)
     assert rep.status == "refuted" and rep.margin == 0
     assert rep.counterexamples == [to_graph6(from_edge_mask(6, int(part.reps[k])))]
 
 
 def test_lemmas_2_5_and_2_6_at_n8():
-    rep = verify.check_lemma("2.5", n=8)
+    rep = verify.run_claim("2.5", n=8)
     assert rep.status == "confirmed-with-reversed-direction"
     assert rep.notes[0].startswith("measured on 220513440 (G, G-e) pairs")
     g, h = (from_graph6(text) for text in rep.details["example_pair"])
@@ -1526,6 +1546,6 @@ def test_lemmas_2_5_and_2_6_at_n8():
     gap = (_spectrum(g).lambda1
            - _spectrum(h).lambda1)
     assert gap == pytest.approx(rep.margin, abs=1e-12)
-    rep = verify.check_lemma("2.6", n=8)
+    rep = verify.run_claim("2.6", n=8)
     assert rep.status == "confirmed" and rep.counterexamples == []
     assert rep.margin == pytest.approx(0.226120, abs=5e-7)
